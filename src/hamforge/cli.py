@@ -262,8 +262,10 @@ def _initial_state(spec, n_qubits: int) -> np.ndarray:
             return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
         raise ConfigError(f"unknown named state {spec!r}")
     psi = np.asarray(spec, dtype=complex)
-    re = psi.real
-    return psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if norm == 0.0:
+        raise ConfigError("evaluation.initial_state has zero norm")
+    return psi / norm
 
 
 def cmd_simulate(args) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -188,7 +189,13 @@ def parallel_restarts(
     if use_pool:
         try:
             pickle.dumps(energy)
-        except Exception:
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            warnings.warn(
+                f"energy cannot be pickled for worker processes ({exc}); "
+                f"running {cfg.restarts} restarts serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             use_pool = False
     if use_pool:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.restarts)) as pool:

@@ -219,6 +219,13 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class ScaleRange:
+    """Achievable scale range [s_minus, s_plus] along the target direction.
+
+    An end whose LP reached no optimum is NaN, here and in the
+    ``(samples, s_minus, s_plus)`` rows of ``convergence_history``;
+    ``achievable`` is False only when both ends are NaN.
+    """
+
     s_minus: float
     s_plus: float
     achievable: bool
@@ -365,28 +372,25 @@ def find_scale_range(
         warnings.warn("fewer samples than subspace dimension + 1: degenerate hull")
     vs = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
     history = []
-    s_plus = s_minus = None
+    s_plus = s_minus = np.nan
     used = 0
     for k in range(batch, j_samples + batch, batch):
         k = min(k, j_samples)
         if k == used:
             break
-        cur = _scale_lps(vs.vertices[:k])
-        history.append((k, cur[1], cur[0]))
         prev_plus, prev_minus = s_plus, s_minus
-        s_plus, s_minus = cur[0], cur[1]
+        s_plus, s_minus = (np.nan if s is None else s for s in _scale_lps(vs.vertices[:k]))
+        history.append((k, s_minus, s_plus))
         used = k
+        # NaN never compares below the tolerance, so an end without an
+        # optimum keeps the search going to the cap
         if (
-            prev_plus is not None
-            and s_plus is not None
-            and prev_minus is not None
-            and s_minus is not None
-            and abs(s_plus - prev_plus) < converge_tol
+            abs(s_plus - prev_plus) < converge_tol
             and abs(s_minus - prev_minus) < converge_tol
             and k >= mtot + 1
         ):
             break
-    if s_plus is None and s_minus is None:
+    if np.isnan(s_plus) and np.isnan(s_minus):
         return ScaleRange(np.nan, np.nan, False, used, history)
     rescale = 1.0
     if measure_component is not None:

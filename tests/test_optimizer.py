@@ -176,6 +176,13 @@ def test_restarts_worker_count_invariance():
     assert serial.restart_index == pooled.restart_index
 
 
+def test_unpicklable_energy_warns_and_runs_serially():
+    cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=200, dimension=2, master_seed=13, schedule="standard", restarts=2)
+    with pytest.warns(RuntimeWarning, match="cannot be pickled.*serially"):
+        res = parallel_restarts(lambda x: bowl(x), cfg, workers=2)
+    assert res.best_e == parallel_restarts(bowl, cfg, workers=1).best_e
+
+
 def test_single_restart_equals_gsa_minimize():
     cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=600, dimension=3, master_seed=12, schedule="standard", restarts=1)
     rp = parallel_restarts(bowl, cfg, workers=1)

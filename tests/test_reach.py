@@ -131,6 +131,19 @@ def test_single_qubit_full_range():
     assert sr.s_minus == pytest.approx(-1.0, abs=0.02)
 
 
+def test_one_open_end_is_nan(monkeypatch):
+    # LP- without an optimum: the range keeps its closed end and marks the
+    # open one NaN, here and in the convergence history
+    g, comps = _single_qubit_components()
+    monkeypatch.setattr(reach, "_scale_lps", lambda vertices: [1.0, None])
+    sr = reach.find_scale_range(g, comps, 100, rng=np.random.default_rng(1), batch=50)
+    assert sr.achievable
+    assert sr.s_plus == 1.0
+    assert np.isnan(sr.s_minus)
+    assert [k for k, _, _ in sr.convergence_history] == [50, 100]
+    assert all(np.isnan(sm) and sp == 1.0 for _, sm, sp in sr.convergence_history)
+
+
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 400, rng=np.random.default_rng(6))

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hamforge import toggling as tg
 from hamforge.liealg import find_c_subspace, find_lie_algebra
@@ -78,6 +80,87 @@ def test_nested_exp_random(lams):
     mine = tg.nested_exp_integral(lams, t)
     ref = quad_oracle(lams, t, n=6000)
     assert abs(mine - ref) < 1e-7
+
+
+def opitz_oracle(nodes, t):
+    """f[i*w_0, .., i*w_r] of f(x) = exp(x t) in 40-digit arithmetic.
+
+    Opitz: the divided difference is the (0, r) entry of exp(t J), J
+    bidiagonal with i*w on the diagonal and ones above it.  Exact for
+    repeated nodes.  (scipy.linalg.expm is not accurate enough here: it
+    is off in the second digit on the regression case below.)
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        n = len(nodes)
+        j = mp.matrix(n, n)
+        for k, w in enumerate(nodes):
+            j[k, k] = 1j * w * t
+            if k + 1 < n:
+                j[k, k + 1] = t
+        return complex(mp.expm(j)[0, n - 1])
+
+
+def int3_grid_errors(nu, t):
+    """Per-entry errors of the batched r=3 grid and of `_int3_plus` against
+    the Opitz oracle at exact prefix sums, in units of T^3/6."""
+    mp = pytest.importorskip("mpmath")
+    nu = np.asarray(nu, dtype=float)
+    i2 = tg._int2_plus(nu[None, :, None], nu[None, None, :], t)
+    grid = tg._int3_grid(nu[None], i2, t)[0]
+    general = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], t)
+    refs = {}
+    err_grid = np.empty(grid.shape)
+    err_general = np.empty(grid.shape)
+    for abc in itertools.product(range(len(nu)), repeat=3):
+        key = tuple(nu[k] for k in abc)
+        if key not in refs:
+            with mp.workdps(40):
+                a, b, c = (mp.mpf(float(x)) for x in key)
+                refs[key] = opitz_oracle([mp.mpf(0), a, a + b, a + b + c], mp.mpf(t))
+        err_grid[abc] = abs(grid[abc] - refs[key])
+        err_general[abc] = abs(general[abc] - refs[key])
+    unit = t ** 3 / 6
+    return err_grid / unit, err_general / unit
+
+
+@st.composite
+def adjoint_spectra(draw):
+    """Step length T and m=4 eigenvalues as adjoint spectra have them: an
+    exact zero, +/- pairs, repeats, and gaps straddling DEFAULT_DEGEN_TOL."""
+    t = draw(st.floats(0.5, 2.0))
+    w = draw(st.floats(0.05, 4.0))
+    gap = draw(st.floats(2e-4, 5e-3))
+    pool = [0.0, w, -w, gap, -gap, w + gap]
+    rest = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))
+    return t, np.array([0.0, *rest]) / t
+
+
+@given(adjoint_spectra())
+# a gap just above DEFAULT_DEGEN_TOL: the sorted kernel at that series
+# threshold is off by 1.7e-9 * T^3/6 here
+@example((1.0, np.array([0.0, 0.0, 1.0155796176509306e-3, 2.8151671747907323])))
+@settings(max_examples=10, deadline=None)
+def test_int3_grid_vs_mpmath(case):
+    t, nu = case
+    err_grid, err_general = int3_grid_errors(nu, t)
+    assert err_grid.max() <= 5e-10
+    # no worse than the general kernel, up to a rounding-level floor
+    assert err_grid.max() <= max(err_general.max(), 1e-13)
+
+
+def test_int3_grid_near_repeated_nodes():
+    # nodes (0, -3.9332, -7.8665, -7.8665 - 1e-15): scipy's expm of the
+    # Opitz matrix gives 0.02251+0.03878j here
+    t = 1.0
+    nu = np.array([-3.9332, -3.9333, -1e-15])
+    expect = quad_oracle(-nu, t)
+    assert expect == pytest.approx(0.02442 + 0.04782j, abs=1e-5)
+    assert opitz_oracle([0.0, -3.9332, -7.8665, -7.8665 - 1e-15], t) == pytest.approx(
+        expect, abs=1e-10
+    )
+    err_grid, _ = int3_grid_errors(nu, t)
+    assert err_grid.max() <= 5e-10
 
 
 def test_propagate_primary_identities():
