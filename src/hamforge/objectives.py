@@ -304,22 +304,24 @@ class CostPipeline:
         v = np.asarray(x, dtype=float).reshape(len(self.channels), self.p_intervals)
         return ControlSequence(v, self.dt, self.channels)
 
-    def _error_step_ops(self, name: str, seq, h_ctrl):
+    def _error_step_ops(self, name: str, seq, fld, h_ctrl):
         e = self.errors[name]
         if e.kind == "amplitude":
             return h_ctrl
-        sens = model_param_derivative(self.model, seq, e.param, self.fd_step)
+        sens = model_param_derivative(self.model, seq, e.param, self.fd_step, nominal=fld)
         sens = sens * self.model.param_scale(e.param)
         return np.einsum("kq,kab->qab", sens, self.axis_ops)
 
-    def _second_step_ops(self, j1: str, j2: str, seq):
+    def _second_step_ops(self, j1: str, j2: str, seq, fld):
         e1, e2 = self.errors[j1], self.errors[j2]
         if e1.kind == "amplitude" and e2.kind == "amplitude":
             return None  # dH = eps H_c is linear in eps
         if e1.kind == "amplitude" or e2.kind == "amplitude":
             # mixed amplitude x parameter: d2H = d(dH_param); amplitude scales it
             other = e2 if e1.kind == "amplitude" else e1
-            sens = model_param_derivative(self.model, seq, other.param, self.fd_step)
+            sens = model_param_derivative(
+                self.model, seq, other.param, self.fd_step, nominal=fld
+            )
             b2 = sens * self.model.param_scale(other.param)
         elif j1 == j2:
             p = e1.param
@@ -327,8 +329,7 @@ class CostPipeline:
             step = self.fd_step * self.model.param_scale(p)
             hi = self.model.with_param(p, v + step).field(seq).b
             lo = self.model.with_param(p, v - step).field(seq).b
-            mid = self.model.field(seq).b
-            b2 = (hi - 2 * mid + lo) / step ** 2 * self.model.param_scale(p) ** 2
+            b2 = (hi - 2 * fld.b + lo) / step ** 2 * self.model.param_scale(p) ** 2
         else:
             p1, p2 = e1.param, e2.param
             v1, v2 = self.model.params()[p1], self.model.params()[p2]
@@ -388,7 +389,7 @@ class CostPipeline:
         err_step = {}
         for name, order in self.need_err.items():
             stack = self.err_stacks[name]
-            eops = self._error_step_ops(name, seq, h_ctrl)
+            eops = self._error_step_ops(name, seq, fld, h_ctrl)
             nu, vecs, dq, e_prev = self._space_cache(stack, h_pri, u, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), eops)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
@@ -426,7 +427,7 @@ class CostPipeline:
         # second-derivative zeroth integrals
         second_c0 = {}
         for (j1, j2) in set(self.need_second):
-            ops2 = self._second_step_ops(j1, j2, seq)
+            ops2 = self._second_step_ops(j1, j2, seq, fld)
             if ops2 is None:
                 second_c0[(j1, j2)] = None
                 continue

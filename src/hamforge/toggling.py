@@ -17,7 +17,13 @@ General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than `tol`
 (removable singularities).  This is the path of `nested_exp_integral`,
-the sequential `step_cints_raw` and every r <= 2 table.
+the sequential `step_cints_raw` and every r <= 2 table.  The threshold
+DEFAULT_DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
+~eps / (spread * T) to cancellation, and at r = 3 one more division by a
+node gap of similar size leaves errors of order eps / (spread * T)^2 in
+units of T^3 / 6.  Against 40-digit arithmetic the worst r = 3 entry is
+1.7e-9 at a threshold of 1e-3, ~1e-12 at 0.05 and below 1e-13 at 0.2.
+SERIES_TERMS = 10 keeps the series exact to rounding up to width 0.25.
 
 r = 3 grid (`_int3_grid`, used by `batch_step_cints`).  The nodes of
 entry (a, b, c) are {0, a, a+b, a+b+c}.  Dividing by the (0, a+b+c) pair
@@ -35,15 +41,11 @@ of entry go to the general kernel instead:
 * |a+b+c| < SHIFT_KAPPA * spread.  SHIFT_KAPPA = 0.25 caps the extra
   amplification at 4x.  Adjoint spectra carry exact zeros and +/- pairs,
   so 9% of the entries of the 2-qubit benchmark grids have a+b+c = 0
-  whatever the bound.  There the fallback takes 16-18% of the entries
-  at 0.25, against 11-14% at 0.1 and 28-29% at 0.5.
-* Clusters with spread * T < GRID_SERIES_WIDTH, run with that width as
-  the series threshold.  Near spread * T = 1e-3 the direct differences
-  in I2 lose ~eps / (spread * T) to cancellation, and one more division
-  by a node gap of the same size leaves errors near 1e-9 * T^3 / 6 in
-  the sorted kernel and in the identity alike.  The eight-term series is
-  exact to rounding up to widths of about 0.1, so at 0.05 the worst grid
-  entry checked against 40-digit arithmetic is ~1e-12 * T^3 / 6.
+  whatever the bound.  With tol = 0.2 the fallback takes 18% of the
+  entries at 0.25; at a series width of 0.05 it took 16-18% at 0.25,
+  against 11-14% at 0.1 and 28-29% at 0.5.
+* Clusters with spread * T < tol, which the kernel sums as a series.
+  The identity would inherit the cancellation of I2 described above.
 
 Divided differences of exp: McCurdy, Ng & Parlett, Math. Comp. 43 (1984);
 Higham, Functions of Matrices, SIAM (2008).
@@ -58,9 +60,9 @@ import numpy as np
 from .liealg import CSubspace
 from .opcore import Operator, vectorize
 
-DEFAULT_DEGEN_TOL = 1e-3  # |w*T| cluster width below which the series branch runs
+DEFAULT_DEGEN_TOL = 0.2   # |w*T| cluster width below which the series branch runs
+SERIES_TERMS = 10         # terms of that series
 SHIFT_KAPPA = 0.25        # r=3 grid: shift identity needs |a+b+c| >= this * spread
-GRID_SERIES_WIDTH = 0.05  # r=3 grid: |w*T| cluster width below which the series runs
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +86,12 @@ def _g_pair(wa, wb, t):
 
 def _h_complete(ys, kmax):
     """Complete homogeneous symmetric polynomials h_0..h_kmax of the rows."""
-    h = [np.ones_like(ys[0])] + [np.zeros_like(ys[0]) for _ in range(kmax)]
-    for y in ys:
+    h = [np.ones_like(ys[0])]
+    for k in range(kmax):
+        h.append(h[-1] * ys[0])
+    for y in ys[1:]:
         for k in range(1, kmax + 1):
-            h[k] = h[k] + y * h[k - 1]
+            h[k] += y * h[k - 1]
     return h
 
 
@@ -95,15 +99,15 @@ def _dd_taylor(w, t, drop):
     """Series for f[i*w_0,..,i*w_r] with a narrow node cluster.
 
     drop = r = number of divided-difference levels; leading term T^r/r!.
+    About the mean node, f[..] = e^{i wbar T} T^r sum_k i^k h_k(y T)/(k+r)!
+    with y = w - wbar; the sums over even and odd k are real.
     """
     wbar = np.mean(w, axis=-1)
-    ys = [w[..., k] - wbar for k in range(w.shape[-1])]
-    h = _h_complete(ys, 7)
-    acc = sum(
-        (t ** (k + drop) / _factorial(k + drop)) * (1j ** k) * h[k]
-        for k in range(8)
-    )
-    return np.exp(1j * wbar * t) * acc
+    ys = [(w[..., k] - wbar) * t for k in range(w.shape[-1])]
+    h = _h_complete(ys, SERIES_TERMS - 1)
+    re = sum((-1) ** (k // 2) / _factorial(k + drop) * h[k] for k in range(0, SERIES_TERMS, 2))
+    im = sum((-1) ** (k // 2) / _factorial(k + drop) * h[k] for k in range(1, SERIES_TERMS, 2))
+    return t ** drop * np.exp(1j * wbar * t) * (re + 1j * im)
 
 
 def _dd2_sorted(w, t, tol):
@@ -125,15 +129,19 @@ def _dd3_sorted(w, t, tol):
     """f[i*w0,..,i*w3] with w sorted ascending along the last axis."""
     spread = w[..., 3] - w[..., 0]
     cluster = spread * t < tol
-    safe = np.where(cluster, 1.0, spread)
-    da = _dd2_sorted(w[..., 0:3], t, tol)
-    db = _dd2_sorted(w[..., 1:4], t, tol)
-    direct = (db - da) / (1j * safe)
     if w.ndim == 1:
-        return _dd_taylor(w, t, 3) if cluster else direct
-    if np.any(cluster):
-        direct[cluster] = _dd_taylor(w[cluster], t, 3)
-    return direct
+        if cluster:
+            return _dd_taylor(w, t, 3)
+        return (_dd2_sorted(w[1:4], t, tol) - _dd2_sorted(w[0:3], t, tol)) / (1j * spread)
+    # the recursion runs only where the series does not
+    out = np.empty(spread.shape, dtype=complex)
+    far = ~cluster
+    wf = w[far]
+    out[far] = (_dd2_sorted(wf[:, 1:4], t, tol) - _dd2_sorted(wf[:, 0:3], t, tol)) / (
+        1j * spread[far]
+    )
+    out[cluster] = _dd_taylor(w[cluster], t, 3)
+    return out
 
 
 def _nodes(prefixes):
@@ -177,13 +185,12 @@ def _int3_grid(nu, i2, t, tol=DEFAULT_DEGEN_TOL):
     lo = np.minimum(np.minimum(p1, 0.0), np.minimum(p2, p3))
     hi = np.maximum(np.maximum(p1, 0.0), np.maximum(p2, p3))
     spread = hi - lo
-    width = max(tol, GRID_SERIES_WIDTH)
-    ill = (np.abs(p3) < SHIFT_KAPPA * spread) | (spread * t < width)
+    ill = (np.abs(p3) < SHIFT_KAPPA * spread) | (spread * t < tol)
     phase = np.exp(1j * nu * t)
     out = phase[:, :, None, None] * i2[:, None, :, :] - i2[:, :, :, None]
     out /= 1j * np.where(ill, 1.0, p3)
     q, a, b, c = np.nonzero(ill)
-    out[q, a, b, c] = _int3_plus(nu[q, a], nu[q, b], nu[q, c], t, width)
+    out[q, a, b, c] = _int3_plus(nu[q, a], nu[q, b], nu[q, c], t, tol)
     return out
 
 

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from hamforge.controlsys import (
     Channel,
@@ -19,6 +23,7 @@ from hamforge.controlsys import (
 )
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
+XY10 = (Channel("ax", (1,), "x", 10.0), Channel("ay", (1,), "y", 10.0))
 
 
 def polar_channels(w1max=2 * np.pi * 20e6):
@@ -246,3 +251,106 @@ def test_q_must_be_multiple_of_p():
     seq = ControlSequence(np.zeros((2, 3)), 1e-9, XY)
     with pytest.raises(ValueError, match="multiple"):
         apply_linear_kernel(seq, LinearKernelParams(2 * np.pi * 80e6, 0.0), 10)
+
+
+def circuit_oracle(model, alpha_intervals, h_out, n_half, a0, uvec):
+    """Reference for `CircuitModel._integrate_once`: every half-step of
+    the same schemes stepped one 3-vector at a time."""
+    p = model.cp
+    hh = h_out / n_half
+    eye = np.eye(3)
+    e = expm(a0 * hh)
+    e_q = expm(a0 * hh / 2)
+    ainv = np.linalg.inv(a0)
+    psi1 = ainv @ (e - eye)
+    psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
+    fvec = psi1 @ uvec
+    fvec_q = (ainv @ (e_q - eye)) @ uvec
+    nonlinear = p.alpha_l != 0.0
+
+    def sens_force(xv):
+        q2 = abs(xv[0]) ** 2
+        return np.array([q2 / p.l_0 * (p.r_series * xv[0] - xv[2]), 0.0, 0.0], dtype=complex)
+
+    def nl_force(xv):
+        q2 = abs(xv[0]) ** 2
+        dinv = -p.alpha_l * q2 / (p.l_0 * (1.0 + p.alpha_l * q2))
+        return np.array([dinv * (-p.r_series * xv[0] + xv[2]), 0.0, 0.0], dtype=complex)
+
+    q_out = alpha_intervals.size * model.substeps
+    mids = np.zeros((q_out, 3), dtype=complex)
+    smids = np.zeros((q_out, 3), dtype=complex)
+    x = np.zeros(3, dtype=complex)
+    s = np.zeros(3, dtype=complex)
+    k_out = 0
+    for al in alpha_intervals:
+        for _ in range(model.substeps):
+            for j in range(n_half):
+                if nonlinear:
+                    f0 = nl_force(x)
+                    x_pred = e @ x + fvec * al + psi1 @ f0
+                    f1 = nl_force(x_pred)
+                    x = e @ x + fvec * al + psi1 @ f0 + psi2 @ (f1 - f0)
+                else:
+                    x_mid = e_q @ x + fvec_q * al
+                    x_new = e @ x + fvec * al
+                    simpson = (hh / 6.0) * (
+                        e @ sens_force(x)
+                        + 4.0 * (e_q @ sens_force(x_mid))
+                        + sens_force(x_new)
+                    )
+                    s = e @ s + simpson
+                    x = x_new
+                if j + 1 == n_half // 2:
+                    mids[k_out] = x
+                    smids[k_out] = s
+            if not np.isfinite(x).all():
+                raise FloatingPointError("circuit state diverged")
+            k_out += 1
+    return x, s, mids, smids
+
+
+@st.composite
+def circuit_runs(draw):
+    p_int = draw(st.integers(1, 8))
+    vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * p_int, max_size=2 * p_int))
+    substeps = draw(st.sampled_from([2, 4, 16]))
+    n_half = draw(st.sampled_from([2, 4]))
+    return np.reshape(vals, (2, p_int)), substeps, n_half
+
+
+@pytest.mark.parametrize("alpha_l", [0.0, 1e-7, -1e-7, 1e-3])
+@given(run=circuit_runs())
+@settings(max_examples=15, deadline=None)
+def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
+    vals, substeps, n_half = run
+    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps)
+    seq = ControlSequence(vals, 1e-8, XY10)
+    alpha, _ = model._alpha_in(seq)
+    args = (alpha, seq.dt / substeps, n_half, *model._system())
+    got = model._integrate_once(*args)
+    ref = circuit_oracle(model, *args)
+    for name, g, r in zip(("x", "s", "mids", "smids"), got, ref):
+        assert g.shape == r.shape, name
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+def test_circuit_step_halving_is_logged(monkeypatch, caplog):
+    real = CircuitModel._integrate_once
+    n_halves = []
+
+    def diverge_once(self, alpha, h_out, n_half, a0, uvec):
+        n_halves.append(n_half)
+        if len(n_halves) == 1:
+            raise FloatingPointError("forced")
+        return real(self, alpha, h_out, n_half, a0, uvec)
+
+    monkeypatch.setattr(CircuitModel, "_integrate_once", diverge_once)
+    seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
+    with caplog.at_level(logging.WARNING, logger="hamforge"):
+        CircuitModel(CircuitParams(), substeps=4).field(seq)
+    assert n_halves == [2, 4]
+    [rec] = caplog.records
+    assert rec.name == "hamforge" and rec.levelno == logging.WARNING
+    assert "retry 1 of 5" in rec.getMessage()
+    assert f"{seq.dt / 4 / 4:.3e} s" in rec.getMessage()

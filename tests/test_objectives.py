@@ -276,3 +276,49 @@ def test_amplitude_second_derivative_fast_path():
     pipe = hadamard_pipeline(terms)
     rep = pipe.evaluate(np.random.default_rng(9).uniform(-1, 1, 24))
     assert rep.values[0] == 0.0  # dH = eps H_c is exactly linear in eps
+
+
+def test_circuit_pipeline_solves_three_fields_per_evaluation(monkeypatch):
+    # nominal field once, shared by the analytic alpha_L sensitivity and
+    # the middle of the second difference, plus one field at each of +/-step
+    from hamforge.config import build_pipeline, parse_config
+    from hamforge.controlsys import CircuitModel
+
+    cfg = parse_config({
+        "system": {
+            "n_qubits": 1,
+            "terms": [{"name": "detuning", "strings": [{"pauli": [[1, "z"]]}],
+                       "assign": "pert", "component": 1, "coeff": 0.0}],
+        },
+        "control": {
+            "channels": [
+                {"name": "x", "qubits": [1], "role": "x", "scale": 10.0},
+                {"name": "y", "qubits": [1], "role": "y", "scale": 10.0},
+            ],
+            "intervals": 4, "dt": 1e-08, "substeps": 4, "model": "circuit",
+        },
+        "errors": [
+            {"name": "eps", "kind": "amplitude"},
+            {"name": "alpha_L", "kind": "model_param", "param": "alpha_L"},
+        ],
+        "targets": {"u_target": "hadamard"},
+        "objectives": [
+            {"kind": "primary_unitary", "weight": 20},
+            {"kind": "robustness_first", "weight": 1, "error": "eps"},
+            {"kind": "robustness_first", "weight": 1, "error": "alpha_L"},
+            {"kind": "robustness_second", "weight": 1, "errors": ["alpha_L", "alpha_L"]},
+        ],
+    })
+    pipe = build_pipeline(cfg)
+    real = CircuitModel.field
+    alpha_ls = []
+
+    def counted(self, seq):
+        alpha_ls.append(self.cp.alpha_l)
+        return real(self, seq)
+
+    monkeypatch.setattr(CircuitModel, "field", counted)
+    rep = pipe.evaluate(np.random.default_rng(10).uniform(-1, 1, 8))
+    step = pipe.fd_step * pipe.model.param_scale("alpha_L")
+    assert sorted(alpha_ls) == [-step, 0.0, step]
+    assert all(np.isfinite(rep.values))

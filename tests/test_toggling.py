@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ def int3_grid_errors(nu, t):
 @st.composite
 def adjoint_spectra(draw):
     """Step length T and m=4 eigenvalues as adjoint spectra have them: an
-    exact zero, +/- pairs, repeats, and gaps straddling DEFAULT_DEGEN_TOL."""
+    exact zero, +/- pairs, repeats, and gaps straddling 1e-3."""
     t = draw(st.floats(0.5, 2.0))
     w = draw(st.floats(0.05, 4.0))
     gap = draw(st.floats(2e-4, 5e-3))
@@ -136,10 +137,16 @@ def adjoint_spectra(draw):
     return t, np.array([0.0, *rest]) / t
 
 
+# a node gap just above 1e-3: with its series threshold at 1e-3 the
+# general kernel was off by 1.7e-9 * T^3/6 (r=3) and 3e-13 * T^2/2 (r=2)
+GAP_ABOVE_1E3 = np.array([0.0, 0.0, 1.0155796176509306e-3, 2.8151671747907323])
+
+
 @given(adjoint_spectra())
-# a gap just above DEFAULT_DEGEN_TOL: the sorted kernel at that series
-# threshold is off by 1.7e-9 * T^3/6 here
-@example((1.0, np.array([0.0, 0.0, 1.0155796176509306e-3, 2.8151671747907323])))
+@example((1.0, GAP_ABOVE_1E3))
+# clusters just above a 0.05 series width: both kernels were near
+# 2e-13 * T^3/6 there, and the grid the worse of the two
+@example((1.0, np.array([0.0, 0.0, 0.078125, 0.00390625])))
 @settings(max_examples=10, deadline=None)
 def test_int3_grid_vs_mpmath(case):
     t, nu = case
@@ -147,6 +154,25 @@ def test_int3_grid_vs_mpmath(case):
     assert err_grid.max() <= 5e-10
     # no worse than the general kernel, up to a rounding-level floor
     assert err_grid.max() <= max(err_general.max(), 1e-13)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_general_kernel_vs_mpmath(r):
+    mp = pytest.importorskip("mpmath")
+    t = 1.0
+    nu = GAP_ABOVE_1E3 / t
+    axes = [np.expand_dims(nu, tuple(j for j in range(r) if j != k)) for k in range(r)]
+    kernel = tg._int2_plus if r == 2 else tg._int3_plus
+    table = kernel(*axes, t)
+    worst = 0.0
+    for idx in itertools.product(range(len(nu)), repeat=r):
+        with mp.workdps(40):
+            prefix = [mp.mpf(0)]
+            for k in idx:
+                prefix.append(prefix[-1] + mp.mpf(float(nu[k])))
+            ref = opitz_oracle(prefix, mp.mpf(t))
+        worst = max(worst, abs(table[idx] - ref))
+    assert worst <= 1e-14 * t ** r / math.factorial(r)
 
 
 def test_int3_grid_near_repeated_nodes():
