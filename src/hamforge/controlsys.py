@@ -504,7 +504,14 @@ class CircuitModel(ControlModel):
             # component 0 of (A(x) - A0) @ x from L = L0 (1 + alpha_L |I_L|^2)
             q = abs(i_l)
             q2 = q * q
-            dinv = -alpha_l * q2 / (l_0 * (1.0 + alpha_l * q2))
+            factor = 1.0 + alpha_l * q2
+            if factor <= 0.0:
+                # a non-positive inductance is outside the model; no step size cures it
+                raise ValueError(
+                    f"kinetic inductance factor 1 + alpha_L |I_L|^2 = {factor:.3g} <= 0 "
+                    f"at alpha_L = {alpha_l:g} A^-2, |I_L|^2 = {q2:.3g} A^2"
+                )
+            dinv = -alpha_l * q2 / (l_0 * factor)
             return dinv * (-r_series * i_l + v_ct)
 
         half = n_half // 2

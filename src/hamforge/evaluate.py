@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controlsys import ControlModel, ControlSequence
-from .opcore import Operator
+from .opcore import _PAULI, Operator
 
 __all__ = [
     "ParameterDistribution",
@@ -114,14 +114,6 @@ class LandscapeGrid:
 # ---------------------------------------------------------------------------
 # Pauli transfer matrices
 
-_P1 = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def pauli_basis_stack(n_qubits: int) -> np.ndarray:
     """(d^2, d, d) normalized Pauli strings, identity first, then
     lexicographic in (i, x, y, z) per site."""
@@ -130,16 +122,17 @@ def pauli_basis_stack(n_qubits: int) -> np.ndarray:
     for combo in itertools.product("ixyz", repeat=n_qubits):
         m = np.array([[1.0 + 0j]])
         for c in combo:
-            m = np.kron(m, _P1[c])
+            m = np.kron(m, _PAULI[c])
         mats.append(m / np.sqrt(d))
     return np.stack(mats)
 
 
 def ptm(u: np.ndarray | Operator, stack: np.ndarray) -> np.ndarray:
-    """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary."""
+    """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary, or
+    of each unitary in a (..., d, d) stack."""
     um = u.entries if isinstance(u, Operator) else np.asarray(u)
-    conj = np.einsum("ij,bjk,lk->bil", um, stack, um.conj())
-    return np.einsum("ail,bli->ab", stack, conj).real
+    conj = np.einsum("...ij,bjk,...lk->...bil", um, stack, um.conj(), optimize=True)
+    return np.einsum("ail,...bli->...ab", stack, conj, optimize=True).real
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +201,14 @@ def _total_hamiltonians(setup, seq, model_params, term_over):
     return h, fld.delta_t
 
 
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """U_{Q-1} ... U_1 U_0 of each (Q, d, d) stack of step propagators."""
+    acc = u[..., 0, :, :]
+    for q in range(1, u.shape[-3]):
+        acc = u[..., q, :, :] @ acc
+    return acc
+
+
 def simulate_total_unitary(
     seq: ControlSequence,
     setup: EvaluationSetup,
@@ -221,11 +222,7 @@ def simulate_total_unitary(
     values.update(params or {})
     model_params, term_over = setup.split_params(values)
     h, delta_t = _total_hamiltonians(setup, seq, model_params, term_over)
-    u = tg.expm_batch(h, delta_t)
-    acc = np.eye(h.shape[-1], dtype=complex)
-    for q in range(u.shape[0]):
-        acc = u[q] @ acc
-    return Operator(acc, setup.n_qubits)
+    return Operator(_ordered_product(tg.expm_batch(h, delta_t)), setup.n_qubits)
 
 
 def overlap_fidelity(u: Operator | np.ndarray, u0: Operator | np.ndarray) -> float:
@@ -235,11 +232,21 @@ def overlap_fidelity(u: Operator | np.ndarray, u0: Operator | np.ndarray) -> flo
     return float(abs(np.sum(um.conj() * t)) / np.real(np.sum(t.conj() * t)))
 
 
+# draws per expm_batch call: large enough to amortize the call, small
+# enough that the eigh temporaries stay a few MB
+_MC_BLOCK = 100
+
+
 def _mc_unitaries(seq, setup, n_mc, rng):
-    """Sampled exact unitaries; batches the eigh when only term
-    coefficients and the drive amplitude are dispersed."""
+    """Sampled exact unitaries, (n_mc, d, d).  All parameters are drawn
+    first, sample by sample.  When only term coefficients and the drive
+    amplitude are dispersed, the control field is solved once and the
+    step exponentials run in blocks of ``_MC_BLOCK`` draws; otherwise
+    every draw is simulated on its own."""
     from . import toggling as tg
 
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
     draws = [
         {dd.name: dd.sample(rng) for dd in setup.distributions}
         for _ in range(n_mc)
@@ -249,32 +256,28 @@ def _mc_unitaries(seq, setup, n_mc, rng):
         for dd in setup.distributions
     )
     d = 2 ** setup.n_qubits
-    if fast:
-        fld = setup.model.field(seq)
-        ops = setup.axis_ops(fld)
-        h_ctrl = np.einsum("kq,kab->qab", fld.b, ops)
-        qn = h_ctrl.shape[0]
-        hh = np.empty((n_mc, qn, d, d), dtype=complex)
-        for s, values in enumerate(draws):
-            model_params, term_over = setup.split_params(values)
-            amp = 1.0 + model_params.get("amplitude", setup.model.amp_factor - 1.0)
-            coeffs = setup.term_coeffs.copy()
-            for name, val in term_over.items():
-                coeffs[setup.term_names.index(name)] = val
-            hh[s] = amp * h_ctrl
-            if len(coeffs):
-                hh[s] += np.einsum("t,tab->ab", coeffs, setup.term_mats)
-        u = tg.expm_batch(hh.reshape(-1, d, d), fld.delta_t).reshape(n_mc, qn, d, d)
-        out = np.empty((n_mc, d, d), dtype=complex)
-        for s in range(n_mc):
-            acc = np.eye(d, dtype=complex)
-            for q in range(qn):
-                acc = u[s, q] @ acc
-            out[s] = acc
-        return out
     out = np.empty((n_mc, d, d), dtype=complex)
-    for s, values in enumerate(draws):
-        out[s] = simulate_total_unitary(seq, setup, values).entries
+    if not fast:
+        for s, values in enumerate(draws):
+            out[s] = simulate_total_unitary(seq, setup, values).entries
+        return out
+    amp = np.full(n_mc, setup.model.amp_factor)
+    coeffs = np.tile(setup.term_coeffs, (n_mc, 1))
+    for dd in setup.distributions:
+        vals = np.array([values[dd.name] for values in draws])
+        if dd.applies_to == "model:amplitude":
+            amp = 1.0 + vals
+        else:
+            coeffs[:, setup.term_names.index(dd.applies_to.split(":", 1)[1])] = vals
+    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
+    fld = setup.model.with_param("amplitude", 0.0).field(seq)   # unit drive, scaled by amp
+    h_ctrl = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
+    qn = h_ctrl.shape[0]
+    for lo in range(0, n_mc, _MC_BLOCK):
+        blk = slice(lo, lo + _MC_BLOCK)
+        hh = amp[blk, None, None, None] * h_ctrl + h_terms[blk, None]
+        u = tg.expm_batch(hh.reshape(-1, d, d), fld.delta_t)
+        out[blk] = _ordered_product(u.reshape(-1, qn, d, d))
     return out
 
 
@@ -287,27 +290,25 @@ def average_cptp(
 ) -> Superoperator:
     """Monte-Carlo mean of per-isochromat transfer matrices, optionally
     composed with the depolarizing relaxation channel."""
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    stack = pauli_basis_stack(setup.n_qubits)
-    us = _mc_unitaries(seq, setup, n_mc, rng)
-    acc = np.zeros((stack.shape[0], stack.shape[0]))
-    for s in range(n_mc):
-        acc += ptm(us[s], stack)
-    sup = Superoperator(2 ** setup.n_qubits, acc / n_mc)
+    r = ptm(_mc_unitaries(seq, setup, n_mc, rng), pauli_basis_stack(setup.n_qubits))
+    sup = Superoperator(2 ** setup.n_qubits, r.mean(axis=0))
     if t_dep is not None:
         sup = apply_depolarizing(sup, seq.t_seq, t_dep)
     return sup
+
+
+def _gate_fidelity(r: np.ndarray, r0: np.ndarray, d: int) -> np.ndarray:
+    """F = (d F_pro + 1)/(d + 1), F_pro = Tr(R0^T R)/d^2, over a stack of R."""
+    f_pro = np.einsum("...ab,ab->...", r, r0) / d ** 2
+    return (d * f_pro + 1.0) / (d + 1.0)
 
 
 def average_gate_fidelity(avg: Superoperator, u0: Operator | np.ndarray) -> float:
     """State-averaged gate fidelity via the process-fidelity identity
     F = (d F_pro + 1)/(d + 1), F_pro = Tr(R0^T R)/d^2."""
     d = avg.dim_h
-    stack = pauli_basis_stack(int(round(np.log2(d))))
-    r0 = ptm(u0, stack)
-    f_pro = float(np.sum(r0 * avg.matrix)) / d ** 2
-    return (d * f_pro + 1.0) / (d + 1.0)
+    r0 = ptm(u0, pauli_basis_stack(int(round(np.log2(d)))))
+    return float(_gate_fidelity(avg.matrix, r0, d))
 
 
 def orthogonality(avg: Superoperator) -> float:
@@ -383,22 +384,15 @@ def evaluation_report(
     fidelity, the averaged map, and its orthogonality."""
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
     stack = pauli_basis_stack(setup.n_qubits)
-    us = _mc_unitaries(seq, setup, n_mc, rng)
+    r = ptm(_mc_unitaries(seq, setup, n_mc, rng), stack)
+    if t_dep:
+        r[:, 1:, :] *= np.exp(-seq.t_seq / t_dep)
     d = 2 ** setup.n_qubits
     r0 = ptm(u0_total, stack)
-    scale = np.exp(-seq.t_seq / t_dep) if t_dep else 1.0
-    f_samples = np.empty(n_mc)
-    acc = np.zeros((d * d, d * d))
-    for s in range(n_mc):
-        r = ptm(us[s], stack)
-        rdep = r.copy()
-        rdep[1:, :] *= scale
-        acc += rdep
-        f_pro = float(np.sum(r0 * rdep)) / d ** 2
-        f_samples[s] = (d * f_pro + 1.0) / (d + 1.0)
-    avg = Superoperator(d, acc / n_mc)
+    f_samples = _gate_fidelity(r, r0, d)
+    avg = Superoperator(d, r.mean(axis=0))
     return {
-        "fom": average_gate_fidelity(avg, u0_total),
+        "fom": float(_gate_fidelity(avg.matrix, r0, d)),
         "fom_median": float(np.median(f_samples)),
         "fom_p20": float(np.percentile(f_samples, 20)),
         "fom_p80": float(np.percentile(f_samples, 80)),

@@ -12,30 +12,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import CSubspace, LieAlgebraBasis, contains
-from .opcore import Operator, SubspaceError, expm_herm_generator, vectorize
+from .liealg import LieAlgebraBasis, contains
+from .opcore import Operator, SubspaceError, vectorize
 
 
 # ---------------------------------------------------------------------------
 # random unitaries
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary from a QR-decomposed complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary from a QR-decomposed complex Ginibre matrix.
+
+    With ``count`` it returns a (count, dim, dim) stack that consumes the
+    same stream as ``count`` sequential calls.
+    """
+    g = rng.standard_normal((2, dim, dim) if count is None else (count, 2, dim, dim))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    lam = d / np.abs(d)
-    return q * lam
-
-
-def random_unitary_qr(dim: int, rng: np.random.Generator) -> Operator:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    n = max(int(round(np.log2(dim))), 0)
-    u = haar_unitary(dim, rng)
-    if 2 ** n != dim:
-        raise ValueError("operator dimensions must be powers of two")
-    return Operator(u, max(n, 1))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _expm_antiherm_raw(g: np.ndarray) -> np.ndarray:
@@ -79,7 +73,7 @@ def random_unitary_walk(
 
 
 # ---------------------------------------------------------------------------
-# linear programming (dense two-phase simplex, Bland's rule)
+# linear programming (HiGHS dual simplex through scipy)
 
 @dataclass(frozen=True)
 class LPResult:
@@ -88,119 +82,43 @@ class LPResult:
     value: float | None = None
 
 
-def _pivot(t: np.ndarray, basis: list[int], row: int, col: int):
-    t[row] /= t[row, col]
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
-            t[i] -= t[i, col] * t[row]
-    basis[row] = col
-
-
-def _run_phase(t: np.ndarray, basis: list[int], ncols: int, tol: float) -> str:
-    """Maximize with the reduced-cost row stored last; Bland's rule."""
-    m = t.shape[0] - 1
-    for _ in range(50000):
-        enter = -1
-        for j in range(ncols):
-            if t[-1, j] > tol:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave, best, best_var = -1, np.inf, np.inf
-        for i in range(m):
-            a = t[i, enter]
-            if a > tol:
-                ratio = t[i, -1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
-        if leave < 0:
-            return "unbounded"
-        _pivot(t, basis, leave, enter)
-    raise RuntimeError("simplex failed to terminate")
-
-
 def lp_solve(
     objective: np.ndarray,
     eq_matrix: np.ndarray,
     eq_rhs: np.ndarray,
     nonneg: bool = True,
     box: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> LPResult:
     """Maximize objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0.
 
-    ``box`` optionally adds upper bounds x_i <= box_i (slack rows).  For
-    free variables (nonneg=False) each x_i is split into a difference of
-    two nonnegative parts.  Infeasibility is certified by a nonzero
-    phase-1 optimum; unbounded rays are reported distinctly.
+    ``box`` optionally adds upper bounds x_i <= box_i; ``nonneg=False``
+    leaves every x_i free.  Solved by HiGHS's dual simplex without
+    presolve, the fastest variant on the scale-range LPs (Huangfu & Hall,
+    Math. Prog. Comp. 10, 2018).  A solver stop other than optimal,
+    infeasible or unbounded raises RuntimeError.
     """
-    c0 = np.asarray(objective, dtype=float)
-    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float)).copy()
-    b = np.asarray(eq_rhs, dtype=float).copy()
-    nx = c0.size
-    if a.shape != (b.size, nx):
+    # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
+    from scipy.optimize import linprog
+
+    c = np.asarray(objective, dtype=float)
+    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
+    b = np.asarray(eq_rhs, dtype=float)
+    if a.shape != (b.size, c.size):
         raise ValueError("inconsistent LP shapes")
-    split = not nonneg
-    if split and box is not None:
+    if not nonneg and box is not None:
         raise ValueError("box bounds require nonneg variables")
-    c = c0.copy()
-    if split:
-        a = np.hstack([a, -a])
-        c = np.concatenate([c, -c])
+    bounds = (0.0, None) if nonneg else (None, None)
     if box is not None:
-        ub = np.asarray(box, dtype=float)
-        a = np.vstack(
-            [
-                np.hstack([a, np.zeros((a.shape[0], nx))]),
-                np.hstack([np.eye(nx), np.eye(nx)]),
-            ]
-        )
-        b = np.concatenate([b, ub])
-        c = np.concatenate([c, np.zeros(nx)])
-    nvar = a.shape[1]
-    m = a.shape[0]
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial basis, maximize -sum(artificials)
-    t = np.zeros((m + 1, nvar + m + 1))
-    t[:m, :nvar] = a
-    t[:m, nvar : nvar + m] = np.eye(m)
-    t[:m, -1] = b
-    basis = list(range(nvar, nvar + m))
-    t[-1, :nvar] = a.sum(axis=0)
-    t[-1, -1] = b.sum()
-    status = _run_phase(t, basis, nvar, tol)
-    if status != "optimal" or t[-1, -1] > 1e-7 * max(1.0, np.abs(b).sum()):
-        return LPResult("infeasible")
-    # drive remaining artificials out of the basis (redundant rows stay inert)
-    for i in range(m):
-        if basis[i] >= nvar:
-            j = next((jj for jj in range(nvar) if abs(t[i, jj]) > tol), None)
-            if j is not None:
-                _pivot(t, basis, i, j)
-
-    # phase 2 with the real objective
-    t2 = np.zeros((m + 1, nvar + 1))
-    t2[:m, :nvar] = t[:m, :nvar]
-    t2[:m, -1] = t[:m, -1]
-    t2[-1, :nvar] = c
-    for i in range(m):
-        if basis[i] < nvar and t2[-1, basis[i]] != 0.0:
-            t2[-1] -= t2[-1, basis[i]] * t2[i]
-    status = _run_phase(t2, basis, nvar, tol)
-    if status == "unbounded":
-        return LPResult("unbounded")
-    xfull = np.zeros(nvar)
-    for i in range(m):
-        if basis[i] < nvar:
-            xfull[basis[i]] = t2[i, -1]
-    if box is not None:
-        xfull = xfull[: nvar - nx]
-    x = (xfull[:nx] - xfull[nx:]) if split else xfull[:nx]
-    return LPResult("optimal", x, float(c0 @ x))
+        bounds = np.column_stack([np.zeros(c.size), np.asarray(box, dtype=float)])
+    res = linprog(
+        -c, A_eq=a, b_eq=b, bounds=bounds, method="highs-ds", options={"presolve": False}
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
+    if status is None:
+        raise RuntimeError(f"LP solver stopped without a verdict: {res.message}")
+    if status != "optimal":
+        return LPResult(status)
+    return LPResult("optimal", res.x, float(c @ res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +187,6 @@ def sample_vertices(
     """Build the vertex set for a list of (H_pert_w, C_w, H_target_w)."""
     rng = rng or np.random.default_rng()
     mode = _pick_sampler(g, sampler)
-    stacks = [c.basis.stack() for (_, c, _) in components]
     perts = [np.asarray(vectorize(h, c.basis), dtype=float) for (h, c, _) in components]
     targets = []
     for (_, c, ht) in components:
@@ -292,49 +209,47 @@ def sample_vertices(
 
     dim = 2 ** g.n_qubits
     if mode == "qr":
-        us = [haar_unitary(dim, rng) for _ in range(j_samples)]
+        us = haar_unitary(dim, rng, j_samples)
     else:
-        us = _walk_unitaries(g.basis.stack(), n_burn, n_thin, j_samples, rng)
-    hmats = [np.asarray(h.entries) for (h, _, _) in components]
-    rows = np.empty((j_samples, tcat.size))
-    for j, u in enumerate(us):
-        parts = []
-        for w, stack in enumerate(stacks):
-            m = u.conj().T @ hmats[w] @ u
-            coeff = np.einsum("aij,ij->a", stack.conj(), m)
-            resid = np.linalg.norm(m - np.tensordot(coeff, stack, axes=(0, 0)))
-            if resid > 1e-6 * max(np.linalg.norm(m), 1e-300):
-                raise SubspaceError(
-                    "conjugated perturbation leaves its subspace; "
-                    "the sampler wandered outside e^{g_pri}"
-                )
-            parts.append(coeff.real)
-        rows[j] = tmat @ (alpha * np.concatenate(parts))
+        us = np.stack(_walk_unitaries(g.basis.stack(), n_burn, n_thin, j_samples, rng))
+    parts = []
+    for (h, c, _) in components:
+        stack = c.basis.stack()
+        m = us.conj().swapaxes(-1, -2) @ np.asarray(h.entries) @ us
+        coeff = np.einsum("aij,sij->sa", stack.conj(), m)
+        resid = np.linalg.norm(m - np.einsum("sa,aij->sij", coeff, stack), axis=(-2, -1))
+        if (resid > 1e-6 * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)).any():
+            raise SubspaceError(
+                "conjugated perturbation leaves its subspace; "
+                "the sampler wandered outside e^{g_pri}"
+            )
+        parts.append(coeff.real)
+    rows = (alpha * np.concatenate(parts, axis=1)) @ tmat.T
     return VertexSet(
         rows, tmat, tnorm, j_samples,
         tuple(float(np.linalg.norm(v)) for v in perts),
     )
 
 
-def _scale_lps(vertices: np.ndarray, tol: float = 1e-9):
-    """Solve LP+ / LP- on the current vertex rows; None if infeasible."""
+def _scale_lps(vertices: np.ndarray):
+    """Solve LP+ / LP- on the current vertex rows; None where no optimum.
+
+    The variables are the J convex weights x and two slacks that hold
+    v1 @ x inside [-1, 1]; the other coordinates of the mean must vanish.
+    """
     j, m = vertices.shape
     v1 = vertices[:, 0]
-    ones = np.ones(j)
-    a_rows = [np.concatenate([ones, [0.0, 0.0]])]
-    b = [1.0]
-    for k in range(1, m):
-        a_rows.append(np.concatenate([vertices[:, k], [0.0, 0.0]]))
-        b.append(0.0)
-    a_rows.append(np.concatenate([v1, [1.0, 0.0]]))   # v1.x + s1 = 1
-    b.append(1.0)
-    a_rows.append(np.concatenate([v1, [0.0, -1.0]]))  # v1.x - s2 = -1
-    b.append(-1.0)
-    a = np.stack(a_rows)
+    a = np.zeros((m + 2, j + 2))
+    a[0, :j] = 1.0
+    a[1:m, :j] = vertices[:, 1:].T
+    a[m, :j], a[m, j] = v1, 1.0            # v1.x + s1 = 1
+    a[m + 1, :j], a[m + 1, j + 1] = v1, -1.0   # v1.x - s2 = -1
+    b = np.zeros(m + 2)
+    b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0
     out = []
     for sign in (+1.0, -1.0):
         c = np.concatenate([sign * v1, [0.0, 0.0]])
-        res = lp_solve(c, a, np.asarray(b), tol=tol)
+        res = lp_solve(c, a, b)
         out.append(sign * res.value if res.status == "optimal" else None)
     return out  # [s_plus, s_minus]
 

@@ -354,3 +354,17 @@ def test_circuit_step_halving_is_logged(monkeypatch, caplog):
     assert rec.name == "hamforge" and rec.levelno == logging.WARNING
     assert "retry 1 of 5" in rec.getMessage()
     assert f"{seq.dt / 4 / 4:.3e} s" in rec.getMessage()
+
+
+@pytest.mark.parametrize("alpha_l", [-0.03, -1.0])
+def test_circuit_negative_inductance_raises(alpha_l, caplog):
+    # at full drive 1 + alpha_L |I_L|^2 crosses zero; step-halving cannot
+    # cure that, so the error is a ValueError raised without any retry
+    seq = ControlSequence(np.ones((2, 4)), 1e-8, XY10)
+    with caplog.at_level(logging.WARNING, logger="hamforge"):
+        with pytest.raises(ValueError, match=r"alpha_L = .*\|I_L\|\^2 = "):
+            CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4).field(seq)
+    assert not caplog.records
+    # the robustness shift of the same drive stays well inside the model
+    fld = CircuitModel(CircuitParams(alpha_l=-1e-7), substeps=4).field(seq)
+    assert np.isfinite(fld.b).all()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ def test_ptm_homomorphism():
         lhs = ev.ptm(u1 @ u2, stack)
         rhs = ev.ptm(u1, stack) @ ev.ptm(u2, stack)
         assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def test_ptm_stack_matches_single():
+    from hamforge.reach import haar_unitary
+
+    for n in (1, 2):
+        stack = ev.pauli_basis_stack(n)
+        us = haar_unitary(2 ** n, np.random.default_rng(13), 12).reshape(3, 4, 2 ** n, 2 ** n)
+        got = ev.ptm(us, stack)
+        assert got.shape == (3, 4, 4 ** n, 4 ** n)
+        for idx in np.ndindex(3, 4):
+            assert np.abs(got[idx] - ev.ptm(us[idx], stack)).max() <= 1e-14
 
 
 def test_ptm_unitary_orthogonal():
@@ -284,3 +298,67 @@ def test_mc_error_scaling_with_samples():
     s1 = spread(60, range(20))
     s2 = spread(240, range(20))
     assert s2 < s1  # fluctuation shrinks with more samples (~sqrt factor)
+
+
+def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
+    """Reference for `evaluation_report`: one exact simulation, transfer
+    matrix and fidelity per Monte-Carlo draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
+    draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
+    stack = ev.pauli_basis_stack(setup.n_qubits)
+    d = 2 ** setup.n_qubits
+    r0 = ev.ptm(u0_total, stack)
+    scale = np.exp(-seq.t_seq / t_dep) if t_dep else 1.0
+    f_samples = np.empty(n_mc)
+    acc = np.zeros((d * d, d * d))
+    for s, values in enumerate(draws):
+        r = ev.ptm(ev.simulate_total_unitary(seq, setup, values), stack)
+        rdep = r.copy()
+        rdep[1:, :] *= scale
+        acc += rdep
+        f_pro = float(np.sum(r0 * rdep)) / d ** 2
+        f_samples[s] = (d * f_pro + 1.0) / (d + 1.0)
+    avg = ev.Superoperator(d, acc / n_mc)
+    return {
+        "fom": ev.average_gate_fidelity(avg, u0_total),
+        "fom_median": float(np.median(f_samples)),
+        "fom_p20": float(np.percentile(f_samples, 20)),
+        "fom_p80": float(np.percentile(f_samples, 80)),
+        "orthogonality": ev.orthogonality(avg),
+        "ptm": avg.matrix.ravel().tolist(),
+        "n_mc": n_mc,
+        "seed": rng_seed,
+    }
+
+
+@pytest.mark.parametrize("t_dep", [None, 3e-7])
+@pytest.mark.parametrize("n_mc", [1, 99, 100, 101, 250])
+def test_evaluation_report_matches_per_sample_oracle(n_mc, t_dep):
+    # blocks of draws must not change which draw meets which step, so
+    # sample counts straddle the block size
+    setup = setup_1q([
+        ev.ParameterDistribution("offset", "normal", (1e6, 3e6), "term:offset"),
+        ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude"),
+    ])
+    seq = ControlSequence(np.random.default_rng(14).uniform(-1, 1, (2, 6)) * 0.4, 1e-8, XY)
+    u0 = Operator(expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3).entries, 1)
+    got = ev.evaluation_report(seq, setup, u0, n_mc, 21, t_dep=t_dep)
+    ref = report_oracle(seq, setup, u0, n_mc, 21, t_dep=t_dep)
+    assert got.keys() == ref.keys()
+    assert got["n_mc"] == n_mc and got["seed"] == 21
+    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
+    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
+        assert abs(got[key] - ref[key]) <= 1e-12, key
+
+
+def test_evaluation_report_applies_model_drive_factor_once():
+    # the model carries a drive factor and no amplitude distribution
+    # overrides it: every draw sees the factor exactly once
+    base = setup_1q([ev.ParameterDistribution("offset", "normal", (0.0, 3e6), "term:offset")])
+    setup = dataclasses.replace(base, model=IdealModel(amp_factor=1.1))
+    seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
+    u0 = Operator(np.eye(2), 1)
+    got = ev.evaluation_report(seq, setup, u0, 40, 5)
+    ref = report_oracle(seq, setup, u0, 40, 5)
+    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
+    assert abs(got["fom"] - ref["fom"]) <= 1e-12

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,17 @@ def test_haar_second_moment():
     mean = vals.mean()
     se = vals.std() / np.sqrt(n)
     assert abs(mean - 0.5) < 3 * se + 1e-12
+
+
+def test_haar_batch_matches_sequential_draws():
+    for dim in (1, 2, 4):
+        seq_rng, batch_rng = np.random.default_rng(20 + dim), np.random.default_rng(20 + dim)
+        seq = np.stack([reach.haar_unitary(dim, seq_rng) for _ in range(37)])
+        batch = reach.haar_unitary(dim, batch_rng, 37)
+        assert batch.shape == (37, dim, dim)
+        assert np.abs(batch - seq).max() <= 1e-15
+        # both generators end at the same point of the stream
+        assert seq_rng.standard_normal() == batch_rng.standard_normal()
 
 
 def su2():
@@ -113,6 +128,56 @@ def test_lp_matches_vertex_enumeration():
             assert r.value == pytest.approx(ref, abs=1e-7)
 
 
+def _hull_axis_lp(vertices, sign):
+    """max sign * v1 @ x over convex weights x whose mean has no transverse
+    part, posed without the slack rows of `reach._scale_lps` and solved by
+    vertex enumeration."""
+    j = vertices.shape[0]
+    a = np.vstack([np.ones(j), vertices[:, 1:].T])
+    b = np.zeros(a.shape[0])
+    b[0] = 1.0
+    best = _brute_force_lp(sign * vertices[:, 0], a, b)
+    return None if best is None else sign * best
+
+
+def test_scale_lps_match_vertex_enumeration():
+    rng = np.random.default_rng(15)
+    checked = 0
+    for _ in range(40):
+        j, m = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+        v = rng.normal(size=(j, m))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        s_plus, s_minus = reach._scale_lps(v)
+        ref_plus, ref_minus = _hull_axis_lp(v, +1.0), _hull_axis_lp(v, -1.0)
+        assert (s_plus is None) == (ref_plus is None)
+        assert (s_minus is None) == (ref_minus is None)
+        if ref_plus is not None:
+            checked += 1
+            assert s_plus == pytest.approx(ref_plus, abs=1e-9)
+            assert s_minus == pytest.approx(ref_minus, abs=1e-9)
+    assert checked >= 10
+
+
+def test_scale_lps_cross_polytope():
+    for m in (1, 2, 5):
+        eye = np.eye(m)
+        s_plus, s_minus = reach._scale_lps(np.vstack([eye, -eye]))
+        assert s_plus == pytest.approx(1.0, abs=1e-12)
+        assert s_minus == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_lp_import_stays_lazy():
+    # scipy.optimize costs ~20 MB; importing the library must not load it
+    src = str(Path(reach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import hamforge.cli, hamforge.config, hamforge.reach, hamforge.evaluate\n"
+        "sys.exit('scipy.optimize' in sys.modules)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 # -- scale ranges -------------------------------------------------------------
 
 def _single_qubit_components():
@@ -183,6 +248,17 @@ def test_target_outside_subspace_raises():
     c = find_c_subspace(g, sz)
     with pytest.raises(SubspaceError):
         reach.find_scale_range(g, [(sz, c, sx)], 50, rng=np.random.default_rng(9))
+
+
+def test_walk_sampler_leaving_the_subspace_raises():
+    # C = span{z} is closed under e^{i theta z} but not under the su(2)
+    # walk, so the conjugated perturbation leaves it
+    from hamforge.opcore import SubspaceError
+
+    sz = pauli_op([(1, "z")], 1.0, 1)
+    c = find_c_subspace(find_lie_algebra([sz]), sz)
+    with pytest.raises(SubspaceError, match="leaves its subspace"):
+        reach.find_scale_range(su2(), [(sz, c, sz)], 50, sampler="walk", rng=np.random.default_rng(16))
 
 
 def test_walk_matches_qr_hull_on_su2():
