@@ -38,6 +38,7 @@ __all__ = [
     "apply_linear_kernel",
     "simulate_circuit",
     "model_param_derivative",
+    "axis_operators",
     "control_hamiltonians",
     "write_field_csv",
 ]
@@ -185,6 +186,7 @@ class ControlModel:
     """Common surface: nominal field, named parameters, re-parametrized copies."""
 
     amp_factor: float = 1.0
+    drive_linear: bool = False    # field(amp_factor * drive) = amp_factor * field(drive)
 
     def field(self, seq: ControlSequence) -> DiscretizedField:
         raise NotImplementedError
@@ -206,6 +208,8 @@ class ControlModel:
 class IdealModel(ControlModel):
     """Distortion-free passthrough; midpoint and interval-average sampling
     coincide for piecewise-constant inputs."""
+
+    drive_linear = True
 
     def __init__(self, substeps: int = 1, amp_factor: float = 1.0):
         if substeps < 1:
@@ -562,6 +566,10 @@ class CircuitModel(ControlModel):
     def analytic_sensitivities(self) -> tuple[str, ...]:
         return ("alpha_L",) if self.cp.alpha_l == 0.0 else ()
 
+    @property
+    def drive_linear(self) -> bool:
+        return self.cp.alpha_l == 0.0
+
     def steady_state(self, alpha: complex) -> np.ndarray:
         """Exact linear steady state -A0^{-1} u alpha (alpha_L = 0)."""
         a0, uvec = self._system()
@@ -620,19 +628,20 @@ def model_param_derivative(
     return (hi - lo) / (2.0 * step)
 
 
-def control_hamiltonians(fld: DiscretizedField, n_qubits: int) -> np.ndarray:
-    """(Q, d, d) control Hamiltonians sum_k b_{k,q} sum_{i in qubits_k} sigma_axis^i."""
+def axis_operators(axes, n_qubits: int) -> np.ndarray:
+    """(K, d, d) operators sum_{i in qubits_k} sigma_axis^i of the field rows' axes."""
     from .opcore import pauli_op
 
-    d = 2 ** n_qubits
-    ops = []
-    for qubits, axis in fld.axes:
-        m = np.zeros((d, d), dtype=complex)
+    ops = np.zeros((len(axes), 2 ** n_qubits, 2 ** n_qubits), dtype=complex)
+    for k, (qubits, axis) in enumerate(axes):
         for q in qubits:
-            m += pauli_op([(q, axis)], 1.0, n_qubits).entries
-        ops.append(m)
-    ops = np.stack(ops)
-    return np.einsum("kq,kab->qab", fld.b, ops)
+            ops[k] += pauli_op([(q, axis)], 1.0, n_qubits).entries
+    return ops
+
+
+def control_hamiltonians(fld: DiscretizedField, n_qubits: int) -> np.ndarray:
+    """(Q, d, d) control Hamiltonians sum_k b_{k,q} sum_{i in qubits_k} sigma_axis^i."""
+    return np.einsum("kq,kab->qab", fld.b, axis_operators(fld.axes, n_qubits))
 
 
 def write_field_csv(fld: DiscretizedField, path, channel_names=None) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence
+from .controlsys import ControlModel, ControlSequence, axis_operators
 from .opcore import _PAULI, Operator
 
 __all__ = [
@@ -153,16 +153,7 @@ class EvaluationSetup:
     distributions: tuple[ParameterDistribution, ...] = ()
 
     def axis_ops(self, fld) -> np.ndarray:
-        from .opcore import pauli_op
-
-        d = 2 ** self.n_qubits
-        ops = []
-        for qubits, axis in fld.axes:
-            m = np.zeros((d, d), dtype=complex)
-            for q in qubits:
-                m += pauli_op([(q, axis)], 1.0, self.n_qubits).entries
-            ops.append(m)
-        return np.stack(ops)
+        return axis_operators(fld.axes, self.n_qubits)
 
     def split_params(self, values: dict):
         """Partition a {dist name: value} draw into model params and term
@@ -239,10 +230,11 @@ _MC_BLOCK = 100
 
 def _mc_unitaries(seq, setup, n_mc, rng):
     """Sampled exact unitaries, (n_mc, d, d).  All parameters are drawn
-    first, sample by sample.  When only term coefficients and the drive
-    amplitude are dispersed, the control field is solved once and the
-    step exponentials run in blocks of ``_MC_BLOCK`` draws; otherwise
-    every draw is simulated on its own."""
+    first, sample by sample.  When only term coefficients are dispersed,
+    or also the drive amplitude of a model whose field is linear in the
+    drive, the control field is solved once and the step exponentials run
+    in blocks of ``_MC_BLOCK`` draws; otherwise every draw is simulated
+    on its own."""
     from . import toggling as tg
 
     if n_mc < 1:
@@ -251,8 +243,9 @@ def _mc_unitaries(seq, setup, n_mc, rng):
         {dd.name: dd.sample(rng) for dd in setup.distributions}
         for _ in range(n_mc)
     ]
+    linear = setup.model.drive_linear
     fast = all(
-        dd.applies_to.startswith("term:") or dd.applies_to == "model:amplitude"
+        dd.applies_to.startswith("term:") or (linear and dd.applies_to == "model:amplitude")
         for dd in setup.distributions
     )
     d = 2 ** setup.n_qubits
@@ -261,7 +254,7 @@ def _mc_unitaries(seq, setup, n_mc, rng):
         for s, values in enumerate(draws):
             out[s] = simulate_total_unitary(seq, setup, values).entries
         return out
-    amp = np.full(n_mc, setup.model.amp_factor)
+    amp = np.full(n_mc, setup.model.amp_factor if linear else 1.0)
     coeffs = np.tile(setup.term_coeffs, (n_mc, 1))
     for dd in setup.distributions:
         vals = np.array([values[dd.name] for values in draws])
@@ -270,7 +263,8 @@ def _mc_unitaries(seq, setup, n_mc, rng):
         else:
             coeffs[:, setup.term_names.index(dd.applies_to.split(":", 1)[1])] = vals
     h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
-    fld = setup.model.with_param("amplitude", 0.0).field(seq)   # unit drive, scaled by amp
+    model = setup.model.with_param("amplitude", 0.0) if linear else setup.model
+    fld = model.field(seq)   # at unit drive when it scales by amp
     h_ctrl = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
     qn = h_ctrl.shape[0]
     for lo in range(0, n_mc, _MC_BLOCK):

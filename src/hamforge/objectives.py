@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, model_param_derivative
+from .controlsys import ControlModel, ControlSequence, axis_operators, model_param_derivative
 from .liealg import CSubspace
 from .opcore import Operator
 from . import toggling as tg
@@ -196,9 +196,6 @@ class CostPipeline:
         unit_scale: float | None = None,
         fd_step: float = 1e-4,
     ):
-        from .controlsys import control_hamiltonians  # noqa: F401 (doc pointer)
-        from .opcore import pauli_op
-
         self.n_qubits = n_qubits
         self.d = 2 ** n_qubits
         self.channels = tuple(channels)
@@ -222,16 +219,21 @@ class CostPipeline:
         fld = model.field(probe)
         self.delta_t = fld.delta_t
         self.q_steps = fld.q_steps
-        axis_ops = []
-        for qubits, axis in fld.axes:
-            m = np.zeros((self.d, self.d), dtype=complex)
-            for q in qubits:
-                m += pauli_op([(q, axis)], 1.0, n_qubits).entries
-            axis_ops.append(m)
-        self.axis_ops = np.stack(axis_ops)
+        self.axis_ops = axis_operators(fld.axes, n_qubits)
+
+        # one shared array per distinct basis: the per-candidate eigendata,
+        # toggles and their prefixes are cached on its identity
+        distinct: list[np.ndarray] = []
+
+        def shared(stack):
+            for s in distinct:
+                if s.shape == stack.shape and np.array_equal(s, stack):
+                    return s
+            distinct.append(stack)
+            return stack
 
         # per-component static data
-        self.comp_stacks = [c.subspace.basis.stack() for c in self.components]
+        self.comp_stacks = [shared(c.subspace.basis.stack()) for c in self.components]
         self.comp_seed = [
             np.einsum("aij,ij->a", s.conj(), c.matrix)
             for s, c in zip(self.comp_stacks, self.components)
@@ -243,7 +245,7 @@ class CostPipeline:
             else:
                 self.comp_scale.append(float(np.linalg.norm(seed)))
         self.err_stacks = {
-            name: e.subspace.basis.stack() for name, e in self.errors.items()
+            name: shared(e.subspace.basis.stack()) for name, e in self.errors.items()
         }
 
         # commutator tables for effective robustness terms
@@ -343,14 +345,13 @@ class CostPipeline:
             b2 = b2 * self.model.param_scale(p1) * self.model.param_scale(p2)
         return np.einsum("kq,kab->qab", b2, self.axis_ops)
 
-    def _space_cache(self, stack, h_pri, u, cache):
-        """Per-candidate eigen/toggle data for one subspace stack."""
+    def _space_cache(self, stack, h_pri, dt, cache):
+        """Adjoint eigendata (nu, V) of one distinct subspace and the prefix
+        products of its toggle matrices D(U_q^dag) = V diag(e^{i nu dt}) V^dag."""
         key = id(stack)
         if key not in cache:
-            madj = tg.adjoint_matrix_batch(h_pri, stack)
-            nu, vecs = np.linalg.eigh(madj)
-            dq = _toggles_from_u(u, stack)
-            cache[key] = (nu, vecs, dq, tg.prefix_toggles(dq))
+            nu, vecs = np.linalg.eigh(tg.adjoint_matrix_batch(h_pri, stack))
+            cache[key] = (nu, vecs, tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt)))
         return cache[key]
 
     def evaluate(self, x: np.ndarray) -> CostReport:
@@ -359,30 +360,20 @@ class CostPipeline:
         dt = fld.delta_t
         h_ctrl = np.einsum("kq,kab->qab", fld.b, self.axis_ops)
         h_pri = h_ctrl + self.pri_internal
-
-        u = tg.expm_batch(h_pri, dt)
-        qn = u.shape[0]
+        t_seq = h_pri.shape[0] * dt
         cache: dict = {}
 
         # component integral sets
-        comp_sets = []
+        comp_sets, comp_step = [], []
         for w, comp in enumerate(self.components):
-            stack = self.comp_stacks[w]
             order = self.need_comp_order[w]
-            nu, vecs, dq, e_prev = self._space_cache(stack, h_pri, u, cache)
+            nu, vecs, e_prev = self._space_cache(self.comp_stacks[w], h_pri, dt, cache)
             y = np.einsum("qba,b->qa", vecs.conj(), self.comp_seed[w].astype(complex))
             c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order)
-            t0, t1, t2 = tg.compose_batch(e_prev, c0, c1, c2)
             comp_sets.append(
-                tg.CIntegralSet(
-                    comp.subspace,
-                    order,
-                    t0,
-                    t1.ravel() if t1 is not None else None,
-                    t2.ravel() if t2 is not None else None,
-                    qn * dt,
-                )
+                _integral_set(comp.subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq)
             )
+            comp_step.append((nu, vecs, y, c0, e_prev))
 
         # error-space integral sets plus caches for cross terms
         err_sets = {}
@@ -390,39 +381,25 @@ class CostPipeline:
         for name, order in self.need_err.items():
             stack = self.err_stacks[name]
             eops = self._error_step_ops(name, seq, fld, h_ctrl)
-            nu, vecs, dq, e_prev = self._space_cache(stack, h_pri, u, cache)
+            nu, vecs, e_prev = self._space_cache(stack, h_pri, dt, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), eops)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
             c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order)
-            t0, t1, t2 = tg.compose_batch(e_prev, c0, c1, c2)
-            err_sets[name] = tg.CIntegralSet(
-                self.errors[name].subspace,
-                order,
-                t0,
-                t1.ravel() if t1 is not None else None,
-                t2.ravel() if t2 is not None else None,
-                qn * dt,
+            err_sets[name] = _integral_set(
+                self.errors[name].subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq
             )
             err_step[name] = (nu, vecs, y, c0, e_prev)
 
-        # joint ordered tensors between distinct error channels
-        err_cross = {}
-        for (ja, jb) in self.need_err_cross:
-            nu_a, v_a, y_a, c0_a, ep_a = err_step[ja]
-            nu_b, v_b, y_b, c0_b, ep_b = err_step[jb]
+        # joint ordered tensors (later slot, earlier slot) from the step data
+        # above: distinct error channels, and (component, error)
+        def joint(later, earlier):
+            nu_a, v_a, y_a, c0_a, ep_a = later
+            nu_b, v_b, y_b, c0_b, ep_b = earlier
             steps = tg.batch_step_cross(nu_a, v_a, y_a, nu_b, v_b, y_b, dt)
-            err_cross[(ja, jb)] = tg.compose_cross_batch(steps, c0_a, c0_b, ep_a, ep_b)
+            return tg.compose_cross_batch(steps, c0_a, c0_b, ep_a, ep_b)
 
-        # cross integrals (component, error)
-        cross = {}
-        for (w, name) in self.need_cross:
-            stack_p = self.comp_stacks[w]
-            nu_p, v_p, dq_p, ep_p = self._space_cache(stack_p, h_pri, u, cache)
-            y_p = np.einsum("qba,b->qa", v_p.conj(), self.comp_seed[w].astype(complex))
-            c0_p = tg.batch_step_cints(nu_p, v_p, y_p, dt, 1)[0]
-            nu_e, v_e, y_e, c0_e, ep_e = err_step[name]
-            steps = tg.batch_step_cross(nu_p, v_p, y_p, nu_e, v_e, y_e, dt)
-            cross[(w, name)] = tg.compose_cross_batch(steps, c0_p, c0_e, ep_p, ep_e)
+        err_cross = {(ja, jb): joint(err_step[ja], err_step[jb]) for ja, jb in self.need_err_cross}
+        cross = {(w, name): joint(comp_step[w], err_step[name]) for w, name in self.need_cross}
 
         # second-derivative zeroth integrals
         second_c0 = {}
@@ -432,15 +409,13 @@ class CostPipeline:
                 second_c0[(j1, j2)] = None
                 continue
             stack = self.err_stacks[j1]
-            nu, vecs, dq, e_prev = self._space_cache(stack, h_pri, u, cache)
+            nu, vecs, e_prev = self._space_cache(stack, h_pri, dt, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), ops2)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
             c0 = tg.batch_step_cints(nu, vecs, y, dt, 1)[0]
-            t0, _, _ = tg.compose_batch(e_prev, c0)
-            second_c0[(j1, j2)] = t0
+            second_c0[(j1, j2)] = tg.compose_batch(e_prev, c0)[0]
 
         # final unitary only when some term needs it
-        t_seq = qn * dt
         u_final = None
 
         labels, values, weights = [], [], []
@@ -448,7 +423,7 @@ class CostPipeline:
             p = term.params
             if term.kind == "primary_unitary":
                 if u_final is None:
-                    u_final = _final_unitary(u)
+                    u_final = tg.prefix_products(tg.expm_batch(h_pri, dt))[-1]
                 val = primary_unitary_cost(u_final, self.spec.target_unitary.entries)
                 label = "primary_unitary"
             elif term.kind == "zeroth_order_target":
@@ -512,26 +487,14 @@ class CostPipeline:
         fld = self.model.field(seq)
         h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
         u = tg.expm_batch(h_pri, fld.delta_t)
-        pre = np.empty_like(u)
-        acc = np.eye(u.shape[-1], dtype=complex)
-        for q in range(u.shape[0]):
-            acc = u[q] @ acc
-            pre[q] = acc
-        return tg.PrimaryPropagation(u, pre)
+        return tg.PrimaryPropagation(u, tg.prefix_products(u))
 
 
-def _toggles_from_u(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    conj = np.einsum("qji,ajk,qkl->qail", u.conj(), stack, u)
-    return np.ascontiguousarray(
-        np.einsum("bij,qaij->qba", stack.conj(), conj).real
-    )
-
-
-def _final_unitary(u_steps: np.ndarray) -> np.ndarray:
-    acc = np.eye(u_steps.shape[-1], dtype=complex)
-    for q in range(u_steps.shape[0]):
-        acc = u_steps[q] @ acc
-    return acc
+def _integral_set(subspace, order, tensors, t_seq) -> tg.CIntegralSet:
+    """CIntegralSet from composed (c0, c1, c2) tensors, flattened."""
+    t0, t1, t2 = tensors
+    flat = [None if t is None else t.ravel() for t in (t1, t2)]
+    return tg.CIntegralSet(subspace, order, t0, *flat, t_seq)
 
 
 def total_cost(

@@ -13,6 +13,12 @@ tuples reduce to divided differences of f(x) = exp(xT) on the imaginary
 axis: I_r(nu_1..nu_r) = f[0, i p_1, .., i p_r] with prefix sums
 p_k = nu_1 + .. + nu_k.
 
+Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
+= V_q diag(e^{i nu_q dt}) V_q^dag, so `eigen_toggles` builds it from the
+same eigenpairs (nu_q, V_q) as the step integrals; `toggle_matrices`,
+which conjugates the basis by U_q, stays as the independent check.
+`prefix_products` chains ordered step products in log depth.
+
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than `tol`
@@ -261,21 +267,37 @@ class PrimaryPropagation:
         return self.prefixes[-1]
 
 
+def _eig_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """V diag(e^{-i w t}) V^dag for a stack of eigendata (w, V)."""
+    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(-1j * w * t), v.conj())
+
+
 def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for a stack (..., d, d) of Hermitian matrices."""
-    w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * w * t)
-    return np.einsum("...ab,...b,...cb->...ac", v, phase, v.conj())
+    return _eig_exp(*np.linalg.eigh(h), t)
+
+
+def prefix_products(a: np.ndarray) -> np.ndarray:
+    """Inclusive ordered products out[q] = a[q] .. a[1] a[0] of a (Q, n, n) stack.
+
+    Work-efficient scan (Blelloch 1990): multiply neighbouring pairs, scan
+    the pairs, then fill in the even entries; 2 ceil(log2 Q) batched matmuls.
+    """
+    n = a.shape[0]
+    if n <= 1:
+        return a.copy()
+    half = n // 2
+    pairs = prefix_products(a[1 : 2 * half : 2] @ a[0 : 2 * half : 2])
+    out = np.empty_like(a)
+    out[0] = a[0]
+    out[1::2] = pairs
+    out[2::2] = a[2::2] @ pairs[: (n - 1) // 2]
+    return out
 
 
 def propagate_primary(steps: StepHamiltonians) -> PrimaryPropagation:
     u = expm_batch(steps.h_pri, steps.delta_t)
-    pre = np.empty_like(u)
-    acc = np.eye(u.shape[-1], dtype=complex)
-    for q in range(u.shape[0]):
-        acc = u[q] @ acc
-        pre[q] = acc
-    return PrimaryPropagation(u, pre)
+    return PrimaryPropagation(u, prefix_products(u))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +318,15 @@ def adjoint_matrix(h_pri: np.ndarray, stack: np.ndarray, tol: float = 1e-7) -> n
 
 
 def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Batched (Q, m, m) adjoint matrices, no residual check (hot path)."""
-    comm = np.einsum("qij,ajk->qaik", h_pri, stack) - np.einsum(
-        "aij,qjk->qaik", stack, h_pri
-    )
-    return np.einsum("bij,qaij->qba", stack.conj(), comm)
+    """Batched (Q, m, m) adjoint matrices, no residual check (hot path).
+
+    M_ba = <<h_b|[H, h_a]>> is linear in H: one (Q, d^2) x (d^2, m^2)
+    product with T[k, l, b, a] = (h_b^* h_a^T - h_a^T h_b^*)[k, l].
+    """
+    m, d = stack.shape[0], stack.shape[-1]
+    sc = stack.conj()
+    t = np.einsum("bkj,alj->klba", sc, stack) - np.einsum("aik,bil->klba", stack, sc)
+    return (h_pri.reshape(-1, d * d) @ t.reshape(d * d, m * m)).reshape(-1, m, m)
 
 
 @dataclass(frozen=True)
@@ -374,14 +400,17 @@ def batch_step_cross(nu_p, v_p, y_p, nu_e, v_e, y_e, dt, tol=DEFAULT_DEGEN_TOL):
     return _real(np.einsum("qia,qaj->qij", v_p, tmp))
 
 
+def eigen_toggles(nu: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """D(U_q^dag) = exp(i M_q dt) from the eigendata (nu, V) of the adjoint matrices."""
+    return _real(_eig_exp(nu, v, -dt))
+
+
 def prefix_toggles(dq: np.ndarray) -> np.ndarray:
     """E_prev[q] = D(U_1^dag) ... D(U_{q-1}^dag) (identity at q = 0)."""
-    qn, m, _ = dq.shape
     out = np.empty_like(dq)
-    acc = np.eye(m)
-    for q in range(qn):
-        out[q] = acc
-        acc = acc @ dq[q]
+    out[0] = np.eye(dq.shape[-1])
+    # A B .. Z = (Z^T .. B^T A^T)^T: the scan of the transposes, transposed
+    out[1:] = np.swapaxes(prefix_products(np.swapaxes(dq[:-1], -1, -2)), -1, -2)
     return out
 
 

@@ -95,3 +95,46 @@ def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
     assert 0.0 <= rep["fom"] <= 1.0
     assert rep["seed"] == 41
     assert rep["n_mc"] == 150
+
+
+def _config_optimize(e_target=None):
+    cfg = _config_1q()
+    cfg["objectives"] = [
+        {"kind": "primary_unitary", "weight": 20},
+        {"kind": "zeroth_order_target", "weight": 4, "component": 1},
+        {"kind": "robustness_first", "weight": 1, "error": "eps"},
+        {"kind": "higher_order_r", "weight": 2, "order": 2, "space": "pert", "component": 1},
+    ]
+    cfg["optimizer"] = {"schedule": "standard", "T0": 2.0, "stages": [[40, 2.0]]}
+    if e_target is not None:
+        cfg["optimizer"]["e_target"] = e_target
+    return cfg
+
+
+def test_cli_optimize_writes_consistent_cost(tmp_path):
+    from hamforge.config import build_pipeline, parse_config, read_sequence
+
+    cfg = _config_optimize()
+    out = tmp_path / "out"
+    code = cli.main([
+        "optimize", "--config", _write_config(tmp_path, cfg), "--threads", "1", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    rep = json.loads((out / "optimize.json").read_text())
+    weighted = sum(rep["weights"][k] * v for k, v in rep["terms"].items())
+    assert len(rep["terms"]) == 4
+    assert abs(rep["f_tot"] - weighted) <= 1e-12 * abs(rep["f_tot"])
+    seq = read_sequence(rep["sequence_file"])
+    again = build_pipeline(parse_config(cfg)).evaluate(seq.values.ravel())
+    assert abs(rep["f_tot"] - again.total) <= 1e-12 * abs(rep["f_tot"])
+    assert rep["iterations"] > 0
+
+
+def test_cli_optimize_above_energy_target_exits_budget(tmp_path):
+    out = tmp_path / "out"
+    cfg = _config_optimize(e_target=1e-30)
+    code = cli.main([
+        "optimize", "--config", _write_config(tmp_path, cfg), "--threads", "1", "--out", str(out),
+    ])
+    assert code == cli.EXIT_BUDGET
+    assert json.loads((out / "optimize.json").read_text())["f_tot"] > 1e-30

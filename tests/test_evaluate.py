@@ -362,3 +362,65 @@ def test_evaluation_report_applies_model_drive_factor_once():
     ref = report_oracle(seq, setup, u0, 40, 5)
     assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
     assert abs(got["fom"] - ref["fom"]) <= 1e-12
+
+
+def _amplitude_setup(model, channels):
+    return ev.EvaluationSetup(
+        n_qubits=1,
+        channels=channels,
+        dt=1e-8,
+        model=model,
+        term_names=("offset",),
+        term_mats=pauli_op([(1, "z")], 1.0, 1).entries[None],
+        term_coeffs=np.zeros(1),
+        distributions=(
+            ev.ParameterDistribution("amp", "uniform", (-0.3, 0.3), "model:amplitude"),
+        ),
+    )
+
+
+@pytest.mark.parametrize("alpha_l", [-0.005, 0.0])
+def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
+    # with alpha_L != 0 the field is not linear in the drive, so one field
+    # solve must not be rescaled per drawn amplitude
+    from hamforge.controlsys import CircuitModel, CircuitParams
+
+    xy = (Channel("x", (1,), "x", 10.0), Channel("y", (1,), "y", 10.0))
+    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
+    setup = _amplitude_setup(model, xy)
+    seq = ControlSequence(np.ones((2, 4)), 1e-8, xy)
+    u0 = Operator(np.eye(2), 1)
+    got = ev.evaluation_report(seq, setup, u0, 40, 5)
+    ref = report_oracle(seq, setup, u0, 40, 5)
+    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
+    assert abs(got["fom"] - ref["fom"]) <= 1e-12
+    assert model.drive_linear == (alpha_l == 0.0)
+
+
+def test_amplitude_dispersion_of_kernel_model_with_z_channel_matches_oracle():
+    # the kernel model does not scale its z rows by the drive factor
+    from hamforge.controlsys import LinearKernelModel, LinearKernelParams
+
+    chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
+    setup = _amplitude_setup(LinearKernelModel(LinearKernelParams(2e7, 0.0), 8), chans)
+    seq = ControlSequence(np.random.default_rng(3).uniform(-1, 1, (3, 4)), 1e-8, chans)
+    u0 = Operator(np.eye(2), 1)
+    got = ev.evaluation_report(seq, setup, u0, 40, 5)
+    ref = report_oracle(seq, setup, u0, 40, 5)
+    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
+
+
+def test_ideal_model_amplitude_dispersion_solves_one_field(monkeypatch):
+    # the fast path: one unit-drive field, rescaled for every draw
+    calls = []
+    real = IdealModel.field
+
+    def counted(self, seq):
+        calls.append(self.amp_factor)
+        return real(self, seq)
+
+    monkeypatch.setattr(IdealModel, "field", counted)
+    setup = _amplitude_setup(IdealModel(), XY)
+    seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
+    ev.evaluation_report(seq, setup, Operator(np.eye(2), 1), 40, 5)
+    assert calls == [1.0]

@@ -278,38 +278,57 @@ def test_amplitude_second_derivative_fast_path():
     assert rep.values[0] == 0.0  # dH = eps H_c is exactly linear in eps
 
 
+CIRCUIT_CONFIG = {
+    "system": {
+        "n_qubits": 1,
+        "terms": [{"name": "detuning", "strings": [{"pauli": [[1, "z"]]}],
+                   "assign": "pert", "component": 1, "coeff": 0.0}],
+    },
+    "control": {
+        "channels": [
+            {"name": "x", "qubits": [1], "role": "x", "scale": 10.0},
+            {"name": "y", "qubits": [1], "role": "y", "scale": 10.0},
+        ],
+        "intervals": 4, "dt": 1e-08, "substeps": 4, "model": "circuit",
+    },
+    "errors": [
+        {"name": "eps", "kind": "amplitude"},
+        {"name": "alpha_L", "kind": "model_param", "param": "alpha_L"},
+    ],
+    "targets": {"u_target": "hadamard"},
+    "objectives": [
+        {"kind": "primary_unitary", "weight": 20},
+        {"kind": "robustness_first", "weight": 1, "error": "eps"},
+        {"kind": "robustness_first", "weight": 1, "error": "alpha_L"},
+        {"kind": "robustness_second", "weight": 1, "errors": ["alpha_L", "alpha_L"]},
+    ],
+}
+
+
+def circuit_pipeline():
+    from hamforge.config import build_pipeline, parse_config
+
+    return build_pipeline(parse_config(CIRCUIT_CONFIG))
+
+
+def count_adjoint_calls(monkeypatch):
+    calls = []
+    real = tg.adjoint_matrix_batch
+
+    def counted(h_pri, stack):
+        calls.append(stack)
+        return real(h_pri, stack)
+
+    monkeypatch.setattr(tg, "adjoint_matrix_batch", counted)
+    return calls
+
+
 def test_circuit_pipeline_solves_three_fields_per_evaluation(monkeypatch):
     # nominal field once, shared by the analytic alpha_L sensitivity and
     # the middle of the second difference, plus one field at each of +/-step
-    from hamforge.config import build_pipeline, parse_config
     from hamforge.controlsys import CircuitModel
 
-    cfg = parse_config({
-        "system": {
-            "n_qubits": 1,
-            "terms": [{"name": "detuning", "strings": [{"pauli": [[1, "z"]]}],
-                       "assign": "pert", "component": 1, "coeff": 0.0}],
-        },
-        "control": {
-            "channels": [
-                {"name": "x", "qubits": [1], "role": "x", "scale": 10.0},
-                {"name": "y", "qubits": [1], "role": "y", "scale": 10.0},
-            ],
-            "intervals": 4, "dt": 1e-08, "substeps": 4, "model": "circuit",
-        },
-        "errors": [
-            {"name": "eps", "kind": "amplitude"},
-            {"name": "alpha_L", "kind": "model_param", "param": "alpha_L"},
-        ],
-        "targets": {"u_target": "hadamard"},
-        "objectives": [
-            {"kind": "primary_unitary", "weight": 20},
-            {"kind": "robustness_first", "weight": 1, "error": "eps"},
-            {"kind": "robustness_first", "weight": 1, "error": "alpha_L"},
-            {"kind": "robustness_second", "weight": 1, "errors": ["alpha_L", "alpha_L"]},
-        ],
-    })
-    pipe = build_pipeline(cfg)
+    pipe = circuit_pipeline()
     real = CircuitModel.field
     alpha_ls = []
 
@@ -322,3 +341,57 @@ def test_circuit_pipeline_solves_three_fields_per_evaluation(monkeypatch):
     step = pipe.fd_step * pipe.model.param_scale("alpha_L")
     assert sorted(alpha_ls) == [-step, 0.0, step]
     assert all(np.isfinite(rep.values))
+
+
+def test_one_adjoint_eigendecomposition_per_distinct_subspace(monkeypatch):
+    # the component space and both error spaces have bitwise-equal bases
+    pipe = circuit_pipeline()
+    calls = count_adjoint_calls(monkeypatch)
+    for seed in (11, 12):
+        before = len(calls)
+        pipe.evaluate(np.random.default_rng(seed).uniform(-1, 1, 8))
+        assert len(calls) - before == 1
+
+
+def two_space_pipeline():
+    """2 qubits, drive on qubit 1: C_pert = span{x1 z2, y1 z2, z1 z2} and
+    C_err = span{x1, y1, z1} are different subspaces."""
+    x1, y1 = pauli_op([(1, "x")], 1.0, 2), pauli_op([(1, "y")], 1.0, 2)
+    z1z2 = pauli_op([(1, "z"), (2, "z")], 1.0, 2)
+    g = find_lie_algebra([x1, y1])
+    c_pert = find_c_subspace(g, z1z2)
+    c_err = find_c_subspace(g, x1, extra_seeds=(y1,))
+    comp = ob.PertComponent(z1z2.entries.copy(), c_pert, None)
+    err = ob.ErrorChannel("eps", "amplitude", subspace=c_err)
+    terms = (
+        ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
+        ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps", "component": 0}),
+    )
+    spec = ob.ObjectiveSpec(terms)
+    return ob.CostPipeline(2, CH, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
+
+
+def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
+    pipe = two_space_pipeline()
+    calls = count_adjoint_calls(monkeypatch)
+    x = np.random.default_rng(13).uniform(-1, 1, 24)
+    rep = pipe.evaluate(x)
+    assert len(calls) == 2
+    assert not np.array_equal(calls[0], calls[1])
+    # effective robustness against the sequential cross integral, whose
+    # toggles come from conjugation by the step unitaries
+    comp, err = pipe.components[0], pipe.errors["eps"]
+    fld = pipe.model.field(pipe.sequence(x))
+    h_ctrl = np.einsum("kq,kab->qab", fld.b, pipe.axis_ops)
+    qn = h_ctrl.shape[0]
+    steps = tg.StepHamiltonians(
+        h_ctrl, np.broadcast_to(comp.matrix, h_ctrl.shape), {"eps": h_ctrl}, fld.delta_t
+    )
+    prop = tg.propagate_primary(steps)
+    cross = tg.cross_c_integral(steps, "eps", comp.subspace, err.subspace, prop)
+    t_seq = qn * fld.delta_t
+    want = ob.effective_robustness_cost(cross, pipe.cross_tables[(0, "eps")]) / (
+        t_seq ** 2 * pipe.comp_scale[0] * pipe.err_scale * 2.0
+    )
+    assert want > 1e-3
+    assert rep.values[1] == pytest.approx(want, rel=1e-12)

@@ -217,6 +217,83 @@ def test_propagate_commuting_steps():
     assert np.abs(prop.final - expect).max() < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# toggle matrices from the adjoint eigendata; log-depth prefix products
+
+
+def sequential_prefixes(u):
+    """Oracle: prefixes[q] = U_q ... U_1 U_0 by a left-to-right fold."""
+    pre = np.empty_like(u)
+    acc = np.eye(u.shape[-1], dtype=u.dtype)
+    for q in range(u.shape[0]):
+        acc = u[q] @ acc
+        pre[q] = acc
+    return pre
+
+
+def sequential_prefix_toggles(dq):
+    """Oracle: E_prev[q] = D_0 D_1 ... D_{q-1}, identity at q = 0."""
+    out = np.empty_like(dq)
+    acc = np.eye(dq.shape[-1])
+    for q in range(dq.shape[0]):
+        out[q] = acc
+        acc = acc @ dq[q]
+    return out
+
+
+@st.composite
+def primary_hamiltonians(draw):
+    """(n_qubits, H_pri stack, dt): random drives plus the degenerate
+    adjoint spectra of zero drive and a pure ZZ coupling."""
+    from hamforge.evaluate import pauli_basis_stack
+
+    n = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["random", "zero", "zz"]))
+    qn = draw(st.integers(1, 4))
+    paulis = pauli_basis_stack(n)[1:] * np.sqrt(2 ** n)
+    coef = st.floats(-5.0, 5.0, allow_nan=False)
+    if kind == "random":
+        c = np.array(draw(st.lists(coef, min_size=qn * len(paulis), max_size=qn * len(paulis))))
+        h = np.einsum("qa,aij->qij", c.reshape(qn, -1), paulis)
+    elif kind == "zero":
+        h = np.zeros((qn, 2 ** n, 2 ** n), dtype=complex)
+    else:
+        zz = pauli_op([(q + 1, "z") for q in range(n)], 1.0, n).entries
+        h = np.array(draw(st.lists(coef, min_size=qn, max_size=qn)))[:, None, None] * zz
+    return n, h, draw(st.floats(0.01, 2.0))
+
+
+@given(primary_hamiltonians())
+@settings(max_examples=40, deadline=None)
+def test_eigen_toggles_match_conjugation(case):
+    from hamforge.evaluate import pauli_basis_stack
+
+    n, h, dt = case
+    stack = pauli_basis_stack(n)[1:]
+    madj = tg.adjoint_matrix_batch(h, stack)
+    for q in range(len(h)):   # the checked single-step builder forms the commutators
+        scale = max(np.abs(h[q]).max(), 1.0)
+        assert np.abs(madj[q] - tg.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
+    nu, v = np.linalg.eigh(madj)
+    got = tg.eigen_toggles(nu, v, dt)
+    u = tg.expm_batch(h, dt)
+    want = tg.toggle_matrices(tg.PrimaryPropagation(u, u), stack)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("qn", [1, 2, 3, 7, 35, 560])
+def test_prefix_products_match_sequential_fold(qn):
+    rng = np.random.default_rng(qn)
+    a = rng.normal(size=(qn, 4, 4)) + 1j * rng.normal(size=(qn, 4, 4))
+    u, _ = np.linalg.qr(a)
+    d, _ = np.linalg.qr(rng.normal(size=(qn, 3, 3)))
+    pre = tg.prefix_products(u)
+    want = sequential_prefixes(u)
+    assert np.abs(pre - want).max() <= 1e-13
+    assert np.abs(pre[-1] - want[-1]).max() <= 1e-13   # the final unitary
+    assert np.abs(tg.prefix_toggles(d) - sequential_prefix_toggles(d)).max() <= 1e-13
+
+
 def test_step_cints_hpri_zero():
     (sx, sy, sz), g, c = su2_spaces()
     dt = 0.8
