@@ -9,13 +9,17 @@ samples b_{k,q} (rad/s) that enter the per-step control Hamiltonian:
 * nonlinear RLC    - rotating-frame state-space circuit with kinetic
                      inductance, integrated exactly on its linear part
 
-Each model also produces parameter-sensitivity channels db/dmu used to
-build the error Hamiltonian: analytically where the model provides one
-(the circuit's alpha_L block), by central differences otherwise.
+On request each model also returns exact first and second derivatives
+of its field with respect to its named parameters, the channels db/dmu
+and d2b/dmu dnu that build the error Hamiltonians.  They come from the
+model's own integrator: combinations of the kernel's response states,
+and forward sensitivities of the circuit's stepper.  One field solve
+gives the field and every derivative.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -37,7 +41,7 @@ __all__ = [
     "discretize_ideal",
     "apply_linear_kernel",
     "simulate_circuit",
-    "model_param_derivative",
+    "jet_key",
     "axis_operators",
     "control_hamiltonians",
     "write_field_csv",
@@ -92,7 +96,8 @@ class ControlSequence:
 
 @dataclass(frozen=True)
 class DiscretizedField:
-    """Q-step rotating-frame field samples plus sensitivity channels."""
+    """Q-step rotating-frame field samples plus the requested derivative
+    channels, keyed by `jet_key`."""
 
     b: np.ndarray                          # (K_out, Q) rad/s
     delta_t: float
@@ -180,16 +185,67 @@ def _upsample(arr: np.ndarray, substeps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# field derivatives
+
+def jet_key(*names: str):
+    """Key of a field derivative: () for the field itself, the parameter
+    name for db/dmu, the sorted name pair for d2b/dmu dnu."""
+    if len(names) > 2:
+        raise ValueError("field derivatives go to second order")
+    return names[0] if len(names) == 1 else tuple(sorted(names))
+
+
+def _names(key) -> tuple[str, ...]:
+    return (key,) if isinstance(key, str) else tuple(key)
+
+
+def _without_amplitude(key):
+    return jet_key(*(n for n in _names(key) if n != "amplitude"))
+
+
+def _drive_homogeneous(parts: dict, keys) -> dict:
+    """Derivatives along the relative drive error of field parts that are
+    homogeneous in the drive.
+
+    parts maps a key over the other parameters to (n, array): the part at
+    the current drive and its degree n in the drive.  m derivatives along
+    the relative drive error scale it by n! / (n - m)!.
+    """
+    out = {}
+    for key in keys:
+        degree, arr = parts[_without_amplitude(key)]
+        out[key] = math.perm(degree, _names(key).count("amplitude")) * arr
+    return out
+
+
+# ---------------------------------------------------------------------------
 # models
 
 class ControlModel:
-    """Common surface: nominal field, named parameters, re-parametrized copies."""
+    """Common surface: field and its parameter derivatives, named
+    parameters, re-parametrized copies."""
 
     amp_factor: float = 1.0
     drive_linear: bool = False    # field(amp_factor * drive) = amp_factor * field(drive)
 
-    def field(self, seq: ControlSequence) -> DiscretizedField:
+    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
+        """Field samples of `seq`, with the derivatives that `jets` names in
+        `sensitivities`: a parameter name asks for db/dmu, a name pair for
+        d2b/dmu dnu, each keyed by `jet_key`.  Every derivative is exact for
+        the model's own integrator.  Derivatives along 'amplitude' are taken
+        along the relative drive error, b(amp_factor (1 + eps)): the
+        multiplicative error of an 'amplitude' error channel, and the
+        amplitude parameter itself at amp_factor = 1."""
         raise NotImplementedError
+
+    def _jet_keys(self, jets) -> list:
+        keys = [jet_key(*_names(k)) for k in jets]
+        known = self.params()
+        for key in keys:
+            for name in _names(key):
+                if name not in known:
+                    raise KeyError(f"unknown parameter {name!r}")
+        return keys
 
     def params(self) -> dict:
         return {}
@@ -198,11 +254,8 @@ class ControlModel:
         raise KeyError(f"unknown parameter {name!r}")
 
     def param_scale(self, name: str) -> float:
-        """Natural magnitude of a parameter, for relative difference steps."""
+        """Natural magnitude of a parameter, the unit of its error expansion."""
         raise KeyError(f"unknown parameter {name!r}")
-
-    def analytic_sensitivities(self) -> tuple[str, ...]:
-        return ()
 
 
 class IdealModel(ControlModel):
@@ -217,7 +270,8 @@ class IdealModel(ControlModel):
         self.substeps = substeps
         self.amp_factor = amp_factor
 
-    def field(self, seq: ControlSequence) -> DiscretizedField:
+    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
+        keys = self._jet_keys(jets)
         order, by_q = _groups(seq.channels)
         rows, axes = [], []
         for qubits in order:
@@ -232,7 +286,9 @@ class IdealModel(ControlModel):
                 )
                 axes.append((qubits, "z"))
         b = self.amp_factor * np.stack(rows)
-        return DiscretizedField(b, seq.dt / self.substeps, tuple(axes))
+        return DiscretizedField(
+            b, seq.dt / self.substeps, tuple(axes), _drive_homogeneous({(): (1, b)}, keys)
+        )
 
     def params(self) -> dict:
         return {"amplitude": self.amp_factor - 1.0}
@@ -248,13 +304,30 @@ class IdealModel(ControlModel):
         return 1.0
 
 
+def _exp_moments(w: float, h: float, count: int) -> np.ndarray:
+    """m_n = int_0^h s^n e^{-W s} ds = n! P(n + 1, W h) / W^{n+1} for n < count,
+    with P the regularized lower incomplete gamma function."""
+    # imported here: scipy.special adds ~4 MB of resident memory that only
+    # the kernel model needs
+    from scipy.special import gamma, gammainc
+
+    n = np.arange(count)
+    return gamma(n + 1) * gammainc(n + 1, w * h) / w ** (n + 1)
+
+
 class LinearKernelModel(ControlModel):
     """Exponential response kernel of a band-limited control line.
 
     Complex form: B = kappa * u with kappa(t) = [W - i d (1 - W t)] e^{-W t}
-    (u = u_x + i u_y), realized as an exact per-substep state recursion,
-    so piecewise-constant inputs incur no discretization error.
+    (u = u_x + i u_y).  With y_n = int u(tau) (t - tau)^n e^{-W (t - tau)}
+    dtau, B = (W - i d) y_0 + i d W y_1 and dy_n/dW = -y_{n+1}, so every
+    W and delta derivative of B is a combination of the y_n (B is affine
+    in delta).  The y_n are stepped exactly per substep, so
+    piecewise-constant inputs incur no discretization error.  The drive
+    factor scales every row, z rows included.
     """
+
+    drive_linear = True
 
     def __init__(
         self,
@@ -268,50 +341,74 @@ class LinearKernelModel(ControlModel):
         self.average = average
         self.amp_factor = amp_factor
 
-    def field(self, seq: ControlSequence) -> DiscretizedField:
+    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
+        keys = self._jet_keys(jets)
         w, d = self.kp.w_bandwidth, self.kp.delta
         h = seq.dt / self.substeps
         if h > 0.1 / w:
             raise ValueError(
                 f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / w:.3e}"
             )
-        c0 = w - 1j * d
-        c1 = 1j * d * w
-        e_f = math.exp(-w * h)
-        e_h = math.exp(-w * h / 2)
-        j1_f, j2_f = (1 - e_f) / w, (1 - (1 + w * h) * e_f) / w ** 2
-        j1_h, j2_h = (1 - e_h) / w, (1 - (1 + w * h / 2) * e_h) / w ** 2
+        # coefficients of y_0, y_1, ... in each derivative of B
+        coeffs = {
+            (): (w - 1j * d, 1j * d * w),
+            "W": (1.0, 2j * d - w, -1j * d * w),
+            "delta": (-1j, 1j * w),
+            ("W", "W"): (0.0, -2.0, w - 3j * d, 1j * d * w),
+            ("W", "delta"): (0.0, 2j, -1j * w),
+            ("delta", "delta"): (),
+        }
+        parts = {_without_amplitude(key) for key in keys} | {()}
+        n_states = max(len(coeffs[key]) for key in parts)
 
         order, by_q = _groups(seq.channels)
-        rows, axes = [], []
+        rows = {key: [] for key in parts}
+        axes = []
         for qubits in order:
             roles = by_q[qubits]
             if "amp" in roles or "x" in roles or "y" in roles:
                 ux, uy = _drive_xy(seq, roles)
                 u = self.amp_factor * (_upsample(ux, self.substeps) + 1j * _upsample(uy, self.substeps))
-                q = u.size
-                bout = np.empty(q, dtype=complex)
-                z1 = 0.0 + 0.0j
-                z2 = 0.0 + 0.0j
-                for k in range(q):
-                    uk = u[k]
-                    if self.average:
-                        int_z1 = z1 * j1_f + uk * (h - j1_f) / w
-                        int_z2 = z1 * j2_f + z2 * j1_f + uk * (h - j1_f - w * j2_f) / w ** 2
-                        bout[k] = (c0 * int_z1 + c1 * int_z2) / h
-                    else:
-                        z1m = e_h * z1 + uk * j1_h
-                        z2m = e_h * (h / 2 * z1 + z2) + uk * j2_h
-                        bout[k] = c0 * z1m + c1 * z2m
-                    z1, z2 = e_f * z1 + uk * j1_f, e_f * (h * z1 + z2) + uk * j2_f
-                rows += [bout.real, bout.imag]
+                ys = self._responses(u, h, n_states)
+                for key in parts:
+                    bk = sum((c * y for c, y in zip(coeffs[key], ys)), np.zeros(u.size, complex))
+                    rows[key] += [bk.real, bk.imag]
                 axes += [(qubits, "x"), (qubits, "y")]
             if "z" in roles:
-                rows.append(
-                    _upsample(seq.channels[roles["z"]].scale * seq.values[roles["z"]], self.substeps)
+                bz = self.amp_factor * _upsample(
+                    seq.channels[roles["z"]].scale * seq.values[roles["z"]], self.substeps
                 )
+                for key in parts:
+                    rows[key].append(bz if key == () else np.zeros_like(bz))
                 axes.append((qubits, "z"))
-        return DiscretizedField(np.stack(rows), h, tuple(axes))
+        parts = {key: (1, np.stack(r)) for key, r in rows.items()}
+        return DiscretizedField(parts[()][1], h, tuple(axes), _drive_homogeneous(parts, keys))
+
+    def _responses(self, u: np.ndarray, h: float, n_states: int) -> np.ndarray:
+        """(n_states, Q) samples of y_0.. at the substep midpoints, or their
+        substep averages.  Over a substep with constant u,
+        y_n(t + s) = e^{-W s} sum_j C(n, j) s^{n-j} y_j(t) + u m_n(s)."""
+        w = self.kp.w_bandwidth
+        idx = np.arange(n_states)
+        lag = np.clip(np.subtract.outer(idx, idx), 0, None)
+        comb = np.array([[math.comb(i, j) for j in idx] for i in idx])   # 0 above the diagonal
+
+        def shift(s):
+            return math.exp(-w * s) * comb * s ** lag
+
+        m = _exp_moments(w, h, n_states + 1)
+        if self.average:
+            # (1/h) int_0^h y_n(t + s) ds; the drive term int_0^h (h - s) s^n e^{-W s} ds
+            sample, drive = comb * m[lag] / h, (h * m[:-1] - m[1:]) / h
+        else:
+            sample, drive = shift(h / 2), _exp_moments(w, h / 2, n_states)
+        step, m = shift(h), m[:-1]
+        ys = np.zeros(n_states, dtype=complex)
+        out = np.empty((u.size, n_states), dtype=complex)
+        for k, uk in enumerate(u.tolist()):
+            out[k] = sample @ ys + uk * drive
+            ys = step @ ys + uk * m
+        return out.T
 
     def params(self) -> dict:
         return {
@@ -361,36 +458,62 @@ def _block_propagate(epow: np.ndarray, force: np.ndarray):
     return np.einsum("jab,pb->pja", epow, starts) + c, x
 
 
+@dataclass(frozen=True)
+class _HalfStep:
+    """Constants of the circuit integrator for one internal half-step hh."""
+
+    hh: float
+    e: np.ndarray          # e^{A0 hh}
+    e_q: np.ndarray        # e^{A0 hh / 2}
+    fvec: np.ndarray       # int_0^hh e^{A0 s} ds u
+    fvec_q: np.ndarray     # int_0^{hh/2} e^{A0 s} ds u
+    psi1: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} ds
+    psi2: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} (s / hh) ds
+    epow: np.ndarray       # E^0 .. E^n over the n half-steps of one interval
+
+
 class CircuitModel(ControlModel):
     """Rotating-frame RLC resonator with kinetic inductance.
 
     State x = (I_L~, V_Cm~, V_Ct~); dx/dt = A(x) x + alpha(t) u, stepped
     on n_half internal half-steps per output step.  The output sample is
-    the state at the output-step midpoint.
+    the state at the output-step midpoint.  The half-step constants are
+    computed once per (output step, n_half) and kept on the instance,
+    which `with_param` never changes.
 
     alpha_L = 0 (linear path).  The system is linear time-invariant and
     the drive is constant over each control interval, so with E the exact
     half-step propagator every state is x_{p,j} = E^j x_{p,0} + c_{p,j},
     where c is driven from rest within interval p.  `_block_propagate`
     builds c for all intervals at once and steps only the P interval
-    boundaries in sequence.  The alpha_L sensitivity s obeys the same
-    recursion, forced by (dA/dalpha_L) x at the Simpson nodes of each
-    half-step; with every state known, that forcing is vectorised and s
-    goes through the same helper.
+    boundaries in sequence.  The derivatives obey the same recursion with
+    forcings that the states determine, so they go through the same
+    helper:
+
+    * d/dalpha_L is the ODE sensitivity, forced by (dA/dalpha_L) x at the
+      Simpson nodes of each half-step;
+    * d2/dalpha_L2 is that of the nonlinear path's stepper: its tangent
+      stepper (`_nonlinear_jets`) with the force's state Jacobian zero.
+
+    The state is linear in the drive and each alpha_L order adds two
+    degrees, so drive-error derivatives are multiples of these parts.
 
     alpha_L != 0 (nonlinear path).  An exponential predictor-corrector
     that is exact on the stiff linear part (Hochbruck & Ostermann, Acta
     Numerica 19, 2010): the fastest mode decays in ~0.6 ps, so plain RK4
     would need steps hundreds of times shorter.  The nonlinear force has
     one nonzero component, so the step runs on Python complex scalars
-    with column 0 of the psi functions only.  A diverging state halves
-    the internal step and retries.
+    with column 0 of the psi functions only.  Requested derivatives march
+    with the state as forward sensitivities of the same stepper
+    (Hindmarsh et al., ACM TOMS 31, 2005).  A diverging state halves the
+    internal step and retries.
     """
 
     def __init__(self, params: CircuitParams, substeps: int = 16, amp_factor: float = 1.0):
         self.cp = params
         self.substeps = substeps
         self.amp_factor = amp_factor
+        self._half_steps: dict = {}
 
     def _system(self):
         p = self.cp
@@ -406,6 +529,27 @@ class CircuitModel(ControlModel):
         u = np.array([0.0, 1.0 / (rl * p.c_match), 1.0 / (rl * p.c_tank)], dtype=complex)
         return a, u
 
+    def _half_step(self, h_out: float, n_half: int) -> _HalfStep:
+        key = (h_out, n_half)
+        if key not in self._half_steps:
+            a0, uvec = self._system()
+            hh = h_out / n_half
+            eye = np.eye(3)
+            e = _expm(a0 * hh)
+            e_q = _expm(a0 * hh / 2)
+            ainv = np.linalg.inv(a0)
+            psi1 = ainv @ (e - eye)
+            psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
+            n = self.substeps * n_half
+            epow = np.empty((n + 1, 3, 3), dtype=complex)
+            epow[0] = eye
+            for j in range(n):
+                epow[j + 1] = e @ epow[j]
+            self._half_steps[key] = _HalfStep(
+                hh, e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow
+            )
+        return self._half_steps[key]
+
     def _alpha_in(self, seq: ControlSequence) -> np.ndarray:
         """Complex input alpha(t) per interval from the x/y channel pair."""
         order, by_q = _groups(seq.channels)
@@ -414,27 +558,31 @@ class CircuitModel(ControlModel):
         ux, uy = _drive_xy(seq, by_q[order[0]])
         return self.amp_factor * (ux + 1j * uy) / self.cp.kappa_i, order[0]
 
-    def field(self, seq: ControlSequence) -> DiscretizedField:
+    def _output(self, mids: np.ndarray) -> np.ndarray:
+        p = self.cp
+        return np.stack([
+            p.kappa_o * mids[:, 0].real * p.omega_max,
+            p.kappa_o * mids[:, 0].imag * p.omega_max,
+        ])
+
+    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
+        keys = self._jet_keys(jets)
         alpha, qubits = self._alpha_in(seq)
         h = seq.dt / self.substeps
-        a0, uvec = self._system()
-        x, s, mids, smids = self._integrate(alpha, h, a0, uvec)
-        p = self.cp
-        bx = p.kappa_o * mids[:, 0].real * p.omega_max
-        by = p.kappa_o * mids[:, 0].imag * p.omega_max
-        sx = p.kappa_o * smids[:, 0].real * p.omega_max
-        sy = p.kappa_o * smids[:, 0].imag * p.omega_max
-        axes = ((qubits, "x"), (qubits, "y"))
-        return DiscretizedField(
-            np.stack([bx, by]),
-            h,
-            axes,
-            sensitivities={"alpha_L": np.stack([sx, sy])},
-        )
+        linear = self.cp.alpha_l == 0.0
+        asked = {_without_amplitude(key) for key in keys} if linear else set(keys)
+        _, mids = self._integrate(alpha, h, asked - {()})
+        rows = {key: self._output(m) for key, m in mids.items()}
+        if linear:
+            degrees = {key: (2 * len(_names(key)) + 1, r) for key, r in rows.items()}
+            sens = _drive_homogeneous(degrees, keys)
+        else:
+            sens = {key: rows[key] for key in keys}
+        return DiscretizedField(rows[()], h, ((qubits, "x"), (qubits, "y")), sens)
 
-    def _integrate(self, alpha_intervals, h_out, a0, uvec, retries: int = 6):
-        """March (x, dx/dalpha_L) across the sequence; halve the internal
-        step and retry on numerical blow-up."""
+    def _integrate(self, alpha_intervals, h_out, jets=frozenset(), retries: int = 6):
+        """March x and the derivatives `jets` across the sequence; halve the
+        internal step and retry on numerical blow-up."""
         extra = 1
         for attempt in range(retries):
             if attempt:
@@ -443,66 +591,104 @@ class CircuitModel(ControlModel):
                     attempt, retries - 1, h_out / (2 * extra),
                 )
             try:
-                return self._integrate_once(alpha_intervals, h_out, 2 * extra, a0, uvec)
+                return self._integrate_once(alpha_intervals, h_out, 2 * extra, jets)
             except FloatingPointError:
                 extra *= 2
         raise RuntimeError("circuit integration unstable after step-halving retries")
 
-    def _integrate_once(self, alpha_intervals, h_out, n_half, a0, uvec):
+    def _integrate_once(self, alpha_intervals, h_out, n_half, jets):
         """n_half half-steps of size h_out/n_half per output step; the
         output-step midpoint lands on the internal grid (n_half even).
-        Returns the final x and s and their (Q, 3) midpoint samples."""
-        hh = h_out / n_half
-        eye = np.eye(3)
-        e = _expm(a0 * hh)
-        ainv = np.linalg.inv(a0)
-        psi1 = ainv @ (e - eye)                       # int_0^hh e^{A0(hh-s)} ds
+        Returns the final state and a dict of (Q, 3) midpoint samples: the
+        state under (), each derivative in `jets` under its key."""
+        k = self._half_step(h_out, n_half)
         alpha = np.asarray(alpha_intervals, dtype=complex)
         if self.cp.alpha_l != 0.0:
-            psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e   # int e^{A0(hh-s)} (s/hh) ds
-            return self._march_nonlinear(alpha, n_half, e, psi1 @ uvec, psi1[:, 0], psi2[:, 0])
-        e_q = _expm(a0 * hh / 2)
-        fvec_q = (ainv @ (e_q - eye)) @ uvec
-        return self._march_linear(alpha, hh, n_half, e, psi1 @ uvec, e_q, fvec_q)
+            return self._march_nonlinear(alpha, n_half, k, jets)
+        return self._march_linear(alpha, n_half, k, jets)
 
-    def _march_linear(self, alpha, hh, n_half, e, fvec, e_q, fvec_q):
-        """alpha_L = 0: x and its Simpson-forced sensitivity s, block-propagated."""
+    def _force_terms(self, z: np.ndarray) -> dict:
+        """The kinetic force g = phi v at states z (..., 3), component 0:
+        phi = alpha_L q / (1 + alpha_L q) with q = |z0|^2, v = (R z0 - z2) / L0.
+        Holds z0, v, phi and the derivatives of phi along alpha_L (a) and q."""
         p = self.cp
-        n = self.substeps * n_half
-        epow = np.empty((n + 1, 3, 3), dtype=complex)
-        epow[0] = np.eye(3)
-        for j in range(n):
-            epow[j + 1] = e @ epow[j]
-        drive = alpha[:, None, None] * fvec
-        xs, x_end = _block_propagate(epow, np.broadcast_to(drive, (alpha.size, n, 3)))
+        al = p.alpha_l
+        z0 = z[..., 0]
+        q = np.abs(z0) ** 2
+        u = 1.0 + al * q
+        return {
+            "z0": z0, "v": (p.r_series * z0 - z[..., 2]) / p.l_0,
+            "phi": al * q / u, "a": q / u ** 2, "q": al / u ** 2,
+            "aa": -2.0 * q * q / u ** 3, "aq": (1.0 - al * q) / u ** 3, "qq": -2.0 * al * al / u ** 3,
+        }
 
-        def sens_force(xv):
-            # component 0 of (dA/dalpha_L at alpha_L = 0) @ x; the others vanish
-            q2 = np.abs(xv[..., 0]) ** 2
-            return (q2 / p.l_0 * (p.r_series * xv[..., 0] - xv[..., 2]))[..., None]
-
-        x_mid = xs[:, :-1] @ e_q.T + alpha[:, None, None] * fvec_q
-        unit = np.array([1.0, 0.0, 0.0])
-        simpson = (hh / 6.0) * (
-            sens_force(xs[:, :-1]) * e[:, 0]
-            + 4.0 * (sens_force(x_mid) * e_q[:, 0])
-            + sens_force(xs[:, 1:]) * unit
+    def _explicit_force(self, f: dict, key, slots: dict | None = None) -> np.ndarray:
+        """The derivative of g along `key` at the states of f, less the
+        state-Jacobian term Dg[z_key] that the tangent stepper carries.
+        slots holds the first-order derivative of the states along each
+        name of a pair."""
+        names = _names(key)
+        on_a = [float(n == "alpha_L") for n in names]
+        if len(names) == 1:
+            return f["a"] * f["v"] * on_a[0]
+        p = self.cp
+        si, sj = slots[names[0]][..., 0], slots[names[1]][..., 0]
+        s2i, s2j = slots[names[0]][..., 2], slots[names[1]][..., 2]
+        qi, qj = 2.0 * (f["z0"].conj() * si).real, 2.0 * (f["z0"].conj() * sj).real
+        vi, vj = (p.r_series * si - s2i) / p.l_0, (p.r_series * sj - s2j) / p.l_0
+        phi_i, phi_j = f["q"] * qi + f["a"] * on_a[0], f["q"] * qj + f["a"] * on_a[1]
+        phi_ij = (
+            f["qq"] * qi * qj + 2.0 * f["q"] * (si.conj() * sj).real
+            + f["aq"] * (on_a[0] * qj + on_a[1] * qi) + f["aa"] * on_a[0] * on_a[1]
         )
-        ss, s_end = _block_propagate(epow, simpson)
+        return phi_ij * f["v"] + phi_i * vj + phi_j * vi
+
+    def _march_linear(self, alpha, n_half, k: _HalfStep, jets):
+        """alpha_L = 0: x and the requested alpha_L derivatives, block-propagated.
+
+        The force and its state Jacobian vanish at alpha_L = 0, so each
+        derivative obeys x's own recursion with an explicit forcing."""
+        n = self.substeps * n_half
+        drive = alpha[:, None, None] * k.fvec
+        xs, x_end = _block_propagate(k.epow, np.broadcast_to(drive, (alpha.size, n, 3)))
         if not np.isfinite(xs).all():
             raise FloatingPointError("circuit state diverged")
-        at = np.arange(self.substeps) * n_half + n_half // 2
-        return x_end, s_end, xs[:, at].reshape(-1, 3), ss[:, at].reshape(-1, 3)
 
-    def _march_nonlinear(self, alpha, n_half, e, fvec, psi1, psi2):
+        def g(z, key="alpha_L", slots=None):
+            return self._explicit_force(self._force_terms(z), key, slots)[..., None]
+
+        out = {(): xs}
+        if "alpha_L" in jets:
+            x_mid = xs[:, :-1] @ k.e_q.T + alpha[:, None, None] * k.fvec_q
+            unit = np.array([1.0, 0.0, 0.0])
+            simpson = (k.hh / 6.0) * (
+                g(xs[:, :-1]) * k.e[:, 0] + 4.0 * (g(x_mid) * k.e_q[:, 0]) + g(xs[:, 1:]) * unit
+            )
+            out["alpha_L"] = _block_propagate(k.epow, simpson)[0]
+        key = ("alpha_L", "alpha_L")
+        if key in jets:
+            # the stepper's own jets: its predictor at alpha_L = 0 is x_{k+1}
+            r = g(xs)
+            s, _ = _block_propagate(k.epow, r[:, :-1] * (k.psi1 - k.psi2) + r[:, 1:] * k.psi2)
+            t = s[:, :-1] @ k.e.T + r[:, :-1] * k.psi1
+            force = (
+                g(xs[:, :-1], key, {"alpha_L": s[:, :-1]}) * (k.psi1 - k.psi2)
+                + g(xs[:, 1:], key, {"alpha_L": t}) * k.psi2
+            )
+            out[key] = _block_propagate(k.epow, force)[0]
+        at = np.arange(self.substeps) * n_half + n_half // 2
+        return x_end, {key: v[:, at].reshape(-1, 3) for key, v in out.items()}
+
+    def _march_nonlinear(self, alpha, n_half, k: _HalfStep, jets):
         """alpha_L != 0: predictor-corrector on scalars; psi1 and psi2 are
-        the columns that multiply the nonlinear force.  s stays zero."""
+        the columns that multiply the nonlinear force.  The states of every
+        half-step are kept for the derivatives."""
         p = self.cp
         alpha_l, l_0, r_series = p.alpha_l, p.l_0, p.r_series
-        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = e.tolist()
-        f0, f1, f2 = fvec.tolist()
-        psi1_0, psi1_1, psi1_2 = psi1.tolist()
-        psi2_0, psi2_1, psi2_2 = psi2.tolist()
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = k.e.tolist()
+        f0, f1, f2 = k.fvec.tolist()
+        psi1_0, psi1_1, psi1_2 = k.psi1.tolist()
+        psi2_0, psi2_1, psi2_2 = k.psi2.tolist()
 
         def nl_force(i_l, v_ct):
             # component 0 of (A(x) - A0) @ x from L = L0 (1 + alpha_L |I_L|^2)
@@ -518,14 +704,14 @@ class CircuitModel(ControlModel):
             dinv = -alpha_l * q2 / (l_0 * factor)
             return dinv * (-r_series * i_l + v_ct)
 
-        half = n_half // 2
         x0 = x1 = x2 = 0j
-        mids = []
+        xs = []
         try:
             for al in alpha.tolist():
                 d0, d1, d2 = f0 * al, f1 * al, f2 * al
                 for _ in range(self.substeps):
-                    for j in range(n_half):
+                    for _ in range(n_half):
+                        xs += (x0, x1, x2)
                         g0 = nl_force(x0, x2)
                         # predictor y, then the corrector adds psi2 (f(y) - f(x))
                         y0 = e00 * x0 + e01 * x1 + e02 * x2 + d0 + psi1_0 * g0
@@ -533,15 +719,77 @@ class CircuitModel(ControlModel):
                         y2 = e20 * x0 + e21 * x1 + e22 * x2 + d2 + psi1_2 * g0
                         g = nl_force(y0, y2) - g0
                         x0, x1, x2 = y0 + psi2_0 * g, y1 + psi2_1 * g, y2 + psi2_2 * g
-                        if j + 1 == half:
-                            mids.append((x0, x1, x2))
                     if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
                         raise FloatingPointError("circuit state diverged")
         except (OverflowError, ZeroDivisionError) as exc:
             # Python scalars raise here where numpy arrays returned inf or nan
             raise FloatingPointError("circuit state diverged") from exc
-        mids = np.array(mids, dtype=complex).reshape(-1, 3)
-        return np.array([x0, x1, x2]), np.zeros(3, dtype=complex), mids, np.zeros_like(mids)
+        xs += (x0, x1, x2)
+        xs = np.array(xs, dtype=complex).reshape(-1, 3)
+        at = np.arange(alpha.size * self.substeps) * n_half + n_half // 2
+        out = {(): xs[at]}
+        if jets:
+            drive = np.repeat(alpha, self.substeps * n_half)[:, None] * k.fvec
+            out.update(self._nonlinear_jets(k, xs, drive, jets, at))
+        return xs[-1], out
+
+    def _nonlinear_jets(self, k: _HalfStep, xs, drive, jets, at) -> dict:
+        """Forward sensitivities of the predictor-corrector.  Along alpha_L
+        and the relative drive error, and for each pair, a derivative s
+        obeys the tangent stepper of the recorded trajectory,
+            t = E s + d' + psi1 (Dg(x)[s] + r(x)),
+            s' = t + psi2 (Dg(y)[t] + r(y) - Dg(x)[s] - r(x)),
+        with Dg the state Jacobian of the force, r its explicit part
+        (`_explicit_force`) and d' the drive's derivative."""
+        fx = self._force_terms(xs[:-1])
+        ys = xs[:-1] @ k.e.T + drive + (fx["phi"] * fx["v"])[:, None] * k.psi1
+        fy = self._force_terms(ys)
+        first = {}
+        for name in sorted({n for key in jets for n in _names(key)}):
+            first[name] = self._tangent_march(
+                k, fx, fy, self._explicit_force(fx, name), self._explicit_force(fy, name),
+                drive if name == "amplitude" else None,
+            )
+        out = {}
+        for key in jets:
+            if isinstance(key, str):
+                out[key] = first[key][0][at]
+                continue
+            rx = self._explicit_force(fx, key, {n: first[n][0][:-1] for n in key})
+            ry = self._explicit_force(fy, key, {n: first[n][1] for n in key})
+            out[key] = self._tangent_march(k, fx, fy, rx, ry, None)[0][at]
+        return out
+
+    def _tangent_march(self, k: _HalfStep, fx: dict, fy: dict, rx, ry, drive):
+        """One derivative through the stepper on Python scalars.  Dg(z)[s] =
+        c_a s0 + c_b conj(s0) + c_c s2 with the coefficients of the forces
+        fx, fy.  Returns the derivative states s_0..s_N and predictors."""
+        p = self.cp
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = k.e.tolist()
+        psi1_0, psi1_1, psi1_2 = k.psi1.tolist()
+        psi2_0, psi2_1, psi2_2 = k.psi2.tolist()
+
+        def jacobian(f):
+            scale = f["q"] * f["v"]
+            return f["phi"] * p.r_series / p.l_0 + scale * f["z0"].conj(), scale * f["z0"], -f["phi"] / p.l_0
+
+        cols = [c.tolist() for c in (*jacobian(fx), rx, *jacobian(fy), ry)]
+        drive = itertools.repeat((0.0, 0.0, 0.0)) if drive is None else drive.tolist()
+        s0 = s1 = s2 = 0j
+        ss, ts = [(s0, s1, s2)], []
+        for ax, bx, cx, rxk, ay, by, cy, ryk, (d0, d1, d2) in zip(*cols, drive):
+            gx = ax * s0 + bx * s0.conjugate() + cx * s2 + rxk
+            t0 = e00 * s0 + e01 * s1 + e02 * s2 + d0 + psi1_0 * gx
+            t1 = e10 * s0 + e11 * s1 + e12 * s2 + d1 + psi1_1 * gx
+            t2 = e20 * s0 + e21 * s1 + e22 * s2 + d2 + psi1_2 * gx
+            dg = ay * t0 + by * t0.conjugate() + cy * t2 + ryk - gx
+            s0, s1, s2 = t0 + psi2_0 * dg, t1 + psi2_1 * dg, t2 + psi2_2 * dg
+            ss.append((s0, s1, s2))
+            ts.append((t0, t1, t2))
+        ss, ts = np.array(ss, dtype=complex), np.array(ts, dtype=complex).reshape(-1, 3)
+        if not np.isfinite(ss).all():
+            raise FloatingPointError("circuit derivatives diverged")
+        return ss, ts
 
     def params(self) -> dict:
         return {
@@ -562,9 +810,6 @@ class CircuitModel(ControlModel):
         if name == "amplitude":
             return 1.0
         raise KeyError(f"unknown parameter {name!r}")
-
-    def analytic_sensitivities(self) -> tuple[str, ...]:
-        return ("alpha_L",) if self.cp.alpha_l == 0.0 else ()
 
     @property
     def drive_linear(self) -> bool:
@@ -604,30 +849,6 @@ def simulate_circuit(
     return CircuitModel(params, q_steps // seq.intervals).field(seq)
 
 
-def model_param_derivative(
-    model: ControlModel,
-    seq: ControlSequence,
-    param_name: str,
-    h: float = 1e-4,
-    nominal: DiscretizedField | None = None,
-) -> np.ndarray:
-    """Sensitivity channel db/dmu for one named model parameter.
-
-    Uses the model's analytic / ODE sensitivity when it provides one,
-    otherwise a central difference with step h * param_scale(name).
-    `nominal`, if given, must be model.field(seq); the analytic branch
-    reads its sensitivities instead of solving the field again.
-    """
-    if param_name in model.analytic_sensitivities():
-        fld = model.field(seq) if nominal is None else nominal
-        return fld.sensitivities[param_name]
-    value = model.params()[param_name]
-    step = h * model.param_scale(param_name)
-    hi = model.with_param(param_name, value + step).field(seq).b
-    lo = model.with_param(param_name, value - step).field(seq).b
-    return (hi - lo) / (2.0 * step)
-
-
 def axis_operators(axes, n_qubits: int) -> np.ndarray:
     """(K, d, d) operators sum_{i in qubits_k} sigma_axis^i of the field rows' axes."""
     from .opcore import pauli_op
@@ -656,8 +877,8 @@ def write_field_csv(fld: DiscretizedField, path, channel_names=None) -> None:
         for k, name in enumerate(names):
             for q in range(fld.q_steps):
                 t = (q + 0.5) * fld.delta_t
-                for pname, arr in sens.items():
+                for key, arr in sens.items():
                     sval = arr[k, q] if arr is not None else 0.0
                     f.write(
-                        f"{t:.10e},{name},{fld.b[k, q]:.10e},{pname},{sval:.10e}\n"
+                        f"{t:.10e},{name},{fld.b[k, q]:.10e},{'*'.join(_names(key))},{sval:.10e}\n"
                     )

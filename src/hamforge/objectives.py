@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, axis_operators, model_param_derivative
+from .controlsys import ControlModel, ControlSequence, axis_operators, jet_key
 from .liealg import CSubspace
 from .opcore import Operator
 from . import toggling as tg
@@ -146,11 +146,13 @@ def effective_robustness_cost(c_cross: np.ndarray, comm_table: np.ndarray) -> fl
 class ErrorChannel:
     """One systematic-error direction of the control system.
 
-    kind 'amplitude' is the multiplicative drive error dH = eps * H_c
-    (per-step derivative equals the nominal control Hamiltonian, no
-    differencing); kind 'model_param' differentiates the control-system
-    map with respect to the named parameter, scaled by the parameter's
-    natural magnitude so the expansion variable is dimensionless.
+    kind 'amplitude' is the multiplicative drive error: the control field
+    of drive (1 + eps) times the nominal one, so dH = eps * H_c when the
+    model is linear in its drive; kind 'model_param' differentiates the
+    control-system map with respect to the named parameter, scaled by the
+    parameter's natural magnitude so the expansion variable is
+    dimensionless.  Every other derivative, second and mixed ones
+    included, comes from the model's field derivatives.
     """
 
     name: str
@@ -194,7 +196,6 @@ class CostPipeline:
         errors: list[ErrorChannel],
         spec: ObjectiveSpec,
         unit_scale: float | None = None,
-        fd_step: float = 1e-4,
     ):
         self.n_qubits = n_qubits
         self.d = 2 ** n_qubits
@@ -205,7 +206,6 @@ class CostPipeline:
         self.spec = spec
         self.components = list(components)
         self.errors = {e.name: e for e in errors}
-        self.fd_step = fd_step
         self.pri_internal = (
             np.zeros((self.d, self.d), dtype=complex) if pri_internal is None else pri_internal
         )
@@ -299,6 +299,25 @@ class CostPipeline:
             elif term.kind == "effective_robustness":
                 self.need_cross.add((p.get("component", 0), p["error"]))
                 self.need_err.setdefault(p["error"], 1)
+        # the field derivatives that the error terms read, solved with the field
+        jets = {self._jet(name) for name in self.need_err}
+        jets |= {self._jet(*pair) for pair in self.need_second}
+        self.jets = tuple(sorted(jets - {None}, key=str))
+
+    def _jet(self, *names: str):
+        """Field-derivative key of the named error channels, or None when all
+        are 'amplitude' errors of a drive-linear model: dH = eps H_c needs
+        no field derivative."""
+        if self.model.drive_linear and all(self.errors[n].kind == "amplitude" for n in names):
+            return None
+        params = []
+        for n in names:
+            e = self.errors[n]
+            if e.kind == "model_param" and e.param not in self.model.params():
+                raise KeyError(f"error {n!r}: model has no parameter {e.param!r}")
+            # an 'amplitude' error differentiates along the relative drive error
+            params.append("amplitude" if e.kind == "amplitude" else e.param)
+        return jet_key(*params)
 
     # -- per-candidate evaluation ---------------------------------------------
 
@@ -306,44 +325,18 @@ class CostPipeline:
         v = np.asarray(x, dtype=float).reshape(len(self.channels), self.p_intervals)
         return ControlSequence(v, self.dt, self.channels)
 
-    def _error_step_ops(self, name: str, seq, fld, h_ctrl):
-        e = self.errors[name]
-        if e.kind == "amplitude":
-            return h_ctrl
-        sens = model_param_derivative(self.model, seq, e.param, self.fd_step, nominal=fld)
-        sens = sens * self.model.param_scale(e.param)
-        return np.einsum("kq,kab->qab", sens, self.axis_ops)
-
-    def _second_step_ops(self, j1: str, j2: str, seq, fld):
-        e1, e2 = self.errors[j1], self.errors[j2]
-        if e1.kind == "amplitude" and e2.kind == "amplitude":
-            return None  # dH = eps H_c is linear in eps
-        if e1.kind == "amplitude" or e2.kind == "amplitude":
-            # mixed amplitude x parameter: d2H = d(dH_param); amplitude scales it
-            other = e2 if e1.kind == "amplitude" else e1
-            sens = model_param_derivative(
-                self.model, seq, other.param, self.fd_step, nominal=fld
-            )
-            b2 = sens * self.model.param_scale(other.param)
-        elif j1 == j2:
-            p = e1.param
-            v = self.model.params()[p]
-            step = self.fd_step * self.model.param_scale(p)
-            hi = self.model.with_param(p, v + step).field(seq).b
-            lo = self.model.with_param(p, v - step).field(seq).b
-            b2 = (hi - 2 * fld.b + lo) / step ** 2 * self.model.param_scale(p) ** 2
-        else:
-            p1, p2 = e1.param, e2.param
-            v1, v2 = self.model.params()[p1], self.model.params()[p2]
-            s1 = self.fd_step * self.model.param_scale(p1)
-            s2 = self.fd_step * self.model.param_scale(p2)
-            pp = self.model.with_param(p1, v1 + s1).with_param(p2, v2 + s2).field(seq).b
-            pm = self.model.with_param(p1, v1 + s1).with_param(p2, v2 - s2).field(seq).b
-            mp = self.model.with_param(p1, v1 - s1).with_param(p2, v2 + s2).field(seq).b
-            mm = self.model.with_param(p1, v1 - s1).with_param(p2, v2 - s2).field(seq).b
-            b2 = (pp - pm - mp + mm) / (4 * s1 * s2)
-            b2 = b2 * self.model.param_scale(p1) * self.model.param_scale(p2)
-        return np.einsum("kq,kab->qab", b2, self.axis_ops)
+    def _error_step_ops(self, names, fld, h_ctrl):
+        """Per-step derivative of H along the named error channels (one
+        or two); None for a second derivative that vanishes."""
+        key = self._jet(*names)
+        if key is None:
+            return h_ctrl if len(names) == 1 else None  # dH = eps H_c is linear in eps
+        b = fld.sensitivities[key]
+        for n in names:
+            e = self.errors[n]
+            if e.kind == "model_param":
+                b = b * self.model.param_scale(e.param)
+        return np.einsum("kq,kab->qab", b, self.axis_ops)
 
     def _space_cache(self, stack, h_pri, dt, cache):
         """Adjoint eigendata (nu, V) of one distinct subspace and the prefix
@@ -355,8 +348,7 @@ class CostPipeline:
         return cache[key]
 
     def evaluate(self, x: np.ndarray) -> CostReport:
-        seq = self.sequence(x)
-        fld = self.model.field(seq)
+        fld = self.model.field(self.sequence(x), self.jets)
         dt = fld.delta_t
         h_ctrl = np.einsum("kq,kab->qab", fld.b, self.axis_ops)
         h_pri = h_ctrl + self.pri_internal
@@ -380,7 +372,7 @@ class CostPipeline:
         err_step = {}
         for name, order in self.need_err.items():
             stack = self.err_stacks[name]
-            eops = self._error_step_ops(name, seq, fld, h_ctrl)
+            eops = self._error_step_ops((name,), fld, h_ctrl)
             nu, vecs, e_prev = self._space_cache(stack, h_pri, dt, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), eops)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
@@ -404,7 +396,7 @@ class CostPipeline:
         # second-derivative zeroth integrals
         second_c0 = {}
         for (j1, j2) in set(self.need_second):
-            ops2 = self._second_step_ops(j1, j2, seq, fld)
+            ops2 = self._error_step_ops((j1, j2), fld, h_ctrl)
             if ops2 is None:
                 second_c0[(j1, j2)] = None
                 continue

@@ -17,7 +17,6 @@ from hamforge.controlsys import (
     apply_linear_kernel,
     control_hamiltonians,
     discretize_ideal,
-    model_param_derivative,
     simulate_circuit,
     write_field_csv,
 )
@@ -154,7 +153,7 @@ def test_kernel_delta_sensitivity_is_quadrature():
     vals[0] = 1.0
     seq = ControlSequence(vals, dt, ch)
     model = LinearKernelModel(LinearKernelParams(w, 0.0), 8)
-    sens = model_param_derivative(model, seq, "delta")
+    sens = model.field(seq, ("delta",)).sensitivities["delta"]
     assert np.abs(sens[0]).max() < 1e-9 * np.abs(sens[1]).max()
     # analytic check at one grid point
     from scipy.integrate import quad
@@ -171,7 +170,11 @@ def test_circuit_zero_input():
     seq = ControlSequence(np.zeros((2, 4)), 1e-9, XY)
     fld = simulate_circuit(seq, CircuitParams(), 16)
     assert np.abs(fld.b).max() == 0.0
-    assert np.abs(fld.sensitivities["alpha_L"]).max() == 0.0
+    for alpha_l in (0.0, 1e-3):
+        jets = ("alpha_L", "amplitude", ("alpha_L", "alpha_L"), ("alpha_L", "amplitude"))
+        sens = CircuitModel(CircuitParams(alpha_l=alpha_l), 4).field(seq, jets).sensitivities
+        assert sorted(sens, key=str) == sorted(jets, key=str)
+        assert all(np.abs(d).max() == 0.0 for d in sens.values())
 
 
 def test_circuit_steady_state_matches_linear_solve():
@@ -182,7 +185,7 @@ def test_circuit_steady_state_matches_linear_solve():
     vals = np.zeros((2, p_int))
     vals[0] = 0.6
     alpha = 0.6 / cp.kappa_i
-    x_fin, _, _, _ = model._integrate(np.full(p_int, alpha + 0j), dt, *model._system())
+    x_fin, _ = model._integrate(np.full(p_int, alpha + 0j), dt)
     xss = model.steady_state(alpha)
     assert np.linalg.norm(x_fin - xss) / np.linalg.norm(xss) < 1e-6
 
@@ -195,10 +198,8 @@ def test_circuit_energy_decay_after_input_off():
     vals = np.zeros((2, p_int))
     vals[0, :4] = 0.8  # kick, then free ring-down
     seq = ControlSequence(vals, dt, XY)
-    _, _, mids, _ = model._integrate(
-        np.concatenate([np.full(4, 0.8 + 0j), np.zeros(26)]), dt, *model._system()
-    )
-    env = np.abs(mids[:, 0])
+    _, mids = model._integrate(np.concatenate([np.full(4, 0.8 + 0j), np.zeros(26)]), dt)
+    env = np.abs(mids[()][:, 0])
     off = 4 * 64 + 32  # into the free decay, past the drive window
     tail = env[off::32]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:]))
@@ -213,7 +214,7 @@ def test_circuit_sensitivity_matches_finite_difference():
     vals = rng.uniform(-0.8, 0.8, (2, p_int))
     seq = ControlSequence(vals, dt, ch)
     model = CircuitModel(cp, substeps=32)
-    sens = model_param_derivative(model, seq, "alpha_L")
+    sens = model.field(seq, ("alpha_L",)).sensitivities["alpha_L"]
     da = 1e-5
     hi = model.with_param("alpha_L", +da).field(seq).b
     lo = model.with_param("alpha_L", -da).field(seq).b
@@ -224,7 +225,7 @@ def test_circuit_sensitivity_matches_finite_difference():
 def test_ideal_amplitude_sensitivity_exact():
     seq = ControlSequence(np.array([[0.5, -0.2], [0.3, 0.4]]), 1e-8, XY)
     model = IdealModel()
-    sens = model_param_derivative(model, seq, "amplitude")
+    sens = model.field(seq, ("amplitude",)).sensitivities["amplitude"]
     assert np.allclose(sens, model.field(seq).b, atol=1e-12)
 
 
@@ -253,10 +254,14 @@ def test_q_must_be_multiple_of_p():
         apply_linear_kernel(seq, LinearKernelParams(2 * np.pi * 80e6, 0.0), 10)
 
 
-def circuit_oracle(model, alpha_intervals, h_out, n_half, a0, uvec):
+def circuit_oracle(model, alpha_intervals, h_out, n_half):
     """Reference for `CircuitModel._integrate_once`: every half-step of
-    the same schemes stepped one 3-vector at a time."""
+    the same schemes stepped one 3-vector at a time.  At alpha_L = 0 it
+    also steps the Simpson-forced sensitivity and the stepper's alpha_L
+    jets s, w (d2x/dalpha_L2 = 2 w) by the recursions in the model's
+    docstring."""
     p = model.cp
+    a0, uvec = model._system()
     hh = h_out / n_half
     eye = np.eye(3)
     e = expm(a0 * hh)
@@ -267,10 +272,17 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half, a0, uvec):
     fvec = psi1 @ uvec
     fvec_q = (ainv @ (e_q - eye)) @ uvec
     nonlinear = p.alpha_l != 0.0
+    unit = np.array([1.0, 0.0, 0.0])
 
-    def sens_force(xv):
+    def v(xv):
+        return (p.r_series * xv[0] - xv[2]) / p.l_0
+
+    def sens_force(xv):  # G(x)
+        return abs(xv[0]) ** 2 * v(xv) * unit
+
+    def sens_force2(xv, sv):  # G2(x, s)
         q2 = abs(xv[0]) ** 2
-        return np.array([q2 / p.l_0 * (p.r_series * xv[0] - xv[2]), 0.0, 0.0], dtype=complex)
+        return (2 * (xv[0].conjugate() * sv[0]).real * v(xv) + q2 * v(sv) - q2 * q2 * v(xv)) * unit
 
     def nl_force(xv):
         q2 = abs(xv[0]) ** 2
@@ -278,10 +290,8 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half, a0, uvec):
         return np.array([dinv * (-p.r_series * xv[0] + xv[2]), 0.0, 0.0], dtype=complex)
 
     q_out = alpha_intervals.size * model.substeps
-    mids = np.zeros((q_out, 3), dtype=complex)
-    smids = np.zeros((q_out, 3), dtype=complex)
-    x = np.zeros(3, dtype=complex)
-    s = np.zeros(3, dtype=complex)
+    mids = {k: np.zeros((q_out, 3), dtype=complex) for k in ((), "alpha_L", ("alpha_L", "alpha_L"))}
+    x, s, sj, w = (np.zeros(3, dtype=complex) for _ in range(4))
     k_out = 0
     for al in alpha_intervals:
         for _ in range(model.substeps):
@@ -300,14 +310,18 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half, a0, uvec):
                         + sens_force(x_new)
                     )
                     s = e @ s + simpson
+                    sj_pred = e @ sj + psi1 @ sens_force(x)
+                    w = (e @ w + (psi1 - psi2) @ sens_force2(x, sj)
+                         + psi2 @ sens_force2(x_new, sj_pred))
+                    sj = e @ sj + (psi1 - psi2) @ sens_force(x) + psi2 @ sens_force(x_new)
                     x = x_new
                 if j + 1 == n_half // 2:
-                    mids[k_out] = x
-                    smids[k_out] = s
+                    for key, val in zip(mids, (x, s, 2 * w)):
+                        mids[key][k_out] = val
             if not np.isfinite(x).all():
                 raise FloatingPointError("circuit state diverged")
             k_out += 1
-    return x, s, mids, smids
+    return x, mids if not nonlinear else {(): mids[()]}
 
 
 @st.composite
@@ -327,23 +341,25 @@ def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
     model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps)
     seq = ControlSequence(vals, 1e-8, XY10)
     alpha, _ = model._alpha_in(seq)
-    args = (alpha, seq.dt / substeps, n_half, *model._system())
-    got = model._integrate_once(*args)
-    ref = circuit_oracle(model, *args)
-    for name, g, r in zip(("x", "s", "mids", "smids"), got, ref):
-        assert g.shape == r.shape, name
-        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name
+    args = (alpha, seq.dt / substeps, n_half)
+    x_ref, ref = circuit_oracle(model, *args)
+    x, got = model._integrate_once(*args, set(ref) - {()})
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert got.keys() == ref.keys()
+    for key, r in ref.items():
+        assert got[key].shape == r.shape, key
+        assert np.abs(got[key] - r).max() <= 1e-12 * np.abs(r).max(), key
 
 
 def test_circuit_step_halving_is_logged(monkeypatch, caplog):
     real = CircuitModel._integrate_once
     n_halves = []
 
-    def diverge_once(self, alpha, h_out, n_half, a0, uvec):
+    def diverge_once(self, alpha, h_out, n_half, jets):
         n_halves.append(n_half)
         if len(n_halves) == 1:
             raise FloatingPointError("forced")
-        return real(self, alpha, h_out, n_half, a0, uvec)
+        return real(self, alpha, h_out, n_half, jets)
 
     monkeypatch.setattr(CircuitModel, "_integrate_once", diverge_once)
     seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
@@ -368,3 +384,220 @@ def test_circuit_negative_inductance_raises(alpha_l, caplog):
     # the robustness shift of the same drive stays well inside the model
     fld = CircuitModel(CircuitParams(alpha_l=-1e-7), substeps=4).field(seq)
     assert np.isfinite(fld.b).all()
+
+
+# ---------------------------------------------------------------------------
+# field derivatives against central differences of re-parametrized models
+
+def shifted(model, name, t):
+    return model.with_param(name, model.params()[name] + t)
+
+
+def central_first(model, seq, name, h):
+    return (shifted(model, name, h).field(seq).b - shifted(model, name, -h).field(seq).b) / (2 * h)
+
+
+def central_second(model, seq, n1, n2, h1, h2):
+    if n1 == n2:
+        hi = shifted(model, n1, h1).field(seq).b
+        lo = shifted(model, n1, -h1).field(seq).b
+        return (hi - 2 * model.field(seq).b + lo) / h1 ** 2
+
+    def b(t1, t2):
+        return shifted(shifted(model, n1, t1), n2, t2).field(seq).b
+
+    return (b(h1, h2) - b(h1, -h2) - b(-h1, h2) + b(-h1, -h2)) / (4 * h1 * h2)
+
+
+def richardson(diff, h):
+    """Central differences at h, h/2, h/4 with their h^2 and h^4 error
+    terms eliminated."""
+    d = [diff(h / 2 ** k) for k in range(3)]
+    r = [(4 * d[k + 1] - d[k]) / 3 for k in range(2)]
+    return (16 * r[1] - r[0]) / 15
+
+
+def oracle(model, seq, key, steps):
+    """Richardson-extrapolated central difference for a jet key; steps
+    maps each parameter to its largest difference step."""
+    names = (key,) if isinstance(key, str) else key
+    if len(names) == 1:
+        return richardson(lambda h: central_first(model, seq, key, h), steps[key])
+    n1, n2 = names
+    r = steps[n2] / steps[n1]
+    return richardson(lambda h: central_second(model, seq, n1, n2, h, h * r), steps[n1])
+
+
+def assert_jets_match_oracle(model, seq, keys, steps, rtol):
+    sens = model.field(seq, keys).sensitivities
+    for key in keys:
+        ref = oracle(model, seq, key, steps)
+        scale = np.abs(ref).max()
+        assert scale > 0, key
+        assert np.abs(sens[key] - ref).max() <= rtol * scale, key
+
+
+def circuit_drive(p_int=6, seed=4):
+    vals = np.random.default_rng(seed).uniform(-1, 1, (2, p_int))
+    return ControlSequence(vals, 1e-8, XY10)
+
+
+CIRCUIT_STEPS = {"alpha_L": 1e-5, "amplitude": 2e-3}
+
+
+def test_circuit_second_alpha_derivative_matches_oracle_at_zero():
+    # the stepper's d2b/dalpha_L2 on the linear path against second
+    # differences of nonlinear solves at alpha_L = +-h
+    model = CircuitModel(CircuitParams(), substeps=4)
+    assert_jets_match_oracle(model, circuit_drive(), [("alpha_L", "alpha_L")], CIRCUIT_STEPS, 1e-8)
+
+
+def test_circuit_mixed_derivative_is_cubic_in_the_drive():
+    # at alpha_L = 0 the alpha_L channel is cubic in the drive, so its
+    # derivative along the relative drive error is three times itself
+    model = CircuitModel(CircuitParams(), substeps=4)
+    seq = circuit_drive()
+    sens = model.field(seq, ["alpha_L", ("amplitude", "alpha_L"), "amplitude"]).sensitivities
+    assert np.abs(sens[("alpha_L", "amplitude")] - 3 * sens["alpha_L"]).max() == 0.0
+    assert np.abs(sens["amplitude"] - model.field(seq).b).max() == 0.0
+
+    def channel(h):
+        def at(t):
+            return shifted(model, "amplitude", t).field(seq, ["alpha_L"]).sensitivities["alpha_L"]
+        return (at(h) - at(-h)) / (2 * h)
+
+    ref = richardson(channel, 1e-3)
+    assert np.abs(sens[("alpha_L", "amplitude")] - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("alpha_l", [1e-3, -5e-3])
+def test_circuit_nonlinear_jets_match_oracle(alpha_l):
+    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
+    keys = [
+        "alpha_L",
+        "amplitude",
+        ("alpha_L", "alpha_L"),
+        ("alpha_L", "amplitude"),
+        ("amplitude", "amplitude"),
+    ]
+    assert_jets_match_oracle(model, circuit_drive(), keys, CIRCUIT_STEPS, 1e-7)
+
+
+def test_circuit_stepper_jet_converges_with_the_internal_step():
+    # the stepper is second order, so its own alpha_L derivative is within
+    # O(hh^2) of the converged one: x16 smaller per 4x finer half-step
+    model = CircuitModel(CircuitParams(alpha_l=1e-7), substeps=16)
+    seq = circuit_drive(8, seed=7)
+    alpha, _ = model._alpha_in(seq)
+    h = seq.dt / model.substeps
+    sens = {n: model._integrate_once(alpha, h, n, {"alpha_L"})[1]["alpha_L"] for n in (2, 8, 32)}
+    err = {n: np.abs(sens[n] - sens[32]).max() / np.abs(sens[32]).max() for n in (2, 8)}
+    assert err[2] < 3e-3
+    assert err[8] < err[2] / 12
+
+
+KERNEL_W = 2 * np.pi * 80e6
+
+
+def kernel_drive(channels, seed=2, p_int=6):
+    vals = np.random.default_rng(seed).uniform(-1, 1, (len(channels), p_int))
+    return ControlSequence(vals, 0.4 / KERNEL_W, channels)
+
+
+@pytest.mark.parametrize("average", [False, True])
+def test_kernel_jets_match_oracle(average):
+    chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
+    model = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.3 * KERNEL_W), 8, average=average)
+    seq = kernel_drive(chans)
+    keys = ["W", "delta", ("W", "W"), ("W", "delta"), ("W", "amplitude")]
+    steps = {"W": 1e-2 * KERNEL_W, "delta": 1e-2 * KERNEL_W, "amplitude": 1e-2}
+    assert_jets_match_oracle(model, seq, keys, steps, 1e-8)
+    sens = model.field(seq, [("delta", "delta"), "amplitude"]).sensitivities
+    assert np.abs(sens[("delta", "delta")]).max() == 0.0  # B is affine in delta
+    assert np.abs(sens["amplitude"] - model.field(seq).b).max() == 0.0
+
+
+def test_kernel_bandwidth_sensitivity_is_quadrature():
+    # constant x drive: dB/dW(t) = w1 int_0^t dkappa/dW, with
+    # dkappa/dW = [1 + i d t - t (W - i d (1 - W t))] e^{-W t}
+    from scipy.integrate import quad
+
+    w, d = KERNEL_W, 0.3 * KERNEL_W
+    ch = polar_channels()
+    vals = np.zeros((2, 16))
+    vals[0] = 1.0
+    seq = ControlSequence(vals, 0.4 / w, ch)
+    fld = LinearKernelModel(LinearKernelParams(w, d), 8).field(seq, ["W"])
+    sens = fld.sensitivities["W"]
+    q = 40
+    t_mid = (q + 0.5) * fld.delta_t
+
+    def dkappa(t):
+        return (1 + 1j * d * t - t * (w - 1j * d * (1 - w * t))) * np.exp(-w * t) * ch[0].scale
+
+    for row, part in ((0, np.real), (1, np.imag)):
+        ref = quad(lambda t: part(dkappa(t)), 0, t_mid, limit=200)[0]
+        assert sens[row, q] == pytest.approx(ref, rel=1e-8)
+
+
+def test_kernel_drive_factor_scales_z_rows():
+    # amp_factor multiplies every row, as in IdealModel, so the amplitude
+    # error's dH = eps H_c is the derivative of what evaluate disperses
+    chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
+    seq = kernel_drive(chans)
+    base = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.1 * KERNEL_W), 8)
+    b1 = base.field(seq).b
+    b13 = base.with_param("amplitude", 0.3).field(seq).b
+    assert np.abs(b13 - 1.3 * b1).max() <= 1e-12 * np.abs(b1).max()
+    assert base.drive_linear
+
+
+def test_unknown_jet_parameter_raises():
+    seq = circuit_drive()
+    with pytest.raises(KeyError, match="W"):
+        CircuitModel(CircuitParams(), 4).field(seq, ["W"])
+    with pytest.raises(ValueError, match="second order"):
+        IdealModel().field(seq, [("amplitude",) * 3])
+
+
+@pytest.mark.parametrize("average", [False, True])
+def test_kernel_short_substeps_match_mpmath(average):
+    # at W h = 1e-6 the closed-form step moments (1 - (1 + W h) e^{-W h}) / W^2
+    # lose ~eps / (W h)^2 to cancellation; 40-digit quadrature of the kernel
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    w, d = KERNEL_W, 0.3 * KERNEL_W
+    h = 1e-6 / w
+    seq = ControlSequence(np.array([[1.0, 0.5], [0.0, 0.0]]), h, XY)
+    b = LinearKernelModel(LinearKernelParams(w, d), 1, average=average).field(seq).b
+    wm, dm, hm = mp.mpf(w), mp.mpf(d), mp.mpf(h)
+
+    def kappa(t):
+        return (wm - 1j * dm * (1 - wm * t)) * mp.exp(-wm * t)
+
+    def field(t):  # u = 1 on [0, h), then 0.5
+        if t <= hm:
+            return mp.quad(kappa, [0, t])
+        return mp.quad(kappa, [t - hm, t]) + 0.5 * mp.quad(kappa, [0, t - hm])
+
+    ref = complex(mp.quad(field, [hm, 2 * hm]) / hm if average else field(1.5 * hm))
+    assert abs(b[0, 1] + 1j * b[1, 1] - ref) <= 1e-13 * abs(ref)
+
+
+def test_circuit_half_step_constants_are_computed_once_per_step(monkeypatch):
+    import hamforge.controlsys as cs
+
+    calls = []
+    real = cs._expm
+    monkeypatch.setattr(cs, "_expm", lambda a: calls.append(1) or real(a))
+    model = CircuitModel(CircuitParams(), substeps=4)
+    seq = circuit_drive()
+    first = model.field(seq, ["alpha_L"])
+    assert len(calls) == 2  # E and E^(1/2) of the one (output step, n_half) in use
+    again = model.field(seq, ["alpha_L"])
+    assert len(calls) == 2
+    assert np.array_equal(first.b, again.b)
+    assert np.array_equal(first.sensitivities["alpha_L"], again.sensitivities["alpha_L"])
+    model.field(ControlSequence(seq.values, 2 * seq.dt, XY10))
+    assert len(calls) == 4  # a new output step gets its own constants

@@ -398,7 +398,8 @@ def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
 
 
 def test_amplitude_dispersion_of_kernel_model_with_z_channel_matches_oracle():
-    # the kernel model does not scale its z rows by the drive factor
+    # the kernel model scales every row, z included, by the drive factor,
+    # so the fast path rescales one field per draw
     from hamforge.controlsys import LinearKernelModel, LinearKernelParams
 
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")

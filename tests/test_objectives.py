@@ -323,24 +323,75 @@ def count_adjoint_calls(monkeypatch):
     return calls
 
 
-def test_circuit_pipeline_solves_three_fields_per_evaluation(monkeypatch):
-    # nominal field once, shared by the analytic alpha_L sensitivity and
-    # the middle of the second difference, plus one field at each of +/-step
+def test_circuit_pipeline_solves_one_field_per_evaluation(monkeypatch):
+    # one nominal field solve carries every derivative the terms read;
+    # the build-time probe asks for none
     from hamforge.controlsys import CircuitModel
 
-    pipe = circuit_pipeline()
     real = CircuitModel.field
-    alpha_ls = []
+    calls = []
 
-    def counted(self, seq):
-        alpha_ls.append(self.cp.alpha_l)
-        return real(self, seq)
+    def counted(self, seq, jets=()):
+        calls.append((self.cp.alpha_l, tuple(jets)))
+        return real(self, seq, jets)
 
     monkeypatch.setattr(CircuitModel, "field", counted)
+    pipe = circuit_pipeline()
+    assert calls == [(0.0, ())]
+    calls.clear()
     rep = pipe.evaluate(np.random.default_rng(10).uniform(-1, 1, 8))
-    step = pipe.fd_step * pipe.model.param_scale("alpha_L")
-    assert sorted(alpha_ls) == [-step, 0.0, step]
+    [(alpha_l, jets)] = calls
+    assert alpha_l == 0.0 and set(jets) == {"alpha_L", ("alpha_L", "alpha_L")}
     assert all(np.isfinite(rep.values))
+
+
+def test_circuit_mixed_second_term_is_three_times_the_alpha_term():
+    # the alpha_L channel is cubic in the drive at alpha_L = 0, so
+    # d2b/deps dalpha_L = 3 db/dalpha_L; both terms share one error space
+    from hamforge.config import build_pipeline, parse_config
+
+    cfg = dict(CIRCUIT_CONFIG, objectives=[
+        {"kind": "robustness_first", "weight": 1, "error": "alpha_L"},
+        {"kind": "robustness_second", "weight": 1, "errors": ["eps", "alpha_L"]},
+        {"kind": "robustness_second", "weight": 1, "errors": ["alpha_L", "eps"]},
+    ])
+    pipe = build_pipeline(parse_config(cfg))
+    first, mixed, swapped = pipe.evaluate(np.random.default_rng(12).uniform(-1, 1, 8)).values
+    assert first > 0
+    assert mixed == pytest.approx(3 * first, rel=1e-12)
+    assert swapped == pytest.approx(mixed, rel=1e-12)
+
+
+def test_nonlinear_circuit_amplitude_error_is_the_field_derivative():
+    # with alpha_L != 0 the field is not linear in the drive, so the
+    # amplitude error's dH is the drive-error derivative of the field (up
+    # to 90% away from H_c at full drive), not H_c; it equals a model_param
+    # error on the model's amplitude parameter, and its second order is not 0
+    from hamforge.config import build_pipeline, parse_config
+
+    circuit = dict(CIRCUIT_CONFIG["control"], circuit={"alpha_l": -5e-3})
+    errors = CIRCUIT_CONFIG["errors"] + [{"name": "amp", "kind": "model_param", "param": "amplitude"}]
+    terms = [{"kind": kind, "weight": 1, key: val} for kind, key, val in (
+        ("robustness_first", "error", "eps"),
+        ("robustness_first", "error", "amp"),
+        ("robustness_second", "errors", ["eps", "eps"]),
+        ("robustness_second", "errors", ["amp", "amp"]),
+    )]
+    cfg = dict(CIRCUIT_CONFIG, control=circuit, errors=errors, objectives=terms)
+    pipe = build_pipeline(parse_config(cfg))
+    first_eps, first_amp, second_eps, second_amp = pipe.evaluate(np.ones(8)).values
+    assert first_eps == pytest.approx(first_amp, rel=1e-12)
+    assert second_eps > 1e-3 * first_eps
+    assert second_eps == pytest.approx(second_amp, rel=1e-12)
+
+
+def test_error_on_a_parameter_the_model_lacks_fails_at_build():
+    from hamforge.config import build_pipeline, parse_config
+
+    errors = [{"name": "bw", "kind": "model_param", "param": "W"}]
+    terms = [{"kind": "robustness_first", "weight": 1, "error": "bw"}]
+    with pytest.raises(KeyError, match="'W'"):
+        build_pipeline(parse_config(dict(CIRCUIT_CONFIG, errors=errors, objectives=terms)))
 
 
 def test_one_adjoint_eigendecomposition_per_distinct_subspace(monkeypatch):
