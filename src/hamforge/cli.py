@@ -246,7 +246,7 @@ def cmd_landscape(args) -> int:
         f.write("param1,param2,fidelity\n")
         for i, v1 in enumerate(grid.values1):
             for j, v2 in enumerate(grid.values2):
-                f.write(f"{v1:.10g},{v2:.10g},{grid.fidelity[i, j]:.10g}\n")
+                f.write(f"{v1:.17g},{v2:.17g},{grid.fidelity[i, j]:.17g}\n")
     print(path)
     return EXIT_OK
 
@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     with open(path, "w") as f:
         f.write("cycle,survival_probability\n")
         for n, pr in enumerate(probs):
-            f.write(f"{n},{pr:.10g}\n")
+            f.write(f"{n},{pr:.17g}\n")
     print(path)
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from .controlsys import (
     IdealModel,
     LinearKernelModel,
     LinearKernelParams,
+    axis_operators,
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, contains, find_c_subspace, find_lie_algebra
@@ -33,7 +34,7 @@ from .objectives import (
     ObjectiveTerm,
     PertComponent,
 )
-from .opcore import Operator, pauli_string_op, pauli_op
+from .opcore import Operator, pauli_string_op
 from .optimizer import GSAConfig
 
 
@@ -306,6 +307,7 @@ def parse_config(raw: dict) -> ProblemConfig:
     )
 
     ev = raw.get("evaluation", {})
+    _check_evaluation(ev, distributions)
 
     return ProblemConfig(
         n_qubits=n,
@@ -329,24 +331,54 @@ def parse_config(raw: dict) -> ProblemConfig:
     )
 
 
+def _check_evaluation(ev: dict, distributions: dict) -> None:
+    """Reject a relaxation time that is not finite and positive, and
+    landscape axes or simulate overrides that name no distribution."""
+    t_dep = ev.get("t_dep")
+    if t_dep is not None and not (
+        isinstance(t_dep, (int, float)) and math.isfinite(t_dep) and t_dep > 0
+    ):
+        raise ConfigError(f"evaluation.t_dep must be a finite positive time, got {t_dep!r}")
+    if ev.get("landscape"):
+        for axis in ("axis1", "axis2"):
+            path = f"evaluation.landscape.{axis}"
+            spec = _req(ev["landscape"], axis, "evaluation.landscape")
+            name = _req(spec, "dist", path)
+            if name not in distributions:
+                raise ConfigError(f"{path}.dist references unknown distribution {name!r}")
+            try:
+                values = np.asarray(_req(spec, "values", path), dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}.values: {exc}") from exc
+            if values.ndim != 1 or values.size == 0:
+                raise ConfigError(f"{path}.values must be a non-empty list of numbers")
+    for name in ev.get("simulate_params", {}):
+        if name not in distributions:
+            raise ConfigError(
+                f"evaluation.simulate_params references unknown distribution {name!r}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # derived objects
 
+def _channel_axis_operators(cfg: ProblemConfig) -> list[Operator]:
+    """One operator per distinct (qubits, axis) that the control channels
+    drive, in channel order: x and y for drive roles, z for 'z'."""
+    axes = []
+    for ch in cfg.channels:
+        for ax in ("x", "y") if ch.role in ("amp", "phase", "x", "y") else ("z",):
+            if (ch.qubits, ax) not in axes:
+                axes.append((ch.qubits, ax))
+    return [
+        Operator(m, cfg.n_qubits, hermitian_hint=True)
+        for m in axis_operators(axes, cfg.n_qubits)
+    ]
+
+
 def build_generators(cfg: ProblemConfig) -> list[Operator]:
     """Control-channel axis operators plus primary internal terms."""
-    ops = []
-    seen = set()
-    for ch in cfg.channels:
-        axes = ("x", "y") if ch.role in ("amp", "phase", "x", "y") else ("z",)
-        for ax in axes:
-            key = (ch.qubits, ax)
-            if key in seen:
-                continue
-            seen.add(key)
-            m = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
-            for q in ch.qubits:
-                m += pauli_op([(q, ax)], 1.0, cfg.n_qubits).entries
-            ops.append(Operator(m, cfg.n_qubits, hermitian_hint=True))
+    ops = _channel_axis_operators(cfg)
     for t in cfg.terms:
         if t.assign == "pri":
             ops.append(Operator(t.matrix_unit, cfg.n_qubits))
@@ -451,19 +483,7 @@ def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=(), tol: float 
     """Minimal subspace holding every toggled control-error operator; the
     seeds are the channel axis operators.  Reuses a structurally identical
     subspace from `reuse` so per-candidate work is shared."""
-    seeds = []
-    seen = set()
-    for ch in cfg.channels:
-        axes = ("x", "y") if ch.role in ("amp", "phase", "x", "y") else ("z",)
-        for ax in axes:
-            key = (ch.qubits, ax)
-            if key in seen:
-                continue
-            seen.add(key)
-            m = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
-            for q in ch.qubits:
-                m += pauli_op([(q, ax)], 1.0, cfg.n_qubits).entries
-            seeds.append(Operator(m, cfg.n_qubits, hermitian_hint=True))
+    seeds = _channel_axis_operators(cfg)
     space = find_c_subspace(g, seeds[0], tol, extra_seeds=tuple(seeds[1:]), label="C_err")
     for cand in reuse:
         if _same_span(cand, space):

@@ -38,13 +38,8 @@ __all__ = [
     "IdealModel",
     "LinearKernelModel",
     "CircuitModel",
-    "discretize_ideal",
-    "apply_linear_kernel",
-    "simulate_circuit",
     "jet_key",
     "axis_operators",
-    "control_hamiltonians",
-    "write_field_csv",
 ]
 
 
@@ -822,32 +817,7 @@ class CircuitModel(ControlModel):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations
-
-def discretize_ideal(seq: ControlSequence, substeps_per_interval: int = 1) -> DiscretizedField:
-    """Passthrough discretization; midpoint (dis) and interval-average
-    (dis2) sampling coincide for piecewise-constant inputs."""
-    return IdealModel(substeps_per_interval).field(seq)
-
-
-def apply_linear_kernel(
-    seq: ControlSequence,
-    params: LinearKernelParams,
-    q_steps: int,
-    average: bool = False,
-) -> DiscretizedField:
-    if q_steps % seq.intervals:
-        raise ValueError("Q must be an integer multiple of P")
-    return LinearKernelModel(params, q_steps // seq.intervals, average=average).field(seq)
-
-
-def simulate_circuit(
-    seq: ControlSequence, params: CircuitParams, q_steps: int
-) -> DiscretizedField:
-    if q_steps % seq.intervals:
-        raise ValueError("Q must be an integer multiple of P")
-    return CircuitModel(params, q_steps // seq.intervals).field(seq)
-
+# field rows to operators
 
 def axis_operators(axes, n_qubits: int) -> np.ndarray:
     """(K, d, d) operators sum_{i in qubits_k} sigma_axis^i of the field rows' axes."""
@@ -858,27 +828,3 @@ def axis_operators(axes, n_qubits: int) -> np.ndarray:
         for q in qubits:
             ops[k] += pauli_op([(q, axis)], 1.0, n_qubits).entries
     return ops
-
-
-def control_hamiltonians(fld: DiscretizedField, n_qubits: int) -> np.ndarray:
-    """(Q, d, d) control Hamiltonians sum_k b_{k,q} sum_{i in qubits_k} sigma_axis^i."""
-    return np.einsum("kq,kab->qab", fld.b, axis_operators(fld.axes, n_qubits))
-
-
-def write_field_csv(fld: DiscretizedField, path, channel_names=None) -> None:
-    """Dump a field (and its sensitivity channels) as CSV rows
-    t,channel,value,sensitivity_param,sensitivity_value."""
-    names = channel_names or [
-        f"q{'+'.join(map(str, qs))}_{ax}" for qs, ax in fld.axes
-    ]
-    with open(path, "w") as f:
-        f.write("t,channel,value,sensitivity_param,sensitivity_value\n")
-        sens = fld.sensitivities or {"": None}
-        for k, name in enumerate(names):
-            for q in range(fld.q_steps):
-                t = (q + 0.5) * fld.delta_t
-                for key, arr in sens.items():
-                    sval = arr[k, q] if arr is not None else 0.0
-                    f.write(
-                        f"{t:.10e},{name},{fld.b[k, q]:.10e},{'*'.join(_names(key))},{sval:.10e}\n"
-                    )

@@ -24,10 +24,9 @@ __all__ = [
     "EvaluationSetup",
     "pauli_basis_stack",
     "ptm",
+    "exact_unitaries",
     "simulate_total_unitary",
     "overlap_fidelity",
-    "average_cptp",
-    "average_gate_fidelity",
     "orthogonality",
     "apply_depolarizing",
     "landscape",
@@ -155,42 +154,6 @@ class EvaluationSetup:
     def axis_ops(self, fld) -> np.ndarray:
         return axis_operators(fld.axes, self.n_qubits)
 
-    def split_params(self, values: dict):
-        """Partition a {dist name: value} draw into model params and term
-        coefficient overrides."""
-        model_params, term_over = {}, {}
-        by_name = {dd.name: dd for dd in self.distributions}
-        for key, val in values.items():
-            dd = by_name[key]
-            target = dd.applies_to
-            if target.startswith("model:"):
-                model_params[target.split(":", 1)[1]] = val
-            elif target.startswith("term:"):
-                term_over[target.split(":", 1)[1]] = val
-            else:
-                raise ValueError(f"distribution {key} has no applies_to target")
-        return model_params, term_over
-
-
-def _resolved_model(setup: EvaluationSetup, model_params: dict) -> ControlModel:
-    m = setup.model
-    for name, val in model_params.items():
-        m = m.with_param(name, val)
-    return m
-
-
-def _total_hamiltonians(setup, seq, model_params, term_over):
-    model = _resolved_model(setup, model_params)
-    fld = model.field(seq)
-    ops = setup.axis_ops(fld)
-    h = np.einsum("kq,kab->qab", fld.b, ops)
-    coeffs = setup.term_coeffs.copy()
-    for name, val in term_over.items():
-        coeffs[setup.term_names.index(name)] = val
-    if len(coeffs):
-        h = h + np.einsum("t,tab->ab", coeffs, setup.term_mats)
-    return h, fld.delta_t
-
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
     """U_{Q-1} ... U_1 U_0 of each (Q, d, d) stack of step propagators."""
@@ -200,6 +163,71 @@ def _ordered_product(u: np.ndarray) -> np.ndarray:
     return acc
 
 
+# draws per expm_batch call: large enough to amortize the call, small
+# enough that the eigh temporaries stay a few MB
+_MC_BLOCK = 100
+
+
+def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.ndarray:
+    """Exact total propagators (len(draws), d, d), one per parameter draw.
+
+    A draw maps distribution names to values; the distributions it omits
+    sit at their nominal values.  When every distribution sets a term
+    coefficient, or the drive amplitude of a model whose field is linear
+    in the drive, the control field is solved once and the step
+    exponentials run in blocks of ``_MC_BLOCK`` draws; otherwise every
+    draw is simulated on its own.
+    """
+    from . import toggling as tg
+
+    nominal = {dd.name: dd.nominal() for dd in setup.distributions}
+    unknown = set().union(*draws) - set(nominal)
+    if unknown:
+        raise KeyError(f"unknown distribution(s) {sorted(unknown)}")
+    draws = [{**nominal, **values} for values in draws]
+    targets = {}
+    for dd in setup.distributions:
+        kind, _, name = dd.applies_to.partition(":")
+        if kind not in ("model", "term"):
+            raise ValueError(f"distribution {dd.name} has no applies_to target")
+        targets[dd.name] = (kind, name)
+    n, d = len(draws), 2 ** setup.n_qubits
+    out = np.empty((n, d, d), dtype=complex)
+    linear = setup.model.drive_linear
+    if not all(kind == "term" or (linear and name == "amplitude") for kind, name in targets.values()):
+        for s, values in enumerate(draws):
+            model, coeffs = setup.model, setup.term_coeffs.copy()
+            for key, (kind, name) in targets.items():
+                if kind == "model":
+                    model = model.with_param(name, values[key])
+                else:
+                    coeffs[setup.term_names.index(name)] = values[key]
+            fld = model.field(seq)
+            h = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
+            h = h + np.einsum("t,tab->ab", coeffs, setup.term_mats)
+            out[s] = _ordered_product(tg.expm_batch(h, fld.delta_t))
+        return out
+    amp = np.full(n, setup.model.amp_factor if linear else 1.0)
+    coeffs = np.tile(setup.term_coeffs, (n, 1))
+    for key, (kind, name) in targets.items():
+        vals = np.array([values[key] for values in draws])
+        if kind == "model":
+            amp = 1.0 + vals
+        else:
+            coeffs[:, setup.term_names.index(name)] = vals
+    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
+    model = setup.model.with_param("amplitude", 0.0) if linear else setup.model
+    fld = model.field(seq)   # at unit drive when it scales by amp
+    h_ctrl = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
+    qn = h_ctrl.shape[0]
+    for lo in range(0, n, _MC_BLOCK):
+        blk = slice(lo, lo + _MC_BLOCK)
+        hh = amp[blk, None, None, None] * h_ctrl + h_terms[blk, None]
+        u = tg.expm_batch(hh.reshape(-1, d, d), fld.delta_t)
+        out[blk] = _ordered_product(u.reshape(-1, qn, d, d))
+    return out
+
+
 def simulate_total_unitary(
     seq: ControlSequence,
     setup: EvaluationSetup,
@@ -207,13 +235,7 @@ def simulate_total_unitary(
 ) -> Operator:
     """Exact total propagator at concrete parameter values (params maps
     distribution names to values; omitted ones sit at their nominal)."""
-    from . import toggling as tg
-
-    values = {dd.name: dd.nominal() for dd in setup.distributions}
-    values.update(params or {})
-    model_params, term_over = setup.split_params(values)
-    h, delta_t = _total_hamiltonians(setup, seq, model_params, term_over)
-    return Operator(_ordered_product(tg.expm_batch(h, delta_t)), setup.n_qubits)
+    return Operator(exact_unitaries(seq, setup, [params or {}])[0], setup.n_qubits)
 
 
 def overlap_fidelity(u: Operator | np.ndarray, u0: Operator | np.ndarray) -> float:
@@ -223,86 +245,10 @@ def overlap_fidelity(u: Operator | np.ndarray, u0: Operator | np.ndarray) -> flo
     return float(abs(np.sum(um.conj() * t)) / np.real(np.sum(t.conj() * t)))
 
 
-# draws per expm_batch call: large enough to amortize the call, small
-# enough that the eigh temporaries stay a few MB
-_MC_BLOCK = 100
-
-
-def _mc_unitaries(seq, setup, n_mc, rng):
-    """Sampled exact unitaries, (n_mc, d, d).  All parameters are drawn
-    first, sample by sample.  When only term coefficients are dispersed,
-    or also the drive amplitude of a model whose field is linear in the
-    drive, the control field is solved once and the step exponentials run
-    in blocks of ``_MC_BLOCK`` draws; otherwise every draw is simulated
-    on its own."""
-    from . import toggling as tg
-
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    draws = [
-        {dd.name: dd.sample(rng) for dd in setup.distributions}
-        for _ in range(n_mc)
-    ]
-    linear = setup.model.drive_linear
-    fast = all(
-        dd.applies_to.startswith("term:") or (linear and dd.applies_to == "model:amplitude")
-        for dd in setup.distributions
-    )
-    d = 2 ** setup.n_qubits
-    out = np.empty((n_mc, d, d), dtype=complex)
-    if not fast:
-        for s, values in enumerate(draws):
-            out[s] = simulate_total_unitary(seq, setup, values).entries
-        return out
-    amp = np.full(n_mc, setup.model.amp_factor if linear else 1.0)
-    coeffs = np.tile(setup.term_coeffs, (n_mc, 1))
-    for dd in setup.distributions:
-        vals = np.array([values[dd.name] for values in draws])
-        if dd.applies_to == "model:amplitude":
-            amp = 1.0 + vals
-        else:
-            coeffs[:, setup.term_names.index(dd.applies_to.split(":", 1)[1])] = vals
-    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
-    model = setup.model.with_param("amplitude", 0.0) if linear else setup.model
-    fld = model.field(seq)   # at unit drive when it scales by amp
-    h_ctrl = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
-    qn = h_ctrl.shape[0]
-    for lo in range(0, n_mc, _MC_BLOCK):
-        blk = slice(lo, lo + _MC_BLOCK)
-        hh = amp[blk, None, None, None] * h_ctrl + h_terms[blk, None]
-        u = tg.expm_batch(hh.reshape(-1, d, d), fld.delta_t)
-        out[blk] = _ordered_product(u.reshape(-1, qn, d, d))
-    return out
-
-
-def average_cptp(
-    seq: ControlSequence,
-    setup: EvaluationSetup,
-    n_mc: int,
-    rng: np.random.Generator,
-    t_dep: float | None = None,
-) -> Superoperator:
-    """Monte-Carlo mean of per-isochromat transfer matrices, optionally
-    composed with the depolarizing relaxation channel."""
-    r = ptm(_mc_unitaries(seq, setup, n_mc, rng), pauli_basis_stack(setup.n_qubits))
-    sup = Superoperator(2 ** setup.n_qubits, r.mean(axis=0))
-    if t_dep is not None:
-        sup = apply_depolarizing(sup, seq.t_seq, t_dep)
-    return sup
-
-
 def _gate_fidelity(r: np.ndarray, r0: np.ndarray, d: int) -> np.ndarray:
     """F = (d F_pro + 1)/(d + 1), F_pro = Tr(R0^T R)/d^2, over a stack of R."""
     f_pro = np.einsum("...ab,ab->...", r, r0) / d ** 2
     return (d * f_pro + 1.0) / (d + 1.0)
-
-
-def average_gate_fidelity(avg: Superoperator, u0: Operator | np.ndarray) -> float:
-    """State-averaged gate fidelity via the process-fidelity identity
-    F = (d F_pro + 1)/(d + 1), F_pro = Tr(R0^T R)/d^2."""
-    d = avg.dim_h
-    r0 = ptm(u0, pauli_basis_stack(int(round(np.log2(d)))))
-    return float(_gate_fidelity(avg.matrix, r0, d))
 
 
 def orthogonality(avg: Superoperator) -> float:
@@ -312,13 +258,15 @@ def orthogonality(avg: Superoperator) -> float:
     return float(np.sum(m * m) / m.shape[0])
 
 
-def apply_depolarizing(avg: Superoperator, t_seq: float, t_dep: float) -> Superoperator:
-    if t_dep <= 0:
+def apply_depolarizing(r: np.ndarray, t_seq: float, t_dep: float) -> np.ndarray:
+    """Transfer matrices (..., d^2, d^2) followed by depolarizing relaxation
+    with time constant t_dep over t_seq: every row but the identity's
+    scales by exp(-t_seq / t_dep)."""
+    if not t_dep > 0:
         raise ValueError("depolarizing time must be positive")
-    scale = np.exp(-t_seq / t_dep)
-    m = avg.matrix.copy()
-    m[1:, :] *= scale
-    return Superoperator(avg.dim_h, m)
+    out = np.array(r, dtype=float)
+    out[..., 1:, :] *= np.exp(-t_seq / t_dep)
+    return out
 
 
 def landscape(
@@ -336,12 +284,9 @@ def landscape(
     vals2 = np.asarray(vals2, dtype=float)
     if vals1.size == 0 or vals2.size == 0:
         raise ValueError("landscape axes must be non-empty")
-    fid = np.empty((vals1.size, vals2.size))
-    for i, v1 in enumerate(vals1):
-        for j, v2 in enumerate(vals2):
-            u = simulate_total_unitary(seq, setup, {name1: v1, name2: v2})
-            fid[i, j] = overlap_fidelity(u, u0)
-    return LandscapeGrid(name1, name2, vals1, vals2, fid)
+    draws = [{name1: v1, name2: v2} for v1 in vals1.tolist() for v2 in vals2.tolist()]
+    fid = [overlap_fidelity(u, u0) for u in exact_unitaries(seq, setup, draws)]
+    return LandscapeGrid(name1, name2, vals1, vals2, np.reshape(fid, (vals1.size, vals2.size)))
 
 
 def stroboscopic_evolve(
@@ -375,12 +320,16 @@ def evaluation_report(
     t_dep: float | None = None,
 ) -> dict:
     """FoM summary: median/20th/80th-percentile per-sample average gate
-    fidelity, the averaged map, and its orthogonality."""
+    fidelity, the averaged map, and its orthogonality.  With t_dep, every
+    sample's map is followed by depolarizing relaxation."""
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
+    draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
     stack = pauli_basis_stack(setup.n_qubits)
-    r = ptm(_mc_unitaries(seq, setup, n_mc, rng), stack)
-    if t_dep:
-        r[:, 1:, :] *= np.exp(-seq.t_seq / t_dep)
+    r = ptm(exact_unitaries(seq, setup, draws), stack)
+    if t_dep is not None:
+        r = apply_depolarizing(r, seq.t_seq, t_dep)
     d = 2 ** setup.n_qubits
     r0 = ptm(u0_total, stack)
     f_samples = _gate_fidelity(r, r0, d)

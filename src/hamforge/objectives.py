@@ -472,32 +472,9 @@ class CostPipeline:
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x).total
 
-    # -- evaluation-time helpers ----------------------------------------------
-
-    def propagation(self, x: np.ndarray) -> tg.PrimaryPropagation:
-        seq = self.sequence(x)
-        fld = self.model.field(seq)
-        h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
-        u = tg.expm_batch(h_pri, fld.delta_t)
-        return tg.PrimaryPropagation(u, tg.prefix_products(u))
-
 
 def _integral_set(subspace, order, tensors, t_seq) -> tg.CIntegralSet:
     """CIntegralSet from composed (c0, c1, c2) tensors, flattened."""
     t0, t1, t2 = tensors
     flat = [None if t is None else t.ravel() for t in (t1, t2)]
     return tg.CIntegralSet(subspace, order, t0, *flat, t_seq)
-
-
-def total_cost(
-    seq: ControlSequence | np.ndarray,
-    model: ControlModel,
-    spec: ObjectiveSpec,
-    pipeline: CostPipeline,
-) -> CostReport:
-    """Score one sequence; `pipeline` carries the prepared context (its
-    model and spec must match the arguments)."""
-    if model is not pipeline.model or spec is not pipeline.spec:
-        raise ValueError("pipeline was built for a different model/objective spec")
-    x = seq.values if isinstance(seq, ControlSequence) else np.asarray(seq)
-    return pipeline.evaluate(x.ravel())

@@ -1,14 +1,12 @@
 """Dense operator algebra for small qubit registers.
 
 Operators are immutable wrappers around dense complex matrices on an
-n-qubit Hilbert space (dim = 2**n).  The module provides the
-Hilbert-Schmidt geometry <<A|B>> = Tr(B A^dag), commutators, Hermitian
-matrix exponentials, and the vector / adjoint representations of
-operators relative to an orthonormal operator basis:
+n-qubit Hilbert space (dim = 2**n).  The module provides Pauli-string
+operators, orthonormal operator bases under the Hilbert-Schmidt geometry
+<<A|B>> = Tr(B A^dag), and the vector representation of an operator
+relative to such a basis:
 
     |H>>_i   = <<h_i|H>>
-    D(U)_ij  = <<h_i|U h_j U^dag>>
-    D(ad_g)_ij = <<h_i|[g, h_j]>>
 
 Coefficient vectors are returned real whenever the basis and the operand
 share (anti-)Hermitian type, since those inner products are guaranteed
@@ -19,8 +17,8 @@ call from concurrent workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -117,10 +115,6 @@ class Operator:
             raise ValueError("operator dimension mismatch")
 
 
-def identity_op(n_qubits: int) -> Operator:
-    return Operator(np.eye(2 ** n_qubits), n_qubits, hermitian_hint=True)
-
-
 def pauli_op(
     terms: Sequence[tuple[int, str]], coefficient: complex, n_qubits: int
 ) -> Operator:
@@ -152,19 +146,6 @@ def pauli_string_op(strings, n_qubits: int) -> Operator:
     for factor, term in strings:
         m += pauli_op(term, factor, n_qubits).entries
     return Operator(m, n_qubits)
-
-
-def hs_inner(a: Operator, b: Operator) -> complex:
-    """Hilbert-Schmidt inner product <<a|b>> = Tr(b a^dag)."""
-    a._check_same(b)
-    return complex(np.sum(a.entries.conj() * b.entries))
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    a._check_same(b)
-    return Operator(
-        a.entries @ b.entries - b.entries @ a.entries, a.n_qubits
-    )
 
 
 @dataclass(frozen=True)
@@ -246,20 +227,6 @@ def gram_schmidt(ops: Sequence[Operator], tol: float = 1e-10, label: str = "") -
     return OperatorBasis(tuple(Operator(v, n) for v in kept), label=label)
 
 
-def expm_herm_generator(h: Operator, t: float) -> Operator:
-    """exp(-i h t) for Hermitian h, via eigendecomposition."""
-    if not h.is_hermitian():
-        raise ValueError("generator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h.entries)
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(u, h.n_qubits)
-
-
-def expm_antiherm(g: Operator) -> Operator:
-    """exp(g) for anti-Hermitian g (i.e. exp(-i(ig)) through eigh)."""
-    return expm_herm_generator(Operator(1j * g.entries, g.n_qubits), 1.0)
-
-
 def _project_coeffs(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Raw coefficients <<h_i|m>> for an orthonormal stack, no span check."""
     return np.einsum("aij,ij->a", stack.conj(), m)
@@ -284,40 +251,3 @@ def vectorize(h: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.nd
     if np.abs(c.imag).max() <= tol * max(np.abs(c).max(), 1e-300):
         return c.real.copy()
     return c
-
-
-def reconstruct(c: np.ndarray, basis: OperatorBasis) -> Operator:
-    m = np.tensordot(np.asarray(c), basis.stack(), axes=(0, 0))
-    return Operator(m, basis.n_qubits)
-
-
-def _stack_columns(cols: list[np.ndarray], tol: float) -> np.ndarray:
-    d = np.stack([np.asarray(c, dtype=complex) for c in cols], axis=1)
-    if np.abs(d.imag).max() <= tol * max(np.abs(d).max(), 1e-300):
-        return d.real.copy()
-    return d
-
-
-def rep_unitary(u: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.ndarray:
-    """D(U) with D(U)_ij = <<h_i|U h_j U^dag>>; |UHU^dag>> = D(U)|H>>.
-
-    Requires the span to be closed under conjugation by U (checked per
-    column through the vectorize residual).
-    """
-    cols = []
-    for h in basis.elements:
-        m = u.entries @ h.entries @ u.entries.conj().T
-        cols.append(vectorize(Operator(m, basis.n_qubits), basis, tol))
-    return _stack_columns(cols, tol)
-
-
-def rep_ad(g: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.ndarray:
-    """D(ad_g) with entries <<h_i|[g, h_j]>>; exp(D(ad_g)) = D(e^g)."""
-    cols = []
-    for h in basis.elements:
-        m = g.entries @ h.entries - h.entries @ g.entries
-        if np.linalg.norm(m) < 1e-300 * max(np.linalg.norm(g.entries), 1.0):
-            cols.append(np.zeros(len(basis)))
-            continue
-        cols.append(vectorize(Operator(m, basis.n_qubits), basis, tol))
-    return _stack_columns(cols, tol)

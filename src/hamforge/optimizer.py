@@ -32,7 +32,6 @@ __all__ = [
     "legalize",
     "gsa_minimize",
     "parallel_restarts",
-    "nelder_mead_tune",
 ]
 
 
@@ -207,39 +206,3 @@ def parallel_restarts(
     traces = tuple(res.traces[0] for _, res in sorted(results, key=lambda pr: pr[0]))
     iters = sum(res.iterations for _, res in results)
     return OptimizationResult(best.best_x, best.best_e, iters, traces, idx)
-
-
-def nelder_mead_tune(trial_problems, hyper_init=(10.0, 2.62, -5.0), budget: int = 60):
-    """Tune (T0, q_v, q_a) by minimizing the mean final energy over cheap
-    trial problems at fixed iteration count; q_v is clamped into (1, 3)."""
-    from scipy.optimize import minimize
-
-    problems = list(trial_problems)
-
-    def score(hypers):
-        t0, qv, qa = hypers
-        t0 = abs(t0) or 1e-6
-        qv = min(max(qv, 1.0 + 1e-3), 3.0 - 1e-3)
-        if abs(qv - 2.0) < 1e-9:
-            qv = 2.0 + 1e-6
-        vals = []
-        for k, (energy, dim, t_max) in enumerate(problems):
-            cfg = GSAConfig(
-                q_v=qv, q_a=qa, t0=t0, t_max=t_max, dimension=dim,
-                master_seed=1000 + k, schedule="standard",
-            )
-            rng = restart_rng(cfg.master_seed, 0)
-            x1 = rng.uniform(-1, 1, dim)
-            vals.append(gsa_minimize(energy, x1, cfg, rng).best_e)
-        return float(np.mean(vals))
-
-    res = minimize(
-        score,
-        np.asarray(hyper_init, dtype=float),
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": 1e-3, "fatol": 1e-12},
-    )
-    t0, qv, qa = res.x
-    t0 = abs(t0) or 1e-6
-    qv = min(max(qv, 1.0 + 1e-3), 3.0 - 1e-3)
-    return float(t0), float(qv), float(qa)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liealg import LieAlgebraBasis, contains
-from .opcore import Operator, SubspaceError, vectorize
+from .opcore import SubspaceError, vectorize
 
 
 # ---------------------------------------------------------------------------
@@ -59,17 +59,6 @@ def _walk_unitaries(
             x = move(x)
         out.append(x)
     return out
-
-
-def random_unitary_walk(
-    g: LieAlgebraBasis,
-    n_burn: int,
-    n_thin: int,
-    n_sample: int,
-    rng: np.random.Generator,
-) -> list[Operator]:
-    mats = _walk_unitaries(g.basis.stack(), n_burn, n_thin, n_sample, rng)
-    return [Operator(m, g.n_qubits) for m in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -313,35 +302,3 @@ def find_scale_range(
         rescale = joint / vs.component_norms[measure_component]
         history = [(k, sm * rescale, sp * rescale) for (k, sm, sp) in history]
     return ScaleRange(float(s_minus) * rescale, float(s_plus) * rescale, True, used, history)
-
-
-def hull_volume_diagnostic(vertices: VertexSet, batch: int):
-    """Convex-hull volume of the first k vertices for k = batch, 2batch, ...
-
-    A saturating volume indicates the sampler has covered the reachable
-    set.  Degenerate (flat) point sets report volume 0.  Refuses subspace
-    dimensions above 6 where exact hulls are combinatorially infeasible;
-    use the range-stabilization history of find_scale_range instead.
-    """
-    pts = vertices.vertices
-    dim = pts.shape[1]
-    if dim > 6:
-        raise ValueError(
-            "hull volume limited to subspace dimension <= 6; "
-            "use find_scale_range convergence_history for larger spaces"
-        )
-    from scipy.spatial import ConvexHull, QhullError
-
-    out = []
-    for k in range(batch, pts.shape[0] + batch, batch):
-        k = min(k, pts.shape[0])
-        if k <= dim:
-            out.append((k, 0.0))
-        else:
-            try:
-                out.append((k, float(ConvexHull(pts[:k]).volume)))
-            except QhullError:
-                out.append((k, 0.0))
-        if k == pts.shape[0]:
-            break
-    return out

@@ -15,15 +15,17 @@ p_k = nu_1 + .. + nu_k.
 
 Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
 = V_q diag(e^{i nu_q dt}) V_q^dag, so `eigen_toggles` builds it from the
-same eigenpairs (nu_q, V_q) as the step integrals; `toggle_matrices`,
-which conjugates the basis by U_q, stays as the independent check.
-`prefix_products` chains ordered step products in log depth.
+same eigenpairs (nu_q, V_q) as the step integrals.  The independent check,
+which conjugates the basis by U_q, is `toggle_matrices` in
+`tests/_oracles.py`.  `prefix_products` chains ordered step products in
+log depth.
 
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than `tol`
 (removable singularities).  This is the path of `nested_exp_integral`,
-the sequential `step_cints_raw` and every r <= 2 table.  The threshold
+of every r <= 2 table, and of the sequential reference engine
+(`step_cints_raw` in `tests/_oracles.py`).  The threshold
 DEFAULT_DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
 ~eps / (spread * T) to cancellation, and at r = 3 one more division by a
 node gap of similar size leaves errors of order eps / (spread * T)^2 in
@@ -64,7 +66,6 @@ from typing import Sequence
 import numpy as np
 
 from .liealg import CSubspace
-from .opcore import Operator, vectorize
 
 DEFAULT_DEGEN_TOL = 0.2   # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
@@ -222,51 +223,6 @@ def nested_exp_integral(lambdas: Sequence[float], t: float, tol: float = DEFAULT
 # ---------------------------------------------------------------------------
 # primary propagation
 
-@dataclass(frozen=True)
-class StepHamiltonians:
-    """Discretized per-step Hamiltonians on a common grid of Q steps."""
-
-    h_pri: np.ndarray                      # (Q, d, d) Hermitian
-    h_pert: np.ndarray                     # (Q, d, d) Hermitian
-    error_terms: dict                      # name -> (Q, d, d) Hermitian
-    delta_t: float
-
-    @property
-    def q_steps(self) -> int:
-        return self.h_pri.shape[0]
-
-    @property
-    def t_seq(self) -> float:
-        return self.q_steps * self.delta_t
-
-    @staticmethod
-    def from_operators(h_pri, h_pert, delta_t, error_terms=None):
-        pri = np.stack([np.asarray(h.entries) for h in h_pri])
-        pert = np.stack([np.asarray(h.entries) for h in h_pert])
-        err = {
-            k: np.stack([np.asarray(h.entries) for h in v])
-            for k, v in (error_terms or {}).items()
-        }
-        return StepHamiltonians(pri, pert, err, float(delta_t))
-
-
-@dataclass(frozen=True)
-class PrimaryPropagation:
-    """Step unitaries U_q = exp(-i H_pri^q dt) and propagator prefixes.
-
-    prefixes[q] is the time-ordered product propagating from 0 through
-    step q (latest step applied on the left), so prefixes[-1] is
-    U_pri(T_seq).
-    """
-
-    step_unitaries: np.ndarray   # (Q, d, d)
-    prefixes: np.ndarray         # (Q, d, d)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.prefixes[-1]
-
-
 def _eig_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """V diag(e^{-i w t}) V^dag for a stack of eigendata (w, V)."""
     return np.einsum("...ab,...b,...cb->...ac", v, np.exp(-1j * w * t), v.conj())
@@ -295,30 +251,11 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_primary(steps: StepHamiltonians) -> PrimaryPropagation:
-    u = expm_batch(steps.h_pri, steps.delta_t)
-    return PrimaryPropagation(u, prefix_products(u))
-
-
 # ---------------------------------------------------------------------------
 # per-step integrals
 
-def adjoint_matrix(h_pri: np.ndarray, stack: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Hermitian M with M_ij = <<h_i|[H_pri, h_j]>>; checks span closure."""
-    comm = h_pri @ stack - stack @ h_pri
-    m = np.einsum("aij,bij->ab", stack.conj(), comm)
-    recon = np.einsum("ab,aij->bij", m, stack)
-    resid = np.linalg.norm(comm - recon)
-    scale = max(np.linalg.norm(comm), 1e-300)
-    if resid > tol * scale and resid > tol * max(np.linalg.norm(h_pri), 1e-300):
-        raise ValueError(
-            f"ad-action of H_pri leaves the subspace (residual {resid:.3e})"
-        )
-    return m
-
-
 def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Batched (Q, m, m) adjoint matrices, no residual check (hot path).
+    """Batched (Q, m, m) adjoint matrices, without a span-closure check.
 
     M_ba = <<h_b|[H, h_a]>> is linear in H: one (Q, d^2) x (d^2, m^2)
     product with T[k, l, b, a] = (h_b^* h_a^T - h_a^T h_b^*)[k, l].
@@ -329,46 +266,8 @@ def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (h_pri.reshape(-1, d * d) @ t.reshape(d * d, m * m)).reshape(-1, m, m)
 
 
-@dataclass(frozen=True)
-class StepEigen:
-    """Eigen data of the adjoint matrix plus the rotated seed vector."""
-
-    nu: np.ndarray    # (m,) real
-    v: np.ndarray     # (m, m) complex unitary
-    y: np.ndarray     # (m,) complex, V^dag |H_pert>>
-
-
-def _step_eigen(m_adj: np.ndarray, c_seed: np.ndarray) -> StepEigen:
-    nu, v = np.linalg.eigh(m_adj)
-    return StepEigen(nu, v, v.conj().T @ c_seed)
-
-
 def _real(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real)
-
-
-def step_cints_raw(eig: StepEigen, dt: float, r_max: int, tol=DEFAULT_DEGEN_TOL):
-    """(c0, c1, c2) tensors of one constant step, real arrays."""
-    nu, v, y = eig.nu, eig.v, eig.y
-    e1 = _int1_plus(nu, dt)
-    c0 = _real(v @ (e1 * y))
-    c1 = c2 = None
-    if r_max >= 2:
-        i2 = _int2_plus(nu[:, None], nu[None, :], dt, tol)
-        t2 = i2 * y[:, None] * y[None, :]
-        c1 = _real(v @ t2 @ v.T)
-    if r_max >= 3:
-        i3 = _int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], dt, tol)
-        t3 = i3 * y[:, None, None] * y[None, :, None] * y[None, None, :]
-        c2 = _real(np.einsum("ia,jb,kc,abc->ijk", v, v, v, t3, optimize=True))
-    return c0, c1, c2
-
-
-def step_cross_raw(eig_pert: StepEigen, eig_err: StepEigen, dt: float, tol=DEFAULT_DEGEN_TOL):
-    """Single-step cross tensor: perturbation at the later time slot."""
-    i2 = _int2_plus(eig_pert.nu[:, None], eig_err.nu[None, :], dt, tol)
-    t2 = i2 * eig_pert.y[:, None] * eig_err.y[None, :]
-    return _real(eig_pert.v @ t2 @ eig_err.v.T)
 
 
 def batch_step_cints(nu, v, y, dt, r_max, tol=DEFAULT_DEGEN_TOL):
@@ -415,7 +314,8 @@ def prefix_toggles(dq: np.ndarray) -> np.ndarray:
 
 
 def compose_batch(e_prev, c0, c1=None, c2=None):
-    """Vectorized chain rule; equivalent to compose_raw's sequential fold."""
+    """Vectorized chain rule; `compose_raw` in `tests/_oracles.py` is the
+    sequential fold it replaces."""
     a0 = np.einsum("qij,qj->qi", e_prev, c0)
     tot0 = a0.sum(axis=0)
     if c1 is None:
@@ -450,7 +350,7 @@ def compose_cross_batch(cross_steps, c0p, c0e, e_prev_p, e_prev_e):
 
 
 # ---------------------------------------------------------------------------
-# whole-sequence composition (chain rule with prefix accumulators)
+# whole-sequence tensors
 
 @dataclass(frozen=True)
 class CIntegralSet:
@@ -470,202 +370,3 @@ class CIntegralSet:
     def c2_tensor(self) -> np.ndarray:
         m = len(self.c0)
         return self.c2.reshape(m, m, m)
-
-
-def toggle_matrices(prop: PrimaryPropagation, stack: np.ndarray) -> np.ndarray:
-    """D(U_q^dag) for every step, real orthogonal in a Hermitian basis."""
-    u = prop.step_unitaries
-    conj = np.einsum("qji,ajk,qkl->qail", u.conj(), stack, u)  # U^dag h_a U
-    d = np.einsum("bij,qaij->qba", stack.conj(), conj)
-    return _real(d)
-
-
-def compose_raw(step_tensors, dq, r_max):
-    """Chain-rule composition given per-step tensors and D(U_q^dag).
-
-    step_tensors: list over q of (c0, c1, c2) in one subspace.
-    dq: (Q, m, m) real toggle matrices of the same subspace.
-    """
-    m = dq.shape[-1]
-    eye = np.eye(m)
-    e = eye  # E_{q-1} = D(U_1^dag) ... D(U_{q-1}^dag)
-    tot0 = np.zeros(m)
-    tot1 = np.zeros((m, m)) if r_max >= 2 else None
-    tot2 = np.zeros((m, m, m)) if r_max >= 3 else None
-    s0 = np.zeros(m)                      # sum of toggled c0 prefixes
-    s1 = np.zeros((m, m)) if r_max >= 3 else None
-    p2 = np.zeros((m, m)) if r_max >= 3 else None  # sum_{q2>q3} c0xc0 prefix
-    for q, (c0, c1, c2) in enumerate(step_tensors):
-        a0 = e @ c0
-        tot0 += a0
-        if r_max >= 2:
-            a1 = e @ c1 @ e.T
-            tot1 += a1 + np.outer(a0, s0)
-        if r_max >= 3:
-            a2 = np.einsum("ia,jb,kc,abc->ijk", e, e, e, c2, optimize=True)
-            tot2 += (
-                a2
-                + np.einsum("i,jk->ijk", a0, s1)
-                + np.einsum("ij,k->ijk", a1, s0)
-                + np.einsum("i,jk->ijk", a0, p2)
-            )
-            p2 += np.outer(a0, s0)
-            s1 += a1
-        s0 += a0
-        e = e @ dq[q]
-    return tot0, tot1, tot2
-
-
-def compose_cross_raw(step_cross, step0_pert, step0_err, dq_pert, dq_err):
-    """Cross chain rule: sum_q cross_tog(q) + sum_{q1>q2} c0p(q1) x c0e(q2)."""
-    mp = dq_pert.shape[-1]
-    me = dq_err.shape[-1]
-    ep = np.eye(mp)
-    ee = np.eye(me)
-    tot = np.zeros((mp, me))
-    s0e = np.zeros(me)
-    for q in range(len(step_cross)):
-        a0p = ep @ step0_pert[q]
-        a0e = ee @ step0_err[q]
-        across = ep @ step_cross[q] @ ee.T
-        tot += across + np.outer(a0p, s0e)
-        s0e += a0e
-        ep = ep @ dq_pert[q]
-        ee = ee @ dq_err[q]
-    return tot
-
-
-# ---------------------------------------------------------------------------
-# module-level operations on spec types
-
-def step_c_integrals(
-    h_pri: Operator,
-    h_pert: Operator,
-    c_space: CSubspace,
-    delta_t: float,
-    r_max: int = 3,
-    tol: float = DEFAULT_DEGEN_TOL,
-) -> CIntegralSet:
-    """C-integrals of a single constant step via the adjoint eigenbasis."""
-    if r_max not in (1, 2, 3):
-        raise ValueError("r_max must be 1, 2 or 3")
-    stack = c_space.basis.stack()
-    c_seed = np.asarray(vectorize(h_pert, c_space.basis), dtype=complex)
-    m_adj = adjoint_matrix(np.asarray(h_pri.entries), stack)
-    eig = _step_eigen(m_adj, c_seed)
-    c0, c1, c2 = step_cints_raw(eig, delta_t, r_max, tol)
-    return CIntegralSet(
-        c_space,
-        r_max,
-        c0,
-        c1.ravel() if c1 is not None else None,
-        c2.ravel() if c2 is not None else None,
-        delta_t,
-    )
-
-
-def compose_c_integrals(
-    per_step: Sequence[CIntegralSet],
-    prop: PrimaryPropagation,
-    c_space: CSubspace,
-) -> CIntegralSet:
-    """Compose per-step C-integrals into whole-sequence tensors."""
-    if len(per_step) != prop.step_unitaries.shape[0]:
-        raise ValueError("step count mismatch between integrals and propagation")
-    orders = {s.order for s in per_step}
-    if len(orders) != 1:
-        raise ValueError("per-step integral sets have mixed orders")
-    r_max = orders.pop()
-    m = len(per_step[0].c0)
-    dq = toggle_matrices(prop, c_space.basis.stack())
-    tensors = [
-        (
-            s.c0,
-            s.c1.reshape(m, m) if s.c1 is not None else None,
-            s.c2.reshape(m, m, m) if s.c2 is not None else None,
-        )
-        for s in per_step
-    ]
-    t0, t1, t2 = compose_raw(tensors, dq, r_max)
-    t_seq = sum(s.t_seq for s in per_step)
-    return CIntegralSet(
-        c_space,
-        r_max,
-        t0,
-        t1.ravel() if t1 is not None else None,
-        t2.ravel() if t2 is not None else None,
-        t_seq,
-    )
-
-
-def cross_c_integral(
-    steps: StepHamiltonians,
-    error_name: str,
-    c_pert: CSubspace,
-    c_err: CSubspace,
-    prop: PrimaryPropagation,
-    tol: float = DEFAULT_DEGEN_TOL,
-) -> np.ndarray:
-    """Whole-sequence cross integral: H_pert at the later time, the named
-    error term at the earlier time.  Returns an (|C_pert|, |C_err|) array
-    (flatten for the vector form)."""
-    if error_name not in steps.error_terms:
-        raise KeyError(error_name)
-    stack_p = c_pert.basis.stack()
-    stack_e = c_err.basis.stack()
-    err = steps.error_terms[error_name]
-    qn = steps.q_steps
-    if prop.step_unitaries.shape[0] != qn:
-        raise ValueError("step count mismatch")
-    mp_adj = adjoint_matrix_batch(steps.h_pri, stack_p)
-    me_adj = adjoint_matrix_batch(steps.h_pri, stack_e)
-    cross_steps, c0p_steps, c0e_steps = [], [], []
-    for q in range(qn):
-        cp = np.einsum("aij,ij->a", stack_p.conj(), steps.h_pert[q])
-        ce = np.einsum("aij,ij->a", stack_e.conj(), err[q])
-        ep = _step_eigen(mp_adj[q], cp)
-        ee = _step_eigen(me_adj[q], ce)
-        cross_steps.append(step_cross_raw(ep, ee, steps.delta_t, tol))
-        c0p_steps.append(_real(ep.v @ (_int1_plus(ep.nu, steps.delta_t) * ep.y)))
-        c0e_steps.append(_real(ee.v @ (_int1_plus(ee.nu, steps.delta_t) * ee.y)))
-    dqp = toggle_matrices(prop, stack_p)
-    dqe = toggle_matrices(prop, stack_e)
-    return compose_cross_raw(cross_steps, c0p_steps, c0e_steps, dqp, dqe)
-
-
-def commutator_table(stack: np.ndarray) -> np.ndarray:
-    """All pairwise commutators [h_i, h_j], shape (m, m, d, d)."""
-    return np.einsum("iab,jbc->ijac", stack, stack) - np.einsum(
-        "jab,ibc->ijac", stack, stack
-    )
-
-
-def magnus_terms(cints: CIntegralSet, c_space: CSubspace):
-    """Zeroth, first and second average-Hamiltonian terms from C-integrals.
-
-    H0 = (1/T) sum_i c0_i h_i
-    H1 = -i/(2T) sum_ij c1_ij [h_i, h_j]
-    H2 = -1/(6T) sum_ijk c2_ijk ([h_i,[h_j,h_k]] + [h_k,[h_j,h_i]])
-    """
-    stack = c_space.basis.stack()
-    t = cints.t_seq
-    n = c_space.n_qubits
-    h0 = Operator(np.tensordot(cints.c0, stack, axes=(0, 0)) / t, n)
-    h1 = h2 = None
-    comm = commutator_table(stack) if cints.order >= 2 else None
-    if cints.order >= 2:
-        h1m = np.einsum("ij,ijab->ab", cints.c1_matrix(), comm)
-        h1 = Operator(-0.5j * h1m / t, n)
-    if cints.order >= 3:
-        # F3(h_i, h_j, h_k) = [h_i, [h_j, h_k]] + [h_k, [h_j, h_i]]
-        c2 = cints.c2_tensor()
-        inner = np.einsum("ijk,jkab->iab", c2, comm)      # sum_jk c2_ijk [h_j,h_k]
-        f3a = np.einsum("iab,ibc->ac", stack, inner) - np.einsum(
-            "iab,ibc->ac", inner, stack
-        )
-        inner_rev = np.einsum("ijk,jiab->kab", c2, comm)  # sum_ij c2_ijk [h_j,h_i]
-        f3b = np.einsum("kab,kbc->ac", stack, inner_rev) - np.einsum(
-            "kab,kbc->ac", inner_rev, stack
-        )
-        h2 = Operator(-(f3a + f3b) / (6.0 * t), n)
-    return h0, h1, h2

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from hamforge import cli
+from hamforge import config as cfgmod
 from hamforge.config import ConfigError, sequence_from_dict, write_sequence
+from hamforge.controlsys import IdealModel
+from _oracles import exact_unitary
 
 
 def test_initial_state_normalizes_vector():
@@ -74,8 +77,7 @@ def test_cli_scale_without_target_is_a_validation_error(tmp_path):
     assert json.loads((out / "scale.json").read_text())["achievable"] is False
 
 
-def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
-    cfg = _config_1q()
+def _write_sequence(tmp_path, cfg):
     seq = sequence_from_dict({
         "dt": cfg["control"]["dt"],
         "channels": [
@@ -85,6 +87,12 @@ def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
     })
     seq_path = tmp_path / "sequence.json"
     write_sequence(seq, str(seq_path))
+    return seq_path
+
+
+def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
+    cfg = _config_1q()
+    seq_path = _write_sequence(tmp_path, cfg)
     out = tmp_path / "out"
     code = cli.main([
         "evaluate", "--config", _write_config(tmp_path, cfg), "--seed", "41",
@@ -138,3 +146,120 @@ def test_cli_optimize_above_energy_target_exits_budget(tmp_path):
     ])
     assert code == cli.EXIT_BUDGET
     assert json.loads((out / "optimize.json").read_text())["f_tot"] > 1e-30
+
+
+@pytest.mark.parametrize("t_dep", [-1e-7, 0.0, float("inf")])
+def test_cli_evaluate_rejects_a_relaxation_time_that_is_not_finite_and_positive(
+    tmp_path, capsys, t_dep
+):
+    cfg = _config_1q()
+    cfg["evaluation"]["t_dep"] = t_dep
+    seq_path = _write_sequence(tmp_path, cfg)
+    code = cli.main([
+        "evaluate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+        str(seq_path),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "evaluation.t_dep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, evaluation, key_path", [
+    ("landscape", {"landscape": {"axis1": {"dist": "nope", "values": [0.0]},
+                                 "axis2": {"dist": "amp_err", "values": [0.0]}}},
+     "evaluation.landscape.axis1.dist"),
+    ("landscape", {"landscape": {"axis1": {"values": [0.0]},
+                                 "axis2": {"dist": "amp_err", "values": [0.0]}}},
+     "evaluation.landscape.axis1.dist"),
+    ("landscape", {"landscape": {"axis1": {"dist": "detuning", "values": [0.0]},
+                                 "axis2": {"dist": "amp_err"}}},
+     "evaluation.landscape.axis2.values"),
+    ("simulate", {"simulate_params": {"nope": 1.0}}, "evaluation.simulate_params"),
+], ids=["unknown-dist", "missing-dist", "missing-values", "unknown-simulate-param"])
+def test_cli_rejects_evaluation_settings_naming_no_distribution(
+    tmp_path, capsys, command, evaluation, key_path
+):
+    cfg = _config_1q()
+    cfg["evaluation"].update(evaluation)
+    seq_path = _write_sequence(tmp_path, cfg)
+    code = cli.main([
+        command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+        str(seq_path),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert key_path in capsys.readouterr().err
+
+
+def test_cli_algebra_reports_the_full_su2(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["algebra", "--config", _write_config(tmp_path, _config_1q()), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rep = json.loads((out / "algebra.json").read_text())
+    assert rep["generator_count"] == 2       # x and y of the one drive
+    assert rep["dimension"] == rep["full_algebra_dimension"] == 3
+    assert rep["universal"] is True
+
+
+def test_cli_subspace_contains_the_target(tmp_path):
+    out = tmp_path / "out"
+    code = cli.main(["subspace", "--config", _write_config(tmp_path, _config_1q()), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rep = json.loads((out / "subspace.json").read_text())
+    assert rep["algebra_dimension"] == 3
+    comp = rep["components"]["1"]
+    assert comp["dimension"] == 3            # z toggles through all of su(2)
+    assert comp["target_in_subspace"] is True
+    assert comp["target_residual"] <= 1e-12
+
+
+def _library_view(cfg, seq_path):
+    pc = cfgmod.parse_config(cfg)
+    u0 = cfgmod.total_target_unitary(pc, cfgmod.build_subspaces(pc, cfgmod.build_algebra(pc)))
+    return cfgmod.read_sequence(str(seq_path)), cfgmod.build_evaluation_setup(pc), u0.entries
+
+
+def test_cli_landscape_matches_per_point_oracle(tmp_path, monkeypatch):
+    cfg = _config_1q()
+    detuning = [-2 * np.pi * 1e6, -2 * np.pi * 2e5, 0.0, 2 * np.pi * 7e5]
+    amp_err = [-0.05, 0.01, 0.04]
+    cfg["evaluation"]["landscape"] = {
+        "axis1": {"dist": "detuning", "values": detuning},
+        "axis2": {"dist": "amp_err", "values": amp_err},
+    }
+    seq_path = _write_sequence(tmp_path, cfg)
+    solves = []
+    field = IdealModel.field
+
+    def counted(self, seq, jets=()):
+        solves.append(self.amp_factor)
+        return field(self, seq, jets)
+
+    monkeypatch.setattr(IdealModel, "field", counted)
+    out = tmp_path / "out"
+    code = cli.main(["landscape", "--config", _write_config(tmp_path, cfg), "--out", str(out), str(seq_path)])
+    monkeypatch.undo()
+    assert code == cli.EXIT_OK
+    assert solves == [1.0]   # the blocked path: one unit-drive field for the whole grid
+    rows = np.loadtxt(out / "landscape.csv", delimiter=",", skiprows=1)
+    assert rows[:, :2].tolist() == [[a, b] for a in detuning for b in amp_err]
+    seq, setup, u0 = _library_view(cfg, seq_path)
+    for v1, v2, fid in rows:
+        u = exact_unitary(seq, setup, {"detuning": v1, "amp_err": v2})
+        want = abs(np.sum(u.conj() * u0)) / np.real(np.sum(u0.conj() * u0))
+        assert abs(fid - want) <= 1e-12
+
+
+def test_cli_simulate_matches_oracle(tmp_path):
+    cfg = _config_1q()
+    params = {"detuning": 2 * np.pi * 3e5, "amp_err": 0.03}
+    cfg["evaluation"].update(simulate_params=params, initial_state="plus", n_cycles=7)
+    seq_path = _write_sequence(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(out), str(seq_path)])
+    assert code == cli.EXIT_OK
+    rows = np.loadtxt(out / "survival.csv", delimiter=",", skiprows=1)
+    seq, setup, _ = _library_view(cfg, seq_path)
+    u = exact_unitary(seq, setup, params)
+    psi0 = np.full(2, 1 / np.sqrt(2), dtype=complex)
+    want = [abs(np.vdot(psi0, np.linalg.matrix_power(u, n) @ psi0)) ** 2 for n in range(8)]
+    assert rows[:, 0].tolist() == list(range(8))
+    assert np.abs(rows[:, 1] - want).max() <= 1e-12

@@ -14,11 +14,7 @@ from hamforge.controlsys import (
     IdealModel,
     LinearKernelModel,
     LinearKernelParams,
-    apply_linear_kernel,
-    control_hamiltonians,
-    discretize_ideal,
-    simulate_circuit,
-    write_field_csv,
+    axis_operators,
 )
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
@@ -40,10 +36,10 @@ def test_sequence_validation():
 
 def test_ideal_passthrough():
     seq = ControlSequence(np.array([[0.5, -0.5], [0.25, 0.0]]), 1e-7, XY)
-    fld = discretize_ideal(seq, 1)
+    fld = IdealModel(1).field(seq)
     assert fld.q_steps == 2
     assert np.allclose(fld.b, seq.values)
-    fld3 = discretize_ideal(seq, 3)
+    fld3 = IdealModel(3).field(seq)
     assert fld3.q_steps == 6
     assert np.allclose(fld3.b[:, :3], np.repeat(seq.values[:, :1], 3, axis=1))
     assert fld3.t_seq == pytest.approx(seq.t_seq)
@@ -53,7 +49,7 @@ def test_ideal_polar_conversion():
     ch = polar_channels()
     vals = np.array([[0.5], [0.5]])  # w1 = 0.5 scale, phase = pi/2
     seq = ControlSequence(vals, 1e-8, ch)
-    fld = discretize_ideal(seq)
+    fld = IdealModel().field(seq)
     w1 = 0.5 * ch[0].scale
     assert fld.b[0, 0] == pytest.approx(w1 * np.cos(np.pi / 2), abs=1e-6)
     assert fld.b[1, 0] == pytest.approx(w1 * np.sin(np.pi / 2))
@@ -67,7 +63,7 @@ def test_kernel_step_response():
     vals = np.zeros((2, p_int))
     vals[0] = 1.0
     seq = ControlSequence(vals, dt, ch)
-    fld = apply_linear_kernel(seq, LinearKernelParams(w, 0.0), p_int * 16)
+    fld = LinearKernelModel(LinearKernelParams(w, 0.0), 16).field(seq)
     q = int(round((1.0 / w) / fld.delta_t - 0.5))
     t_mid = (q + 0.5) * fld.delta_t
     w1 = ch[0].scale
@@ -113,7 +109,7 @@ def test_kernel_wide_band_limit():
     sub = 1000
     vals = np.array([[0.3, -0.7, 0.5], [0.1, 0.2, -0.4]])
     seq = ControlSequence(vals, dt, ch)
-    fld = apply_linear_kernel(seq, LinearKernelParams(w, 0.0), 3 * sub)
+    fld = LinearKernelModel(LinearKernelParams(w, 0.0), sub).field(seq)
     # compare at the interval midpoints, clear of the ~1/W settle transient
     mids = fld.b[:, [k * sub + sub // 2 for k in range(1, 3)]]
     rel = np.abs(mids - vals[:, 1:]).max() / np.abs(vals).max()
@@ -124,7 +120,7 @@ def test_kernel_resolution_guard():
     w = 2 * np.pi * 80e6
     seq = ControlSequence(np.zeros((2, 4)), 10.0 / w, XY)
     with pytest.raises(ValueError, match="resolution guard"):
-        apply_linear_kernel(seq, LinearKernelParams(w, 0.0), 4)
+        LinearKernelModel(LinearKernelParams(w, 0.0), 1).field(seq)
 
 
 def test_kernel_average_vs_midpoint_smooth():
@@ -168,7 +164,7 @@ def test_kernel_delta_sensitivity_is_quadrature():
 
 def test_circuit_zero_input():
     seq = ControlSequence(np.zeros((2, 4)), 1e-9, XY)
-    fld = simulate_circuit(seq, CircuitParams(), 16)
+    fld = CircuitModel(CircuitParams(), 4).field(seq)
     assert np.abs(fld.b).max() == 0.0
     for alpha_l in (0.0, 1e-3):
         jets = ("alpha_L", "amplitude", ("alpha_L", "alpha_L"), ("alpha_L", "amplitude"))
@@ -231,27 +227,11 @@ def test_ideal_amplitude_sensitivity_exact():
 
 def test_control_hamiltonians_assembly():
     seq = ControlSequence(np.array([[0.5], [0.25]]), 1e-8, XY)
-    fld = discretize_ideal(seq)
-    h = control_hamiltonians(fld, 1)
+    fld = IdealModel().field(seq)
+    h = np.einsum("kq,kab->qab", fld.b, axis_operators(fld.axes, 1))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]])
     assert np.abs(h[0] - (0.5 * sx + 0.25 * sy)).max() < 1e-12
-
-
-def test_field_csv_roundtrip(tmp_path):
-    seq = ControlSequence(np.array([[0.5], [0.25]]), 1e-8, XY)
-    fld = discretize_ideal(seq)
-    path = tmp_path / "field.csv"
-    write_field_csv(fld, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,channel,value,sensitivity_param,sensitivity_value"
-    assert len(lines) == 1 + 2  # two channels x one step
-
-
-def test_q_must_be_multiple_of_p():
-    seq = ControlSequence(np.zeros((2, 3)), 1e-9, XY)
-    with pytest.raises(ValueError, match="multiple"):
-        apply_linear_kernel(seq, LinearKernelParams(2 * np.pi * 80e6, 0.0), 10)
 
 
 def circuit_oracle(model, alpha_intervals, h_out, n_half):

@@ -5,7 +5,8 @@ import pytest
 
 from hamforge import evaluate as ev
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
-from hamforge.opcore import Operator, expm_herm_generator, pauli_op
+from hamforge.opcore import Operator, pauli_op
+from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator
 
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
@@ -23,6 +24,13 @@ def setup_1q(dists=(), terms=None):
         term_coeffs=np.asarray([t[2] for t in terms]),
         distributions=tuple(dists),
     )
+
+
+def average_cptp(seq, setup, n_mc, rng):
+    """Monte-Carlo mean transfer matrix of n_mc draws from rng."""
+    draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
+    r = ev.ptm(ev.exact_unitaries(seq, setup, draws), ev.pauli_basis_stack(setup.n_qubits))
+    return ev.Superoperator(2 ** setup.n_qubits, r.mean(axis=0))
 
 
 def test_distribution_validation_and_sampling():
@@ -134,9 +142,8 @@ def test_overlap_fidelity_properties():
 def test_average_cptp_point_is_single_ptm():
     setup = setup_1q([ev.ParameterDistribution("offset", "point", (1e6,), "term:offset")])
     seq = ControlSequence(np.full((2, 3), 0.2), 1e-8, XY)
-    sup = ev.average_cptp(seq, setup, 8, np.random.default_rng(5))
-    u = ev.simulate_total_unitary(seq, setup, {"offset": 1e6})
-    expect = ev.ptm(u, ev.pauli_basis_stack(1))
+    sup = average_cptp(seq, setup, 8, np.random.default_rng(5))
+    expect = ev.ptm(exact_unitary(seq, setup, {"offset": 1e6}), ev.pauli_basis_stack(1))
     assert np.abs(sup.matrix - expect).max() < 1e-12
 
 
@@ -148,7 +155,7 @@ def test_average_cptp_dephasing_by_averaging():
         d = ev.ParameterDistribution("offset", "normal", (0.0, sig / 5e-8), "term:offset")
         setup = setup_1q([d])
         seq = ControlSequence(np.zeros((2, 5)), 1e-8, XY)
-        sup = ev.average_cptp(seq, setup, 4000, np.random.default_rng(6))
+        sup = average_cptp(seq, setup, 4000, np.random.default_rng(6))
         out[sig] = sup.matrix[1, 1]
         expect = np.exp(-2 * sig ** 2)  # E[cos 2theta], theta ~ N(0, sig)
         assert sup.matrix[1, 1] == pytest.approx(expect, abs=0.05)
@@ -161,14 +168,13 @@ def test_average_gate_fidelity_identities():
 
     u0 = Operator(haar_unitary(2, rng), 1)
     stack = ev.pauli_basis_stack(1)
-    sup = ev.Superoperator(2, ev.ptm(u0, stack))
-    assert ev.average_gate_fidelity(sup, u0) == pytest.approx(1.0)
-    phase = Operator(np.exp(1.3j) * u0.entries, 1)
-    assert ev.average_gate_fidelity(sup, phase) == pytest.approx(1.0)
+    r = ev.ptm(u0, stack)
+    assert average_gate_fidelity(r, u0.entries) == pytest.approx(1.0)
+    assert average_gate_fidelity(r, np.exp(1.3j) * u0.entries) == pytest.approx(1.0)
     # fully depolarizing map
     dep = np.zeros((4, 4))
     dep[0, 0] = 1.0
-    assert ev.average_gate_fidelity(ev.Superoperator(2, dep), u0) == pytest.approx(0.5)
+    assert average_gate_fidelity(dep, u0.entries) == pytest.approx(0.5)
 
 
 def test_average_gate_fidelity_vs_state_integral_oracle():
@@ -179,8 +185,7 @@ def test_average_gate_fidelity_vs_state_integral_oracle():
     u0 = haar_unitary(2, rng)
     us = [haar_unitary(2, rng) for _ in range(3)]
     stack = ev.pauli_basis_stack(1)
-    avg = ev.Superoperator(2, sum(ev.ptm(u, stack) for u in us) / 3)
-    f_closed = ev.average_gate_fidelity(avg, Operator(u0, 1))
+    f_closed = average_gate_fidelity(sum(ev.ptm(u, stack) for u in us) / 3, u0)
     n = 200_000
     psis = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     psis /= np.linalg.norm(psis, axis=1)[:, None]
@@ -209,7 +214,7 @@ def test_orthogonality_decreases_with_dispersion():
         d = ev.ParameterDistribution("offset", "normal", (0.0, sig / 5e-8), "term:offset")
         setup = setup_1q([d])
         seq = ControlSequence(np.zeros((2, 5)), 1e-8, XY)
-        sup = ev.average_cptp(seq, setup, 3000, np.random.default_rng(10))
+        sup = average_cptp(seq, setup, 3000, np.random.default_rng(10))
         vals.append(ev.orthogonality(sup))
     assert vals[1] < vals[0]
 
@@ -219,21 +224,24 @@ def test_apply_depolarizing():
     from hamforge.reach import haar_unitary
 
     stack = ev.pauli_basis_stack(1)
-    sup = ev.Superoperator(2, ev.ptm(haar_unitary(2, rng), stack))
-    same = ev.apply_depolarizing(sup, 0.0, 1.0)
-    assert np.abs(same.matrix - sup.matrix).max() == 0.0
-    asym = ev.apply_depolarizing(sup, np.log(2.0), 1.0)
-    assert np.abs(asym.matrix[1:] - 0.5 * sup.matrix[1:]).max() < 1e-12
-    assert np.abs(asym.matrix[0] - sup.matrix[0]).max() == 0.0
-    huge = ev.apply_depolarizing(sup, 1.0, 1e12)
-    assert np.abs(huge.matrix - sup.matrix).max() < 1e-9
+    r = ev.ptm(haar_unitary(2, rng), stack)
+    same = ev.apply_depolarizing(r, 0.0, 1.0)
+    assert np.abs(same - r).max() == 0.0
+    asym = ev.apply_depolarizing(r, np.log(2.0), 1.0)
+    assert np.abs(asym[1:] - 0.5 * r[1:]).max() < 1e-12
+    assert np.abs(asym[0] - r[0]).max() == 0.0
+    huge = ev.apply_depolarizing(r, 1.0, 1e12)
+    assert np.abs(huge - r).max() < 1e-9
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            ev.apply_depolarizing(r, 1.0, bad)
 
 
 def test_singular_values_of_average_map():
     d = ev.ParameterDistribution("offset", "uniform", (-1e7, 1e7), "term:offset")
     setup = setup_1q([d])
     seq = ControlSequence(np.full((2, 4), 0.3), 1e-8, XY)
-    sup = ev.average_cptp(seq, setup, 500, np.random.default_rng(12))
+    sup = average_cptp(seq, setup, 500, np.random.default_rng(12))
     sv = np.linalg.svd(sup.matrix, compute_uv=False)
     assert sv.max() <= 1 + 1e-9
 
@@ -281,6 +289,10 @@ def test_evaluation_report_keys_and_depolarizing():
     f_pro = (1 + 3 * scale) / 4  # Tr(R0^T R)/d^2 with block scaled
     expect = (2 * f_pro + 1) / 3
     assert rep2["fom"] == pytest.approx(expect, abs=1e-12)
+    # a non-positive relaxation time is an error, not "no relaxation"
+    for bad in (0.0, -t_dep):
+        with pytest.raises(ValueError, match="positive"):
+            ev.evaluation_report(seq, setup, eye, 16, 7, t_dep=bad)
 
 
 def test_mc_error_scaling_with_samples():
@@ -301,31 +313,31 @@ def test_mc_error_scaling_with_samples():
 
 
 def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
-    """Reference for `evaluation_report`: one exact simulation, transfer
-    matrix and fidelity per Monte-Carlo draw."""
+    """Reference for `evaluation_report`: one step-by-step propagator,
+    transfer matrix and fidelity per Monte-Carlo draw."""
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
     draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
     stack = ev.pauli_basis_stack(setup.n_qubits)
     d = 2 ** setup.n_qubits
     r0 = ev.ptm(u0_total, stack)
-    scale = np.exp(-seq.t_seq / t_dep) if t_dep else 1.0
+    scale = np.exp(-seq.t_seq / t_dep) if t_dep is not None else 1.0
     f_samples = np.empty(n_mc)
     acc = np.zeros((d * d, d * d))
     for s, values in enumerate(draws):
-        r = ev.ptm(ev.simulate_total_unitary(seq, setup, values), stack)
+        r = ev.ptm(exact_unitary(seq, setup, values), stack)
         rdep = r.copy()
         rdep[1:, :] *= scale
         acc += rdep
         f_pro = float(np.sum(r0 * rdep)) / d ** 2
         f_samples[s] = (d * f_pro + 1.0) / (d + 1.0)
-    avg = ev.Superoperator(d, acc / n_mc)
+    avg = acc / n_mc
     return {
-        "fom": ev.average_gate_fidelity(avg, u0_total),
+        "fom": average_gate_fidelity(avg, u0_total.entries),
         "fom_median": float(np.median(f_samples)),
         "fom_p20": float(np.percentile(f_samples, 20)),
         "fom_p80": float(np.percentile(f_samples, 80)),
-        "orthogonality": ev.orthogonality(avg),
-        "ptm": avg.matrix.ravel().tolist(),
+        "orthogonality": float(np.sum(avg * avg)) / (d * d),
+        "ptm": avg.ravel().tolist(),
         "n_mc": n_mc,
         "seed": rng_seed,
     }

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hamforge.liealg import contains, find_c_subspace, find_lie_algebra
-from hamforge.opcore import Operator, commutator, pauli_op, pauli_string_op, vectorize
+from hamforge.opcore import Operator, pauli_op, pauli_string_op, vectorize
+from _oracles import commutator
 
 
 def su2_gens():

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamforge.opcore import (
-    Operator,
-    OperatorBasis,
-    SubspaceError,
+from hamforge.opcore import Operator, OperatorBasis, SubspaceError, gram_schmidt, pauli_op, vectorize
+from _oracles import (
     commutator,
     expm_herm_generator,
-    gram_schmidt,
     hs_inner,
     identity_op,
-    pauli_op,
+    reconstruct,
     rep_ad,
     rep_unitary,
-    vectorize,
 )
 from conftest import random_hermitian
 
@@ -136,8 +132,6 @@ def test_vectorize_outside_span(paulis1):
 
 
 def test_vectorize_projection_idempotent(paulis1):
-    from hamforge.opcore import reconstruct
-
     rng = np.random.default_rng(3)
     b = norm_pauli_basis(paulis1)
     h = random_hermitian(rng)

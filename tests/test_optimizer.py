@@ -8,7 +8,6 @@ from hamforge.optimizer import (
     gsa_minimize,
     gsa_temperature,
     legalize,
-    nelder_mead_tune,
     parallel_restarts,
     restart_rng,
     tsallis_rng,
@@ -201,11 +200,3 @@ def test_cost_failure_reports_iteration():
     cfg = GSAConfig(dimension=2, t_max=50, master_seed=13)
     with pytest.raises(RuntimeError, match="iteration|initial"):
         gsa_minimize(bad, np.array([0.5, 0.5]), cfg, restart_rng(13, 0))
-
-
-def test_nelder_mead_tune_clamps_and_improves():
-    # synthetic response surface: ignore the problem, depend on hypers only
-    problems = [(bowl, 2, 300)]
-    t0, qv, qa = nelder_mead_tune(problems, hyper_init=(2.0, 2.4, -4.0), budget=15)
-    assert 1.0 < qv < 3.0
-    assert t0 > 0

@@ -55,14 +55,13 @@ def su2():
 def test_walk_unitarity_and_subgroup():
     rng = np.random.default_rng(3)
     g = su2()
-    us = reach.random_unitary_walk(g, 10, 2, 5, rng)
-    for u in us:
-        m = u.entries
+    us = reach._walk_unitaries(g.basis.stack(), 10, 2, 5, rng)
+    for m in us:
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-10
     gz = find_lie_algebra([pauli_op([(1, "z")], 1.0, 1)])
-    us = reach.random_unitary_walk(gz, 10, 2, 5, rng)
-    for u in us:  # abelian subgroup: diagonal unitaries
-        off = u.entries - np.diag(np.diag(u.entries))
+    us = reach._walk_unitaries(gz.basis.stack(), 10, 2, 5, rng)
+    for m in us:  # abelian subgroup: diagonal unitaries
+        off = m - np.diag(np.diag(m))
         assert np.abs(off).max() < 1e-10
 
 
@@ -271,19 +270,51 @@ def test_walk_matches_qr_hull_on_su2():
 
 # -- hull volumes -------------------------------------------------------------
 
+def hull_volume_diagnostic(vertices: reach.VertexSet, batch: int):
+    """Convex-hull volume of the first k vertices for k = batch, 2batch, ...
+
+    A saturating volume indicates the sampler has covered the reachable
+    set.  Degenerate (flat) point sets report volume 0.  Refuses subspace
+    dimensions above 6, where exact hulls are combinatorially infeasible
+    and the range-stabilization history of find_scale_range serves instead.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    pts = vertices.vertices
+    dim = pts.shape[1]
+    if dim > 6:
+        raise ValueError(
+            "hull volume limited to subspace dimension <= 6; "
+            "use find_scale_range convergence_history for larger spaces"
+        )
+    out = []
+    for k in range(batch, pts.shape[0] + batch, batch):
+        k = min(k, pts.shape[0])
+        if k <= dim:
+            out.append((k, 0.0))
+        else:
+            try:
+                out.append((k, float(ConvexHull(pts[:k]).volume)))
+            except QhullError:
+                out.append((k, 0.0))
+        if k == pts.shape[0]:
+            break
+    return out
+
+
 def test_hull_volume_collinear_is_zero():
     vs = reach.VertexSet(
         np.stack([np.linspace(-1, 1, 10), np.linspace(-1, 1, 10)]).T,
         np.eye(2), 1.0, 10,
     )
-    vols = reach.hull_volume_diagnostic(vs, 3)
+    vols = hull_volume_diagnostic(vs, 3)
     assert all(v == 0.0 for _, v in vols)
 
 
 def test_hull_volume_square_corners():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     vs = reach.VertexSet(pts, np.eye(2), 1.0, 4)
-    vols = dict(reach.hull_volume_diagnostic(vs, 1))
+    vols = dict(hull_volume_diagnostic(vs, 1))
     assert vols[1] == 0.0 and vols[2] == 0.0
     assert vols[3] == pytest.approx(0.5)
     assert vols[4] == pytest.approx(1.0)
@@ -292,7 +323,7 @@ def test_hull_volume_square_corners():
 def test_hull_volume_saturates_su2():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 500, rng=np.random.default_rng(12))
-    vols = reach.hull_volume_diagnostic(vs, 125)
+    vols = hull_volume_diagnostic(vs, 125)
     values = [v for _, v in vols]
     assert values == sorted(values)  # monotone growth
     # last-quarter relative change below 5 percent
@@ -302,7 +333,7 @@ def test_hull_volume_saturates_su2():
 def test_hull_volume_refuses_high_dim():
     vs = reach.VertexSet(np.zeros((10, 7)), np.eye(7), 1.0, 10)
     with pytest.raises(ValueError, match="range-stabilization|find_scale_range"):
-        reach.hull_volume_diagnostic(vs, 5)
+        hull_volume_diagnostic(vs, 5)
 
 
 def test_decoupling_corollary_two_components():

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hamforge import toggling as tg
 from hamforge.liealg import find_c_subspace, find_lie_algebra
-from hamforge.opcore import Operator, expm_herm_generator, pauli_op
+from hamforge.opcore import Operator, pauli_op
+import _oracles as orc
+from _oracles import expm_herm_generator
 from conftest import rk4_cint_oracle
 
 
@@ -192,8 +194,8 @@ def test_int3_grid_near_repeated_nodes():
 def test_propagate_primary_identities():
     d = 2
     zeros = np.zeros((4, d, d), dtype=complex)
-    steps = tg.StepHamiltonians(zeros, zeros, {}, 0.1)
-    prop = tg.propagate_primary(steps)
+    steps = orc.StepHamiltonians(zeros, zeros, {}, 0.1)
+    prop = orc.propagate_primary(steps)
     assert np.abs(prop.step_unitaries - np.eye(d)).max() < 1e-14
     assert np.abs(prop.final - np.eye(d)).max() < 1e-14
 
@@ -202,8 +204,8 @@ def test_propagate_single_step_closed_form():
     sx = pauli_op([(1, "x")], 1.0, 1)
     dt = 0.3
     h = (np.pi / 4) / dt * sx.entries
-    steps = tg.StepHamiltonians(h[None], h[None] * 0, {}, dt)
-    prop = tg.propagate_primary(steps)
+    steps = orc.StepHamiltonians(h[None], h[None] * 0, {}, dt)
+    prop = orc.propagate_primary(steps)
     expect = expm_herm_generator(sx, np.pi / 4).entries
     assert np.abs(prop.final - expect).max() < 1e-12
 
@@ -211,8 +213,8 @@ def test_propagate_single_step_closed_form():
 def test_propagate_commuting_steps():
     sz = pauli_op([(1, "z")], 1.0, 1)
     h1, h2 = 0.4 * sz.entries, 1.1 * sz.entries
-    steps = tg.StepHamiltonians(np.stack([h1, h2]), np.zeros((2, 2, 2), complex), {}, 0.7)
-    prop = tg.propagate_primary(steps)
+    steps = orc.StepHamiltonians(np.stack([h1, h2]), np.zeros((2, 2, 2), complex), {}, 0.7)
+    prop = orc.propagate_primary(steps)
     expect = expm_herm_generator(sz * (0.4 + 1.1), 0.7).entries
     assert np.abs(prop.final - expect).max() < 1e-12
 
@@ -273,11 +275,11 @@ def test_eigen_toggles_match_conjugation(case):
     madj = tg.adjoint_matrix_batch(h, stack)
     for q in range(len(h)):   # the checked single-step builder forms the commutators
         scale = max(np.abs(h[q]).max(), 1.0)
-        assert np.abs(madj[q] - tg.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
+        assert np.abs(madj[q] - orc.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
     nu, v = np.linalg.eigh(madj)
     got = tg.eigen_toggles(nu, v, dt)
     u = tg.expm_batch(h, dt)
-    want = tg.toggle_matrices(tg.PrimaryPropagation(u, u), stack)
+    want = orc.toggle_matrices(u, stack)
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -298,7 +300,7 @@ def test_step_cints_hpri_zero():
     (sx, sy, sz), g, c = su2_spaces()
     dt = 0.8
     zero = Operator(np.zeros((2, 2)), 1)
-    cset = tg.step_c_integrals(zero, sz, c, dt, 3)
+    cset = orc.step_c_integrals(zero, sz, c, dt, 3)
     from hamforge.opcore import vectorize
 
     v = np.asarray(vectorize(sz, c.basis), dtype=float)
@@ -320,7 +322,7 @@ def test_step_cints_vs_quadrature():
         m = u.conj().T @ hpert.entries @ u
         return np.einsum("aij,ij->a", stack.conj(), m)
 
-    cset = tg.step_c_integrals(hp, hpert, c, dt, 3)
+    cset = orc.step_c_integrals(hp, hpert, c, dt, 3)
     o0, o1, o2 = rk4_cint_oracle(tog, dt, 3)
     assert np.abs(cset.c0 - o0).max() < 1e-8
     assert np.abs(cset.c1_matrix() - o1).max() < 1e-8
@@ -330,7 +332,7 @@ def test_step_cints_vs_quadrature():
 def test_adjoint_spectrum_sigma_x():
     (sx, sy, sz), g, c = su2_spaces()
     w = 1.7
-    m = tg.adjoint_matrix(w * sx.entries, c.basis.stack())
+    m = orc.adjoint_matrix(w * sx.entries, c.basis.stack())
     nu = np.linalg.eigvalsh(m)
     assert np.allclose(sorted(nu), [-2 * w, 0.0, 2 * w], atol=1e-10)
 
@@ -364,10 +366,10 @@ def test_compose_vs_quadrature():
     rng = np.random.default_rng(42)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 3)
     stack = c.basis.stack()
-    steps = tg.StepHamiltonians.from_operators(h_pri, [hpert] * 3, dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(3)]
-    tot = tg.compose_c_integrals(per, prop, c)
+    steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 3, dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(3)]
+    tot = orc.compose_c_integrals(per, prop, c)
     o0, o1, o2 = rk4_cint_oracle(seq_tog_fn(h_pri, hpert, stack, dt), 3 * dt, 3, n=6000)
     assert np.abs(tot.c0 - o0).max() < 1e-6 * max(np.linalg.norm(o0), 1)
     assert np.abs(tot.c1_matrix() - o1).max() < 1e-6 * max(np.linalg.norm(o1), 1)
@@ -377,10 +379,10 @@ def test_compose_vs_quadrature():
 def test_compose_single_step_passthrough():
     rng = np.random.default_rng(1)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 1)
-    steps = tg.StepHamiltonians.from_operators(h_pri, [hpert], dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(h_pri[0], hpert, c, dt, 3)]
-    tot = tg.compose_c_integrals(per, prop, c)
+    steps = orc.StepHamiltonians.from_operators(h_pri, [hpert], dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(h_pri[0], hpert, c, dt, 3)]
+    tot = orc.compose_c_integrals(per, prop, c)
     assert np.allclose(tot.c0, per[0].c0)
     assert np.allclose(tot.c1, per[0].c1)
     assert np.allclose(tot.c2, per[0].c2)
@@ -389,11 +391,11 @@ def test_compose_single_step_passthrough():
 def test_compose_two_step_order1():
     rng = np.random.default_rng(2)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 2)
-    steps = tg.StepHamiltonians.from_operators(h_pri, [hpert] * 2, dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(h_pri[q], hpert, c, dt, 1) for q in range(2)]
-    tot = tg.compose_c_integrals(per, prop, c)
-    d1 = tg.toggle_matrices(prop, c.basis.stack())[0]
+    steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 2, dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 1) for q in range(2)]
+    tot = orc.compose_c_integrals(per, prop, c)
+    d1 = orc.toggle_matrices(prop.step_unitaries, c.basis.stack())[0]
     expect = per[0].c0 + d1 @ per[1].c0
     assert np.allclose(tot.c0, expect)
 
@@ -410,13 +412,13 @@ def test_batch_matches_raw_paths():
     nu, vecs = np.linalg.eigh(madj)
     y = np.einsum("qba,b->qa", vecs.conj(), seed)
     c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, 3)
-    steps = tg.StepHamiltonians.from_operators(h_pri, [hpert] * 4, dt)
-    prop = tg.propagate_primary(steps)
-    dq = tg.toggle_matrices(prop, stack)
+    steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 4, dt)
+    prop = orc.propagate_primary(steps)
+    dq = orc.toggle_matrices(prop.step_unitaries, stack)
     e_prev = tg.prefix_toggles(dq)
     t0b, t1b, t2b = tg.compose_batch(e_prev, c0, c1, c2)
     tensors = [(c0[q], c1[q], c2[q]) for q in range(4)]
-    t0r, t1r, t2r = tg.compose_raw(tensors, dq, 3)
+    t0r, t1r, t2r = orc.compose_raw(tensors, dq, 3)
     assert np.abs(t0b - t0r).max() < 1e-12
     assert np.abs(t1b - t1r).max() < 1e-12
     assert np.abs(t2b - t2r).max() < 1e-12
@@ -430,18 +432,18 @@ def test_cross_integral_trivial_and_quadrature():
     h_pri = [Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1) for _ in range(2)]
     hpert = sz * 0.5
     aops = [Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1) for _ in range(2)]
-    steps = tg.StepHamiltonians.from_operators(
+    steps = orc.StepHamiltonians.from_operators(
         h_pri, [hpert] * 2, dt, error_terms={"e": aops}
     )
-    prop = tg.propagate_primary(steps)
-    got = tg.cross_c_integral(steps, "e", c, cerr, prop)
+    prop = orc.propagate_primary(steps)
+    got = orc.cross_c_integral(steps, "e", c, cerr, prop)
 
     # zero error term -> zero tensor
-    zsteps = tg.StepHamiltonians.from_operators(
+    zsteps = orc.StepHamiltonians.from_operators(
         h_pri, [hpert] * 2, dt,
         error_terms={"e": [Operator(np.zeros((2, 2)), 1)] * 2},
     )
-    assert np.abs(tg.cross_c_integral(zsteps, "e", c, cerr, prop)).max() == 0
+    assert np.abs(orc.cross_c_integral(zsteps, "e", c, cerr, prop)).max() == 0
 
     # quadrature oracle: cross' = phi_pert(t) (x) c0_err(t), integrated one
     # step at a time so the error-term jump at the boundary never lands
@@ -486,11 +488,11 @@ def test_cross_no_toggling_closed_form():
     dt, qn = 0.5, 3
     zero = Operator(np.zeros((2, 2)), 1)
     a = sx * 0.8
-    steps = tg.StepHamiltonians.from_operators(
+    steps = orc.StepHamiltonians.from_operators(
         [zero] * qn, [sz] * qn, dt, error_terms={"e": [a] * qn}
     )
-    prop = tg.propagate_primary(steps)
-    got = tg.cross_c_integral(steps, "e", c, cerr, prop)
+    prop = orc.propagate_primary(steps)
+    got = orc.cross_c_integral(steps, "e", c, cerr, prop)
     from hamforge.opcore import vectorize
 
     vp = np.asarray(vectorize(sz, c.basis), dtype=float)
@@ -504,20 +506,20 @@ def test_magnus_trivial_cases():
     dt, qn = 0.4, 3
     # commuting toggled Hamiltonian: H_pri, H_pert both diagonal
     hz = [Operator(0.9 * sz.entries, 1)] * qn
-    steps = tg.StepHamiltonians.from_operators(hz, [sz] * qn, dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(hz[q], sz, c, dt, 2) for q in range(qn)]
-    tot = tg.compose_c_integrals(per, prop, c)
-    h0, h1, _ = tg.magnus_terms(tot, c)
+    steps = orc.StepHamiltonians.from_operators(hz, [sz] * qn, dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(hz[q], sz, c, dt, 2) for q in range(qn)]
+    tot = orc.compose_c_integrals(per, prop, c)
+    h0, h1, _ = orc.magnus_terms(tot, c)
     assert np.abs(h1.entries).max() < 1e-12
 
     # H_pri = 0: zeroth term equals the perturbation
     zero = Operator(np.zeros((2, 2)), 1)
-    steps = tg.StepHamiltonians.from_operators([zero] * qn, [sz] * qn, dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(zero, sz, c, dt, 1) for q in range(qn)]
-    tot = tg.compose_c_integrals(per, prop, c)
-    h0, _, _ = tg.magnus_terms(tot, c)
+    steps = orc.StepHamiltonians.from_operators([zero] * qn, [sz] * qn, dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(zero, sz, c, dt, 1) for q in range(qn)]
+    tot = orc.compose_c_integrals(per, prop, c)
+    h0, _, _ = orc.magnus_terms(tot, c)
     assert np.abs(h0.entries - sz.entries).max() < 1e-10
 
 
@@ -532,11 +534,11 @@ def test_magnus_fourth_order_scaling():
 
     def resid(eps):
         hpert = sz * eps
-        steps = tg.StepHamiltonians.from_operators(h_pri, [hpert] * qn, dt)
-        prop = tg.propagate_primary(steps)
-        per = [tg.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(qn)]
-        tot = tg.compose_c_integrals(per, prop, c)
-        h0, h1, h2 = tg.magnus_terms(tot, c)
+        steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * qn, dt)
+        prop = orc.propagate_primary(steps)
+        per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(qn)]
+        tot = orc.compose_c_integrals(per, prop, c)
+        h0, h1, h2 = orc.magnus_terms(tot, c)
         hsum = h0.entries + h1.entries + h2.entries
         w, v = np.linalg.eigh((hsum + hsum.conj().T) / 2)
         um = (v * np.exp(-1j * w * qn * dt)) @ v.conj().T
@@ -565,8 +567,8 @@ def test_scaling_in_pert_amplitude():
     rng = np.random.default_rng(9)
     (sx, sy, sz), g, c = su2_spaces()
     hp = Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
-    a = tg.step_c_integrals(hp, sz, c, 0.6, 3)
-    b = tg.step_c_integrals(hp, sz * 2.0, c, 0.6, 3)
+    a = orc.step_c_integrals(hp, sz, c, 0.6, 3)
+    b = orc.step_c_integrals(hp, sz * 2.0, c, 0.6, 3)
     assert np.allclose(b.c0, 2 * a.c0)
     assert np.allclose(b.c1, 4 * a.c1)
     assert np.allclose(b.c2, 8 * a.c2)
@@ -577,16 +579,16 @@ def test_c1_symmetrized_part_is_c0_outer():
     # symmetric part therefore never feeds the first Magnus term
     rng = np.random.default_rng(10)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 3)
-    steps = tg.StepHamiltonians.from_operators(h_pri, [hpert] * 3, dt)
-    prop = tg.propagate_primary(steps)
-    per = [tg.step_c_integrals(h_pri[q], hpert, c, dt, 2) for q in range(3)]
-    tot = tg.compose_c_integrals(per, prop, c)
+    steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 3, dt)
+    prop = orc.propagate_primary(steps)
+    per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 2) for q in range(3)]
+    tot = orc.compose_c_integrals(per, prop, c)
     c1 = tot.c1_matrix()
     assert np.abs(c1 + c1.T - np.outer(tot.c0, tot.c0)).max() < 1e-10
     # the symmetric part contributes nothing to H1
-    h0, h1, _ = tg.magnus_terms(tot, c)
+    h0, h1, _ = orc.magnus_terms(tot, c)
     sym = (c1 + c1.T) / 2
-    comm = tg.commutator_table(c.basis.stack())
+    comm = orc.commutator_table(c.basis.stack())
     assert np.abs(np.einsum("ij,ijab->ab", sym, comm)).max() < 1e-12
 
 
@@ -594,10 +596,10 @@ def test_time_reversal_keeps_c0_norm():
     rng = np.random.default_rng(12)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 3)
     def c0_of(seq_ops):
-        steps = tg.StepHamiltonians.from_operators(seq_ops, [hpert] * 3, dt)
-        prop = tg.propagate_primary(steps)
-        per = [tg.step_c_integrals(seq_ops[q], hpert, c, dt, 1) for q in range(3)]
-        return tg.compose_c_integrals(per, prop, c).c0
+        steps = orc.StepHamiltonians.from_operators(seq_ops, [hpert] * 3, dt)
+        prop = orc.propagate_primary(steps)
+        per = [orc.step_c_integrals(seq_ops[q], hpert, c, dt, 1) for q in range(3)]
+        return orc.compose_c_integrals(per, prop, c).c0
 
     forward = c0_of(h_pri)
     backward = c0_of(h_pri[::-1])
