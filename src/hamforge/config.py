@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,7 +233,9 @@ def parse_config(raw: dict) -> ProblemConfig:
     # resolve ParameterDistribution objects with their targets
     distributions = {}
     for name, (kind, args) in dist_specs.items():
-        target = dist_used.get(name, "")
+        target = dist_used.get(name)
+        if target is None:
+            raise ConfigError(f"distributions.{name} is not the 'dist' of any term or error")
         try:
             distributions[name] = ParameterDistribution(name, kind, args, target)
         except ValueError as exc:
@@ -332,8 +335,15 @@ def parse_config(raw: dict) -> ProblemConfig:
 
 
 def _check_evaluation(ev: dict, distributions: dict) -> None:
-    """Reject a relaxation time that is not finite and positive, and
-    landscape axes or simulate overrides that name no distribution."""
+    """Reject a relaxation time that is not finite and positive, sample
+    and cycle counts that are not integers in range, and landscape axes
+    or simulate overrides that name no distribution."""
+    for key, least in (("n_mc", 1), ("scale_samples", 1), ("n_cycles", 0)):
+        value = ev.get(key)
+        if value is not None and not (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+        ):
+            raise ConfigError(f"evaluation.{key} must be an integer >= {least}, got {value!r}")
     t_dep = ev.get("t_dep")
     if t_dep is not None and not (
         isinstance(t_dep, (int, float)) and math.isfinite(t_dep) and t_dep > 0

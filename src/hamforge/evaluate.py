@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controlsys import ControlModel, ControlSequence, axis_operators
-from .opcore import _PAULI, Operator
+from .opcore import _PAULI, Operator, einsum
 
 __all__ = [
     "ParameterDistribution",
@@ -130,8 +130,8 @@ def ptm(u: np.ndarray | Operator, stack: np.ndarray) -> np.ndarray:
     """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary, or
     of each unitary in a (..., d, d) stack."""
     um = u.entries if isinstance(u, Operator) else np.asarray(u)
-    conj = np.einsum("...ij,bjk,...lk->...bil", um, stack, um.conj(), optimize=True)
-    return np.einsum("ail,...bli->...ab", stack, conj, optimize=True).real
+    conj = einsum("...ij,bjk,...lk->...bil", um, stack, um.conj())
+    return einsum("ail,...bli->...ab", stack, conj).real
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +153,6 @@ class EvaluationSetup:
 
     def axis_ops(self, fld) -> np.ndarray:
         return axis_operators(fld.axes, self.n_qubits)
-
-
-def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """U_{Q-1} ... U_1 U_0 of each (Q, d, d) stack of step propagators."""
-    acc = u[..., 0, :, :]
-    for q in range(1, u.shape[-3]):
-        acc = u[..., q, :, :] @ acc
-    return acc
 
 
 # draws per expm_batch call: large enough to amortize the call, small
@@ -205,7 +197,7 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
             fld = model.field(seq)
             h = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
             h = h + np.einsum("t,tab->ab", coeffs, setup.term_mats)
-            out[s] = _ordered_product(tg.expm_batch(h, fld.delta_t))
+            out[s] = tg.ordered_product(tg.expm_batch(h, fld.delta_t))
         return out
     amp = np.full(n, setup.model.amp_factor if linear else 1.0)
     coeffs = np.tile(setup.term_coeffs, (n, 1))
@@ -224,7 +216,7 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
         blk = slice(lo, lo + _MC_BLOCK)
         hh = amp[blk, None, None, None] * h_ctrl + h_terms[blk, None]
         u = tg.expm_batch(hh.reshape(-1, d, d), fld.delta_t)
-        out[blk] = _ordered_product(u.reshape(-1, qn, d, d))
+        out[blk] = tg.ordered_product(u.reshape(-1, qn, d, d))
     return out
 
 

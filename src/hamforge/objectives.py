@@ -339,12 +339,14 @@ class CostPipeline:
         return np.einsum("kq,kab->qab", b, self.axis_ops)
 
     def _space_cache(self, stack, h_pri, dt, cache):
-        """Adjoint eigendata (nu, V) of one distinct subspace and the prefix
-        products of its toggle matrices D(U_q^dag) = V diag(e^{i nu dt}) V^dag."""
+        """Adjoint eigendata (nu, V) of one distinct subspace, the grouping of
+        its degenerate frequencies, and the prefix products of its toggle
+        matrices D(U_q^dag) = V diag(e^{i nu dt}) V^dag."""
         key = id(stack)
         if key not in cache:
             nu, vecs = np.linalg.eigh(tg.adjoint_matrix_batch(h_pri, stack))
-            cache[key] = (nu, vecs, tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt)))
+            groups = tg.spectral_groups(nu, dt)
+            cache[key] = (nu, vecs, groups, tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt)))
         return cache[key]
 
     def evaluate(self, x: np.ndarray) -> CostReport:
@@ -359,13 +361,13 @@ class CostPipeline:
         comp_sets, comp_step = [], []
         for w, comp in enumerate(self.components):
             order = self.need_comp_order[w]
-            nu, vecs, e_prev = self._space_cache(self.comp_stacks[w], h_pri, dt, cache)
+            nu, vecs, groups, e_prev = self._space_cache(self.comp_stacks[w], h_pri, dt, cache)
             y = np.einsum("qba,b->qa", vecs.conj(), self.comp_seed[w].astype(complex))
-            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order)
+            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
             comp_sets.append(
                 _integral_set(comp.subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq)
             )
-            comp_step.append((nu, vecs, y, c0, e_prev))
+            comp_step.append((vecs, y, groups, c0, e_prev))
 
         # error-space integral sets plus caches for cross terms
         err_sets = {}
@@ -373,21 +375,21 @@ class CostPipeline:
         for name, order in self.need_err.items():
             stack = self.err_stacks[name]
             eops = self._error_step_ops((name,), fld, h_ctrl)
-            nu, vecs, e_prev = self._space_cache(stack, h_pri, dt, cache)
+            nu, vecs, groups, e_prev = self._space_cache(stack, h_pri, dt, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), eops)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
-            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order)
+            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
             err_sets[name] = _integral_set(
                 self.errors[name].subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq
             )
-            err_step[name] = (nu, vecs, y, c0, e_prev)
+            err_step[name] = (vecs, y, groups, c0, e_prev)
 
         # joint ordered tensors (later slot, earlier slot) from the step data
         # above: distinct error channels, and (component, error)
         def joint(later, earlier):
-            nu_a, v_a, y_a, c0_a, ep_a = later
-            nu_b, v_b, y_b, c0_b, ep_b = earlier
-            steps = tg.batch_step_cross(nu_a, v_a, y_a, nu_b, v_b, y_b, dt)
+            v_a, y_a, g_a, c0_a, ep_a = later
+            v_b, y_b, g_b, c0_b, ep_b = earlier
+            steps = tg.batch_step_cross(v_a, y_a, g_a, v_b, y_b, g_b, dt)
             return tg.compose_cross_batch(steps, c0_a, c0_b, ep_a, ep_b)
 
         err_cross = {(ja, jb): joint(err_step[ja], err_step[jb]) for ja, jb in self.need_err_cross}
@@ -401,10 +403,10 @@ class CostPipeline:
                 second_c0[(j1, j2)] = None
                 continue
             stack = self.err_stacks[j1]
-            nu, vecs, e_prev = self._space_cache(stack, h_pri, dt, cache)
+            nu, vecs, groups, e_prev = self._space_cache(stack, h_pri, dt, cache)
             seeds = np.einsum("aij,qij->qa", stack.conj(), ops2)
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
-            c0 = tg.batch_step_cints(nu, vecs, y, dt, 1)[0]
+            c0 = tg.batch_step_cints(nu, vecs, y, dt, 1, groups)[0]
             second_c0[(j1, j2)] = tg.compose_batch(e_prev, c0)[0]
 
         # final unitary only when some term needs it
@@ -415,7 +417,7 @@ class CostPipeline:
             p = term.params
             if term.kind == "primary_unitary":
                 if u_final is None:
-                    u_final = tg.prefix_products(tg.expm_batch(h_pri, dt))[-1]
+                    u_final = tg.ordered_product(tg.expm_batch(h_pri, dt))
                 val = primary_unitary_cost(u_final, self.spec.target_unitary.entries)
                 label = "primary_unitary"
             elif term.kind == "zeroth_order_target":

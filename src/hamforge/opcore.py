@@ -18,6 +18,7 @@ call from concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -225,6 +226,19 @@ def gram_schmidt(ops: Sequence[Operator], tol: float = 1e-10, label: str = "") -
     if not kept:
         raise ValueError("all inputs numerically zero after projection")
     return OperatorBasis(tuple(Operator(v, n) for v in kept), label=label)
+
+
+@lru_cache(maxsize=64)
+def _einsum_path(subscripts: str, shapes: tuple) -> tuple:
+    operands = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+
+
+def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum along the greedy contraction path, searched once per
+    (subscripts, operand shapes) rather than on every call."""
+    path = _einsum_path(subscripts, tuple(np.shape(o) for o in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def _project_coeffs(m: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -13,12 +13,42 @@ tuples reduce to divided differences of f(x) = exp(xT) on the imaginary
 axis: I_r(nu_1..nu_r) = f[0, i p_1, .., i p_r] with prefix sums
 p_k = nu_1 + .. + nu_k.
 
+Spectral components.  The adjoint spectrum of a step is {lambda_j -
+lambda_k}, so it carries d - 1 exact zeros, and with resonant x/y drives
+plus ZZ coupling the eigenvalues of H also come in +/- pairs: the
+2-qubit benchmark steps have 9 distinct frequencies out of m = 15.  The
+per-step tensors depend on an eigenvalue only through its spectral
+projector, so `spectral_groups` merges adjacent sorted eigenvalues whose
+phase gap (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA = 1e-13, once per
+subspace and evaluation, and the kernels work on the u group frequencies
+w (Q, u) and the components A (Q, m, u), A[:, :, g] = sum over a in g of
+V[:, :, a] y[a]:
+
+    c1_ij = Re sum_gh A_ig A_jh I2(w_g, w_h),
+    c2_ijk = Re sum_ghl A_ig A_jh A_kl I3(w_g, w_h, w_l),
+
+so the r = 3 grid has Q u^3 entries instead of Q m^3 (729 against 3,375
+per 2-qubit step); c0 costs O(Q m^2) either way and keeps the
+eigenvalues.  Steps with fewer than u groups are padded with A = 0
+at their largest frequency.  When no eigenvalues merge, A = V * y.
+Error bound: merging moves every eigenvalue by at most (k - 1) kappa / dt
+for a group of k, so the node p_r moves by at most r times that; by
+Hermite-Genocchi a divided difference of exp(x T) on the imaginary axis
+changes by at most T^{r+1}/(r+1)! per unit shift of one node, so a merged
+entry of I_r is off by at most (r/2) (k - 1) kappa T^r/r!: 3e-13 T^3/6
+for the three frequencies {-2J, 0, 2J} of a pure ZZ step with 2 J dt just
+under kappa, 2.1e-12 T^3/6 in the worst case k = m = 15.  At kappa =
+1e-12 the ZZ case could reach 3e-12 T^3/6, above the 1e-12 T^r/r! to
+which the tests hold the merged tensors.  The merged gaps on the 2-qubit
+benchmark are rounding noise (<= 6e-15 in phase units, 16x below kappa)
+and the smallest kept gap is 1.4e-4.
+
 Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
 = V_q diag(e^{i nu_q dt}) V_q^dag, so `eigen_toggles` builds it from the
 same eigenpairs (nu_q, V_q) as the step integrals.  The independent check,
 which conjugates the basis by U_q, is `toggle_matrices` in
 `tests/_oracles.py`.  `prefix_products` chains ordered step products in
-log depth.
+log depth, and `ordered_product` forms only the last of them.
 
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
@@ -40,7 +70,7 @@ r = 2 table I2 that the batch already holds:
 
     I3(a, b, c) = (e^{i a T} I2(b, c) - I2(a, b)) / (i (a+b+c))
 
-so the Q m^3 grid costs one complex multiply, subtract and divide per
+so the Q u^3 grid costs one complex multiply, subtract and divide per
 entry, with no transcendental call and no sort.  The identity divides by
 |a+b+c| where the sorted recursion divides by the full node spread, so it
 amplifies the rounding error of I2 by up to spread / |a+b+c|.  Two kinds
@@ -48,10 +78,11 @@ of entry go to the general kernel instead:
 
 * |a+b+c| < SHIFT_KAPPA * spread.  SHIFT_KAPPA = 0.25 caps the extra
   amplification at 4x.  Adjoint spectra carry exact zeros and +/- pairs,
-  so 9% of the entries of the 2-qubit benchmark grids have a+b+c = 0
-  whatever the bound.  With tol = 0.2 the fallback takes 18% of the
-  entries at 0.25; at a series width of 0.05 it took 16-18% at 0.25,
-  against 11-14% at 0.1 and 28-29% at 0.5.
+  so 6.7% of the entries of the 2-qubit benchmark's u = 9 grids have
+  a+b+c = 0 whatever the bound (9.0% of the unmerged m = 15 grids).
+  With tol = 0.2 the fallback takes 16.8% of the u-grid entries at 0.25
+  (18.6% of the m-grid); on the m-grid at a series width of 0.05 it took
+  16-18% at 0.25, against 11-14% at 0.1 and 28-29% at 0.5.
 * Clusters with spread * T < tol, which the kernel sums as a series.
   The identity would inherit the cancellation of I2 described above.
 
@@ -66,10 +97,12 @@ from typing import Sequence
 import numpy as np
 
 from .liealg import CSubspace
+from .opcore import einsum
 
 DEFAULT_DEGEN_TOL = 0.2   # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
 SHIFT_KAPPA = 0.25        # r=3 grid: shift identity needs |a+b+c| >= this * spread
+MERGE_KAPPA = 1e-13       # adjoint eigenvalues closer than this phase gap (* dt) merge
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +214,8 @@ def _int3_plus(nu1, nu2, nu3, t, tol=DEFAULT_DEGEN_TOL):
 
 
 def _int3_grid(nu, i2, t, tol=DEFAULT_DEGEN_TOL):
-    """I3 on the (Q, m, m, m) grid of nu (Q, m) from its r=2 table i2 (Q, m, m).
+    """I3 on the (Q, n, n, n) grid of frequencies nu (Q, n) from their r=2
+    table i2 (Q, n, n).
 
     Shift identity where it is well conditioned, `_int3_plus` on the rest
     (see the module docstring).
@@ -251,6 +285,18 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def ordered_product(u: np.ndarray) -> np.ndarray:
+    """U_{Q-1} .. U_1 U_0 of each (..., Q, n, n) stack, multiplying
+    neighbouring pairs in ceil(log2 Q) rounds of batched matmuls."""
+    while u.shape[-3] > 1:
+        n = u.shape[-3]
+        pairs = u[..., 1 : n - n % 2 : 2, :, :] @ u[..., 0 : n - n % 2 : 2, :, :]
+        if n % 2:
+            pairs[..., -1, :, :] = u[..., -1, :, :] @ pairs[..., -1, :, :]
+        u = pairs
+    return u[..., 0, :, :]
+
+
 # ---------------------------------------------------------------------------
 # per-step integrals
 
@@ -270,33 +316,73 @@ def _real(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
-def batch_step_cints(nu, v, y, dt, r_max, tol=DEFAULT_DEGEN_TOL):
+@dataclass(frozen=True)
+class SpectralGroups:
+    """Distinct adjoint frequencies of each step (see the module docstring).
+
+    w (Q, u) holds one frequency per group, ascending; steps with fewer
+    than u groups repeat their largest frequency, and those padded groups
+    carry no weight.  onehot (Q, m, u) maps eigenvector columns to groups,
+    None when no two eigenvalues of any step merge (then w is nu).
+    """
+
+    w: np.ndarray
+    onehot: np.ndarray | None
+
+
+def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
+    """Merge the adjacent sorted eigenvalues of nu (Q, m) whose phase gap
+    (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA."""
+    split = np.diff(nu, axis=-1) * dt > MERGE_KAPPA
+    if split.all():
+        return SpectralGroups(nu, None)
+    q, m = nu.shape
+    gid = np.zeros((q, m), dtype=np.intp)
+    np.cumsum(split, axis=-1, out=gid[:, 1:])
+    u = int(gid[:, -1].max()) + 1
+    rows = np.arange(q)[:, None]
+    w = np.repeat(nu[:, -1:], u, axis=-1)
+    w[rows, gid] = nu
+    onehot = np.zeros((q, m, u))
+    onehot[rows, np.arange(m), gid] = 1.0
+    return SpectralGroups(w, onehot)
+
+
+def _components(v, y, groups):
+    """Spectral components A (Q, m, u): column g sums V[:, :, a] y[a] over group g."""
+    a = v * y[:, None, :]
+    return a if groups.onehot is None else a @ groups.onehot
+
+
+def batch_step_cints(nu, v, y, dt, r_max, groups=None, tol=DEFAULT_DEGEN_TOL):
     """Per-step tensors for all Q steps at once.
 
-    nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed.
-    Returns c0 (Q,m) [, c1 (Q,m,m) [, c2 (Q,m,m,m)]] real.
+    nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed;
+    groups is `spectral_groups(nu, dt)`, formed here when not given.
+    Returns c0 (Q,m) [, c1 (Q,m,m) [, c2 (Q,m,m,m)]] real.  c0 costs
+    O(Q m^2) with or without the grouping, so it takes the eigenvalues.
     """
-    e1 = _int1_plus(nu, dt)
-    c0 = _real(np.einsum("qab,qb->qa", v, e1 * y))
+    c0 = _real(np.einsum("qab,qb->qa", v, _int1_plus(nu, dt) * y))
     c1 = c2 = None
     if r_max >= 2:
-        i2 = _int2_plus(nu[:, :, None], nu[:, None, :], dt, tol)
-        t2 = i2 * y[:, :, None] * y[:, None, :]
-        tmp = np.einsum("qjb,qab->qaj", v, t2)
-        c1 = _real(np.einsum("qia,qaj->qij", v, tmp))
+        if groups is None:
+            groups = spectral_groups(nu, dt)
+        w, a = groups.w, _components(v, y, groups)
+        i2 = _int2_plus(w[:, :, None], w[:, None, :], dt, tol)
+        c1 = _real(a @ i2 @ np.swapaxes(a, -1, -2))
     if r_max >= 3:
-        i3 = _int3_grid(nu, i2, dt, tol)
-        t3 = i3 * y[:, :, None, None] * y[:, None, :, None] * y[:, None, None, :]
-        c2 = _real(np.einsum("qia,qjb,qkc,qabc->qijk", v, v, v, t3, optimize=True))
+        i3 = _int3_grid(w, i2, dt, tol)
+        c2 = _real(einsum("qig,qjh,qkl,qghl->qijk", a, a, a, i3))
     return c0, c1, c2
 
 
-def batch_step_cross(nu_p, v_p, y_p, nu_e, v_e, y_e, dt, tol=DEFAULT_DEGEN_TOL):
-    """Per-step cross tensors (Q, mp, me); slot order (later, earlier)."""
-    i2 = _int2_plus(nu_p[:, :, None], nu_e[:, None, :], dt, tol)
-    t2 = i2 * y_p[:, :, None] * y_e[:, None, :]
-    tmp = np.einsum("qjb,qab->qaj", v_e, t2)
-    return _real(np.einsum("qia,qaj->qij", v_p, tmp))
+def batch_step_cross(v_p, y_p, groups_p, v_e, y_e, groups_e, dt, tol=DEFAULT_DEGEN_TOL):
+    """Per-step cross tensors (Q, mp, me); slot order (later, earlier).
+    Each slot takes the eigenvectors, rotated seed and `spectral_groups`
+    of its subspace."""
+    i2 = _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt, tol)
+    a_p, a_e = _components(v_p, y_p, groups_p), _components(v_e, y_e, groups_e)
+    return _real(a_p @ i2 @ np.swapaxes(a_e, -1, -2))
 
 
 def eigen_toggles(nu: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -325,7 +411,7 @@ def compose_batch(e_prev, c0, c1=None, c2=None):
     tot1 = a1.sum(axis=0) + np.einsum("qi,qj->ij", a0, s0_prev)
     if c2 is None:
         return tot0, tot1, None
-    a2 = np.einsum("qia,qjb,qkc,qabc->qijk", e_prev, e_prev, e_prev, c2, optimize=True)
+    a2 = einsum("qia,qjb,qkc,qabc->qijk", e_prev, e_prev, e_prev, c2)
     s1_prev = np.cumsum(a1, axis=0) - a1
     pairs = np.einsum("qi,qj->qij", a0, s0_prev)
     p2_prev = np.cumsum(pairs, axis=0) - pairs

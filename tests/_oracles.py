@@ -314,6 +314,14 @@ def magnus_terms(cints: tg.CIntegralSet, c_space: CSubspace):
 # ---------------------------------------------------------------------------
 # exact propagators and fidelities for the evaluation layer
 
+def sequential_product(u: np.ndarray) -> np.ndarray:
+    """U_{Q-1} .. U_1 U_0 of each (..., Q, n, n) stack, by a left-to-right fold."""
+    acc = u[..., 0, :, :]
+    for q in range(1, u.shape[-3]):
+        acc = u[..., q, :, :] @ acc
+    return acc
+
+
 def step_product(h: np.ndarray, dt: float) -> np.ndarray:
     """U_{Q-1} .. U_1 U_0 with U_q = expm(-i h_q dt), multiplied in sequence."""
     u = np.eye(h.shape[-1], dtype=complex)

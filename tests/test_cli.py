@@ -189,6 +189,52 @@ def test_cli_rejects_evaluation_settings_naming_no_distribution(
     assert key_path in capsys.readouterr().err
 
 
+def test_cli_evaluate_rejects_a_distribution_that_nothing_claims(tmp_path, capsys):
+    cfg = _config_1q()
+    cfg["distributions"]["spare"] = {"kind": "uniform", "args": [-1, 1]}
+    seq_path = _write_sequence(tmp_path, cfg)
+    code = cli.main([
+        "evaluate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+        str(seq_path),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "distributions.spare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("evaluate", "n_mc", 0),
+    ("evaluate", "n_mc", 2.5),
+    ("evaluate", "n_mc", True),
+    ("scale", "scale_samples", 0),
+    ("scale", "scale_samples", "300"),
+    ("simulate", "n_cycles", -1),
+    ("simulate", "n_cycles", 7.0),
+])
+def test_cli_rejects_sample_and_cycle_counts_out_of_range(tmp_path, capsys, command, key, value):
+    cfg = _config_1q()
+    cfg["evaluation"][key] = value
+    seq_path = _write_sequence(tmp_path, cfg)
+    extra = [] if command == "scale" else [str(seq_path)]
+    code = cli.main([
+        command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), *extra,
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert f"evaluation.{key}" in capsys.readouterr().err
+
+
+def test_cli_simulate_accepts_zero_cycles(tmp_path):
+    cfg = _config_1q()
+    cfg["evaluation"]["n_cycles"] = 0
+    seq_path = _write_sequence(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(out),
+                     str(seq_path)])
+    assert code == cli.EXIT_OK
+    assert (out / "survival.csv").read_text().splitlines() == [
+        "cycle,survival_probability", "0,1"
+    ]
+
+
 def test_cli_algebra_reports_the_full_su2(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["algebra", "--config", _write_config(tmp_path, _config_1q()), "--out", str(out)])

@@ -296,6 +296,123 @@ def test_prefix_products_match_sequential_fold(qn):
     assert np.abs(tg.prefix_toggles(d) - sequential_prefix_toggles(d)).max() <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (7,), (35,), (560,), (4, 40), (3, 5)])
+def test_ordered_product_matches_sequential_fold(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
+    u, _ = np.linalg.qr(a)
+    assert np.abs(tg.ordered_product(u) - orc.sequential_product(u)).max() <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# per-step tensors over distinct adjoint frequencies (spectral components)
+
+def _two_qubit_paulis():
+    from hamforge.evaluate import pauli_basis_stack
+
+    return pauli_basis_stack(2)[1:]   # 15 traceless, Hilbert-Schmidt orthonormal
+
+
+def _resonant_step(ax, ay, bx, by, j):
+    """Resonant x/y drives on both qubits plus a ZZ coupling: the
+    eigenvalues of H come in +/- pairs, so the adjoint spectrum has 9
+    distinct values out of 15."""
+    terms = [([(1, "x")], ax), ([(1, "y")], ay), ([(2, "x")], bx), ([(2, "y")], by),
+             ([(1, "z"), (2, "z")], j)]
+    return sum(pauli_op(t, c, 2).entries for t, c in terms)
+
+
+@st.composite
+def two_qubit_steps(draw):
+    """(H stack, dt): a mix of step kinds with exact degeneracies (zero
+    drive, pure ZZ, resonant drives plus ZZ), generic steps, and steps
+    whose adjoint spectrum has pairs split by 1e-8 in phase units."""
+    dt = draw(st.floats(0.5, 2.0))
+    coef = st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: c / dt)
+    kinds = draw(st.lists(st.sampled_from(["zero", "zz", "resonant", "generic", "near"]),
+                          min_size=1, max_size=5))
+    paulis = _two_qubit_paulis() * 2.0
+    steps = []
+    for kind in kinds:
+        if kind == "zero":
+            h = np.zeros((4, 4), dtype=complex)
+        elif kind == "zz":
+            h = _resonant_step(0.0, 0.0, 0.0, 0.0, draw(coef))
+        elif kind == "resonant":
+            h = _resonant_step(*(draw(coef) for _ in range(5)))
+        elif kind == "generic":
+            h = np.einsum("a,aij->ij", np.array([draw(coef) for _ in range(15)]), paulis)
+        else:
+            lam = np.array([draw(coef) for _ in range(3)])
+            lam = np.append(lam, lam[-1] + 1e-8 / dt)
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            h = (w * lam) @ w.conj().T
+        steps.append(h)
+    return np.array(steps), dt
+
+
+def _unit_seeds(rng, q, m):
+    seeds = rng.normal(size=(q, m))
+    return seeds / np.linalg.norm(seeds, axis=-1, keepdims=True)
+
+
+def _eigen(h, stack, seeds):
+    nu, v = np.linalg.eigh(tg.adjoint_matrix_batch(h, stack))
+    return nu, v, np.einsum("qba,qb->qa", v.conj(), seeds.astype(complex))
+
+
+def _assert_cints_match_ungrouped(nu, v, y, dt):
+    got = tg.batch_step_cints(nu, v, y, dt, 3)
+    for q in range(len(nu)):
+        want = orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3)
+        for r, (g, w) in enumerate(zip(got, want), start=1):
+            assert np.abs(g[q] - w).max() <= 1e-12 * dt ** r / math.factorial(r)
+
+
+@given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
+@example((np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3), np.zeros((4, 4))]), 1.0), 5)
+# a pure ZZ step whose adjoint frequencies {-2J, 0, 2J} merge at the widest
+# gap (2 J dt just under MERGE_KAPPA): the largest merge error of a 3-group
+@example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499 * tg.MERGE_KAPPA)]), 1.0), 6)
+@settings(max_examples=25, deadline=None)
+def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
+    h, dt = case
+    stack = _two_qubit_paulis()
+    rng = np.random.default_rng(seed)
+    nu, v, y = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
+    _assert_cints_match_ungrouped(nu, v, y, dt)
+    # cross tensors: a second seed on the same steps at the earlier slot
+    nu_e, v_e, y_e = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
+    got = tg.batch_step_cross(
+        v, y, tg.spectral_groups(nu, dt), v_e, y_e, tg.spectral_groups(nu_e, dt), dt
+    )
+    for q in range(len(h)):
+        want = orc.step_cross_raw(
+            orc.StepEigen(nu[q], v[q], y[q]), orc.StepEigen(nu_e[q], v_e[q], y_e[q]), dt
+        )
+        assert np.abs(got[q] - want).max() <= 1e-12 * dt ** 2 / 2
+
+
+def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
+    dt = 1.0
+    h = np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3)] * 3)
+    stack = _two_qubit_paulis()
+    nu, v, y = _eigen(h, stack, _unit_seeds(np.random.default_rng(9), 3, 15))
+    groups = tg.spectral_groups(nu, dt)
+    assert groups.w.shape == (3, 9)
+    assert np.all(groups.onehot.sum(axis=-1) == 1.0)
+    _assert_cints_match_ungrouped(nu, v, y, dt)
+
+
+def test_split_spectra_take_the_columns_as_components():
+    nu = np.array([[-1.0, -1.0 + 1e-8, 0.0, 2.0]])
+    groups = tg.spectral_groups(nu, 1.0)
+    assert groups.onehot is None and groups.w is nu
+    merged = tg.spectral_groups(np.array([[-1.0, -1.0 + 0.5 * tg.MERGE_KAPPA, 0.0, 2.0]]), 1.0)
+    assert merged.w.shape == (1, 3)
+
+
 def test_step_cints_hpri_zero():
     (sx, sy, sz), g, c = su2_spaces()
     dt = 0.8
