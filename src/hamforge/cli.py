@@ -142,6 +142,7 @@ def cmd_optimize(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
     subspaces = cfgmod.build_subspaces(cfg, g)
+    pipe = cfgmod.build_pipeline(cfg, g, subspaces)
 
     if not args.force:
         tgts = cfgmod.target_operators(cfg)
@@ -171,7 +172,6 @@ def cmd_optimize(args) -> int:
                 )
                 return EXIT_INFEASIBLE
 
-    pipe = cfgmod.build_pipeline(cfg, g, subspaces)
     workers = _threads(args)
     best: OptimizationResult | None = None
     x_init = None

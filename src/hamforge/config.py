@@ -277,6 +277,9 @@ def parse_config(raw: dict) -> ProblemConfig:
     s_target = tgt.get("s_target")
     f_target = tgt.get("f_target")
 
+    # files number perturbation components by id; terms address them by
+    # their position among the ids in use
+    component_ids = sorted({t.component for t in terms if t.assign == "pert"})
     objectives = []
     for k, o in enumerate(raw.get("objectives", [])):
         path = f"objectives[{k}]"
@@ -284,7 +287,11 @@ def parse_config(raw: dict) -> ProblemConfig:
         weight = float(_req(o, "weight", path))
         params = {key: v for key, v in o.items() if key not in ("kind", "weight")}
         if "component" in params:
-            params["component"] = int(params["component"]) - 1  # 1-based in files
+            if params["component"] not in component_ids:
+                raise ConfigError(
+                    f"{path}.component: no H_pert term has component {params['component']!r}"
+                )
+            params["component"] = component_ids.index(params["component"])
         try:
             objectives.append(ObjectiveTerm(kind, weight, params))
         except ValueError as exc:
@@ -467,9 +474,9 @@ def component_target_vectors(cfg: ProblemConfig, subspaces) -> dict:
         if tgts[w] is None:
             tvecs[w] = np.zeros(len(subspaces[w].basis))
         else:
-            tvecs[w] = np.asarray(
-                vectorize(Operator(tgts[w], cfg.n_qubits), subspaces[w].basis), dtype=float
-            )
+            # the part inside C_w: all of H_target^w once the feasibility gate
+            # has passed; under --force the part that no sequence reaches drops out
+            tvecs[w] = np.einsum("aij,ij->a", subspaces[w].basis.stack().conj(), tgts[w]).real
     tnorm = math.sqrt(sum(float(v @ v) for v in tvecs.values()))
     s = cfg.s_target if cfg.s_target is not None else 0.0
     out = {}
@@ -521,26 +528,21 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
             err_channels.append(
                 ErrorChannel(e["name"], e["kind"], e["param"] or "", err_space)
             )
-    # component indices in objective params refer to positions in `comps`
-    order = {w: i for i, w in enumerate(pert_components(cfg))}
-    fixed_terms = []
-    for term in cfg.objectives:
-        p = dict(term.params)
-        if "component" in p:
-            p["component"] = order.get(p["component"] + 1, p["component"])
-        fixed_terms.append(ObjectiveTerm(term.kind, term.weight, p))
-    spec = ObjectiveSpec(tuple(fixed_terms), target_unitary=cfg.u_target)
-    return CostPipeline(
-        cfg.n_qubits,
-        cfg.channels,
-        cfg.intervals,
-        cfg.dt,
-        cfg.model,
-        pri_internal,
-        comps,
-        err_channels,
-        spec,
-    )
+    spec = ObjectiveSpec(cfg.objectives, target_unitary=cfg.u_target)
+    try:
+        return CostPipeline(
+            cfg.n_qubits,
+            cfg.channels,
+            cfg.intervals,
+            cfg.dt,
+            cfg.model,
+            pri_internal,
+            comps,
+            err_channels,
+            spec,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_evaluation_setup(cfg: ProblemConfig) -> EvaluationSetup:

@@ -1,19 +1,40 @@
 """Cost-function library and the weighted total cost driving optimization.
 
 Each objective is a nonnegative residual that vanishes exactly when its
-condition holds: primary-unitary overlap, zeroth-order average
-Hamiltonian against a target, first/second-order control-error averages,
-the symmetrized cross pair, reversal-symmetry conditions killing a
-Magnus order, and the commutator cross term between the error and
-perturbation channels.  `CostPipeline` wires a control model, a
-Hamiltonian partitioning and a term list into one callable f_tot(x)
-suitable for the annealer; all unit-bearing residuals are divided by
-fixed scales chosen at build time so the weighted sum mixes comparable
-magnitudes.
+condition holds.  `CostPipeline` wires a control model, a Hamiltonian
+partitioning and a term list into one callable f_tot(x) for the annealer.
+It resolves each term once, at build time, into a label, the tensors it
+reads and a value function; `evaluate` computes each tensor once however
+many terms read it.  A request ("pert", w) toggles H_pert^w in its
+subspace C_w, a request ("err", names) the first (one name) or second
+(two names) derivative of H along error channels in the error subspace,
+each to the highest order read: c0 (order 1), c1 (2) or c2 (3).  A cross
+tensor c_ij = int_0^T dt1 int_0^t1 dt2 a_i(t1) b_j(t2) pairs two
+requests, the first at the later time.
+
+Kinds, the tensors they read and their normalization, with T the sequence
+duration, s_w = ||H_target^w>>|| (||H_pert^w>>|| without a target) and
+E = sqrt(d) max |scale| over the non-phase channels:
+
+- primary_unitary: the final propagator U;
+  1 - |Tr(U U_target^dag)| / Tr(U_target U_target^dag).
+- zeroth_order_target (w): c0 of ("pert", w); ||c0 - |H_target^w>> T|| / (T s_w).
+- robustness_first (j): c0 of ("err", (j,)); ||c0|| / (T E).
+- robustness_second (j1, j2): c0 of ("err", (j1, j2)); ||c0|| / (T E), or
+  the constant 0 for two 'amplitude' errors of a drive-linear model.
+- robustness_cross_pair (j1, j2): c1 of ("err", (j1,)) if j1 = j2, else
+  the cross tensors of ("err", (j1,)) and ("err", (j2,)) in both orders;
+  root-sum-square of ||c + c^T||, / (T E)^2.
+- higher_order_r (space, r): c_{r-1} of ("pert", w) or ("err", (space,));
+  root-sum-square of c_{i1..ir} + (-1)^{r-1} c_{ir..i1} over the
+  non-all-equal index tuples, / (T s_w)^r or / (T E)^r.
+- effective_robustness (w, j): the cross tensor of ("pert", w) over
+  ("err", (j,)); ||sum_{s,l} c_sl [h_err^l, h_pert^s]||_HS / (2 T^2 s_w E).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,16 +42,6 @@ from .controlsys import ControlModel, ControlSequence, axis_operators, jet_key
 from .liealg import CSubspace
 from .opcore import Operator
 from . import toggling as tg
-
-KINDS = (
-    "primary_unitary",
-    "zeroth_order_target",
-    "robustness_first",
-    "robustness_second",
-    "robustness_cross_pair",
-    "higher_order_r",
-    "effective_robustness",
-)
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,7 @@ class ObjectiveTerm:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise ValueError("weights must be positive and finite")
-        need = {
-            "robustness_first": ("error",),
-            "robustness_second": ("errors",),
-            "robustness_cross_pair": ("errors",),
-            "effective_robustness": ("error",),
-            "higher_order_r": ("order",),
-        }
-        for key in need.get(self.kind, ()):
+        for key in KINDS[self.kind][0]:
             if key not in self.params:
                 raise ValueError(f"{self.kind} term requires parameter {key!r}")
 
@@ -60,7 +64,6 @@ class ObjectiveTerm:
 class ObjectiveSpec:
     terms: tuple[ObjectiveTerm, ...]
     target_unitary: Operator | None = None
-    target_vectors: dict = field(default_factory=dict)   # component -> |H_target>>
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,6 @@ class CostReport:
     @property
     def total(self) -> float:
         return float(np.dot(self.values, self.weights))
-
-    def as_dict(self) -> dict:
-        return {l: v for l, v in zip(self.labels, self.values)}
 
 
 # ---------------------------------------------------------------------------
@@ -94,39 +94,29 @@ def zeroth_order_cost(c0: np.ndarray, target: np.ndarray, t_seq: float) -> float
 
 
 def robustness_first_cost(c0_err: np.ndarray) -> float:
+    """Norm of an error space's c0, for first and second derivatives alike."""
     return float(np.linalg.norm(c0_err))
 
 
-def robustness_second_cost(c0_err2: np.ndarray) -> float:
-    return float(np.linalg.norm(c0_err2))
+def robustness_cross_pair_cost(*cross: np.ndarray) -> float:
+    """Norm of the index-symmetrized ordered pair tensor c_ij + c_ji;
+    root-sum-square over several tensors (both channel orders)."""
+    return float(np.hypot.reduce([np.linalg.norm(c + c.T) for c in map(np.asarray, cross)]))
 
 
-def robustness_cross_pair_cost(cross: np.ndarray) -> float:
-    """Norm of the index-symmetrized ordered pair tensor c_ij + c_ji."""
-    c = np.asarray(cross)
-    return float(np.linalg.norm(c + c.T))
-
-
-def higher_order_cost(cints: tg.CIntegralSet, r: int) -> float:
-    """Reversal-symmetry residual whose vanishing kills the (r-1)th Magnus
-    term: root-sum-square of |c_{i1..ir} + (-1)^{r-1} c_{ir..i1}| over all
+def higher_order_cost(c: np.ndarray) -> float:
+    """Reversal-symmetry residual of the composed order-r tensor c
+    (r = c.ndim, 2 or 3) whose vanishing kills the (r-1)th Magnus term:
+    root-sum-square of |c_{i1..ir} + (-1)^{r-1} c_{ir..i1}| over all
     non-all-equal index tuples (the sign follows the antisymmetry of the
     nested-commutator kernel F_r)."""
+    r = c.ndim
     if r not in (2, 3):
         raise ValueError("order r must be 2 or 3")
-    if cints.order < r:
-        raise ValueError("integral set does not carry the requested order")
-    m = len(cints.c0)
-    if r == 2:
-        c = cints.c1_matrix()
-        diff = c - c.T
-        return float(np.sqrt(max(np.sum(diff ** 2) - 0.0, 0.0)))
-    c = cints.c2_tensor()
-    diff = c + np.transpose(c, (2, 1, 0))
-    mask = np.ones((m, m, m), dtype=bool)
-    idx = np.arange(m)
-    mask[idx, idx, idx] = False
-    return float(np.linalg.norm(diff[mask]))
+    diff = c + (-1) ** (r - 1) * np.transpose(c)
+    idx = np.arange(c.shape[0])
+    diff[(idx,) * r] = 0.0
+    return float(np.sqrt(np.sum(diff ** 2)))
 
 
 def effective_robustness_cost(c_cross: np.ndarray, comm_table: np.ndarray) -> float:
@@ -137,6 +127,10 @@ def effective_robustness_cost(c_cross: np.ndarray, comm_table: np.ndarray) -> fl
     """
     op = np.einsum("sl,lsij->ij", c_cross, comm_table)
     return float(np.linalg.norm(op))
+
+
+def _zero() -> float:
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +169,108 @@ class PertComponent:
 
 
 # ---------------------------------------------------------------------------
+# terms resolved against a pipeline
+
+UNITARY = ("unitary",)
+
+
+@dataclass(frozen=True)
+class ResolvedTerm:
+    """One objective term bound to a pipeline: its value is
+    cost(*tensors, *consts) / divisor.
+
+    `reads` addresses the tensors: (kind, arg, r) is the order-r tensor of
+    request (kind, arg), ("cross", later, earlier) the cross tensor of two
+    requests, and UNITARY the final primary propagator.  `cost` is a
+    module-level function, so the pipeline pickles.
+    """
+
+    label: str
+    weight: float
+    cost: Callable
+    reads: tuple
+    consts: tuple
+    divisor: float
+
+
+# One resolver per kind: (pipeline, params) -> (label, cost, reads, consts,
+# divisor).  A ValueError names the parameter that refers to nothing.
+
+def _primary_unitary(pipe, p):
+    if pipe.target_unitary is None:
+        raise ValueError("primary_unitary needs a target unitary (targets.u_target)")
+    return "primary_unitary", primary_unitary_cost, (UNITARY,), (pipe.target_unitary,), 1.0
+
+
+def _zeroth_order_target(pipe, p):
+    w = pipe._component(p)
+    tgt = pipe.components[w].target_vec
+    tgt = np.zeros(pipe.comp_seed[w].size) if tgt is None else tgt
+    reads = (("pert", w, 1),)
+    return f"zeroth_order[{w}]", zeroth_order_cost, reads, (tgt, pipe.t_seq), pipe.comp_scale[w]
+
+
+def _robustness_first(pipe, p):
+    name = pipe._error(p["error"])
+    reads, scale = (("err", (name,), 1),), pipe.t_seq * pipe.err_scale
+    return f"robustness_first[{name}]", robustness_first_cost, reads, (), scale
+
+
+def _robustness_second(pipe, p):
+    j1, j2 = pipe._error_pair(p)
+    label = f"robustness_second[{j1},{j2}]"
+    if pipe._jet(j1, j2) is None:
+        return label, _zero, (), (), 1.0
+    reads = (("err", (j1, j2), 1),)
+    return label, robustness_first_cost, reads, (), pipe.t_seq * pipe.err_scale
+
+
+def _robustness_cross_pair(pipe, p):
+    j1, j2 = pipe._error_pair(p)
+    a, b = ("err", (j1,)), ("err", (j2,))
+    # symmetrized over index order and, for distinct channels, channel order
+    reads = (("err", (j1,), 2),) if j1 == j2 else (("cross", a, b), ("cross", b, a))
+    scale = (pipe.t_seq * pipe.err_scale) ** 2
+    return f"robustness_cross_pair[{j1},{j2}]", robustness_cross_pair_cost, reads, (), scale
+
+
+def _higher_order_r(pipe, p):
+    r = p["order"]
+    if r not in (2, 3):
+        raise ValueError(f"order must be 2 or 3, got {r!r}")
+    r = int(r)
+    space = p.get("space", "pert")
+    if space == "pert":
+        w = pipe._component(p)
+        key, label, scale = ("pert", w), f"higher_order[{w},r={r}]", pipe.comp_scale[w]
+    else:
+        key, label = ("err", (pipe._error(space),)), f"higher_order[{space},r={r}]"
+        scale = pipe.err_scale
+    return label, higher_order_cost, ((*key, r),), (), (scale * pipe.t_seq) ** r
+
+
+def _effective_robustness(pipe, p):
+    w, name = pipe._component(p), pipe._error(p["error"])
+    se, sp = pipe.err_stacks[name], pipe.comp_stacks[w]
+    table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
+    reads = (("cross", ("pert", w), ("err", (name,))),)
+    scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
+    return f"effective_robustness[{w},{name}]", effective_robustness_cost, reads, (table,), scale
+
+
+# kind -> (required parameters, resolver)
+KINDS = {
+    "primary_unitary": ((), _primary_unitary),
+    "zeroth_order_target": ((), _zeroth_order_target),
+    "robustness_first": (("error",), _robustness_first),
+    "robustness_second": (("errors",), _robustness_second),
+    "robustness_cross_pair": (("errors",), _robustness_cross_pair),
+    "higher_order_r": (("order",), _higher_order_r),
+    "effective_robustness": (("error",), _effective_robustness),
+}
+
+
+# ---------------------------------------------------------------------------
 # the pipeline
 
 class CostPipeline:
@@ -195,47 +291,38 @@ class CostPipeline:
         components: list[PertComponent],
         errors: list[ErrorChannel],
         spec: ObjectiveSpec,
-        unit_scale: float | None = None,
     ):
-        self.n_qubits = n_qubits
-        self.d = 2 ** n_qubits
+        d = 2 ** n_qubits
         self.channels = tuple(channels)
         self.p_intervals = intervals
         self.dt = dt
         self.model = model
-        self.spec = spec
         self.components = list(components)
         self.errors = {e.name: e for e in errors}
+        self.target_unitary = None if spec.target_unitary is None else spec.target_unitary.entries
         self.pri_internal = (
-            np.zeros((self.d, self.d), dtype=complex) if pri_internal is None else pri_internal
+            np.zeros((d, d), dtype=complex) if pri_internal is None else pri_internal
         )
 
         scales = [abs(c.scale) for c in self.channels if c.role != "phase"]
-        self.unit_scale = unit_scale or (max(scales) if scales else 1.0)
-        self.err_scale = self.unit_scale * np.sqrt(self.d)
+        self.err_scale = (max(scales) if scales else 1.0) * np.sqrt(d)
 
         # axis operators of the field rows, resolved on a probe run
         probe = ControlSequence(np.zeros((len(self.channels), intervals)), dt, self.channels)
         fld = model.field(probe)
-        self.delta_t = fld.delta_t
-        self.q_steps = fld.q_steps
+        self.t_seq = fld.t_seq
         self.axis_ops = axis_operators(fld.axes, n_qubits)
 
         # one shared array per distinct basis: the per-candidate eigendata,
         # toggles and their prefixes are cached on its identity
-        distinct: list[np.ndarray] = []
+        distinct: dict = {}
 
         def shared(stack):
-            for s in distinct:
-                if s.shape == stack.shape and np.array_equal(s, stack):
-                    return s
-            distinct.append(stack)
-            return stack
+            return distinct.setdefault((stack.shape, stack.tobytes()), stack)
 
-        # per-component static data
         self.comp_stacks = [shared(c.subspace.basis.stack()) for c in self.components]
         self.comp_seed = [
-            np.einsum("aij,ij->a", s.conj(), c.matrix)
+            np.einsum("aij,ij->a", s.conj(), c.matrix).astype(complex)
             for s, c in zip(self.comp_stacks, self.components)
         ]
         self.comp_scale = []
@@ -248,61 +335,43 @@ class CostPipeline:
             name: shared(e.subspace.basis.stack()) for name, e in self.errors.items()
         }
 
-        # commutator tables for effective robustness terms
-        self.cross_tables = {}
-        for term in spec.terms:
-            if term.kind == "effective_robustness":
-                w = term.params.get("component", 0)
-                ename = term.params["error"]
-                key = (w, ename)
-                if key not in self.cross_tables:
-                    se = self.err_stacks[ename]
-                    sp = self.comp_stacks[w]
-                    table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum(
-                        "sab,lbc->lsac", sp, se
-                    )
-                    self.cross_tables[key] = table
+        self.requests: dict = {}   # (kind, arg) -> highest order read
+        self.err_seeds: dict = {}  # error names -> (field jet, (m, K) coefficients of the rows)
+        self.crosses: list = []    # (later, earlier) request pairs
+        self.unitary = False
+        self.terms: list[ResolvedTerm] = []
+        for k, term in enumerate(spec.terms):
+            try:
+                label, cost, reads, consts, divisor = KINDS[term.kind][1](self, term.params)
+            except ValueError as exc:
+                raise ValueError(f"objectives[{k}]: {exc}") from exc
+            self.terms.append(ResolvedTerm(label, term.weight, cost, reads, consts, divisor))
+            for address in reads:
+                self._read(address)
+        self.labels = tuple(t.label for t in self.terms)
+        self.weights = tuple(t.weight for t in self.terms)
+        # the field derivatives that the error requests read, solved with the field
+        jets = {jet for jet, _ in self.err_seeds.values()} - {None}
+        self.jets = tuple(sorted(jets, key=str))
 
-        self._plan()
+    # -- build-time resolution -----------------------------------------------
 
-    # -- requirement planning ------------------------------------------------
+    def _component(self, p: dict) -> int:
+        w = p.get("component", 0)
+        if not (isinstance(w, int) and 0 <= w < len(self.components)):
+            raise ValueError(f"no perturbation component {w!r} ({len(self.components)} defined)")
+        return w
 
-    def _plan(self):
-        self.need_comp_order = [1] * len(self.components)
-        self.need_err = {}         # name -> max order of error-space integrals
-        self.need_cross = set()    # (component, error) pairs
-        self.need_err_cross = set()  # ordered (j_later, j_earlier) error pairs
-        self.need_second = []      # (j1, j2) pairs
-        for term in self.spec.terms:
-            p = term.params
-            if term.kind == "higher_order_r":
-                space = p.get("space", "pert")
-                if space == "pert":
-                    w = p.get("component", 0)
-                    self.need_comp_order[w] = max(self.need_comp_order[w], p["order"])
-                else:
-                    self.need_err[space] = max(self.need_err.get(space, 1), p["order"])
-            elif term.kind == "robustness_first":
-                self.need_err.setdefault(p["error"], 1)
-            elif term.kind == "robustness_cross_pair":
-                j1, j2 = p["errors"]
-                if j1 == j2:
-                    self.need_err[j1] = max(self.need_err.get(j1, 1), 2)
-                else:
-                    # joint ordered tensors in both channel orders
-                    self.need_err.setdefault(j1, 1)
-                    self.need_err.setdefault(j2, 1)
-                    self.need_err_cross.add((j1, j2))
-                    self.need_err_cross.add((j2, j1))
-            elif term.kind == "robustness_second":
-                self.need_second.append(tuple(p["errors"]))
-            elif term.kind == "effective_robustness":
-                self.need_cross.add((p.get("component", 0), p["error"]))
-                self.need_err.setdefault(p["error"], 1)
-        # the field derivatives that the error terms read, solved with the field
-        jets = {self._jet(name) for name in self.need_err}
-        jets |= {self._jet(*pair) for pair in self.need_second}
-        self.jets = tuple(sorted(jets - {None}, key=str))
+    def _error(self, name) -> str:
+        if name not in self.errors:
+            raise ValueError(f"unknown error channel {name!r}")
+        return name
+
+    def _error_pair(self, p: dict) -> tuple[str, str]:
+        pair = p["errors"]
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValueError(f"errors must name two error channels, got {pair!r}")
+        return self._error(pair[0]), self._error(pair[1])
 
     def _jet(self, *names: str):
         """Field-derivative key of the named error channels, or None when all
@@ -319,164 +388,79 @@ class CostPipeline:
             params.append("amplitude" if e.kind == "amplitude" else e.param)
         return jet_key(*params)
 
+    def _read(self, address):
+        """Register the request, cross pair or propagator behind one address."""
+        if address == UNITARY:
+            self.unitary = True
+        elif address[0] == "cross":
+            for side in address[1:]:
+                self._read((*side, 1))
+            if address[1:] not in self.crosses:
+                self.crosses.append(address[1:])
+        else:
+            kind, arg, order = address
+            if kind == "err" and arg not in self.err_seeds:
+                # dH along the channels is sum_k (d^n b_k / d eps^n) axis_k, in
+                # units of each model parameter's natural magnitude
+                jet = self._jet(*arg)
+                scale = np.prod([
+                    self.model.param_scale(self.errors[n].param)
+                    for n in arg if self.errors[n].kind == "model_param"
+                ])
+                coef = np.einsum("aij,kij->ak", self.err_stacks[arg[0]].conj(), self.axis_ops)
+                self.err_seeds[arg] = (jet, coef * scale)
+            self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
+
     # -- per-candidate evaluation ---------------------------------------------
 
     def sequence(self, x: np.ndarray) -> ControlSequence:
         v = np.asarray(x, dtype=float).reshape(len(self.channels), self.p_intervals)
         return ControlSequence(v, self.dt, self.channels)
 
-    def _error_step_ops(self, names, fld, h_ctrl):
-        """Per-step derivative of H along the named error channels (one
-        or two); None for a second derivative that vanishes."""
-        key = self._jet(*names)
-        if key is None:
-            return h_ctrl if len(names) == 1 else None  # dH = eps H_c is linear in eps
-        b = fld.sensitivities[key]
-        for n in names:
-            e = self.errors[n]
-            if e.kind == "model_param":
-                b = b * self.model.param_scale(e.param)
-        return np.einsum("kq,kab->qab", b, self.axis_ops)
-
-    def _space_cache(self, stack, h_pri, dt, cache):
-        """Adjoint eigendata (nu, V) of one distinct subspace, the grouping of
-        its degenerate frequencies, and the prefix products of its toggle
-        matrices D(U_q^dag) = V diag(e^{i nu dt}) V^dag."""
-        key = id(stack)
-        if key not in cache:
-            nu, vecs = np.linalg.eigh(tg.adjoint_matrix_batch(h_pri, stack))
-            groups = tg.spectral_groups(nu, dt)
-            cache[key] = (nu, vecs, groups, tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt)))
-        return cache[key]
+    def _toggled(self, key, fld):
+        """Subspace basis of request `key` and the coefficients (Q, m) of the
+        operator it toggles, per step."""
+        kind, arg = key
+        if kind == "pert":
+            seed = self.comp_seed[arg]
+            return self.comp_stacks[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
+        jet, coef = self.err_seeds[arg]
+        rows = fld.b if jet is None else fld.sensitivities[jet]
+        return self.err_stacks[arg[0]], (coef @ rows).T
 
     def evaluate(self, x: np.ndarray) -> CostReport:
         fld = self.model.field(self.sequence(x), self.jets)
         dt = fld.delta_t
-        h_ctrl = np.einsum("kq,kab->qab", fld.b, self.axis_ops)
-        h_pri = h_ctrl + self.pri_internal
-        t_seq = h_pri.shape[0] * dt
-        cache: dict = {}
+        h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
 
-        # component integral sets
-        comp_sets, comp_step = [], []
-        for w, comp in enumerate(self.components):
-            order = self.need_comp_order[w]
-            nu, vecs, groups, e_prev = self._space_cache(self.comp_stacks[w], h_pri, dt, cache)
-            y = np.einsum("qba,b->qa", vecs.conj(), self.comp_seed[w].astype(complex))
+        # every request once; one adjoint eigendecomposition per distinct
+        # subspace, whose eigenpairs also give the toggle matrices
+        # D(U_q^dag) = V diag(e^{i nu dt}) V^dag and their prefix products
+        eig, steps, got = {}, {}, {}
+        for key, order in self.requests.items():
+            stack, seeds = self._toggled(key, fld)
+            if id(stack) not in eig:
+                nu, vecs = np.linalg.eigh(tg.adjoint_matrix_batch(h_pri, stack))
+                e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt))
+                eig[id(stack)] = nu, vecs, tg.spectral_groups(nu, dt), e_prev
+            nu, vecs, groups, e_prev = eig[id(stack)]
+            y = np.einsum("qba,qb->qa", vecs.conj(), seeds)
             c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
-            comp_sets.append(
-                _integral_set(comp.subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq)
-            )
-            comp_step.append((vecs, y, groups, c0, e_prev))
+            steps[key] = vecs, y, groups, c0, e_prev
+            for r, c in enumerate(tg.compose_batch(e_prev, c0, c1, c2)[:order], 1):
+                got[(*key, r)] = c
+        for later, earlier in self.crosses:
+            v_a, y_a, g_a, c0_a, ep_a = steps[later]
+            v_b, y_b, g_b, c0_b, ep_b = steps[earlier]
+            cross = tg.batch_step_cross(v_a, y_a, g_a, v_b, y_b, g_b, dt)
+            got[("cross", later, earlier)] = tg.compose_cross_batch(cross, c0_a, c0_b, ep_a, ep_b)
+        if self.unitary:
+            got[UNITARY] = tg.ordered_product(tg.expm_batch(h_pri, dt))
 
-        # error-space integral sets plus caches for cross terms
-        err_sets = {}
-        err_step = {}
-        for name, order in self.need_err.items():
-            stack = self.err_stacks[name]
-            eops = self._error_step_ops((name,), fld, h_ctrl)
-            nu, vecs, groups, e_prev = self._space_cache(stack, h_pri, dt, cache)
-            seeds = np.einsum("aij,qij->qa", stack.conj(), eops)
-            y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
-            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
-            err_sets[name] = _integral_set(
-                self.errors[name].subspace, order, tg.compose_batch(e_prev, c0, c1, c2), t_seq
-            )
-            err_step[name] = (vecs, y, groups, c0, e_prev)
-
-        # joint ordered tensors (later slot, earlier slot) from the step data
-        # above: distinct error channels, and (component, error)
-        def joint(later, earlier):
-            v_a, y_a, g_a, c0_a, ep_a = later
-            v_b, y_b, g_b, c0_b, ep_b = earlier
-            steps = tg.batch_step_cross(v_a, y_a, g_a, v_b, y_b, g_b, dt)
-            return tg.compose_cross_batch(steps, c0_a, c0_b, ep_a, ep_b)
-
-        err_cross = {(ja, jb): joint(err_step[ja], err_step[jb]) for ja, jb in self.need_err_cross}
-        cross = {(w, name): joint(comp_step[w], err_step[name]) for w, name in self.need_cross}
-
-        # second-derivative zeroth integrals
-        second_c0 = {}
-        for (j1, j2) in set(self.need_second):
-            ops2 = self._error_step_ops((j1, j2), fld, h_ctrl)
-            if ops2 is None:
-                second_c0[(j1, j2)] = None
-                continue
-            stack = self.err_stacks[j1]
-            nu, vecs, groups, e_prev = self._space_cache(stack, h_pri, dt, cache)
-            seeds = np.einsum("aij,qij->qa", stack.conj(), ops2)
-            y = np.einsum("qba,qb->qa", vecs.conj(), seeds.astype(complex))
-            c0 = tg.batch_step_cints(nu, vecs, y, dt, 1, groups)[0]
-            second_c0[(j1, j2)] = tg.compose_batch(e_prev, c0)[0]
-
-        # final unitary only when some term needs it
-        u_final = None
-
-        labels, values, weights = [], [], []
-        for term in self.spec.terms:
-            p = term.params
-            if term.kind == "primary_unitary":
-                if u_final is None:
-                    u_final = tg.ordered_product(tg.expm_batch(h_pri, dt))
-                val = primary_unitary_cost(u_final, self.spec.target_unitary.entries)
-                label = "primary_unitary"
-            elif term.kind == "zeroth_order_target":
-                w = p.get("component", 0)
-                tgt = self.components[w].target_vec
-                tgt = np.zeros_like(comp_sets[w].c0) if tgt is None else tgt
-                val = zeroth_order_cost(comp_sets[w].c0, tgt, t_seq) / self.comp_scale[w]
-                label = f"zeroth_order[{w}]"
-            elif term.kind == "robustness_first":
-                name = p["error"]
-                val = robustness_first_cost(err_sets[name].c0) / (t_seq * self.err_scale)
-                label = f"robustness_first[{name}]"
-            elif term.kind == "robustness_second":
-                j1, j2 = p["errors"]
-                c0 = second_c0[(j1, j2)]
-                val = 0.0 if c0 is None else robustness_second_cost(c0) / (t_seq * self.err_scale)
-                label = f"robustness_second[{j1},{j2}]"
-            elif term.kind == "robustness_cross_pair":
-                j1, j2 = p["errors"]
-                if j1 == j2:
-                    val = robustness_cross_pair_cost(err_sets[j1].c1_matrix())
-                else:
-                    # symmetrized over index order and channel order
-                    va = robustness_cross_pair_cost(err_cross[(j1, j2)])
-                    vb = robustness_cross_pair_cost(err_cross[(j2, j1)])
-                    val = float(np.hypot(va, vb))
-                val = val / (t_seq * self.err_scale) ** 2
-                label = f"robustness_cross_pair[{j1},{j2}]"
-            elif term.kind == "higher_order_r":
-                space = p.get("space", "pert")
-                r = p["order"]
-                if space == "pert":
-                    w = p.get("component", 0)
-                    scale = self.comp_scale[w] * t_seq
-                    val = higher_order_cost(comp_sets[w], r) / scale ** r
-                    label = f"higher_order[{w},r={r}]"
-                else:
-                    scale = self.err_scale * t_seq
-                    val = higher_order_cost(err_sets[space], r) / scale ** r
-                    label = f"higher_order[{space},r={r}]"
-            else:  # effective_robustness
-                w = p.get("component", 0)
-                name = p["error"]
-                table = self.cross_tables[(w, name)]
-                val = effective_robustness_cost(cross[(w, name)], table) / (
-                    t_seq ** 2 * self.comp_scale[w] * self.err_scale * 2.0
-                )
-                label = f"effective_robustness[{w},{name}]"
-            labels.append(label)
-            values.append(val)
-            weights.append(term.weight)
-        return CostReport(tuple(labels), tuple(values), tuple(weights))
+        values = tuple(
+            t.cost(*(got[a] for a in t.reads), *t.consts) / t.divisor for t in self.terms
+        )
+        return CostReport(self.labels, values, self.weights)
 
     def __call__(self, x: np.ndarray) -> float:
         return self.evaluate(x).total
-
-
-def _integral_set(subspace, order, tensors, t_seq) -> tg.CIntegralSet:
-    """CIntegralSet from composed (c0, c1, c2) tensors, flattened."""
-    t0, t1, t2 = tensors
-    flat = [None if t is None else t.ravel() for t in (t1, t2)]
-    return tg.CIntegralSet(subspace, order, t0, *flat, t_seq)

@@ -15,7 +15,6 @@ The discrepancy is deliberate and documented; pick per problem.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -174,14 +173,12 @@ def _run_restart(payload):
 def parallel_restarts(
     energy,
     cfg: GSAConfig,
-    workers: int | None = None,
+    workers: int = 1,
     x_init: np.ndarray | None = None,
 ) -> OptimizationResult:
     """Independent annealing runs on seed substreams; lowest final energy
     wins, ties broken by restart index, so the outcome does not depend on
     worker count or scheduling."""
-    if workers is None:
-        workers = int(os.environ.get("HAMFORGE_THREADS", "1") or 1)
     payloads = [(energy, cfg, i, x_init) for i in range(cfg.restarts)]
     results = []
     use_pool = workers > 1 and cfg.restarts > 1

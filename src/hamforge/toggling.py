@@ -96,7 +96,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .liealg import CSubspace
 from .opcore import einsum
 
 DEFAULT_DEGEN_TOL = 0.2   # |w*T| cluster width below which the series branch runs
@@ -434,25 +433,3 @@ def compose_cross_batch(cross_steps, c0p, c0e, e_prev_p, e_prev_e):
     s0e_prev = np.cumsum(a0e, axis=0) - a0e
     return across.sum(axis=0) + np.einsum("qi,qj->ij", a0p, s0e_prev)
 
-
-# ---------------------------------------------------------------------------
-# whole-sequence tensors
-
-@dataclass(frozen=True)
-class CIntegralSet:
-    """Time-ordered integral tensors of one subspace, flattened C-order."""
-
-    subspace: CSubspace
-    order: int
-    c0: np.ndarray
-    c1: np.ndarray | None
-    c2: np.ndarray | None
-    t_seq: float
-
-    def c1_matrix(self) -> np.ndarray:
-        m = len(self.c0)
-        return self.c1.reshape(m, m)
-
-    def c2_tensor(self) -> np.ndarray:
-        m = len(self.c0)
-        return self.c2.reshape(m, m, m)

@@ -233,18 +233,38 @@ def compose_cross_raw(step_cross, step0_pert, step0_err, dq_pert, dq_err):
     return tot
 
 
+@dataclass(frozen=True)
+class CIntegralSet:
+    """Time-ordered integral tensors of one subspace, flattened C-order."""
+
+    subspace: CSubspace
+    order: int
+    c0: np.ndarray
+    c1: np.ndarray | None
+    c2: np.ndarray | None
+    t_seq: float
+
+    def c1_matrix(self) -> np.ndarray:
+        m = len(self.c0)
+        return self.c1.reshape(m, m)
+
+    def c2_tensor(self) -> np.ndarray:
+        m = len(self.c0)
+        return self.c2.reshape(m, m, m)
+
+
 def step_c_integrals(h_pri: Operator, h_pert: Operator, c_space: CSubspace, delta_t: float,
-                     r_max: int = 3, tol: float = tg.DEFAULT_DEGEN_TOL) -> tg.CIntegralSet:
+                     r_max: int = 3, tol: float = tg.DEFAULT_DEGEN_TOL) -> CIntegralSet:
     """C-integrals of a single constant step via the adjoint eigenbasis."""
     stack = c_space.basis.stack()
     c_seed = np.asarray(vectorize(h_pert, c_space.basis), dtype=complex)
     eig = _step_eigen(adjoint_matrix(np.asarray(h_pri.entries), stack), c_seed)
     c0, c1, c2 = step_cints_raw(eig, delta_t, r_max, tol)
     flat = [None if c is None else c.ravel() for c in (c1, c2)]
-    return tg.CIntegralSet(c_space, r_max, c0, *flat, delta_t)
+    return CIntegralSet(c_space, r_max, c0, *flat, delta_t)
 
 
-def compose_c_integrals(per_step, prop: PrimaryPropagation, c_space: CSubspace) -> tg.CIntegralSet:
+def compose_c_integrals(per_step, prop: PrimaryPropagation, c_space: CSubspace) -> CIntegralSet:
     """Compose per-step C-integrals into whole-sequence tensors."""
     r_max = per_step[0].order
     m = len(per_step[0].c0)
@@ -256,7 +276,7 @@ def compose_c_integrals(per_step, prop: PrimaryPropagation, c_space: CSubspace) 
     ]
     t0, t1, t2 = compose_raw(tensors, dq, r_max)
     flat = [None if t is None else t.ravel() for t in (t1, t2)]
-    return tg.CIntegralSet(c_space, r_max, t0, *flat, sum(s.t_seq for s in per_step))
+    return CIntegralSet(c_space, r_max, t0, *flat, sum(s.t_seq for s in per_step))
 
 
 def cross_c_integral(steps: StepHamiltonians, error_name: str, c_pert: CSubspace,
@@ -286,7 +306,7 @@ def commutator_table(stack: np.ndarray) -> np.ndarray:
     return np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
 
 
-def magnus_terms(cints: tg.CIntegralSet, c_space: CSubspace):
+def magnus_terms(cints: CIntegralSet, c_space: CSubspace):
     """Zeroth, first and second average-Hamiltonian terms from C-integrals.
 
     H0 = (1/T) sum_i c0_i h_i

@@ -309,3 +309,86 @@ def test_cli_simulate_matches_oracle(tmp_path):
     want = [abs(np.vdot(psi0, np.linalg.matrix_power(u, n) @ psi0)) ** 2 for n in range(8)]
     assert rows[:, 0].tolist() == list(range(8))
     assert np.abs(rows[:, 1] - want).max() <= 1e-12
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("this stage must not run")
+
+
+@pytest.mark.parametrize("bad, path, detail", [
+    ({"kind": "zeroth_order_target", "component": 2}, "objectives[4].component", "2"),
+    ({"kind": "robustness_first", "error": "nope"}, "objectives[4]", "'nope'"),
+    ({"kind": "effective_robustness", "error": "nope"}, "objectives[4]", "'nope'"),
+    ({"kind": "higher_order_r", "order": 2, "space": "nope"}, "objectives[4]", "'nope'"),
+    ({"kind": "higher_order_r", "order": 4}, "objectives[4]", "4"),
+    (None, "objectives[0]", "u_target"),
+], ids=["unknown-component", "first-unknown-error", "effective-unknown-error",
+        "unknown-space", "order-4", "primary-without-target"])
+def test_cli_optimize_rejects_an_objective_that_refers_to_nothing(
+    tmp_path, capsys, monkeypatch, bad, path, detail
+):
+    # the check runs before the scale gate and before any annealing
+    cfg = _config_optimize()
+    cfg["targets"]["s_target"] = 0.5
+    if bad is None:
+        del cfg["targets"]["u_target"]   # objectives[0] is primary_unitary
+    else:
+        cfg["objectives"].append(dict(bad, weight=1))
+    monkeypatch.setattr(cli, "_scale_range", _fail_if_called)
+    monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"config error: {path}" in err and detail in err
+
+
+def _config_outside(cfg):
+    """The target H_target^1 = identity, which no 1-qubit C-subspace holds."""
+    cfg["targets"]["h_target"] = {"1": {"strings": [{"pauli": []}]}}
+    return cfg
+
+
+def test_cli_scale_target_outside_its_subspace_exits_infeasible(tmp_path):
+    out = tmp_path / "out"
+    cfg = _config_outside(_config_1q())
+    code = cli.main(["scale", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_INFEASIBLE
+    rep = json.loads((out / "scale.json").read_text())
+    assert rep["achievable"] is False and "outside subspace" in rep["reason"]
+
+
+def _gated_configs():
+    outside = _config_outside(_config_optimize())
+    far = _config_optimize()
+    far["targets"]["s_target"] = 1e3
+    return {"h-target-outside": (outside, "lies outside C_1"),
+            "s-target-outside-range": (far, "outside the achievable range")}
+
+
+@pytest.mark.parametrize("gate", ["h-target-outside", "s-target-outside-range"])
+def test_cli_optimize_feasibility_gates_exit_infeasible(tmp_path, capsys, monkeypatch, gate):
+    cfg, message = _gated_configs()[gate]
+    monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INFEASIBLE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gate", ["h-target-outside", "s-target-outside-range"])
+def test_cli_optimize_force_skips_the_feasibility_gates(tmp_path, monkeypatch, gate):
+    cfg, _ = _gated_configs()[gate]
+    cfg["optimizer"]["stages"] = [[3, 2.0]]
+    monkeypatch.setattr(cli, "_scale_range", _fail_if_called)
+    out = tmp_path / "out"
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(out), "--force"])
+    assert code == cli.EXIT_OK
+    rep = json.loads((out / "optimize.json").read_text())
+    assert rep["iterations"] == 3 and np.isfinite(rep["f_tot"])
+
+
+def test_cli_threads_default_comes_from_the_environment(monkeypatch):
+    import argparse
+
+    monkeypatch.setenv("HAMFORGE_THREADS", "3")
+    assert cli._threads(argparse.Namespace(threads=None)) == 3
+    assert cli._threads(argparse.Namespace(threads=2)) == 2

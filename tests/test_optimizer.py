@@ -182,6 +182,15 @@ def test_unpicklable_energy_warns_and_runs_serially():
     assert res.best_e == parallel_restarts(bowl, cfg, workers=1).best_e
 
 
+def test_restarts_run_serially_unless_the_caller_asks_for_workers(monkeypatch):
+    # HAMFORGE_THREADS is the CLI's default; a pool here would first try to
+    # pickle the lambda and warn
+    monkeypatch.setenv("HAMFORGE_THREADS", "2")
+    cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=200, dimension=2, master_seed=13, schedule="standard", restarts=2)
+    res = parallel_restarts(lambda x: bowl(x), cfg)
+    assert res.best_e == parallel_restarts(bowl, cfg, workers=1).best_e
+
+
 def test_single_restart_equals_gsa_minimize():
     cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=600, dimension=3, master_seed=12, schedule="standard", restarts=1)
     rp = parallel_restarts(bowl, cfg, workers=1)
