@@ -18,8 +18,7 @@ from . import config as cfgmod
 from . import evaluate as ev
 from . import reach
 from .config import ConfigError, ProblemConfig
-from .liealg import contains
-from .opcore import Operator, SubspaceError
+from .opcore import SubspaceError, project
 from .optimizer import GSAConfig, OptimizationResult, gsa_minimize, parallel_restarts, restart_rng
 
 EXIT_OK = 0
@@ -89,9 +88,9 @@ def cmd_subspace(args) -> int:
     for w, space in subspaces.items():
         entry = {"dimension": space.dim}
         if tgts[w] is not None:
-            ok, resid = contains(space, Operator(tgts[w], cfg.n_qubits), 1e-7)
-            entry["target_in_subspace"] = bool(ok)
-            entry["target_residual"] = resid
+            _, resid = project(tgts[w], space.stack)
+            entry["target_in_subspace"] = bool(resid <= 1e-7)
+            entry["target_residual"] = float(resid)
         payload["components"][str(w)] = entry
     _emit(args, "subspace.json", payload)
     return EXIT_OK
@@ -149,8 +148,8 @@ def cmd_optimize(args) -> int:
         for w, ht in tgts.items():
             if ht is None:
                 continue
-            ok, resid = contains(subspaces[w], Operator(ht, cfg.n_qubits), 1e-7)
-            if not ok:
+            _, resid = project(ht, subspaces[w].stack)
+            if resid > 1e-7:
                 print(
                     f"H_target^{w} lies outside C_{w} (residual {resid:.2e}); "
                     "run `hamforge scale` / adjust the partitioning, or pass --force",

@@ -27,7 +27,7 @@ from .controlsys import (
     axis_operators,
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
-from .liealg import CSubspace, LieAlgebraBasis, contains, find_c_subspace, find_lie_algebra
+from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
 from .objectives import (
     CostPipeline,
     ErrorChannel,
@@ -35,7 +35,7 @@ from .objectives import (
     ObjectiveTerm,
     PertComponent,
 )
-from .opcore import Operator, pauli_string_op
+from .opcore import pauli_string_op, project
 from .optimizer import GSAConfig
 
 
@@ -73,7 +73,7 @@ class ProblemConfig:
     terms: tuple[TermSpec, ...]
     errors: tuple[dict, ...]
     distributions: dict
-    u_target: Operator | None
+    u_target: np.ndarray | None
     h_target_strings: dict              # component -> strings spec (or empty)
     s_target: float | None
     f_target: float | None
@@ -101,9 +101,34 @@ def _strings_matrix(strings, n_qubits: int, path: str) -> np.ndarray:
             (s.get("factor", 1.0), [(int(q), ax) for q, ax in s["pauli"]])
             for s in strings
         ]
-        return pauli_string_op(pairs, n_qubits).entries.copy()
+        return pauli_string_op(pairs, n_qubits)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad Pauli string spec at {path}: {exc}") from exc
+
+
+def _u_target(ut, n: int) -> np.ndarray:
+    """targets.u_target, a gate name or {matrix_re, matrix_im}, as a
+    unitary (d, d) matrix."""
+    d = 2 ** n
+    if isinstance(ut, str):
+        if ut not in _GATES:
+            raise ConfigError(f"unknown named gate {ut!r}")
+        m = _GATES[ut](n)
+        if m.shape[0] != d:
+            raise ConfigError(f"gate {ut!r} does not fit {n} qubit(s)")
+        return m.astype(complex)
+    re = ut.get("matrix_re", ut.get("matrix")) if isinstance(ut, dict) else None
+    if re is None:
+        raise ConfigError("targets.u_target needs a gate name or a 'matrix_re' matrix")
+    try:
+        m = np.asarray(re, dtype=float) + 1j * np.asarray(ut.get("matrix_im", 0.0), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"targets.u_target: {exc}") from exc
+    if m.shape != (d, d):
+        raise ConfigError(f"targets.u_target has shape {m.shape}, not ({d}, {d}) for {n} qubit(s)")
+    if np.abs(m.conj().T @ m - np.eye(d)).max() > 1e-8:
+        raise ConfigError("targets.u_target is not unitary to 1e-8")
+    return m
 
 
 def _dist_halfwidth(d: ParameterDistribution) -> float:
@@ -138,16 +163,19 @@ def parse_config(raw: dict) -> ProblemConfig:
     channels = []
     for k, ch in enumerate(_req(ctrl, "channels", "control")):
         try:
+            qubits = tuple(int(q) for q in _req(ch, "qubits", f"control.channels[{k}]"))
             channels.append(
                 Channel(
                     ch.get("name", f"ch{k}"),
-                    tuple(int(q) for q in _req(ch, "qubits", f"control.channels[{k}]")),
+                    qubits,
                     _req(ch, "role", f"control.channels[{k}]"),
                     float(_req(ch, "scale", f"control.channels[{k}]")),
                 )
             )
         except ValueError as exc:
             raise ConfigError(f"control.channels[{k}]: {exc}") from exc
+        if not all(1 <= q <= n for q in qubits):
+            raise ConfigError(f"control.channels[{k}].qubits: {list(qubits)} not all in 1..{n}")
     intervals = int(_req(ctrl, "intervals", "control"))
     dt = float(_req(ctrl, "dt", "control"))
     substeps = int(ctrl.get("substeps", 1))
@@ -226,6 +254,11 @@ def parse_config(raw: dict) -> ProblemConfig:
         param = e.get("param", "amplitude" if kind == "amplitude" else None)
         if kind == "model_param" and not param:
             raise ConfigError(f"{path} needs a 'param' name")
+        if kind == "model_param" and param not in model.params():
+            raise ConfigError(
+                f"{path}.param: model {model_name!r} has no parameter {param!r}"
+                f" (it has {sorted(model.params())})"
+            )
         dist = e.get("dist")
         claim(dist, f"model:{param}", path)
         errors.append({"name": _req(e, "name", path), "kind": kind, "param": param, "dist": dist})
@@ -257,20 +290,7 @@ def parse_config(raw: dict) -> ProblemConfig:
         )
 
     tgt = raw.get("targets", {})
-    u_target = None
-    if "u_target" in tgt and tgt["u_target"] is not None:
-        ut = tgt["u_target"]
-        if isinstance(ut, str):
-            if ut not in _GATES:
-                raise ConfigError(f"unknown named gate {ut!r}")
-            m = _GATES[ut](n)
-            if m.shape[0] != 2 ** n:
-                raise ConfigError(f"gate {ut!r} does not fit {n} qubit(s)")
-        else:
-            m = np.asarray(ut.get("matrix_re", ut.get("matrix")), dtype=float) + 1j * np.asarray(
-                ut.get("matrix_im", np.zeros((2 ** n, 2 ** n))), dtype=float
-            )
-        u_target = Operator(m, n)
+    u_target = _u_target(tgt["u_target"], n) if tgt.get("u_target") is not None else None
     h_target_strings = {
         int(w): spec for w, spec in (tgt.get("h_target") or {}).items()
     }
@@ -379,7 +399,7 @@ def _check_evaluation(ev: dict, distributions: dict) -> None:
 # ---------------------------------------------------------------------------
 # derived objects
 
-def _channel_axis_operators(cfg: ProblemConfig) -> list[Operator]:
+def _channel_axis_operators(cfg: ProblemConfig) -> np.ndarray:
     """One operator per distinct (qubits, axis) that the control channels
     drive, in channel order: x and y for drive roles, z for 'z'."""
     axes = []
@@ -387,19 +407,13 @@ def _channel_axis_operators(cfg: ProblemConfig) -> list[Operator]:
         for ax in ("x", "y") if ch.role in ("amp", "phase", "x", "y") else ("z",):
             if (ch.qubits, ax) not in axes:
                 axes.append((ch.qubits, ax))
-    return [
-        Operator(m, cfg.n_qubits, hermitian_hint=True)
-        for m in axis_operators(axes, cfg.n_qubits)
-    ]
+    return axis_operators(axes, cfg.n_qubits)
 
 
-def build_generators(cfg: ProblemConfig) -> list[Operator]:
+def build_generators(cfg: ProblemConfig) -> list[np.ndarray]:
     """Control-channel axis operators plus primary internal terms."""
-    ops = _channel_axis_operators(cfg)
-    for t in cfg.terms:
-        if t.assign == "pri":
-            ops.append(Operator(t.matrix_unit, cfg.n_qubits))
-    return ops
+    pri = [t.matrix_unit for t in cfg.terms if t.assign == "pri"]
+    return [*_channel_axis_operators(cfg), *pri]
 
 
 def build_algebra(cfg: ProblemConfig, tol: float = 1e-7) -> LieAlgebraBasis:
@@ -421,10 +435,7 @@ def pert_components(cfg: ProblemConfig):
 
 def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis, tol: float = 1e-7):
     """Component index -> CSubspace of its reference perturbation."""
-    out = {}
-    for w, mat in pert_components(cfg).items():
-        out[w] = find_c_subspace(g, Operator(mat, cfg.n_qubits), tol, label=f"C{w}")
-    return out
+    return {w: find_c_subspace(g, mat, tol) for w, mat in pert_components(cfg).items()}
 
 
 def target_operators(cfg: ProblemConfig):
@@ -442,58 +453,37 @@ def target_operators(cfg: ProblemConfig):
 
 def scale_components(cfg: ProblemConfig, subspaces):
     """(H_pert_w, C_w, H_target_w) triples for reach.find_scale_range."""
-    comps = pert_components(cfg)
     tgts = target_operators(cfg)
-    out = []
-    for w, mat in comps.items():
-        ht = tgts[w]
-        out.append(
-            (
-                Operator(mat, cfg.n_qubits),
-                subspaces[w],
-                Operator(ht, cfg.n_qubits) if ht is not None else None,
-            )
-        )
-    return out
+    return [(mat, subspaces[w], tgts[w]) for w, mat in pert_components(cfg).items()]
 
 
 def component_target_vectors(cfg: ProblemConfig, subspaces) -> dict:
     """Component -> |H_target^w>> in rad/s under the joint normalization
     convention: H0bar_w = s * that_w * ||(+)_w H_pert^w||."""
-    from .opcore import vectorize
-
     comps = pert_components(cfg)
     tgts = target_operators(cfg)
-    pvecs = {
-        w: np.asarray(vectorize(Operator(m, cfg.n_qubits), subspaces[w].basis), dtype=float)
-        for w, m in comps.items()
-    }
-    pnorm = math.sqrt(sum(float(v @ v) for v in pvecs.values()))
+    # H_pert^w lies in C_w, its own seed
+    pvecs = [project(m, subspaces[w].stack)[0].real for w, m in comps.items()]
+    pnorm = math.sqrt(sum(float(v @ v) for v in pvecs))
     tvecs = {}
     for w in comps:
         if tgts[w] is None:
-            tvecs[w] = np.zeros(len(subspaces[w].basis))
+            tvecs[w] = np.zeros(subspaces[w].dim)
         else:
             # the part inside C_w: all of H_target^w once the feasibility gate
             # has passed; under --force the part that no sequence reaches drops out
-            tvecs[w] = np.einsum("aij,ij->a", subspaces[w].basis.stack().conj(), tgts[w]).real
+            tvecs[w] = project(tgts[w], subspaces[w].stack)[0].real
     tnorm = math.sqrt(sum(float(v @ v) for v in tvecs.values()))
     s = cfg.s_target if cfg.s_target is not None else 0.0
-    out = {}
-    for w in comps:
-        if tnorm == 0.0:
-            out[w] = np.zeros(len(subspaces[w].basis))
-        else:
-            out[w] = s * pnorm * tvecs[w] / tnorm
-    return out
+    return {w: s * pnorm * v / tnorm if tnorm else np.zeros_like(v) for w, v in tvecs.items()}
 
 
 def _same_span(a: CSubspace, b: CSubspace) -> bool:
-    if a.dim != b.dim or a.n_qubits != b.n_qubits:
+    if a.stack.shape != b.stack.shape:
         return False
-    sa, sb = a.basis.stack(), b.basis.stack()
-    g = np.einsum("aij,bij->ab", sa.conj(), sb)
-    return bool(abs(np.linalg.norm(g.conj().T @ g) ** 2 - a.dim) < 1e-6 * a.dim + 1e-9)
+    # rows of g are the coefficients of b's elements in a's basis
+    g, _ = project(b.stack, a.stack)
+    return bool(abs(np.linalg.norm(g @ g.conj().T) ** 2 - a.dim) < 1e-6 * a.dim + 1e-9)
 
 
 def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=(), tol: float = 1e-7) -> CSubspace:
@@ -501,7 +491,7 @@ def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=(), tol: float 
     seeds are the channel axis operators.  Reuses a structurally identical
     subspace from `reuse` so per-candidate work is shared."""
     seeds = _channel_axis_operators(cfg)
-    space = find_c_subspace(g, seeds[0], tol, extra_seeds=tuple(seeds[1:]), label="C_err")
+    space = find_c_subspace(g, seeds[0], tol, extra_seeds=tuple(seeds[1:]))
     for cand in reuse:
         if _same_span(cand, space):
             return cand
@@ -564,20 +554,20 @@ def build_evaluation_setup(cfg: ProblemConfig) -> EvaluationSetup:
     )
 
 
-def total_target_unitary(cfg: ProblemConfig, subspaces) -> Operator:
+def total_target_unitary(cfg: ProblemConfig, subspaces) -> np.ndarray:
     """U_target exp(-i H_target T_seq) with H_target in real units."""
     from .toggling import expm_batch
 
     d = 2 ** cfg.n_qubits
-    u = cfg.u_target.entries if cfg.u_target is not None else np.eye(d)
+    u = cfg.u_target if cfg.u_target is not None else np.eye(d, dtype=complex)
     tvecs = component_target_vectors(cfg, subspaces)
     h = np.zeros((d, d), dtype=complex)
     for w, vec in tvecs.items():
-        h = h + np.tensordot(vec, subspaces[w].basis.stack(), axes=(0, 0))
+        h = h + np.tensordot(vec, subspaces[w].stack, axes=(0, 0))
     if np.abs(h).max() > 0:
         uh = expm_batch(h[None], cfg.t_seq)[0]
         u = u @ uh
-    return Operator(u, cfg.n_qubits)
+    return u
 
 
 # ---------------------------------------------------------------------------

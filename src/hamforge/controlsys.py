@@ -810,11 +810,6 @@ class CircuitModel(ControlModel):
     def drive_linear(self) -> bool:
         return self.cp.alpha_l == 0.0
 
-    def steady_state(self, alpha: complex) -> np.ndarray:
-        """Exact linear steady state -A0^{-1} u alpha (alpha_L = 0)."""
-        a0, uvec = self._system()
-        return -np.linalg.solve(a0, uvec * alpha)
-
 
 # ---------------------------------------------------------------------------
 # field rows to operators
@@ -826,5 +821,5 @@ def axis_operators(axes, n_qubits: int) -> np.ndarray:
     ops = np.zeros((len(axes), 2 ** n_qubits, 2 ** n_qubits), dtype=complex)
     for k, (qubits, axis) in enumerate(axes):
         for q in qubits:
-            ops[k] += pauli_op([(q, axis)], 1.0, n_qubits).entries
+            ops[k] += pauli_op([(q, axis)], 1.0, n_qubits)
     return ops

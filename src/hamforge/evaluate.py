@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controlsys import ControlModel, ControlSequence, axis_operators
-from .opcore import _PAULI, Operator, einsum
+from .opcore import _PAULI, einsum
 
 __all__ = [
     "ParameterDistribution",
@@ -126,11 +126,11 @@ def pauli_basis_stack(n_qubits: int) -> np.ndarray:
     return np.stack(mats)
 
 
-def ptm(u: np.ndarray | Operator, stack: np.ndarray) -> np.ndarray:
+def ptm(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary, or
     of each unitary in a (..., d, d) stack."""
-    um = u.entries if isinstance(u, Operator) else np.asarray(u)
-    conj = einsum("...ij,bjk,...lk->...bil", um, stack, um.conj())
+    u = np.asarray(u)
+    conj = einsum("...ij,bjk,...lk->...bil", u, stack, u.conj())
     return einsum("ail,...bli->...ab", stack, conj).real
 
 
@@ -224,17 +224,15 @@ def simulate_total_unitary(
     seq: ControlSequence,
     setup: EvaluationSetup,
     params: dict | None = None,
-) -> Operator:
+) -> np.ndarray:
     """Exact total propagator at concrete parameter values (params maps
     distribution names to values; omitted ones sit at their nominal)."""
-    return Operator(exact_unitaries(seq, setup, [params or {}])[0], setup.n_qubits)
+    return exact_unitaries(seq, setup, [params or {}])[0]
 
 
-def overlap_fidelity(u: Operator | np.ndarray, u0: Operator | np.ndarray) -> float:
+def overlap_fidelity(u: np.ndarray, u0: np.ndarray) -> float:
     """|Tr(U^dag U0)| / Tr(U0^dag U0); global-phase free."""
-    um = u.entries if isinstance(u, Operator) else np.asarray(u)
-    t = u0.entries if isinstance(u0, Operator) else np.asarray(u0)
-    return float(abs(np.sum(um.conj() * t)) / np.real(np.sum(t.conj() * t)))
+    return float(abs(np.sum(np.conj(u) * u0)) / np.real(np.sum(np.conj(u0) * u0)))
 
 
 def _gate_fidelity(r: np.ndarray, r0: np.ndarray, d: int) -> np.ndarray:
@@ -266,7 +264,7 @@ def landscape(
     setup: EvaluationSetup,
     axis1: tuple[str, np.ndarray],
     axis2: tuple[str, np.ndarray],
-    u0: Operator | np.ndarray,
+    u0: np.ndarray,
 ) -> LandscapeGrid:
     """Overlap fidelity of the exact propagator over a 2-parameter grid;
     axes name distributions from the setup."""
@@ -293,7 +291,7 @@ def stroboscopic_evolve(
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    u = simulate_total_unitary(seq, setup, params).entries
+    u = simulate_total_unitary(seq, setup, params)
     out = np.empty(n_cycles + 1)
     psi = psi0.copy()
     out[0] = 1.0
@@ -306,7 +304,7 @@ def stroboscopic_evolve(
 def evaluation_report(
     seq: ControlSequence,
     setup: EvaluationSetup,
-    u0_total: Operator | np.ndarray,
+    u0_total: np.ndarray,
     n_mc: int,
     rng_seed: int,
     t_dep: float | None = None,

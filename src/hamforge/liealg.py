@@ -4,7 +4,8 @@
 algebra containing i*{generators}; `find_c_subspace` computes the minimal
 real operator subspace containing every nested commutator of algebra
 elements with a perturbation, which is also the span swept out by
-conjugating the perturbation with the generated group.
+conjugating the perturbation with the generated group.  Both hold their
+basis as an orthonormal, read-only (m, d, d) stack.
 
 Linear independence is decided by the rank of the stacked vectorized
 operators, maintained incrementally: a candidate is independent when its
@@ -18,38 +19,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import Operator, OperatorBasis, gram_schmidt
+from .opcore import ORTHO_TOL, _as_readonly, gram_schmidt
 
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class LieAlgebraBasis:
-    basis: OperatorBasis           # anti-Hermitian elements
+class _Basis:
+    """An orthonormal (m, d, d) stack, checked once at construction."""
+
+    stack: np.ndarray
+
+    def __post_init__(self):
+        s = _as_readonly(self.stack)
+        if s.ndim != 3 or not len(s) or s.shape[1] != s.shape[2]:
+            raise ValueError(f"a basis is a nonempty (m, d, d) stack, got shape {s.shape}")
+        if np.abs(np.einsum("aij,bij->ab", s.conj(), s) - np.eye(len(s))).max() >= ORTHO_TOL:
+            raise ValueError("basis is not orthonormal within tolerance")
+        object.__setattr__(self, "stack", s)
+
+    @property
+    def dim(self) -> int:
+        return len(self.stack)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.stack.shape[-1].bit_length() - 1
+
+
+@dataclass(frozen=True, eq=False)
+class LieAlgebraBasis(_Basis):
+    stack: np.ndarray              # anti-Hermitian elements
     generator_count: int
     closure_depth: int             # nesting rounds performed
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.basis.n_qubits
-
-
-@dataclass(frozen=True)
-class CSubspace:
-    basis: OperatorBasis           # Hermitian elements
-    pert_label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.basis.n_qubits
+@dataclass(frozen=True, eq=False)
+class CSubspace(_Basis):
+    stack: np.ndarray              # Hermitian elements
 
 
 class _RowSpace:
@@ -77,44 +83,23 @@ class _RowSpace:
         return True
 
 
-def _traceless(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
+def _closure(seeds, partners, bracket, cap: int, tol: float):
+    """Round-based closure of the independent seeds under bracket(b, p)
+    with every partner p.
 
-
-def find_lie_algebra(generators, tol: float = 1e-7) -> LieAlgebraBasis:
-    """Orthonormal basis of the real Lie algebra generated by i*{H_i}.
-
-    Round-based closure: each round commutes the newest elements with the
-    seed set only, appending independent results, and stops once a round
-    adds nothing or the 2^{2N}-1 dimension cap is reached.  Identity
-    components of the generators are stripped first; they commute with
-    everything and act on states only as a global phase.
+    Each round brackets the newest elements b with the partners only,
+    appending independent results, and stops once a round adds nothing or
+    the span reaches ``cap``.  Returns (elements, rounds performed).
     """
-    generators = list(generators)
-    if not generators:
-        raise ValueError("empty generator list")
-    n = generators[0].n_qubits
-    if any(g.n_qubits != n for g in generators):
-        raise ValueError("generators on different qubit counts")
-    cap = 4 ** n - 1
-
-    rows = _RowSpace(4 ** n, tol)
-    seeds: list[np.ndarray] = []
-    elements: list[np.ndarray] = []
-    for g in generators:
-        m = 1j * _traceless(np.asarray(g.entries))
-        seeds.append(m)
-        if rows.try_add(m):
-            elements.append(m)
-
+    rows = _RowSpace(seeds[0].size, tol)
+    elements = [m for m in seeds if rows.try_add(m)]
     current = list(elements)
     depth = 0
     while current and len(elements) < cap:
         new: list[np.ndarray] = []
-        for h in current:
-            for g in seeds:
-                c = h @ g - g @ h
+        for b in current:
+            for p in partners:
+                c = bracket(b, p)
                 if rows.try_add(c):
                     new.append(c)
                     if len(elements) + len(new) >= cap:
@@ -125,18 +110,40 @@ def find_lie_algebra(generators, tol: float = 1e-7) -> LieAlgebraBasis:
         elements.extend(new)
         current = new
         depth += 1
+    return elements, depth
 
-    ops = [Operator(m, n) for m in elements]
-    basis = gram_schmidt(ops, tol=1e-12, label="g_pri")
-    return LieAlgebraBasis(basis, generator_count=len(generators), closure_depth=depth)
+
+def _traceless(m: np.ndarray) -> np.ndarray:
+    d = m.shape[0]
+    return m - (np.trace(m) / d) * np.eye(d)
+
+
+def find_lie_algebra(generators, tol: float = 1e-7) -> LieAlgebraBasis:
+    """Orthonormal basis of the real Lie algebra generated by i*{H_i}.
+
+    Every round commutes the newest elements with the seed set, up to the
+    2^{2N}-1 dimension cap.  Identity components of the generators are
+    stripped first; they commute with everything and act on states only
+    as a global phase.
+    """
+    generators = [np.asarray(g) for g in generators]
+    if not generators:
+        raise ValueError("empty generator list")
+    d = generators[0].shape[0]
+    if any(g.shape != (d, d) for g in generators):
+        raise ValueError("generators on different qubit counts")
+    seeds = [1j * _traceless(g) for g in generators]
+    elements, depth = _closure(seeds, seeds, lambda h, g: h @ g - g @ h, d * d - 1, tol)
+    return LieAlgebraBasis(
+        gram_schmidt(elements, tol=1e-12), generator_count=len(generators), closure_depth=depth
+    )
 
 
 def find_c_subspace(
     g: LieAlgebraBasis,
-    h_pert: Operator,
+    h_pert: np.ndarray,
     tol: float = 1e-7,
-    extra_seeds: tuple[Operator, ...] = (),
-    label: str = "",
+    extra_seeds: tuple[np.ndarray, ...] = (),
 ) -> CSubspace:
     """Orthonormal basis of span{ [g_1, ... [g_L, H_pert] ...], L >= 0 }.
 
@@ -145,50 +152,13 @@ def find_c_subspace(
     time-dependent perturbation: the subspace then contains the span of
     all listed operators and their nested commutators.
     """
-    if not h_pert.is_hermitian(1e-8):
+    h_pert = np.asarray(h_pert)
+    scale = max(np.abs(h_pert).max(), 1e-300)
+    if np.abs(h_pert - h_pert.conj().T).max() >= 1e-8 * scale:
         raise ValueError("H_pert must be Hermitian")
-    n = h_pert.n_qubits
-    if g.n_qubits != n:
+    d = h_pert.shape[0]
+    if g.stack.shape[-1] != d:
         raise ValueError("algebra and perturbation dimension mismatch")
-    cap = 4 ** n
-    gstack = g.basis.stack()
-
-    rows = _RowSpace(4 ** n, tol)
-    elements: list[np.ndarray] = []
-    for seed in (h_pert, *extra_seeds):
-        m = np.asarray(seed.entries)
-        if rows.try_add(m):
-            elements.append(m)
-
-    current = list(elements)
-    while current and len(elements) < cap:
-        new: list[np.ndarray] = []
-        for b in current:
-            for e in gstack:
-                c = e @ b - b @ e
-                if rows.try_add(c):
-                    new.append(c)
-                    if len(elements) + len(new) >= cap:
-                        break
-            else:
-                continue
-            break
-        elements.extend(new)
-        current = new
-
-    ops = [Operator(m, n) for m in elements]
-    basis = gram_schmidt(ops, tol=1e-12, label=label or "C")
-    return CSubspace(basis, pert_label=label)
-
-
-def contains(space, x: Operator, tol: float = 1e-7) -> tuple[bool, float]:
-    """Membership test by projection; returns (in_span, residual norm)."""
-    basis = space.basis if hasattr(space, "basis") else space
-    stack = basis.stack()
-    m = np.asarray(x.entries)
-    if stack.shape[1] != m.shape[0]:
-        raise ValueError("dimension mismatch")
-    c = np.einsum("aij,ij->a", stack.conj(), m)
-    resid = float(np.linalg.norm(m - np.tensordot(c, stack, axes=(0, 0))))
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    return resid <= tol * scale, resid
+    seeds = [h_pert, *(np.asarray(s) for s in extra_seeds)]
+    elements, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d, tol)
+    return CSubspace(gram_schmidt(elements, tol=1e-12))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .controlsys import ControlModel, ControlSequence, axis_operators, jet_key
 from .liealg import CSubspace
-from .opcore import Operator
+from .opcore import project
 from . import toggling as tg
 
 
@@ -63,7 +63,7 @@ class ObjectiveTerm:
 @dataclass(frozen=True)
 class ObjectiveSpec:
     terms: tuple[ObjectiveTerm, ...]
-    target_unitary: Operator | None = None
+    target_unitary: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,10 @@ class CostReport:
 # ---------------------------------------------------------------------------
 # individual criteria
 
-def primary_unitary_cost(u_final: Operator | np.ndarray, u_target: Operator | np.ndarray) -> float:
+def primary_unitary_cost(u_final: np.ndarray, u_target: np.ndarray) -> float:
     """1 - |Tr(U U_target^dag)| / Tr(U_target U_target^dag); phase-free."""
-    u = u_final.entries if isinstance(u_final, Operator) else u_final
-    t = u_target.entries if isinstance(u_target, Operator) else u_target
-    overlap = abs(np.sum(u * t.conj()))
-    return float(1.0 - overlap / np.real(np.sum(t * t.conj())))
+    overlap = abs(np.sum(u_final * u_target.conj()))
+    return float(1.0 - overlap / np.real(np.sum(u_target * u_target.conj())))
 
 
 def zeroth_order_cost(c0: np.ndarray, target: np.ndarray, t_seq: float) -> float:
@@ -299,7 +297,7 @@ class CostPipeline:
         self.model = model
         self.components = list(components)
         self.errors = {e.name: e for e in errors}
-        self.target_unitary = None if spec.target_unitary is None else spec.target_unitary.entries
+        self.target_unitary = spec.target_unitary
         self.pri_internal = (
             np.zeros((d, d), dtype=complex) if pri_internal is None else pri_internal
         )
@@ -320,11 +318,8 @@ class CostPipeline:
         def shared(stack):
             return distinct.setdefault((stack.shape, stack.tobytes()), stack)
 
-        self.comp_stacks = [shared(c.subspace.basis.stack()) for c in self.components]
-        self.comp_seed = [
-            np.einsum("aij,ij->a", s.conj(), c.matrix).astype(complex)
-            for s, c in zip(self.comp_stacks, self.components)
-        ]
+        self.comp_stacks = [shared(c.subspace.stack) for c in self.components]
+        self.comp_seed = [project(c.matrix, s)[0] for s, c in zip(self.comp_stacks, self.components)]
         self.comp_scale = []
         for c, seed in zip(self.components, self.comp_seed):
             if c.target_vec is not None and np.linalg.norm(c.target_vec) > 0:
@@ -332,7 +327,7 @@ class CostPipeline:
             else:
                 self.comp_scale.append(float(np.linalg.norm(seed)))
         self.err_stacks = {
-            name: shared(e.subspace.basis.stack()) for name, e in self.errors.items()
+            name: shared(e.subspace.stack) for name, e in self.errors.items()
         }
 
         self.requests: dict = {}   # (kind, arg) -> highest order read
@@ -383,7 +378,7 @@ class CostPipeline:
         for n in names:
             e = self.errors[n]
             if e.kind == "model_param" and e.param not in self.model.params():
-                raise KeyError(f"error {n!r}: model has no parameter {e.param!r}")
+                raise ValueError(f"error {n!r}: model has no parameter {e.param!r}")
             # an 'amplitude' error differentiates along the relative drive error
             params.append("amplitude" if e.kind == "amplitude" else e.param)
         return jet_key(*params)
@@ -407,7 +402,7 @@ class CostPipeline:
                     self.model.param_scale(self.errors[n].param)
                     for n in arg if self.errors[n].kind == "model_param"
                 ])
-                coef = np.einsum("aij,kij->ak", self.err_stacks[arg[0]].conj(), self.axis_ops)
+                coef = project(self.axis_ops, self.err_stacks[arg[0]])[0].T
                 self.err_seeds[arg] = (jet, coef * scale)
             self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
 

@@ -1,23 +1,24 @@
 """Dense operator algebra for small qubit registers.
 
-Operators are immutable wrappers around dense complex matrices on an
-n-qubit Hilbert space (dim = 2**n).  The module provides Pauli-string
-operators, orthonormal operator bases under the Hilbert-Schmidt geometry
-<<A|B>> = Tr(B A^dag), and the vector representation of an operator
-relative to such a basis:
+An operator on an n-qubit register is a plain complex (d, d) ndarray,
+d = 2**n.  An orthonormal operator basis is a read-only (m, d, d) stack,
+orthonormal under the Hilbert-Schmidt inner product
+<<A|B>> = Tr(B A^dag).  The module provides Pauli-string operators,
+Gram-Schmidt orthonormalization into such a stack, and the one projection
+of operators onto a stack, which gives the vector representation
 
     |H>>_i   = <<h_i|H>>
 
-Coefficient vectors are returned real whenever the basis and the operand
-share (anti-)Hermitian type, since those inner products are guaranteed
-real; the subspaces used downstream are real vector spaces.
+together with the relative residual of H outside the span.  Coefficients
+are complex; they are real when the basis and the operand share
+(anti-)Hermitian type, and the real subspaces used downstream take their
+real part.
 
-Everything here is a pure function over immutable values and is safe to
-call from concurrent workers.
+Everything here is a pure function and is safe to call from concurrent
+workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,7 +27,6 @@ import numpy as np
 # Global tolerance defaults (Hilbert-Schmidt units).
 ORTHO_TOL = 1e-9     # basis orthonormality
 SPAN_TOL = 1e-8      # span membership / reconstruction residual
-HERM_TOL = 1e-10     # hermiticity, relative to max |entry|
 
 _PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -46,79 +46,9 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix on an n-qubit Hilbert space."""
-
-    entries: np.ndarray
-    n_qubits: int
-    hermitian_hint: bool | None = None
-
-    def __post_init__(self):
-        m = _as_readonly(self.entries)
-        object.__setattr__(self, "entries", m)
-        d = 2 ** self.n_qubits
-        if self.n_qubits < 1 or m.shape != (d, d):
-            raise ValueError(
-                f"entries shape {m.shape} does not match n_qubits={self.n_qubits}"
-            )
-        if self.hermitian_hint:
-            scale = max(np.abs(m).max(), 1e-300)
-            if np.abs(m - m.conj().T).max() >= HERM_TOL * scale:
-                raise ValueError("hermitian_hint set but matrix is not Hermitian")
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    @staticmethod
-    def from_matrix(m: np.ndarray, hermitian_hint: bool | None = None) -> "Operator":
-        m = np.asarray(m, dtype=complex)
-        n = int(round(np.log2(m.shape[0])))
-        return Operator(m, n, hermitian_hint)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, self.n_qubits, self.hermitian_hint)
-
-    def is_hermitian(self, tol: float = HERM_TOL) -> bool:
-        m = self.entries
-        scale = max(np.abs(m).max(), 1e-300)
-        return bool(np.abs(m - m.conj().T).max() < tol * scale)
-
-    def norm(self) -> float:
-        """Hilbert-Schmidt (Frobenius) norm."""
-        return float(np.linalg.norm(self.entries))
-
-    # -- small value-type algebra used by the higher layers and tests --
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same(other)
-        return Operator(self.entries + other.entries, self.n_qubits)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same(other)
-        return Operator(self.entries - other.entries, self.n_qubits)
-
-    def __mul__(self, c: complex) -> "Operator":
-        return Operator(self.entries * c, self.n_qubits)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.entries, self.n_qubits)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same(other)
-        return Operator(self.entries @ other.entries, self.n_qubits)
-
-    def _check_same(self, other: "Operator"):
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("operator dimension mismatch")
-
-
 def pauli_op(
     terms: Sequence[tuple[int, str]], coefficient: complex, n_qubits: int
-) -> Operator:
+) -> np.ndarray:
     """coefficient times a tensor product of Pauli factors.
 
     ``terms`` lists (qubit_index, axis) with 1-based qubit indices and
@@ -137,80 +67,28 @@ def pauli_op(
     m = np.array([[1.0 + 0.0j]])
     for q in range(1, n_qubits + 1):
         m = np.kron(m, factors.get(q, _PAULI["i"]))
-    herm = bool(np.isreal(coefficient)) and np.imag(coefficient) == 0
-    return Operator(coefficient * m, n_qubits, hermitian_hint=herm or None)
+    return coefficient * m
 
 
-def pauli_string_op(strings, n_qubits: int) -> Operator:
+def pauli_string_op(strings, n_qubits: int) -> np.ndarray:
     """Sum of weighted Pauli strings: strings = [(factor, [(q, ax), ...]), ...]."""
     m = np.zeros((2 ** n_qubits,) * 2, dtype=complex)
     for factor, term in strings:
-        m += pauli_op(term, factor, n_qubits).entries
-    return Operator(m, n_qubits)
+        m += pauli_op(term, factor, n_qubits)
+    return m
 
 
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Ordered, Hilbert-Schmidt-orthonormal list of operators."""
-
-    elements: tuple[Operator, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
-            raise ValueError("empty basis")
-        n = self.elements[0].n_qubits
-        if any(e.n_qubits != n for e in self.elements):
-            raise ValueError("basis elements on different qubit counts")
-        g = self.gram()
-        if np.abs(g - np.eye(len(self.elements))).max() >= ORTHO_TOL:
-            raise ValueError("basis is not orthonormal within tolerance")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.elements[0].n_qubits
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
-
-    def stack(self) -> np.ndarray:
-        """(m, d, d) array of the basis matrices."""
-        return np.stack([e.entries for e in self.elements])
-
-    def gram(self) -> np.ndarray:
-        s = self.stack()
-        return np.einsum("aij,bij->ab", s.conj(), s)
-
-    def all_hermitian(self) -> bool:
-        return all(e.is_hermitian(1e-8) for e in self.elements)
-
-    def all_antihermitian(self) -> bool:
-        return all(
-            np.abs(e.entries + e.entries.conj().T).max()
-            < 1e-8 * max(np.abs(e.entries).max(), 1e-300)
-            for e in self.elements
-        )
-
-
-def gram_schmidt(ops: Sequence[Operator], tol: float = 1e-10, label: str = "") -> OperatorBasis:
-    """Orthonormalize a list of operators, dropping dependent ones.
+def gram_schmidt(mats: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
+    """Orthonormalize a list of (d, d) matrices, dropping dependent ones,
+    into a read-only (m, d, d) stack in input order.
 
     Vectors whose post-projection norm falls below ``tol`` times the
     largest input norm are discarded.  Modified Gram-Schmidt with one
     re-orthogonalization pass.
     """
-    if not ops:
+    if not len(mats):
         raise ValueError("empty input")
-    n = ops[0].n_qubits
-    mats = [np.asarray(o.entries, dtype=complex) for o in ops]
+    mats = [np.asarray(m, dtype=complex) for m in mats]
     scale = max(np.linalg.norm(m) for m in mats)
     if scale == 0.0:
         raise ValueError("all inputs numerically zero")
@@ -225,7 +103,20 @@ def gram_schmidt(ops: Sequence[Operator], tol: float = 1e-10, label: str = "") -
             kept.append(v / nv)
     if not kept:
         raise ValueError("all inputs numerically zero after projection")
-    return OperatorBasis(tuple(Operator(v, n) for v in kept), label=label)
+    return _as_readonly(np.stack(kept))
+
+
+def project(m: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_a = <<h_a|m>> of m in the orthonormal stack, and the
+    relative residual ||m - sum_a c_a h_a|| / ||m|| (0 for m = 0).
+
+    ``m`` may carry leading batch axes (..., d, d); the coefficients are
+    then (..., k) and the residual has shape (...).
+    """
+    m = np.asarray(m)
+    c = np.einsum("aij,...ij->...a", stack.conj(), m)
+    resid = np.linalg.norm(m - np.einsum("...a,aij->...ij", c, stack), axis=(-2, -1))
+    return c, resid / np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
 
 
 @lru_cache(maxsize=64)
@@ -239,29 +130,3 @@ def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     (subscripts, operand shapes) rather than on every call."""
     path = _einsum_path(subscripts, tuple(np.shape(o) for o in operands))
     return np.einsum(subscripts, *operands, optimize=path)
-
-
-def _project_coeffs(m: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Raw coefficients <<h_i|m>> for an orthonormal stack, no span check."""
-    return np.einsum("aij,ij->a", stack.conj(), m)
-
-
-def vectorize(h: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.ndarray:
-    """Coefficient vector |h>> in ``basis``; errors if h leaves the span.
-
-    Returns a real array when the inner products are real to within the
-    reconstruction tolerance (Hermitian operand on a Hermitian basis, or
-    anti-Hermitian on anti-Hermitian), complex otherwise.
-    """
-    stack = basis.stack()
-    c = _project_coeffs(h.entries, stack)
-    recon = np.tensordot(c, stack, axes=(0, 0))
-    nh = max(np.linalg.norm(h.entries), 1e-300)
-    resid = np.linalg.norm(h.entries - recon)
-    if resid > tol * nh:
-        raise SubspaceError(
-            f"operator outside subspace: residual {resid:.3e} > {tol:.1e} * {nh:.3e}"
-        )
-    if np.abs(c.imag).max() <= tol * max(np.abs(c).max(), 1e-300):
-        return c.real.copy()
-    return c

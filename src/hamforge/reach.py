@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import LieAlgebraBasis, contains
-from .opcore import SubspaceError, vectorize
+from .liealg import LieAlgebraBasis
+from .opcore import SPAN_TOL, SubspaceError, project
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +176,18 @@ def sample_vertices(
     """Build the vertex set for a list of (H_pert_w, C_w, H_target_w)."""
     rng = rng or np.random.default_rng()
     mode = _pick_sampler(g, sampler)
-    perts = [np.asarray(vectorize(h, c.basis), dtype=float) for (h, c, _) in components]
-    targets = []
-    for (_, c, ht) in components:
-        if ht is None:
-            targets.append(np.zeros(len(c.basis)))
-        else:
-            ok, resid = contains(c, ht, 1e-7)
-            if not ok:
-                raise SubspaceError(
-                    f"target outside subspace (residual {resid:.3e})"
-                )
-            targets.append(np.asarray(vectorize(ht, c.basis), dtype=float))
+
+    def coefficients(m, c, what):
+        coeff, resid = project(m, c.stack)
+        if resid > SPAN_TOL:
+            raise SubspaceError(f"{what} outside subspace (relative residual {resid:.3e})")
+        return coeff.real
+
+    perts = [coefficients(h, c, "perturbation") for (h, c, _) in components]
+    targets = [
+        np.zeros(c.dim) if ht is None else coefficients(ht, c, "target")
+        for (_, c, ht) in components
+    ]
     pcat = np.concatenate(perts)
     alpha = 1.0 / np.linalg.norm(pcat)
     tcat = np.concatenate(targets)
@@ -200,14 +200,11 @@ def sample_vertices(
     if mode == "qr":
         us = haar_unitary(dim, rng, j_samples)
     else:
-        us = np.stack(_walk_unitaries(g.basis.stack(), n_burn, n_thin, j_samples, rng))
+        us = np.stack(_walk_unitaries(g.stack, n_burn, n_thin, j_samples, rng))
     parts = []
     for (h, c, _) in components:
-        stack = c.basis.stack()
-        m = us.conj().swapaxes(-1, -2) @ np.asarray(h.entries) @ us
-        coeff = np.einsum("aij,sij->sa", stack.conj(), m)
-        resid = np.linalg.norm(m - np.einsum("sa,aij->sij", coeff, stack), axis=(-2, -1))
-        if (resid > 1e-6 * np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)).any():
+        coeff, resid = project(us.conj().swapaxes(-1, -2) @ h @ us, c.stack)
+        if (resid > 1e-6).any():
             raise SubspaceError(
                 "conjugated perturbation leaves its subspace; "
                 "the sampler wandered outside e^{g_pri}"
@@ -269,7 +266,7 @@ def find_scale_range(
     decoupling corollary reads as equality of s-ranges.
     """
     rng = rng or np.random.default_rng()
-    mtot = sum(len(c.basis) for (_, c, _) in components)
+    mtot = sum(c.dim for (_, c, _) in components)
     if j_samples < mtot + 1:
         import warnings
 

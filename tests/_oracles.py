@@ -17,37 +17,39 @@ from hamforge import toggling as tg
 from hamforge.controlsys import axis_operators
 from hamforge.evaluate import pauli_basis_stack
 from hamforge.liealg import CSubspace
-from hamforge.opcore import Operator, OperatorBasis, SPAN_TOL, vectorize
+from hamforge.opcore import SPAN_TOL, SubspaceError, project
 
 
 # ---------------------------------------------------------------------------
 # operator algebra
 
-def identity_op(n_qubits: int) -> Operator:
-    return Operator(np.eye(2 ** n_qubits), n_qubits, hermitian_hint=True)
-
-
-def hs_inner(a: Operator, b: Operator) -> complex:
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product <<a|b>> = Tr(b a^dag)."""
-    a._check_same(b)
-    return complex(np.sum(a.entries.conj() * b.entries))
+    return complex(np.sum(np.conj(a) * b))
 
 
-def commutator(a: Operator, b: Operator) -> Operator:
-    a._check_same(b)
-    return Operator(a.entries @ b.entries - b.entries @ a.entries, a.n_qubits)
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
-def expm_herm_generator(h: Operator, t: float) -> Operator:
+def expm_herm_generator(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via eigendecomposition."""
-    if not h.is_hermitian():
+    if np.abs(h - h.conj().T).max() >= 1e-10 * max(np.abs(h).max(), 1e-300):
         raise ValueError("generator is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h.entries)
-    return Operator((v * np.exp(-1j * w * t)) @ v.conj().T, h.n_qubits)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def reconstruct(c: np.ndarray, basis: OperatorBasis) -> Operator:
-    return Operator(np.tensordot(np.asarray(c), basis.stack(), axes=(0, 0)), basis.n_qubits)
+def reconstruct(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    return np.tensordot(np.asarray(c), stack, axes=(0, 0))
+
+
+def vector(m: np.ndarray, stack: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
+    """Coefficients of m in the stack; SubspaceError if m leaves its span."""
+    c, resid = project(m, stack)
+    if resid > tol:
+        raise SubspaceError(f"operator outside subspace: relative residual {resid:.3e}")
+    return c
 
 
 def _stack_columns(cols: list[np.ndarray], tol: float) -> np.ndarray:
@@ -57,28 +59,24 @@ def _stack_columns(cols: list[np.ndarray], tol: float) -> np.ndarray:
     return d
 
 
-def rep_unitary(u: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.ndarray:
+def rep_unitary(u: np.ndarray, stack: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
     """D(U) with D(U)_ij = <<h_i|U h_j U^dag>>; |UHU^dag>> = D(U)|H>>.
 
     The span must be closed under conjugation by U (checked per column
-    through the vectorize residual).
+    through the projection residual).
     """
-    cols = []
-    for h in basis.elements:
-        m = u.entries @ h.entries @ u.entries.conj().T
-        cols.append(vectorize(Operator(m, basis.n_qubits), basis, tol))
-    return _stack_columns(cols, tol)
+    return _stack_columns([vector(u @ h @ u.conj().T, stack, tol) for h in stack], tol)
 
 
-def rep_ad(g: Operator, basis: OperatorBasis, tol: float = SPAN_TOL) -> np.ndarray:
+def rep_ad(g: np.ndarray, stack: np.ndarray, tol: float = SPAN_TOL) -> np.ndarray:
     """D(ad_g) with entries <<h_i|[g, h_j]>>; exp(D(ad_g)) = D(e^g)."""
     cols = []
-    for h in basis.elements:
-        m = g.entries @ h.entries - h.entries @ g.entries
-        if np.linalg.norm(m) < 1e-300 * max(np.linalg.norm(g.entries), 1.0):
-            cols.append(np.zeros(len(basis)))
+    for h in stack:
+        m = g @ h - h @ g
+        if np.linalg.norm(m) < 1e-300 * max(np.linalg.norm(g), 1.0):
+            cols.append(np.zeros(len(stack)))
             continue
-        cols.append(vectorize(Operator(m, basis.n_qubits), basis, tol))
+        cols.append(vector(m, stack, tol))
     return _stack_columns(cols, tol)
 
 
@@ -97,7 +95,7 @@ class StepHamiltonians:
     @staticmethod
     def from_operators(h_pri, h_pert, delta_t, error_terms=None):
         def stack(ops):
-            return np.stack([np.asarray(h.entries) for h in ops])
+            return np.stack([np.asarray(h) for h in ops])
 
         err = {k: stack(v) for k, v in (error_terms or {}).items()}
         return StepHamiltonians(stack(h_pri), stack(h_pert), err, float(delta_t))
@@ -253,12 +251,12 @@ class CIntegralSet:
         return self.c2.reshape(m, m, m)
 
 
-def step_c_integrals(h_pri: Operator, h_pert: Operator, c_space: CSubspace, delta_t: float,
+def step_c_integrals(h_pri: np.ndarray, h_pert: np.ndarray, c_space: CSubspace, delta_t: float,
                      r_max: int = 3, tol: float = tg.DEFAULT_DEGEN_TOL) -> CIntegralSet:
     """C-integrals of a single constant step via the adjoint eigenbasis."""
-    stack = c_space.basis.stack()
-    c_seed = np.asarray(vectorize(h_pert, c_space.basis), dtype=complex)
-    eig = _step_eigen(adjoint_matrix(np.asarray(h_pri.entries), stack), c_seed)
+    stack = c_space.stack
+    c_seed = vector(h_pert, stack)
+    eig = _step_eigen(adjoint_matrix(h_pri, stack), c_seed)
     c0, c1, c2 = step_cints_raw(eig, delta_t, r_max, tol)
     flat = [None if c is None else c.ravel() for c in (c1, c2)]
     return CIntegralSet(c_space, r_max, c0, *flat, delta_t)
@@ -268,7 +266,7 @@ def compose_c_integrals(per_step, prop: PrimaryPropagation, c_space: CSubspace) 
     """Compose per-step C-integrals into whole-sequence tensors."""
     r_max = per_step[0].order
     m = len(per_step[0].c0)
-    dq = toggle_matrices(prop.step_unitaries, c_space.basis.stack())
+    dq = toggle_matrices(prop.step_unitaries, c_space.stack)
     tensors = [
         (s.c0, None if s.c1 is None else s.c1.reshape(m, m),
          None if s.c2 is None else s.c2.reshape(m, m, m))
@@ -284,8 +282,7 @@ def cross_c_integral(steps: StepHamiltonians, error_name: str, c_pert: CSubspace
                      tol: float = tg.DEFAULT_DEGEN_TOL) -> np.ndarray:
     """Whole-sequence cross integral, (|C_pert|, |C_err|): H_pert at the
     later time, the named error term at the earlier time."""
-    stack_p = c_pert.basis.stack()
-    stack_e = c_err.basis.stack()
+    stack_p, stack_e = c_pert.stack, c_err.stack
     err = steps.error_terms[error_name]
     cross_steps, c0p_steps, c0e_steps = [], [], []
     for q in range(steps.h_pri.shape[0]):
@@ -313,21 +310,20 @@ def magnus_terms(cints: CIntegralSet, c_space: CSubspace):
     H1 = -i/(2T) sum_ij c1_ij [h_i, h_j]
     H2 = -1/(6T) sum_ijk c2_ijk ([h_i,[h_j,h_k]] + [h_k,[h_j,h_i]])
     """
-    stack = c_space.basis.stack()
+    stack = c_space.stack
     t = cints.t_seq
-    n = c_space.n_qubits
-    h0 = Operator(np.tensordot(cints.c0, stack, axes=(0, 0)) / t, n)
+    h0 = reconstruct(cints.c0, stack) / t
     h1 = h2 = None
     comm = commutator_table(stack) if cints.order >= 2 else None
     if cints.order >= 2:
-        h1 = Operator(-0.5j * np.einsum("ij,ijab->ab", cints.c1_matrix(), comm) / t, n)
+        h1 = -0.5j * np.einsum("ij,ijab->ab", cints.c1_matrix(), comm) / t
     if cints.order >= 3:
         c2 = cints.c2_tensor()
         inner = np.einsum("ijk,jkab->iab", c2, comm)      # sum_jk c2_ijk [h_j,h_k]
         f3a = np.einsum("iab,ibc->ac", stack, inner) - np.einsum("iab,ibc->ac", inner, stack)
         inner_rev = np.einsum("ijk,jiab->kab", c2, comm)  # sum_ij c2_ijk [h_j,h_i]
         f3b = np.einsum("kab,kbc->ac", stack, inner_rev) - np.einsum("kab,kbc->ac", inner_rev, stack)
-        h2 = Operator(-(f3a + f3b) / (6.0 * t), n)
+        h2 = -(f3a + f3b) / (6.0 * t)
     return h0, h1, h2
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamforge.opcore import Operator, pauli_op
+from hamforge.opcore import pauli_op
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def paulis1():
 def random_hermitian(rng, n_qubits=1, scale=1.0):
     d = 2 ** n_qubits
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return Operator((m + m.conj().T) * (scale / 2), n_qubits)
+    return (m + m.conj().T) * (scale / 2)
 
 
 def rk4_cint_oracle(tog_coeffs, t_max, m, n=3000, orders=3):

@@ -260,7 +260,7 @@ def test_cli_subspace_contains_the_target(tmp_path):
 def _library_view(cfg, seq_path):
     pc = cfgmod.parse_config(cfg)
     u0 = cfgmod.total_target_unitary(pc, cfgmod.build_subspaces(pc, cfgmod.build_algebra(pc)))
-    return cfgmod.read_sequence(str(seq_path)), cfgmod.build_evaluation_setup(pc), u0.entries
+    return cfgmod.read_sequence(str(seq_path)), cfgmod.build_evaluation_setup(pc), u0
 
 
 def test_cli_landscape_matches_per_point_oracle(tmp_path, monkeypatch):
@@ -340,6 +340,35 @@ def test_cli_optimize_rejects_an_objective_that_refers_to_nothing(
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"config error: {path}" in err and detail in err
+
+
+def _bad_model_param(cfg):
+    cfg["errors"].append({"name": "bw", "kind": "model_param", "param": "W"})
+    cfg["objectives"].append({"kind": "robustness_first", "weight": 1, "error": "bw"})
+
+
+_BAD_KEYS = {
+    "u-target-3x3": (lambda c: c["targets"].update(u_target={"matrix_re": np.eye(3).tolist()}),
+                     "targets.u_target has shape (3, 3)"),
+    "u-target-no-matrix": (lambda c: c["targets"].update(u_target={"foo": 1}),
+                           "targets.u_target needs"),
+    "u-target-not-unitary": (lambda c: c["targets"].update(u_target={"matrix_re": [[1, 1], [1, 1]]}),
+                             "targets.u_target is not unitary"),
+    "unknown-model-param": (_bad_model_param, "errors[1].param"),
+    "qubit-out-of-range": (lambda c: c["control"]["channels"][0].update(qubits=[2]),
+                           "control.channels[0].qubits"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_KEYS))
+def test_cli_optimize_rejects_a_bad_problem_key_by_its_path(tmp_path, capsys, monkeypatch, case):
+    mutate, message = _BAD_KEYS[case]
+    cfg = _config_optimize()
+    mutate(cfg)
+    monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def _config_outside(cfg):

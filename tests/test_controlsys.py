@@ -182,7 +182,8 @@ def test_circuit_steady_state_matches_linear_solve():
     vals[0] = 0.6
     alpha = 0.6 / cp.kappa_i
     x_fin, _ = model._integrate(np.full(p_int, alpha + 0j), dt)
-    xss = model.steady_state(alpha)
+    a0, uvec = model._system()
+    xss = -np.linalg.solve(a0, uvec * alpha)   # exact linear steady state (alpha_L = 0)
     assert np.linalg.norm(x_fin - xss) / np.linalg.norm(xss) < 1e-6
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from hamforge import evaluate as ev
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
-from hamforge.opcore import Operator, pauli_op
+from hamforge.opcore import pauli_op
 from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator
 
 
@@ -13,7 +13,7 @@ XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
 
 
 def setup_1q(dists=(), terms=None):
-    terms = terms if terms is not None else [("offset", pauli_op([(1, "z")], 1.0, 1).entries, 0.0)]
+    terms = terms if terms is not None else [("offset", pauli_op([(1, "z")], 1.0, 1), 0.0)]
     return ev.EvaluationSetup(
         n_qubits=1,
         channels=XY,
@@ -88,8 +88,8 @@ def test_simulate_total_unitary_constant_offset():
     seq = ControlSequence(np.zeros((2, 5)), 1e-8, XY)
     u = ev.simulate_total_unitary(seq, setup)
     sz = pauli_op([(1, "z")], 1.0, 1)
-    expect = expm_herm_generator(sz, dw * 5e-8).entries
-    assert np.abs(u.entries - expect).max() < 1e-9
+    expect = expm_herm_generator(sz, dw * 5e-8)
+    assert np.abs(u - expect).max() < 1e-9
 
 
 def test_simulate_step_doubling_consistency():
@@ -104,7 +104,7 @@ def test_simulate_step_doubling_consistency():
         term_coeffs=setup.term_coeffs, distributions=(),
     )
     u2 = ev.simulate_total_unitary(s1, setup2)
-    assert np.abs(u1.entries - u2.entries).max() < 1e-8
+    assert np.abs(u1 - u2).max() < 1e-8
 
 
 def test_simulate_rabi_quarter_rotation():
@@ -122,20 +122,20 @@ def test_simulate_rabi_quarter_rotation():
     )
     u = ev.simulate_total_unitary(seq, setup)
     sx = pauli_op([(1, "x")], 1.0, 1)
-    expect = expm_herm_generator(sx, np.pi / 4).entries
-    assert ev.overlap_fidelity(u, Operator(expect, 1)) == pytest.approx(1.0, abs=1e-12)
+    expect = expm_herm_generator(sx, np.pi / 4)
+    assert ev.overlap_fidelity(u, expect) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_overlap_fidelity_properties():
     rng = np.random.default_rng(4)
     from hamforge.reach import haar_unitary
 
-    u = Operator(haar_unitary(2, rng), 1)
+    u = haar_unitary(2, rng)
     assert ev.overlap_fidelity(u, u) == pytest.approx(1.0)
-    eye = Operator(np.eye(2), 1)
+    eye = np.eye(2)
     sx = pauli_op([(1, "x")], 1.0, 1)
     assert ev.overlap_fidelity(eye, sx) == pytest.approx(0.0, abs=1e-14)
-    phase = Operator(np.exp(0.7j) * u.entries, 1)
+    phase = np.exp(0.7j) * u
     assert ev.overlap_fidelity(phase, u) == pytest.approx(1.0)
 
 
@@ -166,15 +166,15 @@ def test_average_gate_fidelity_identities():
     rng = np.random.default_rng(7)
     from hamforge.reach import haar_unitary
 
-    u0 = Operator(haar_unitary(2, rng), 1)
+    u0 = haar_unitary(2, rng)
     stack = ev.pauli_basis_stack(1)
     r = ev.ptm(u0, stack)
-    assert average_gate_fidelity(r, u0.entries) == pytest.approx(1.0)
-    assert average_gate_fidelity(r, np.exp(1.3j) * u0.entries) == pytest.approx(1.0)
+    assert average_gate_fidelity(r, u0) == pytest.approx(1.0)
+    assert average_gate_fidelity(r, np.exp(1.3j) * u0) == pytest.approx(1.0)
     # fully depolarizing map
     dep = np.zeros((4, 4))
     dep[0, 0] = 1.0
-    assert average_gate_fidelity(dep, u0.entries) == pytest.approx(0.5)
+    assert average_gate_fidelity(dep, u0) == pytest.approx(0.5)
 
 
 def test_average_gate_fidelity_vs_state_integral_oracle():
@@ -250,7 +250,7 @@ def test_landscape_grid():
     d1 = ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")
     setup = setup_1q([d1])
     seq = ControlSequence(np.zeros((2, 3)), 1e-8, XY)
-    eye = Operator(np.eye(2), 1)
+    eye = np.eye(2)
     grid = ev.landscape(seq, setup, ("offset", [0.0]), ("offset", [0.0]), eye)
     assert grid.fidelity.shape == (1, 1)
     assert grid.fidelity[0, 0] == pytest.approx(1.0)
@@ -276,7 +276,7 @@ def test_stroboscopic_survival():
 def test_evaluation_report_keys_and_depolarizing():
     setup = setup_1q([ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")])
     seq = ControlSequence(np.zeros((2, 2)), 1e-8, XY)
-    eye = Operator(np.eye(2), 1)
+    eye = np.eye(2)
     rep = ev.evaluation_report(seq, setup, eye, 16, 7, t_dep=None)
     for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality", "ptm", "n_mc", "seed"):
         assert key in rep
@@ -299,7 +299,7 @@ def test_mc_error_scaling_with_samples():
     d = ev.ParameterDistribution("offset", "normal", (0.0, 2e6), "term:offset")
     setup = setup_1q([d])
     seq = ControlSequence(np.full((2, 3), 0.4), 1e-8, XY)
-    eye = Operator(np.eye(2), 1)
+    eye = np.eye(2)
 
     def spread(n_mc, seeds):
         vals = [
@@ -332,7 +332,7 @@ def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
         f_samples[s] = (d * f_pro + 1.0) / (d + 1.0)
     avg = acc / n_mc
     return {
-        "fom": average_gate_fidelity(avg, u0_total.entries),
+        "fom": average_gate_fidelity(avg, u0_total),
         "fom_median": float(np.median(f_samples)),
         "fom_p20": float(np.percentile(f_samples, 20)),
         "fom_p80": float(np.percentile(f_samples, 80)),
@@ -353,7 +353,7 @@ def test_evaluation_report_matches_per_sample_oracle(n_mc, t_dep):
         ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude"),
     ])
     seq = ControlSequence(np.random.default_rng(14).uniform(-1, 1, (2, 6)) * 0.4, 1e-8, XY)
-    u0 = Operator(expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3).entries, 1)
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     got = ev.evaluation_report(seq, setup, u0, n_mc, 21, t_dep=t_dep)
     ref = report_oracle(seq, setup, u0, n_mc, 21, t_dep=t_dep)
     assert got.keys() == ref.keys()
@@ -369,7 +369,7 @@ def test_evaluation_report_applies_model_drive_factor_once():
     base = setup_1q([ev.ParameterDistribution("offset", "normal", (0.0, 3e6), "term:offset")])
     setup = dataclasses.replace(base, model=IdealModel(amp_factor=1.1))
     seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
-    u0 = Operator(np.eye(2), 1)
+    u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
     ref = report_oracle(seq, setup, u0, 40, 5)
     assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
@@ -383,7 +383,7 @@ def _amplitude_setup(model, channels):
         dt=1e-8,
         model=model,
         term_names=("offset",),
-        term_mats=pauli_op([(1, "z")], 1.0, 1).entries[None],
+        term_mats=pauli_op([(1, "z")], 1.0, 1)[None],
         term_coeffs=np.zeros(1),
         distributions=(
             ev.ParameterDistribution("amp", "uniform", (-0.3, 0.3), "model:amplitude"),
@@ -401,7 +401,7 @@ def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
     model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
     setup = _amplitude_setup(model, xy)
     seq = ControlSequence(np.ones((2, 4)), 1e-8, xy)
-    u0 = Operator(np.eye(2), 1)
+    u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
     ref = report_oracle(seq, setup, u0, 40, 5)
     assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
@@ -417,7 +417,7 @@ def test_amplitude_dispersion_of_kernel_model_with_z_channel_matches_oracle():
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
     setup = _amplitude_setup(LinearKernelModel(LinearKernelParams(2e7, 0.0), 8), chans)
     seq = ControlSequence(np.random.default_rng(3).uniform(-1, 1, (3, 4)), 1e-8, chans)
-    u0 = Operator(np.eye(2), 1)
+    u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
     ref = report_oracle(seq, setup, u0, 40, 5)
     assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
@@ -435,5 +435,5 @@ def test_ideal_model_amplitude_dispersion_solves_one_field(monkeypatch):
     monkeypatch.setattr(IdealModel, "field", counted)
     setup = _amplitude_setup(IdealModel(), XY)
     seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
-    ev.evaluation_report(seq, setup, Operator(np.eye(2), 1), 40, 5)
+    ev.evaluation_report(seq, setup, np.eye(2), 40, 5)
     assert calls == [1.0]

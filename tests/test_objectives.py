@@ -5,7 +5,7 @@ from hamforge import objectives as ob
 from hamforge import toggling as tg
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
 from hamforge.liealg import find_c_subspace, find_lie_algebra
-from hamforge.opcore import Operator, pauli_op, vectorize
+from hamforge.opcore import pauli_op
 from hamforge.reach import haar_unitary
 import _oracles as orc
 
@@ -33,7 +33,7 @@ def test_primary_unitary_cost_basics():
     assert ob.primary_unitary_cost(u, u) == pytest.approx(0.0, abs=1e-14)
     assert ob.primary_unitary_cost(np.exp(1.2j) * u, u) == pytest.approx(0.0, abs=1e-14)
     sx = pauli_op([(1, "x")], 1.0, 1)
-    assert ob.primary_unitary_cost(np.eye(2), sx.entries) == pytest.approx(1.0)
+    assert ob.primary_unitary_cost(np.eye(2), sx) == pytest.approx(1.0)
     # bounded in [0, 1] for unitary pairs
     for _ in range(10):
         v = ob.primary_unitary_cost(haar_unitary(2, rng), haar_unitary(2, rng))
@@ -65,15 +65,15 @@ def test_robustness_first_explicit_echo():
     # over a full 2w period the average vanishes
     (sx, sy, sz), g, c = su2_setup()
     w = np.pi  # 2w t spans 2 pi over t in [0, 1]
-    hp = Operator(w * sx.entries, 1)
+    hp = w * sx
     cset = orc.step_c_integrals(hp, sz, c, 1.0, 1)
     assert ob.robustness_first_cost(cset.c0) < 1e-9
     # constant error with H_pri = 0 integrates without averaging
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     cset = orc.step_c_integrals(zero, sz, c, 1.0, 1)
-    v = np.asarray(vectorize(sz, c.basis), float)
+    v = orc.vector(sz, c.stack).real
     assert ob.robustness_first_cost(cset.c0) == pytest.approx(np.linalg.norm(v) * 1.0)
-    zt = orc.step_c_integrals(zero, Operator(0 * sz.entries, 1), c, 1.0, 1)
+    zt = orc.step_c_integrals(zero, 0 * sz, c, 1.0, 1)
     assert ob.robustness_first_cost(zt.c0) == 0.0
 
 
@@ -82,8 +82,8 @@ def test_cross_pair_cost_single_step():
     # symmetrized cost is ||a (x) b + b (x) a|| T^2/2
     (sx, sy, sz), g, c = su2_setup()
     cerr = find_c_subspace(g, sx, extra_seeds=(sy,))
-    a = np.asarray(vectorize(sx, cerr.basis), float)
-    b = np.asarray(vectorize(sy, cerr.basis), float)
+    a = orc.vector(sx, cerr.stack).real
+    b = orc.vector(sy, cerr.stack).real
     t = 1.3
     tensor = np.outer(a, b) * t ** 2 / 2
     got = ob.robustness_cross_pair_cost(tensor)
@@ -105,10 +105,10 @@ def test_higher_order_palindromic_zero():
     (sx, sy, sz), g, c = su2_setup()
     rng = np.random.default_rng(2)
     half = [
-        Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
+        rng.normal() * sx + rng.normal() * sy
         for _ in range(3)
     ]
-    seq = half + [Operator(-h.entries, 1) for h in half[::-1]]
+    seq = half + [-h for h in half[::-1]]
     dt = 0.5
     sh = orc.StepHamiltonians.from_operators(seq, [sz] * 6, dt)
     prop = orc.propagate_primary(sh)
@@ -117,7 +117,7 @@ def test_higher_order_palindromic_zero():
     assert ob.higher_order_cost(tot.c1_matrix()) < 1e-8
     # and the first Magnus term indeed vanishes
     _, h1, _ = orc.magnus_terms(tot, c)
-    assert np.abs(h1.entries).max() < 1e-10
+    assert np.abs(h1).max() < 1e-10
 
 
 def test_higher_order_sufficiency_random():
@@ -125,7 +125,7 @@ def test_higher_order_sufficiency_random():
     (sx, sy, sz), g, c = su2_setup()
     rng = np.random.default_rng(3)
     seq = [
-        Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
+        rng.normal() * sx + rng.normal() * sy
         for _ in range(4)
     ]
     dt = 0.4
@@ -137,24 +137,24 @@ def test_higher_order_sufficiency_random():
     _, h1, _ = orc.magnus_terms(tot, c)
     # |H1| is bounded by the residual (coefficient geometry), and a zero
     # residual would force H1 to vanish identically
-    assert np.linalg.norm(h1.entries) <= cost / tot.t_seq * np.sqrt(2) * 4
+    assert np.linalg.norm(h1) <= cost / tot.t_seq * np.sqrt(2) * 4
 
 
 def test_higher_order_zero_pert_case():
     # H_pri = 0, constant pert: c1 = outer(v, v) T^2/2 is symmetric, so the
     # reversal residual |c_ij - c_ji| vanishes and H1 = 0 consistently
     (sx, sy, sz), g, c = su2_setup()
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     cset = orc.step_c_integrals(zero, sx + sz, c, 1.2, 2)
     assert ob.higher_order_cost(cset.c1_matrix()) < 1e-12
     _, h1, _ = orc.magnus_terms(cset, c)
-    assert np.abs(h1.entries).max() < 1e-12
+    assert np.abs(h1).max() < 1e-12
 
 
 def test_effective_robustness_cost():
     (sx, sy, sz), g, c = su2_setup()
     cerr = find_c_subspace(g, sx, extra_seeds=(sy,))
-    sp, se = c.basis.stack(), cerr.basis.stack()
+    sp, se = c.stack, cerr.stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     assert ob.effective_robustness_cost(np.zeros((3, 3)), table) == 0.0
     # commuting spaces: zero regardless of the tensor
@@ -162,15 +162,15 @@ def test_effective_robustness_cost():
     rng = np.random.default_rng(4)
     assert ob.effective_robustness_cost(rng.normal(size=(3, 3)), table0) == 0.0
     # single constant step against direct double quadrature
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     dt = 0.9
     a = sx * 0.6
     steps = orc.StepHamiltonians.from_operators([zero], [sz], dt, error_terms={"e": [a]})
     prop = orc.propagate_primary(steps)
     cross = orc.cross_c_integral(steps, "e", c, cerr, prop)
     got = ob.effective_robustness_cost(cross, table)
-    vp = np.asarray(vectorize(sz, c.basis), float)
-    ve = np.asarray(vectorize(a, cerr.basis), float)
+    vp = orc.vector(sz, c.stack).real
+    ve = orc.vector(a, cerr.stack).real
     opref = np.einsum("s,l,lsac->ac", vp, ve, table) * dt ** 2 / 2
     assert got == pytest.approx(np.linalg.norm(opref), rel=1e-6)
 
@@ -180,12 +180,12 @@ def test_effective_robustness_cost():
 
 W1MAX = 2 * np.pi * 20e6
 CH = (Channel("amp", (1,), "amp", W1MAX), Channel("ph", (1,), "phase", np.pi))
-HAD = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2), 1)
+HAD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
 def hadamard_pipeline(terms):
     (sx, sy, sz), g, c = su2_setup()
-    comp = ob.PertComponent(sz.entries.copy(), c, np.zeros(3))
+    comp = ob.PertComponent(sz, c, np.zeros(3))
     err = ob.ErrorChannel("eps", "amplitude", subspace=c)
     spec = ob.ObjectiveSpec(tuple(terms), target_unitary=HAD)
     return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
@@ -260,8 +260,8 @@ def test_phase_invariance_of_costs():
     fld = pipe.model.field(pipe.sequence(x))
     h_pri = np.einsum("kq,kab->qab", fld.b, pipe.axis_ops) + pipe.pri_internal
     u = orc.step_product(h_pri, fld.delta_t)
-    a = ob.primary_unitary_cost(u, HAD.entries)
-    b = ob.primary_unitary_cost(np.exp(0.4j) * u, HAD.entries)
+    a = ob.primary_unitary_cost(u, HAD)
+    b = ob.primary_unitary_cost(np.exp(0.4j) * u, HAD)
     assert a == pytest.approx(b)
 
 
@@ -382,12 +382,20 @@ def test_nonlinear_circuit_amplitude_error_is_the_field_derivative():
 
 
 def test_error_on_a_parameter_the_model_lacks_fails_at_build():
-    from hamforge.config import build_pipeline, parse_config
+    from dataclasses import replace
+
+    from hamforge.config import ConfigError, build_pipeline, parse_config
 
     errors = [{"name": "bw", "kind": "model_param", "param": "W"}]
     terms = [{"kind": "robustness_first", "weight": 1, "error": "bw"}]
-    with pytest.raises(KeyError, match="'W'"):
-        build_pipeline(parse_config(dict(CIRCUIT_CONFIG, errors=errors, objectives=terms)))
+    with pytest.raises(ConfigError, match=r"errors\[0\]\.param.*'W'"):
+        parse_config(dict(CIRCUIT_CONFIG, errors=errors, objectives=terms))
+    # past the parser, the pipeline's own check still turns it into a ConfigError
+    cfg = parse_config(dict(CIRCUIT_CONFIG, objectives=terms,
+                            errors=[dict(errors[0], param="alpha_L")]))
+    cfg = replace(cfg, errors=(dict(cfg.errors[0], param="W"),))
+    with pytest.raises(ConfigError, match="'W'"):
+        build_pipeline(cfg)
 
 
 def test_one_adjoint_eigendecomposition_per_distinct_subspace(monkeypatch):
@@ -408,7 +416,7 @@ def two_space_pipeline():
     g = find_lie_algebra([x1, y1])
     c_pert = find_c_subspace(g, z1z2)
     c_err = find_c_subspace(g, x1, extra_seeds=(y1,))
-    comp = ob.PertComponent(z1z2.entries.copy(), c_pert, None)
+    comp = ob.PertComponent(z1z2, c_pert, None)
     err = ob.ErrorChannel("eps", "amplitude", subspace=c_err)
     terms = (
         ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
@@ -437,7 +445,7 @@ def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     prop = orc.propagate_primary(steps)
     cross = orc.cross_c_integral(steps, "eps", comp.subspace, err.subspace, prop)
     t_seq = qn * fld.delta_t
-    sp, se = comp.subspace.basis.stack(), err.subspace.basis.stack()
+    sp, se = comp.subspace.stack, err.subspace.stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     want = ob.effective_robustness_cost(cross, table) / (
         t_seq ** 2 * pipe.comp_scale[0] * pipe.err_scale * 2.0
@@ -472,7 +480,7 @@ def test_cross_pair_of_one_channel_matches_the_sequential_engine():
     c_err = pipe.errors["alpha_L"].subspace
     steps = orc.StepHamiltonians(h_pri, ops["alpha_L"], {}, dt)
     per = [
-        orc.step_c_integrals(Operator(h, 1), Operator(e, 1), c_err, dt, 2)
+        orc.step_c_integrals(h, e, c_err, dt, 2)
         for h, e in zip(h_pri, ops["alpha_L"])
     ]
     c1 = orc.compose_c_integrals(per, orc.propagate_primary(steps), c_err).c1_matrix()

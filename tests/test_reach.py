@@ -9,7 +9,7 @@ import pytest
 
 from hamforge import reach
 from hamforge.liealg import find_c_subspace, find_lie_algebra
-from hamforge.opcore import Operator, pauli_op, pauli_string_op
+from hamforge.opcore import pauli_op, pauli_string_op
 
 
 def test_haar_unitary_is_unitary():
@@ -55,11 +55,11 @@ def su2():
 def test_walk_unitarity_and_subgroup():
     rng = np.random.default_rng(3)
     g = su2()
-    us = reach._walk_unitaries(g.basis.stack(), 10, 2, 5, rng)
+    us = reach._walk_unitaries(g.stack, 10, 2, 5, rng)
     for m in us:
         assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-10
     gz = find_lie_algebra([pauli_op([(1, "z")], 1.0, 1)])
-    us = reach._walk_unitaries(gz.basis.stack(), 10, 2, 5, rng)
+    us = reach._walk_unitaries(gz.stack, 10, 2, 5, rng)
     for m in us:  # abelian subgroup: diagonal unitaries
         off = m - np.diag(np.diag(m))
         assert np.abs(off).max() < 1e-10

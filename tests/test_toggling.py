@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hamforge import toggling as tg
 from hamforge.liealg import find_c_subspace, find_lie_algebra
-from hamforge.opcore import Operator, pauli_op
+from hamforge.opcore import pauli_op
 import _oracles as orc
 from _oracles import expm_herm_generator
 from conftest import rk4_cint_oracle
@@ -203,19 +203,19 @@ def test_propagate_primary_identities():
 def test_propagate_single_step_closed_form():
     sx = pauli_op([(1, "x")], 1.0, 1)
     dt = 0.3
-    h = (np.pi / 4) / dt * sx.entries
+    h = (np.pi / 4) / dt * sx
     steps = orc.StepHamiltonians(h[None], h[None] * 0, {}, dt)
     prop = orc.propagate_primary(steps)
-    expect = expm_herm_generator(sx, np.pi / 4).entries
+    expect = expm_herm_generator(sx, np.pi / 4)
     assert np.abs(prop.final - expect).max() < 1e-12
 
 
 def test_propagate_commuting_steps():
     sz = pauli_op([(1, "z")], 1.0, 1)
-    h1, h2 = 0.4 * sz.entries, 1.1 * sz.entries
+    h1, h2 = 0.4 * sz, 1.1 * sz
     steps = orc.StepHamiltonians(np.stack([h1, h2]), np.zeros((2, 2, 2), complex), {}, 0.7)
     prop = orc.propagate_primary(steps)
-    expect = expm_herm_generator(sz * (0.4 + 1.1), 0.7).entries
+    expect = expm_herm_generator(sz * (0.4 + 1.1), 0.7)
     assert np.abs(prop.final - expect).max() < 1e-12
 
 
@@ -260,7 +260,7 @@ def primary_hamiltonians(draw):
     elif kind == "zero":
         h = np.zeros((qn, 2 ** n, 2 ** n), dtype=complex)
     else:
-        zz = pauli_op([(q + 1, "z") for q in range(n)], 1.0, n).entries
+        zz = pauli_op([(q + 1, "z") for q in range(n)], 1.0, n)
         h = np.array(draw(st.lists(coef, min_size=qn, max_size=qn)))[:, None, None] * zz
     return n, h, draw(st.floats(0.01, 2.0))
 
@@ -319,7 +319,7 @@ def _resonant_step(ax, ay, bx, by, j):
     distinct values out of 15."""
     terms = [([(1, "x")], ax), ([(1, "y")], ay), ([(2, "x")], bx), ([(2, "y")], by),
              ([(1, "z"), (2, "z")], j)]
-    return sum(pauli_op(t, c, 2).entries for t, c in terms)
+    return sum(pauli_op(t, c, 2) for t, c in terms)
 
 
 @st.composite
@@ -416,11 +416,10 @@ def test_split_spectra_take_the_columns_as_components():
 def test_step_cints_hpri_zero():
     (sx, sy, sz), g, c = su2_spaces()
     dt = 0.8
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     cset = orc.step_c_integrals(zero, sz, c, dt, 3)
-    from hamforge.opcore import vectorize
 
-    v = np.asarray(vectorize(sz, c.basis), dtype=float)
+    v = orc.vector(sz, c.stack).real
     assert np.allclose(cset.c0, v * dt)
     assert np.allclose(cset.c1_matrix(), np.outer(v, v) * dt ** 2 / 2)
     expect2 = np.einsum("i,j,k->ijk", v, v, v) * dt ** 3 / 6
@@ -429,14 +428,14 @@ def test_step_cints_hpri_zero():
 
 def test_step_cints_vs_quadrature():
     (sx, sy, sz), g, c = su2_spaces()
-    stack = c.basis.stack()
+    stack = c.stack
     w, dt = 1.3, 0.9
-    hp = Operator(w * sx.entries, 1)
+    hp = w * sx
     hpert = sz * 0.7
 
     def tog(t):
-        u = expm_herm_generator(hp, t).entries
-        m = u.conj().T @ hpert.entries @ u
+        u = expm_herm_generator(hp, t)
+        m = u.conj().T @ hpert @ u
         return np.einsum("aij,ij->a", stack.conj(), m)
 
     cset = orc.step_c_integrals(hp, hpert, c, dt, 3)
@@ -449,7 +448,7 @@ def test_step_cints_vs_quadrature():
 def test_adjoint_spectrum_sigma_x():
     (sx, sy, sz), g, c = su2_spaces()
     w = 1.7
-    m = orc.adjoint_matrix(w * sx.entries, c.basis.stack())
+    m = orc.adjoint_matrix(w * sx, c.stack)
     nu = np.linalg.eigvalsh(m)
     assert np.allclose(sorted(nu), [-2 * w, 0.0, 2 * w], atol=1e-10)
 
@@ -457,7 +456,7 @@ def test_adjoint_spectrum_sigma_x():
 def _random_sequence_setup(rng, n_steps, dt=0.8, pert_scale=0.7):
     (sx, sy, sz), g, c = su2_spaces()
     h_pri = [
-        Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
+        rng.normal() * sx + rng.normal() * sy
         for _ in range(n_steps)
     ]
     hpert = sz * pert_scale
@@ -471,9 +470,9 @@ def seq_tog_fn(h_pri, hpert, stack, dt):
         tau = t - q * dt
         u = np.eye(2, dtype=complex)
         for p in range(q):
-            u = expm_herm_generator(h_pri[p], dt).entries @ u
-        u = expm_herm_generator(h_pri[q], tau).entries @ u
-        m = u.conj().T @ hpert.entries @ u
+            u = expm_herm_generator(h_pri[p], dt) @ u
+        u = expm_herm_generator(h_pri[q], tau) @ u
+        m = u.conj().T @ hpert @ u
         return np.einsum("aij,ij->a", stack.conj(), m)
 
     return tog
@@ -482,7 +481,7 @@ def seq_tog_fn(h_pri, hpert, stack, dt):
 def test_compose_vs_quadrature():
     rng = np.random.default_rng(42)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 3)
-    stack = c.basis.stack()
+    stack = c.stack
     steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 3, dt)
     prop = orc.propagate_primary(steps)
     per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(3)]
@@ -512,7 +511,7 @@ def test_compose_two_step_order1():
     prop = orc.propagate_primary(steps)
     per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 1) for q in range(2)]
     tot = orc.compose_c_integrals(per, prop, c)
-    d1 = orc.toggle_matrices(prop.step_unitaries, c.basis.stack())[0]
+    d1 = orc.toggle_matrices(prop.step_unitaries, c.stack)[0]
     expect = per[0].c0 + d1 @ per[1].c0
     assert np.allclose(tot.c0, expect)
 
@@ -520,11 +519,10 @@ def test_compose_two_step_order1():
 def test_batch_matches_raw_paths():
     rng = np.random.default_rng(3)
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 4)
-    stack = c.basis.stack()
-    from hamforge.opcore import vectorize
+    stack = c.stack
 
-    seed = np.asarray(vectorize(hpert, c.basis), dtype=complex)
-    hmat = np.stack([h.entries for h in h_pri])
+    seed = orc.vector(hpert, c.stack)
+    hmat = np.stack(h_pri)
     madj = tg.adjoint_matrix_batch(hmat, stack)
     nu, vecs = np.linalg.eigh(madj)
     y = np.einsum("qba,b->qa", vecs.conj(), seed)
@@ -546,9 +544,9 @@ def test_cross_integral_trivial_and_quadrature():
     (sx, sy, sz), g, c = su2_spaces()
     cerr = find_c_subspace(g, sx, extra_seeds=(sy,))
     dt = 0.7
-    h_pri = [Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1) for _ in range(2)]
+    h_pri = [rng.normal() * sx + rng.normal() * sy for _ in range(2)]
     hpert = sz * 0.5
-    aops = [Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1) for _ in range(2)]
+    aops = [rng.normal() * sx + rng.normal() * sy for _ in range(2)]
     steps = orc.StepHamiltonians.from_operators(
         h_pri, [hpert] * 2, dt, error_terms={"e": aops}
     )
@@ -558,19 +556,19 @@ def test_cross_integral_trivial_and_quadrature():
     # zero error term -> zero tensor
     zsteps = orc.StepHamiltonians.from_operators(
         h_pri, [hpert] * 2, dt,
-        error_terms={"e": [Operator(np.zeros((2, 2)), 1)] * 2},
+        error_terms={"e": [np.zeros((2, 2))] * 2},
     )
     assert np.abs(orc.cross_c_integral(zsteps, "e", c, cerr, prop)).max() == 0
 
     # quadrature oracle: cross' = phi_pert(t) (x) c0_err(t), integrated one
     # step at a time so the error-term jump at the boundary never lands
     # inside an RK4 stage
-    sp, se = c.basis.stack(), cerr.basis.stack()
+    sp, se = c.stack, cerr.stack
 
     def prefix(q):
         u = np.eye(2, dtype=complex)
         for p in range(q):
-            u = expm_herm_generator(h_pri[p], dt).entries @ u
+            u = expm_herm_generator(h_pri[p], dt) @ u
         return u
 
     state = (np.zeros(cerr.dim, complex), np.zeros((c.dim, cerr.dim), complex))
@@ -580,9 +578,9 @@ def test_cross_integral_trivial_and_quadrature():
         pre = prefix(q)
 
         def deriv(tau, s):
-            u = expm_herm_generator(h_pri[q], tau).entries @ pre
-            p = np.einsum("aij,ij->a", sp.conj(), u.conj().T @ hpert.entries @ u)
-            e = np.einsum("aij,ij->a", se.conj(), u.conj().T @ aops[q].entries @ u)
+            u = expm_herm_generator(h_pri[q], tau) @ pre
+            p = np.einsum("aij,ij->a", sp.conj(), u.conj().T @ hpert @ u)
+            e = np.einsum("aij,ij->a", se.conj(), u.conj().T @ aops[q] @ u)
             return (e, np.einsum("i,j->ij", p, s[0]))
 
         for k in range(n):
@@ -603,17 +601,16 @@ def test_cross_no_toggling_closed_form():
     (sx, sy, sz), g, c = su2_spaces()
     cerr = find_c_subspace(g, sx, extra_seeds=(sy,))
     dt, qn = 0.5, 3
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     a = sx * 0.8
     steps = orc.StepHamiltonians.from_operators(
         [zero] * qn, [sz] * qn, dt, error_terms={"e": [a] * qn}
     )
     prop = orc.propagate_primary(steps)
     got = orc.cross_c_integral(steps, "e", c, cerr, prop)
-    from hamforge.opcore import vectorize
 
-    vp = np.asarray(vectorize(sz, c.basis), dtype=float)
-    ve = np.asarray(vectorize(a, cerr.basis), dtype=float)
+    vp = orc.vector(sz, c.stack).real
+    ve = orc.vector(a, cerr.stack).real
     t = qn * dt
     assert np.abs(got - np.outer(vp, ve) * t ** 2 / 2).max() < 1e-10
 
@@ -622,22 +619,22 @@ def test_magnus_trivial_cases():
     (sx, sy, sz), g, c = su2_spaces()
     dt, qn = 0.4, 3
     # commuting toggled Hamiltonian: H_pri, H_pert both diagonal
-    hz = [Operator(0.9 * sz.entries, 1)] * qn
+    hz = [0.9 * sz] * qn
     steps = orc.StepHamiltonians.from_operators(hz, [sz] * qn, dt)
     prop = orc.propagate_primary(steps)
     per = [orc.step_c_integrals(hz[q], sz, c, dt, 2) for q in range(qn)]
     tot = orc.compose_c_integrals(per, prop, c)
     h0, h1, _ = orc.magnus_terms(tot, c)
-    assert np.abs(h1.entries).max() < 1e-12
+    assert np.abs(h1).max() < 1e-12
 
     # H_pri = 0: zeroth term equals the perturbation
-    zero = Operator(np.zeros((2, 2)), 1)
+    zero = np.zeros((2, 2))
     steps = orc.StepHamiltonians.from_operators([zero] * qn, [sz] * qn, dt)
     prop = orc.propagate_primary(steps)
     per = [orc.step_c_integrals(zero, sz, c, dt, 1) for q in range(qn)]
     tot = orc.compose_c_integrals(per, prop, c)
     h0, _, _ = orc.magnus_terms(tot, c)
-    assert np.abs(h0.entries - sz.entries).max() < 1e-10
+    assert np.abs(h0 - sz).max() < 1e-10
 
 
 def test_magnus_fourth_order_scaling():
@@ -645,7 +642,7 @@ def test_magnus_fourth_order_scaling():
     (sx, sy, sz), g, c = su2_spaces()
     dt, qn = 0.8, 3
     h_pri = [
-        Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
+        rng.normal() * sx + rng.normal() * sy
         for _ in range(qn)
     ]
 
@@ -656,7 +653,7 @@ def test_magnus_fourth_order_scaling():
         per = [orc.step_c_integrals(h_pri[q], hpert, c, dt, 3) for q in range(qn)]
         tot = orc.compose_c_integrals(per, prop, c)
         h0, h1, h2 = orc.magnus_terms(tot, c)
-        hsum = h0.entries + h1.entries + h2.entries
+        hsum = h0 + h1 + h2
         w, v = np.linalg.eigh((hsum + hsum.conj().T) / 2)
         um = (v * np.exp(-1j * w * qn * dt)) @ v.conj().T
         # exact perturbative propagator by fine-step toggling integration
@@ -669,9 +666,9 @@ def test_magnus_fourth_order_scaling():
             tau = t - q * dt
             up = np.eye(2, dtype=complex)
             for p in range(q):
-                up = expm_herm_generator(h_pri[p], dt).entries @ up
-            up = expm_herm_generator(h_pri[q], tau).entries @ up
-            htog = up.conj().T @ hpert.entries @ up
+                up = expm_herm_generator(h_pri[p], dt) @ up
+            up = expm_herm_generator(h_pri[q], tau) @ up
+            htog = up.conj().T @ hpert @ up
             ww, vv = np.linalg.eigh(htog)
             u = (vv * np.exp(-1j * ww * h)) @ vv.conj().T @ u
         return np.linalg.norm(um - u)
@@ -683,7 +680,7 @@ def test_magnus_fourth_order_scaling():
 def test_scaling_in_pert_amplitude():
     rng = np.random.default_rng(9)
     (sx, sy, sz), g, c = su2_spaces()
-    hp = Operator(rng.normal() * sx.entries + rng.normal() * sy.entries, 1)
+    hp = rng.normal() * sx + rng.normal() * sy
     a = orc.step_c_integrals(hp, sz, c, 0.6, 3)
     b = orc.step_c_integrals(hp, sz * 2.0, c, 0.6, 3)
     assert np.allclose(b.c0, 2 * a.c0)
@@ -705,7 +702,7 @@ def test_c1_symmetrized_part_is_c0_outer():
     # the symmetric part contributes nothing to H1
     h0, h1, _ = orc.magnus_terms(tot, c)
     sym = (c1 + c1.T) / 2
-    comm = orc.commutator_table(c.basis.stack())
+    comm = orc.commutator_table(c.stack)
     assert np.abs(np.einsum("ij,ijab->ab", sym, comm)).max() < 1e-12
 
 
