@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from . import config as cfgmod
 from . import evaluate as ev
 from . import reach
 from .config import ConfigError, ProblemConfig
-from .opcore import SubspaceError, project
-from .optimizer import GSAConfig, OptimizationResult, gsa_minimize, parallel_restarts, restart_rng
+from .opcore import SPAN_TOL, SubspaceError, project
+from .optimizer import OptimizationResult, parallel_restarts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -89,7 +90,7 @@ def cmd_subspace(args) -> int:
         entry = {"dimension": space.dim}
         if tgts[w] is not None:
             _, resid = project(tgts[w], space.stack)
-            entry["target_in_subspace"] = bool(resid <= 1e-7)
+            entry["target_in_subspace"] = bool(resid <= SPAN_TOL)
             entry["target_residual"] = float(resid)
         payload["components"][str(w)] = entry
     _emit(args, "subspace.json", payload)
@@ -149,7 +150,7 @@ def cmd_optimize(args) -> int:
             if ht is None:
                 continue
             _, resid = project(ht, subspaces[w].stack)
-            if resid > 1e-7:
+            if resid > SPAN_TOL:
                 print(
                     f"H_target^{w} lies outside C_{w} (residual {resid:.2e}); "
                     "run `hamforge scale` / adjust the partitioning, or pass --force",
@@ -175,8 +176,6 @@ def cmd_optimize(args) -> int:
     best: OptimizationResult | None = None
     x_init = None
     for k, (t_max, t0) in enumerate(cfg.stages):
-        from dataclasses import replace
-
         stage_cfg = replace(cfg.gsa, t_max=t_max, t0=t0, master_seed=cfg.seed + 7919 * k)
         best = parallel_restarts(pipe, stage_cfg, workers=workers, x_init=x_init)
         x_init = best.best_x
@@ -259,7 +258,7 @@ def _initial_state(spec, n_qubits: int) -> np.ndarray:
             return psi
         if spec == "plus":
             return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-        raise ConfigError(f"unknown named state {spec!r}")
+        raise ConfigError(f"evaluation.initial_state: unknown named state {spec!r}")
     psi = np.asarray(spec, dtype=complex)
     norm = np.linalg.norm(psi)
     if norm == 0.0:
@@ -312,6 +311,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except SubspaceError as exc:
+        print(f"infeasible target: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

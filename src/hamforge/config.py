@@ -25,6 +25,7 @@ from .controlsys import (
     LinearKernelModel,
     LinearKernelParams,
     axis_operators,
+    field_axes,
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
@@ -112,10 +113,10 @@ def _u_target(ut, n: int) -> np.ndarray:
     d = 2 ** n
     if isinstance(ut, str):
         if ut not in _GATES:
-            raise ConfigError(f"unknown named gate {ut!r}")
+            raise ConfigError(f"targets.u_target: unknown named gate {ut!r}")
         m = _GATES[ut](n)
         if m.shape[0] != d:
-            raise ConfigError(f"gate {ut!r} does not fit {n} qubit(s)")
+            raise ConfigError(f"targets.u_target: gate {ut!r} does not fit {n} qubit(s)")
         return m.astype(complex)
     re = ut.get("matrix_re", ut.get("matrix")) if isinstance(ut, dict) else None
     if re is None:
@@ -202,6 +203,10 @@ def parse_config(raw: dict) -> ProblemConfig:
         model = CircuitModel(CircuitParams(**cc), substeps)
     else:
         raise ConfigError(f"unknown control.model {model_name!r}")
+    try:
+        model.channel_groups(channels)
+    except ValueError as exc:
+        raise ConfigError(f"control.{exc}") from exc
 
     # distributions (consumers attach applies_to below)
     dists_raw = raw.get("distributions", {})
@@ -399,25 +404,14 @@ def _check_evaluation(ev: dict, distributions: dict) -> None:
 # ---------------------------------------------------------------------------
 # derived objects
 
-def _channel_axis_operators(cfg: ProblemConfig) -> np.ndarray:
-    """One operator per distinct (qubits, axis) that the control channels
-    drive, in channel order: x and y for drive roles, z for 'z'."""
-    axes = []
-    for ch in cfg.channels:
-        for ax in ("x", "y") if ch.role in ("amp", "phase", "x", "y") else ("z",):
-            if (ch.qubits, ax) not in axes:
-                axes.append((ch.qubits, ax))
-    return axis_operators(axes, cfg.n_qubits)
-
-
 def build_generators(cfg: ProblemConfig) -> list[np.ndarray]:
-    """Control-channel axis operators plus primary internal terms."""
+    """The operators of the field rows plus primary internal terms."""
     pri = [t.matrix_unit for t in cfg.terms if t.assign == "pri"]
-    return [*_channel_axis_operators(cfg), *pri]
+    return [*axis_operators(field_axes(cfg.channels), cfg.n_qubits), *pri]
 
 
-def build_algebra(cfg: ProblemConfig, tol: float = 1e-7) -> LieAlgebraBasis:
-    return find_lie_algebra(build_generators(cfg), tol)
+def build_algebra(cfg: ProblemConfig) -> LieAlgebraBasis:
+    return find_lie_algebra(build_generators(cfg))
 
 
 def pert_components(cfg: ProblemConfig):
@@ -429,13 +423,13 @@ def pert_components(cfg: ProblemConfig):
         comps.setdefault(t.component, np.zeros_like(t.matrix_unit))
         comps[t.component] = comps[t.component] + t.ref_coeff * t.matrix_unit
     if not comps:
-        raise ConfigError("no Hamiltonian term is assigned to H_pert")
+        raise ConfigError("system.terms: no Hamiltonian term is assigned to H_pert")
     return dict(sorted(comps.items()))
 
 
-def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis, tol: float = 1e-7):
+def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis):
     """Component index -> CSubspace of its reference perturbation."""
-    return {w: find_c_subspace(g, mat, tol) for w, mat in pert_components(cfg).items()}
+    return {w: find_c_subspace(g, mat) for w, mat in pert_components(cfg).items()}
 
 
 def target_operators(cfg: ProblemConfig):
@@ -486,12 +480,12 @@ def _same_span(a: CSubspace, b: CSubspace) -> bool:
     return bool(abs(np.linalg.norm(g @ g.conj().T) ** 2 - a.dim) < 1e-6 * a.dim + 1e-9)
 
 
-def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=(), tol: float = 1e-7) -> CSubspace:
+def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=()) -> CSubspace:
     """Minimal subspace holding every toggled control-error operator; the
-    seeds are the channel axis operators.  Reuses a structurally identical
-    subspace from `reuse` so per-candidate work is shared."""
-    seeds = _channel_axis_operators(cfg)
-    space = find_c_subspace(g, seeds[0], tol, extra_seeds=tuple(seeds[1:]))
+    seeds are the operators of the field rows.  Reuses a structurally
+    identical subspace from `reuse` so per-candidate work is shared."""
+    seeds = axis_operators(field_axes(cfg.channels), cfg.n_qubits)
+    space = find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:]))
     for cand in reuse:
         if _same_span(cand, space):
             return cand

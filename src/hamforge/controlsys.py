@@ -9,6 +9,29 @@ samples b_{k,q} (rad/s) that enter the per-step control Hamiltonian:
 * nonlinear RLC    - rotating-frame state-space circuit with kinetic
                      inductance, integrated exactly on its linear part
 
+Channels and field rows.  Channels on the same qubits form one drive
+group.  Its 'amp' channel (turned by an optional 'phase' channel) and its
+'x' and 'y' channels add up to one complex drive u = u_x + i u_y, which
+gives the group's x and y rows; a 'z' channel gives its z row.
+`drive_groups` holds this rule and `field_axes` lists the rows in order.
+A channel set is rejected when a channel would drive nothing: no channel
+at all, a second channel with one role on the same qubits, or a 'phase'
+channel without an 'amp' channel.  The ideal and kernel models drive any
+number of groups, z rows included; the circuit model drives exactly one
+group, with no 'z' channel.
+
+Parameters.  Each model declares its parameters once, in `_table`, as
+name -> (value, copy with the value set, natural scale); the natural
+scale is the unit of the parameter's error expansion:
+
+    amplitude   all models      amp_factor - 1    1
+    W           linear kernel   bandwidth, rad/s  W
+    delta       linear kernel   detuning, rad/s   W
+    alpha_L     circuit         A^-2              1e-3
+
+`params`, `with_param`, `param_scale` and the field derivatives read that
+table, and a name outside it raises `UnknownParameter`.
+
 On request each model also returns exact first and second derivatives
 of its field with respect to its named parameters, the channels db/dmu
 and d2b/dmu dnu that build the error Hamiltonians.  They come from the
@@ -38,6 +61,9 @@ __all__ = [
     "IdealModel",
     "LinearKernelModel",
     "CircuitModel",
+    "UnknownParameter",
+    "drive_groups",
+    "field_axes",
     "jet_key",
     "axis_operators",
 ]
@@ -91,21 +117,17 @@ class ControlSequence:
 
 @dataclass(frozen=True)
 class DiscretizedField:
-    """Q-step rotating-frame field samples plus the requested derivative
-    channels, keyed by `jet_key`."""
+    """Q-step rotating-frame field samples, one row per `field_axes` entry
+    of the channels, plus the requested derivative channels, keyed by
+    `jet_key`."""
 
     b: np.ndarray                          # (K_out, Q) rad/s
     delta_t: float
-    axes: tuple[tuple[tuple[int, ...], str], ...]   # (qubits, 'x'|'y'|'z') per row
     sensitivities: dict = field(default_factory=dict)
 
     @property
     def q_steps(self) -> int:
         return self.b.shape[1]
-
-    @property
-    def t_seq(self) -> float:
-        return self.q_steps * self.delta_t
 
 
 @dataclass(frozen=True)
@@ -144,14 +166,39 @@ class CircuitParams:
 # ---------------------------------------------------------------------------
 # channel grouping: (qubits) -> drive signals
 
-def _groups(channels):
-    order = []
-    by_q = {}
+def drive_groups(channels) -> tuple:
+    """(qubits, {role: channel index}) of each drive group, in the order of
+    first appearance.  ValueError names a channel that would drive nothing."""
+    groups: dict = {}
     for k, ch in enumerate(channels):
-        by_q.setdefault(ch.qubits, {})[ch.role] = k
-        if ch.qubits not in order:
-            order.append(ch.qubits)
-    return order, by_q
+        roles = groups.setdefault(ch.qubits, {})
+        if ch.role in roles:
+            raise ValueError(
+                f"channels[{k}]: a second {ch.role!r} channel on qubits {list(ch.qubits)}"
+                f" (the first is channels[{roles[ch.role]}])"
+            )
+        roles[ch.role] = k
+    if not groups:
+        raise ValueError("channels: no control channel")
+    for qubits, roles in groups.items():
+        if "phase" in roles and "amp" not in roles:
+            raise ValueError(
+                f"channels[{roles['phase']}]: a 'phase' channel needs an 'amp' channel"
+                f" on qubits {list(qubits)}"
+            )
+    return tuple(groups.items())
+
+
+def field_axes(channels) -> tuple:
+    """(qubits, axis) of each field row: per drive group, 'x' and 'y' when
+    it has a drive, then 'z' when it has a 'z' channel."""
+    axes = []
+    for qubits, roles in drive_groups(channels):
+        if roles.keys() - {"z"}:
+            axes += [(qubits, "x"), (qubits, "y")]
+        if "z" in roles:
+            axes.append((qubits, "z"))
+    return tuple(axes)
 
 
 def _drive_xy(seq: ControlSequence, roles: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -173,10 +220,6 @@ def _drive_xy(seq: ControlSequence, roles: dict) -> tuple[np.ndarray, np.ndarray
     if "y" in roles:
         uy = uy + seq.channels[roles["y"]].scale * seq.values[roles["y"]]
     return ux, uy
-
-
-def _upsample(arr: np.ndarray, substeps: int) -> np.ndarray:
-    return np.repeat(arr, substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +259,17 @@ def _drive_homogeneous(parts: dict, keys) -> dict:
 # ---------------------------------------------------------------------------
 # models
 
+class UnknownParameter(ValueError):
+    """A parameter name that the model does not declare."""
+
+
+@dataclass(frozen=True)
 class ControlModel:
     """Common surface: field and its parameter derivatives, named
     parameters, re-parametrized copies."""
 
-    amp_factor: float = 1.0
-    drive_linear: bool = False    # field(amp_factor * drive) = amp_factor * field(drive)
+    amp_factor: float = field(default=1.0, kw_only=True)
+    drive_linear = False    # field(amp_factor * drive) = amp_factor * field(drive)
 
     def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
         """Field samples of `seq`, with the derivatives that `jets` names in
@@ -233,70 +281,79 @@ class ControlModel:
         amplitude parameter itself at amp_factor = 1."""
         raise NotImplementedError
 
+    def channel_groups(self, channels) -> tuple:
+        """`drive_groups` of the channels; ValueError names a channel that
+        this model cannot drive."""
+        return drive_groups(channels)
+
+    def _table(self) -> dict:
+        """name -> (value, copy with the value set, natural scale)."""
+        return {
+            "amplitude": (self.amp_factor - 1.0, lambda v: replace(self, amp_factor=1.0 + v), 1.0),
+        }
+
+    def _entry(self, name: str) -> tuple:
+        table = self._table()
+        if name not in table:
+            raise UnknownParameter(f"unknown parameter {name!r} (the model has {sorted(table)})")
+        return table[name]
+
     def _jet_keys(self, jets) -> list:
         keys = [jet_key(*_names(k)) for k in jets]
-        known = self.params()
-        for key in keys:
-            for name in _names(key):
-                if name not in known:
-                    raise KeyError(f"unknown parameter {name!r}")
+        for name in {n for key in keys for n in _names(key)}:
+            self._entry(name)
         return keys
 
     def params(self) -> dict:
-        return {}
+        return {name: entry[0] for name, entry in self._table().items()}
 
     def with_param(self, name: str, value: float) -> "ControlModel":
-        raise KeyError(f"unknown parameter {name!r}")
+        return self._entry(name)[1](value)
 
     def param_scale(self, name: str) -> float:
         """Natural magnitude of a parameter, the unit of its error expansion."""
-        raise KeyError(f"unknown parameter {name!r}")
+        return self._entry(name)[2]
 
 
+def _drive_field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
+    """`ControlModel.field` of the ideal and kernel models: each group's
+    complex drive, upsampled and scaled by amp_factor, goes through the
+    model's `_filter`; a z row is its scaled channel."""
+    keys = self._jet_keys(jets)
+    h, n = seq.dt / self.substeps, self.substeps
+    parts = {_without_amplitude(key) for key in keys} | {()}
+    rows = {key: [] for key in parts}
+    for _, roles in self.channel_groups(seq.channels):
+        if roles.keys() - {"z"}:
+            ux, uy = _drive_xy(seq, roles)
+            u = self.amp_factor * np.repeat(ux + 1j * uy, n)
+            for key, bk in self._filter(u, h, parts).items():
+                rows[key] += [bk.real, bk.imag]
+        if "z" in roles:
+            z = roles["z"]
+            bz = self.amp_factor * np.repeat(seq.channels[z].scale * seq.values[z], n)
+            for key in parts:
+                rows[key].append(bz if key == () else np.zeros_like(bz))
+    parts = {key: (1, np.stack(r)) for key, r in rows.items()}
+    return DiscretizedField(parts[()][1], h, _drive_homogeneous(parts, keys))
+
+
+@dataclass(frozen=True)
 class IdealModel(ControlModel):
     """Distortion-free passthrough; midpoint and interval-average sampling
     coincide for piecewise-constant inputs."""
 
+    substeps: int = 1
     drive_linear = True
+    field = _drive_field
 
-    def __init__(self, substeps: int = 1, amp_factor: float = 1.0):
-        if substeps < 1:
+    def __post_init__(self):
+        if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        self.substeps = substeps
-        self.amp_factor = amp_factor
 
-    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
-        keys = self._jet_keys(jets)
-        order, by_q = _groups(seq.channels)
-        rows, axes = [], []
-        for qubits in order:
-            roles = by_q[qubits]
-            if "amp" in roles or "x" in roles or "y" in roles:
-                ux, uy = _drive_xy(seq, roles)
-                rows += [_upsample(ux, self.substeps), _upsample(uy, self.substeps)]
-                axes += [(qubits, "x"), (qubits, "y")]
-            if "z" in roles:
-                rows.append(
-                    _upsample(seq.channels[roles["z"]].scale * seq.values[roles["z"]], self.substeps)
-                )
-                axes.append((qubits, "z"))
-        b = self.amp_factor * np.stack(rows)
-        return DiscretizedField(
-            b, seq.dt / self.substeps, tuple(axes), _drive_homogeneous({(): (1, b)}, keys)
-        )
-
-    def params(self) -> dict:
-        return {"amplitude": self.amp_factor - 1.0}
-
-    def with_param(self, name: str, value: float) -> "IdealModel":
-        if name != "amplitude":
-            raise KeyError(f"unknown parameter {name!r}")
-        return IdealModel(self.substeps, 1.0 + value)
-
-    def param_scale(self, name: str) -> float:
-        if name != "amplitude":
-            raise KeyError(f"unknown parameter {name!r}")
-        return 1.0
+    def _filter(self, u: np.ndarray, h: float, parts) -> dict:
+        """The field of the complex drive u: u itself."""
+        return {(): u}
 
 
 def _exp_moments(w: float, h: float, count: int) -> np.ndarray:
@@ -310,6 +367,7 @@ def _exp_moments(w: float, h: float, count: int) -> np.ndarray:
     return gamma(n + 1) * gammainc(n + 1, w * h) / w ** (n + 1)
 
 
+@dataclass(frozen=True)
 class LinearKernelModel(ControlModel):
     """Exponential response kernel of a band-limited control line.
 
@@ -322,24 +380,23 @@ class LinearKernelModel(ControlModel):
     factor scales every row, z rows included.
     """
 
+    kp: LinearKernelParams
+    substeps: int = 8
+    average: bool = False
     drive_linear = True
+    field = _drive_field
 
-    def __init__(
-        self,
-        params: LinearKernelParams,
-        substeps: int = 8,
-        average: bool = False,
-        amp_factor: float = 1.0,
-    ):
-        self.kp = params
-        self.substeps = substeps
-        self.average = average
-        self.amp_factor = amp_factor
-
-    def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
-        keys = self._jet_keys(jets)
+    def _table(self) -> dict:
         w, d = self.kp.w_bandwidth, self.kp.delta
-        h = seq.dt / self.substeps
+        return {
+            "W": (w, lambda v: replace(self, kp=LinearKernelParams(v, d)), w),
+            "delta": (d, lambda v: replace(self, kp=LinearKernelParams(w, v)), w),
+            **super()._table(),
+        }
+
+    def _filter(self, u: np.ndarray, h: float, parts) -> dict:
+        """B and its W and delta derivatives in `parts` for the complex drive u."""
+        w, d = self.kp.w_bandwidth, self.kp.delta
         if h > 0.1 / w:
             raise ValueError(
                 f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / w:.3e}"
@@ -353,31 +410,11 @@ class LinearKernelModel(ControlModel):
             ("W", "delta"): (0.0, 2j, -1j * w),
             ("delta", "delta"): (),
         }
-        parts = {_without_amplitude(key) for key in keys} | {()}
-        n_states = max(len(coeffs[key]) for key in parts)
-
-        order, by_q = _groups(seq.channels)
-        rows = {key: [] for key in parts}
-        axes = []
-        for qubits in order:
-            roles = by_q[qubits]
-            if "amp" in roles or "x" in roles or "y" in roles:
-                ux, uy = _drive_xy(seq, roles)
-                u = self.amp_factor * (_upsample(ux, self.substeps) + 1j * _upsample(uy, self.substeps))
-                ys = self._responses(u, h, n_states)
-                for key in parts:
-                    bk = sum((c * y for c, y in zip(coeffs[key], ys)), np.zeros(u.size, complex))
-                    rows[key] += [bk.real, bk.imag]
-                axes += [(qubits, "x"), (qubits, "y")]
-            if "z" in roles:
-                bz = self.amp_factor * _upsample(
-                    seq.channels[roles["z"]].scale * seq.values[roles["z"]], self.substeps
-                )
-                for key in parts:
-                    rows[key].append(bz if key == () else np.zeros_like(bz))
-                axes.append((qubits, "z"))
-        parts = {key: (1, np.stack(r)) for key, r in rows.items()}
-        return DiscretizedField(parts[()][1], h, tuple(axes), _drive_homogeneous(parts, keys))
+        ys = self._responses(u, h, max(len(coeffs[key]) for key in parts))
+        return {
+            key: sum((c * y for c, y in zip(coeffs[key], ys)), np.zeros(u.size, complex))
+            for key in parts
+        }
 
     def _responses(self, u: np.ndarray, h: float, n_states: int) -> np.ndarray:
         """(n_states, Q) samples of y_0.. at the substep midpoints, or their
@@ -404,31 +441,6 @@ class LinearKernelModel(ControlModel):
             out[k] = sample @ ys + uk * drive
             ys = step @ ys + uk * m
         return out.T
-
-    def params(self) -> dict:
-        return {
-            "W": self.kp.w_bandwidth,
-            "delta": self.kp.delta,
-            "amplitude": self.amp_factor - 1.0,
-        }
-
-    def with_param(self, name: str, value: float) -> "LinearKernelModel":
-        if name == "W":
-            kp = LinearKernelParams(value, self.kp.delta)
-        elif name == "delta":
-            kp = LinearKernelParams(self.kp.w_bandwidth, value)
-        elif name == "amplitude":
-            return LinearKernelModel(self.kp, self.substeps, self.average, 1.0 + value)
-        else:
-            raise KeyError(f"unknown parameter {name!r}")
-        return LinearKernelModel(kp, self.substeps, self.average, self.amp_factor)
-
-    def param_scale(self, name: str) -> float:
-        if name in ("W", "delta"):
-            return self.kp.w_bandwidth
-        if name == "amplitude":
-            return 1.0
-        raise KeyError(f"unknown parameter {name!r}")
 
 
 def _block_propagate(epow: np.ndarray, force: np.ndarray):
@@ -467,14 +479,15 @@ class _HalfStep:
     epow: np.ndarray       # E^0 .. E^n over the n half-steps of one interval
 
 
+@dataclass(frozen=True)
 class CircuitModel(ControlModel):
     """Rotating-frame RLC resonator with kinetic inductance.
 
     State x = (I_L~, V_Cm~, V_Ct~); dx/dt = A(x) x + alpha(t) u, stepped
     on n_half internal half-steps per output step.  The output sample is
     the state at the output-step midpoint.  The half-step constants are
-    computed once per (output step, n_half) and kept on the instance,
-    which `with_param` never changes.
+    computed once per (output step, n_half) and kept on the instance;
+    a copy from `with_param` starts its own.
 
     alpha_L = 0 (linear path).  The system is linear time-invariant and
     the drive is constant over each control interval, so with E the exact
@@ -501,14 +514,39 @@ class CircuitModel(ControlModel):
     with column 0 of the psi functions only.  Requested derivatives march
     with the state as forward sensitivities of the same stepper
     (Hindmarsh et al., ACM TOMS 31, 2005).  A diverging state halves the
-    internal step and retries.
+    internal step and retries, up to _RETRIES attempts.
     """
 
-    def __init__(self, params: CircuitParams, substeps: int = 16, amp_factor: float = 1.0):
-        self.cp = params
-        self.substeps = substeps
-        self.amp_factor = amp_factor
-        self._half_steps: dict = {}
+    cp: CircuitParams
+    substeps: int = 16
+    _half_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    _RETRIES = 6
+
+    def _table(self) -> dict:
+        return {
+            # 1e-3 A^-2, the dispersion scale of the kinetic coefficient
+            "alpha_L": (
+                self.cp.alpha_l, lambda v: replace(self, cp=replace(self.cp, alpha_l=v)), 1e-3
+            ),
+            **super()._table(),
+        }
+
+    @property
+    def drive_linear(self) -> bool:
+        return self.cp.alpha_l == 0.0
+
+    def channel_groups(self, channels) -> tuple:
+        groups = drive_groups(channels)
+        qubits, roles = groups[0]
+        if "z" in roles:
+            raise ValueError(f"channels[{roles['z']}]: the circuit model has no z row")
+        if len(groups) > 1:
+            raise ValueError(
+                f"channels[{min(groups[1][1].values())}]: the circuit model drives one"
+                f" channel group, the one on qubits {list(qubits)}"
+            )
+        return groups
 
     def _system(self):
         p = self.cp
@@ -546,12 +584,10 @@ class CircuitModel(ControlModel):
         return self._half_steps[key]
 
     def _alpha_in(self, seq: ControlSequence) -> np.ndarray:
-        """Complex input alpha(t) per interval from the x/y channel pair."""
-        order, by_q = _groups(seq.channels)
-        if len(order) != 1:
-            raise ValueError("circuit model drives a single channel group")
-        ux, uy = _drive_xy(seq, by_q[order[0]])
-        return self.amp_factor * (ux + 1j * uy) / self.cp.kappa_i, order[0]
+        """Complex input alpha(t) per interval of the one drive group."""
+        (_, roles), = self.channel_groups(seq.channels)
+        ux, uy = _drive_xy(seq, roles)
+        return self.amp_factor * (ux + 1j * uy) / self.cp.kappa_i
 
     def _output(self, mids: np.ndarray) -> np.ndarray:
         p = self.cp
@@ -562,7 +598,7 @@ class CircuitModel(ControlModel):
 
     def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
         keys = self._jet_keys(jets)
-        alpha, qubits = self._alpha_in(seq)
+        alpha = self._alpha_in(seq)
         h = seq.dt / self.substeps
         linear = self.cp.alpha_l == 0.0
         asked = {_without_amplitude(key) for key in keys} if linear else set(keys)
@@ -573,17 +609,17 @@ class CircuitModel(ControlModel):
             sens = _drive_homogeneous(degrees, keys)
         else:
             sens = {key: rows[key] for key in keys}
-        return DiscretizedField(rows[()], h, ((qubits, "x"), (qubits, "y")), sens)
+        return DiscretizedField(rows[()], h, sens)
 
-    def _integrate(self, alpha_intervals, h_out, jets=frozenset(), retries: int = 6):
+    def _integrate(self, alpha_intervals, h_out, jets=frozenset()):
         """March x and the derivatives `jets` across the sequence; halve the
         internal step and retry on numerical blow-up."""
         extra = 1
-        for attempt in range(retries):
+        for attempt in range(self._RETRIES):
             if attempt:
                 _log.warning(
                     "circuit integration diverged: retry %d of %d, internal step halved to %.3e s",
-                    attempt, retries - 1, h_out / (2 * extra),
+                    attempt, self._RETRIES - 1, h_out / (2 * extra),
                 )
             try:
                 return self._integrate_once(alpha_intervals, h_out, 2 * extra, jets)
@@ -785,30 +821,6 @@ class CircuitModel(ControlModel):
         if not np.isfinite(ss).all():
             raise FloatingPointError("circuit derivatives diverged")
         return ss, ts
-
-    def params(self) -> dict:
-        return {
-            "alpha_L": self.cp.alpha_l,
-            "amplitude": self.amp_factor - 1.0,
-        }
-
-    def with_param(self, name: str, value: float) -> "CircuitModel":
-        if name == "alpha_L":
-            return CircuitModel(replace(self.cp, alpha_l=value), self.substeps, self.amp_factor)
-        if name == "amplitude":
-            return CircuitModel(self.cp, self.substeps, 1.0 + value)
-        raise KeyError(f"unknown parameter {name!r}")
-
-    def param_scale(self, name: str) -> float:
-        if name == "alpha_L":
-            return 1e-3  # A^-2, the dispersion scale of the kinetic coefficient
-        if name == "amplitude":
-            return 1.0
-        raise KeyError(f"unknown parameter {name!r}")
-
-    @property
-    def drive_linear(self) -> bool:
-        return self.cp.alpha_l == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ those orthogonal matrices is the average CPTP map.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, axis_operators
+from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes
 from .opcore import _PAULI, einsum
 
 __all__ = [
@@ -151,9 +151,6 @@ class EvaluationSetup:
     term_coeffs: np.ndarray          # nominal coefficients, rad/s
     distributions: tuple[ParameterDistribution, ...] = ()
 
-    def axis_ops(self, fld) -> np.ndarray:
-        return axis_operators(fld.axes, self.n_qubits)
-
 
 # draws per expm_batch call: large enough to amortize the call, small
 # enough that the eigh temporaries stay a few MB
@@ -185,6 +182,7 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
         targets[dd.name] = (kind, name)
     n, d = len(draws), 2 ** setup.n_qubits
     out = np.empty((n, d, d), dtype=complex)
+    axis_ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
     linear = setup.model.drive_linear
     if not all(kind == "term" or (linear and name == "amplitude") for kind, name in targets.values()):
         for s, values in enumerate(draws):
@@ -195,7 +193,7 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
                 else:
                     coeffs[setup.term_names.index(name)] = values[key]
             fld = model.field(seq)
-            h = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
+            h = np.einsum("kq,kab->qab", fld.b, axis_ops)
             h = h + np.einsum("t,tab->ab", coeffs, setup.term_mats)
             out[s] = tg.ordered_product(tg.expm_batch(h, fld.delta_t))
         return out
@@ -210,7 +208,7 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
     h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
     model = setup.model.with_param("amplitude", 0.0) if linear else setup.model
     fld = model.field(seq)   # at unit drive when it scales by amp
-    h_ctrl = np.einsum("kq,kab->qab", fld.b, setup.axis_ops(fld))
+    h_ctrl = np.einsum("kq,kab->qab", fld.b, axis_ops)
     qn = h_ctrl.shape[0]
     for lo in range(0, n, _MC_BLOCK):
         blk = slice(lo, lo + _MC_BLOCK)

@@ -22,6 +22,7 @@ import numpy as np
 from .opcore import ORTHO_TOL, _as_readonly, gram_schmidt
 
 _EPS = np.finfo(float).eps
+INDEP_TOL = 1e-7     # a unit candidate is new above this residual off the span
 
 
 class _Basis:
@@ -61,10 +62,10 @@ class CSubspace(_Basis):
 class _RowSpace:
     """Incrementally orthonormalized span of vectorized operators."""
 
-    def __init__(self, length: int, tol: float):
+    def __init__(self, length: int):
         self.q = np.zeros((0, length), dtype=complex)
-        self.tol = tol
-        self.thresh = max(1, length) * _EPS  # rank threshold at sigma_max = 1
+        # INDEP_TOL, or the rank threshold at sigma_max = 1 if that is larger
+        self.thresh = max(INDEP_TOL, length * _EPS)
 
     def try_add(self, m: np.ndarray) -> bool:
         """Add the operator if independent; return whether it was added."""
@@ -77,13 +78,13 @@ class _RowSpace:
             if len(self.q):
                 v = v - self.q.conj() @ v @ self.q
         r = np.linalg.norm(v)
-        if r <= max(self.tol, self.thresh):
+        if r <= self.thresh:
             return False
         self.q = np.vstack([self.q, v / r])
         return True
 
 
-def _closure(seeds, partners, bracket, cap: int, tol: float):
+def _closure(seeds, partners, bracket, cap: int):
     """Round-based closure of the independent seeds under bracket(b, p)
     with every partner p.
 
@@ -91,7 +92,7 @@ def _closure(seeds, partners, bracket, cap: int, tol: float):
     appending independent results, and stops once a round adds nothing or
     the span reaches ``cap``.  Returns (elements, rounds performed).
     """
-    rows = _RowSpace(seeds[0].size, tol)
+    rows = _RowSpace(seeds[0].size)
     elements = [m for m in seeds if rows.try_add(m)]
     current = list(elements)
     depth = 0
@@ -118,7 +119,7 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m) / d) * np.eye(d)
 
 
-def find_lie_algebra(generators, tol: float = 1e-7) -> LieAlgebraBasis:
+def find_lie_algebra(generators) -> LieAlgebraBasis:
     """Orthonormal basis of the real Lie algebra generated by i*{H_i}.
 
     Every round commutes the newest elements with the seed set, up to the
@@ -133,16 +134,15 @@ def find_lie_algebra(generators, tol: float = 1e-7) -> LieAlgebraBasis:
     if any(g.shape != (d, d) for g in generators):
         raise ValueError("generators on different qubit counts")
     seeds = [1j * _traceless(g) for g in generators]
-    elements, depth = _closure(seeds, seeds, lambda h, g: h @ g - g @ h, d * d - 1, tol)
+    elements, depth = _closure(seeds, seeds, lambda h, g: h @ g - g @ h, d * d - 1)
     return LieAlgebraBasis(
-        gram_schmidt(elements, tol=1e-12), generator_count=len(generators), closure_depth=depth
+        gram_schmidt(elements), generator_count=len(generators), closure_depth=depth
     )
 
 
 def find_c_subspace(
     g: LieAlgebraBasis,
     h_pert: np.ndarray,
-    tol: float = 1e-7,
     extra_seeds: tuple[np.ndarray, ...] = (),
 ) -> CSubspace:
     """Orthonormal basis of span{ [g_1, ... [g_L, H_pert] ...], L >= 0 }.
@@ -160,5 +160,5 @@ def find_c_subspace(
     if g.stack.shape[-1] != d:
         raise ValueError("algebra and perturbation dimension mismatch")
     seeds = [h_pert, *(np.asarray(s) for s in extra_seeds)]
-    elements, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d, tol)
-    return CSubspace(gram_schmidt(elements, tol=1e-12))
+    elements, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d)
+    return CSubspace(gram_schmidt(elements))

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, axis_operators, jet_key
+from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes, jet_key
 from .liealg import CSubspace
 from .opcore import project
 from . import toggling as tg
@@ -151,10 +151,6 @@ class ErrorChannel:
     kind: str                     # 'amplitude' | 'model_param'
     param: str = ""
     subspace: CSubspace | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("amplitude", "model_param"):
-            raise ValueError(f"unknown error kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -305,11 +301,8 @@ class CostPipeline:
         scales = [abs(c.scale) for c in self.channels if c.role != "phase"]
         self.err_scale = (max(scales) if scales else 1.0) * np.sqrt(d)
 
-        # axis operators of the field rows, resolved on a probe run
-        probe = ControlSequence(np.zeros((len(self.channels), intervals)), dt, self.channels)
-        fld = model.field(probe)
-        self.t_seq = fld.t_seq
-        self.axis_ops = axis_operators(fld.axes, n_qubits)
+        self.t_seq = intervals * dt
+        self.axis_ops = axis_operators(field_axes(self.channels), n_qubits)
 
         # one shared array per distinct basis: the per-candidate eigendata,
         # toggles and their prefixes are cached on its identity
@@ -374,14 +367,9 @@ class CostPipeline:
         no field derivative."""
         if self.model.drive_linear and all(self.errors[n].kind == "amplitude" for n in names):
             return None
-        params = []
-        for n in names:
-            e = self.errors[n]
-            if e.kind == "model_param" and e.param not in self.model.params():
-                raise ValueError(f"error {n!r}: model has no parameter {e.param!r}")
-            # an 'amplitude' error differentiates along the relative drive error
-            params.append("amplitude" if e.kind == "amplitude" else e.param)
-        return jet_key(*params)
+        errors = [self.errors[n] for n in names]
+        # an 'amplitude' error differentiates along the relative drive error
+        return jet_key(*("amplitude" if e.kind == "amplitude" else e.param for e in errors))
 
     def _read(self, address):
         """Register the request, cross pair or propagator behind one address."""

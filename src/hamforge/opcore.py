@@ -24,9 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-# Global tolerance defaults (Hilbert-Schmidt units).
+# Global tolerances (Hilbert-Schmidt units).
 ORTHO_TOL = 1e-9     # basis orthonormality
-SPAN_TOL = 1e-8      # span membership / reconstruction residual
+SPAN_TOL = 1e-8      # span membership: relative residual of `project`
+DEP_TOL = 1e-12      # Gram-Schmidt: relative norm below which an input is dependent
 
 _PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -78,11 +79,11 @@ def pauli_string_op(strings, n_qubits: int) -> np.ndarray:
     return m
 
 
-def gram_schmidt(mats: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Orthonormalize a list of (d, d) matrices, dropping dependent ones,
     into a read-only (m, d, d) stack in input order.
 
-    Vectors whose post-projection norm falls below ``tol`` times the
+    Vectors whose post-projection norm falls below DEP_TOL times the
     largest input norm are discarded.  Modified Gram-Schmidt with one
     re-orthogonalization pass.
     """
@@ -99,7 +100,7 @@ def gram_schmidt(mats: Sequence[np.ndarray], tol: float = 1e-10) -> np.ndarray:
             for u in kept:
                 v -= np.sum(u.conj() * v) * u
         nv = np.linalg.norm(v)
-        if nv > tol * scale:
+        if nv > DEP_TOL * scale:
             kept.append(v / nv)
     if not kept:
         raise ValueError("all inputs numerically zero after projection")

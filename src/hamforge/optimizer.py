@@ -18,7 +18,7 @@ import math
 import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "parallel_restarts",
 ]
 
+TRACE_EVERY = 500   # iterations between trace rows
+
 
 @dataclass(frozen=True)
 class GSAConfig:
@@ -45,7 +47,6 @@ class GSAConfig:
     restarts: int = 1
     master_seed: int = 0
     schedule: str = "verbatim"
-    trace_every: int = 500
 
     def __post_init__(self):
         if not 1.0 < self.q_v < 3.0:
@@ -130,7 +131,6 @@ def gsa_minimize(
     x1: np.ndarray,
     cfg: GSAConfig,
     rng: np.random.Generator | None = None,
-    log_stream=None,
 ) -> OptimizationResult:
     """Anneal from x1; stops at t_max or when E_best <= E_target."""
     rng = rng if rng is not None else restart_rng(cfg.master_seed, 0)
@@ -153,10 +153,8 @@ def gsa_minimize(
             e_best, x_best = e2, x2.copy()
         if gsa_accept(e1, e2, temp, cfg, rng):
             x1, e1 = x2, e2
-        if t % cfg.trace_every == 0:
+        if t % TRACE_EVERY == 0:
             trace.append((t, temp, e_best))
-            if log_stream is not None:
-                log_stream.write(f"{t},{temp:.6e},{e_best:.10e}\n")
         t += 1
     trace.append((t, gsa_temperature(max(t - 1, 1), cfg), e_best))
     return OptimizationResult(x_best, e_best, t, (tuple(trace),))

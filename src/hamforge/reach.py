@@ -8,12 +8,15 @@ the achievable scaling factor range [s-, s+] with two linear programs.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .liealg import LieAlgebraBasis
 from .opcore import SPAN_TOL, SubspaceError, project
+
+CONVERGE_TOL = 1e-3   # scale-range search: stop once both ends move less per batch
 
 
 # ---------------------------------------------------------------------------
@@ -71,17 +74,10 @@ class LPResult:
     value: float | None = None
 
 
-def lp_solve(
-    objective: np.ndarray,
-    eq_matrix: np.ndarray,
-    eq_rhs: np.ndarray,
-    nonneg: bool = True,
-    box: np.ndarray | None = None,
-) -> LPResult:
+def lp_solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> LPResult:
     """Maximize objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0.
 
-    ``box`` optionally adds upper bounds x_i <= box_i; ``nonneg=False``
-    leaves every x_i free.  Solved by HiGHS's dual simplex without
+    Solved by HiGHS's dual simplex without
     presolve, the fastest variant on the scale-range LPs (Huangfu & Hall,
     Math. Prog. Comp. 10, 2018).  A solver stop other than optimal,
     infeasible or unbounded raises RuntimeError.
@@ -94,13 +90,8 @@ def lp_solve(
     b = np.asarray(eq_rhs, dtype=float)
     if a.shape != (b.size, c.size):
         raise ValueError("inconsistent LP shapes")
-    if not nonneg and box is not None:
-        raise ValueError("box bounds require nonneg variables")
-    bounds = (0.0, None) if nonneg else (None, None)
-    if box is not None:
-        bounds = np.column_stack([np.zeros(c.size), np.asarray(box, dtype=float)])
     res = linprog(
-        -c, A_eq=a, b_eq=b, bounds=bounds, method="highs-ds", options={"presolve": False}
+        -c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs-ds", options={"presolve": False}
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
     if status is None:
@@ -121,7 +112,6 @@ class VertexSet:
     transform: np.ndarray         # (m_total, m_total) orthogonal
     target_norm: float
     sample_count: int
-    component_norms: tuple = ()   # per-component ||H_pert^w|| before joint scaling
 
 
 @dataclass(frozen=True)
@@ -211,10 +201,7 @@ def sample_vertices(
             )
         parts.append(coeff.real)
     rows = (alpha * np.concatenate(parts, axis=1)) @ tmat.T
-    return VertexSet(
-        rows, tmat, tnorm, j_samples,
-        tuple(float(np.linalg.norm(v)) for v in perts),
-    )
+    return VertexSet(rows, tmat, tnorm, j_samples)
 
 
 def _scale_lps(vertices: np.ndarray):
@@ -247,29 +234,20 @@ def find_scale_range(
     sampler: str = "auto",
     rng: np.random.Generator | None = None,
     batch: int = 200,
-    converge_tol: float = 1e-3,
     n_burn: int = 100,
     n_thin: int = 10,
-    measure_component: int | None = None,
 ) -> ScaleRange:
-    """Range of achievable scaling factors along the (normalized) target.
+    """Range of achievable scaling factors along the (normalized) target,
+    measured against the jointly normalized direct-sum perturbation.
 
     Vertices accumulate in batches; the search stops early once both ends
-    of the range move less than ``converge_tol`` over the last batch, and
-    is capped at ``j_samples``.  Both LPs infeasible means the target
+    of the range move less than CONVERGE_TOL over the last batch, and is
+    capped at ``j_samples``.  Both LPs infeasible means the target
     direction is not achievable at any scale.
-
-    By default s is measured against the jointly normalized direct-sum
-    perturbation.  ``measure_component`` (0-based index) instead reports
-    s relative to that component's own norm, the natural convention when
-    the other components are decoupled (their targets zero); with it the
-    decoupling corollary reads as equality of s-ranges.
     """
     rng = rng or np.random.default_rng()
     mtot = sum(c.dim for (_, c, _) in components)
     if j_samples < mtot + 1:
-        import warnings
-
         warnings.warn("fewer samples than subspace dimension + 1: degenerate hull")
     vs = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
     history = []
@@ -286,16 +264,11 @@ def find_scale_range(
         # NaN never compares below the tolerance, so an end without an
         # optimum keeps the search going to the cap
         if (
-            abs(s_plus - prev_plus) < converge_tol
-            and abs(s_minus - prev_minus) < converge_tol
+            abs(s_plus - prev_plus) < CONVERGE_TOL
+            and abs(s_minus - prev_minus) < CONVERGE_TOL
             and k >= mtot + 1
         ):
             break
     if np.isnan(s_plus) and np.isnan(s_minus):
         return ScaleRange(np.nan, np.nan, False, used, history)
-    rescale = 1.0
-    if measure_component is not None:
-        joint = float(np.sqrt(sum(n * n for n in vs.component_norms)))
-        rescale = joint / vs.component_norms[measure_component]
-        history = [(k, sm * rescale, sp * rescale) for (k, sm, sp) in history]
-    return ScaleRange(float(s_minus) * rescale, float(s_plus) * rescale, True, used, history)
+    return ScaleRange(float(s_minus), float(s_plus), True, used, history)

@@ -52,11 +52,11 @@ log depth, and `ordered_product` forms only the last of them.
 
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
-Taylor series when the whole node cluster is narrower than `tol`
+Taylor series when the whole node cluster is narrower than DEGEN_TOL
 (removable singularities).  This is the path of `nested_exp_integral`,
 of every r <= 2 table, and of the sequential reference engine
 (`step_cints_raw` in `tests/_oracles.py`).  The threshold
-DEFAULT_DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
+DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
 ~eps / (spread * T) to cancellation, and at r = 3 one more division by a
 node gap of similar size leaves errors of order eps / (spread * T)^2 in
 units of T^3 / 6.  Against 40-digit arithmetic the worst r = 3 entry is
@@ -80,10 +80,10 @@ of entry go to the general kernel instead:
   amplification at 4x.  Adjoint spectra carry exact zeros and +/- pairs,
   so 6.7% of the entries of the 2-qubit benchmark's u = 9 grids have
   a+b+c = 0 whatever the bound (9.0% of the unmerged m = 15 grids).
-  With tol = 0.2 the fallback takes 16.8% of the u-grid entries at 0.25
+  With DEGEN_TOL = 0.2 the fallback takes 16.8% of the u-grid entries at 0.25
   (18.6% of the m-grid); on the m-grid at a series width of 0.05 it took
   16-18% at 0.25, against 11-14% at 0.1 and 28-29% at 0.5.
-* Clusters with spread * T < tol, which the kernel sums as a series.
+* Clusters with spread * T < DEGEN_TOL, which the kernel sums as a series.
   The identity would inherit the cancellation of I2 described above.
 
 Divided differences of exp: McCurdy, Ng & Parlett, Math. Comp. 43 (1984);
@@ -98,7 +98,7 @@ import numpy as np
 
 from .opcore import einsum
 
-DEFAULT_DEGEN_TOL = 0.2   # |w*T| cluster width below which the series branch runs
+DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
 SHIFT_KAPPA = 0.25        # r=3 grid: shift identity needs |a+b+c| >= this * spread
 MERGE_KAPPA = 1e-13       # adjoint eigenvalues closer than this phase gap (* dt) merge
@@ -149,10 +149,10 @@ def _dd_taylor(w, t, drop):
     return t ** drop * np.exp(1j * wbar * t) * (re + 1j * im)
 
 
-def _dd2_sorted(w, t, tol):
+def _dd2_sorted(w, t):
     """f[i*w0, i*w1, i*w2] with w sorted ascending along the last axis."""
     spread = w[..., 2] - w[..., 0]
-    cluster = spread * t < tol
+    cluster = spread * t < DEGEN_TOL
     safe = np.where(cluster, 1.0, spread)
     ga = _g_pair(w[..., 0], w[..., 1], t)
     gb = _g_pair(w[..., 1], w[..., 2], t)
@@ -164,19 +164,19 @@ def _dd2_sorted(w, t, tol):
     return direct
 
 
-def _dd3_sorted(w, t, tol):
+def _dd3_sorted(w, t):
     """f[i*w0,..,i*w3] with w sorted ascending along the last axis."""
     spread = w[..., 3] - w[..., 0]
-    cluster = spread * t < tol
+    cluster = spread * t < DEGEN_TOL
     if w.ndim == 1:
         if cluster:
             return _dd_taylor(w, t, 3)
-        return (_dd2_sorted(w[1:4], t, tol) - _dd2_sorted(w[0:3], t, tol)) / (1j * spread)
+        return (_dd2_sorted(w[1:4], t) - _dd2_sorted(w[0:3], t)) / (1j * spread)
     # the recursion runs only where the series does not
     out = np.empty(spread.shape, dtype=complex)
     far = ~cluster
     wf = w[far]
-    out[far] = (_dd2_sorted(wf[:, 1:4], t, tol) - _dd2_sorted(wf[:, 0:3], t, tol)) / (
+    out[far] = (_dd2_sorted(wf[:, 1:4], t) - _dd2_sorted(wf[:, 0:3], t)) / (
         1j * spread[far]
     )
     out[cluster] = _dd_taylor(w[cluster], t, 3)
@@ -195,24 +195,24 @@ def _int1_plus(nu, t):
     return _g_pair(np.zeros_like(nu), nu, t)
 
 
-def _int2_plus(nu1, nu2, t, tol=DEFAULT_DEGEN_TOL):
+def _int2_plus(nu1, nu2, t):
     """Ordered double integral of exp(i nu1 t1) exp(i nu2 t2), t1 > t2."""
     n1 = np.asarray(nu1, dtype=float)
     n2 = np.asarray(nu2, dtype=float)
-    return _dd2_sorted(_nodes([n1 + 0 * n2, n1 + n2]), t, tol)
+    return _dd2_sorted(_nodes([n1 + 0 * n2, n1 + n2]), t)
 
 
-def _int3_plus(nu1, nu2, nu3, t, tol=DEFAULT_DEGEN_TOL):
+def _int3_plus(nu1, nu2, nu3, t):
     n1 = np.asarray(nu1, dtype=float)
     n2 = np.asarray(nu2, dtype=float)
     n3 = np.asarray(nu3, dtype=float)
     p1 = n1 + 0 * n2 + 0 * n3
     p2 = n1 + n2 + 0 * n3
     p3 = n1 + n2 + n3
-    return _dd3_sorted(_nodes([p1, p2, p3]), t, tol)
+    return _dd3_sorted(_nodes([p1, p2, p3]), t)
 
 
-def _int3_grid(nu, i2, t, tol=DEFAULT_DEGEN_TOL):
+def _int3_grid(nu, i2, t):
     """I3 on the (Q, n, n, n) grid of frequencies nu (Q, n) from their r=2
     table i2 (Q, n, n).
 
@@ -225,29 +225,29 @@ def _int3_grid(nu, i2, t, tol=DEFAULT_DEGEN_TOL):
     lo = np.minimum(np.minimum(p1, 0.0), np.minimum(p2, p3))
     hi = np.maximum(np.maximum(p1, 0.0), np.maximum(p2, p3))
     spread = hi - lo
-    ill = (np.abs(p3) < SHIFT_KAPPA * spread) | (spread * t < tol)
+    ill = (np.abs(p3) < SHIFT_KAPPA * spread) | (spread * t < DEGEN_TOL)
     phase = np.exp(1j * nu * t)
     out = phase[:, :, None, None] * i2[:, None, :, :] - i2[:, :, :, None]
     out /= 1j * np.where(ill, 1.0, p3)
     q, a, b, c = np.nonzero(ill)
-    out[q, a, b, c] = _int3_plus(nu[q, a], nu[q, b], nu[q, c], t, tol)
+    out[q, a, b, c] = _int3_plus(nu[q, a], nu[q, b], nu[q, c], t)
     return out
 
 
-def nested_exp_integral(lambdas: Sequence[float], t: float, tol: float = DEFAULT_DEGEN_TOL) -> complex:
+def nested_exp_integral(lambdas: Sequence[float], t: float) -> complex:
     """I(l_1..l_r) = int_0^T dt1..int_0^{t_{r-1}} dt_r e^{-i l_1 t1}..e^{-i l_r tr}.
 
     Closed form for r in {1,2,3}; near-degenerate eigenvalue sums switch
-    to a series branch (threshold |sum * T| < tol).
+    to a series branch (threshold |sum * T| < DEGEN_TOL).
     """
     lam = [float(x) for x in lambdas]
     r = len(lam)
     if r == 1:
         out = _int1_plus(-lam[0], t)
     elif r == 2:
-        out = _int2_plus(-lam[0], -lam[1], t, tol)
+        out = _int2_plus(-lam[0], -lam[1], t)
     elif r == 3:
-        out = _int3_plus(-lam[0], -lam[1], -lam[2], t, tol)
+        out = _int3_plus(-lam[0], -lam[1], -lam[2], t)
     else:
         raise ValueError("order r must be 1, 2 or 3")
     return complex(out)
@@ -353,7 +353,7 @@ def _components(v, y, groups):
     return a if groups.onehot is None else a @ groups.onehot
 
 
-def batch_step_cints(nu, v, y, dt, r_max, groups=None, tol=DEFAULT_DEGEN_TOL):
+def batch_step_cints(nu, v, y, dt, r_max, groups=None):
     """Per-step tensors for all Q steps at once.
 
     nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed;
@@ -367,19 +367,19 @@ def batch_step_cints(nu, v, y, dt, r_max, groups=None, tol=DEFAULT_DEGEN_TOL):
         if groups is None:
             groups = spectral_groups(nu, dt)
         w, a = groups.w, _components(v, y, groups)
-        i2 = _int2_plus(w[:, :, None], w[:, None, :], dt, tol)
+        i2 = _int2_plus(w[:, :, None], w[:, None, :], dt)
         c1 = _real(a @ i2 @ np.swapaxes(a, -1, -2))
     if r_max >= 3:
-        i3 = _int3_grid(w, i2, dt, tol)
+        i3 = _int3_grid(w, i2, dt)
         c2 = _real(einsum("qig,qjh,qkl,qghl->qijk", a, a, a, i3))
     return c0, c1, c2
 
 
-def batch_step_cross(v_p, y_p, groups_p, v_e, y_e, groups_e, dt, tol=DEFAULT_DEGEN_TOL):
+def batch_step_cross(v_p, y_p, groups_p, v_e, y_e, groups_e, dt):
     """Per-step cross tensors (Q, mp, me); slot order (later, earlier).
     Each slot takes the eigenvectors, rotated seed and `spectral_groups`
     of its subspace."""
-    i2 = _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt, tol)
+    i2 = _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt)
     a_p, a_e = _components(v_p, y_p, groups_p), _components(v_e, y_e, groups_e)
     return _real(a_p @ i2 @ np.swapaxes(a_e, -1, -2))
 

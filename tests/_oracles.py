@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from hamforge import toggling as tg
-from hamforge.controlsys import axis_operators
+from hamforge.controlsys import axis_operators, field_axes
 from hamforge.evaluate import pauli_basis_stack
 from hamforge.liealg import CSubspace
 from hamforge.opcore import SPAN_TOL, SubspaceError, project
@@ -160,24 +160,24 @@ def _step_c0(eig: StepEigen, dt: float) -> np.ndarray:
     return tg._real(eig.v @ (tg._int1_plus(eig.nu, dt) * eig.y))
 
 
-def step_cints_raw(eig: StepEigen, dt: float, r_max: int, tol=tg.DEFAULT_DEGEN_TOL):
+def step_cints_raw(eig: StepEigen, dt: float, r_max: int):
     """(c0, c1, c2) tensors of one constant step, real arrays."""
     nu, v, y = eig.nu, eig.v, eig.y
     c0 = _step_c0(eig, dt)
     c1 = c2 = None
     if r_max >= 2:
-        i2 = tg._int2_plus(nu[:, None], nu[None, :], dt, tol)
+        i2 = tg._int2_plus(nu[:, None], nu[None, :], dt)
         c1 = tg._real(v @ (i2 * y[:, None] * y[None, :]) @ v.T)
     if r_max >= 3:
-        i3 = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], dt, tol)
+        i3 = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], dt)
         t3 = i3 * y[:, None, None] * y[None, :, None] * y[None, None, :]
         c2 = tg._real(np.einsum("ia,jb,kc,abc->ijk", v, v, v, t3, optimize=True))
     return c0, c1, c2
 
 
-def step_cross_raw(eig_pert: StepEigen, eig_err: StepEigen, dt: float, tol=tg.DEFAULT_DEGEN_TOL):
+def step_cross_raw(eig_pert: StepEigen, eig_err: StepEigen, dt: float):
     """Single-step cross tensor: perturbation at the later time slot."""
-    i2 = tg._int2_plus(eig_pert.nu[:, None], eig_err.nu[None, :], dt, tol)
+    i2 = tg._int2_plus(eig_pert.nu[:, None], eig_err.nu[None, :], dt)
     t2 = i2 * eig_pert.y[:, None] * eig_err.y[None, :]
     return tg._real(eig_pert.v @ t2 @ eig_err.v.T)
 
@@ -252,12 +252,12 @@ class CIntegralSet:
 
 
 def step_c_integrals(h_pri: np.ndarray, h_pert: np.ndarray, c_space: CSubspace, delta_t: float,
-                     r_max: int = 3, tol: float = tg.DEFAULT_DEGEN_TOL) -> CIntegralSet:
+                     r_max: int = 3) -> CIntegralSet:
     """C-integrals of a single constant step via the adjoint eigenbasis."""
     stack = c_space.stack
     c_seed = vector(h_pert, stack)
     eig = _step_eigen(adjoint_matrix(h_pri, stack), c_seed)
-    c0, c1, c2 = step_cints_raw(eig, delta_t, r_max, tol)
+    c0, c1, c2 = step_cints_raw(eig, delta_t, r_max)
     flat = [None if c is None else c.ravel() for c in (c1, c2)]
     return CIntegralSet(c_space, r_max, c0, *flat, delta_t)
 
@@ -278,8 +278,7 @@ def compose_c_integrals(per_step, prop: PrimaryPropagation, c_space: CSubspace) 
 
 
 def cross_c_integral(steps: StepHamiltonians, error_name: str, c_pert: CSubspace,
-                     c_err: CSubspace, prop: PrimaryPropagation,
-                     tol: float = tg.DEFAULT_DEGEN_TOL) -> np.ndarray:
+                     c_err: CSubspace, prop: PrimaryPropagation) -> np.ndarray:
     """Whole-sequence cross integral, (|C_pert|, |C_err|): H_pert at the
     later time, the named error term at the earlier time."""
     stack_p, stack_e = c_pert.stack, c_err.stack
@@ -290,7 +289,7 @@ def cross_c_integral(steps: StepHamiltonians, error_name: str, c_pert: CSubspace
         ce = np.einsum("aij,ij->a", stack_e.conj(), err[q])
         ep = _step_eigen(adjoint_matrix(steps.h_pri[q], stack_p), cp)
         ee = _step_eigen(adjoint_matrix(steps.h_pri[q], stack_e), ce)
-        cross_steps.append(step_cross_raw(ep, ee, steps.delta_t, tol))
+        cross_steps.append(step_cross_raw(ep, ee, steps.delta_t))
         c0p_steps.append(_step_c0(ep, steps.delta_t))
         c0e_steps.append(_step_c0(ee, steps.delta_t))
     dqp = toggle_matrices(prop.step_unitaries, stack_p)
@@ -360,7 +359,7 @@ def exact_unitary(seq, setup, values: dict) -> np.ndarray:
         else:
             coeffs[setup.term_names.index(target)] = values[dd.name]
     fld = model.field(seq)
-    ops = axis_operators(fld.axes, setup.n_qubits)
+    ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
     h_int = np.einsum("t,tab->ab", coeffs, setup.term_mats)
     return step_product(np.einsum("kq,kab->qab", fld.b, ops) + h_int, fld.delta_t)
 

@@ -7,6 +7,7 @@ from hamforge import cli
 from hamforge import config as cfgmod
 from hamforge.config import ConfigError, sequence_from_dict, write_sequence
 from hamforge.controlsys import IdealModel
+from hamforge.opcore import SubspaceError
 from _oracles import exact_unitary
 
 
@@ -347,6 +348,24 @@ def _bad_model_param(cfg):
     cfg["objectives"].append({"kind": "robustness_first", "weight": 1, "error": "bw"})
 
 
+def _channels(*specs, model=None, n_qubits=None):
+    """Replace the control channels with (qubits, role) specs."""
+    def mutate(cfg):
+        cfg["control"]["channels"] = [
+            {"qubits": list(q), "role": role, "scale": 1e8} for q, role in specs
+        ]
+        if model is not None:
+            cfg["control"]["model"] = model
+        if n_qubits is not None:
+            cfg["system"]["n_qubits"] = n_qubits
+    return mutate
+
+
+def _no_h_pert(cfg):
+    cfg["system"]["terms"][0]["assign"] = "pri"
+    cfg["objectives"] = cfg["objectives"][:1]
+
+
 _BAD_KEYS = {
     "u-target-3x3": (lambda c: c["targets"].update(u_target={"matrix_re": np.eye(3).tolist()}),
                      "targets.u_target has shape (3, 3)"),
@@ -357,6 +376,22 @@ _BAD_KEYS = {
     "unknown-model-param": (_bad_model_param, "errors[1].param"),
     "qubit-out-of-range": (lambda c: c["control"]["channels"][0].update(qubits=[2]),
                            "control.channels[0].qubits"),
+    # channel sets in which a channel would drive nothing
+    "circuit-z": (_channels(((1,), "x"), ((1,), "y"), ((1,), "z"), model="circuit"),
+                  "control.channels[2]: the circuit model has no z row"),
+    "circuit-two-groups": (_channels(((1,), "x"), ((1,), "y"), ((2,), "x"), model="circuit", n_qubits=2),
+                           "control.channels[2]: the circuit model drives one channel group"),
+    "phase-without-amp": (_channels(((1,), "x"), ((1,), "phase")),
+                          "control.channels[1]: a 'phase' channel needs an 'amp' channel"),
+    "lone-phase": (_channels(((1,), "phase")),
+                   "control.channels[0]: a 'phase' channel needs an 'amp' channel"),
+    "second-amp": (_channels(((1,), "amp"), ((1,), "phase"), ((1,), "amp")),
+                   "control.channels[2]: a second 'amp' channel on qubits [1]"),
+    "unknown-gate": (lambda c: c["targets"].update(u_target="toffoli"),
+                     "targets.u_target: unknown named gate 'toffoli'"),
+    "gate-does-not-fit": (lambda c: c["targets"].update(u_target="cnot"),
+                          "targets.u_target: gate 'cnot' does not fit 1 qubit(s)"),
+    "no-h-pert": (_no_h_pert, "system.terms: no Hamiltonian term is assigned to H_pert"),
 }
 
 
@@ -369,6 +404,16 @@ def test_cli_optimize_rejects_a_bad_problem_key_by_its_path(tmp_path, capsys, mo
     code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_VALIDATION
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_an_unknown_named_state(tmp_path, capsys):
+    cfg = _config_1q()
+    cfg["evaluation"]["initial_state"] = "minus"
+    seq_path = _write_sequence(tmp_path, cfg)
+    code = cli.main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     str(seq_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "config error: evaluation.initial_state: unknown named state 'minus'" in capsys.readouterr().err
 
 
 def _config_outside(cfg):
@@ -413,6 +458,33 @@ def test_cli_optimize_force_skips_the_feasibility_gates(tmp_path, monkeypatch, g
     assert code == cli.EXIT_OK
     rep = json.loads((out / "optimize.json").read_text())
     assert rep["iterations"] == 3 and np.isfinite(rep["f_tot"])
+
+
+def _raise_subspace_error(*args, **kwargs):
+    raise SubspaceError("conjugated perturbation leaves its subspace")
+
+
+@pytest.mark.parametrize("case", ["target-5e-8-off-its-subspace", "scale-gate-subspace-error"])
+def test_cli_optimize_membership_failures_exit_infeasible(tmp_path, capsys, monkeypatch, case):
+    cfg = _config_optimize()
+    cfg["targets"]["s_target"] = 0.5
+    if case == "target-5e-8-off-its-subspace":
+        # relative residual 5e-8 off C_1: the subspace report, the H_target
+        # gate and the vertex sampler share one membership tolerance
+        cfg["targets"]["h_target"]["1"]["strings"].append({"pauli": [], "factor": 5e-8})
+        out = tmp_path / "sub"
+        assert cli.main(["subspace", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rep = json.loads((out / "subspace.json").read_text())["components"]["1"]
+        assert rep["target_in_subspace"] is False and rep["target_residual"] > 1e-8
+        message = "lies outside C_1"
+    else:
+        monkeypatch.setattr(cli, "_scale_range", _raise_subspace_error)
+        message = "infeasible target: conjugated perturbation leaves its subspace"
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_INFEASIBLE
+    assert message in capsys.readouterr().err
 
 
 def test_cli_threads_default_comes_from_the_environment(monkeypatch):

@@ -14,7 +14,10 @@ from hamforge.controlsys import (
     IdealModel,
     LinearKernelModel,
     LinearKernelParams,
+    UnknownParameter,
     axis_operators,
+    drive_groups,
+    field_axes,
 )
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
@@ -42,7 +45,7 @@ def test_ideal_passthrough():
     fld3 = IdealModel(3).field(seq)
     assert fld3.q_steps == 6
     assert np.allclose(fld3.b[:, :3], np.repeat(seq.values[:, :1], 3, axis=1))
-    assert fld3.t_seq == pytest.approx(seq.t_seq)
+    assert fld3.q_steps * fld3.delta_t == pytest.approx(seq.t_seq)
 
 
 def test_ideal_polar_conversion():
@@ -229,7 +232,7 @@ def test_ideal_amplitude_sensitivity_exact():
 def test_control_hamiltonians_assembly():
     seq = ControlSequence(np.array([[0.5], [0.25]]), 1e-8, XY)
     fld = IdealModel().field(seq)
-    h = np.einsum("kq,kab->qab", fld.b, axis_operators(fld.axes, 1))
+    h = np.einsum("kq,kab->qab", fld.b, axis_operators(field_axes(XY), 1))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]])
     assert np.abs(h[0] - (0.5 * sx + 0.25 * sy)).max() < 1e-12
@@ -321,7 +324,7 @@ def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
     vals, substeps, n_half = run
     model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps)
     seq = ControlSequence(vals, 1e-8, XY10)
-    alpha, _ = model._alpha_in(seq)
+    alpha = model._alpha_in(seq)
     args = (alpha, seq.dt / substeps, n_half)
     x_ref, ref = circuit_oracle(model, *args)
     x, got = model._integrate_once(*args, set(ref) - {()})
@@ -469,7 +472,7 @@ def test_circuit_stepper_jet_converges_with_the_internal_step():
     # O(hh^2) of the converged one: x16 smaller per 4x finer half-step
     model = CircuitModel(CircuitParams(alpha_l=1e-7), substeps=16)
     seq = circuit_drive(8, seed=7)
-    alpha, _ = model._alpha_in(seq)
+    alpha = model._alpha_in(seq)
     h = seq.dt / model.substeps
     sens = {n: model._integrate_once(alpha, h, n, {"alpha_L"})[1]["alpha_L"] for n in (2, 8, 32)}
     err = {n: np.abs(sens[n] - sens[32]).max() / np.abs(sens[32]).max() for n in (2, 8)}
@@ -533,9 +536,48 @@ def test_kernel_drive_factor_scales_z_rows():
     assert base.drive_linear
 
 
+# each model's parameters and their natural scales
+_TABLES = {
+    "ideal": (IdealModel(), {"amplitude": 1.0}),
+    "kernel": (LinearKernelModel(LinearKernelParams(KERNEL_W, 0.1 * KERNEL_W)),
+               {"W": KERNEL_W, "delta": KERNEL_W, "amplitude": 1.0}),
+    "circuit": (CircuitModel(CircuitParams()), {"alpha_L": 1e-3, "amplitude": 1.0}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TABLES))
+def test_parameter_table(kind):
+    model, scales = _TABLES[kind]
+    assert model.params().keys() == scales.keys()
+    for name, scale in scales.items():
+        value = 0.75 * scale
+        copy = model.with_param(name, value)
+        assert copy.params() == {**model.params(), name: value}
+        assert model.param_scale(name) == scale
+    assert model.with_param("amplitude", 0.25).amp_factor == 1.25
+    with pytest.raises(UnknownParameter, match="'nope'"):
+        model.with_param("nope", 1.0)
+    with pytest.raises(UnknownParameter, match="'nope'"):
+        model.param_scale("nope")
+
+
+def test_field_rows_follow_field_axes():
+    chans = (
+        Channel("z1", (1,), "z", 3.0), Channel("x2", (2,), "x", 5.0),
+        Channel("a1", (1,), "amp", 2.0), Channel("p1", (1,), "phase", np.pi / 2),
+    )
+    seq = ControlSequence(np.array([[0.5], [0.25], [1.0], [1.0]]), 1e-9, chans)
+    assert field_axes(chans) == (((1,), "x"), ((1,), "y"), ((1,), "z"), ((2,), "x"), ((2,), "y"))
+    assert [roles for _, roles in drive_groups(chans)] == [{"z": 0, "amp": 2, "phase": 3}, {"x": 1}]
+    assert np.allclose(IdealModel().field(seq).b[:, 0], [0.0, 2.0, 1.5, 1.25, 0.0], atol=1e-15)
+    kernel = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.0), 8).field(seq).b
+    assert kernel.shape == (5, 8)
+    assert np.array_equal(kernel[2], np.full(8, 1.5))   # z rows are not filtered
+
+
 def test_unknown_jet_parameter_raises():
     seq = circuit_drive()
-    with pytest.raises(KeyError, match="W"):
+    with pytest.raises(UnknownParameter, match="W"):
         CircuitModel(CircuitParams(), 4).field(seq, ["W"])
     with pytest.raises(ValueError, match="second order"):
         IdealModel().field(seq, [("amplitude",) * 3])

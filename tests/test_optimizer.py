@@ -140,7 +140,7 @@ def test_fixed_seed_reproducible():
 
 
 def test_best_energy_monotone_in_trace():
-    cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=3000, dimension=4, master_seed=7, schedule="standard", trace_every=100)
+    cfg = GSAConfig(q_v=2.3, t0=5.0, t_max=3000, dimension=4, master_seed=7, schedule="standard")
     res = gsa_minimize(bowl, restart_rng(7, 0).uniform(-1, 1, 4), cfg, restart_rng(7, 1))
     energies = [e for _, _, e in res.traces[0]]
     assert energies == sorted(energies, reverse=True)

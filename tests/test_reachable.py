@@ -1,6 +1,6 @@
 """Every top-level definition of the library, and every method of its
 classes, is reachable from an entry point of the program: the CLI or the
-benchmark.  Code that only tests need lives in tests/, with the reference
+benchmark; and every name a library module imports is used there.  Code that only tests need lives in tests/, with the reference
 implementations in _oracles.py.
 
 The scan is by name: a definition counts as reached when any reached code
@@ -74,3 +74,21 @@ def test_every_library_definition_is_reachable_from_an_entry_point():
         where for name, sites in defs.items() if name not in reached for where, _ in sites
     }
     assert sorted(unreached - ALLOWED) == []
+
+
+
+def test_every_library_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - _mentions([tree]))]
+    assert unused == []
