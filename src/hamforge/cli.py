@@ -2,6 +2,12 @@
 evaluate / landscape / simulate, orchestrating the full design flow from
 one JSON problem file.
 
+Every command reads the file through `config.load_config`, which checks
+the whole file before any work starts, so a bad key exits 2 with its key
+path from every command alike; only the references inside objective terms
+wait for the pipeline that `optimize` builds.  The commands read only the
+typed values of the `ProblemConfig` it returns.
+
 Exit codes: 0 success, 2 validation error, 3 infeasible target,
 4 optimizer budget exhausted above threshold.
 """
@@ -13,14 +19,12 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import config as cfgmod
 from . import evaluate as ev
 from . import reach
 from .config import ConfigError, ProblemConfig
 from .opcore import SPAN_TOL, SubspaceError, project
-from .optimizer import OptimizationResult, parallel_restarts
+from .optimizer import OptimizationResult, parallel_restarts, restart_rng
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -44,11 +48,7 @@ def _globals(parser: argparse.ArgumentParser):
 
 def _load(args) -> ProblemConfig:
     cfg = cfgmod.load_config(args.config)
-    if args.seed is not None:
-        raw = dict(cfg.raw)
-        raw["seed"] = args.seed
-        cfg = cfgmod.parse_config(raw)
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _emit(args, name: str, payload: dict):
@@ -57,6 +57,15 @@ def _emit(args, name: str, payload: dict):
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, name), "w") as f:
         f.write(text + "\n")
+
+
+def _write_csv(args, name: str, header: str, rows):
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    print(path)
 
 
 def _threads(args) -> int:
@@ -80,47 +89,40 @@ def cmd_algebra(args) -> int:
     return EXIT_OK
 
 
+def _target_residuals(cfg: ProblemConfig, subspaces) -> dict:
+    """Component id -> relative residual of H_target^w off C_w (inside at most SPAN_TOL)."""
+    return {w: float(project(h, subspaces[w].stack)[1]) for w, h in cfg.h_target.items()}
+
+
 def cmd_subspace(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
     subspaces = cfgmod.build_subspaces(cfg, g)
-    tgts = cfgmod.target_operators(cfg)
+    resids = _target_residuals(cfg, subspaces)
     payload = {"algebra_dimension": g.dim, "components": {}}
     for w, space in subspaces.items():
         entry = {"dimension": space.dim}
-        if tgts[w] is not None:
-            _, resid = project(tgts[w], space.stack)
-            entry["target_in_subspace"] = bool(resid <= SPAN_TOL)
-            entry["target_residual"] = float(resid)
+        if w in resids:
+            entry["target_in_subspace"] = resids[w] <= SPAN_TOL
+            entry["target_residual"] = resids[w]
         payload["components"][str(w)] = entry
     _emit(args, "subspace.json", payload)
     return EXIT_OK
 
 
-def _scale_range(cfg: ProblemConfig, g, subspaces, rng):
-    comps = cfgmod.scale_components(cfg, subspaces)
-    if all(c[2] is None for c in comps):
+def _scale_range(cfg: ProblemConfig, g, subspaces):
+    if not cfg.h_target:
         return None
-    evs = cfg.evaluation
-    return reach.find_scale_range(
-        g,
-        comps,
-        int(evs.get("scale_samples", 1000)),
-        sampler=evs.get("sampler", "auto"),
-        rng=rng,
-        batch=int(evs.get("scale_batch", 200)),
-        n_burn=int(evs.get("walk_burn", 100)),
-        n_thin=int(evs.get("walk_thin", 10)),
-    )
+    comps = cfgmod.scale_components(cfg, subspaces)
+    return reach.find_scale_range(g, comps, rng=restart_rng(cfg.seed, 11), **cfg.scale_args)
 
 
 def cmd_scale(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
     subspaces = cfgmod.build_subspaces(cfg, g)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(11,)))
     try:
-        sr = _scale_range(cfg, g, subspaces, rng)
+        sr = _scale_range(cfg, g, subspaces)
     except SubspaceError as exc:
         _emit(args, "scale.json", {"achievable": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
@@ -145,11 +147,7 @@ def cmd_optimize(args) -> int:
     pipe = cfgmod.build_pipeline(cfg, g, subspaces)
 
     if not args.force:
-        tgts = cfgmod.target_operators(cfg)
-        for w, ht in tgts.items():
-            if ht is None:
-                continue
-            _, resid = project(ht, subspaces[w].stack)
+        for w, resid in _target_residuals(cfg, subspaces).items():
             if resid > SPAN_TOL:
                 print(
                     f"H_target^{w} lies outside C_{w} (residual {resid:.2e}); "
@@ -158,8 +156,7 @@ def cmd_optimize(args) -> int:
                 )
                 return EXIT_INFEASIBLE
         if cfg.s_target is not None:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(11,)))
-            sr = _scale_range(cfg, g, subspaces, rng)
+            sr = _scale_range(cfg, g, subspaces)
             if sr is not None and (
                 not sr.achievable
                 or not (sr.s_minus - 0.02 <= cfg.s_target <= sr.s_plus + 0.02)
@@ -196,10 +193,7 @@ def cmd_optimize(args) -> int:
         "restart_index": best.restart_index,
     }
     _emit(args, "optimize.json", payload)
-    threshold = cfg.gsa.e_target if cfg.gsa.e_target > 0 else None
-    if threshold is not None and report.total > threshold:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_BUDGET if 0 < cfg.gsa.e_target < report.total else EXIT_OK
 
 
 def _setup_and_target(cfg):
@@ -214,15 +208,7 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args)
     seq = cfgmod.read_sequence(args.sequence)
     setup, u0 = _setup_and_target(cfg)
-    evs = cfg.evaluation
-    report = ev.evaluation_report(
-        seq,
-        setup,
-        u0,
-        int(evs.get("n_mc", 1000)),
-        cfg.seed,
-        t_dep=evs.get("t_dep"),
-    )
+    report = ev.evaluation_report(seq, setup, u0, cfg.n_mc, cfg.seed, t_dep=cfg.t_dep)
     _emit(args, "evaluate.json", report)
     return EXIT_OK
 
@@ -230,58 +216,23 @@ def cmd_evaluate(args) -> int:
 def cmd_landscape(args) -> int:
     cfg = _load(args)
     seq = cfgmod.read_sequence(args.sequence)
-    setup, u0 = _setup_and_target(cfg)
-    ls = cfg.evaluation.get("landscape")
-    if not ls:
+    if cfg.landscape is None:
         print("config has no evaluation.landscape section", file=sys.stderr)
         return EXIT_VALIDATION
-    ax1 = (ls["axis1"]["dist"], np.asarray(ls["axis1"]["values"], dtype=float))
-    ax2 = (ls["axis2"]["dist"], np.asarray(ls["axis2"]["values"], dtype=float))
-    grid = ev.landscape(seq, setup, ax1, ax2, u0)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "landscape.csv")
-    with open(path, "w") as f:
-        f.write("param1,param2,fidelity\n")
-        for i, v1 in enumerate(grid.values1):
-            for j, v2 in enumerate(grid.values2):
-                f.write(f"{v1:.17g},{v2:.17g},{grid.fidelity[i, j]:.17g}\n")
-    print(path)
+    setup, u0 = _setup_and_target(cfg)
+    grid = ev.landscape(seq, setup, *cfg.landscape, u0)
+    points = [(v1, v2) for v1 in grid.values1 for v2 in grid.values2]
+    rows = [(*p, fid) for p, fid in zip(points, grid.fidelity.ravel())]
+    _write_csv(args, "landscape.csv", "param1,param2,fidelity", rows)
     return EXIT_OK
-
-
-def _initial_state(spec, n_qubits: int) -> np.ndarray:
-    d = 2 ** n_qubits
-    if isinstance(spec, str):
-        if spec == "zero":
-            psi = np.zeros(d, dtype=complex)
-            psi[0] = 1.0
-            return psi
-        if spec == "plus":
-            return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-        raise ConfigError(f"evaluation.initial_state: unknown named state {spec!r}")
-    psi = np.asarray(spec, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ConfigError("evaluation.initial_state has zero norm")
-    return psi / norm
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     seq = cfgmod.read_sequence(args.sequence)
-    setup, _ = _setup_and_target(cfg)
-    evs = cfg.evaluation
-    psi0 = _initial_state(evs.get("initial_state", "zero"), cfg.n_qubits)
-    n_cycles = int(evs.get("n_cycles", 50))
-    overrides = evs.get("simulate_params", {})
-    probs = ev.stroboscopic_evolve(psi0, seq, setup, overrides, n_cycles)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "survival.csv")
-    with open(path, "w") as f:
-        f.write("cycle,survival_probability\n")
-        for n, pr in enumerate(probs):
-            f.write(f"{n},{pr:.17g}\n")
-    print(path)
+    setup = cfgmod.build_evaluation_setup(cfg)
+    probs = ev.stroboscopic_evolve(cfg.initial_state, seq, setup, cfg.simulate_params, cfg.n_cycles)
+    _write_csv(args, "survival.csv", "cycle,survival_probability", enumerate(probs))
     return EXIT_OK
 
 

@@ -1,17 +1,62 @@
-"""Problem configuration: JSON schema, validation and object builders.
+"""Problem configuration.  `parse_config` is the one reader of the problem
+file: it checks all of it into a `ProblemConfig` of final, typed values,
+from which the builders below derive the library objects.  A bad value
+raises `ConfigError`, whose message starts with the key path (exit 2).
 
-A problem file describes the system (qubits + internal Hamiltonian terms
-with dispersion), the control section (channels, model, discretization),
-systematic error channels, targets, the weighted objective list, the
-annealer settings and the evaluation protocol.  Builders turn the parsed
-dictionary into the library objects used by the CLI commands.
+Schema, as `key: type = default, check`; a key without a default is
+required, and null counts as absent.  int: an integer, not a float or
+bool; num: a finite int or float.  Bounds: inclusive for int, exclusive
+for num.
+
+seed: int = 0, >= 0 (the master seed of every random stream)
+system.n_qubits: int, >= 1
+system.terms[k] = []: name: str = "term<k>"; strings: list of {pauli:
+    [[qubit, axis], ...], factor: num = 1}, qubits in 1..n_qubits, once
+    each, axis x|y|z; assign: "pri"|"pert"; coeff: num = 0 (rad/s); dist:
+    a distribution = none.  A 'pert' term adds ref_coeff * strings to
+    H_pert^component, with component: int = 1 and ref_coeff: num = 0,
+    where 0 means |coeff|, else the half-width of dist, else 1.  At least
+    one term is 'pert'.
+control.channels[k]: name: str = "ch<k>"; qubits: list of int in
+    1..n_qubits; role: "x"|"y"|"z"|"amp"|"phase"; scale: num (rad/s, rad
+    for phase).  The set obeys `controlsys.drive_groups` and the model.
+control.intervals: int, >= 1; control.dt: num, > 0 (s)
+control.model: "ideal"|"kernel"|"circuit" = "ideal"; control.substeps:
+    int = the model's own (ideal 1, kernel 8, circuit 16), >= 1
+control.kernel (model kernel): W: num, > 0, with dt / substeps <= 0.1 / W
+    (rad/s); delta: num = 0 (rad/s); average: bool = false
+control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
+    hold the defaults and the check
+distributions.<name>: kind: str = "point"; args: list = [0], checked by
+    `evaluate.ParameterDistribution`; the dist of one term or error
+errors[k] = []: name: str; kind: "amplitude"|"model_param"; param: str, a
+    parameter of the model (= "amplitude" for kind amplitude); dist: a
+    distribution = none
+targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re:
+    list, matrix_im = 0}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
+    none: {strings}, nonzero, w an integer component id; s_target: num =
+    none
+objectives[k] = []: kind: str in `objectives.KINDS`; weight: num > 0;
+    component: a component id = the first; the other parameters of a kind
+    are resolved when the pipeline is built
+optimizer: q_v, q_a, T0 (t0), e_target: num; t_max, restarts: int;
+    schedule: str; all with the defaults and checks of
+    `optimizer.GSAConfig`; stages = [[t_max, T0]]: [int >= 1, num > 0]
+    pairs
+evaluation: n_mc: int = 1000, >= 1; scale_samples: int = 1000, >= 1;
+    sampler: "auto"|"qr"|"walk"; scale_batch: int, >= 1; walk_burn: int,
+    >= 0; walk_thin: int, >= 1 (these four default to the sampler, batch,
+    n_burn and n_thin of `reach.find_scale_range`); t_dep: num = none, > 0
+    (s); n_cycles: int = 50, >= 0; initial_state: "zero"|"plus" or a list
+    of 2^n_qubits nums, not all 0, = "zero", normalised when read;
+    simulate_params: {distribution: num} = {}; landscape = none: {axis1,
+    axis2}, each {dist: a distribution, values: non-empty list of num}
 """
 from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,19 +83,33 @@ from .objectives import (
 )
 from .opcore import pauli_string_op, project
 from .optimizer import GSAConfig
+from .reach import SAMPLERS
 
 
 class ConfigError(ValueError):
-    """Invalid problem configuration; message carries the key path."""
+    """Invalid problem configuration; the message starts with the key path."""
 
 
 _GATES = {
     "identity": lambda n: np.eye(2 ** n),
     "hadamard": lambda n: np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
-    "cnot": lambda n: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
-    ),
+    "cnot": lambda n: np.eye(4)[[0, 1, 3, 2]],
 }
+
+# optimizer keys and their types; each sets the GSAConfig field of its name in lower case
+_GSA_KEYS = {
+    "q_v": float, "q_a": float, "T0": float, "t_max": int, "e_target": float, "restarts": int,
+    "schedule": str,
+}
+
+# evaluation keys of reach.find_scale_range: (file key, argument, type, bound)
+_SCALE_KEYS = (
+    ("scale_samples", "j_samples", int, 1),
+    ("sampler", "sampler", SAMPLERS, None),
+    ("scale_batch", "batch", int, 1),
+    ("walk_burn", "n_burn", int, 0),
+    ("walk_thin", "n_thin", int, 1),
+)
 
 
 @dataclass(frozen=True)
@@ -58,53 +117,135 @@ class TermSpec:
     name: str
     matrix_unit: np.ndarray      # unit-coefficient operator
     coeff: float                 # nominal coefficient, rad/s
-    ref_coeff: float             # reference magnitude for pert subspaces
     assign: str                  # 'pri' | 'pert'
-    component: int               # 1-based pert component
-    dist: str | None
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
+    """The checked problem file: every field is a final, typed value."""
+
     n_qubits: int
     channels: tuple[Channel, ...]
     intervals: int
     dt: float
     model: ControlModel
     terms: tuple[TermSpec, ...]
+    pert: dict                   # component id -> H_pert^w (rad/s), ids ascending
+    h_target: dict               # component id -> H_target^w, unnormalised
     errors: tuple[dict, ...]
     distributions: dict
     u_target: np.ndarray | None
-    h_target_strings: dict              # component -> strings spec (or empty)
     s_target: float | None
-    f_target: float | None
     objectives: tuple[ObjectiveTerm, ...]
     gsa: GSAConfig
     stages: tuple[tuple[int, float], ...]
-    evaluation: dict
     seed: int
-    raw: dict = field(repr=False, default_factory=dict)
+    # the evaluation section
+    n_mc: int
+    scale_args: dict             # reach.find_scale_range keywords
+    t_dep: float | None
+    n_cycles: int
+    initial_state: np.ndarray    # normalised
+    simulate_params: dict        # distribution name -> value
+    landscape: tuple | None      # ((dist, values), (dist, values))
 
     @property
     def t_seq(self) -> float:
         return self.intervals * self.dt
 
+    @property
+    def evaluation(self) -> dict:
+        """The evaluation section by its file keys, with its defaults; the
+        scale-range keys the file leaves to `reach.find_scale_range` are absent."""
+        keys = ("n_mc", "t_dep", "n_cycles", "initial_state", "simulate_params", "landscape")
+        return {
+            **{key: self.scale_args[arg] for key, arg, *_ in _SCALE_KEYS if arg in self.scale_args},
+            **{key: getattr(self, key) for key in keys},
+        }
 
-def _req(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"missing required key {path}.{key}")
-    return d[key]
+
+_MISSING = object()
+_LIBRARY_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+_TYPES = {
+    int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+    list: "a list", dict: "an object",
+}
+
+
+def _check(value, where: str, kind, low=None):
+    """`value` as `kind`: one of _TYPES (an int counts as a float) or a
+    tuple of the allowed values.  An int is at least `low`, a float above
+    it.  ConfigError names the key path `where`."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        want = f"one of {list(kind)}"
+    else:
+        if kind is float and type(value) is int:
+            value = float(value)
+        if (
+            isinstance(value, (list, tuple) if kind is list else kind)
+            and not (kind is int and isinstance(value, bool))
+            and not (kind is float and not math.isfinite(value))
+            and (low is None or (value >= low if kind is int else value > low))
+        ):
+            return value
+        want = _TYPES[kind] + ("" if low is None else f" {'>=' if kind is int else '>'} {low}")
+    raise ConfigError(f"{where} must be {want}, got {value!r}")
+
+
+def _get(d: dict, key: str, path: str, kind, low=None, default=_MISSING):
+    """`d[key]` checked by `_check` at the key path `path.key`, or
+    `default` when the key is absent or null."""
+    where = f"{path}.{key}" if path else key
+    if d.get(key) is None:
+        if default is _MISSING:
+            raise ConfigError(f"{where}: missing required key")
+        return default
+    return _check(d[key], where, kind, low)
+
+
+def _entries(d: dict, key: str, path: str) -> list:
+    """(key path, object) of each entry of the list `d[key]`, [] by default."""
+    where = f"{path}.{key}" if path else key
+    return [
+        (f"{where}[{k}]", _check(e, f"{where}[{k}]", dict))
+        for k, e in enumerate(_get(d, key, path, list, default=[]))
+    ]
+
+
+class _at:
+    """Re-raise a library error from the block as a ConfigError: `prefix`
+    (the key path and ': ', or a section and '.' before a message that
+    starts with its own key) and the library's message."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, _LIBRARY_ERRORS) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"{self.prefix}{exc}") from exc
+
+
+def _known(name: str, where: str, distributions) -> str:
+    if name not in distributions:
+        raise ConfigError(f"{where} references unknown distribution {name!r}")
+    return name
+
+
+def _component(w, where: str, pert: dict):
+    if w not in pert:
+        raise ConfigError(f"{where}: no H_pert term has component {w!r}")
+    return w
 
 
 def _strings_matrix(strings, n_qubits: int, path: str) -> np.ndarray:
-    try:
-        pairs = [
-            (s.get("factor", 1.0), [(int(q), ax) for q, ax in s["pauli"]])
-            for s in strings
-        ]
+    with _at(f"{path}: bad Pauli string spec: "):
+        pairs = [(s.get("factor", 1.0), [(int(q), ax) for q, ax in s["pauli"]]) for s in strings]
         return pauli_string_op(pairs, n_qubits)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad Pauli string spec at {path}: {exc}") from exc
 
 
 def _u_target(ut, n: int) -> np.ndarray:
@@ -118,13 +259,11 @@ def _u_target(ut, n: int) -> np.ndarray:
         if m.shape[0] != d:
             raise ConfigError(f"targets.u_target: gate {ut!r} does not fit {n} qubit(s)")
         return m.astype(complex)
-    re = ut.get("matrix_re", ut.get("matrix")) if isinstance(ut, dict) else None
+    re = ut.get("matrix_re") if isinstance(ut, dict) else None
     if re is None:
         raise ConfigError("targets.u_target needs a gate name or a 'matrix_re' matrix")
-    try:
+    with _at("targets.u_target: "):
         m = np.asarray(re, dtype=float) + 1j * np.asarray(ut.get("matrix_im", 0.0), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"targets.u_target: {exc}") from exc
     if m.shape != (d, d):
         raise ConfigError(f"targets.u_target has shape {m.shape}, not ({d}, {d}) for {n} qubit(s)")
     if np.abs(m.conj().T @ m - np.eye(d)).max() > 1e-8:
@@ -146,259 +285,211 @@ def _dist_halfwidth(d: ParameterDistribution) -> float:
 
 
 def load_config(path: str) -> ProblemConfig:
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    with open(path) as f, _at("config is not valid JSON: "):
+        raw = json.load(f)
     return parse_config(raw)
 
 
+def _model(ctrl: dict, dt: float) -> ControlModel:
+    """The control model; a file without `substeps` keeps the model's."""
+    name = _get(ctrl, "model", "control", ("ideal", "kernel", "circuit"), default="ideal")
+    substeps = _get(ctrl, "substeps", "control", int, 1, default=None)
+    sub = {} if substeps is None else {"substeps": substeps}
+    if name == "ideal":
+        return IdealModel(**sub)
+    if name == "kernel":
+        kc = _get(ctrl, "kernel", "control", dict)
+        w = _get(kc, "W", "control.kernel", float, 0.0)
+        kp = LinearKernelParams(w, _get(kc, "delta", "control.kernel", float, default=0.0))
+        average = _get(kc, "average", "control.kernel", bool, default=False)
+        model = LinearKernelModel(kp, average=average, **sub)
+        with _at("control.dt: "):
+            model.check_step(dt / model.substeps)
+        return model
+    cc = _get(ctrl, "circuit", "control", dict, default={})
+    values = {key: _check(v, f"control.circuit.{key}", float) for key, v in cc.items()}
+    with _at("control.circuit: "):
+        return CircuitModel(CircuitParams(**values), **sub)
+
+
 def parse_config(raw: dict) -> ProblemConfig:
-    sysc = _req(raw, "system", "")
-    n = int(_req(sysc, "n_qubits", "system"))
-    if n < 1:
-        raise ConfigError("system.n_qubits must be >= 1")
+    """Read and check the whole problem file (see the module docstring)."""
+    raw = _check(raw, "config", dict)
+    sysc = _get(raw, "system", "", dict)
+    n = _get(sysc, "n_qubits", "system", int, 1)
 
-    ctrl = _req(raw, "control", "")
+    ctrl = _get(raw, "control", "", dict)
     channels = []
-    for k, ch in enumerate(_req(ctrl, "channels", "control")):
-        try:
-            qubits = tuple(int(q) for q in _req(ch, "qubits", f"control.channels[{k}]"))
-            channels.append(
-                Channel(
-                    ch.get("name", f"ch{k}"),
-                    qubits,
-                    _req(ch, "role", f"control.channels[{k}]"),
-                    float(_req(ch, "scale", f"control.channels[{k}]")),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"control.channels[{k}]: {exc}") from exc
+    for k, (path, ch) in enumerate(_entries(ctrl, "channels", "control")):
+        qubits = tuple(_check(q, f"{path}.qubits", int) for q in _get(ch, "qubits", path, list))
         if not all(1 <= q <= n for q in qubits):
-            raise ConfigError(f"control.channels[{k}].qubits: {list(qubits)} not all in 1..{n}")
-    intervals = int(_req(ctrl, "intervals", "control"))
-    dt = float(_req(ctrl, "dt", "control"))
-    substeps = int(ctrl.get("substeps", 1))
-
-    model_name = ctrl.get("model", "ideal")
-    if model_name == "ideal":
-        model: ControlModel = IdealModel(substeps)
-    elif model_name == "kernel":
-        kc = _req(ctrl, "kernel", "control")
-        model = LinearKernelModel(
-            LinearKernelParams(float(_req(kc, "W", "control.kernel")), float(kc.get("delta", 0.0))),
-            substeps,
-            average=bool(kc.get("average", False)),
-        )
-    elif model_name == "circuit":
-        cc = ctrl.get("circuit", {})
-        keys = {
-            "r_source", "r_series", "c_match", "c_tank", "l_0", "alpha_l",
-            "kappa_i", "kappa_o", "omega_r", "omega_max", "r_load",
-        }
-        bad = set(cc) - keys
-        if bad:
-            raise ConfigError(f"unknown control.circuit keys: {sorted(bad)}")
-        model = CircuitModel(CircuitParams(**cc), substeps)
-    else:
-        raise ConfigError(f"unknown control.model {model_name!r}")
-    try:
+            raise ConfigError(f"{path}.qubits: {list(qubits)} not all in 1..{n}")
+        name = _get(ch, "name", path, str, default=f"ch{k}")
+        role, scale = _get(ch, "role", path, str), _get(ch, "scale", path, float)
+        with _at(f"{path}.role: "):
+            channels.append(Channel(name, qubits, role, scale))
+    intervals = _get(ctrl, "intervals", "control", int, 1)
+    dt = _get(ctrl, "dt", "control", float, 0.0)
+    model = _model(ctrl, dt)
+    with _at("control."):
         model.channel_groups(channels)
-    except ValueError as exc:
-        raise ConfigError(f"control.{exc}") from exc
 
-    # distributions (consumers attach applies_to below)
-    dists_raw = raw.get("distributions", {})
-    dist_specs = {}
-    for name, spec in dists_raw.items():
-        dist_specs[name] = (spec.get("kind", "point"), tuple(spec.get("args", (0.0,))))
-    dist_used: dict[str, str] = {}
+    # distributions; the term or error that names one becomes its target
+    dists = {}
+    for name, spec in _get(raw, "distributions", "", dict, default={}).items():
+        path = f"distributions.{name}"
+        spec = _check(spec, path, dict)
+        kind = _get(spec, "kind", path, str, default="point")
+        args = tuple(_get(spec, "args", path, list, default=(0.0,)))
+        with _at(f"{path}: "):
+            dists[name] = ParameterDistribution(name, kind, args)
+    claimed: dict[str, str] = {}
 
-    def claim(name: str | None, target: str, path: str):
-        if name is None:
-            return
-        if name not in dist_specs:
-            raise ConfigError(f"{path} references unknown distribution {name!r}")
-        if name in dist_used and dist_used[name] != target:
-            raise ConfigError(
-                f"distribution {name!r} claimed by both {dist_used[name]} and {target}"
-            )
-        dist_used[name] = target
+    def claim(entry: dict, path: str, owner: str):
+        name = _get(entry, "dist", path, str, default=None)
+        if name is None or claimed.setdefault(_known(name, f"{path}.dist", dists), owner) == owner:
+            return name
+        raise ConfigError(f"{path}.dist: {name!r} is already the dist of {claimed[name]}")
 
-    terms = []
-    for k, t in enumerate(sysc.get("terms", [])):
-        path = f"system.terms[{k}]"
-        name = t.get("name", f"term{k}")
-        mat = _strings_matrix(_req(t, "strings", path), n, path)
-        assign = _req(t, "assign", path)
-        if assign not in ("pri", "pert"):
-            raise ConfigError(f"{path}.assign must be 'pri' or 'pert'")
-        coeff = float(t.get("coeff", 0.0))
-        dist = t.get("dist")
-        claim(dist, f"term:{name}", path)
-        ref = t.get("ref_coeff")
-        terms.append(
-            TermSpec(
-                name,
-                mat,
-                coeff,
-                float(ref) if ref is not None else 0.0,  # resolved after dists
-                assign,
-                int(t.get("component", 1)),
-                dist,
-            )
-        )
+    terms, pert = [], {}
+    for k, (path, t) in enumerate(_entries(sysc, "terms", "system")):
+        name = _get(t, "name", path, str, default=f"term{k}")
+        mat = _strings_matrix(_get(t, "strings", path, list), n, f"{path}.strings")
+        assign = _get(t, "assign", path, ("pri", "pert"))
+        coeff = _get(t, "coeff", path, float, default=0.0)
+        dist = claim(t, path, f"term:{name}")
+        terms.append(TermSpec(name, mat, coeff, assign))
+        if assign == "pert":
+            ref = _get(t, "ref_coeff", path, float, default=0.0)
+            ref = ref or abs(coeff) or (dist is not None and _dist_halfwidth(dists[dist])) or 1.0
+            w = _get(t, "component", path, int, default=1)
+            pert[w] = pert.setdefault(w, np.zeros_like(mat)) + ref * mat
+    if not pert:
+        raise ConfigError("system.terms: no Hamiltonian term is assigned to H_pert")
+    pert = dict(sorted(pert.items()))
 
     errors = []
-    for k, e in enumerate(raw.get("errors", [])):
-        path = f"errors[{k}]"
-        kind = _req(e, "kind", path)
-        if kind not in ("amplitude", "model_param"):
-            raise ConfigError(f"{path}.kind must be 'amplitude' or 'model_param'")
-        param = e.get("param", "amplitude" if kind == "amplitude" else None)
-        if kind == "model_param" and not param:
-            raise ConfigError(f"{path} needs a 'param' name")
-        if kind == "model_param" and param not in model.params():
+    for path, e in _entries(raw, "errors", ""):
+        kind = _get(e, "kind", path, ("amplitude", "model_param"))
+        required = kind == "model_param"
+        param = _get(e, "param", path, str, default=_MISSING if required else "amplitude")
+        if required and param not in model.params():
             raise ConfigError(
-                f"{path}.param: model {model_name!r} has no parameter {param!r}"
+                f"{path}.param: the model has no parameter {param!r}"
                 f" (it has {sorted(model.params())})"
             )
-        dist = e.get("dist")
-        claim(dist, f"model:{param}", path)
-        errors.append({"name": _req(e, "name", path), "kind": kind, "param": param, "dist": dist})
+        name, dist = _get(e, "name", path, str), claim(e, path, f"model:{param}")
+        errors.append({"name": name, "kind": kind, "param": param, "dist": dist})
 
-    # resolve ParameterDistribution objects with their targets
     distributions = {}
-    for name, (kind, args) in dist_specs.items():
-        target = dist_used.get(name)
-        if target is None:
+    for name, d in dists.items():
+        if name not in claimed:
             raise ConfigError(f"distributions.{name} is not the 'dist' of any term or error")
-        try:
-            distributions[name] = ParameterDistribution(name, kind, args, target)
-        except ValueError as exc:
-            raise ConfigError(f"distributions.{name}: {exc}") from exc
+        distributions[name] = replace(d, applies_to=claimed[name])
 
-    # reference coefficients for pert terms default to the dispersion width
-    resolved_terms = []
-    for t in terms:
-        ref = t.ref_coeff
-        if ref == 0.0:
-            if t.coeff != 0.0:
-                ref = abs(t.coeff)
-            elif t.dist is not None:
-                ref = _dist_halfwidth(distributions[t.dist]) or 1.0
-            else:
-                ref = 1.0
-        resolved_terms.append(
-            TermSpec(t.name, t.matrix_unit, t.coeff, ref, t.assign, t.component, t.dist)
-        )
-
-    tgt = raw.get("targets", {})
+    tgt = _get(raw, "targets", "", dict, default={})
     u_target = _u_target(tgt["u_target"], n) if tgt.get("u_target") is not None else None
-    h_target_strings = {
-        int(w): spec for w, spec in (tgt.get("h_target") or {}).items()
-    }
-    s_target = tgt.get("s_target")
-    f_target = tgt.get("f_target")
+    h_target = {}
+    for key, spec in _get(tgt, "h_target", "targets", dict, default={}).items():
+        path = f"targets.h_target.{key}"
+        with _at(f"{path}: the key is not an integer component id: "):
+            w = _component(int(key), path, pert)
+        strings = _get(_check(spec, path, dict), "strings", path, list)
+        h_target[w] = _strings_matrix(strings, n, f"{path}.strings")
+        if not h_target[w].any():
+            raise ConfigError(f"{path}: H_target^{w} is zero")
 
-    # files number perturbation components by id; terms address them by
-    # their position among the ids in use
-    component_ids = sorted({t.component for t in terms if t.assign == "pert"})
+    # files number perturbation components by id; objectives address them
+    # by their position among the ids in use
     objectives = []
-    for k, o in enumerate(raw.get("objectives", [])):
-        path = f"objectives[{k}]"
-        kind = _req(o, "kind", path)
-        weight = float(_req(o, "weight", path))
+    for path, o in _entries(raw, "objectives", ""):
+        kind, weight = _get(o, "kind", path, str), _get(o, "weight", path, float)
         params = {key: v for key, v in o.items() if key not in ("kind", "weight")}
         if "component" in params:
-            if params["component"] not in component_ids:
-                raise ConfigError(
-                    f"{path}.component: no H_pert term has component {params['component']!r}"
-                )
-            params["component"] = component_ids.index(params["component"])
-        try:
+            w = _component(params["component"], f"{path}.component", pert)
+            params["component"] = list(pert).index(w)
+        with _at(f"{path}: "):
             objectives.append(ObjectiveTerm(kind, weight, params))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
 
-    opt = raw.get("optimizer", {})
-    try:
-        gsa = GSAConfig(
-            q_v=float(opt.get("q_v", 2.62)),
-            q_a=float(opt.get("q_a", -5.0)),
-            t0=float(opt.get("T0", 10.0)),
-            t_max=int(opt.get("t_max", 50000)),
-            e_target=float(opt.get("e_target", 0.0)),
-            dimension=len(channels) * intervals,
-            restarts=int(opt.get("restarts", 1)),
-            master_seed=int(raw.get("seed", 0)),
-            schedule=opt.get("schedule", "verbatim"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-    stages = tuple(
-        (int(tm), float(t0)) for tm, t0 in opt.get("stages", [[gsa.t_max, gsa.t0]])
-    )
+    opt = _get(raw, "optimizer", "", dict, default={})
+    given = [key for key in _GSA_KEYS if opt.get(key) is not None]
+    settings = {key.lower(): _get(opt, key, "optimizer", _GSA_KEYS[key]) for key in given}
+    with _at("optimizer: "):
+        gsa = GSAConfig(dimension=len(channels) * intervals, **settings)
+    stages, pairs = [], _get(opt, "stages", "optimizer", list, default=[[gsa.t_max, gsa.t0]])
+    for k, stage in enumerate(pairs):
+        path = f"optimizer.stages[{k}]"
+        if not (isinstance(stage, (list, tuple)) and len(stage) == 2):
+            raise ConfigError(f"{path} must be a [t_max, T0] pair, got {stage!r}")
+        t_max = _check(stage[0], f"{path}[0]", int, 1)
+        stages.append((t_max, _check(stage[1], f"{path}[1]", float, 0.0)))
 
-    ev = raw.get("evaluation", {})
-    _check_evaluation(ev, distributions)
-
+    ev = _get(raw, "evaluation", "", dict, default={})
+    scale = {"j_samples": 1000}   # the one find_scale_range argument without a default
+    for key, arg, kind, low in _SCALE_KEYS:
+        if ev.get(key) is not None:
+            scale[arg] = _get(ev, key, "evaluation", kind, low)
+    simulate = _get(ev, "simulate_params", "evaluation", dict, default={})
+    for name, value in simulate.items():
+        _known(name, "evaluation.simulate_params", distributions)
+        _check(value, f"evaluation.simulate_params.{name}", float)
+    landscape = _get(ev, "landscape", "evaluation", dict, default=None)
+    if landscape:
+        landscape = tuple(_landscape_axis(landscape, a, distributions) for a in ("axis1", "axis2"))
     return ProblemConfig(
         n_qubits=n,
         channels=tuple(channels),
         intervals=intervals,
         dt=dt,
         model=model,
-        terms=tuple(resolved_terms),
+        terms=tuple(terms),
+        pert=pert,
+        h_target=dict(sorted(h_target.items())),
         errors=tuple(errors),
         distributions=distributions,
         u_target=u_target,
-        h_target_strings=h_target_strings,
-        s_target=float(s_target) if s_target is not None else None,
-        f_target=float(f_target) if f_target is not None else None,
+        s_target=_get(tgt, "s_target", "targets", float, default=None),
         objectives=tuple(objectives),
         gsa=gsa,
-        stages=stages,
-        evaluation=ev,
-        seed=int(raw.get("seed", 0)),
-        raw=raw,
+        stages=tuple(stages),
+        seed=_get(raw, "seed", "", int, 0, default=0),
+        n_mc=_get(ev, "n_mc", "evaluation", int, 1, default=1000),
+        scale_args=scale,
+        t_dep=_get(ev, "t_dep", "evaluation", float, 0.0, default=None),
+        n_cycles=_get(ev, "n_cycles", "evaluation", int, 0, default=50),
+        initial_state=_initial_state(ev.get("initial_state", "zero"), n),
+        simulate_params=simulate,
+        landscape=landscape or None,
     )
 
 
-def _check_evaluation(ev: dict, distributions: dict) -> None:
-    """Reject a relaxation time that is not finite and positive, sample
-    and cycle counts that are not integers in range, and landscape axes
-    or simulate overrides that name no distribution."""
-    for key, least in (("n_mc", 1), ("scale_samples", 1), ("n_cycles", 0)):
-        value = ev.get(key)
-        if value is not None and not (
-            isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
-        ):
-            raise ConfigError(f"evaluation.{key} must be an integer >= {least}, got {value!r}")
-    t_dep = ev.get("t_dep")
-    if t_dep is not None and not (
-        isinstance(t_dep, (int, float)) and math.isfinite(t_dep) and t_dep > 0
-    ):
-        raise ConfigError(f"evaluation.t_dep must be a finite positive time, got {t_dep!r}")
-    if ev.get("landscape"):
-        for axis in ("axis1", "axis2"):
-            path = f"evaluation.landscape.{axis}"
-            spec = _req(ev["landscape"], axis, "evaluation.landscape")
-            name = _req(spec, "dist", path)
-            if name not in distributions:
-                raise ConfigError(f"{path}.dist references unknown distribution {name!r}")
-            try:
-                values = np.asarray(_req(spec, "values", path), dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}.values: {exc}") from exc
-            if values.ndim != 1 or values.size == 0:
-                raise ConfigError(f"{path}.values must be a non-empty list of numbers")
-    for name in ev.get("simulate_params", {}):
-        if name not in distributions:
-            raise ConfigError(
-                f"evaluation.simulate_params references unknown distribution {name!r}"
-            )
+def _landscape_axis(ls: dict, axis: str, distributions: dict) -> tuple:
+    path = f"evaluation.landscape.{axis}"
+    spec = _get(ls, axis, "evaluation.landscape", dict)
+    name = _known(_get(spec, "dist", path, str), f"{path}.dist", distributions)
+    values = [_check(v, f"{path}.values", float) for v in _get(spec, "values", path, list)]
+    if not values:
+        raise ConfigError(f"{path}.values must be a non-empty list of numbers")
+    return name, np.asarray(values, dtype=float)
+
+
+def _initial_state(spec, n_qubits: int) -> np.ndarray:
+    """evaluation.initial_state, a state name or a vector, normalised."""
+    d = 2 ** n_qubits
+    if isinstance(spec, str):
+        if spec == "zero":
+            return np.eye(1, d, dtype=complex)[0]
+        if spec == "plus":
+            return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+        raise ConfigError(f"evaluation.initial_state: unknown named state {spec!r}")
+    with _at("evaluation.initial_state: "):
+        psi = np.asarray(spec, dtype=complex)
+    if psi.shape != (d,):
+        raise ConfigError(f"evaluation.initial_state has shape {psi.shape}, not ({d},)")
+    norm = np.linalg.norm(psi)
+    if norm == 0.0:
+        raise ConfigError("evaluation.initial_state has zero norm")
+    return psi / norm
 
 
 # ---------------------------------------------------------------------------
@@ -414,59 +505,30 @@ def build_algebra(cfg: ProblemConfig) -> LieAlgebraBasis:
     return find_lie_algebra(build_generators(cfg))
 
 
-def pert_components(cfg: ProblemConfig):
-    """Component index -> reference H_pert^w matrix (rad/s)."""
-    comps: dict[int, np.ndarray] = {}
-    for t in cfg.terms:
-        if t.assign != "pert":
-            continue
-        comps.setdefault(t.component, np.zeros_like(t.matrix_unit))
-        comps[t.component] = comps[t.component] + t.ref_coeff * t.matrix_unit
-    if not comps:
-        raise ConfigError("system.terms: no Hamiltonian term is assigned to H_pert")
-    return dict(sorted(comps.items()))
-
-
 def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis):
-    """Component index -> CSubspace of its reference perturbation."""
-    return {w: find_c_subspace(g, mat) for w, mat in pert_components(cfg).items()}
-
-
-def target_operators(cfg: ProblemConfig):
-    """Component index -> unnormalized H_target^w matrix or None."""
-    comps = pert_components(cfg)
-    out = {}
-    for w in comps:
-        spec = cfg.h_target_strings.get(w)
-        if spec is None:
-            out[w] = None
-        else:
-            out[w] = _strings_matrix(spec["strings"], cfg.n_qubits, f"targets.h_target[{w}]")
-    return out
+    """Component id -> CSubspace of its reference perturbation."""
+    return {w: find_c_subspace(g, mat) for w, mat in cfg.pert.items()}
 
 
 def scale_components(cfg: ProblemConfig, subspaces):
     """(H_pert_w, C_w, H_target_w) triples for reach.find_scale_range."""
-    tgts = target_operators(cfg)
-    return [(mat, subspaces[w], tgts[w]) for w, mat in pert_components(cfg).items()]
+    return [(mat, subspaces[w], cfg.h_target.get(w)) for w, mat in cfg.pert.items()]
 
 
 def component_target_vectors(cfg: ProblemConfig, subspaces) -> dict:
     """Component -> |H_target^w>> in rad/s under the joint normalization
     convention: H0bar_w = s * that_w * ||(+)_w H_pert^w||."""
-    comps = pert_components(cfg)
-    tgts = target_operators(cfg)
     # H_pert^w lies in C_w, its own seed
-    pvecs = [project(m, subspaces[w].stack)[0].real for w, m in comps.items()]
+    pvecs = [project(m, subspaces[w].stack)[0].real for w, m in cfg.pert.items()]
     pnorm = math.sqrt(sum(float(v @ v) for v in pvecs))
     tvecs = {}
-    for w in comps:
-        if tgts[w] is None:
+    for w in cfg.pert:
+        if w not in cfg.h_target:
             tvecs[w] = np.zeros(subspaces[w].dim)
         else:
             # the part inside C_w: all of H_target^w once the feasibility gate
             # has passed; under --force the part that no sequence reaches drops out
-            tvecs[w] = project(tgts[w], subspaces[w].stack)[0].real
+            tvecs[w] = project(cfg.h_target[w], subspaces[w].stack)[0].real
     tnorm = math.sqrt(sum(float(v @ v) for v in tvecs.values()))
     s = cfg.s_target if cfg.s_target is not None else 0.0
     return {w: s * pnorm * v / tnorm if tnorm else np.zeros_like(v) for w, v in tvecs.items()}
@@ -496,23 +558,15 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
     g = g or build_algebra(cfg)
     subspaces = subspaces or build_subspaces(cfg, g)
     tvecs = component_target_vectors(cfg, subspaces)
-    comps = [
-        PertComponent(mat, subspaces[w], tvecs[w])
-        for w, mat in pert_components(cfg).items()
-    ]
+    comps = [PertComponent(mat, subspaces[w], tvecs[w]) for w, mat in cfg.pert.items()]
     pri_internal = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
     for t in cfg.terms:
         if t.assign == "pri":
             pri_internal = pri_internal + t.coeff * t.matrix_unit
-    err_space = None
-    err_channels = []
-    if cfg.errors:
-        err_space = error_subspace(cfg, g, reuse=list(subspaces.values()))
-        for e in cfg.errors:
-            err_channels.append(
-                ErrorChannel(e["name"], e["kind"], e["param"] or "", err_space)
-            )
+    err_space = error_subspace(cfg, g, reuse=list(subspaces.values())) if cfg.errors else None
+    err_channels = [ErrorChannel(e["name"], e["kind"], e["param"], err_space) for e in cfg.errors]
     spec = ObjectiveSpec(cfg.objectives, target_unitary=cfg.u_target)
+    # the objectives resolve their references here; a bad one names its objectives[k]
     try:
         return CostPipeline(
             cfg.n_qubits,
@@ -530,20 +584,14 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
 
 
 def build_evaluation_setup(cfg: ProblemConfig) -> EvaluationSetup:
-    names, mats, coeffs = [], [], []
-    for t in cfg.terms:
-        names.append(t.name)
-        mats.append(t.matrix_unit)
-        coeffs.append(t.coeff)
-    d = 2 ** cfg.n_qubits
     return EvaluationSetup(
         n_qubits=cfg.n_qubits,
         channels=cfg.channels,
         dt=cfg.dt,
         model=cfg.model,
-        term_names=tuple(names),
-        term_mats=np.stack(mats) if mats else np.zeros((0, d, d), dtype=complex),
-        term_coeffs=np.asarray(coeffs, dtype=float),
+        term_names=tuple(t.name for t in cfg.terms),
+        term_mats=np.stack([t.matrix_unit for t in cfg.terms]),
+        term_coeffs=np.asarray([t.coeff for t in cfg.terms], dtype=float),
         distributions=tuple(cfg.distributions.values()),
     )
 

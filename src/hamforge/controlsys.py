@@ -347,10 +347,6 @@ class IdealModel(ControlModel):
     drive_linear = True
     field = _drive_field
 
-    def __post_init__(self):
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-
     def _filter(self, u: np.ndarray, h: float, parts) -> dict:
         """The field of the complex drive u: u itself."""
         return {(): u}
@@ -394,13 +390,17 @@ class LinearKernelModel(ControlModel):
             **super()._table(),
         }
 
+    def check_step(self, h: float) -> None:
+        """The resolution guard: ValueError for a substep h above 0.1 / W."""
+        if h > 0.1 / self.kp.w_bandwidth:
+            raise ValueError(
+                f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / self.kp.w_bandwidth:.3e}"
+            )
+
     def _filter(self, u: np.ndarray, h: float, parts) -> dict:
         """B and its W and delta derivatives in `parts` for the complex drive u."""
+        self.check_step(h)
         w, d = self.kp.w_bandwidth, self.kp.delta
-        if h > 0.1 / w:
-            raise ValueError(
-                f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / w:.3e}"
-            )
         # coefficients of y_0, y_1, ... in each derivative of B
         coeffs = {
             (): (w - 1j * d, 1j * d * w),

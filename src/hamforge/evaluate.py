@@ -270,8 +270,6 @@ def landscape(
     name2, vals2 = axis2
     vals1 = np.asarray(vals1, dtype=float)
     vals2 = np.asarray(vals2, dtype=float)
-    if vals1.size == 0 or vals2.size == 0:
-        raise ValueError("landscape axes must be non-empty")
     draws = [{name1: v1, name2: v2} for v1 in vals1.tolist() for v2 in vals2.tolist()]
     fid = [overlap_fidelity(u, u0) for u in exact_unitaries(seq, setup, draws)]
     return LandscapeGrid(name1, name2, vals1, vals2, np.reshape(fid, (vals1.size, vals2.size)))

@@ -17,6 +17,7 @@ from .liealg import LieAlgebraBasis
 from .opcore import SPAN_TOL, SubspaceError, project
 
 CONVERGE_TOL = 1e-3   # scale-range search: stop once both ends move less per batch
+SAMPLERS = ("auto", "qr", "walk")   # vertex samplers; "auto" picks by the algebra
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +159,13 @@ def sample_vertices(
     g: LieAlgebraBasis,
     components,
     j_samples: int,
-    sampler: str = "auto",
-    rng: np.random.Generator | None = None,
-    n_burn: int = 100,
-    n_thin: int = 10,
+    sampler: str,
+    rng: np.random.Generator,
+    n_burn: int,
+    n_thin: int,
 ) -> VertexSet:
-    """Build the vertex set for a list of (H_pert_w, C_w, H_target_w)."""
-    rng = rng or np.random.default_rng()
+    """Build the vertex set for a list of (H_pert_w, C_w, H_target_w); the
+    settings are those of `find_scale_range`."""
     mode = _pick_sampler(g, sampler)
 
     def coefficients(m, c, what):

@@ -5,20 +5,10 @@ import pytest
 
 from hamforge import cli
 from hamforge import config as cfgmod
-from hamforge.config import ConfigError, sequence_from_dict, write_sequence
+from hamforge.config import sequence_from_dict, write_sequence
 from hamforge.controlsys import IdealModel
 from hamforge.opcore import SubspaceError
 from _oracles import exact_unitary
-
-
-def test_initial_state_normalizes_vector():
-    psi = cli._initial_state([3.0, 4.0j], 1)
-    assert np.allclose(psi, [0.6, 0.8j])
-
-
-def test_initial_state_rejects_zero_vector():
-    with pytest.raises(ConfigError, match="initial_state.*zero norm"):
-        cli._initial_state([0.0, 0.0], 1)
 
 
 def _config_1q(h_target=True):
@@ -366,16 +356,37 @@ def _no_h_pert(cfg):
     cfg["objectives"] = cfg["objectives"][:1]
 
 
+def _set(section, key, value):
+    return lambda c: c.setdefault(section, {}).update({key: value})
+
+
+def _term(key, value):
+    return lambda c: c["system"]["terms"][0].update({key: value})
+
+
+def _model(model, **section):
+    return lambda c: c["control"].update({"model": model, **section})
+
+
+def _h_target(targets):
+    return lambda c: c["targets"].update(h_target=targets)
+
+
+_BAD_PAULI = {"strings": [{"pauli": [[1, "q"]]}]}
+_AXIS = {"dist": "detuning", "values": [0.0]}
+
+
 _BAD_KEYS = {
     "u-target-3x3": (lambda c: c["targets"].update(u_target={"matrix_re": np.eye(3).tolist()}),
-                     "targets.u_target has shape (3, 3)"),
+                     "targets.u_target has shape (3, 3), not (2, 2) for 1 qubit(s)"),
     "u-target-no-matrix": (lambda c: c["targets"].update(u_target={"foo": 1}),
-                           "targets.u_target needs"),
+                           "targets.u_target needs a gate name or a 'matrix_re' matrix"),
     "u-target-not-unitary": (lambda c: c["targets"].update(u_target={"matrix_re": [[1, 1], [1, 1]]}),
-                             "targets.u_target is not unitary"),
-    "unknown-model-param": (_bad_model_param, "errors[1].param"),
+                             "targets.u_target is not unitary to 1e-8"),
+    "unknown-model-param": (_bad_model_param,
+                            "errors[1].param: the model has no parameter 'W' (it has ['amplitude'])"),
     "qubit-out-of-range": (lambda c: c["control"]["channels"][0].update(qubits=[2]),
-                           "control.channels[0].qubits"),
+                           "control.channels[0].qubits: [2] not all in 1..1"),
     # channel sets in which a channel would drive nothing
     "circuit-z": (_channels(((1,), "x"), ((1,), "y"), ((1,), "z"), model="circuit"),
                   "control.channels[2]: the circuit model has no z row"),
@@ -392,6 +403,114 @@ _BAD_KEYS = {
     "gate-does-not-fit": (lambda c: c["targets"].update(u_target="cnot"),
                           "targets.u_target: gate 'cnot' does not fit 1 qubit(s)"),
     "no-h-pert": (_no_h_pert, "system.terms: no Hamiltonian term is assigned to H_pert"),
+    # the file as a whole
+    "invalid-json": (lambda c: "{not json", "config is not valid JSON: "),
+    "not-an-object": (lambda c: "[1, 2]", "config must be an object, got [1, 2]"),
+    "missing-key": (lambda c: c["system"].pop("n_qubits"), "system.n_qubits: missing required key"),
+    "seed-negative": (lambda c: c.update(seed=-1), "seed must be an integer >= 0, got -1"),
+    "n-qubits-not-a-number": (_set("system", "n_qubits", "two"),
+                              "system.n_qubits must be an integer >= 1, got 'two'"),
+    # system.terms
+    "bad-pauli-term": (_term("strings", _BAD_PAULI["strings"]),
+                       "system.terms[0].strings: bad Pauli string spec: unknown Pauli axis 'q'"),
+    "assign-neither": (_term("assign", "both"),
+                       "system.terms[0].assign must be one of ['pri', 'pert'], got 'both'"),
+    "term-unknown-dist": (_term("dist", "nope"),
+                          "system.terms[0].dist references unknown distribution 'nope'"),
+    "component-not-a-number": (_term("component", "one"),
+                               "system.terms[0].component must be an integer, got 'one'"),
+    # control
+    "intervals-below-1": (_set("control", "intervals", 0),
+                          "control.intervals must be an integer >= 1, got 0"),
+    "intervals-not-a-number": (_set("control", "intervals", "six"),
+                               "control.intervals must be an integer >= 1, got 'six'"),
+    "dt-zero": (_set("control", "dt", 0), "control.dt must be a finite number > 0.0, got 0.0"),
+    "substeps-below-1": (_set("control", "substeps", 0),
+                         "control.substeps must be an integer >= 1, got 0"),
+    "unknown-model": (_model("quantum"),
+                      "control.model must be one of ['ideal', 'kernel', 'circuit'], got 'quantum'"),
+    "unknown-role": (lambda c: c["control"]["channels"][0].update(role="w"),
+                     "control.channels[0].role: unknown channel role 'w'"),
+    "kernel-w-not-positive": (_model("kernel", kernel={"W": 0}),
+                              "control.kernel.W must be a finite number > 0.0, got 0.0"),
+    "kernel-resolution-guard": (_model("kernel", kernel={"W": 1e9}),
+                                "control.dt: resolution guard: delta_t=1.250e-09 exceeds 0.1/W"),
+    "circuit-capacitance": (_model("circuit", circuit={"c_tank": 0}),
+                            "control.circuit: capacitances and inductance must be positive"),
+    "circuit-unknown-key": (_model("circuit", circuit={"r_foo": 1}),
+                            "control.circuit: CircuitParams.__init__() got an unexpected keyword"
+                            " argument 'r_foo'"),
+    "circuit-value-not-a-number": (_model("circuit", circuit={"c_tank": "big"}),
+                                   "control.circuit.c_tank must be a finite number, got 'big'"),
+    # distributions and errors
+    "unclaimed-dist": (lambda c: c["distributions"].update(spare={"kind": "uniform", "args": [-1, 1]}),
+                       "distributions.spare is not the 'dist' of any term or error"),
+    "bad-dist-args": (lambda c: c["distributions"]["amp_err"].update(args=[0.05, -0.05]),
+                      "distributions.amp_err: uniform((0.05, -0.05)): need a < b"),
+    "dist-claimed-twice": (lambda c: c["errors"][0].update(dist="detuning"),
+                           "errors[0].dist: 'detuning' is already the dist of term:detuning"),
+    "error-kind": (lambda c: c["errors"][0].update(kind="phase"),
+                   "errors[0].kind must be one of ['amplitude', 'model_param'], got 'phase'"),
+    "model-param-without-param": (lambda c: c["errors"].append({"name": "x", "kind": "model_param"}),
+                                  "errors[1].param: missing required key"),
+    # targets
+    "u-target-not-numeric": (lambda c: c["targets"].update(u_target={"matrix_re": [["a", 0], [0, 1]]}),
+                             "targets.u_target: could not convert string to float: 'a'"),
+    "h-target-key-not-an-integer": (_h_target({"x": {"strings": [{"pauli": [[1, "z"]]}]}}),
+                                    "targets.h_target.x: the key is not an integer component id:"
+                                    " invalid literal for int() with base 10: 'x'"),
+    "h-target-no-pert-term": (_h_target({"1": {"strings": [{"pauli": [[1, "z"]]}]},
+                                         "2": {"strings": [{"pauli": [[1, "x"]]}]}}),
+                              "targets.h_target.2: no H_pert term has component 2"),
+    "h-target-bad-pauli": (_h_target({"1": _BAD_PAULI}),
+                           "targets.h_target.1.strings: bad Pauli string spec: unknown Pauli axis 'q'"),
+    "h-target-zero": (_h_target({"1": {"strings": [{"pauli": [[1, "z"]], "factor": 0}]}}),
+                      "targets.h_target.1: H_target^1 is zero"),
+    # objectives and optimizer
+    "objective-component": (lambda c: c["objectives"][1].update(component=2),
+                            "objectives[1].component: no H_pert term has component 2"),
+    "objective-weight-not-a-number": (lambda c: c["objectives"][0].update(weight="heavy"),
+                                      "objectives[0].weight must be a finite number, got 'heavy'"),
+    "objective-kind": (lambda c: c["objectives"][0].update(kind="nope"),
+                       "objectives[0]: unknown objective kind 'nope'"),
+    "objective-unknown-error": (
+        lambda c: c["objectives"].append({"kind": "robustness_first", "weight": 1, "error": "nope"}),
+        "objectives[4]: unknown error channel 'nope'"),
+    "optimizer-q-v": (_set("optimizer", "q_v", 3.5), "optimizer: q_v must lie in (1, 3)"),
+    "stage-t-max-below-1": (_set("optimizer", "stages", [[0, 2.0]]),
+                            "optimizer.stages[0][0] must be an integer >= 1, got 0"),
+    "stage-t0-not-positive": (_set("optimizer", "stages", [[40, 0.0]]),
+                              "optimizer.stages[0][1] must be a finite number > 0.0, got 0.0"),
+    "stage-not-a-pair": (_set("optimizer", "stages", [[40]]),
+                         "optimizer.stages[0] must be a [t_max, T0] pair, got [40]"),
+    # evaluation
+    "sampler-unknown": (_set("evaluation", "sampler", "mcmc"),
+                        "evaluation.sampler must be one of ['auto', 'qr', 'walk'], got 'mcmc'"),
+    "scale-batch-0": (_set("evaluation", "scale_batch", 0),
+                      "evaluation.scale_batch must be an integer >= 1, got 0"),
+    "walk-burn-negative": (_set("evaluation", "walk_burn", -1),
+                           "evaluation.walk_burn must be an integer >= 0, got -1"),
+    "walk-thin-0": (_set("evaluation", "walk_thin", 0),
+                    "evaluation.walk_thin must be an integer >= 1, got 0"),
+    "initial-state-unknown": (_set("evaluation", "initial_state", "minus"),
+                              "evaluation.initial_state: unknown named state 'minus'"),
+    "initial-state-zero": (_set("evaluation", "initial_state", [0, 0]),
+                           "evaluation.initial_state has zero norm"),
+    "initial-state-shape": (_set("evaluation", "initial_state", [1, 0, 0]),
+                            "evaluation.initial_state has shape (3,), not (2,)"),
+    "initial-state-not-numeric": (_set("evaluation", "initial_state", ["up", 0]),
+                                  "evaluation.initial_state: "),
+    "landscape-unknown-dist": (_set("evaluation", "landscape", {"axis1": dict(_AXIS, dist="nope"),
+                                                                "axis2": _AXIS}),
+                               "evaluation.landscape.axis1.dist references unknown distribution 'nope'"),
+    "landscape-empty-values": (_set("evaluation", "landscape", {"axis1": _AXIS,
+                                                                "axis2": dict(_AXIS, values=[])}),
+                               "evaluation.landscape.axis2.values must be a non-empty list of numbers"),
+    "landscape-values-not-numbers": (_set("evaluation", "landscape", {"axis1": dict(_AXIS, values=["a"]),
+                                                                      "axis2": _AXIS}),
+                                     "evaluation.landscape.axis1.values must be a finite number, got 'a'"),
+    "simulate-param-not-a-number": (_set("evaluation", "simulate_params", {"detuning": "x"}),
+                                    "evaluation.simulate_params.detuning must be a finite number, got 'x'"),
 }
 
 
@@ -399,9 +518,24 @@ _BAD_KEYS = {
 def test_cli_optimize_rejects_a_bad_problem_key_by_its_path(tmp_path, capsys, monkeypatch, case):
     mutate, message = _BAD_KEYS[case]
     cfg = _config_optimize()
-    mutate(cfg)
+    text = mutate(cfg)     # a row may give the file's text in place of the mutated config
+    path = tmp_path / "problem.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(cfg))
     monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
-    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    code = cli.main(["optimize", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_VALIDATION
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["h-target-bad-pauli", "initial-state-unknown", "sampler-unknown"])
+@pytest.mark.parametrize("command", ["algebra", "subspace", "scale", "optimize", "evaluate",
+                                     "landscape", "simulate"])
+def test_every_command_checks_the_whole_file_at_load(tmp_path, capsys, command, case):
+    mutate, message = _BAD_KEYS[case]
+    cfg = _config_optimize()
+    mutate(cfg)
+    extra = [str(_write_sequence(tmp_path, cfg))] if command in ("evaluate", "landscape", "simulate") else []
+    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), *extra])
     assert code == cli.EXIT_VALIDATION
     assert f"config error: {message}" in capsys.readouterr().err
 

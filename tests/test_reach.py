@@ -200,7 +200,7 @@ def test_one_open_end_is_nan(monkeypatch):
 
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
-    vs = reach.sample_vertices(g, comps, 400, rng=np.random.default_rng(6))
+    vs = reach.sample_vertices(g, comps, 400, "auto", np.random.default_rng(6), 100, 10)
     s200 = reach._scale_lps(vs.vertices[:200])
     s400 = reach._scale_lps(vs.vertices[:400])
     assert s400[0] >= s200[0] - 1e-9
@@ -212,7 +212,7 @@ def test_vertex_projection_bounds():
     # exceed the best single-vertex projection; a vertex with negligible
     # transverse components is itself feasible and bounds s+ from below.
     g, comps = _single_qubit_components()
-    vs = reach.sample_vertices(g, comps, 100, rng=np.random.default_rng(7))
+    vs = reach.sample_vertices(g, comps, 100, "auto", np.random.default_rng(7), 100, 10)
     splus = reach._scale_lps(vs.vertices)[0]
     assert splus <= vs.vertices[:, 0].max() + 1e-9
     transverse = np.linalg.norm(vs.vertices[:, 1:], axis=1)
@@ -223,7 +223,7 @@ def test_vertex_projection_bounds():
 
 def test_vertex_norm_invariance():
     g, comps = _single_qubit_components()
-    vs = reach.sample_vertices(g, comps, 50, rng=np.random.default_rng(8))
+    vs = reach.sample_vertices(g, comps, 50, "auto", np.random.default_rng(8), 100, 10)
     norms = np.linalg.norm(vs.vertices, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-8
 
@@ -312,7 +312,7 @@ def test_hull_volume_square_corners():
 
 def test_hull_volume_saturates_su2():
     g, comps = _single_qubit_components()
-    vs = reach.sample_vertices(g, comps, 500, rng=np.random.default_rng(12))
+    vs = reach.sample_vertices(g, comps, 500, "auto", np.random.default_rng(12), 100, 10)
     vols = hull_volume_diagnostic(vs, 125)
     values = [v for _, v in vols]
     assert values == sorted(values)  # monotone growth
