@@ -6,10 +6,13 @@ Every command reads the file through `config.load_config`, which checks
 the whole file before any work starts, so a bad key exits 2 with its key
 path from every command alike; only the references inside objective terms
 wait for the pipeline that `optimize` builds.  The commands read only the
-typed values of the `ProblemConfig` it returns.
+typed values of the `ProblemConfig` it returns.  The sequence file of
+evaluate / landscape / simulate is checked the same way by
+`config.read_sequence`.
 
-Exit codes: 0 success, 2 validation error, 3 infeasible target,
-4 optimizer budget exhausted above threshold.
+Exit codes: 0 success, 2 validation error (a bad file key, --seed,
+--threads or HAMFORGE_THREADS), 3 infeasible target, 4 optimizer budget
+exhausted above threshold.
 """
 from __future__ import annotations
 
@@ -32,12 +35,26 @@ EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return parse
+
+
 def _globals(parser: argparse.ArgumentParser):
     parser.add_argument("--config", required=True, help="problem JSON file")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--seed", type=_at_least(0), default=None, help="override config seed")
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_at_least(1),
         default=None,
         help="worker processes (default: HAMFORGE_THREADS or 1)",
     )
@@ -69,9 +86,13 @@ def _write_csv(args, name: str, header: str, rows):
 
 
 def _threads(args) -> int:
+    """--threads, else HAMFORGE_THREADS, else 1."""
     if args.threads is not None:
-        return max(args.threads, 1)
-    return max(int(os.environ.get("HAMFORGE_THREADS", "1") or 1), 1)
+        return args.threads
+    try:
+        return _at_least(1)(os.environ.get("HAMFORGE_THREADS") or "1")
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"HAMFORGE_THREADS {exc}") from None
 
 
 def cmd_algebra(args) -> int:
@@ -169,7 +190,7 @@ def cmd_optimize(args) -> int:
                 )
                 return EXIT_INFEASIBLE
 
-    workers = _threads(args)
+    workers = args.threads
     best: OptimizationResult | None = None
     x_init = None
     for k, (t_max, t0) in enumerate(cfg.stages):
@@ -257,6 +278,10 @@ def main(argv=None) -> int:
             p.add_argument(arg, help="sequence JSON file")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
+    try:
+        args.threads = _threads(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     try:
         return args.fn(args)
     except ConfigError as exc:

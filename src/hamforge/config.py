@@ -290,6 +290,15 @@ def load_config(path: str) -> ProblemConfig:
     return parse_config(raw)
 
 
+def _channel(path: str, k: int, ch: dict) -> Channel:
+    """The k-th entry `ch` of a channel list, at the key path `path`."""
+    qubits = tuple(_check(q, f"{path}.qubits", int) for q in _get(ch, "qubits", path, list))
+    name = _get(ch, "name", path, str, default=f"ch{k}")
+    role, scale = _get(ch, "role", path, str), _get(ch, "scale", path, float)
+    with _at(f"{path}.role: "):
+        return Channel(name, qubits, role, scale)
+
+
 def _model(ctrl: dict, dt: float) -> ControlModel:
     """The control model; a file without `substeps` keeps the model's."""
     name = _get(ctrl, "model", "control", ("ideal", "kernel", "circuit"), default="ideal")
@@ -321,13 +330,9 @@ def parse_config(raw: dict) -> ProblemConfig:
     ctrl = _get(raw, "control", "", dict)
     channels = []
     for k, (path, ch) in enumerate(_entries(ctrl, "channels", "control")):
-        qubits = tuple(_check(q, f"{path}.qubits", int) for q in _get(ch, "qubits", path, list))
-        if not all(1 <= q <= n for q in qubits):
-            raise ConfigError(f"{path}.qubits: {list(qubits)} not all in 1..{n}")
-        name = _get(ch, "name", path, str, default=f"ch{k}")
-        role, scale = _get(ch, "role", path, str), _get(ch, "scale", path, float)
-        with _at(f"{path}.role: "):
-            channels.append(Channel(name, qubits, role, scale))
+        channels.append(_channel(path, k, ch))
+        if not all(1 <= q <= n for q in channels[-1].qubits):
+            raise ConfigError(f"{path}.qubits: {list(channels[-1].qubits)} not all in 1..{n}")
     intervals = _get(ctrl, "intervals", "control", int, 1)
     dt = _get(ctrl, "dt", "control", float, 0.0)
     model = _model(ctrl, dt)
@@ -632,12 +637,20 @@ def sequence_to_dict(seq: ControlSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> ControlSequence:
-    chans = []
-    vals = []
-    for ch in d["channels"]:
-        chans.append(Channel(ch["name"], tuple(ch["qubits"]), ch["role"], float(ch["scale"])))
-        vals.append(ch["values"])
-    return ControlSequence(np.asarray(vals, dtype=float), float(d["dt"]), tuple(chans))
+    """Read and check a sequence file: dt: num, > 0 (s); channels[k]: the
+    keys of control.channels[k] plus values: list of num in [-1, 1], of
+    one length across channels.  A bad key raises ConfigError with its key
+    path under `sequence`."""
+    d = _check(d, "sequence", dict)
+    dt = _get(d, "dt", "sequence", float, 0.0)
+    channels, values = [], []
+    for k, (path, ch) in enumerate(_entries(d, "channels", "sequence")):
+        channels.append(_channel(path, k, ch))
+        values.append([_check(v, f"{path}.values", float) for v in _get(ch, "values", path, list)])
+        if len(values[-1]) != len(values[0]):
+            raise ConfigError(f"{path}.values has {len(values[-1])} entries, not {len(values[0])}")
+    with _at("sequence.channels: "):
+        return ControlSequence(np.asarray(values, dtype=float), dt, tuple(channels))
 
 
 def write_sequence(seq: ControlSequence, path: str) -> None:
@@ -646,5 +659,6 @@ def write_sequence(seq: ControlSequence, path: str) -> None:
 
 
 def read_sequence(path: str) -> ControlSequence:
-    with open(path) as f:
-        return sequence_from_dict(json.load(f))
+    with open(path) as f, _at("sequence is not valid JSON: "):
+        raw = json.load(f)
+    return sequence_from_dict(raw)

@@ -417,8 +417,8 @@ class CostPipeline:
         h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
 
         # every request once; one adjoint eigendecomposition per distinct
-        # subspace, whose eigenpairs also give the toggle matrices
-        # D(U_q^dag) = V diag(e^{i nu dt}) V^dag and their prefix products
+        # subspace, whose eigenpairs also give the toggle matrices and their
+        # prefix products, and whose spectral groups carry the step tables
         eig, steps, got = {}, {}, {}
         for key, order in self.requests.items():
             stack, seeds = self._toggled(key, fld)

@@ -24,6 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
+try:  # the pairwise step of np.einsum's own contraction loop
+    from numpy._core.einsumfunc import bmm_einsum
+except ImportError:  # a numpy without it contracts pairs its own way: keep np.einsum
+    bmm_einsum = None
+
 # Global tolerances (Hilbert-Schmidt units).
 ORTHO_TOL = 1e-9     # basis orthonormality
 SPAN_TOL = 1e-8      # span membership: relative residual of `project`
@@ -121,13 +126,25 @@ def project(m: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _einsum_path(subscripts: str, shapes: tuple) -> tuple:
+def _contractions(subscripts: str, shapes: tuple) -> tuple:
+    """The greedy path and, along it, the steps (operand positions,
+    subscripts) of np.einsum's own contraction loop."""
     operands = [np.broadcast_to(0.0, s) for s in shapes]
-    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+    path = tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
+    steps = np.einsum_path(subscripts, *operands, optimize=path, einsum_call=True)[1]
+    return path, tuple((step[0], step[1]) for step in steps)
 
 
 def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum along the greedy contraction path, searched once per
-    (subscripts, operand shapes) rather than on every call."""
-    path = _einsum_path(subscripts, tuple(np.shape(o) for o in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
+    """np.einsum along the greedy contraction path, planned once per
+    (subscripts, operand shapes): each call runs the planned steps with
+    numpy's own pairwise kernel, so it does no path work and returns what
+    np.einsum(..., optimize=path) returns, bit for bit."""
+    path, steps = _contractions(subscripts, tuple(np.shape(o) for o in operands))
+    if bmm_einsum is None:
+        return np.einsum(subscripts, *operands, optimize=path)
+    ops = list(operands)
+    for inds, eq in steps:
+        args = [ops.pop(k) for k in inds]
+        ops.append(bmm_einsum(eq, *args) if len(args) == 2 else np.einsum(eq, *args))
+    return ops[0]

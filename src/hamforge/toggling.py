@@ -24,13 +24,16 @@ subspace and evaluation, and the kernels work on the u group frequencies
 w (Q, u) and the components A (Q, m, u), A[:, :, g] = sum over a in g of
 V[:, :, a] y[a]:
 
+    c0_i = Re sum_g A_ig I1(w_g),
     c1_ij = Re sum_gh A_ig A_jh I2(w_g, w_h),
     c2_ijk = Re sum_ghl A_ig A_jh A_kl I3(w_g, w_h, w_l),
 
 so the r = 3 grid has Q u^3 entries instead of Q m^3 (729 against 3,375
-per 2-qubit step); c0 costs O(Q m^2) either way and keeps the
-eigenvalues.  Steps with fewer than u groups are padded with A = 0
-at their largest frequency.  When no eigenvalues merge, A = V * y.
+per 2-qubit step).  Steps with fewer than u groups are padded with A = 0
+at their largest frequency.  When no eigenvalues merge, A = V * y.  The
+tables I1, I2 and the confluent J, K below depend on w and dt alone, so
+`SpectralGroups` carries them and builds each once per subspace and
+evaluation, whatever number of requests and crosses read it.
 Error bound: merging moves every eigenvalue by at most (k - 1) kappa / dt
 for a group of k, so the node p_r moves by at most r times that; by
 Hermite-Genocchi a divided difference of exp(x T) on the imaginary axis
@@ -53,9 +56,9 @@ log depth, and `ordered_product` forms only the last of them.
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than DEGEN_TOL
-(removable singularities).  This is the path of `nested_exp_integral`,
-of every r <= 2 table, and of the sequential reference engine
-(`step_cints_raw` in `tests/_oracles.py`).  The threshold
+(removable singularities).  This is the path of every r <= 2 table and
+of the sequential reference engine (`step_cints_raw` and
+`nested_exp_integral` in `tests/_oracles.py`).  The threshold
 DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
 ~eps / (spread * T) to cancellation, and at r = 3 one more division by a
 node gap of similar size leaves errors of order eps / (spread * T)^2 in
@@ -65,26 +68,39 @@ SERIES_TERMS = 10 keeps the series exact to rounding up to width 0.25.
 
 r = 3 grid (`_int3_grid`, used by `batch_step_cints`).  The nodes of
 entry (a, b, c) are {0, a, a+b, a+b+c}.  Dividing by the (0, a+b+c) pair
-leaves two 3-node subsets, and both are shifted entries of the m x m
-r = 2 table I2 that the batch already holds:
+leaves two 3-node subsets, and both are shifted entries of the u x u
+r = 2 table I2 that the subspace already holds:
 
     I3(a, b, c) = (e^{i a T} I2(b, c) - I2(a, b)) / (i (a+b+c))
 
 so the Q u^3 grid costs one complex multiply, subtract and divide per
 entry, with no transcendental call and no sort.  The identity divides by
 |a+b+c| where the sorted recursion divides by the full node spread, so it
-amplifies the rounding error of I2 by up to spread / |a+b+c|.  Two kinds
-of entry go to the general kernel instead:
+amplifies the rounding error of I2 by up to spread / |a+b+c|; it takes
+the entries with |a+b+c| >= SHIFT_KAPPA * spread, which caps that at 4x.
 
-* |a+b+c| < SHIFT_KAPPA * spread.  SHIFT_KAPPA = 0.25 caps the extra
-  amplification at 4x.  Adjoint spectra carry exact zeros and +/- pairs,
-  so 6.7% of the entries of the 2-qubit benchmark's u = 9 grids have
-  a+b+c = 0 whatever the bound (9.0% of the unmerged m = 15 grids).
-  With DEGEN_TOL = 0.2 the fallback takes 16.8% of the u-grid entries at 0.25
-  (18.6% of the m-grid); on the m-grid at a series width of 0.05 it took
-  16-18% at 0.25, against 11-14% at 0.1 and 28-29% at 0.5.
-* Clusters with spread * T < DEGEN_TOL, which the kernel sums as a series.
-  The identity would inherit the cancellation of I2 described above.
+Zero sums.  Adjoint spectra carry exact zeros and +/- pairs, so a+b+c = 0
+on 26% of the 1-qubit benchmark's grid and 6.7% of the 2-qubit one.  A
+sum with |a+b+c| T <= MERGE_KAPPA counts as zero and leaves the nodes
+{0, 0, a, a+b}, read from the confluent tables J(a) = f[0, 0, a] and
+K(a) = f[0, 0, 0, a] (Q, u): I3 = (I2(a, b) - J(a)) / (i (a+b)) when
+|a+b| >= SHIFT_KAPPA * spread, and I3 = K(a) when |a+b| T <= MERGE_KAPPA
+too.  J = (I1 - T) / (i a) and K = (J - T^2/2) / (i a), or for
+|a| T < DEGEN_TOL the Taylor series of K and J = T^2/2 + i a K: the
+operations of the general kernel on these nodes.  Error bound, derived
+as the merge bound above: the rule moves the nodes a+b+c and, for K, a+b
+by at most kappa / T each, so an entry is off by at most
+2 (kappa / T) T^4/4! = (kappa / 2) T^3/6 = 5e-14 T^3/6, plus rounding.
+Against 40-digit arithmetic over 4,600 drawn spectra with exact and
+merge-level zero sums, the worst entry was 6.0e-14 T^3/6 from the shift
+identity, 3.7e-14 from J and 4.4e-14 from K.
+
+The general kernel `_int3_plus` takes the rest: node clusters with
+spread * T < DEGEN_TOL, where the identities would inherit the
+cancellation of I2 described above, and divisors |a+b+c| (or |a+b| after
+a zero sum) below SHIFT_KAPPA * spread.  That is 6.6% of the 1-qubit
+benchmark's grid entries, all clusters, and 10.7% of the 2-qubit ones
+(31% and 16.8% without the zero rule).
 
 Divided differences of exp: McCurdy, Ng & Parlett, Math. Comp. 43 (1984);
 Higham, Functions of Matrices, SIAM (2008).
@@ -92,7 +108,7 @@ Higham, Functions of Matrices, SIAM (2008).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -157,8 +173,6 @@ def _dd2_sorted(w, t):
     ga = _g_pair(w[..., 0], w[..., 1], t)
     gb = _g_pair(w[..., 1], w[..., 2], t)
     direct = (gb - ga) / (1j * safe)
-    if w.ndim == 1:
-        return _dd_taylor(w, t, 2) if cluster else direct
     if np.any(cluster):
         direct[cluster] = _dd_taylor(w[cluster], t, 2)
     return direct
@@ -168,17 +182,14 @@ def _dd3_sorted(w, t):
     """f[i*w0,..,i*w3] with w sorted ascending along the last axis."""
     spread = w[..., 3] - w[..., 0]
     cluster = spread * t < DEGEN_TOL
-    if w.ndim == 1:
-        if cluster:
-            return _dd_taylor(w, t, 3)
-        return (_dd2_sorted(w[1:4], t) - _dd2_sorted(w[0:3], t)) / (1j * spread)
     # the recursion runs only where the series does not
     out = np.empty(spread.shape, dtype=complex)
     far = ~cluster
-    wf = w[far]
-    out[far] = (_dd2_sorted(wf[:, 1:4], t) - _dd2_sorted(wf[:, 0:3], t)) / (
-        1j * spread[far]
-    )
+    if far.any():
+        wf = w[far]
+        out[far] = (_dd2_sorted(wf[:, 1:4], t) - _dd2_sorted(wf[:, 0:3], t)) / (
+            1j * spread[far]
+        )
     out[cluster] = _dd_taylor(w[cluster], t, 3)
     return out
 
@@ -212,45 +223,41 @@ def _int3_plus(nu1, nu2, nu3, t):
     return _dd3_sorted(_nodes([p1, p2, p3]), t)
 
 
-def _int3_grid(nu, i2, t):
-    """I3 on the (Q, n, n, n) grid of frequencies nu (Q, n) from their r=2
-    table i2 (Q, n, n).
+def _confluent(w, i1, t):
+    """J(a) = f[0, 0, a] and K(a) = f[0, 0, 0, a] at the frequencies a = w
+    from I1(a) = f[0, a]: divided differences where |a| T >= DEGEN_TOL,
+    else K by the Taylor series of exp and J = T^2/2 + i a K."""
+    small = np.abs(w) * t < DEGEN_TOL
+    x = 1j * np.where(small, w, 0.0) * t
+    k = t ** 3 * sum(x ** n / _factorial(n + 3) for n in range(SERIES_TERMS))
+    ia = 1j * np.where(small, 1.0, w)
+    j = np.where(small, t * t / 2 + 1j * w * k, (i1 - t) / ia)
+    return j, np.where(small, k, (j - t * t / 2) / ia)
 
-    Shift identity where it is well conditioned, `_int3_plus` on the rest
-    (see the module docstring).
-    """
-    p1 = nu[:, :, None, None]
-    p2 = (nu[:, :, None] + nu[:, None, :])[..., None]
-    p3 = p2 + nu[:, None, None, :]
+
+def _int3_grid(groups):
+    """I3 on the (Q, u, u, u) grid of the group frequencies from the tables
+    of `groups`: the shift identity, the confluent tables where a+b+c is
+    zero, and `_int3_plus` on the rest (see the module docstring)."""
+    w, t, i2 = groups.w, groups.dt, groups.i2
+    j, k = groups.confluent
+    p1 = w[:, :, None, None]
+    p2 = (w[:, :, None] + w[:, None, :])[..., None]
+    p3 = p2 + w[:, None, None, :]
     lo = np.minimum(np.minimum(p1, 0.0), np.minimum(p2, p3))
     hi = np.maximum(np.maximum(p1, 0.0), np.maximum(p2, p3))
     spread = hi - lo
-    ill = (np.abs(p3) < SHIFT_KAPPA * spread) | (spread * t < DEGEN_TOL)
-    phase = np.exp(1j * nu * t)
-    out = phase[:, :, None, None] * i2[:, None, :, :] - i2[:, :, :, None]
-    out /= 1j * np.where(ill, 1.0, p3)
+    # a+b+c = 0 leaves the nodes {0, 0, a, a+b}, and a+b = 0 too {0, 0, 0, a}
+    zero = np.abs(p3) * t <= MERGE_KAPPA
+    double = zero & (np.abs(p2) * t <= MERGE_KAPPA)
+    phase = np.exp(1j * w * t)
+    num = np.where(zero, j[:, :, None, None], phase[:, :, None, None] * i2[:, None]) - i2[..., None]
+    den = np.where(zero, -p2, p3)
+    ill = ~double & ((np.abs(den) < SHIFT_KAPPA * spread) | (spread * t < DEGEN_TOL))
+    out = np.where(double, k[:, :, None, None], num / (1j * np.where(ill | double, 1.0, den)))
     q, a, b, c = np.nonzero(ill)
-    out[q, a, b, c] = _int3_plus(nu[q, a], nu[q, b], nu[q, c], t)
+    out[q, a, b, c] = _int3_plus(w[q, a], w[q, b], w[q, c], t)
     return out
-
-
-def nested_exp_integral(lambdas: Sequence[float], t: float) -> complex:
-    """I(l_1..l_r) = int_0^T dt1..int_0^{t_{r-1}} dt_r e^{-i l_1 t1}..e^{-i l_r tr}.
-
-    Closed form for r in {1,2,3}; near-degenerate eigenvalue sums switch
-    to a series branch (threshold |sum * T| < DEGEN_TOL).
-    """
-    lam = [float(x) for x in lambdas]
-    r = len(lam)
-    if r == 1:
-        out = _int1_plus(-lam[0], t)
-    elif r == 2:
-        out = _int2_plus(-lam[0], -lam[1], t)
-    elif r == 3:
-        out = _int3_plus(-lam[0], -lam[1], -lam[2], t)
-    else:
-        raise ValueError("order r must be 1, 2 or 3")
-    return complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +324,32 @@ def _real(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralGroups:
-    """Distinct adjoint frequencies of each step (see the module docstring).
+    """Distinct adjoint frequencies of each step and the step tables that
+    every request and cross on the subspace reads (see the module docstring).
 
     w (Q, u) holds one frequency per group, ascending; steps with fewer
     than u groups repeat their largest frequency, and those padded groups
     carry no weight.  onehot (Q, m, u) maps eigenvector columns to groups,
-    None when no two eigenvalues of any step merge (then w is nu).
+    None when no two eigenvalues of any step merge (then w is nu).  Each
+    table is built on its first read: i1 = I1(w) (Q, u), i2 = I2(w, w)
+    (Q, u, u) and confluent = (J(w), K(w)) (Q, u), as the r = 3 grid reads them.
     """
 
     w: np.ndarray
     onehot: np.ndarray | None
+    dt: float
+
+    @cached_property
+    def i1(self):
+        return _int1_plus(self.w, self.dt)
+
+    @cached_property
+    def i2(self):
+        return _int2_plus(self.w[:, :, None], self.w[:, None, :], self.dt)
+
+    @cached_property
+    def confluent(self):
+        return _confluent(self.w, self.i1, self.dt)
 
 
 def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
@@ -334,7 +357,7 @@ def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
     (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA."""
     split = np.diff(nu, axis=-1) * dt > MERGE_KAPPA
     if split.all():
-        return SpectralGroups(nu, None)
+        return SpectralGroups(nu, None, dt)
     q, m = nu.shape
     gid = np.zeros((q, m), dtype=np.intp)
     np.cumsum(split, axis=-1, out=gid[:, 1:])
@@ -344,7 +367,7 @@ def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
     w[rows, gid] = nu
     onehot = np.zeros((q, m, u))
     onehot[rows, np.arange(m), gid] = 1.0
-    return SpectralGroups(w, onehot)
+    return SpectralGroups(w, onehot, dt)
 
 
 def _components(v, y, groups):
@@ -357,29 +380,28 @@ def batch_step_cints(nu, v, y, dt, r_max, groups=None):
     """Per-step tensors for all Q steps at once.
 
     nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed;
-    groups is `spectral_groups(nu, dt)`, formed here when not given.
-    Returns c0 (Q,m) [, c1 (Q,m,m) [, c2 (Q,m,m,m)]] real.  c0 costs
-    O(Q m^2) with or without the grouping, so it takes the eigenvalues.
+    groups is `spectral_groups(nu, dt)`, formed here when not given, and
+    carries the step tables.  Returns c0 (Q,m) [, c1 (Q,m,m) [, c2
+    (Q,m,m,m)]] real.
     """
-    c0 = _real(np.einsum("qab,qb->qa", v, _int1_plus(nu, dt) * y))
+    if groups is None:
+        groups = spectral_groups(nu, dt)
+    a = _components(v, y, groups)
+    c0 = _real(np.einsum("qag,qg->qa", a, groups.i1))
     c1 = c2 = None
     if r_max >= 2:
-        if groups is None:
-            groups = spectral_groups(nu, dt)
-        w, a = groups.w, _components(v, y, groups)
-        i2 = _int2_plus(w[:, :, None], w[:, None, :], dt)
-        c1 = _real(a @ i2 @ np.swapaxes(a, -1, -2))
+        c1 = _real(a @ groups.i2 @ np.swapaxes(a, -1, -2))
     if r_max >= 3:
-        i3 = _int3_grid(w, i2, dt)
-        c2 = _real(einsum("qig,qjh,qkl,qghl->qijk", a, a, a, i3))
+        c2 = _real(einsum("qig,qjh,qkl,qghl->qijk", a, a, a, _int3_grid(groups)))
     return c0, c1, c2
 
 
 def batch_step_cross(v_p, y_p, groups_p, v_e, y_e, groups_e, dt):
     """Per-step cross tensors (Q, mp, me); slot order (later, earlier).
     Each slot takes the eigenvectors, rotated seed and `spectral_groups`
-    of its subspace."""
-    i2 = _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt)
+    of its subspace; two slots on one subspace share its I2 table."""
+    same = groups_p is groups_e
+    i2 = groups_p.i2 if same else _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt)
     a_p, a_e = _components(v_p, y_p, groups_p), _components(v_e, y_e, groups_e)
     return _real(a_p @ i2 @ np.swapaxes(a_e, -1, -2))
 

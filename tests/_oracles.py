@@ -160,6 +160,13 @@ def _step_c0(eig: StepEigen, dt: float) -> np.ndarray:
     return tg._real(eig.v @ (tg._int1_plus(eig.nu, dt) * eig.y))
 
 
+def nested_exp_integral(lambdas, t: float) -> complex:
+    """I(l_1..l_r) = int_0^T dt1..int_0^{t_{r-1}} dt_r e^{-i l_1 t1}..e^{-i l_r tr}
+    for r in {1, 2, 3}, by the general divided-difference kernel of `toggling`."""
+    kernel = (tg._int1_plus, tg._int2_plus, tg._int3_plus)[len(lambdas) - 1]
+    return complex(kernel(*(np.array([-float(x)]) for x in lambdas), t)[0])
+
+
 def step_cints_raw(eig: StepEigen, dt: float, r_max: int):
     """(c0, c1, c2) tensors of one constant step, real arrays."""
     nu, v, y = eig.nu, eig.v, eig.y

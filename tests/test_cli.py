@@ -8,6 +8,7 @@ from hamforge import config as cfgmod
 from hamforge.config import sequence_from_dict, write_sequence
 from hamforge.controlsys import IdealModel
 from hamforge.opcore import SubspaceError
+from hamforge.optimizer import OptimizationResult
 from _oracles import exact_unitary
 
 
@@ -627,3 +628,105 @@ def test_cli_threads_default_comes_from_the_environment(monkeypatch):
     monkeypatch.setenv("HAMFORGE_THREADS", "3")
     assert cli._threads(argparse.Namespace(threads=None)) == 3
     assert cli._threads(argparse.Namespace(threads=2)) == 2
+
+
+# flags and environment: (argv after the command, HAMFORGE_THREADS, message)
+_BAD_INVOCATIONS = {
+    "seed-negative": (["--seed", "-1"], None, "argument --seed: must be an integer >= 0, got '-1'"),
+    "seed-not-an-integer": (["--seed", "x"], None, "argument --seed: must be an integer >= 0, got 'x'"),
+    "threads-0": (["--threads", "0"], None, "argument --threads: must be an integer >= 1, got '0'"),
+    "threads-env-not-an-integer": ([], "two", "HAMFORGE_THREADS must be an integer >= 1, got 'two'"),
+    "threads-env-0": ([], "0", "HAMFORGE_THREADS must be an integer >= 1, got '0'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INVOCATIONS))
+@pytest.mark.parametrize("command", ["scale", "optimize", "evaluate"])
+def test_cli_rejects_a_bad_flag_or_environment_by_its_name(tmp_path, capsys, monkeypatch, command, case):
+    argv, threads, message = _BAD_INVOCATIONS[case]
+    if threads is None:
+        monkeypatch.delenv("HAMFORGE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HAMFORGE_THREADS", threads)
+    monkeypatch.setattr(cli, "parallel_restarts", _fail_if_called)
+    cfg = _config_optimize()
+    extra = [str(_write_sequence(tmp_path, cfg))] if command == "evaluate" else []
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                  *argv, *extra])
+    assert exit_.value.code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_cli_threads_from_the_flag_or_the_environment(tmp_path, monkeypatch):
+    seen = []
+
+    def restarts(pipe, cfg, workers, x_init):
+        seen.append(workers)
+        return OptimizationResult(np.zeros(12), 1.0, 1)
+
+    monkeypatch.setattr(cli, "parallel_restarts", restarts)
+    path = _write_config(tmp_path, _config_optimize())
+    for env, argv, want in (("", [], 1), ("3", [], 3), ("3", ["--threads", "2"], 2)):
+        monkeypatch.setenv("HAMFORGE_THREADS", env)
+        cli.main(["optimize", "--config", path, "--out", str(tmp_path / "out"), *argv])
+        assert seen.pop() == want
+
+
+def _seq_channel(key, value):
+    return lambda s: s["channels"][0].update({key: value})
+
+
+# sequence files: (mutation of a valid sequence dict or its text, message)
+_BAD_SEQUENCES = {
+    "invalid-json": (lambda s: "{not json", "sequence is not valid JSON: "),
+    "not-an-object": (lambda s: "[1, 2]", "sequence must be an object, got [1, 2]"),
+    "dt-missing": (lambda s: s.pop("dt"), "sequence.dt: missing required key"),
+    "dt-zero": (lambda s: s.update(dt=0), "sequence.dt must be a finite number > 0.0, got 0.0"),
+    "channels-not-a-list": (lambda s: s.update(channels={}), "sequence.channels must be a list, got {}"),
+    "no-channels": (lambda s: s.update(channels=[]), "sequence.channels: values must be (n_channels, P)"),
+    "name-not-a-string": (_seq_channel("name", 5), "sequence.channels[0].name must be a string, got 5"),
+    "qubits-missing": (lambda s: s["channels"][0].pop("qubits"),
+                       "sequence.channels[0].qubits: missing required key"),
+    "qubits-not-integers": (_seq_channel("qubits", ["a"]),
+                            "sequence.channels[0].qubits must be an integer, got 'a'"),
+    "role-unknown": (_seq_channel("role", "w"), "sequence.channels[0].role: unknown channel role 'w'"),
+    "scale-not-a-number": (_seq_channel("scale", "big"),
+                           "sequence.channels[0].scale must be a finite number, got 'big'"),
+    "values-missing": (lambda s: s["channels"][1].pop("values"),
+                       "sequence.channels[1].values: missing required key"),
+    "values-not-numbers": (_seq_channel("values", ["a"] * 6),
+                           "sequence.channels[0].values must be a finite number, got 'a'"),
+    "values-unequal": (lambda s: s["channels"][1].update(values=[0.0] * 5),
+                       "sequence.channels[1].values has 5 entries, not 6"),
+    "values-out-of-range": (_seq_channel("values", [2.0] * 6),
+                            "sequence.channels: control values must lie in [-1, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SEQUENCES))
+def test_cli_evaluate_rejects_a_bad_sequence_key_by_its_path(tmp_path, capsys, case):
+    mutate, message = _BAD_SEQUENCES[case]
+    cfg = _config_1q()
+    seq_path = _write_sequence(tmp_path, cfg)
+    seq = json.loads(seq_path.read_text())
+    text = mutate(seq)
+    seq_path.write_text(text if isinstance(text, str) else json.dumps(seq))
+    code = cli.main(["evaluate", "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     str(seq_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["landscape", "simulate"])
+def test_every_sequence_command_checks_the_sequence(tmp_path, capsys, command):
+    cfg = _config_1q()
+    cfg["evaluation"]["landscape"] = {"axis1": _AXIS, "axis2": _AXIS}
+    seq_path = _write_sequence(tmp_path, cfg)
+    seq = json.loads(seq_path.read_text())
+    seq["channels"][0].pop("qubits")
+    seq_path.write_text(json.dumps(seq))
+    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     str(seq_path)])
+    assert code == cli.EXIT_VALIDATION
+    assert "config error: sequence.channels[0].qubits: missing required key" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The problem-file reader: the initial-state reader, the models' own
 substeps, and a static check that every ConfigError the library can raise
-has a row in the CLI table of bad keys (`test_cli._BAD_KEYS`)."""
+has a row in a CLI table of bad keys (`test_cli._BAD_KEYS` for the problem
+file, `test_cli._BAD_SEQUENCES` for sequence files)."""
 import ast
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from hamforge import config as cfgmod
 from hamforge.config import ConfigError
-from test_cli import _BAD_KEYS, _config_1q
+from test_cli import _BAD_KEYS, _BAD_SEQUENCES, _config_1q
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hamforge"
 
@@ -64,7 +65,7 @@ def _config_error_sites():
 def test_every_config_error_has_a_row_in_the_cli_table():
     sites = list(_config_error_sites())
     assert len(sites) > 30
-    messages = [message for _, message in _BAD_KEYS.values()]
+    messages = [message for _, message in [*_BAD_KEYS.values(), *_BAD_SEQUENCES.values()]]
     missing = [site for site, pattern in sites if not any(re.search(pattern, m) for m in messages)]
     assert missing == []
 

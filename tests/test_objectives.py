@@ -397,6 +397,45 @@ def test_error_on_a_parameter_the_model_lacks_fails_at_build():
         build_pipeline(cfg)
 
 
+def count_i2_tables(monkeypatch):
+    """Shapes of the I2 tables built, square or rectangular."""
+    calls = []
+    real = tg._int2_plus
+
+    def counted(nu1, nu2, t):
+        calls.append(np.broadcast_shapes(np.shape(nu1), np.shape(nu2)))
+        return real(nu1, nu2, t)
+
+    monkeypatch.setattr(tg, "_int2_plus", counted)
+    return calls
+
+
+# the terms of the anneal-1q-hadamard benchmark: an r=3 and an r=2 request
+# and a cross on one subspace
+HADAMARD_TERMS = (
+    ob.ObjectiveTerm("primary_unitary", 20.0),
+    ob.ObjectiveTerm("zeroth_order_target", 4.0),
+    ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
+    ob.ObjectiveTerm("higher_order_r", 4.0, {"order": 2}),
+    ob.ObjectiveTerm("higher_order_r", 0.5, {"order": 2, "space": "eps"}),
+    ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps"}),
+    ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 3}),
+)
+
+
+def test_requests_on_one_subspace_share_one_i2_table(monkeypatch):
+    pipe = hadamard_pipeline(HADAMARD_TERMS)
+    calls = count_i2_tables(monkeypatch)
+    for seed in (14, 15):
+        x = np.random.default_rng(seed).uniform(-1, 1, 24)
+        before = len(calls)
+        rep = pipe.evaluate(x)
+        assert calls[before:] == [(12, 3, 3)]
+        # each term alone builds its own tables, to the same bits
+        for term, value in zip(HADAMARD_TERMS, rep.values):
+            assert hadamard_pipeline((term,)).evaluate(x).values == (value,)
+
+
 def test_one_adjoint_eigendecomposition_per_distinct_subspace(monkeypatch):
     # the component space and both error spaces have bitwise-equal bases
     pipe = circuit_pipeline()
@@ -420,6 +459,7 @@ def two_space_pipeline():
     terms = (
         ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
         ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps", "component": 0}),
+        ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 2, "space": "eps"}),
     )
     spec = ob.ObjectiveSpec(terms)
     return ob.CostPipeline(2, CH, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
@@ -428,10 +468,14 @@ def two_space_pipeline():
 def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     pipe = two_space_pipeline()
     calls = count_adjoint_calls(monkeypatch)
+    tables = count_i2_tables(monkeypatch)
     x = np.random.default_rng(13).uniform(-1, 1, 24)
     rep = pipe.evaluate(x)
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
+    # the r=2 request's square table on C_err, and the cross's rectangular one
+    assert sorted(tables) == [(12, 3, 3)] * 2
+    assert rep.values[2] > 0
     # effective robustness against the sequential cross integral, whose
     # toggles come from conjugation by the step unitaries
     comp, err = pipe.components[0], pipe.errors["eps"]

@@ -202,3 +202,36 @@ def test_basis_rejects_nonorthonormal(paulis1):
     with pytest.raises(ValueError, match="not orthonormal"):
         CSubspace(paulis1["x"][None] * (1 + 1e-8) / np.sqrt(2))
     CSubspace(paulis1["x"][None] / np.sqrt(2))
+
+
+# the contractions of toggling (c2 at the 1- and 2-qubit benchmark sizes)
+# and of evaluate.ptm (one unitary and a Monte-Carlo stack, 2 qubits)
+_CONTRACTIONS = [
+    ("qig,qjh,qkl,qghl->qijk", [(35, 3, 3)] * 3 + [(35, 3, 3, 3)]),
+    ("qig,qjh,qkl,qghl->qijk", [(40, 15, 9)] * 3 + [(40, 9, 9, 9)]),
+    ("qia,qjb,qkc,qabc->qijk", [(35, 3, 3)] * 3 + [(35, 3, 3, 3)]),
+    ("qia,qjb,qkc,qabc->qijk", [(40, 15, 15)] * 3 + [(40, 15, 15, 15)]),
+    ("...ij,bjk,...lk->...bil", [(4, 4), (16, 4, 4), (4, 4)]),
+    ("...ij,bjk,...lk->...bil", [(50, 4, 4), (16, 4, 4), (50, 4, 4)]),
+    ("ail,...bli->...ab", [(16, 4, 4), (50, 16, 4, 4)]),
+]
+
+
+@pytest.mark.parametrize("subscripts, shapes", _CONTRACTIONS)
+def test_einsum_runs_the_planned_path_bit_for_bit_without_path_work(monkeypatch, subscripts, shapes):
+    from hamforge.opcore import einsum
+
+    rng = np.random.default_rng(len(subscripts) + sum(map(len, shapes)))
+    ops = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    path = np.einsum_path(subscripts, *ops, optimize="greedy")[0]
+    want = np.einsum(subscripts, *ops, optimize=path)
+    assert np.array_equal(einsum(subscripts, *ops), want)
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("einsum_path called on a planned contraction")
+
+    # planned once per subscripts and shapes: later calls search and check
+    # no path, neither directly nor inside np.einsum
+    monkeypatch.setattr(np, "einsum_path", no_path)
+    monkeypatch.setattr(pytest.importorskip("numpy._core.einsumfunc"), "einsum_path", no_path)
+    assert np.array_equal(einsum(subscripts, *ops), want)

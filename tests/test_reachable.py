@@ -15,8 +15,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hamforge"
 ENTRY_POINTS = [SRC / "cli.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-# the mpmath test pins the general divided-difference kernel through it
-ALLOWED = {"toggling.nested_exp_integral"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -73,7 +71,7 @@ def test_every_library_definition_is_reachable_from_an_entry_point():
     unreached = {
         where for name, sites in defs.items() if name not in reached for where, _ in sites
     }
-    assert sorted(unreached - ALLOWED) == []
+    assert sorted(unreached) == []
 
 
 

@@ -46,15 +46,15 @@ def quad_oracle(lams, t_max, n=4000):
 
 
 def test_nested_exp_trivial():
-    assert tg.nested_exp_integral([0.0], 2.0) == pytest.approx(2.0)
-    assert tg.nested_exp_integral([0.0, 0.0], 2.0) == pytest.approx(2.0)  # T^2/2
-    assert tg.nested_exp_integral([0.0, 0.0, 0.0], 3.0) == pytest.approx(27.0 / 6.0)
+    assert orc.nested_exp_integral([0.0], 2.0) == pytest.approx(2.0)
+    assert orc.nested_exp_integral([0.0, 0.0], 2.0) == pytest.approx(2.0)  # T^2/2
+    assert orc.nested_exp_integral([0.0, 0.0, 0.0], 3.0) == pytest.approx(27.0 / 6.0)
 
 
 def test_nested_exp_r1_closed_form():
     lam, t = 3.0, 2.0
     expect = (1 - np.exp(-1j * lam * t)) / (1j * lam)
-    assert tg.nested_exp_integral([lam], t) == pytest.approx(expect, abs=1e-12)
+    assert orc.nested_exp_integral([lam], t) == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -71,7 +71,7 @@ def test_nested_exp_r1_closed_form():
     ],
 )
 def test_nested_exp_vs_quadrature(lams):
-    mine = tg.nested_exp_integral(lams, 1.7)
+    mine = orc.nested_exp_integral(lams, 1.7)
     ref = quad_oracle(lams, 1.7)
     assert abs(mine - ref) < 1e-8
 
@@ -80,7 +80,7 @@ def test_nested_exp_vs_quadrature(lams):
 @settings(max_examples=60, deadline=None)
 def test_nested_exp_random(lams):
     t = 0.9
-    mine = tg.nested_exp_integral(lams, t)
+    mine = orc.nested_exp_integral(lams, t)
     ref = quad_oracle(lams, t, n=6000)
     assert abs(mine - ref) < 1e-7
 
@@ -109,8 +109,7 @@ def int3_grid_errors(nu, t):
     the Opitz oracle at exact prefix sums, in units of T^3/6."""
     mp = pytest.importorskip("mpmath")
     nu = np.asarray(nu, dtype=float)
-    i2 = tg._int2_plus(nu[None, :, None], nu[None, None, :], t)
-    grid = tg._int3_grid(nu[None], i2, t)[0]
+    grid = tg._int3_grid(tg.SpectralGroups(nu[None], None, t))[0]
     general = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], t)
     refs = {}
     err_grid = np.empty(grid.shape)
@@ -130,11 +129,14 @@ def int3_grid_errors(nu, t):
 @st.composite
 def adjoint_spectra(draw):
     """Step length T and m=4 eigenvalues as adjoint spectra have them: an
-    exact zero, +/- pairs, repeats, and gaps straddling 1e-3."""
+    exact zero, +/- pairs, repeats, gaps straddling 1e-3, and a partner of
+    w whose sum with it is a phase below MERGE_KAPPA, as rounding leaves
+    the pairs of eigh.  Sums a+b+c and a+b come out exactly or nearly zero."""
     t = draw(st.floats(0.5, 2.0))
     w = draw(st.floats(0.05, 4.0))
     gap = draw(st.floats(2e-4, 5e-3))
-    pool = [0.0, w, -w, gap, -gap, w + gap]
+    near = -w - draw(st.floats(-0.9, 0.9)) * tg.MERGE_KAPPA
+    pool = [0.0, w, -w, gap, -gap, w + gap, near]
     rest = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))
     return t, np.array([0.0, *rest]) / t
 
@@ -149,6 +151,13 @@ GAP_ABOVE_1E3 = np.array([0.0, 0.0, 1.0155796176509306e-3, 2.8151671747907323])
 # clusters just above a 0.05 series width: both kernels were near
 # 2e-13 * T^3/6 there, and the grid the worse of the two
 @example((1.0, np.array([0.0, 0.0, 0.078125, 0.00390625])))
+# sums a+b+c at merge level, with a+b = 0 at merge level (the K table) and
+# not (the J table); exact zero sums, the all-zero entry, and K and J on
+# their series branch (|a| T < DEGEN_TOL)
+@example((1.0, np.array([0.0, 2.5753589512631057, -2.575358951263022, 0.7])))
+@example((0.8, np.array([0.0, 1.3, -1.3, 0.0]) / 0.8))
+@example((1.5, np.array([0.0, 0.0, 0.0, 0.0])))
+@example((1.0, np.array([0.0, 0.15, -0.15 - 0.9 * tg.MERGE_KAPPA, 1.1])))
 @settings(max_examples=10, deadline=None)
 def test_int3_grid_vs_mpmath(case):
     t, nu = case
@@ -156,6 +165,28 @@ def test_int3_grid_vs_mpmath(case):
     assert err_grid.max() <= 5e-10
     # no worse than the general kernel, up to a rounding-level floor
     assert err_grid.max() <= max(err_general.max(), 1e-13)
+
+
+def test_int3_grid_takes_zero_sums_from_the_confluent_tables(monkeypatch):
+    # every entry with a+b+c = 0, exact or at merge level, that is not a
+    # node cluster is read from I2 and the J and K tables, not `_int3_plus`
+    t = 1.0
+    nu = np.array([0.0, 1.3, -1.3 - 0.5 * tg.MERGE_KAPPA, 0.7, -0.7, 0.05])
+    fallback = []
+    real = tg._int3_plus
+
+    def counted(a, b, c, t):
+        fallback.extend(zip(a, b, c))
+        return real(a, b, c, t)
+
+    monkeypatch.setattr(tg, "_int3_plus", counted)
+    tg._int3_grid(tg.SpectralGroups(nu[None], None, t))
+    for a, b, c in fallback:
+        nodes = np.array([0.0, a, a + b, a + b + c])
+        assert abs(a + b + c) * t > tg.MERGE_KAPPA or np.ptp(nodes) * t < tg.DEGEN_TOL
+    # the permutations of (1.3, -1.3, 0) and (0.7, -0.7, 0), and (0, 0, 0)
+    zero_sums = sum(abs(a + b + c) * t <= tg.MERGE_KAPPA for a, b, c in itertools.product(nu, repeat=3))
+    assert zero_sums == 13
 
 
 @pytest.mark.parametrize("r", [2, 3])
