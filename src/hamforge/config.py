@@ -37,8 +37,10 @@ targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re:
     none: {strings}, nonzero, w an integer component id; s_target: num =
     none
 objectives[k] = []: kind: str in `objectives.KINDS`; weight: num > 0;
-    component: a component id = the first; the other parameters of a kind
-    are resolved when the pipeline is built
+    the parameters of the kind, references checked by
+    `objectives.check_references`: component: a component id = the first;
+    error: an errors[k].name; errors: two of them; space: "pert" or one of
+    them; order: 2|3; kind primary_unitary needs targets.u_target
 optimizer: q_v, q_a, T0 (t0), e_target: num; t_max, restarts: int;
     schedule: str; all with the defaults and checks of
     `optimizer.GSAConfig`; stages = [[t_max, T0]]: [int >= 1, num > 0]
@@ -80,6 +82,7 @@ from .objectives import (
     ObjectiveSpec,
     ObjectiveTerm,
     PertComponent,
+    check_references,
 )
 from .opcore import pauli_string_op, project
 from .optimizer import GSAConfig
@@ -234,12 +237,6 @@ def _known(name: str, where: str, distributions) -> str:
     if name not in distributions:
         raise ConfigError(f"{where} references unknown distribution {name!r}")
     return name
-
-
-def _component(w, where: str, pert: dict):
-    if w not in pert:
-        raise ConfigError(f"{where}: no H_pert term has component {w!r}")
-    return w
 
 
 def _strings_matrix(strings, n_qubits: int, path: str) -> np.ndarray:
@@ -398,7 +395,9 @@ def parse_config(raw: dict) -> ProblemConfig:
     for key, spec in _get(tgt, "h_target", "targets", dict, default={}).items():
         path = f"targets.h_target.{key}"
         with _at(f"{path}: the key is not an integer component id: "):
-            w = _component(int(key), path, pert)
+            w = int(key)
+        if w not in pert:
+            raise ConfigError(f"{path}: no H_pert term has component {w!r}")
         strings = _get(_check(spec, path, dict), "strings", path, list)
         h_target[w] = _strings_matrix(strings, n, f"{path}.strings")
         if not h_target[w].any():
@@ -410,11 +409,14 @@ def parse_config(raw: dict) -> ProblemConfig:
     for path, o in _entries(raw, "objectives", ""):
         kind, weight = _get(o, "kind", path, str), _get(o, "weight", path, float)
         params = {key: v for key, v in o.items() if key not in ("kind", "weight")}
-        if "component" in params:
-            w = _component(params["component"], f"{path}.component", pert)
-            params["component"] = list(pert).index(w)
         with _at(f"{path}: "):
-            objectives.append(ObjectiveTerm(kind, weight, params))
+            term = ObjectiveTerm(kind, weight, params)
+        with _at(f"{path}."):
+            check_references(term, pert, [e["name"] for e in errors], u_target is not None)
+        if "component" in params:
+            w = list(pert).index(params["component"])
+            term = replace(term, params={**params, "component": w})
+        objectives.append(term)
 
     opt = _get(raw, "optimizer", "", dict, default={})
     given = [key for key in _GSA_KEYS if opt.get(key) is not None]
@@ -571,7 +573,7 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
     err_space = error_subspace(cfg, g, reuse=list(subspaces.values())) if cfg.errors else None
     err_channels = [ErrorChannel(e["name"], e["kind"], e["param"], err_space) for e in cfg.errors]
     spec = ObjectiveSpec(cfg.objectives, target_unitary=cfg.u_target)
-    # the objectives resolve their references here; a bad one names its objectives[k]
+    # a config changed after parsing meets the pipeline's own checks
     try:
         return CostPipeline(
             cfg.n_qubits,
@@ -636,11 +638,12 @@ def sequence_to_dict(seq: ControlSequence) -> dict:
     }
 
 
-def sequence_from_dict(d: dict) -> ControlSequence:
+def sequence_from_dict(d: dict, problem=None) -> ControlSequence:
     """Read and check a sequence file: dt: num, > 0 (s); channels[k]: the
     keys of control.channels[k] plus values: list of num in [-1, 1], of
-    one length across channels.  A bad key raises ConfigError with its key
-    path under `sequence`."""
+    one length across channels; the channels are those of the problem
+    file, when its `problem` channels are given.  A bad key raises
+    ConfigError with its key path under `sequence`."""
     d = _check(d, "sequence", dict)
     dt = _get(d, "dt", "sequence", float, 0.0)
     channels, values = [], []
@@ -650,7 +653,17 @@ def sequence_from_dict(d: dict) -> ControlSequence:
         if len(values[-1]) != len(values[0]):
             raise ConfigError(f"{path}.values has {len(values[-1])} entries, not {len(values[0])}")
     with _at("sequence.channels: "):
-        return ControlSequence(np.asarray(values, dtype=float), dt, tuple(channels))
+        seq = ControlSequence(np.asarray(values, dtype=float), dt, tuple(channels))
+    problem = channels if problem is None else problem
+    if len(channels) != len(problem):
+        raise ConfigError(f"sequence.channels: {len(channels)} channels,"
+                          f" not {len(problem)} as in control.channels")
+    for k, (ch, want) in enumerate(zip(channels, problem)):
+        for key in ("name", "qubits", "role", "scale"):
+            if getattr(ch, key) != getattr(want, key):
+                raise ConfigError(f"sequence.channels[{k}].{key} is {getattr(ch, key)!r},"
+                                  f" not {getattr(want, key)!r} as in control.channels[{k}]")
+    return seq
 
 
 def write_sequence(seq: ControlSequence, path: str) -> None:
@@ -658,7 +671,7 @@ def write_sequence(seq: ControlSequence, path: str) -> None:
         json.dump(sequence_to_dict(seq), f, indent=1)
 
 
-def read_sequence(path: str) -> ControlSequence:
+def read_sequence(path: str, problem=None) -> ControlSequence:
     with open(path) as f, _at("sequence is not valid JSON: "):
         raw = json.load(f)
-    return sequence_from_dict(raw)
+    return sequence_from_dict(raw, problem)

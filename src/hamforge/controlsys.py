@@ -52,22 +52,6 @@ from scipy.linalg import expm as _expm
 
 _log = logging.getLogger("hamforge")
 
-__all__ = [
-    "Channel",
-    "ControlSequence",
-    "DiscretizedField",
-    "LinearKernelParams",
-    "CircuitParams",
-    "IdealModel",
-    "LinearKernelModel",
-    "CircuitModel",
-    "UnknownParameter",
-    "drive_groups",
-    "field_axes",
-    "jet_key",
-    "axis_operators",
-]
-
 
 @dataclass(frozen=True)
 class Channel:

@@ -17,23 +17,6 @@ import numpy as np
 from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes
 from .opcore import _PAULI, einsum
 
-__all__ = [
-    "ParameterDistribution",
-    "Superoperator",
-    "LandscapeGrid",
-    "EvaluationSetup",
-    "pauli_basis_stack",
-    "ptm",
-    "exact_unitaries",
-    "simulate_total_unitary",
-    "overlap_fidelity",
-    "orthogonality",
-    "apply_depolarizing",
-    "landscape",
-    "stroboscopic_evolve",
-    "evaluation_report",
-]
-
 
 @dataclass(frozen=True)
 class ParameterDistribution:

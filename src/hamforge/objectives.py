@@ -10,7 +10,9 @@ subspace C_w, a request ("err", names) the first (one name) or second
 (two names) derivative of H along error channels in the error subspace,
 each to the highest order read: c0 (order 1), c1 (2) or c2 (3).  A cross
 tensor c_ij = int_0^T dt1 int_0^t1 dt2 a_i(t1) b_j(t2) pairs two
-requests, the first at the later time.
+requests, the first at the later time.  Per request the step tables are
+contracted with the spectral components rotated into the lab frame, with
+no per-step tensors (see "Composition" in `toggling`).
 
 Kinds, the tensors they read and their normalization, with T the sequence
 duration, s_w = ||H_target^w>>|| (||H_pert^w>>|| without a target) and
@@ -188,16 +190,14 @@ class ResolvedTerm:
 
 
 # One resolver per kind: (pipeline, params) -> (label, cost, reads, consts,
-# divisor).  A ValueError names the parameter that refers to nothing.
+# divisor), on params that `check_references` has passed.
 
 def _primary_unitary(pipe, p):
-    if pipe.target_unitary is None:
-        raise ValueError("primary_unitary needs a target unitary (targets.u_target)")
     return "primary_unitary", primary_unitary_cost, (UNITARY,), (pipe.target_unitary,), 1.0
 
 
 def _zeroth_order_target(pipe, p):
-    w = pipe._component(p)
+    w = p.get("component", 0)
     tgt = pipe.components[w].target_vec
     tgt = np.zeros(pipe.comp_seed[w].size) if tgt is None else tgt
     reads = (("pert", w, 1),)
@@ -205,13 +205,13 @@ def _zeroth_order_target(pipe, p):
 
 
 def _robustness_first(pipe, p):
-    name = pipe._error(p["error"])
+    name = p["error"]
     reads, scale = (("err", (name,), 1),), pipe.t_seq * pipe.err_scale
     return f"robustness_first[{name}]", robustness_first_cost, reads, (), scale
 
 
 def _robustness_second(pipe, p):
-    j1, j2 = pipe._error_pair(p)
+    j1, j2 = p["errors"]
     label = f"robustness_second[{j1},{j2}]"
     if pipe._jet(j1, j2) is None:
         return label, _zero, (), (), 1.0
@@ -220,7 +220,7 @@ def _robustness_second(pipe, p):
 
 
 def _robustness_cross_pair(pipe, p):
-    j1, j2 = pipe._error_pair(p)
+    j1, j2 = p["errors"]
     a, b = ("err", (j1,)), ("err", (j2,))
     # symmetrized over index order and, for distinct channels, channel order
     reads = (("err", (j1,), 2),) if j1 == j2 else (("cross", a, b), ("cross", b, a))
@@ -229,27 +229,41 @@ def _robustness_cross_pair(pipe, p):
 
 
 def _higher_order_r(pipe, p):
-    r = p["order"]
-    if r not in (2, 3):
-        raise ValueError(f"order must be 2 or 3, got {r!r}")
-    r = int(r)
-    space = p.get("space", "pert")
+    r, space = int(p["order"]), p.get("space", "pert")
     if space == "pert":
-        w = pipe._component(p)
+        w = p.get("component", 0)
         key, label, scale = ("pert", w), f"higher_order[{w},r={r}]", pipe.comp_scale[w]
     else:
-        key, label = ("err", (pipe._error(space),)), f"higher_order[{space},r={r}]"
+        key, label = ("err", (space,)), f"higher_order[{space},r={r}]"
         scale = pipe.err_scale
     return label, higher_order_cost, ((*key, r),), (), (scale * pipe.t_seq) ** r
 
 
 def _effective_robustness(pipe, p):
-    w, name = pipe._component(p), pipe._error(p["error"])
+    w, name = p.get("component", 0), p["error"]
     se, sp = pipe.err_stacks[name], pipe.comp_stacks[w]
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     reads = (("cross", ("pert", w), ("err", (name,))),)
     scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
     return f"effective_robustness[{w},{name}]", effective_robustness_cost, reads, (table,), scale
+
+
+def check_references(term: ObjectiveTerm, components, errors, target: bool) -> None:
+    """Check what the parameters of `term` refer to: component is one of
+    `components`, error one of `errors`, errors two of them, space 'pert'
+    or one of them, order 2 or 3, and primary_unitary has a target unitary.
+    A ValueError starts with the key."""
+    p, errors = term.params, list(errors)
+    pools = {"component": list(components), "error": errors, "errors": errors,
+             "space": ["pert", *errors], "order": [2, 3]}
+    if term.kind == "primary_unitary" and not target:
+        raise ValueError("kind: primary_unitary needs a target unitary (targets.u_target)")
+    if "errors" in p and not (isinstance(p["errors"], (list, tuple)) and len(p["errors"]) == 2):
+        raise ValueError(f"errors must name two error channels, got {p['errors']!r}")
+    for key, value in p.items():
+        for v in value if key == "errors" else [value]:
+            if key in pools and v not in pools[key]:
+                raise ValueError(f"{key}: {v!r} is not one of {pools[key]}")
 
 
 # kind -> (required parameters, resolver)
@@ -328,11 +342,13 @@ class CostPipeline:
         self.crosses: list = []    # (later, earlier) request pairs
         self.unitary = False
         self.terms: list[ResolvedTerm] = []
+        target = self.target_unitary is not None
         for k, term in enumerate(spec.terms):
             try:
-                label, cost, reads, consts, divisor = KINDS[term.kind][1](self, term.params)
+                check_references(term, range(len(components)), self.errors, target)
             except ValueError as exc:
-                raise ValueError(f"objectives[{k}]: {exc}") from exc
+                raise ValueError(f"objectives[{k}].{exc}") from exc
+            label, cost, reads, consts, divisor = KINDS[term.kind][1](self, term.params)
             self.terms.append(ResolvedTerm(label, term.weight, cost, reads, consts, divisor))
             for address in reads:
                 self._read(address)
@@ -343,23 +359,6 @@ class CostPipeline:
         self.jets = tuple(sorted(jets, key=str))
 
     # -- build-time resolution -----------------------------------------------
-
-    def _component(self, p: dict) -> int:
-        w = p.get("component", 0)
-        if not (isinstance(w, int) and 0 <= w < len(self.components)):
-            raise ValueError(f"no perturbation component {w!r} ({len(self.components)} defined)")
-        return w
-
-    def _error(self, name) -> str:
-        if name not in self.errors:
-            raise ValueError(f"unknown error channel {name!r}")
-        return name
-
-    def _error_pair(self, p: dict) -> tuple[str, str]:
-        pair = p["errors"]
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"errors must name two error channels, got {pair!r}")
-        return self._error(pair[0]), self._error(pair[1])
 
     def _jet(self, *names: str):
         """Field-derivative key of the named error channels, or None when all
@@ -428,15 +427,16 @@ class CostPipeline:
                 eig[id(stack)] = nu, vecs, tg.spectral_groups(nu, dt), e_prev
             nu, vecs, groups, e_prev = eig[id(stack)]
             y = np.einsum("qba,qb->qa", vecs.conj(), seeds)
-            c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
-            steps[key] = vecs, y, groups, c0, e_prev
-            for r, c in enumerate(tg.compose_batch(e_prev, c0, c1, c2)[:order], 1):
+            a, *tables = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
+            lab = any(key in pair for pair in self.crosses)
+            b, a0, totals = tg.compose_batch(e_prev, a, *tables, lab=lab)
+            steps[key] = groups, b, a0
+            for r, c in enumerate(totals[:order], 1):
                 got[(*key, r)] = c
         for later, earlier in self.crosses:
-            v_a, y_a, g_a, c0_a, ep_a = steps[later]
-            v_b, y_b, g_b, c0_b, ep_b = steps[earlier]
-            cross = tg.batch_step_cross(v_a, y_a, g_a, v_b, y_b, g_b, dt)
-            got[("cross", later, earlier)] = tg.compose_cross_batch(cross, c0_a, c0_b, ep_a, ep_b)
+            (g_p, b_p, a0_p), (g_e, b_e, a0_e) = steps[later], steps[earlier]
+            i2x = tg.batch_step_cross(g_p, g_e)
+            got[("cross", later, earlier)] = tg.compose_cross_batch(i2x, b_p, a0_p, b_e, a0_e)
         if self.unitary:
             got[UNITARY] = tg.ordered_product(tg.expm_batch(h_pri, dt))
 

@@ -22,17 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "GSAConfig",
-    "OptimizationResult",
-    "tsallis_rng",
-    "gsa_temperature",
-    "gsa_accept",
-    "legalize",
-    "gsa_minimize",
-    "parallel_restarts",
-]
-
 TRACE_EVERY = 500   # iterations between trace rows
 
 

@@ -53,6 +53,19 @@ which conjugates the basis by U_q, is `toggle_matrices` in
 `tests/_oracles.py`.  `prefix_products` chains ordered step products in
 log depth, and `ordered_product` forms only the last of them.
 
+Composition.  The chain rule toggles step q by the real orthogonal
+E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  `compose_batch` takes a0_q =
+E_prev[q] Re A_q I1, and where a higher order or a cross reads them it
+rotates the components into the lab frame once, B_q = E_prev[q] A_q, and
+contracts B with the step tables: a1_q = Re B_q I2 B_q^T per step, which
+the cross-step prefix sums read, and only the sum over q of a2_q =
+Re sum_ghl B_ig B_jh B_kl I3_ghl: I3 B^T, then B times that (Q, u, m, m),
+then one real (m, 2Qu) x (2Qu, m^2) product of [Re B, -Im B] with its
+real and imaginary parts.  At r = 3 that is Q u^3 m + Q u^2 m^2 +
+2 Q u m^3 multiply-adds and no per-step c1 or c2, where the per-step c2
+and its rotation built two Q m^3 tensors.  A cross adds sum_q Re B_p
+I2(w_p, w_e) B_e^T to its prefix term.
+
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than DEGEN_TOL
@@ -109,10 +122,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
-
-from .opcore import einsum
 
 DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
@@ -122,13 +134,6 @@ MERGE_KAPPA = 1e-13       # adjoint eigenvalues closer than this phase gap (* dt
 
 # ---------------------------------------------------------------------------
 # divided differences of exp(x*T) at nodes x = i*w (w real)
-
-def _factorial(k: int) -> float:
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
 
 def _sinc(x):
     return np.sinc(np.asarray(x) / np.pi)
@@ -160,8 +165,8 @@ def _dd_taylor(w, t, drop):
     wbar = np.mean(w, axis=-1)
     ys = [(w[..., k] - wbar) * t for k in range(w.shape[-1])]
     h = _h_complete(ys, SERIES_TERMS - 1)
-    re = sum((-1) ** (k // 2) / _factorial(k + drop) * h[k] for k in range(0, SERIES_TERMS, 2))
-    im = sum((-1) ** (k // 2) / _factorial(k + drop) * h[k] for k in range(1, SERIES_TERMS, 2))
+    re = sum((-1) ** (k // 2) / factorial(k + drop) * h[k] for k in range(0, SERIES_TERMS, 2))
+    im = sum((-1) ** (k // 2) / factorial(k + drop) * h[k] for k in range(1, SERIES_TERMS, 2))
     return t ** drop * np.exp(1j * wbar * t) * (re + 1j * im)
 
 
@@ -229,7 +234,7 @@ def _confluent(w, i1, t):
     else K by the Taylor series of exp and J = T^2/2 + i a K."""
     small = np.abs(w) * t < DEGEN_TOL
     x = 1j * np.where(small, w, 0.0) * t
-    k = t ** 3 * sum(x ** n / _factorial(n + 3) for n in range(SERIES_TERMS))
+    k = t ** 3 * sum(x ** n / factorial(n + 3) for n in range(SERIES_TERMS))
     ia = 1j * np.where(small, 1.0, w)
     j = np.where(small, t * t / 2 + 1j * w * k, (i1 - t) / ia)
     return j, np.where(small, k, (j - t * t / 2) / ia)
@@ -377,33 +382,27 @@ def _components(v, y, groups):
 
 
 def batch_step_cints(nu, v, y, dt, r_max, groups=None):
-    """Per-step tensors for all Q steps at once.
+    """Spectral components and step tables of all Q steps at once.
 
     nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed;
     groups is `spectral_groups(nu, dt)`, formed here when not given, and
-    carries the step tables.  Returns c0 (Q,m) [, c1 (Q,m,m) [, c2
-    (Q,m,m,m)]] real.
+    carries the tables.  Returns A (Q,m,u) complex and the tables that the
+    orders up to r_max read: I1 (Q,u) [, I2 (Q,u,u) [, I3 (Q,u,u,u)]],
+    None above r_max; `compose_batch` contracts them.
     """
     if groups is None:
         groups = spectral_groups(nu, dt)
-    a = _components(v, y, groups)
-    c0 = _real(np.einsum("qag,qg->qa", a, groups.i1))
-    c1 = c2 = None
-    if r_max >= 2:
-        c1 = _real(a @ groups.i2 @ np.swapaxes(a, -1, -2))
-    if r_max >= 3:
-        c2 = _real(einsum("qig,qjh,qkl,qghl->qijk", a, a, a, _int3_grid(groups)))
-    return c0, c1, c2
+    i2 = groups.i2 if r_max >= 2 else None
+    i3 = _int3_grid(groups) if r_max >= 3 else None
+    return _components(v, y, groups), groups.i1, i2, i3
 
 
-def batch_step_cross(v_p, y_p, groups_p, v_e, y_e, groups_e, dt):
-    """Per-step cross tensors (Q, mp, me); slot order (later, earlier).
-    Each slot takes the eigenvectors, rotated seed and `spectral_groups`
-    of its subspace; two slots on one subspace share its I2 table."""
-    same = groups_p is groups_e
-    i2 = groups_p.i2 if same else _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], dt)
-    a_p, a_e = _components(v_p, y_p, groups_p), _components(v_e, y_e, groups_e)
-    return _real(a_p @ i2 @ np.swapaxes(a_e, -1, -2))
+def batch_step_cross(groups_p, groups_e):
+    """The cross table I2(w_p, w_e) (Q, up, ue) of two slots, (later,
+    earlier); two slots on one subspace share its I2 table."""
+    if groups_p is groups_e:
+        return groups_p.i2
+    return _int2_plus(groups_p.w[:, :, None], groups_e.w[:, None, :], groups_p.dt)
 
 
 def eigen_toggles(nu: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -420,38 +419,53 @@ def prefix_toggles(dq: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_batch(e_prev, c0, c1=None, c2=None):
-    """Vectorized chain rule; `compose_raw` in `tests/_oracles.py` is the
-    sequential fold it replaces."""
-    a0 = np.einsum("qij,qj->qi", e_prev, c0)
+def _re_sum(b, t):
+    """Re sum_{q,g} B[q, :, g] T[q, g, ...]: one real product of
+    [Re B, -Im B] (m, 2Qu) with [Re T; Im T] (2Qu, ...)."""
+    q, m, u = b.shape
+    bt = np.swapaxes(b, 0, 1).reshape(m, q * u)
+    tt = t.reshape(q * u, -1)
+    out = np.concatenate([bt.real, -bt.imag], axis=1) @ np.concatenate([tt.real, tt.imag])
+    return out.reshape(m, *t.shape[2:])
+
+
+def compose_batch(e_prev, a, i1, i2=None, i3=None, lab=False):
+    """Vectorized chain rule in the lab frame (see the module docstring);
+    `compose_raw` in `tests/_oracles.py` is the sequential fold it replaces.
+
+    Takes the output of `batch_step_cints` and returns (B, a0, (tot0,
+    tot1, tot2)): B = E_prev A (Q,m,u), formed when I2 is given or `lab`
+    asks for it (a cross reads it), else None; the toggled a0 (Q,m); and
+    the composed tensors, None above the order of the tables.
+    """
+    # a0 the same way with or without B, so that it has the same bits
+    a0 = np.einsum("qij,qj->qi", e_prev, _real(np.einsum("qag,qg->qa", a, i1)))
     tot0 = a0.sum(axis=0)
-    if c1 is None:
-        return tot0, None, None
-    a1 = np.einsum("qia,qaj->qij", e_prev, np.einsum("qab,qjb->qaj", c1, e_prev))
+    if i2 is None and not lab:
+        return None, a0, (tot0, None, None)
+    # E_prev is real: one real product on the interleaved parts of A
+    b = (e_prev @ np.ascontiguousarray(a).view(float)).view(complex)
+    if i2 is None:
+        return b, a0, (tot0, None, None)
+    q, m, u = b.shape
+    bt = np.swapaxes(b, -1, -2)
+    a1 = _real(b @ i2 @ bt)
     s0_prev = np.cumsum(a0, axis=0) - a0
-    tot1 = a1.sum(axis=0) + np.einsum("qi,qj->ij", a0, s0_prev)
-    if c2 is None:
-        return tot0, tot1, None
-    a2 = einsum("qia,qjb,qkc,qabc->qijk", e_prev, e_prev, e_prev, c2)
-    s1_prev = np.cumsum(a1, axis=0) - a1
-    pairs = np.einsum("qi,qj->qij", a0, s0_prev)
-    p2_prev = np.cumsum(pairs, axis=0) - pairs
-    tot2 = (
-        a2.sum(axis=0)
-        + np.einsum("qi,qjk->ijk", a0, s1_prev)
-        + np.einsum("qij,qk->ijk", a1, s0_prev)
-        + np.einsum("qi,qjk->ijk", a0, p2_prev)
-    )
-    return tot0, tot1, tot2
+    # step q's share of tot1; its prefix is s1 + p2 of the sequential fold
+    t1 = a1 + a0[:, :, None] * s0_prev[:, None, :]
+    tot1 = t1.sum(axis=0)
+    if i3 is None:
+        return b, a0, (tot0, tot1, None)
+    t2 = b[:, None] @ (i3.reshape(q, u * u, u) @ bt).reshape(q, u, u, m)
+    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, m * m)
+    prefix = a0.T @ s1_prev + (a1.reshape(q, m * m).T @ s0_prev).reshape(m, m * m)
+    tot2 = _re_sum(b, t2) + prefix.reshape(m, m, m)
+    return b, a0, (tot0, tot1, tot2)
 
 
-def compose_cross_batch(cross_steps, c0p, c0e, e_prev_p, e_prev_e):
-    """Vectorized cross chain rule (perturbation slot at the later time)."""
-    a0p = np.einsum("qij,qj->qi", e_prev_p, c0p)
-    a0e = np.einsum("qij,qj->qi", e_prev_e, c0e)
-    across = np.einsum(
-        "qia,qaj->qij", e_prev_p, np.einsum("qab,qjb->qaj", cross_steps, e_prev_e)
-    )
-    s0e_prev = np.cumsum(a0e, axis=0) - a0e
-    return across.sum(axis=0) + np.einsum("qi,qj->ij", a0p, s0e_prev)
-
+def compose_cross_batch(i2x, b_p, a0_p, b_e, a0_e):
+    """Vectorized cross chain rule (perturbation slot at the later time):
+    sum_q Re(B_p I2x B_e^T) + sum_q a0p_q (x) s0e_q, with s0e_q the sum of
+    the earlier slot's a0 before step q."""
+    s0e_prev = np.cumsum(a0_e, axis=0) - a0_e
+    return _re_sum(b_p, i2x @ np.swapaxes(b_e, -1, -2)) + a0_p.T @ s0e_prev

@@ -309,11 +309,11 @@ def _fail_if_called(*args, **kwargs):
 
 @pytest.mark.parametrize("bad, path, detail", [
     ({"kind": "zeroth_order_target", "component": 2}, "objectives[4].component", "2"),
-    ({"kind": "robustness_first", "error": "nope"}, "objectives[4]", "'nope'"),
-    ({"kind": "effective_robustness", "error": "nope"}, "objectives[4]", "'nope'"),
-    ({"kind": "higher_order_r", "order": 2, "space": "nope"}, "objectives[4]", "'nope'"),
-    ({"kind": "higher_order_r", "order": 4}, "objectives[4]", "4"),
-    (None, "objectives[0]", "u_target"),
+    ({"kind": "robustness_first", "error": "nope"}, "objectives[4].error", "'nope'"),
+    ({"kind": "effective_robustness", "error": "nope"}, "objectives[4].error", "'nope'"),
+    ({"kind": "higher_order_r", "order": 2, "space": "nope"}, "objectives[4].space", "'nope'"),
+    ({"kind": "higher_order_r", "order": 4}, "objectives[4].order", "4"),
+    (None, "objectives[0].kind", "u_target"),
 ], ids=["unknown-component", "first-unknown-error", "effective-unknown-error",
         "unknown-space", "order-4", "primary-without-target"])
 def test_cli_optimize_rejects_an_objective_that_refers_to_nothing(
@@ -371,6 +371,10 @@ def _model(model, **section):
 
 def _h_target(targets):
     return lambda c: c["targets"].update(h_target=targets)
+
+
+def _objective(**term):
+    return lambda c: c["objectives"].append(dict(term, weight=1))
 
 
 _BAD_PAULI = {"strings": [{"pauli": [[1, "q"]]}]}
@@ -469,14 +473,23 @@ _BAD_KEYS = {
                       "targets.h_target.1: H_target^1 is zero"),
     # objectives and optimizer
     "objective-component": (lambda c: c["objectives"][1].update(component=2),
-                            "objectives[1].component: no H_pert term has component 2"),
+                            "objectives[1].component: 2 is not one of [1]"),
     "objective-weight-not-a-number": (lambda c: c["objectives"][0].update(weight="heavy"),
                                       "objectives[0].weight must be a finite number, got 'heavy'"),
     "objective-kind": (lambda c: c["objectives"][0].update(kind="nope"),
                        "objectives[0]: unknown objective kind 'nope'"),
-    "objective-unknown-error": (
-        lambda c: c["objectives"].append({"kind": "robustness_first", "weight": 1, "error": "nope"}),
-        "objectives[4]: unknown error channel 'nope'"),
+    "objective-unknown-error": (_objective(kind="robustness_first", error="nope"),
+                                "objectives[4].error: 'nope' is not one of ['eps']"),
+    "objective-errors-unknown": (_objective(kind="robustness_second", errors=["eps", "nope"]),
+                                 "objectives[4].errors: 'nope' is not one of ['eps']"),
+    "objective-errors-not-a-pair": (_objective(kind="robustness_cross_pair", errors="eps"),
+                                    "objectives[4].errors must name two error channels, got 'eps'"),
+    "objective-unknown-space": (_objective(kind="higher_order_r", order=2, space="nope"),
+                                "objectives[4].space: 'nope' is not one of ['pert', 'eps']"),
+    "objective-order": (_objective(kind="higher_order_r", order=4),
+                        "objectives[4].order: 4 is not one of [2, 3]"),
+    "objective-without-target": (_set("targets", "u_target", None),
+                                 "objectives[0].kind: primary_unitary needs a target unitary"),
     "optimizer-q-v": (_set("optimizer", "q_v", 3.5), "optimizer: q_v must lie in (1, 3)"),
     "stage-t-max-below-1": (_set("optimizer", "stages", [[0, 2.0]]),
                             "optimizer.stages[0][0] must be an integer >= 1, got 0"),
@@ -528,7 +541,9 @@ def test_cli_optimize_rejects_a_bad_problem_key_by_its_path(tmp_path, capsys, mo
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["h-target-bad-pauli", "initial-state-unknown", "sampler-unknown"])
+@pytest.mark.parametrize("case", ["h-target-bad-pauli", "initial-state-unknown", "sampler-unknown",
+                                  "objective-unknown-error", "objective-unknown-space",
+                                  "objective-order", "objective-without-target"])
 @pytest.mark.parametrize("command", ["algebra", "subspace", "scale", "optimize", "evaluate",
                                      "landscape", "simulate"])
 def test_every_command_checks_the_whole_file_at_load(tmp_path, capsys, command, case):
@@ -701,6 +716,15 @@ _BAD_SEQUENCES = {
                        "sequence.channels[1].values has 5 entries, not 6"),
     "values-out-of-range": (_seq_channel("values", [2.0] * 6),
                             "sequence.channels: control values must lie in [-1, 1]"),
+    # the channels of the problem file, key by key
+    "qubits-not-the-problems": (_seq_channel("qubits", [3]),
+                                "sequence.channels[0].qubits is (3,), not (1,) as in control.channels[0]"),
+    "role-not-the-problems": (_seq_channel("role", "x"),
+                              "sequence.channels[0].role is 'x', not 'amp' as in control.channels[0]"),
+    "name-not-the-problems": (_seq_channel("name", "drive"),
+                              "sequence.channels[0].name is 'drive', not 'amp' as in control.channels[0]"),
+    "phase-channel-dropped": (lambda s: s["channels"].pop(1),
+                              "sequence.channels: 1 channels, not 2 as in control.channels"),
 }
 
 

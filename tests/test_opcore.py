@@ -204,13 +204,8 @@ def test_basis_rejects_nonorthonormal(paulis1):
     CSubspace(paulis1["x"][None] / np.sqrt(2))
 
 
-# the contractions of toggling (c2 at the 1- and 2-qubit benchmark sizes)
-# and of evaluate.ptm (one unitary and a Monte-Carlo stack, 2 qubits)
+# the contractions of evaluate.ptm (one unitary and a Monte-Carlo stack, 2 qubits)
 _CONTRACTIONS = [
-    ("qig,qjh,qkl,qghl->qijk", [(35, 3, 3)] * 3 + [(35, 3, 3, 3)]),
-    ("qig,qjh,qkl,qghl->qijk", [(40, 15, 9)] * 3 + [(40, 9, 9, 9)]),
-    ("qia,qjb,qkc,qabc->qijk", [(35, 3, 3)] * 3 + [(35, 3, 3, 3)]),
-    ("qia,qjb,qkc,qabc->qijk", [(40, 15, 15)] * 3 + [(40, 15, 15, 15)]),
     ("...ij,bjk,...lk->...bil", [(4, 4), (16, 4, 4), (4, 4)]),
     ("...ij,bjk,...lk->...bil", [(50, 4, 4), (16, 4, 4), (50, 4, 4)]),
     ("ail,...bli->...ab", [(16, 4, 4), (50, 16, 4, 4)]),

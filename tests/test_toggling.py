@@ -393,12 +393,39 @@ def _eigen(h, stack, seeds):
     return nu, v, np.einsum("qba,qb->qa", v.conj(), seeds.astype(complex))
 
 
+def _alone(q, *arrays):
+    """Step q of each stack, as a stack of one step."""
+    return [x[q : q + 1] for x in arrays]
+
+
 def _assert_cints_match_ungrouped(nu, v, y, dt):
-    got = tg.batch_step_cints(nu, v, y, dt, 3)
+    # a step composed alone (E_prev = I) gives its own c0, c1 and c2
+    a, *tables = tg.batch_step_cints(nu, v, y, dt, 3)
+    eye = np.eye(nu.shape[1])[None]
     for q in range(len(nu)):
+        got = tg.compose_batch(eye, *_alone(q, a, *tables))[2]
         want = orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3)
         for r, (g, w) in enumerate(zip(got, want), start=1):
-            assert np.abs(g[q] - w).max() <= 1e-12 * dt ** r / math.factorial(r)
+            assert np.abs(g - w).max() <= 1e-12 * dt ** r / math.factorial(r)
+
+
+def _assert_composed_match_oracle(nu, v, y, dt):
+    """Whole-sequence tensors against the sequential fold of the ungrouped
+    per-step tensors, at each order and with the lab frame on and off."""
+    dq = tg.eigen_toggles(nu, v, dt)
+    e_prev = tg.prefix_toggles(dq)
+    steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(nu))]
+    t = len(nu) * dt
+    for r_max in (1, 2, 3):
+        want = orc.compose_raw(steps, dq, r_max)
+        a, *tables = tg.batch_step_cints(nu, v, y, dt, r_max)
+        for lab in (False, True):
+            b, a0, got = tg.compose_batch(e_prev, a, *tables, lab=lab)
+            assert (b is None) == (r_max == 1 and not lab)
+            for r, (g, w) in enumerate(zip(got, want), start=1):
+                assert (g is None) == (r > r_max)
+                if g is not None:
+                    assert np.abs(g - w).max() <= 1e-12 * t ** r / math.factorial(r)
 
 
 @given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
@@ -413,16 +440,36 @@ def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
     rng = np.random.default_rng(seed)
     nu, v, y = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
     _assert_cints_match_ungrouped(nu, v, y, dt)
-    # cross tensors: a second seed on the same steps at the earlier slot
+    _assert_composed_match_oracle(nu, v, y, dt)
+    # cross tensors: a second seed on the same steps at the earlier slot,
+    # through the shared I2 table of one subspace and the rectangular one
     nu_e, v_e, y_e = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
-    got = tg.batch_step_cross(
-        v, y, tg.spectral_groups(nu, dt), v_e, y_e, tg.spectral_groups(nu_e, dt), dt
+    groups, groups_e = tg.spectral_groups(nu, dt), tg.spectral_groups(nu_e, dt)
+    dq, dq_e = tg.eigen_toggles(nu, v, dt), tg.eigen_toggles(nu_e, v_e, dt)
+    raw = [orc.StepEigen(*s) for s in zip(nu, v, y)]
+    raw_e = [orc.StepEigen(*s) for s in zip(nu_e, v_e, y_e)]
+    step_cross = [orc.step_cross_raw(p, e, dt) for p, e in zip(raw, raw_e)]
+    want = orc.compose_cross_raw(
+        step_cross, [orc.step_cints_raw(p, dt, 1)[0] for p in raw],
+        [orc.step_cints_raw(e, dt, 1)[0] for e in raw_e], dq, dq_e,
     )
-    for q in range(len(h)):
-        want = orc.step_cross_raw(
-            orc.StepEigen(nu[q], v[q], y[q]), orc.StepEigen(nu_e[q], v_e[q], y_e[q]), dt
-        )
-        assert np.abs(got[q] - want).max() <= 1e-12 * dt ** 2 / 2
+    a = tg.batch_step_cints(nu, v, y, dt, 1, groups)[0]
+    a_e = tg.batch_step_cints(nu_e, v_e, y_e, dt, 1, groups_e)[0]
+    eye = np.eye(len(stack))[None]
+    for g_e in (groups, groups_e):
+        i2x = tg.batch_step_cross(groups, g_e)
+        sides = [
+            tg.compose_batch(e, x, g.i1, lab=True)[:2]
+            for e, x, g in ((tg.prefix_toggles(dq), a, groups), (tg.prefix_toggles(dq_e), a_e, g_e))
+        ]
+        got = tg.compose_cross_batch(i2x, *sides[0], *sides[1])
+        assert np.abs(got - want).max() <= 1e-12 * (len(h) * dt) ** 2 / 2
+        # each step alone gives its own cross tensor
+        for q in range(len(h)):
+            alone = [tg.compose_batch(eye, x, i1, lab=True)[:2]
+                     for x, i1 in (_alone(q, a, groups.i1), _alone(q, a_e, g_e.i1))]
+            got = tg.compose_cross_batch(i2x[q : q + 1], *alone[0], *alone[1])
+            assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
 
 
 def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
@@ -557,13 +604,14 @@ def test_batch_matches_raw_paths():
     madj = tg.adjoint_matrix_batch(hmat, stack)
     nu, vecs = np.linalg.eigh(madj)
     y = np.einsum("qba,b->qa", vecs.conj(), seed)
-    c0, c1, c2 = tg.batch_step_cints(nu, vecs, y, dt, 3)
+    a, *tables = tg.batch_step_cints(nu, vecs, y, dt, 3)
     steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 4, dt)
     prop = orc.propagate_primary(steps)
     dq = orc.toggle_matrices(prop.step_unitaries, stack)
     e_prev = tg.prefix_toggles(dq)
-    t0b, t1b, t2b = tg.compose_batch(e_prev, c0, c1, c2)
-    tensors = [(c0[q], c1[q], c2[q]) for q in range(4)]
+    t0b, t1b, t2b = tg.compose_batch(e_prev, a, *tables)[2]
+    # the same per-step tensors into the sequential fold: each step composed alone
+    tensors = [tg.compose_batch(np.eye(3)[None], *_alone(q, a, *tables))[2] for q in range(4)]
     t0r, t1r, t2r = orc.compose_raw(tensors, dq, 3)
     assert np.abs(t0b - t0r).max() < 1e-12
     assert np.abs(t1b - t1r).max() < 1e-12
