@@ -7,8 +7,8 @@ the whole file before any work starts, so a bad key exits 2 with its key
 path from every command alike, the references inside objective terms
 included.  The commands read only the typed values of the `ProblemConfig`
 it returns.  The sequence file of evaluate / landscape / simulate is
-checked the same way by `config.read_sequence`, channels against the
-problem's.
+checked the same way by `config.read_sequence`, channels, dt and
+interval count against the problem's.
 
 Exit codes: 0 success, 2 validation error (a bad file key, --seed,
 --threads or HAMFORGE_THREADS), 3 infeasible target, 4 optimizer budget
@@ -227,7 +227,7 @@ def _setup_and_target(cfg):
 
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
-    seq = cfgmod.read_sequence(args.sequence, cfg.channels)
+    seq = cfgmod.read_sequence(args.sequence, cfg)
     setup, u0 = _setup_and_target(cfg)
     report = ev.evaluation_report(seq, setup, u0, cfg.n_mc, cfg.seed, t_dep=cfg.t_dep)
     _emit(args, "evaluate.json", report)
@@ -236,7 +236,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_landscape(args) -> int:
     cfg = _load(args)
-    seq = cfgmod.read_sequence(args.sequence, cfg.channels)
+    seq = cfgmod.read_sequence(args.sequence, cfg)
     if cfg.landscape is None:
         print("config has no evaluation.landscape section", file=sys.stderr)
         return EXIT_VALIDATION
@@ -250,7 +250,7 @@ def cmd_landscape(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    seq = cfgmod.read_sequence(args.sequence, cfg.channels)
+    seq = cfgmod.read_sequence(args.sequence, cfg)
     setup = cfgmod.build_evaluation_setup(cfg)
     probs = ev.stroboscopic_evolve(cfg.initial_state, seq, setup, cfg.simulate_params, cfg.n_cycles)
     _write_csv(args, "survival.csv", "cycle,survival_probability", enumerate(probs))

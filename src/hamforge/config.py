@@ -638,11 +638,11 @@ def sequence_to_dict(seq: ControlSequence) -> dict:
     }
 
 
-def sequence_from_dict(d: dict, problem=None) -> ControlSequence:
+def sequence_from_dict(d: dict, problem: ProblemConfig | None = None) -> ControlSequence:
     """Read and check a sequence file: dt: num, > 0 (s); channels[k]: the
     keys of control.channels[k] plus values: list of num in [-1, 1], of
-    one length across channels; the channels are those of the problem
-    file, when its `problem` channels are given.  A bad key raises
+    one length across channels; the channels, dt and interval count are
+    those of the `problem` file, when it is given.  A bad key raises
     ConfigError with its key path under `sequence`."""
     d = _check(d, "sequence", dict)
     dt = _get(d, "dt", "sequence", float, 0.0)
@@ -654,15 +654,21 @@ def sequence_from_dict(d: dict, problem=None) -> ControlSequence:
             raise ConfigError(f"{path}.values has {len(values[-1])} entries, not {len(values[0])}")
     with _at("sequence.channels: "):
         seq = ControlSequence(np.asarray(values, dtype=float), dt, tuple(channels))
-    problem = channels if problem is None else problem
-    if len(channels) != len(problem):
+    if problem is None:
+        return seq
+    if len(channels) != len(problem.channels):
         raise ConfigError(f"sequence.channels: {len(channels)} channels,"
-                          f" not {len(problem)} as in control.channels")
-    for k, (ch, want) in enumerate(zip(channels, problem)):
+                          f" not {len(problem.channels)} as in control.channels")
+    for k, (ch, want) in enumerate(zip(channels, problem.channels)):
         for key in ("name", "qubits", "role", "scale"):
             if getattr(ch, key) != getattr(want, key):
                 raise ConfigError(f"sequence.channels[{k}].{key} is {getattr(ch, key)!r},"
                                   f" not {getattr(want, key)!r} as in control.channels[{k}]")
+    if dt != problem.dt:
+        raise ConfigError(f"sequence.dt is {dt!r}, not {problem.dt!r} as in control.dt")
+    if seq.intervals != problem.intervals:
+        raise ConfigError(f"sequence.channels[0].values has {seq.intervals} entries,"
+                          f" not {problem.intervals} as in control.intervals")
     return seq
 
 

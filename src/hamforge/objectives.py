@@ -241,7 +241,7 @@ def _higher_order_r(pipe, p):
 
 def _effective_robustness(pipe, p):
     w, name = p.get("component", 0), p["error"]
-    se, sp = pipe.err_stacks[name], pipe.comp_stacks[w]
+    se, sp = pipe.err_frames[name].stack, pipe.comp_frames[w].stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     reads = (("cross", ("pert", w), ("err", (name,))),)
     scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
@@ -251,8 +251,9 @@ def _effective_robustness(pipe, p):
 def check_references(term: ObjectiveTerm, components, errors, target: bool) -> None:
     """Check what the parameters of `term` refer to: component is one of
     `components`, error one of `errors`, errors two of them, space 'pert'
-    or one of them, order 2 or 3, and primary_unitary has a target unitary.
-    A ValueError starts with the key."""
+    or one of them, order 2 or 3, component and order are integers (not
+    bools), and primary_unitary has a target unitary.  A ValueError starts
+    with the key."""
     p, errors = term.params, list(errors)
     pools = {"component": list(components), "error": errors, "errors": errors,
              "space": ["pert", *errors], "order": [2, 3]}
@@ -261,6 +262,10 @@ def check_references(term: ObjectiveTerm, components, errors, target: bool) -> N
     if "errors" in p and not (isinstance(p["errors"], (list, tuple)) and len(p["errors"]) == 2):
         raise ValueError(f"errors must name two error channels, got {p['errors']!r}")
     for key, value in p.items():
+        if key in ("component", "order") and (
+            isinstance(value, bool) or not isinstance(value, (int, np.integer))
+        ):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
         for v in value if key == "errors" else [value]:
             if key in pools and v not in pools[key]:
                 raise ValueError(f"{key}: {v!r} is not one of {pools[key]}")
@@ -318,22 +323,25 @@ class CostPipeline:
         self.t_seq = intervals * dt
         self.axis_ops = axis_operators(field_axes(self.channels), n_qubits)
 
-        # one shared array per distinct basis: the per-candidate eigendata,
+        # one frame per distinct basis: the per-candidate frequencies, frame,
         # toggles and their prefixes are cached on its identity
         distinct: dict = {}
 
         def shared(stack):
-            return distinct.setdefault((stack.shape, stack.tobytes()), stack)
+            key = (stack.shape, stack.tobytes())
+            if key not in distinct:
+                distinct[key] = tg.AdjointFrame(stack)
+            return distinct[key]
 
-        self.comp_stacks = [shared(c.subspace.stack) for c in self.components]
-        self.comp_seed = [project(c.matrix, s)[0] for s, c in zip(self.comp_stacks, self.components)]
+        self.comp_frames = [shared(c.subspace.stack) for c in self.components]
+        self.comp_seed = [project(c.matrix, c.subspace.stack)[0] for c in self.components]
         self.comp_scale = []
         for c, seed in zip(self.components, self.comp_seed):
             if c.target_vec is not None and np.linalg.norm(c.target_vec) > 0:
                 self.comp_scale.append(float(np.linalg.norm(c.target_vec)))
             else:
                 self.comp_scale.append(float(np.linalg.norm(seed)))
-        self.err_stacks = {
+        self.err_frames = {
             name: shared(e.subspace.stack) for name, e in self.errors.items()
         }
 
@@ -389,7 +397,7 @@ class CostPipeline:
                     self.model.param_scale(self.errors[n].param)
                     for n in arg if self.errors[n].kind == "model_param"
                 ])
-                coef = project(self.axis_ops, self.err_stacks[arg[0]])[0].T
+                coef = project(self.axis_ops, self.err_frames[arg[0]].stack)[0].T
                 self.err_seeds[arg] = (jet, coef * scale)
             self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
 
@@ -400,34 +408,36 @@ class CostPipeline:
         return ControlSequence(v, self.dt, self.channels)
 
     def _toggled(self, key, fld):
-        """Subspace basis of request `key` and the coefficients (Q, m) of the
+        """Subspace frame of request `key` and the coefficients (Q, m) of the
         operator it toggles, per step."""
         kind, arg = key
         if kind == "pert":
             seed = self.comp_seed[arg]
-            return self.comp_stacks[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
+            return self.comp_frames[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
         jet, coef = self.err_seeds[arg]
         rows = fld.b if jet is None else fld.sensitivities[jet]
-        return self.err_stacks[arg[0]], (coef @ rows).T
+        return self.err_frames[arg[0]], (coef @ rows).T
 
     def evaluate(self, x: np.ndarray) -> CostReport:
         fld = self.model.field(self.sequence(x), self.jets)
         dt = fld.delta_t
         h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
 
-        # every request once; one adjoint eigendecomposition per distinct
-        # subspace, whose eigenpairs also give the toggle matrices and their
+        # every request once; the one eigendecomposition of the step
+        # Hamiltonians gives the final unitary and, per distinct subspace,
+        # the spectral frame, which also gives the toggle matrices and their
         # prefix products, and whose spectral groups carry the step tables
+        lam, vecs = np.linalg.eigh(h_pri)
         eig, steps, got = {}, {}, {}
         for key, order in self.requests.items():
-            stack, seeds = self._toggled(key, fld)
-            if id(stack) not in eig:
-                nu, vecs = np.linalg.eigh(tg.adjoint_matrix_batch(h_pri, stack))
-                e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, vecs, dt))
-                eig[id(stack)] = nu, vecs, tg.spectral_groups(nu, dt), e_prev
-            nu, vecs, groups, e_prev = eig[id(stack)]
-            y = np.einsum("qba,qb->qa", vecs.conj(), seeds)
-            a, *tables = tg.batch_step_cints(nu, vecs, y, dt, order, groups)
+            frame, seeds = self._toggled(key, fld)
+            if id(frame) not in eig:
+                nu, f = tg.adjoint_matrix_batch(lam, vecs, frame)
+                e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
+                eig[id(frame)] = nu, f, tg.spectral_groups(nu, dt), e_prev
+            nu, f, groups, e_prev = eig[id(frame)]
+            y = np.einsum("qba,qb->qa", f.conj(), seeds)
+            a, *tables = tg.batch_step_cints(nu, f, y, dt, order, groups)
             lab = any(key in pair for pair in self.crosses)
             b, a0, totals = tg.compose_batch(e_prev, a, *tables, lab=lab)
             steps[key] = groups, b, a0
@@ -438,7 +448,7 @@ class CostPipeline:
             i2x = tg.batch_step_cross(g_p, g_e)
             got[("cross", later, earlier)] = tg.compose_cross_batch(i2x, b_p, a0_p, b_e, a0_e)
         if self.unitary:
-            got[UNITARY] = tg.ordered_product(tg.expm_batch(h_pri, dt))
+            got[UNITARY] = tg.ordered_product(tg.eig_exp(lam, vecs, dt))
 
         values = tuple(
             t.cost(*(got[a] for a in t.reads), *t.consts) / t.divisor for t in self.terms

@@ -8,21 +8,37 @@ of toggling-frame coefficients are assembled from closed forms per
 piecewise-constant step and composed with the chain rule.  Per step the
 coefficient flow is |H_tog(t)>> = exp(i M t)|H_pert>> with the Hermitian
 adjoint matrix M_ij = <<h_i|[H_pri, h_j]>> (purely imaginary entries, so
-exp(iMt) is real orthogonal), and the nested integrals over eigenvalue
+exp(iMt) is real orthogonal), and the nested integrals over frequency
 tuples reduce to divided differences of f(x) = exp(xT) on the imaginary
 axis: I_r(nu_1..nu_r) = f[0, i p_1, .., i p_r] with prefix sums
 p_k = nu_1 + .. + nu_k.
 
-Spectral components.  The adjoint spectrum of a step is {lambda_j -
-lambda_k}, so it carries d - 1 exact zeros, and with resonant x/y drives
-plus ZZ coupling the eigenvalues of H also come in +/- pairs: the
-2-qubit benchmark steps have 9 distinct frequencies out of m = 15.  The
-per-step tensors depend on an eigenvalue only through its spectral
-projector, so `spectral_groups` merges adjacent sorted eigenvalues whose
-phase gap (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA = 1e-13, once per
-subspace and evaluation, and the kernels work on the u group frequencies
-w (Q, u) and the components A (Q, m, u), A[:, :, g] = sum over a in g of
-V[:, :, a] y[a]:
+Spectral frame.  M is never diagonalized: the eigh H_q = V diag(lambda)
+V^dag that the propagator takes anyway gives ad H (v_j v_k^dag) =
+(lambda_j - lambda_k) v_j v_k^dag (the Kronecker-sum spectrum; Horn &
+Johnson, Topics in Matrix Analysis, CUP 1991, 4.4).
+`adjoint_matrix_batch` projects this orthonormal basis E_c of the d x d
+matrices onto the stack, F_ic = <<h_i|E_c>> (Q, m, p) with frequencies
+nu (Q, p): the pairs E = v_j v_k^dag, j != k, nu = lambda_j - lambda_k,
+and E = sum_j H_rj v_j v_j^dag, nu = 0, for the rows of a Helmert matrix
+H (H_0j = 1/sqrt(d); row 0, the identity, is dropped when its weight in
+the span is at most machine eps).  So F F^dag = I_m, F diag(nu) F^dag =
+M, and f(M) = F diag(f(nu)) F^dag on a span closed under ad H.  A stack
+spanning su(d), as every benchmark stack does, has p = m and a unitary
+F.  On a proper subspace a column projects onto an eigenvector of M with
+its own frequency or onto zero; a dead column (weight sum_i |F_ic|^2 <=
+eps) takes the step's largest weighted frequency before grouping, so it
+adds no group, and it moves A by at most eps ||seed||.
+
+Spectral components.  The frequencies carry d - 1 exact zeros, and with
+resonant x/y drives plus ZZ coupling the eigenvalues of H also come in
++/- pairs: the 2-qubit benchmark steps have 9 distinct frequencies out of
+m = 15.  The per-step tensors depend on a frequency only through its
+spectral projector, so `spectral_groups` merges the sorted frequencies
+whose phase gap (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA = 1e-13,
+once per subspace and evaluation, and the kernels work on the u group
+frequencies w (Q, u) and the components A (Q, m, u), y = F^dag seed,
+A[:, :, g] = sum over a in g of F[:, :, a] y[a]:
 
     c0_i = Re sum_g A_ig I1(w_g),
     c1_ij = Re sum_gh A_ig A_jh I2(w_g, w_h),
@@ -30,11 +46,11 @@ V[:, :, a] y[a]:
 
 so the r = 3 grid has Q u^3 entries instead of Q m^3 (729 against 3,375
 per 2-qubit step).  Steps with fewer than u groups are padded with A = 0
-at their largest frequency.  When no eigenvalues merge, A = V * y.  The
+at their largest frequency.  When no frequencies merge, A = F * y.  The
 tables I1, I2 and the confluent J, K below depend on w and dt alone, so
 `SpectralGroups` carries them and builds each once per subspace and
 evaluation, whatever number of requests and crosses read it.
-Error bound: merging moves every eigenvalue by at most (k - 1) kappa / dt
+Error bound: merging moves every frequency by at most (k - 1) kappa / dt
 for a group of k, so the node p_r moves by at most r times that; by
 Hermite-Genocchi a divided difference of exp(x T) on the imaginary axis
 changes by at most T^{r+1}/(r+1)! per unit shift of one node, so a merged
@@ -43,15 +59,16 @@ for the three frequencies {-2J, 0, 2J} of a pure ZZ step with 2 J dt just
 under kappa, 2.1e-12 T^3/6 in the worst case k = m = 15.  At kappa =
 1e-12 the ZZ case could reach 3e-12 T^3/6, above the 1e-12 T^r/r! to
 which the tests hold the merged tensors.  The merged gaps on the 2-qubit
-benchmark are rounding noise (<= 6e-15 in phase units, 16x below kappa)
-and the smallest kept gap is 1.4e-4.
+benchmark are rounding noise (<= 2.7e-15 in phase units over 200 controls,
+37x below kappa) and the smallest kept gap is 1.0e-4.
 
 Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
-= V_q diag(e^{i nu_q dt}) V_q^dag, so `eigen_toggles` builds it from the
-same eigenpairs (nu_q, V_q) as the step integrals.  The independent check,
-which conjugates the basis by U_q, is `toggle_matrices` in
-`tests/_oracles.py`.  `prefix_products` chains ordered step products in
-log depth, and `ordered_product` forms only the last of them.
+= F_q diag(e^{i nu_q dt}) F_q^dag, so `eigen_toggles` builds it from the
+same frame (nu_q, F_q) as the step integrals (a dead column moves it by
+at most eps).  The independent check, which conjugates the basis by U_q,
+is `toggle_matrices` in `tests/_oracles.py`.  `prefix_products` chains
+ordered step products in log depth, and `ordered_product` forms only the
+last of them.
 
 Composition.  The chain rule toggles step q by the real orthogonal
 E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  `compose_batch` takes a0_q =
@@ -121,7 +138,7 @@ Higham, Functions of Matrices, SIAM (2008).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
@@ -129,7 +146,7 @@ import numpy as np
 DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
 SHIFT_KAPPA = 0.25        # r=3 grid: shift identity needs |a+b+c| >= this * spread
-MERGE_KAPPA = 1e-13       # adjoint eigenvalues closer than this phase gap (* dt) merge
+MERGE_KAPPA = 1e-13       # adjoint frequencies closer than this phase gap (* dt) merge
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +285,14 @@ def _int3_grid(groups):
 # ---------------------------------------------------------------------------
 # primary propagation
 
-def _eig_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+def eig_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """V diag(e^{-i w t}) V^dag for a stack of eigendata (w, V)."""
     return np.einsum("...ab,...b,...cb->...ac", v, np.exp(-1j * w * t), v.conj())
 
 
 def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for a stack (..., d, d) of Hermitian matrices."""
-    return _eig_exp(*np.linalg.eigh(h), t)
+    return eig_exp(*np.linalg.eigh(h), t)
 
 
 def prefix_products(a: np.ndarray) -> np.ndarray:
@@ -311,16 +328,51 @@ def ordered_product(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-step integrals
 
-def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Batched (Q, m, m) adjoint matrices, without a span-closure check.
+@cache
+def _frame_tables(d: int, identity: bool) -> tuple:
+    """pairs and diffs of the frames of d x d matrices, read-only: the
+    pairs j != k, then the Helmert rows, the first (the identity) if asked."""
+    r, col = np.arange(1, d)[:, None], np.arange(d)
+    diag = np.where(col < r, 1.0, np.where(col == r, -r, 0.0)) / np.sqrt(r * (r + 1))
+    if identity:
+        diag = np.vstack([np.full(d, d ** -0.5), diag])
+    j, k = np.nonzero(1 - np.eye(d))
+    vec, one = np.eye(d * d), np.eye(d)
+    pairs = np.hstack([vec[:, j * d + k], vec[:, col * (d + 1)] @ diag.T]).astype(complex)
+    diffs = np.hstack([one[:, j] - one[:, k], np.zeros((d, len(diag)))])
+    pairs.setflags(write=False)
+    diffs.setflags(write=False)
+    return pairs, diffs
 
-    M_ba = <<h_b|[H, h_a]>> is linear in H: one (Q, d^2) x (d^2, m^2)
-    product with T[k, l, b, a] = (h_b^* h_a^T - h_a^T h_b^*)[k, l].
-    """
-    m, d = stack.shape[0], stack.shape[-1]
-    sc = stack.conj()
-    t = np.einsum("bkj,alj->klba", sc, stack) - np.einsum("aik,bil->klba", stack, sc)
-    return (h_pri.reshape(-1, d * d) @ t.reshape(d * d, m * m)).reshape(-1, m, m)
+
+class AdjointFrame:
+    """A subspace basis `stack` (m, d, d) and the constants of its spectral
+    frame: rows (m, d^2), the conjugate basis; pairs (d^2, p), which takes
+    the columns vec(v_j v_k^dag) of kron(V, conj V) to the frame matrices;
+    and diffs (d, p), with nu = lambda diffs.  The identity is a frame
+    matrix when the span's weight on it is above eps."""
+
+    def __init__(self, stack: np.ndarray):
+        m, d = stack.shape[0], stack.shape[-1]
+        identity = np.sum(np.abs(np.trace(stack, axis1=1, axis2=2)) ** 2) / d > np.finfo(float).eps
+        self.stack, self.rows = stack, stack.conj().reshape(m, d * d)
+        self.pairs, self.diffs = _frame_tables(d, bool(identity))
+
+
+def adjoint_matrix_batch(lam: np.ndarray, vecs: np.ndarray, frame: AdjointFrame):
+    """The adjoint matrices of the subspace in factored form, M_q = F_q
+    diag(nu_q) F_q^dag, from the eigendata lambda (Q, d), V (Q, d, d) of the
+    step Hamiltonians: frequencies nu (Q, p) and frame F (Q, m, p), with the
+    dead columns of a proper subspace (p > m) moved (see the module docstring)."""
+    q, d = lam.shape
+    kron = (vecs[:, :, None, :, None] * vecs.conj()[:, None, :, None, :]).reshape(q * d * d, d * d)
+    cols = (kron @ frame.pairs).reshape(q, d * d, -1).transpose(1, 0, 2).reshape(d * d, -1)
+    f = (frame.rows @ cols).reshape(len(frame.rows), q, -1).transpose(1, 0, 2)
+    nu = lam @ frame.diffs
+    if f.shape[2] > f.shape[1]:
+        dead = np.sum(f.real ** 2 + f.imag ** 2, axis=1) <= np.finfo(float).eps
+        nu = np.where(dead, np.where(dead, -np.inf, nu).max(axis=-1, keepdims=True), nu)
+    return nu, f
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -334,8 +386,8 @@ class SpectralGroups:
 
     w (Q, u) holds one frequency per group, ascending; steps with fewer
     than u groups repeat their largest frequency, and those padded groups
-    carry no weight.  onehot (Q, m, u) maps eigenvector columns to groups,
-    None when no two eigenvalues of any step merge (then w is nu).  Each
+    carry no weight.  onehot (Q, p, u) maps frame columns to groups, None
+    when no two frequencies of any step merge (then w is nu, unsorted).  Each
     table is built on its first read: i1 = I1(w) (Q, u), i2 = I2(w, w)
     (Q, u, u) and confluent = (J(w), K(w)) (Q, u), as the r = 3 grid reads them.
     """
@@ -358,25 +410,27 @@ class SpectralGroups:
 
 
 def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
-    """Merge the adjacent sorted eigenvalues of nu (Q, m) whose phase gap
-    (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA."""
-    split = np.diff(nu, axis=-1) * dt > MERGE_KAPPA
+    """Merge the frequencies of nu (Q, p) that are adjacent once sorted and
+    whose phase gap (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA."""
+    order = np.argsort(nu, axis=-1)
+    ordered = np.take_along_axis(nu, order, axis=-1)
+    split = np.diff(ordered, axis=-1) * dt > MERGE_KAPPA
     if split.all():
         return SpectralGroups(nu, None, dt)
-    q, m = nu.shape
-    gid = np.zeros((q, m), dtype=np.intp)
+    q, p = nu.shape
+    gid = np.zeros((q, p), dtype=np.intp)
     np.cumsum(split, axis=-1, out=gid[:, 1:])
     u = int(gid[:, -1].max()) + 1
     rows = np.arange(q)[:, None]
-    w = np.repeat(nu[:, -1:], u, axis=-1)
-    w[rows, gid] = nu
-    onehot = np.zeros((q, m, u))
-    onehot[rows, np.arange(m), gid] = 1.0
+    w = np.repeat(ordered[:, -1:], u, axis=-1)
+    w[rows, gid] = ordered
+    onehot = np.zeros((q, p, u))
+    onehot[rows, order, gid] = 1.0
     return SpectralGroups(w, onehot, dt)
 
 
 def _components(v, y, groups):
-    """Spectral components A (Q, m, u): column g sums V[:, :, a] y[a] over group g."""
+    """Spectral components A (Q, m, u): column g sums F[:, :, a] y[a] over group g."""
     a = v * y[:, None, :]
     return a if groups.onehot is None else a @ groups.onehot
 
@@ -384,7 +438,8 @@ def _components(v, y, groups):
 def batch_step_cints(nu, v, y, dt, r_max, groups=None):
     """Spectral components and step tables of all Q steps at once.
 
-    nu (Q,m) real, v (Q,m,m) complex, y (Q,m) complex = V^dag seed;
+    nu (Q,p) real and v = F (Q,m,p) complex from `adjoint_matrix_batch`,
+    y (Q,p) complex = F^dag seed;
     groups is `spectral_groups(nu, dt)`, formed here when not given, and
     carries the tables.  Returns A (Q,m,u) complex and the tables that the
     orders up to r_max read: I1 (Q,u) [, I2 (Q,u,u) [, I3 (Q,u,u,u)]],
@@ -406,8 +461,8 @@ def batch_step_cross(groups_p, groups_e):
 
 
 def eigen_toggles(nu: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """D(U_q^dag) = exp(i M_q dt) from the eigendata (nu, V) of the adjoint matrices."""
-    return _real(_eig_exp(nu, v, -dt))
+    """D(U_q^dag) = exp(i M_q dt) from the frame (nu, F) of the adjoint matrices."""
+    return _real(eig_exp(nu, v, -dt))
 
 
 def prefix_toggles(dq: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 Each one reaches a library result by a different route: operator
-algebra column by column, toggle matrices by conjugation with the step
-unitaries, C-integrals by a sequential per-step fold with the general
+algebra column by column, adjoint matrices (Q, m, m) whose eigh the
+library's spectral frame replaces, toggle matrices by conjugation with
+the step unitaries, C-integrals by a sequential per-step fold with the general
 divided-difference kernel, and exact propagators by one scipy `expm`
 per step and an ordered product.  No command of the tool runs them.
 """
@@ -130,6 +131,18 @@ def adjoint_matrix(h_pri: np.ndarray, stack: np.ndarray, tol: float = 1e-7) -> n
     if resid > tol * scale and resid > tol * max(np.linalg.norm(h_pri), 1e-300):
         raise ValueError(f"ad-action of H_pri leaves the subspace (residual {resid:.3e})")
     return m
+
+
+def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Batched (Q, m, m) adjoint matrices, without a span-closure check.
+
+    M_ba = <<h_b|[H, h_a]>> is linear in H: one (Q, d^2) x (d^2, m^2)
+    product with T[k, l, b, a] = (h_b^* h_a^T - h_a^T h_b^*)[k, l].
+    """
+    m, d = stack.shape[0], stack.shape[-1]
+    sc = stack.conj()
+    t = np.einsum("bkj,alj->klba", sc, stack) - np.einsum("aik,bil->klba", stack, sc)
+    return (h_pri.reshape(-1, d * d) @ t.reshape(d * d, m * m)).reshape(-1, m, m)
 
 
 def toggle_matrices(u: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -474,6 +474,10 @@ _BAD_KEYS = {
     # objectives and optimizer
     "objective-component": (lambda c: c["objectives"][1].update(component=2),
                             "objectives[1].component: 2 is not one of [1]"),
+    "objective-component-bool": (lambda c: c["objectives"][1].update(component=True),
+                                 "objectives[1].component must be an integer, got True"),
+    "objective-component-float": (lambda c: c["objectives"][1].update(component=1.0),
+                                  "objectives[1].component must be an integer, got 1.0"),
     "objective-weight-not-a-number": (lambda c: c["objectives"][0].update(weight="heavy"),
                                       "objectives[0].weight must be a finite number, got 'heavy'"),
     "objective-kind": (lambda c: c["objectives"][0].update(kind="nope"),
@@ -488,6 +492,8 @@ _BAD_KEYS = {
                                 "objectives[4].space: 'nope' is not one of ['pert', 'eps']"),
     "objective-order": (_objective(kind="higher_order_r", order=4),
                         "objectives[4].order: 4 is not one of [2, 3]"),
+    "objective-order-float": (_objective(kind="higher_order_r", order=2.0),
+                              "objectives[4].order must be an integer, got 2.0"),
     "objective-without-target": (_set("targets", "u_target", None),
                                  "objectives[0].kind: primary_unitary needs a target unitary"),
     "optimizer-q-v": (_set("optimizer", "q_v", 3.5), "optimizer: q_v must lie in (1, 3)"),
@@ -725,6 +731,11 @@ _BAD_SEQUENCES = {
                               "sequence.channels[0].name is 'drive', not 'amp' as in control.channels[0]"),
     "phase-channel-dropped": (lambda s: s["channels"].pop(1),
                               "sequence.channels: 1 channels, not 2 as in control.channels"),
+    # the time grid of the problem file: dt and the interval count
+    "dt-not-the-problems": (lambda s: s.update(dt=3e-08),
+                            "sequence.dt is 3e-08, not 1e-08 as in control.dt"),
+    "intervals-not-the-problems": (lambda s: [ch.update(values=ch["values"][:4]) for ch in s["channels"]],
+                                   "sequence.channels[0].values has 4 entries, not 6 as in control.intervals"),
 }
 
 
@@ -748,9 +759,15 @@ def test_every_sequence_command_checks_the_sequence(tmp_path, capsys, command):
     cfg["evaluation"]["landscape"] = {"axis1": _AXIS, "axis2": _AXIS}
     seq_path = _write_sequence(tmp_path, cfg)
     seq = json.loads(seq_path.read_text())
-    seq["channels"][0].pop("qubits")
-    seq_path.write_text(json.dumps(seq))
-    code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
-                     str(seq_path)])
-    assert code == cli.EXIT_VALIDATION
-    assert "config error: sequence.channels[0].qubits: missing required key" in capsys.readouterr().err
+    for key, value, message in (("qubits", None, "sequence.channels[0].qubits: missing required key"),
+                                ("dt", 3e-08, "sequence.dt is 3e-08, not 1e-08 as in control.dt")):
+        bad = json.loads(json.dumps(seq))
+        if value is None:
+            bad["channels"][0].pop(key)
+        else:
+            bad[key] = value
+        seq_path.write_text(json.dumps(bad))
+        code = cli.main([command, "--config", _write_config(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                         str(seq_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert f"config error: {message}" in capsys.readouterr().err

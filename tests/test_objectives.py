@@ -311,9 +311,9 @@ def count_adjoint_calls(monkeypatch):
     calls = []
     real = tg.adjoint_matrix_batch
 
-    def counted(h_pri, stack):
-        calls.append(stack)
-        return real(h_pri, stack)
+    def counted(lam, vecs, frame):
+        calls.append(frame.stack)
+        return real(lam, vecs, frame)
 
     monkeypatch.setattr(tg, "adjoint_matrix_batch", counted)
     return calls
@@ -495,6 +495,72 @@ def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     )
     assert want > 1e-3
     assert rep.values[1] == pytest.approx(want, rel=1e-12)
+
+
+W2 = 0.7 * W1MAX
+CH2 = CH + (Channel("amp2", (2,), "amp", W2), Channel("ph2", (2,), "phase", np.pi))
+
+
+def uncoupled_pipeline():
+    """Two uncoupled qubits, each driven: H_pert = z1 toggles in
+    span{x1, y1, z1} and the amplitude error in the six one-qubit
+    directions, both proper subspaces of su(4)."""
+    x1, y1, z1 = (pauli_op([(1, a)], 1.0, 2) for a in "xyz")
+    x2, y2 = pauli_op([(2, "x")], 1.0, 2), pauli_op([(2, "y")], 1.0, 2)
+    g = find_lie_algebra([x1, y1, x2, y2])
+    comp = ob.PertComponent(z1, find_c_subspace(g, z1), None)
+    err = ob.ErrorChannel("eps", "amplitude", subspace=find_c_subspace(g, x1, extra_seeds=(y1, x2, y2)))
+    terms = (
+        ob.ObjectiveTerm("primary_unitary", 1.0),
+        ob.ObjectiveTerm("zeroth_order_target", 1.0),
+        ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
+        ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 3}),
+        ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 3, "space": "eps"}),
+        ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps"}),
+        ob.ObjectiveTerm("robustness_cross_pair", 1.0, {"errors": ["eps", "eps"]}),
+    )
+    spec = ob.ObjectiveSpec(terms, target_unitary=np.kron(HAD, HAD))
+    return ob.CostPipeline(2, CH2, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
+
+
+def eigh_of_the_adjoint(lam, vecs, frame):
+    """(nu, V) from the eigh of the (Q, m, m) adjoint matrices, as the
+    reference path for the frame."""
+    h = (vecs * lam[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return np.linalg.eigh(orc.adjoint_matrix_batch(h, frame.stack))
+
+
+@pytest.mark.parametrize("build, width", [(uncoupled_pipeline, 48), (two_space_pipeline, 24)])
+def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypatch, build, width):
+    # the frame of a proper subspace carries columns outside its span; they
+    # add no spectral group, and the costs match the eigh of the adjoint
+    pipe = build()
+    assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, *pipe.err_frames.values()))
+    groups = []
+    real = tg.spectral_groups
+    monkeypatch.setattr(tg, "spectral_groups", lambda nu, dt: groups.append(real(nu, dt)) or groups[-1])
+    for seed in (17, 18):
+        x = np.random.default_rng(seed).uniform(-1, 1, width)
+        got = pipe.evaluate(x).values
+        with monkeypatch.context() as m:
+            m.setattr(tg, "adjoint_matrix_batch", eigh_of_the_adjoint)
+            want = pipe.evaluate(x).values
+        frame_groups, eigh_groups = groups[: len(groups) // 2], groups[len(groups) // 2 :]
+        assert [g.w.shape for g in frame_groups] == [g.w.shape for g in eigh_groups]
+        groups.clear()
+        assert all(v > 1e-6 for v in want)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_an_evaluation_takes_one_eigendecomposition(monkeypatch):
+    # of the (Q, d, d) step Hamiltonians, whatever the subspaces and terms
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(np.shape(a)) or real(a))
+    for pipe, width, d in ((hadamard_pipeline(HADAMARD_TERMS), 24, 2), (uncoupled_pipeline(), 48, 4)):
+        calls.clear()
+        pipe.evaluate(np.random.default_rng(19).uniform(-1, 1, width))
+        assert calls == [(12, d, d)]
 
 
 def circuit_error_ops(pipe, x):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamforge import opcore
 from hamforge.liealg import CSubspace
 from hamforge.opcore import SubspaceError, gram_schmidt, pauli_op, project
 from _oracles import (
@@ -221,6 +222,10 @@ def test_einsum_runs_the_planned_path_bit_for_bit_without_path_work(monkeypatch,
     path = np.einsum_path(subscripts, *ops, optimize="greedy")[0]
     want = np.einsum(subscripts, *ops, optimize=path)
     assert np.array_equal(einsum(subscripts, *ops), want)
+    # a numpy without bmm_einsum: np.einsum along the planned path
+    with monkeypatch.context() as m:
+        m.setattr(opcore, "bmm_einsum", None)
+        assert np.array_equal(einsum(subscripts, *ops), want)
 
     def no_path(*args, **kwargs):
         raise AssertionError("einsum_path called on a planned contraction")

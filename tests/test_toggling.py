@@ -296,6 +296,21 @@ def primary_hamiltonians(draw):
     return n, h, draw(st.floats(0.01, 2.0))
 
 
+def _frame(h, stack):
+    """Frequencies and spectral frame (nu, F) of the steps h on the stack."""
+    return tg.adjoint_matrix_batch(*np.linalg.eigh(h), tg.AdjointFrame(stack))
+
+
+def _assert_frame_factors(nu, f, h, stack):
+    """F diag(nu) F^dag is the adjoint matrix and F F^dag = I_m, per step."""
+    madj = orc.adjoint_matrix_batch(h, stack)
+    for q in range(len(h)):   # the checked single-step builder forms the commutators
+        scale = max(np.abs(h[q]).max(), 1.0)
+        assert np.abs(madj[q] - orc.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
+        assert np.abs((f[q] * nu[q]) @ f[q].conj().T - madj[q]).max() <= 1e-13 * scale
+        assert np.abs(f[q] @ f[q].conj().T - np.eye(len(stack))).max() <= 1e-13
+
+
 @given(primary_hamiltonians())
 @settings(max_examples=40, deadline=None)
 def test_eigen_toggles_match_conjugation(case):
@@ -303,15 +318,36 @@ def test_eigen_toggles_match_conjugation(case):
 
     n, h, dt = case
     stack = pauli_basis_stack(n)[1:]
-    madj = tg.adjoint_matrix_batch(h, stack)
-    for q in range(len(h)):   # the checked single-step builder forms the commutators
-        scale = max(np.abs(h[q]).max(), 1.0)
-        assert np.abs(madj[q] - orc.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
-    nu, v = np.linalg.eigh(madj)
-    got = tg.eigen_toggles(nu, v, dt)
-    u = tg.expm_batch(h, dt)
-    want = orc.toggle_matrices(u, stack)
+    nu, f = _frame(h, stack)
+    assert f.shape == (len(h), len(stack), len(stack))   # p = m on su(d)
+    _assert_frame_factors(nu, f, h, stack)
+    got = tg.eigen_toggles(nu, f, dt)
+    want = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
     assert np.abs(got - want).max() <= 1e-13
+
+
+def test_a_stack_with_an_identity_direction_keeps_it_in_the_frame():
+    # z1 + 0.3 I toggles into span{I, x, y, z}: the identity direction is
+    # the frame column D_0 = I / sqrt(2), with frequency 0
+    (sx, sy, sz), g, _ = su2_spaces()
+    hpert = sz + 0.3 * np.eye(2)
+    c = find_c_subspace(g, hpert)
+    stack, dt = c.stack, 0.8
+    rng = np.random.default_rng(21)
+    h = np.array([rng.normal() * sx + rng.normal() * sy + rng.normal() * sz for _ in range(4)])
+    nu, f = _frame(h, stack)
+    assert f.shape == (4, 4, 4)
+    _assert_frame_factors(nu, f, h, stack)
+    want = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
+    assert np.abs(tg.eigen_toggles(nu, f, dt) - want).max() <= 1e-13
+    # every step alone against the sequential engine on the adjoint eigh
+    y = np.einsum("qba,b->qa", f.conj(), orc.vector(hpert, stack))
+    a, *tables = tg.batch_step_cints(nu, f, y, dt, 3)
+    for q in range(len(h)):
+        got = tg.compose_batch(np.eye(4)[None], *_alone(q, a, *tables))[2]
+        cset = orc.step_c_integrals(h[q], hpert, c, dt, 3)
+        for r, (g_r, w_r) in enumerate(zip(got, (cset.c0, cset.c1_matrix(), cset.c2_tensor())), 1):
+            assert np.abs(g_r - w_r).max() <= 1e-12 * dt ** r / math.factorial(r)
 
 
 @pytest.mark.parametrize("qn", [1, 2, 3, 7, 35, 560])
@@ -389,7 +425,7 @@ def _unit_seeds(rng, q, m):
 
 
 def _eigen(h, stack, seeds):
-    nu, v = np.linalg.eigh(tg.adjoint_matrix_batch(h, stack))
+    nu, v = np.linalg.eigh(orc.adjoint_matrix_batch(h, stack))
     return nu, v, np.einsum("qba,qb->qa", v.conj(), seeds.astype(complex))
 
 
@@ -472,6 +508,30 @@ def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
             assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
 
 
+@given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
+@example((np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3), np.zeros((4, 4))]), 1.0), 5)
+@example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499 * tg.MERGE_KAPPA)]), 1.0), 6)
+@settings(max_examples=25, deadline=None)
+def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
+    # the frame's frequencies come unsorted, with exact zeros; grouped, they
+    # give the groups and composed tensors of the eigh of the adjoint matrices
+    h, dt = case
+    stack = _two_qubit_paulis()
+    seeds = _unit_seeds(np.random.default_rng(seed), len(h), len(stack))
+    nu, v, y = _eigen(h, stack, seeds)
+    nu_f, f = _frame(h, stack)
+    y_f = np.einsum("qba,qb->qa", f.conj(), seeds)
+    assert tg.spectral_groups(nu_f, dt).w.shape == tg.spectral_groups(nu, dt).w.shape
+    dq = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
+    steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(h))]
+    want = orc.compose_raw(steps, dq, 3)
+    a, *tables = tg.batch_step_cints(nu_f, f, y_f, dt, 3)
+    got = tg.compose_batch(tg.prefix_toggles(tg.eigen_toggles(nu_f, f, dt)), a, *tables)[2]
+    t = len(h) * dt
+    for r, (g, w) in enumerate(zip(got, want), start=1):
+        assert np.abs(g - w).max() <= 1e-12 * t ** r / math.factorial(r)
+
+
 def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
     dt = 1.0
     h = np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3)] * 3)
@@ -481,6 +541,7 @@ def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
     assert groups.w.shape == (3, 9)
     assert np.all(groups.onehot.sum(axis=-1) == 1.0)
     _assert_cints_match_ungrouped(nu, v, y, dt)
+    assert tg.spectral_groups(_frame(h, stack)[0], dt).w.shape == (3, 9)
 
 
 def test_split_spectra_take_the_columns_as_components():
@@ -601,7 +662,7 @@ def test_batch_matches_raw_paths():
 
     seed = orc.vector(hpert, c.stack)
     hmat = np.stack(h_pri)
-    madj = tg.adjoint_matrix_batch(hmat, stack)
+    madj = orc.adjoint_matrix_batch(hmat, stack)
     nu, vecs = np.linalg.eigh(madj)
     y = np.einsum("qba,b->qa", vecs.conj(), seed)
     a, *tables = tg.batch_step_cints(nu, vecs, y, dt, 3)
