@@ -427,26 +427,31 @@ class LinearKernelModel(ControlModel):
         return out.T
 
 
-def _block_propagate(epow: np.ndarray, force: np.ndarray):
-    """States of x_{k+1} = E x_k + force_k from x = 0, interval by interval.
+def _block_toeplitz(pows: np.ndarray) -> np.ndarray:
+    """(3L, 3L) block upper-triangular Toeplitz matrix with block (i, j) =
+    pows[j - i]^T for j >= i, from the L matrix powers pows (L, 3, 3)."""
+    size = len(pows)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    blocks = np.concatenate([np.swapaxes(pows, 1, 2), np.zeros((1, 3, 3))])
+    return blocks[np.where(lag <= 0, -lag, size)].transpose(0, 2, 1, 3).reshape(3 * size, 3 * size)
 
-    epow holds E^0..E^n and force is (P, n, 3), the n steps of each
-    interval.  Returns the (P, n+1, 3) states x_{p,0..n} and the final
-    state.  x_{p,j} = E^j x_{p,0} + c_{p,j}, where the part c driven
-    within the interval runs for all P intervals at once; only the P
-    boundary states x_{p,0} are stepped in sequence.
+
+def _block_propagate(k: "_HalfStep", force: np.ndarray):
+    """States of x_{j+1} = E x_j + force_j from x = 0, interval by interval.
+
+    force is (P, n, 3), the n half-steps of each interval.  Returns the
+    (P, n+1, 3) states x_{p,0..n} and the final state.  x_{p,j} = E^j x_{p,0}
+    + c_{p,j}: c, driven from rest within each interval, is one product
+    with T_n, and the boundary states x_{p,0} one product of the ends
+    c_{p,n} with the interval table.
     """
     p_int, n, _ = force.shape
-    e_t = epow[1].T
     c = np.zeros((p_int, n + 1, 3), dtype=complex)
-    for j in range(n):
-        c[:, j + 1] = c[:, j] @ e_t + force[:, j]
-    starts = np.empty((p_int, 3), dtype=complex)
-    x = np.zeros(3, dtype=complex)
-    for k in range(p_int):
-        starts[k] = x
-        x = epow[n] @ x + c[k, n]
-    return np.einsum("jab,pb->pja", epow, starts) + c, x
+    c[:, 1:] = (force.reshape(p_int, 3 * n) @ k.toeplitz).reshape(p_int, n, 3)
+    starts = np.zeros((p_int, 3), dtype=complex)
+    starts[1:] = (c[:-1, n].reshape(-1) @ k.intervals(p_int)).reshape(-1, 3)
+    xs = c + (starts @ k.epow.transpose(2, 0, 1).reshape(3, -1)).reshape(c.shape)
+    return xs, xs[-1, -1]
 
 
 @dataclass(frozen=True)
@@ -461,6 +466,15 @@ class _HalfStep:
     psi1: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} ds
     psi2: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} (s / hh) ds
     epow: np.ndarray       # E^0 .. E^n over the n half-steps of one interval
+    toeplitz: np.ndarray | None   # T_n: block Toeplitz of (E^0)^T .. (E^{n-1})^T; alpha_L = 0 only
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def intervals(self, p_int: int) -> np.ndarray:
+        """The table of P intervals, block Toeplitz of ((E^n)^k)^T for k < P - 1."""
+        if p_int not in self._tables:
+            pows = [np.linalg.matrix_power(self.epow[-1], j) for j in range(p_int - 1)]
+            self._tables[p_int] = _block_toeplitz(np.reshape(pows, (-1, 3, 3)))
+        return self._tables[p_int]
 
 
 @dataclass(frozen=True)
@@ -477,8 +491,10 @@ class CircuitModel(ControlModel):
     the drive is constant over each control interval, so with E the exact
     half-step propagator every state is x_{p,j} = E^j x_{p,0} + c_{p,j},
     where c is driven from rest within interval p.  `_block_propagate`
-    builds c for all intervals at once and steps only the P interval
-    boundaries in sequence.  The derivatives obey the same recursion with
+    forms c, then the P boundary states x_{p,0}, as one product each with
+    the block Toeplitz matrices of the powers of E and of E^n, which are
+    kept with the half-step constants.  The step is exact, so a non-finite
+    field raises at once.  The derivatives obey the same recursion with
     forcings that the states determine, so they go through the same
     helper:
 
@@ -557,13 +573,10 @@ class CircuitModel(ControlModel):
             ainv = np.linalg.inv(a0)
             psi1 = ainv @ (e - eye)
             psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
-            n = self.substeps * n_half
-            epow = np.empty((n + 1, 3, 3), dtype=complex)
-            epow[0] = eye
-            for j in range(n):
-                epow[j + 1] = e @ epow[j]
+            epow = np.array([np.linalg.matrix_power(e, j) for j in range(self.substeps * n_half + 1)])
             self._half_steps[key] = _HalfStep(
-                hh, e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow
+                hh, e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow,
+                _block_toeplitz(epow[:-1]) if self.drive_linear else None,
             )
         return self._half_steps[key]
 
@@ -593,23 +606,24 @@ class CircuitModel(ControlModel):
             sens = _drive_homogeneous(degrees, keys)
         else:
             sens = {key: rows[key] for key in keys}
+        if not all(np.isfinite(r).all() for r in (rows[()], *sens.values())):
+            raise RuntimeError("circuit integration unstable: a field row or derivative is not finite")
         return DiscretizedField(rows[()], h, sens)
 
     def _integrate(self, alpha_intervals, h_out, jets=frozenset()):
-        """March x and the derivatives `jets` across the sequence; halve the
-        internal step and retry on numerical blow-up."""
-        extra = 1
-        for attempt in range(self._RETRIES):
+        """March x and the derivatives `jets` across the sequence; on
+        numerical blow-up halve the internal step and retry, if alpha_L != 0."""
+        for attempt in range(self._RETRIES if self.cp.alpha_l != 0.0 else 1):
             if attempt:
                 _log.warning(
                     "circuit integration diverged: retry %d of %d, internal step halved to %.3e s",
-                    attempt, self._RETRIES - 1, h_out / (2 * extra),
+                    attempt, self._RETRIES - 1, h_out / 2 ** (attempt + 1),
                 )
             try:
-                return self._integrate_once(alpha_intervals, h_out, 2 * extra, jets)
+                return self._integrate_once(alpha_intervals, h_out, 2 ** (attempt + 1), jets)
             except FloatingPointError:
-                extra *= 2
-        raise RuntimeError("circuit integration unstable after step-halving retries")
+                pass
+        raise RuntimeError(f"circuit integration unstable after {attempt + 1} attempt(s)")
 
     def _integrate_once(self, alpha_intervals, h_out, n_half, jets):
         """n_half half-steps of size h_out/n_half per output step; the
@@ -665,32 +679,34 @@ class CircuitModel(ControlModel):
         derivative obeys x's own recursion with an explicit forcing."""
         n = self.substeps * n_half
         drive = alpha[:, None, None] * k.fvec
-        xs, x_end = _block_propagate(k.epow, np.broadcast_to(drive, (alpha.size, n, 3)))
+        xs, x_end = _block_propagate(k, np.broadcast_to(drive, (alpha.size, n, 3)))
         if not np.isfinite(xs).all():
             raise FloatingPointError("circuit state diverged")
 
-        def g(z, key="alpha_L", slots=None):
-            return self._explicit_force(self._force_terms(z), key, slots)[..., None]
+        def g(f, key="alpha_L", slots=None):
+            return self._explicit_force(f, key, slots)[..., None]
 
         out = {(): xs}
+        if jets:
+            f = self._force_terms(xs)
+            r = g(f)
         if "alpha_L" in jets:
             x_mid = xs[:, :-1] @ k.e_q.T + alpha[:, None, None] * k.fvec_q
             unit = np.array([1.0, 0.0, 0.0])
             simpson = (k.hh / 6.0) * (
-                g(xs[:, :-1]) * k.e[:, 0] + 4.0 * (g(x_mid) * k.e_q[:, 0]) + g(xs[:, 1:]) * unit
+                r[:, :-1] * k.e[:, 0] + 4.0 * (g(self._force_terms(x_mid)) * k.e_q[:, 0]) + r[:, 1:] * unit
             )
-            out["alpha_L"] = _block_propagate(k.epow, simpson)[0]
+            out["alpha_L"] = _block_propagate(k, simpson)[0]
         key = ("alpha_L", "alpha_L")
         if key in jets:
             # the stepper's own jets: its predictor at alpha_L = 0 is x_{k+1}
-            r = g(xs)
-            s, _ = _block_propagate(k.epow, r[:, :-1] * (k.psi1 - k.psi2) + r[:, 1:] * k.psi2)
+            s, _ = _block_propagate(k, r[:, :-1] * (k.psi1 - k.psi2) + r[:, 1:] * k.psi2)
             t = s[:, :-1] @ k.e.T + r[:, :-1] * k.psi1
             force = (
-                g(xs[:, :-1], key, {"alpha_L": s[:, :-1]}) * (k.psi1 - k.psi2)
-                + g(xs[:, 1:], key, {"alpha_L": t}) * k.psi2
+                g({n: v[:, :-1] for n, v in f.items()}, key, {"alpha_L": s[:, :-1]}) * (k.psi1 - k.psi2)
+                + g({n: v[:, 1:] for n, v in f.items()}, key, {"alpha_L": t}) * k.psi2
             )
-            out[key] = _block_propagate(k.epow, force)[0]
+            out[key] = _block_propagate(k, force)[0]
         at = np.arange(self.substeps) * n_half + n_half // 2
         return x_end, {key: v[:, at].reshape(-1, 3) for key, v in out.items()}
 

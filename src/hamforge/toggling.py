@@ -86,8 +86,10 @@ I2(w_p, w_e) B_e^T to its prefix term.
 General kernel.  Divided differences are evaluated with sorted nodes so
 the recursion always divides by the largest spread, and switch to a
 Taylor series when the whole node cluster is narrower than DEGEN_TOL
-(removable singularities).  This is the path of every r <= 2 table and
-of the sequential reference engine (`step_cints_raw` and
+(removable singularities).  Min/max sorting networks on 3 and 4 nodes
+order the nodes entry by entry, and at r = 3 both 3-node differences
+share their middle pair term f[x1, x2].  This is the path of every
+r <= 2 table and of the sequential reference engine (`step_cints_raw` and
 `nested_exp_integral` in `tests/_oracles.py`).  The threshold
 DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
 ~eps / (spread * T) to cancellation, and at r = 3 one more division by a
@@ -187,71 +189,63 @@ def _dd_taylor(w, t, drop):
     return t ** drop * np.exp(1j * wbar * t) * (re + 1j * im)
 
 
-def _dd2_sorted(w, t):
-    """f[i*w0, i*w1, i*w2] with w sorted ascending along the last axis."""
-    spread = w[..., 2] - w[..., 0]
+_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
+def _sorted_nodes(*nodes):
+    """The node arrays in ascending order, entry by entry (sorting networks, TAOCP 5.3.4)."""
+    x = list(nodes)
+    for i, j in _NETWORKS[len(x)]:
+        x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
+    return x
+
+
+def _dd2(w0, w1, w2, g01, g12, t):
+    """f[i*w0, i*w1, i*w2] of sorted nodes from g01 = f[i*w0, i*w1] and g12 = f[i*w1, i*w2]."""
+    spread = w2 - w0
     cluster = spread * t < DEGEN_TOL
-    safe = np.where(cluster, 1.0, spread)
-    ga = _g_pair(w[..., 0], w[..., 1], t)
-    gb = _g_pair(w[..., 1], w[..., 2], t)
-    direct = (gb - ga) / (1j * safe)
+    out = (g12 - g01) / (1j * np.where(cluster, 1.0, spread))
     if np.any(cluster):
-        direct[cluster] = _dd_taylor(w[cluster], t, 2)
-    return direct
+        out[cluster] = _dd_taylor(np.stack([w0[cluster], w1[cluster], w2[cluster]], axis=-1), t, 2)
+    return out
 
 
-def _dd3_sorted(w, t):
-    """f[i*w0,..,i*w3] with w sorted ascending along the last axis."""
-    spread = w[..., 3] - w[..., 0]
+def _int1_plus(nu, t):
+    """int_0^t exp(i nu s) ds, vectorized."""
+    return _g_pair(0.0, nu, t)
+
+
+def _int2_plus(nu1, nu2, t):
+    """Ordered double integral of exp(i nu1 t1) exp(i nu2 t2), t1 > t2."""
+    w0, w1, w2 = _sorted_nodes(0.0, nu1 + 0 * nu2, nu1 + nu2)
+    return _dd2(w0, w1, w2, _g_pair(w0, w1, t), _g_pair(w1, w2, t), t)
+
+
+def _int3_plus(nu1, nu2, nu3, t):
+    """Ordered triple integral: f[0, i p1, i p2, i p3] at the prefix sums p of
+    (nu1, nu2, nu3), by the sorted recursion or, for a narrow cluster, the series."""
+    w = _sorted_nodes(0.0, nu1 + 0 * nu2 + 0 * nu3, nu1 + nu2 + 0 * nu3, nu1 + nu2 + nu3)
+    spread = w[3] - w[0]
     cluster = spread * t < DEGEN_TOL
     # the recursion runs only where the series does not
     out = np.empty(spread.shape, dtype=complex)
     far = ~cluster
     if far.any():
-        wf = w[far]
-        out[far] = (_dd2_sorted(wf[:, 1:4], t) - _dd2_sorted(wf[:, 0:3], t)) / (
-            1j * spread[far]
-        )
-    out[cluster] = _dd_taylor(w[cluster], t, 3)
+        w0, w1, w2, w3 = (x[far] for x in w)
+        g12 = _g_pair(w1, w2, t)
+        upper = _dd2(w1, w2, w3, g12, _g_pair(w2, w3, t), t)
+        out[far] = (upper - _dd2(w0, w1, w2, _g_pair(w0, w1, t), g12, t)) / (1j * spread[far])
+    out[cluster] = _dd_taylor(np.stack([x[cluster] for x in w], axis=-1), t, 3)
     return out
-
-
-def _nodes(prefixes):
-    """Stack (0, prefix_1, .., prefix_r) along a new last axis, sorted."""
-    z = np.zeros_like(prefixes[0])
-    return np.sort(np.stack([z, *prefixes], axis=-1), axis=-1)
-
-
-def _int1_plus(nu, t):
-    """int_0^t exp(i nu s) ds, vectorized."""
-    nu = np.asarray(nu, dtype=float)
-    return _g_pair(np.zeros_like(nu), nu, t)
-
-
-def _int2_plus(nu1, nu2, t):
-    """Ordered double integral of exp(i nu1 t1) exp(i nu2 t2), t1 > t2."""
-    n1 = np.asarray(nu1, dtype=float)
-    n2 = np.asarray(nu2, dtype=float)
-    return _dd2_sorted(_nodes([n1 + 0 * n2, n1 + n2]), t)
-
-
-def _int3_plus(nu1, nu2, nu3, t):
-    n1 = np.asarray(nu1, dtype=float)
-    n2 = np.asarray(nu2, dtype=float)
-    n3 = np.asarray(nu3, dtype=float)
-    p1 = n1 + 0 * n2 + 0 * n3
-    p2 = n1 + n2 + 0 * n3
-    p3 = n1 + n2 + n3
-    return _dd3_sorted(_nodes([p1, p2, p3]), t)
 
 
 def _confluent(w, i1, t):
     """J(a) = f[0, 0, a] and K(a) = f[0, 0, 0, a] at the frequencies a = w
     from I1(a) = f[0, a]: divided differences where |a| T >= DEGEN_TOL,
-    else K by the Taylor series of exp and J = T^2/2 + i a K."""
+    else K by the Taylor series of exp (by Horner's rule) and J = T^2/2 + i a K."""
     small = np.abs(w) * t < DEGEN_TOL
     x = 1j * np.where(small, w, 0.0) * t
-    k = t ** 3 * sum(x ** n / factorial(n + 3) for n in range(SERIES_TERMS))
+    k = t ** 3 * np.polyval([1 / factorial(n + 3) for n in reversed(range(SERIES_TERMS))], x)
     ia = 1j * np.where(small, 1.0, w)
     j = np.where(small, t * t / 2 + 1j * w * k, (i1 - t) / ia)
     return j, np.where(small, k, (j - t * t / 2) / ia)

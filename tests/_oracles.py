@@ -347,6 +347,29 @@ def magnus_terms(cints: CIntegralSet, c_space: CSubspace):
 
 
 # ---------------------------------------------------------------------------
+# the circuit model's linear recursion
+
+def block_propagate(epow: np.ndarray, force: np.ndarray):
+    """Reference for `controlsys._block_propagate`: the states of x_{j+1} =
+    E x_j + force_j from x = 0, with epow holding E^0..E^n and force
+    (P, n, 3).  The part c driven within each interval is stepped one
+    half-step at a time for all intervals together, then the P boundary
+    states one interval at a time; returns the (P, n+1, 3) states and the
+    final state."""
+    p_int, n, _ = force.shape
+    e_t = epow[1].T
+    c = np.zeros((p_int, n + 1, 3), dtype=complex)
+    for j in range(n):
+        c[:, j + 1] = c[:, j] @ e_t + force[:, j]
+    starts = np.empty((p_int, 3), dtype=complex)
+    x = np.zeros(3, dtype=complex)
+    for k in range(p_int):
+        starts[k] = x
+        x = epow[n] @ x + c[k, n]
+    return np.einsum("jab,pb->pja", epow, starts) + c, x
+
+
+# ---------------------------------------------------------------------------
 # exact propagators and fidelities for the evaluation layer
 
 def sequential_product(u: np.ndarray) -> np.ndarray:

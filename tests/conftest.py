@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hamforge.opcore import pauli_op
+
+# a failing draw prints the exact @reproduce_failure blob: the printed repr
+# of an array argument is rounded and may not reproduce the failure
+settings.register_profile("hamforge", print_blob=True)
+settings.load_profile("hamforge")
 
 
 @pytest.fixture

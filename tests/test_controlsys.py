@@ -19,6 +19,7 @@ from hamforge.controlsys import (
     drive_groups,
     field_axes,
 )
+import _oracles as orc
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
 XY10 = (Channel("ax", (1,), "x", 10.0), Channel("ay", (1,), "y", 10.0))
@@ -312,7 +313,7 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half):
 def circuit_runs(draw):
     p_int = draw(st.integers(1, 8))
     vals = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * p_int, max_size=2 * p_int))
-    substeps = draw(st.sampled_from([2, 4, 16]))
+    substeps = draw(st.sampled_from([1, 2, 4, 16]))
     n_half = draw(st.sampled_from([2, 4]))
     return np.reshape(vals, (2, p_int)), substeps, n_half
 
@@ -348,12 +349,27 @@ def test_circuit_step_halving_is_logged(monkeypatch, caplog):
     monkeypatch.setattr(CircuitModel, "_integrate_once", diverge_once)
     seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
     with caplog.at_level(logging.WARNING, logger="hamforge"):
-        CircuitModel(CircuitParams(), substeps=4).field(seq)
+        # the nonlinear path retries; the linear one raises at once (below)
+        CircuitModel(CircuitParams(alpha_l=1e-7), substeps=4).field(seq)
     assert n_halves == [2, 4]
     [rec] = caplog.records
     assert rec.name == "hamforge" and rec.levelno == logging.WARNING
     assert "retry 1 of 5" in rec.getMessage()
     assert f"{seq.dt / 4 / 4:.3e} s" in rec.getMessage()
+
+
+@pytest.mark.parametrize("kappa_i", [1e-320, 1e-305])
+def test_circuit_linear_path_raises_at_once_on_a_non_finite_field(kappa_i, caplog):
+    # at alpha_L = 0 the step is exact, so a shorter one cannot cure an
+    # infinite drive (1e-320) or a field that overflows (1e-305): no retry
+    model = CircuitModel(CircuitParams(kappa_i=kappa_i), substeps=4)
+    seq = ControlSequence(np.full((2, 6), 0.5), 1e-8, XY10)
+    # numpy's default floating-point handling, which the test settings make strict
+    with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger="hamforge"):
+        with pytest.raises(RuntimeError, match="circuit integration unstable"):
+            model.field(seq, ["alpha_L", ("alpha_L", "alpha_L")])
+    assert not caplog.records
+    assert len(model._half_steps) == 1
 
 
 @pytest.mark.parametrize("alpha_l", [-0.03, -1.0])
@@ -611,16 +627,38 @@ def test_kernel_short_substeps_match_mpmath(average):
 def test_circuit_half_step_constants_are_computed_once_per_step(monkeypatch):
     import hamforge.controlsys as cs
 
-    calls = []
-    real = cs._expm
+    calls, sizes = [], []
+    real, real_toeplitz = cs._expm, cs._block_toeplitz
     monkeypatch.setattr(cs, "_expm", lambda a: calls.append(1) or real(a))
+    monkeypatch.setattr(cs, "_block_toeplitz", lambda pows: sizes.append(len(pows)) or real_toeplitz(pows))
     model = CircuitModel(CircuitParams(), substeps=4)
     seq = circuit_drive()
     first = model.field(seq, ["alpha_L"])
     assert len(calls) == 2  # E and E^(1/2) of the one (output step, n_half) in use
+    assert sizes == [8, 5]  # its T_n (n = 4 substeps x 2 half-steps) and the table of P = 6 intervals
     again = model.field(seq, ["alpha_L"])
-    assert len(calls) == 2
+    assert len(calls) == 2 and sizes == [8, 5]
     assert np.array_equal(first.b, again.b)
     assert np.array_equal(first.sensitivities["alpha_L"], again.sensitivities["alpha_L"])
+    model.field(circuit_drive(p_int=3), ["alpha_L", ("alpha_L", "alpha_L")])
+    assert len(calls) == 2 and sizes == [8, 5, 2]  # a new P gets its own interval table only
     model.field(ControlSequence(seq.values, 2 * seq.dt, XY10))
     assert len(calls) == 4  # a new output step gets its own constants
+    assert sizes == [8, 5, 2, 8, 5]
+
+
+@pytest.mark.parametrize("p_int", [1, 2, 35])
+@pytest.mark.parametrize("substeps, n_half", [(1, 2), (16, 2), (16, 4)])
+def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
+    import hamforge.controlsys as cs
+
+    k = CircuitModel(CircuitParams(), substeps)._half_step(1e-8 / substeps, n_half)
+    n = substeps * n_half
+    rng = np.random.default_rng(p_int * n)
+    force = rng.normal(size=(p_int, n, 3)) + 1j * rng.normal(size=(p_int, n, 3))
+    xs, x_end = cs._block_propagate(k, force)
+    ref, ref_end = orc.block_propagate(k.epow, force)
+    scale = np.abs(ref).max()
+    assert xs.shape == ref.shape
+    assert np.abs(xs - ref).max() <= 1e-13 * scale
+    assert np.abs(x_end - ref_end).max() <= 1e-13 * scale

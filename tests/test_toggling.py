@@ -189,6 +189,27 @@ def test_int3_grid_takes_zero_sums_from_the_confluent_tables(monkeypatch):
     assert zero_sums == 13
 
 
+@st.composite
+def node_rows(draw):
+    """(rows, r) arrays of r = 3 or 4 nodes with ties, exact and signed zeros."""
+    r = draw(st.sampled_from([3, 4]))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-13]), st.floats(-10.0, 10.0))
+    rows = draw(st.lists(st.lists(value, min_size=r, max_size=r), min_size=1, max_size=20))
+    return np.array(rows)
+
+
+@given(node_rows())
+@example(np.array([[0.0, -0.0, 0.0], [1.0, -0.0, 1.0]]))
+@example(np.array([[1.0, 1.0, -0.0, 0.0], [0.0, -1.0, -0.0, -1.0]]))
+@settings(max_examples=60, deadline=None)
+def test_sorting_networks_match_sort(nodes):
+    got = np.stack(tg._sorted_nodes(*nodes.T), axis=-1)
+    want = np.sort(nodes, axis=-1)
+    # bit for bit; a tie of -0.0 and +0.0 may leave either zero in either
+    # place (min/max keep one operand, np.sort's tie order is the platform's)
+    assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_general_kernel_vs_mpmath(r):
     mp = pytest.importorskip("mpmath")
@@ -411,12 +432,16 @@ def two_qubit_steps(draw):
             h = np.einsum("a,aij->ij", np.array([draw(coef) for _ in range(15)]), paulis)
         else:
             lam = np.array([draw(coef) for _ in range(3)])
-            lam = np.append(lam, lam[-1] + 1e-8 / dt)
-            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            h = (w * lam) @ w.conj().T
+            h = _rotated_step(np.append(lam, lam[-1] + 1e-8 / dt), draw(st.integers(0, 2 ** 32 - 1)))
         steps.append(h)
     return np.array(steps), dt
+
+
+def _rotated_step(lam, seed):
+    """The step with eigenvalues lam in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return (w * lam) @ w.conj().T
 
 
 def _unit_seeds(rng, q, m):
@@ -508,8 +533,31 @@ def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
             assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
 
 
+def _group_counts(groups):
+    """The number of frequency groups of each step."""
+    if groups.onehot is None:
+        return np.full(len(groups.w), groups.w.shape[1])
+    return groups.onehot.any(axis=1).sum(axis=-1)
+
+
+def _threshold_gaps(nu, h, dt):
+    """Per step, the sorted gaps of nu whose phase lies within 16 ulps of
+    MERGE_KAPPA, in ulps of 2 max|lambda(H)| dt, the largest frequency the
+    step allows: the rounding of either eigendecomposition can move such a
+    gap across the threshold."""
+    gaps = np.diff(np.sort(nu, axis=-1), axis=-1) * dt
+    ulp = np.spacing(2 * np.abs(np.linalg.eigvalsh(h)).max(axis=-1, keepdims=True) * dt)
+    return np.sum(np.abs(gaps - tg.MERGE_KAPPA) <= 16 * ulp, axis=-1)
+
+
+# eigenvalues split by MERGE_KAPPA / dt to 3e-3: the frame gives 7 groups
+# and the eigh of the adjoint matrix 12
+SPLIT_AT_KAPPA = [0.8217701239287258, -1.3812797174167781, -2.7541588563828316, -2.7541588563827317]
+
+
 @given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
 @example((np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3), np.zeros((4, 4))]), 1.0), 5)
+@example((np.array([_rotated_step(SPLIT_AT_KAPPA, 752767290)]), 1.0), 1)
 @example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499 * tg.MERGE_KAPPA)]), 1.0), 6)
 @settings(max_examples=25, deadline=None)
 def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
@@ -521,7 +569,11 @@ def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
     nu, v, y = _eigen(h, stack, seeds)
     nu_f, f = _frame(h, stack)
     y_f = np.einsum("qba,qb->qa", f.conj(), seeds)
-    assert tg.spectral_groups(nu_f, dt).w.shape == tg.spectral_groups(nu, dt).w.shape
+    # the group counts agree, except where rounding decides a merge: each
+    # gap at the threshold may fall on either side in either spectrum
+    counts = [_group_counts(tg.spectral_groups(x, dt)) for x in (nu_f, nu)]
+    at_threshold = _threshold_gaps(nu_f, h, dt) + _threshold_gaps(nu, h, dt)
+    assert np.all(np.abs(counts[0] - counts[1]) <= at_threshold)
     dq = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
     steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(h))]
     want = orc.compose_raw(steps, dq, 3)
