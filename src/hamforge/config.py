@@ -11,12 +11,12 @@ for num.
 seed: int = 0, >= 0 (the master seed of every random stream)
 system.n_qubits: int, >= 1
 system.terms[k] = []: name: str = "term<k>"; strings: list of {pauli:
-    [[qubit, axis], ...], factor: num = 1}, qubits in 1..n_qubits, once
-    each, axis x|y|z; assign: "pri"|"pert"; coeff: num = 0 (rad/s); dist:
-    a distribution = none.  A 'pert' term adds ref_coeff * strings to
+    [[qubit: int, axis], ...], factor: num = 1}, qubits in 1..n_qubits,
+    once each, axis x|y|z; assign: "pri"|"pert"; coeff: num = 0 (rad/s);
+    dist: a distribution = none.  A 'pert' term adds ref_coeff * strings to
     H_pert^component, with component: int = 1 and ref_coeff: num = 0,
     where 0 means |coeff|, else the half-width of dist, else 1.  At least
-    one term is 'pert'.
+    one term is 'pert', and every H_pert^component is nonzero.
 control.channels[k]: name: str = "ch<k>"; qubits: list of int in
     1..n_qubits; role: "x"|"y"|"z"|"amp"|"phase"; scale: num (rad/s, rad
     for phase).  The set obeys `controlsys.drive_groups` and the model.
@@ -27,13 +27,13 @@ control.kernel (model kernel): W: num, > 0, with dt / substeps <= 0.1 / W
     (rad/s); delta: num = 0 (rad/s); average: bool = false
 control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
     hold the defaults and the check
-distributions.<name>: kind: str = "point"; args: list = [0], checked by
-    `evaluate.ParameterDistribution`; the dist of one term or error
+distributions.<name>: kind: str = "point"; args: list = [0], nums checked
+    per kind by `evaluate.ParameterDistribution`; the dist of one term or error
 errors[k] = []: name: str; kind: "amplitude"|"model_param"; param: str, a
     parameter of the model (= "amplitude" for kind amplitude); dist: a
     distribution = none
-targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re:
-    list, matrix_im = 0}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
+targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re,
+    matrix_im = 0: lists of nums}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
     none: {strings}, nonzero, w an integer component id; s_target: num =
     none
 objectives[k] = []: kind: str in `objectives.KINDS`; weight: num > 0;
@@ -241,7 +241,11 @@ def _known(name: str, where: str, distributions) -> str:
 
 def _strings_matrix(strings, n_qubits: int, path: str) -> np.ndarray:
     with _at(f"{path}: bad Pauli string spec: "):
-        pairs = [(s.get("factor", 1.0), [(int(q), ax) for q, ax in s["pauli"]]) for s in strings]
+        pairs = [
+            (_get(s, "factor", f"{path}[{k}]", float, default=1.0),
+             [(_check(q, f"{path}[{k}].pauli", int), ax) for q, ax in s["pauli"]])
+            for k, s in enumerate(strings)
+        ]
         return pauli_string_op(pairs, n_qubits)
 
 
@@ -259,11 +263,15 @@ def _u_target(ut, n: int) -> np.ndarray:
     re = ut.get("matrix_re") if isinstance(ut, dict) else None
     if re is None:
         raise ConfigError("targets.u_target needs a gate name or a 'matrix_re' matrix")
+    im = 0.0 if ut.get("matrix_im") is None else ut["matrix_im"]
     with _at("targets.u_target: "):
-        m = np.asarray(re, dtype=float) + 1j * np.asarray(ut.get("matrix_im", 0.0), dtype=float)
+        m = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     if m.shape != (d, d):
         raise ConfigError(f"targets.u_target has shape {m.shape}, not ({d}, {d}) for {n} qubit(s)")
-    if np.abs(m.conj().T @ m - np.eye(d)).max() > 1e-8:
+    for key, part in (("matrix_re", re), ("matrix_im", im)):
+        for x in np.asarray(part, dtype=object).ravel():
+            _check(x, f"targets.u_target.{key}", float)
+    if not np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-8:
         raise ConfigError("targets.u_target is not unitary to 1e-8")
     return m
 
@@ -271,14 +279,9 @@ def _u_target(ut, n: int) -> np.ndarray:
 def _dist_halfwidth(d: ParameterDistribution) -> float:
     if d.kind == "uniform":
         return 0.5 * abs(d.args[1] - d.args[0])
-    if d.kind == "normal":
-        return abs(d.args[1])
-    if d.kind == "half_normal":
-        return abs(d.args[0])
-    if d.kind == "grid":
-        vals = np.asarray(d.args[0], dtype=float)
-        return float(np.abs(vals).max())
-    return abs(d.args[0])
+    if d.kind in ("normal", "half_normal"):
+        return d.args[-1]
+    return float(np.abs(d.args[0]).max())
 
 
 def load_config(path: str) -> ProblemConfig:
@@ -369,6 +372,9 @@ def parse_config(raw: dict) -> ProblemConfig:
     if not pert:
         raise ConfigError("system.terms: no Hamiltonian term is assigned to H_pert")
     pert = dict(sorted(pert.items()))
+    for w, mat in pert.items():
+        if not mat.any():
+            raise ConfigError(f"system.terms: H_pert^{w} is zero")
 
     errors = []
     for path, e in _entries(raw, "errors", ""):
@@ -493,6 +499,8 @@ def _initial_state(spec, n_qubits: int) -> np.ndarray:
         psi = np.asarray(spec, dtype=complex)
     if psi.shape != (d,):
         raise ConfigError(f"evaluation.initial_state has shape {psi.shape}, not ({d},)")
+    if not np.isfinite(psi).all() or any(isinstance(x, (bool, str)) for x in spec):
+        raise ConfigError(f"evaluation.initial_state must hold finite numbers, got {spec!r}")
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ConfigError("evaluation.initial_state has zero norm")

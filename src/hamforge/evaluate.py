@@ -15,7 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes
-from .opcore import _PAULI, einsum
+from .opcore import conjugation, pauli_op
+
+
+# the args of each distribution kind; a grid's one arg lists its values
+_ARGS = {"uniform": ("a", "b"), "normal": ("mu", "sigma"), "half_normal": ("sigma",),
+         "point": ("x",), "grid": ("[x, ...]",)}
+
+
+def _finite_numbers(values) -> bool:
+    """A non-empty sequence of finite ints and floats, not bools."""
+    return isinstance(values, (list, tuple, np.ndarray)) and len(values) > 0 and all(
+        isinstance(x, (int, float, np.number)) and not isinstance(x, bool) and np.isfinite(x)
+        for x in values)
 
 
 @dataclass(frozen=True)
@@ -30,14 +42,16 @@ class ParameterDistribution:
 
     def __post_init__(self):
         k, a = self.kind, self.args
-        if k == "uniform":
-            if not a[0] < a[1]:
-                raise ValueError(f"uniform({a}): need a < b")
-        elif k in ("normal", "half_normal"):
-            if a[-1] <= 0:
-                raise ValueError(f"{k}{a}: sigma must be positive")
-        elif k not in ("point", "grid"):
+        if k not in _ARGS:
             raise ValueError(f"unknown distribution kind {k!r}")
+        values = a[0] if k == "grid" and len(a) == 1 else a
+        if len(a) != len(_ARGS[k]) or not _finite_numbers(values):
+            want = ", ".join(_ARGS[k])
+            raise ValueError(f"{k} takes args [{want}] of finite numbers, got {list(a)}")
+        if k == "uniform" and not a[0] < a[1]:
+            raise ValueError(f"uniform({a}): need a < b")
+        if k in ("normal", "half_normal") and a[-1] <= 0:
+            raise ValueError(f"{k}{a}: sigma must be positive")
 
     def sample(self, rng: np.random.Generator) -> float:
         a = self.args
@@ -55,13 +69,9 @@ class ParameterDistribution:
         a = self.args
         if self.kind == "uniform":
             return 0.5 * (a[0] + a[1])
-        if self.kind == "normal":
-            return float(a[0])
         if self.kind == "half_normal":
             return 0.0
-        if self.kind == "point":
-            return float(a[0])
-        return float(np.asarray(a[0]).ravel()[0])
+        return float(np.ravel(a[0])[0])   # mu, x, or a grid's first value
 
 
 @dataclass(frozen=True)
@@ -99,22 +109,19 @@ class LandscapeGrid:
 def pauli_basis_stack(n_qubits: int) -> np.ndarray:
     """(d^2, d, d) normalized Pauli strings, identity first, then
     lexicographic in (i, x, y, z) per site."""
-    d = 2 ** n_qubits
-    mats = []
-    for combo in itertools.product("ixyz", repeat=n_qubits):
-        m = np.array([[1.0 + 0j]])
-        for c in combo:
-            m = np.kron(m, _PAULI[c])
-        mats.append(m / np.sqrt(d))
-    return np.stack(mats)
+    c = 1 / np.sqrt(2 ** n_qubits)
+    return np.stack([
+        pauli_op([(q, ax) for q, ax in enumerate(combo, 1) if ax != "i"], c, n_qubits)
+        for combo in itertools.product("ixyz", repeat=n_qubits)
+    ])
 
 
 def ptm(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary, or
-    of each unitary in a (..., d, d) stack."""
-    u = np.asarray(u)
-    conj = einsum("...ij,bjk,...lk->...bil", u, stack, u.conj())
-    return einsum("ail,...bli->...ab", stack, conj).real
+    of each unitary in a (..., d, d) stack: R = Re(conj(S) K S^T) with the
+    basis rows S = vec(P_a) and K = `opcore.conjugation`(U)."""
+    s = stack.reshape(len(stack), -1)
+    return (s.conj() @ conjugation(np.asarray(u)) @ s.T).real
 
 
 # ---------------------------------------------------------------------------

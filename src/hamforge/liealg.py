@@ -7,11 +7,11 @@ elements with a perturbation, which is also the span swept out by
 conjugating the perturbation with the generated group.  Both hold their
 basis as an orthonormal, read-only (m, d, d) stack.
 
-Linear independence is decided by the rank of the stacked vectorized
-operators, maintained incrementally: a candidate is independent when its
-residual after projecting onto the orthonormalized row space exceeds the
-singular-value threshold max(dims) * eps_machine * sigma_max (here
-sigma_max = 1 because rows are unit-normalized).
+The closure grows one `opcore.RowSpace`: a candidate is kept when its
+unit vector leaves more than `opcore.INDEP_TOL` off the span of the rows
+kept so far, and the rows themselves, already orthonormal and in the
+order the elements were kept, are the returned basis.  So the first
+element of a C-subspace is parallel to H_pert, its first seed.
 """
 from __future__ import annotations
 
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import ORTHO_TOL, _as_readonly, gram_schmidt
-
-_EPS = np.finfo(float).eps
-INDEP_TOL = 1e-7     # a unit candidate is new above this residual off the span
+from .opcore import ORTHO_TOL, RowSpace
 
 
 class _Basis:
@@ -31,7 +28,8 @@ class _Basis:
     stack: np.ndarray
 
     def __post_init__(self):
-        s = _as_readonly(self.stack)
+        s = np.ascontiguousarray(self.stack, dtype=complex)
+        s.setflags(write=False)
         if s.ndim != 3 or not len(s) or s.shape[1] != s.shape[2]:
             raise ValueError(f"a basis is a nonempty (m, d, d) stack, got shape {s.shape}")
         if np.abs(np.einsum("aij,bij->ab", s.conj(), s) - np.eye(len(s))).max() >= ORTHO_TOL:
@@ -59,59 +57,33 @@ class CSubspace(_Basis):
     stack: np.ndarray              # Hermitian elements
 
 
-class _RowSpace:
-    """Incrementally orthonormalized span of vectorized operators."""
-
-    def __init__(self, length: int):
-        self.q = np.zeros((0, length), dtype=complex)
-        # INDEP_TOL, or the rank threshold at sigma_max = 1 if that is larger
-        self.thresh = max(INDEP_TOL, length * _EPS)
-
-    def try_add(self, m: np.ndarray) -> bool:
-        """Add the operator if independent; return whether it was added."""
-        v = m.ravel().astype(complex)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return False
-        v = v / nv
-        for _ in range(2):
-            if len(self.q):
-                v = v - self.q.conj() @ v @ self.q
-        r = np.linalg.norm(v)
-        if r <= self.thresh:
-            return False
-        self.q = np.vstack([self.q, v / r])
-        return True
-
-
 def _closure(seeds, partners, bracket, cap: int):
     """Round-based closure of the independent seeds under bracket(b, p)
     with every partner p.
 
     Each round brackets the newest elements b with the partners only,
     appending independent results, and stops once a round adds nothing or
-    the span reaches ``cap``.  Returns (elements, rounds performed).
+    the span reaches ``cap``.  Returns (the orthonormal basis of the span,
+    (m, d, d) in the order its elements were kept, rounds performed).
     """
-    rows = _RowSpace(seeds[0].size)
-    elements = [m for m in seeds if rows.try_add(m)]
-    current = list(elements)
+    rows = RowSpace(seeds[0].size)
+    current = [m for m in seeds if rows.try_add(m)]
     depth = 0
-    while current and len(elements) < cap:
+    while current and len(rows.q) < cap:
         new: list[np.ndarray] = []
         for b in current:
             for p in partners:
                 c = bracket(b, p)
                 if rows.try_add(c):
                     new.append(c)
-                    if len(elements) + len(new) >= cap:
+                    if len(rows.q) >= cap:
                         break
             else:
                 continue
             break
-        elements.extend(new)
         current = new
         depth += 1
-    return elements, depth
+    return rows.q.reshape(-1, *seeds[0].shape), depth
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -134,10 +106,8 @@ def find_lie_algebra(generators) -> LieAlgebraBasis:
     if any(g.shape != (d, d) for g in generators):
         raise ValueError("generators on different qubit counts")
     seeds = [1j * _traceless(g) for g in generators]
-    elements, depth = _closure(seeds, seeds, lambda h, g: h @ g - g @ h, d * d - 1)
-    return LieAlgebraBasis(
-        gram_schmidt(elements), generator_count=len(generators), closure_depth=depth
-    )
+    basis, depth = _closure(seeds, seeds, lambda h, g: h @ g - g @ h, d * d - 1)
+    return LieAlgebraBasis(basis, generator_count=len(generators), closure_depth=depth)
 
 
 def find_c_subspace(
@@ -147,8 +117,9 @@ def find_c_subspace(
 ) -> CSubspace:
     """Orthonormal basis of span{ [g_1, ... [g_L, H_pert] ...], L >= 0 }.
 
-    The first returned element is parallel to H_pert (Gram-Schmidt keeps
-    the seed direction).  ``extra_seeds`` extends the computation to a
+    The first returned element is parallel to H_pert (the row space keeps
+    the seed direction); seeds that are all zero leave an empty stack,
+    which raises ValueError.  ``extra_seeds`` extends the computation to a
     time-dependent perturbation: the subspace then contains the span of
     all listed operators and their nested commutators.
     """
@@ -160,5 +131,5 @@ def find_c_subspace(
     if g.stack.shape[-1] != d:
         raise ValueError("algebra and perturbation dimension mismatch")
     seeds = [h_pert, *(np.asarray(s) for s in extra_seeds)]
-    elements, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d)
-    return CSubspace(gram_schmidt(elements))
+    basis, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d)
+    return CSubspace(basis)

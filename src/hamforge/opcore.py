@@ -3,9 +3,10 @@
 An operator on an n-qubit register is a plain complex (d, d) ndarray,
 d = 2**n.  An orthonormal operator basis is a read-only (m, d, d) stack,
 orthonormal under the Hilbert-Schmidt inner product
-<<A|B>> = Tr(B A^dag).  The module provides Pauli-string operators,
-Gram-Schmidt orthonormalization into such a stack, and the one projection
-of operators onto a stack, which gives the vector representation
+<<A|B>> = Tr(B A^dag).  The module provides Pauli-string operators, the
+one orthonormaliser (`RowSpace`), the one conjugation product
+(`conjugation`) and the one projection of operators onto a stack, which
+gives the vector representation
 
     |H>>_i   = <<h_i|H>>
 
@@ -14,25 +15,19 @@ are complex; they are real when the basis and the operand share
 (anti-)Hermitian type, and the real subspaces used downstream take their
 real part.
 
-Everything here is a pure function and is safe to call from concurrent
-workers.
+Everything here is a pure function, or an object local to its caller,
+and is safe to call from concurrent workers.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-try:  # the pairwise step of np.einsum's own contraction loop
-    from numpy._core.einsumfunc import bmm_einsum
-except ImportError:  # a numpy without it contracts pairs its own way: keep np.einsum
-    bmm_einsum = None
-
 # Global tolerances (Hilbert-Schmidt units).
 ORTHO_TOL = 1e-9     # basis orthonormality
 SPAN_TOL = 1e-8      # span membership: relative residual of `project`
-DEP_TOL = 1e-12      # Gram-Schmidt: relative norm below which an input is dependent
+INDEP_TOL = 1e-7     # RowSpace: a unit candidate is new above this residual off the span
 
 _PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -44,12 +39,6 @@ _PAULI = {
 
 class SubspaceError(ValueError):
     """Operator falls outside the span of a basis beyond tolerance."""
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 def pauli_op(
@@ -84,32 +73,40 @@ def pauli_string_op(strings, n_qubits: int) -> np.ndarray:
     return m
 
 
-def gram_schmidt(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Orthonormalize a list of (d, d) matrices, dropping dependent ones,
-    into a read-only (m, d, d) stack in input order.
+class RowSpace:
+    """Incrementally orthonormalized span of vectorized operators: `q`
+    holds one orthonormal row per accepted input, in input order, so the
+    first row is parallel to the first input.  Classical Gram-Schmidt
+    applied twice keeps them orthonormal to working precision (Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005))."""
 
-    Vectors whose post-projection norm falls below DEP_TOL times the
-    largest input norm are discarded.  Modified Gram-Schmidt with one
-    re-orthogonalization pass.
-    """
-    if not len(mats):
-        raise ValueError("empty input")
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    scale = max(np.linalg.norm(m) for m in mats)
-    if scale == 0.0:
-        raise ValueError("all inputs numerically zero")
-    kept: list[np.ndarray] = []
-    for m in mats:
-        v = m.copy()
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for u in kept:
-                v -= np.sum(u.conj() * v) * u
+    def __init__(self, length: int):
+        self.q = np.zeros((0, length), dtype=complex)
+
+    def try_add(self, m: np.ndarray) -> bool:
+        """Add the operator if independent; return whether it was added."""
+        v = m.ravel().astype(complex)
         nv = np.linalg.norm(v)
-        if nv > DEP_TOL * scale:
-            kept.append(v / nv)
-    if not kept:
-        raise ValueError("all inputs numerically zero after projection")
-    return _as_readonly(np.stack(kept))
+        if nv == 0.0:
+            return False
+        v = v / nv
+        for _ in range(2):
+            if len(self.q):
+                v = v - self.q.conj() @ v @ self.q
+        r = np.linalg.norm(v)
+        if r <= INDEP_TOL:
+            return False
+        self.q = np.vstack([self.q, v / r])
+        return True
+
+
+def conjugation(u: np.ndarray) -> np.ndarray:
+    """kron(U, conj U) of each (..., d, d) unitary: the (..., d^2, d^2)
+    matrix of X -> U X U^dag on row-major vec(X) (Wood, Biamonte & Cory,
+    QIC 15, 759 (2015))."""
+    d = u.shape[-1]
+    k = u[..., :, None, :, None] * u.conj()[..., None, :, None, :]
+    return k.reshape(*u.shape[:-2], d * d, d * d)
 
 
 def project(m: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,28 +120,3 @@ def project(m: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.einsum("aij,...ij->...a", stack.conj(), m)
     resid = np.linalg.norm(m - np.einsum("...a,aij->...ij", c, stack), axis=(-2, -1))
     return c, resid / np.maximum(np.linalg.norm(m, axis=(-2, -1)), 1e-300)
-
-
-@lru_cache(maxsize=64)
-def _contractions(subscripts: str, shapes: tuple) -> tuple:
-    """The greedy path and, along it, the steps (operand positions,
-    subscripts) of np.einsum's own contraction loop."""
-    operands = [np.broadcast_to(0.0, s) for s in shapes]
-    path = tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
-    steps = np.einsum_path(subscripts, *operands, optimize=path, einsum_call=True)[1]
-    return path, tuple((step[0], step[1]) for step in steps)
-
-
-def einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum along the greedy contraction path, planned once per
-    (subscripts, operand shapes): each call runs the planned steps with
-    numpy's own pairwise kernel, so it does no path work and returns what
-    np.einsum(..., optimize=path) returns, bit for bit."""
-    path, steps = _contractions(subscripts, tuple(np.shape(o) for o in operands))
-    if bmm_einsum is None:
-        return np.einsum(subscripts, *operands, optimize=path)
-    ops = list(operands)
-    for inds, eq in steps:
-        args = [ops.pop(k) for k in inds]
-        ops.append(bmm_einsum(eq, *args) if len(args) == 2 else np.einsum(eq, *args))
-    return ops[0]

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liealg import LieAlgebraBasis
-from .opcore import SPAN_TOL, SubspaceError, project
+from .opcore import SPAN_TOL, RowSpace, SubspaceError, project
+from .toggling import expm_batch
 
 CONVERGE_TOL = 1e-3   # scale-range search: stop once both ends move less per batch
 SAMPLERS = ("auto", "qr", "walk")   # vertex samplers; "auto" picks by the algebra
@@ -36,11 +37,6 @@ def haar_unitary(dim: int, rng: np.random.Generator, count: int | None = None) -
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _expm_antiherm_raw(g: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(1j * g)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def _walk_unitaries(
     gstack: np.ndarray,
     n_burn: int,
@@ -53,7 +49,7 @@ def _walk_unitaries(
 
     def move(x):
         p = rng.standard_normal(gstack.shape[0])
-        return _expm_antiherm_raw(np.tensordot(p, gstack, axes=(0, 0))) @ x
+        return expm_batch(1j * np.tensordot(p, gstack, axes=(0, 0)), 1.0) @ x
 
     for _ in range(n_burn):
         x = move(x)
@@ -132,20 +128,12 @@ class ScaleRange:
 
 
 def _completion_from_direction(t0: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first row is t0 (unit), rest Gram-Schmidt."""
-    m = t0.size
-    rows = [t0]
-    for k in range(m):
-        v = np.zeros(m)
-        v[k] = 1.0
-        for u in rows:
-            v = v - (u @ v) * u
-        n = np.linalg.norm(v)
-        if n > 1e-10:
-            rows.append(v / n)
-        if len(rows) == m:
-            break
-    return np.stack(rows)
+    """Orthogonal matrix whose first row is t0 (unit) itself, completed
+    from the unit vectors by the row space."""
+    rows = RowSpace(t0.size)
+    for v in (t0, *np.eye(t0.size)):
+        rows.try_add(v)
+    return np.vstack([t0, rows.q[1:].real])
 
 
 def _pick_sampler(g: LieAlgebraBasis, sampler: str) -> str:

@@ -22,8 +22,11 @@ matrices onto the stack, F_ic = <<h_i|E_c>> (Q, m, p) with frequencies
 nu (Q, p): the pairs E = v_j v_k^dag, j != k, nu = lambda_j - lambda_k,
 and E = sum_j H_rj v_j v_j^dag, nu = 0, for the rows of a Helmert matrix
 H (H_0j = 1/sqrt(d); row 0, the identity, is dropped when its weight in
-the span is at most machine eps).  So F F^dag = I_m, F diag(nu) F^dag =
-M, and f(M) = F diag(f(nu)) F^dag on a span closed under ad H.  A stack
+the span is at most machine eps).  Every E is a fixed combination of the
+columns vec(v_j v_k^dag) of kron(V, conj V) = `opcore.conjugation`(V),
+so one product with the constant `AdjointFrame.pairs` gives them all.
+So F F^dag = I_m, F diag(nu) F^dag = M, and f(M) = F diag(f(nu)) F^dag
+on a span closed under ad H.  A stack
 spanning su(d), as every benchmark stack does, has p = m and a unitary
 F.  On a proper subspace a column projects onto an eigenvector of M with
 its own frequency or onto zero; a dead column (weight sum_i |F_ic|^2 <=
@@ -144,6 +147,8 @@ from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
+
+from .opcore import conjugation
 
 DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
 SERIES_TERMS = 10         # terms of that series
@@ -359,8 +364,8 @@ def adjoint_matrix_batch(lam: np.ndarray, vecs: np.ndarray, frame: AdjointFrame)
     step Hamiltonians: frequencies nu (Q, p) and frame F (Q, m, p), with the
     dead columns of a proper subspace (p > m) moved (see the module docstring)."""
     q, d = lam.shape
-    kron = (vecs[:, :, None, :, None] * vecs.conj()[:, None, :, None, :]).reshape(q * d * d, d * d)
-    cols = (kron @ frame.pairs).reshape(q, d * d, -1).transpose(1, 0, 2).reshape(d * d, -1)
+    cols = conjugation(vecs).reshape(q * d * d, d * d) @ frame.pairs
+    cols = cols.reshape(q, d * d, -1).transpose(1, 0, 2).reshape(d * d, -1)
     f = (frame.rows @ cols).reshape(len(frame.rows), q, -1).transpose(1, 0, 2)
     nu = lam @ frame.diffs
     if f.shape[2] > f.shape[1]:

@@ -379,6 +379,16 @@ def _objective(**term):
 
 _BAD_PAULI = {"strings": [{"pauli": [[1, "q"]]}]}
 _AXIS = {"dist": "detuning", "values": [0.0]}
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _dist(kind, args):
+    """The detuning distribution, which the H_pert term claims, as kind(args)."""
+    return lambda c: c["distributions"]["detuning"].update(kind=kind, args=args)
+
+
+def _string(pauli, factor=1):
+    return _term("strings", [{"pauli": pauli, "factor": factor}])
 
 
 _BAD_KEYS = {
@@ -424,6 +434,13 @@ _BAD_KEYS = {
                           "system.terms[0].dist references unknown distribution 'nope'"),
     "component-not-a-number": (_term("component", "one"),
                                "system.terms[0].component must be an integer, got 'one'"),
+    "pauli-factor-nan": (_string([[1, "z"]], _NAN),
+                         "system.terms[0].strings[0].factor must be a finite number, got nan"),
+    "pauli-factor-bool": (_string([[1, "z"]], True),
+                          "system.terms[0].strings[0].factor must be a finite number, got True"),
+    "pauli-qubit-float": (_string([[1.5, "z"]]),
+                          "system.terms[0].strings[0].pauli must be an integer, got 1.5"),
+    "h-pert-zero": (_string([[1, "z"]], 0), "system.terms: H_pert^1 is zero"),
     # control
     "intervals-below-1": (_set("control", "intervals", 0),
                           "control.intervals must be an integer >= 1, got 0"),
@@ -452,6 +469,25 @@ _BAD_KEYS = {
                        "distributions.spare is not the 'dist' of any term or error"),
     "bad-dist-args": (lambda c: c["distributions"]["amp_err"].update(args=[0.05, -0.05]),
                       "distributions.amp_err: uniform((0.05, -0.05)): need a < b"),
+    "dist-normal-one-arg": (_dist("normal", [0.5]),
+                            "distributions.detuning: normal takes args [mu, sigma] of finite numbers,"
+                            " got [0.5]"),
+    "dist-normal-three-args": (_dist("normal", [0, 1, 2]),
+                               "distributions.detuning: normal takes args [mu, sigma] of finite"
+                               " numbers, got [0, 1, 2]"),
+    "dist-point-no-arg": (_dist("point", []),
+                          "distributions.detuning: point takes args [x] of finite numbers, got []"),
+    "dist-uniform-strings": (_dist("uniform", ["a", "b"]),
+                             "distributions.detuning: uniform takes args [a, b] of finite numbers,"
+                             " got ['a', 'b']"),
+    "dist-uniform-infinite": (_dist("uniform", [0, _INF]),
+                              "distributions.detuning: uniform takes args [a, b] of finite numbers,"
+                              " got [0, inf]"),
+    "dist-grid-empty": (_dist("grid", [[]]),
+                        "distributions.detuning: grid takes args [[x, ...]] of finite numbers, got [[]]"),
+    "dist-grid-not-a-list": (_dist("grid", [3.0]),
+                             "distributions.detuning: grid takes args [[x, ...]] of finite numbers,"
+                             " got [3.0]"),
     "dist-claimed-twice": (lambda c: c["errors"][0].update(dist="detuning"),
                            "errors[0].dist: 'detuning' is already the dist of term:detuning"),
     "error-kind": (lambda c: c["errors"][0].update(kind="phase"),
@@ -461,6 +497,11 @@ _BAD_KEYS = {
     # targets
     "u-target-not-numeric": (lambda c: c["targets"].update(u_target={"matrix_re": [["a", 0], [0, 1]]}),
                              "targets.u_target: could not convert string to float: 'a'"),
+    "u-target-infinite": (lambda c: c["targets"].update(u_target={"matrix_re": [[_INF, 0], [0, 1]]}),
+                          "targets.u_target.matrix_re must be a finite number, got inf"),
+    "u-target-nan": (lambda c: c["targets"].update(u_target={"matrix_re": [[1, 0], [0, 1]],
+                                                             "matrix_im": [[0, _NAN], [0, 0]]}),
+                     "targets.u_target.matrix_im must be a finite number, got nan"),
     "h-target-key-not-an-integer": (_h_target({"x": {"strings": [{"pauli": [[1, "z"]]}]}}),
                                     "targets.h_target.x: the key is not an integer component id:"
                                     " invalid literal for int() with base 10: 'x'"),
@@ -518,6 +559,10 @@ _BAD_KEYS = {
                            "evaluation.initial_state has zero norm"),
     "initial-state-shape": (_set("evaluation", "initial_state", [1, 0, 0]),
                             "evaluation.initial_state has shape (3,), not (2,)"),
+    "initial-state-nan": (_set("evaluation", "initial_state", [_NAN, 1]),
+                          "evaluation.initial_state must hold finite numbers, got [nan, 1]"),
+    "initial-state-bool": (_set("evaluation", "initial_state", [True, "0"]),
+                           "evaluation.initial_state must hold finite numbers, got [True, '0']"),
     "initial-state-not-numeric": (_set("evaluation", "initial_state", ["up", 0]),
                                   "evaluation.initial_state: "),
     "landscape-unknown-dist": (_set("evaluation", "landscape", {"axis1": dict(_AXIS, dist="nope"),

@@ -1,7 +1,8 @@
 """The problem-file reader: the initial-state reader, the models' own
 substeps, and a static check that every ConfigError the library can raise
 has a row in a CLI table of bad keys (`test_cli._BAD_KEYS` for the problem
-file, `test_cli._BAD_SEQUENCES` for sequence files)."""
+file, `test_cli._BAD_SEQUENCES` for sequence files).  A second static
+check keeps the library off private numpy and scipy modules."""
 import ast
 import re
 from pathlib import Path
@@ -81,3 +82,25 @@ def test_a_null_value_counts_as_absent():
     cfg = cfgmod.parse_config(raw)
     assert (cfg.seed, cfg.model.substeps, cfg.s_target, cfg.t_dep, cfg.landscape) == (0, 1, None, None, None)
     assert "batch" not in cfg.scale_args
+
+
+def _private(module: str) -> bool:
+    """numpy._* or scipy.*._*: a module that numpy or scipy may change without notice."""
+    top, *rest = module.split(".")
+    return top in ("numpy", "scipy") and any(part.startswith("_") for part in rest)
+
+
+def test_no_module_imports_a_private_numpy_or_scipy_module():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if _private(name)]
+    assert found == []
+    assert _private("numpy._core.einsumfunc") and _private("scipy.linalg._flapack")
+    assert not _private("numpy.linalg") and not _private("scipy.optimize")

@@ -6,7 +6,7 @@ import pytest
 from hamforge import evaluate as ev
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
 from hamforge.opcore import pauli_op
-from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator
+from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator, rep_unitary
 
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
@@ -57,6 +57,17 @@ def test_ptm_homomorphism():
         lhs = ev.ptm(u1 @ u2, stack)
         rhs = ev.ptm(u1, stack) @ ev.ptm(u2, stack)
         assert np.abs(lhs - rhs).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ptm_matches_the_per_column_projection(n):
+    from hamforge.reach import haar_unitary
+
+    stack = ev.pauli_basis_stack(n)
+    us = haar_unitary(2 ** n, np.random.default_rng(40 + n), 6).reshape(2, 3, 2 ** n, 2 ** n)
+    want = np.array([[rep_unitary(u, stack) for u in row] for row in us])
+    assert np.abs(ev.ptm(us, stack) - want).max() <= 1e-13
+    assert np.abs(ev.ptm(us[1, 2], stack) - want[1, 2]).max() <= 1e-13
 
 
 def test_ptm_stack_matches_single():

@@ -116,3 +116,33 @@ def test_multi_seed_subspace():
 def test_empty_generators_rejected():
     with pytest.raises(ValueError):
         find_lie_algebra([])
+
+
+def _is_orthonormal(stack):
+    return np.abs(np.einsum("aij,bij->ab", stack.conj(), stack) - np.eye(len(stack))).max() <= 1e-13
+
+
+def test_dependent_seeds_are_dropped():
+    sx, sy, sz = (pauli_op([(1, ax)], 1.0, 1) for ax in "xyz")
+    assert find_lie_algebra([sz, 2 * sz, -sz]).dim == 1
+    g = find_lie_algebra([sz])
+    c = find_c_subspace(g, sx + sy, extra_seeds=(2 * (sx + sy), sx, sy))
+    assert c.dim == 2 and _is_orthonormal(c.stack)
+
+
+def test_first_element_is_the_normalised_perturbation():
+    rng = np.random.default_rng(7)
+    gens = [pauli_op([(1, "x")], 1.0, 2), pauli_op([(1, "z"), (2, "z")], 1.0, 2)]
+    g = find_lie_algebra(gens)
+    for _ in range(3):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = a + a.conj().T
+        c = find_c_subspace(g, h)
+        assert _is_orthonormal(c.stack) and _is_orthonormal(g.stack)
+        assert np.abs(c.stack[0] - h / np.linalg.norm(h)).max() <= 1e-15
+
+
+def test_zero_perturbation_is_rejected():
+    g = find_lie_algebra(su2_gens())
+    with pytest.raises(ValueError, match="nonempty"):
+        find_c_subspace(g, np.zeros((2, 2)))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamforge import opcore
 from hamforge.liealg import CSubspace
-from hamforge.opcore import SubspaceError, gram_schmidt, pauli_op, project
+from hamforge.opcore import SubspaceError, pauli_op, project
 from _oracles import (
     commutator,
     expm_herm_generator,
@@ -67,22 +66,6 @@ def test_commutator_two_qubit():
     b = pauli_op([(1, "x"), (2, "x")], 1.0, 2)
     expect = 2j * pauli_op([(1, "y"), (2, "x")], 1.0, 2)
     assert np.allclose(commutator(a, b), expect)
-
-
-def test_gram_schmidt_drops_dependent(paulis1):
-    basis = gram_schmidt([paulis1["x"], paulis1["x"] * 2, paulis1["y"]])
-    assert len(basis) == 2
-
-
-def test_gram_schmidt_orthonormal(paulis1):
-    basis = gram_schmidt([paulis1["x"] + paulis1["y"], paulis1["x"]])
-    assert len(basis) == 2
-    assert np.abs(np.einsum("aij,bij->ab", basis.conj(), basis) - np.eye(2)).max() < 1e-9
-
-
-def test_gram_schmidt_zero_input():
-    with pytest.raises(ValueError):
-        gram_schmidt([np.zeros((2, 2))])
 
 
 def test_expm_basic(paulis1):
@@ -203,35 +186,3 @@ def test_basis_rejects_nonorthonormal(paulis1):
     with pytest.raises(ValueError, match="not orthonormal"):
         CSubspace(paulis1["x"][None] * (1 + 1e-8) / np.sqrt(2))
     CSubspace(paulis1["x"][None] / np.sqrt(2))
-
-
-# the contractions of evaluate.ptm (one unitary and a Monte-Carlo stack, 2 qubits)
-_CONTRACTIONS = [
-    ("...ij,bjk,...lk->...bil", [(4, 4), (16, 4, 4), (4, 4)]),
-    ("...ij,bjk,...lk->...bil", [(50, 4, 4), (16, 4, 4), (50, 4, 4)]),
-    ("ail,...bli->...ab", [(16, 4, 4), (50, 16, 4, 4)]),
-]
-
-
-@pytest.mark.parametrize("subscripts, shapes", _CONTRACTIONS)
-def test_einsum_runs_the_planned_path_bit_for_bit_without_path_work(monkeypatch, subscripts, shapes):
-    from hamforge.opcore import einsum
-
-    rng = np.random.default_rng(len(subscripts) + sum(map(len, shapes)))
-    ops = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-    path = np.einsum_path(subscripts, *ops, optimize="greedy")[0]
-    want = np.einsum(subscripts, *ops, optimize=path)
-    assert np.array_equal(einsum(subscripts, *ops), want)
-    # a numpy without bmm_einsum: np.einsum along the planned path
-    with monkeypatch.context() as m:
-        m.setattr(opcore, "bmm_einsum", None)
-        assert np.array_equal(einsum(subscripts, *ops), want)
-
-    def no_path(*args, **kwargs):
-        raise AssertionError("einsum_path called on a planned contraction")
-
-    # planned once per subscripts and shapes: later calls search and check
-    # no path, neither directly nor inside np.einsum
-    monkeypatch.setattr(np, "einsum_path", no_path)
-    monkeypatch.setattr(pytest.importorskip("numpy._core.einsumfunc"), "einsum_path", no_path)
-    assert np.array_equal(einsum(subscripts, *ops), want)

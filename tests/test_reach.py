@@ -46,6 +46,27 @@ def test_haar_batch_matches_sequential_draws():
         assert seq_rng.standard_normal() == batch_rng.standard_normal()
 
 
+def _completion_cases():
+    rng = np.random.default_rng(31)
+    for m in (1, 2, 3, 6, 15):
+        for k in range(m):
+            yield np.eye(m)[k]
+            yield -np.eye(m)[k]
+        near = np.eye(m)[0] + 1e-8 * rng.standard_normal(m)
+        yield near / np.linalg.norm(near)
+        for _ in range(5):
+            t = rng.standard_normal(m)
+            yield t / np.linalg.norm(t)
+
+
+def test_completion_is_orthogonal_with_first_row_t0():
+    for t0 in _completion_cases():
+        tmat = reach._completion_from_direction(t0)
+        assert tmat.shape == (t0.size, t0.size)
+        assert np.array_equal(tmat[0], t0)
+        assert np.abs(tmat @ tmat.T - np.eye(t0.size)).max() <= 1e-13
+
+
 def su2():
     sx = pauli_op([(1, "x")], 1.0, 1)
     sy = pauli_op([(1, "y")], 1.0, 1)
