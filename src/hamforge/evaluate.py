@@ -143,7 +143,8 @@ class EvaluationSetup:
 
 
 # draws per expm_batch call: large enough to amortize the call, small
-# enough that the eigh temporaries stay a few MB
+# enough that its Taylor temporaries (X to X^4 and the Horner sum, each
+# d^2 x 100 Q complex) stay a few MB
 _MC_BLOCK = 100
 
 

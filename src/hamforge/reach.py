@@ -44,21 +44,20 @@ def _walk_unitaries(
     n_sample: int,
     rng: np.random.Generator,
 ):
-    """Raw random-walk samples on e^{g_pri}: left-multiply exp(sum p_h h)."""
-    x = np.eye(gstack.shape[-1], dtype=complex)
-
-    def move(x):
-        p = rng.standard_normal(gstack.shape[0])
-        return expm_batch(1j * np.tensordot(p, gstack, axes=(0, 0)), 1.0) @ x
-
-    for _ in range(n_burn):
-        x = move(x)
+    """Raw random-walk samples (n_sample, d, d) on e^{g_pri}: left-multiply
+    exp(sum p_h h), with every move's p drawn and exponentiated at once."""
+    d = gstack.shape[-1]
+    p = rng.standard_normal((n_burn + n_sample * n_thin, gstack.shape[0]))
+    steps = expm_batch(1j * np.tensordot(p, gstack, axes=(1, 0)), 1.0)
+    x = np.eye(d, dtype=complex)
+    for step in steps[:n_burn]:
+        x = step @ x
     out = []
-    for _ in range(n_sample):
-        for _ in range(n_thin):
-            x = move(x)
+    for block in steps[n_burn:].reshape(n_sample, n_thin, d, d):
+        for step in block:
+            x = step @ x
         out.append(x)
-    return out
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +178,7 @@ def sample_vertices(
     if mode == "qr":
         us = haar_unitary(dim, rng, j_samples)
     else:
-        us = np.stack(_walk_unitaries(g.stack, n_burn, n_thin, j_samples, rng))
+        us = _walk_unitaries(g.stack, n_burn, n_thin, j_samples, rng)
     parts = []
     for (h, c, _) in components:
         coeff, resid = project(us.conj().swapaxes(-1, -2) @ h @ us, c.stack)

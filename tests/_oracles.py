@@ -2,10 +2,12 @@
 
 Each one reaches a library result by a different route: operator
 algebra column by column, adjoint matrices (Q, m, m) whose eigh the
-library's spectral frame replaces, toggle matrices by conjugation with
+library's spectral frame replaces, step unitaries from an eigh in place
+of the library's Taylor exponential, toggle matrices by conjugation with
 the step unitaries, C-integrals by a sequential per-step fold with the general
-divided-difference kernel, and exact propagators by one scipy `expm`
-per step and an ordered product.  No command of the tool runs them.
+divided-difference kernel, exact propagators by one scipy `expm`
+per step and an ordered product, and the walk sampler one move at a
+time.  No command of the tool runs them.
 """
 from __future__ import annotations
 
@@ -34,11 +36,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expm_herm_generator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition."""
-    if np.abs(h - h.conj().T).max() >= 1e-10 * max(np.abs(h).max(), 1e-300):
+    """exp(-i h t) for a Hermitian h or stack (..., d, d) of them, as
+    V e^{-i lambda t} V^dag from the eigendecomposition."""
+    if np.abs(h - np.swapaxes(h.conj(), -1, -2)).max() >= 1e-10 * max(np.abs(h).max(), 1e-300):
         raise ValueError("generator is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def reconstruct(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -116,7 +119,7 @@ class PrimaryPropagation:
 
 
 def propagate_primary(steps: StepHamiltonians) -> PrimaryPropagation:
-    u = tg.expm_batch(steps.h_pri, steps.delta_t)
+    u = expm_herm_generator(steps.h_pri, steps.delta_t)
     return PrimaryPropagation(u, tg.prefix_products(u))
 
 
@@ -415,3 +418,27 @@ def average_gate_fidelity(r: np.ndarray, u0: np.ndarray) -> float:
     r0 = np.array([[np.trace(a @ u0 @ b @ u0.conj().T).real for b in stack] for a in stack])
     f_pro = float(np.sum(r0 * r)) / d ** 2
     return (d * f_pro + 1.0) / (d + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the scale-range walk sampler
+
+def walk_unitaries(gstack: np.ndarray, n_burn: int, n_thin: int, n_sample: int, rng):
+    """Reference for `reach._walk_unitaries`, move by move: one draw of the
+    coefficients p and one exponential exp(sum p_h h) per move, left-
+    multiplied onto the walk; a sample after the burn-in and every n_thin
+    moves."""
+    x = np.eye(gstack.shape[-1], dtype=complex)
+
+    def move(x):
+        p = rng.standard_normal(gstack.shape[0])
+        return expm_herm_generator(1j * np.tensordot(p, gstack, axes=(0, 0)), 1.0) @ x
+
+    for _ in range(n_burn):
+        x = move(x)
+    out = []
+    for _ in range(n_sample):
+        for _ in range(n_thin):
+            x = move(x)
+        out.append(x)
+    return np.stack(out)

@@ -47,6 +47,26 @@ def test_distribution_validation_and_sampling():
     assert ev.ParameterDistribution("d", "point", (3.0,)).nominal() == 3.0
 
 
+def test_exact_unitaries_rejects_an_unknown_draw_and_a_target_less_distribution():
+    seq = ControlSequence(np.zeros((2, 3)), 1e-8, XY)
+    offset = ev.ParameterDistribution("offset", "point", (1e6,), "term:offset")
+    with pytest.raises(KeyError, match="unknown distribution"):
+        ev.exact_unitaries(seq, setup_1q([offset]), [{"offset": 0.0, "drift": 1.0}])
+    loose = ev.ParameterDistribution("drift", "point", (1e6,))
+    with pytest.raises(ValueError, match="drift has no applies_to target"):
+        ev.exact_unitaries(seq, setup_1q([offset, loose]), [{}])
+
+
+def test_superoperator_rejects_a_wrong_shape_and_a_map_that_loses_trace():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ev.Superoperator(2, np.eye(3))
+    leaky = np.eye(4)
+    leaky[0, 3] = 1e-6
+    with pytest.raises(ValueError, match="not trace preserving"):
+        ev.Superoperator(2, leaky)
+    assert ev.Superoperator(2, np.eye(4)).matrix.shape == (4, 4)
+
+
 def test_ptm_homomorphism():
     rng = np.random.default_rng(1)
     stack = ev.pauli_basis_stack(1)

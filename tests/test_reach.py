@@ -10,6 +10,7 @@ import pytest
 from hamforge import reach
 from hamforge.liealg import find_c_subspace, find_lie_algebra
 from hamforge.opcore import pauli_op, pauli_string_op
+import _oracles as orc
 
 
 def test_haar_unitary_is_unitary():
@@ -84,6 +85,28 @@ def test_walk_unitarity_and_subgroup():
     for m in us:  # abelian subgroup: diagonal unitaries
         off = m - np.diag(np.diag(m))
         assert np.abs(off).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "generators, n_burn, n_thin, n_sample",
+    [
+        ([[(1, "x")], [(1, "y")]], 10, 2, 5),
+        ([[(1, "z")]], 0, 1, 3),
+        ([[(1, "x")], [(2, "x")], [(1, "z"), (2, "z")]], 100, 10, 300),
+        ([[(1, "x")], [(1, "y")], [(2, "x")], [(2, "y")], [(1, "z"), (2, "z")]], 7, 3, 20),
+        ([[(1, "x")], [(2, "y")]], 4, 0, 2),
+    ],
+)
+def test_walk_matches_the_move_by_move_oracle(generators, n_burn, n_thin, n_sample):
+    n = max(q for gen in generators for q, _ in gen)
+    g = find_lie_algebra([pauli_op(gen, 1.0, n) for gen in generators])
+    rng, ref_rng = np.random.default_rng(40 + n_burn), np.random.default_rng(40 + n_burn)
+    got = reach._walk_unitaries(g.stack, n_burn, n_thin, n_sample, rng)
+    want = orc.walk_unitaries(g.stack, n_burn, n_thin, n_sample, ref_rng)
+    assert got.shape == (n_sample, 2 ** n, 2 ** n)
+    assert np.abs(got - want).max() <= 1e-13
+    # one batched draw consumes the stream of the per-move draws
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 # -- LP ---------------------------------------------------------------------

@@ -243,6 +243,61 @@ def test_int3_grid_near_repeated_nodes():
     assert err_grid.max() <= 5e-10
 
 
+# ---------------------------------------------------------------------------
+# the step exponential against a 40-digit oracle
+
+EPS = np.finfo(float).eps
+EXPM_C = 16   # error and unitarity defect <= EXPM_C max(1, ||h t||_1) eps
+# ||h t||_1 at theta = 1.3 and 2 theta, around the scaling threshold, and
+# at the design workload's largest step, 2.59
+EXPM_NORMS = (0.0, 1e-12, 1e-3, 1.3, 2.59, 2.6, 50.0, 3000.0)
+
+
+def _expm_cases(d, norm, rng):
+    """(t, h (6, d, d)) with ||h t||_1 = norm for every matrix: two random
+    Hermitian, a degenerate spectrum in a random basis, a degenerate
+    diagonal (||.||_2 = ||.||_1), and two with an identity part 100 times
+    their traceless part."""
+    def herm():
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return a + a.conj().T
+
+    q, _ = np.linalg.qr(herm())
+    lam = np.repeat([1.0, -0.5], d // 2)
+    cases = [herm(), herm(), (q * lam) @ q.conj().T, np.diag(lam)]
+    for _ in range(2):
+        a = herm()
+        cases.append(a - np.trace(a) / d * np.eye(d) + 100 * np.abs(a).sum(0).max() * np.eye(d))
+    t = 0.7
+    h = np.stack([c * (norm / (t * np.abs(c).sum(0).max())) for c in cases])
+    return t, h
+
+
+def _mp_expm(h, t):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        u = mp.expm(mp.matrix(h.tolist()) * (-1j * mp.mpf(t)))
+        return np.array(u.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("norm", EXPM_NORMS)
+def test_expm_batch_matches_40_digits(d, norm):
+    rng = np.random.default_rng(d * 1000 + EXPM_NORMS.index(norm))
+    t, h = _expm_cases(d, norm, rng)
+    want = np.stack([_mp_expm(m, t) for m in h])
+    bound = EXPM_C * max(1.0, norm) * EPS
+    single, nested = tg.expm_batch(h[0], t), tg.expm_batch(h.reshape(2, 3, d, d), t)
+    assert single.shape == (d, d) and nested.shape == (2, 3, d, d)
+    assert tg.expm_batch(h[:0], t).shape == (0, d, d)
+    for got, ref in ((single[None], want[:1]), (tg.expm_batch(h, t), want), (nested.reshape(h.shape), want)):
+        assert np.abs(got - ref).max() <= bound
+        defect = got @ got.conj().swapaxes(-1, -2) - np.eye(d)
+        assert np.abs(defect).max() <= bound
+        if norm == 0.0:
+            assert np.array_equal(got, np.broadcast_to(np.eye(d), got.shape))
+
+
 def test_propagate_primary_identities():
     d = 2
     zeros = np.zeros((4, d, d), dtype=complex)
@@ -343,7 +398,7 @@ def test_eigen_toggles_match_conjugation(case):
     assert f.shape == (len(h), len(stack), len(stack))   # p = m on su(d)
     _assert_frame_factors(nu, f, h, stack)
     got = tg.eigen_toggles(nu, f, dt)
-    want = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
+    want = orc.toggle_matrices(expm_herm_generator(h, dt), stack)
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -359,7 +414,7 @@ def test_a_stack_with_an_identity_direction_keeps_it_in_the_frame():
     nu, f = _frame(h, stack)
     assert f.shape == (4, 4, 4)
     _assert_frame_factors(nu, f, h, stack)
-    want = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
+    want = orc.toggle_matrices(expm_herm_generator(h, dt), stack)
     assert np.abs(tg.eigen_toggles(nu, f, dt) - want).max() <= 1e-13
     # every step alone against the sequential engine on the adjoint eigh
     y = np.einsum("qba,b->qa", f.conj(), orc.vector(hpert, stack))
@@ -574,7 +629,7 @@ def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
     counts = [_group_counts(tg.spectral_groups(x, dt)) for x in (nu_f, nu)]
     at_threshold = _threshold_gaps(nu_f, h, dt) + _threshold_gaps(nu, h, dt)
     assert np.all(np.abs(counts[0] - counts[1]) <= at_threshold)
-    dq = orc.toggle_matrices(tg.expm_batch(h, dt), stack)
+    dq = orc.toggle_matrices(expm_herm_generator(h, dt), stack)
     steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(h))]
     want = orc.compose_raw(steps, dq, 3)
     a, *tables = tg.batch_step_cints(nu_f, f, y_f, dt, 3)
