@@ -334,7 +334,8 @@ class CostPipeline:
             return distinct[key]
 
         self.comp_frames = [shared(c.subspace.stack) for c in self.components]
-        self.comp_seed = [project(c.matrix, c.subspace.stack)[0] for c in self.components]
+        # Hermitian operators on a Hermitian basis: real coefficients
+        self.comp_seed = [project(c.matrix, c.subspace.stack)[0].real for c in self.components]
         self.comp_scale = []
         for c, seed in zip(self.components, self.comp_seed):
             if c.target_vec is not None and np.linalg.norm(c.target_vec) > 0:
@@ -397,7 +398,7 @@ class CostPipeline:
                     self.model.param_scale(self.errors[n].param)
                     for n in arg if self.errors[n].kind == "model_param"
                 ])
-                coef = project(self.axis_ops, self.err_frames[arg[0]].stack)[0].T
+                coef = project(self.axis_ops, self.err_frames[arg[0]].stack)[0].real.T
                 self.err_seeds[arg] = (jet, coef * scale)
             self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
 
@@ -436,7 +437,7 @@ class CostPipeline:
                 e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
                 eig[id(frame)] = nu, f, tg.spectral_groups(nu, dt), e_prev
             nu, f, groups, e_prev = eig[id(frame)]
-            y = np.einsum("qba,qb->qa", f.conj(), seeds)
+            y = np.einsum("qba,qb->qa", f, seeds)
             a, *tables = tg.batch_step_cints(nu, f, y, dt, order, groups)
             lab = any(key in pair for pair in self.crosses)
             b, a0, totals = tg.compose_batch(e_prev, a, *tables, lab=lab)

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 Each one reaches a library result by a different route: operator
-algebra column by column, adjoint matrices (Q, m, m) whose eigh the
-library's spectral frame replaces, step unitaries from an eigh in place
+algebra column by column, adjoint matrices (Q, m, m) whose complex eigh
+and real Schur form the library's real spectral frame replaces, step
+unitaries from an eigh in place
 of the library's Taylor exponential, toggle matrices by conjugation with
 the step unitaries, C-integrals by a sequential per-step fold with the general
 divided-difference kernel, exact propagators by one scipy `expm`
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from hamforge import toggling as tg
 from hamforge.controlsys import axis_operators, field_axes
@@ -148,11 +149,41 @@ def adjoint_matrix_batch(h_pri: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (h_pri.reshape(-1, d * d) @ t.reshape(d * d, m * m)).reshape(-1, m, m)
 
 
+def real_frame(h_pri: np.ndarray, stack: np.ndarray):
+    """(nu, F) in the layout of `toggling.adjoint_matrix_batch` from the
+    real Schur form Z T Z^T of the real antisymmetric S = i M of each step.
+    A 2 x 2 block (z1, z2) with S z1 = -omega z2 and omega <= 0 is the pair
+    X = z1, Y = z2 (swapped if omega comes out positive), and the 1 x 1
+    blocks, zero, are frame columns at frequency 0.  Every step keeps as
+    many of those as the step with the fewest, and pairs the rest at
+    omega = 0; a zero column stands in when a step has none."""
+    s = np.real(1j * adjoint_matrix_batch(h_pri, stack))
+    steps = []
+    for sq in s:
+        t, z = schur(sq, output="real")
+        lower = np.diag(t, -1)
+        starts = np.flatnonzero(lower)
+        inner = set(starts) | set(starts + 1)
+        singles = [z[:, i] for i in range(len(sq)) if i not in inner]
+        pairs = [(z[:, i], z[:, i + 1], -lower[i]) if lower[i] > 0 else (z[:, i + 1], z[:, i], -t[i, i + 1])
+                 for i in starts]
+        steps.append((singles, pairs))
+    h = min(len(singles) for singles, _ in steps)
+    nus, frames = [], []
+    for singles, pairs in steps:
+        cols = singles[:h] or [np.zeros(len(stack))]
+        extra = singles[h:]
+        pairs = pairs + [(x, y, 0.0) for x, y in zip(extra[::2], extra[1::2])]
+        nus.append([0.0] * len(cols) + [w for _, _, w in pairs])
+        frames.append(np.stack(cols + [x for x, _, _ in pairs] + [y for _, y, _ in pairs], axis=1))
+    return np.array(nus), np.array(frames)
+
+
 def toggle_matrices(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """D(U_q^dag) for every step unitary U_q, real orthogonal in a
     Hermitian basis, by conjugating each basis element."""
     conj = np.einsum("qji,ajk,qkl->qail", u.conj(), stack, u)  # U^dag h_a U
-    return tg._real(np.einsum("bij,qaij->qba", stack.conj(), conj))
+    return np.real(np.einsum("bij,qaij->qba", stack.conj(), conj))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +204,7 @@ def _step_eigen(m_adj: np.ndarray, c_seed: np.ndarray) -> StepEigen:
 
 
 def _step_c0(eig: StepEigen, dt: float) -> np.ndarray:
-    return tg._real(eig.v @ (tg._int1_plus(eig.nu, dt) * eig.y))
+    return np.real(eig.v @ (tg._int1_plus(eig.nu, dt) * eig.y))
 
 
 def nested_exp_integral(lambdas, t: float) -> complex:
@@ -190,11 +221,11 @@ def step_cints_raw(eig: StepEigen, dt: float, r_max: int):
     c1 = c2 = None
     if r_max >= 2:
         i2 = tg._int2_plus(nu[:, None], nu[None, :], dt)
-        c1 = tg._real(v @ (i2 * y[:, None] * y[None, :]) @ v.T)
+        c1 = np.real(v @ (i2 * y[:, None] * y[None, :]) @ v.T)
     if r_max >= 3:
         i3 = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], dt)
         t3 = i3 * y[:, None, None] * y[None, :, None] * y[None, None, :]
-        c2 = tg._real(np.einsum("ia,jb,kc,abc->ijk", v, v, v, t3, optimize=True))
+        c2 = np.real(np.einsum("ia,jb,kc,abc->ijk", v, v, v, t3, optimize=True))
     return c0, c1, c2
 
 
@@ -202,7 +233,7 @@ def step_cross_raw(eig_pert: StepEigen, eig_err: StepEigen, dt: float):
     """Single-step cross tensor: perturbation at the later time slot."""
     i2 = tg._int2_plus(eig_pert.nu[:, None], eig_err.nu[None, :], dt)
     t2 = i2 * eig_pert.y[:, None] * eig_err.y[None, :]
-    return tg._real(eig_pert.v @ t2 @ eig_err.v.T)
+    return np.real(eig_pert.v @ t2 @ eig_err.v.T)
 
 
 def compose_raw(step_tensors, dq, r_max):

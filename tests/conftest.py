@@ -10,6 +10,22 @@ settings.register_profile("hamforge", print_blob=True)
 settings.load_profile("hamforge")
 
 
+@pytest.fixture(autouse=True)
+def mpmath_precision_is_restored():
+    """Fail a test that leaves mpmath's working precision changed: every
+    mpmath test after it would run at that precision."""
+    try:
+        import mpmath as mp
+    except ImportError:   # the tests that need it skip themselves
+        yield
+        return
+    before = mp.mp.dps
+    yield
+    after, mp.mp.dps = mp.mp.dps, before
+    if after != before:
+        pytest.fail(f"mpmath.mp.dps left at {after} (was {before}); use mpmath.workdps")
+
+
 @pytest.fixture
 def paulis1():
     return {

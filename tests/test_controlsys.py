@@ -605,22 +605,22 @@ def test_kernel_short_substeps_match_mpmath(average):
     # lose ~eps / (W h)^2 to cancellation; 40-digit quadrature of the kernel
     import mpmath as mp
 
-    mp.mp.dps = 40
     w, d = KERNEL_W, 0.3 * KERNEL_W
     h = 1e-6 / w
     seq = ControlSequence(np.array([[1.0, 0.5], [0.0, 0.0]]), h, XY)
     b = LinearKernelModel(LinearKernelParams(w, d), 1, average=average).field(seq).b
-    wm, dm, hm = mp.mpf(w), mp.mpf(d), mp.mpf(h)
+    with mp.workdps(40):
+        wm, dm, hm = mp.mpf(w), mp.mpf(d), mp.mpf(h)
 
-    def kappa(t):
-        return (wm - 1j * dm * (1 - wm * t)) * mp.exp(-wm * t)
+        def kappa(t):
+            return (wm - 1j * dm * (1 - wm * t)) * mp.exp(-wm * t)
 
-    def field(t):  # u = 1 on [0, h), then 0.5
-        if t <= hm:
-            return mp.quad(kappa, [0, t])
-        return mp.quad(kappa, [t - hm, t]) + 0.5 * mp.quad(kappa, [0, t - hm])
+        def field(t):  # u = 1 on [0, h), then 0.5
+            if t <= hm:
+                return mp.quad(kappa, [0, t])
+            return mp.quad(kappa, [t - hm, t]) + 0.5 * mp.quad(kappa, [0, t - hm])
 
-    ref = complex(mp.quad(field, [hm, 2 * hm]) / hm if average else field(1.5 * hm))
+        ref = complex(mp.quad(field, [hm, 2 * hm]) / hm if average else field(1.5 * hm))
     assert abs(b[0, 1] + 1j * b[1, 1] - ref) <= 1e-13 * abs(ref)
 
 

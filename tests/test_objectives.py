@@ -430,7 +430,8 @@ def test_requests_on_one_subspace_share_one_i2_table(monkeypatch):
         x = np.random.default_rng(seed).uniform(-1, 1, 24)
         before = len(calls)
         rep = pipe.evaluate(x)
-        assert calls[before:] == [(12, 3, 3)]
+        # the half of the table: 2 of the 3 frequencies {-w, 0, w} lead
+        assert calls[before:] == [(12, 2, 3)]
         # each term alone builds its own tables, to the same bits
         for term, value in zip(HADAMARD_TERMS, rep.values):
             assert hadamard_pipeline((term,)).evaluate(x).values == (value,)
@@ -474,7 +475,7 @@ def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
     # the r=2 request's square table on C_err, and the cross's rectangular one
-    assert sorted(tables) == [(12, 3, 3)] * 2
+    assert sorted(tables) == [(12, 2, 3)] * 2
     assert rep.values[2] > 0
     # effective robustness against the sequential cross integral, whose
     # toggles come from conjugation by the step unitaries
@@ -523,17 +524,17 @@ def uncoupled_pipeline():
     return ob.CostPipeline(2, CH2, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
 
 
-def eigh_of_the_adjoint(lam, vecs, frame):
-    """(nu, V) from the eigh of the (Q, m, m) adjoint matrices, as the
-    reference path for the frame."""
+def schur_of_the_adjoint(lam, vecs, frame):
+    """(nu, F) from the real Schur form of the (Q, m, m) adjoint matrices,
+    as the reference path for the frame."""
     h = (vecs * lam[:, None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    return np.linalg.eigh(orc.adjoint_matrix_batch(h, frame.stack))
+    return orc.real_frame(h, frame.stack)
 
 
 @pytest.mark.parametrize("build, width", [(uncoupled_pipeline, 48), (two_space_pipeline, 24)])
 def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypatch, build, width):
     # the frame of a proper subspace carries columns outside its span; they
-    # add no spectral group, and the costs match the eigh of the adjoint
+    # add no spectral group, and the costs match the Schur form of the adjoint
     pipe = build()
     assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, *pipe.err_frames.values()))
     groups = []
@@ -543,10 +544,10 @@ def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypat
         x = np.random.default_rng(seed).uniform(-1, 1, width)
         got = pipe.evaluate(x).values
         with monkeypatch.context() as m:
-            m.setattr(tg, "adjoint_matrix_batch", eigh_of_the_adjoint)
+            m.setattr(tg, "adjoint_matrix_batch", schur_of_the_adjoint)
             want = pipe.evaluate(x).values
-        frame_groups, eigh_groups = groups[: len(groups) // 2], groups[len(groups) // 2 :]
-        assert [g.w.shape for g in frame_groups] == [g.w.shape for g in eigh_groups]
+        frame_groups, schur_groups = groups[: len(groups) // 2], groups[len(groups) // 2 :]
+        assert [g.w.shape for g in frame_groups] == [g.w.shape for g in schur_groups]
         groups.clear()
         assert all(v > 1e-6 for v in want)
         assert got == pytest.approx(want, rel=1e-12)

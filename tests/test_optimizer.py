@@ -209,3 +209,19 @@ def test_cost_failure_reports_iteration():
     cfg = GSAConfig(dimension=2, t_max=50, master_seed=13)
     with pytest.raises(RuntimeError, match="iteration|initial"):
         gsa_minimize(bad, np.array([0.5, 0.5]), cfg, restart_rng(13, 0))
+
+
+def test_cost_failure_after_the_first_point_names_its_iteration():
+    calls = []
+
+    def fails_second(x):
+        calls.append(x)
+        if len(calls) > 1:
+            raise FloatingPointError("boom")
+        return 1.0
+
+    cfg = GSAConfig(dimension=2, t_max=50, master_seed=13)
+    with pytest.raises(RuntimeError, match=r"cost function failed at iteration 1: boom") as err:
+        gsa_minimize(fails_second, np.array([0.5, 0.5]), cfg, restart_rng(13, 0))
+    assert isinstance(err.value.__cause__, FloatingPointError)
+    assert len(calls) == 2

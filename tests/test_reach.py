@@ -130,6 +130,27 @@ def test_lp_unbounded():
     assert r.status == "unbounded"
 
 
+@pytest.mark.parametrize("c, a, b", [
+    (np.ones(2), np.ones((1, 3)), np.ones(1)),        # a row of 3 against 2 unknowns
+    (np.ones(2), np.ones((2, 2)), np.ones(1)),        # 2 rows against 1 right-hand side
+])
+def test_lp_rejects_inconsistent_shapes(c, a, b):
+    with pytest.raises(ValueError, match="inconsistent LP shapes"):
+        reach.lp_solve(c, a, b)
+
+
+def test_lp_without_a_verdict_raises(monkeypatch):
+    # a solver stop other than optimal, infeasible or unbounded (here the
+    # iteration limit, status 1) is an error, not a result
+    import scipy.optimize
+    from types import SimpleNamespace
+
+    stopped = SimpleNamespace(status=1, message="Iteration limit reached", x=None)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: stopped)
+    with pytest.raises(RuntimeError, match="without a verdict: Iteration limit reached"):
+        reach.lp_solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+
+
 def _brute_force_lp(c, a, b):
     m, n = a.shape
     best = None

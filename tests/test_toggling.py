@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -104,18 +105,27 @@ def opitz_oracle(nodes, t):
         return complex(mp.expm(j)[0, n - 1])
 
 
+def mirrored(nu):
+    """Antisymmetric group frequencies w with the spectrum nu on both
+    halves: -|nu| ascending, one zero, then their negatives."""
+    half = np.sort(np.append(-np.abs(nu[nu != 0]), 0.0))
+    return np.concatenate([half, -half[-2::-1]])
+
+
 def int3_grid_errors(nu, t):
-    """Per-entry errors of the batched r=3 grid and of `_int3_plus` against
-    the Opitz oracle at exact prefix sums, in units of T^3/6."""
+    """Per-entry errors of the batched r=3 half grid and of `_int3_plus`
+    against the Opitz oracle at exact prefix sums, in units of T^3/6, on
+    the frequencies `mirrored(nu)`: the half grid holds every triple of
+    them or its negative, whose entry is the conjugate."""
     mp = pytest.importorskip("mpmath")
-    nu = np.asarray(nu, dtype=float)
-    grid = tg._int3_grid(tg.SpectralGroups(nu[None], None, t))[0]
-    general = tg._int3_plus(nu[:, None, None], nu[None, :, None], nu[None, None, :], t)
+    w = mirrored(np.asarray(nu, dtype=float))
+    grid = tg._int3_grid(tg.SpectralGroups(w[None], None, t))[0]
+    general = tg._int3_plus(w[: grid.shape[0], None, None], w[None, :, None], w[None, None, :], t)
     refs = {}
     err_grid = np.empty(grid.shape)
     err_general = np.empty(grid.shape)
-    for abc in itertools.product(range(len(nu)), repeat=3):
-        key = tuple(nu[k] for k in abc)
+    for abc in np.ndindex(grid.shape):
+        key = tuple(w[k] for k in abc)
         if key not in refs:
             with mp.workdps(40):
                 a, b, c = (mp.mpf(float(x)) for x in key)
@@ -180,7 +190,7 @@ def test_int3_grid_takes_zero_sums_from_the_confluent_tables(monkeypatch):
         return real(a, b, c, t)
 
     monkeypatch.setattr(tg, "_int3_plus", counted)
-    tg._int3_grid(tg.SpectralGroups(nu[None], None, t))
+    tg._int3_grid(tg.SpectralGroups(mirrored(nu)[None], None, t))
     for a, b, c in fallback:
         nodes = np.array([0.0, a, a + b, a + b + c])
         assert abs(a + b + c) * t > tg.MERGE_KAPPA or np.ptp(nodes) * t < tg.DEGEN_TOL
@@ -377,14 +387,26 @@ def _frame(h, stack):
     return tg.adjoint_matrix_batch(*np.linalg.eigh(h), tg.AdjointFrame(stack))
 
 
+def _frame_blocks(f, k):
+    """The blocks F_H, X = sqrt2 Re F_+ and Y = sqrt2 Im F_+ of the real
+    frame f of k frequencies."""
+    h = 2 * k - f.shape[2]
+    return f[..., :h], f[..., h:k], f[..., k:]
+
+
 def _assert_frame_factors(nu, f, h, stack):
-    """F diag(nu) F^dag is the adjoint matrix and F F^dag = I_m, per step."""
+    """Per step, F F^T = I_m, and the pairs (X, Y) at omega <= 0 generate
+    the adjoint matrix, M = i (Y omega X^T - X omega Y^T): M X = i omega Y."""
     madj = orc.adjoint_matrix_batch(h, stack)
+    f_h, x, y = _frame_blocks(f, nu.shape[1])
+    w = nu[:, None, f_h.shape[2] :]
+    assert np.all(nu[:, : f_h.shape[2]] == 0.0) and np.all(nu <= 0.0)
     for q in range(len(h)):   # the checked single-step builder forms the commutators
         scale = max(np.abs(h[q]).max(), 1.0)
         assert np.abs(madj[q] - orc.adjoint_matrix(h[q], stack)).max() <= 1e-13 * scale
-        assert np.abs((f[q] * nu[q]) @ f[q].conj().T - madj[q]).max() <= 1e-13 * scale
-        assert np.abs(f[q] @ f[q].conj().T - np.eye(len(stack))).max() <= 1e-13
+        m_f = 1j * ((y[q] * w[q]) @ x[q].T - (x[q] * w[q]) @ y[q].T)
+        assert np.abs(m_f - madj[q]).max() <= 1e-13 * scale
+        assert np.abs(f[q] @ f[q].T - np.eye(len(stack))).max() <= 1e-13
 
 
 @given(primary_hamiltonians())
@@ -417,7 +439,7 @@ def test_a_stack_with_an_identity_direction_keeps_it_in_the_frame():
     want = orc.toggle_matrices(expm_herm_generator(h, dt), stack)
     assert np.abs(tg.eigen_toggles(nu, f, dt) - want).max() <= 1e-13
     # every step alone against the sequential engine on the adjoint eigh
-    y = np.einsum("qba,b->qa", f.conj(), orc.vector(hpert, stack))
+    y = np.einsum("qba,b->qa", f, orc.vector(hpert, stack).real)
     a, *tables = tg.batch_step_cints(nu, f, y, dt, 3)
     for q in range(len(h)):
         got = tg.compose_batch(np.eye(4)[None], *_alone(q, a, *tables))[2]
@@ -468,11 +490,13 @@ def _resonant_step(ax, ay, bx, by, j):
 @st.composite
 def two_qubit_steps(draw):
     """(H stack, dt): a mix of step kinds with exact degeneracies (zero
-    drive, pure ZZ, resonant drives plus ZZ), generic steps, and steps
-    whose adjoint spectrum has pairs split by 1e-8 in phase units."""
+    drive, pure ZZ, resonant drives plus ZZ), generic steps, steps whose
+    adjoint spectrum has pairs split by 1e-8 in phase units, and steps with
+    gaps of 0.4 MERGE_KAPPA in phase units: two +/- groups that merge, and
+    a pair that merges with the zero group."""
     dt = draw(st.floats(0.5, 2.0))
     coef = st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: c / dt)
-    kinds = draw(st.lists(st.sampled_from(["zero", "zz", "resonant", "generic", "near"]),
+    kinds = draw(st.lists(st.sampled_from(["zero", "zz", "resonant", "generic", "near", "kappa"]),
                           min_size=1, max_size=5))
     paulis = _two_qubit_paulis() * 2.0
     steps = []
@@ -485,9 +509,13 @@ def two_qubit_steps(draw):
             h = _resonant_step(*(draw(coef) for _ in range(5)))
         elif kind == "generic":
             h = np.einsum("a,aij->ij", np.array([draw(coef) for _ in range(15)]), paulis)
-        else:
+        elif kind == "near":
             lam = np.array([draw(coef) for _ in range(3)])
             h = _rotated_step(np.append(lam, lam[-1] + 1e-8 / dt), draw(st.integers(0, 2 ** 32 - 1)))
+        else:
+            a, g, b = (draw(coef) for _ in range(3))
+            lam = np.array([a, a + g, a + g + 0.4 * tg.MERGE_KAPPA / dt, b])
+            h = _rotated_step(lam, draw(st.integers(0, 2 ** 32 - 1)))
         steps.append(h)
     return np.array(steps), dt
 
@@ -505,8 +533,20 @@ def _unit_seeds(rng, q, m):
 
 
 def _eigen(h, stack, seeds):
+    """The oracles' eigendata: (nu, V, V^dag seed) from the eigh of the
+    complex adjoint matrices."""
     nu, v = np.linalg.eigh(orc.adjoint_matrix_batch(h, stack))
     return nu, v, np.einsum("qba,qb->qa", v.conj(), seeds.astype(complex))
+
+
+def _framed(h, stack, seeds):
+    """The library's real frame (nu, F) and its seed projection F^T seed."""
+    nu, f = _frame(h, stack)
+    return nu, f, np.einsum("qba,qb->qa", f, seeds)
+
+
+def _conjugation_toggles(h, stack, dt):
+    return orc.toggle_matrices(expm_herm_generator(h, dt), stack)
 
 
 def _alone(q, *arrays):
@@ -514,27 +554,30 @@ def _alone(q, *arrays):
     return [x[q : q + 1] for x in arrays]
 
 
-def _assert_cints_match_ungrouped(nu, v, y, dt):
+def _raw_steps(eig, dt, r_max):
+    return [orc.step_cints_raw(orc.StepEigen(*s), dt, r_max) for s in zip(*eig)]
+
+
+def _assert_cints_match_ungrouped(frame, eig, dt):
     # a step composed alone (E_prev = I) gives its own c0, c1 and c2
-    a, *tables = tg.batch_step_cints(nu, v, y, dt, 3)
-    eye = np.eye(nu.shape[1])[None]
-    for q in range(len(nu)):
+    a, *tables = tg.batch_step_cints(*frame, dt, 3)
+    eye = np.eye(a.shape[1])[None]
+    for q, want in enumerate(_raw_steps(eig, dt, 3)):
         got = tg.compose_batch(eye, *_alone(q, a, *tables))[2]
-        want = orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3)
         for r, (g, w) in enumerate(zip(got, want), start=1):
             assert np.abs(g - w).max() <= 1e-12 * dt ** r / math.factorial(r)
 
 
-def _assert_composed_match_oracle(nu, v, y, dt):
+def _assert_composed_match_oracle(frame, eig, dq, dt):
     """Whole-sequence tensors against the sequential fold of the ungrouped
-    per-step tensors, at each order and with the lab frame on and off."""
-    dq = tg.eigen_toggles(nu, v, dt)
-    e_prev = tg.prefix_toggles(dq)
-    steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(nu))]
-    t = len(nu) * dt
+    per-step tensors with the toggles dq, at each order and with the lab
+    frame on and off."""
+    e_prev = tg.prefix_toggles(tg.eigen_toggles(*frame[:2], dt))
+    steps = _raw_steps(eig, dt, 3)
+    t = len(dq) * dt
     for r_max in (1, 2, 3):
         want = orc.compose_raw(steps, dq, r_max)
-        a, *tables = tg.batch_step_cints(nu, v, y, dt, r_max)
+        a, *tables = tg.batch_step_cints(*frame, dt, r_max)
         for lab in (False, True):
             b, a0, got = tg.compose_batch(e_prev, a, *tables, lab=lab)
             assert (b is None) == (r_max == 1 and not lab)
@@ -542,6 +585,33 @@ def _assert_composed_match_oracle(nu, v, y, dt):
                 assert (g is None) == (r > r_max)
                 if g is not None:
                     assert np.abs(g - w).max() <= 1e-12 * t ** r / math.factorial(r)
+
+
+def _cross_oracle(eig_p, eig_e, dq_p, dq_e, dt):
+    """The sequential cross tensor of two slots and the per-step ones."""
+    steps = [[orc.StepEigen(*s) for s in zip(*eig)] for eig in (eig_p, eig_e)]
+    step_cross = [orc.step_cross_raw(p, e, dt) for p, e in zip(*steps)]
+    c0 = [[orc.step_cints_raw(s, dt, 1)[0] for s in side] for side in steps]
+    return orc.compose_cross_raw(step_cross, *c0, dq_p, dq_e), step_cross
+
+
+def _assert_cross_matches_oracle(frames, groups, want, step_cross, dt):
+    """compose_cross_batch of the frames (later, earlier) with their groups,
+    the whole sequence and each step alone."""
+    sides, alone = [], []
+    for (nu, f, y), g in zip(frames, groups):
+        a = tg.batch_step_cints(nu, f, y, dt, 1, g)[0]
+        e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
+        sides.append(tg.compose_batch(e_prev, a, g.t1, lab=True)[:2])
+        eye = np.eye(f.shape[1])[None]
+        alone.append([tg.compose_batch(eye, *_alone(q, a, g.t1), lab=True)[:2] for q in range(len(nu))])
+    i2x = tg.batch_step_cross(*groups)
+    t = len(step_cross) * dt
+    got = tg.compose_cross_batch(i2x, *sides[0], *sides[1])
+    assert np.abs(got - want).max() <= 1e-12 * t ** 2 / 2
+    for q, (p, e) in enumerate(zip(*alone)):
+        got = tg.compose_cross_batch(i2x[q : q + 1], *p, *e)
+        assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
 
 
 @given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
@@ -554,45 +624,29 @@ def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
     h, dt = case
     stack = _two_qubit_paulis()
     rng = np.random.default_rng(seed)
-    nu, v, y = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
-    _assert_cints_match_ungrouped(nu, v, y, dt)
-    _assert_composed_match_oracle(nu, v, y, dt)
+    seeds = _unit_seeds(rng, len(h), len(stack))
+    frame, eig = _framed(h, stack, seeds), _eigen(h, stack, seeds)
+    dq = _conjugation_toggles(h, stack, dt)
+    _assert_cints_match_ungrouped(frame, eig, dt)
+    _assert_composed_match_oracle(frame, eig, dq, dt)
     # cross tensors: a second seed on the same steps at the earlier slot,
-    # through the shared I2 table of one subspace and the rectangular one
-    nu_e, v_e, y_e = _eigen(h, stack, _unit_seeds(rng, len(h), len(stack)))
-    groups, groups_e = tg.spectral_groups(nu, dt), tg.spectral_groups(nu_e, dt)
-    dq, dq_e = tg.eigen_toggles(nu, v, dt), tg.eigen_toggles(nu_e, v_e, dt)
-    raw = [orc.StepEigen(*s) for s in zip(nu, v, y)]
-    raw_e = [orc.StepEigen(*s) for s in zip(nu_e, v_e, y_e)]
-    step_cross = [orc.step_cross_raw(p, e, dt) for p, e in zip(raw, raw_e)]
-    want = orc.compose_cross_raw(
-        step_cross, [orc.step_cints_raw(p, dt, 1)[0] for p in raw],
-        [orc.step_cints_raw(e, dt, 1)[0] for e in raw_e], dq, dq_e,
-    )
-    a = tg.batch_step_cints(nu, v, y, dt, 1, groups)[0]
-    a_e = tg.batch_step_cints(nu_e, v_e, y_e, dt, 1, groups_e)[0]
-    eye = np.eye(len(stack))[None]
-    for g_e in (groups, groups_e):
-        i2x = tg.batch_step_cross(groups, g_e)
-        sides = [
-            tg.compose_batch(e, x, g.i1, lab=True)[:2]
-            for e, x, g in ((tg.prefix_toggles(dq), a, groups), (tg.prefix_toggles(dq_e), a_e, g_e))
-        ]
-        got = tg.compose_cross_batch(i2x, *sides[0], *sides[1])
-        assert np.abs(got - want).max() <= 1e-12 * (len(h) * dt) ** 2 / 2
-        # each step alone gives its own cross tensor
-        for q in range(len(h)):
-            alone = [tg.compose_batch(eye, x, i1, lab=True)[:2]
-                     for x, i1 in (_alone(q, a, groups.i1), _alone(q, a_e, g_e.i1))]
-            got = tg.compose_cross_batch(i2x[q : q + 1], *alone[0], *alone[1])
-            assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
+    # through the shared T2 table of one subspace and the rectangular one
+    seeds_e = _unit_seeds(rng, len(h), len(stack))
+    frame_e, eig_e = _framed(h, stack, seeds_e), _eigen(h, stack, seeds_e)
+    want, step_cross = _cross_oracle(eig, eig_e, dq, dq, dt)
+    groups = tg.spectral_groups(frame[0], dt)
+    for g_e in (groups, tg.spectral_groups(frame_e[0], dt)):
+        _assert_cross_matches_oracle((frame, frame_e), (groups, g_e), want, step_cross, dt)
 
 
 def _group_counts(groups):
-    """The number of frequency groups of each step."""
-    if groups.onehot is None:
-        return np.full(len(groups.w), groups.w.shape[1])
-    return groups.onehot.any(axis=1).sum(axis=-1)
+    """The number of frequency groups of each step, both halves."""
+    return 2 * groups.onehot.any(axis=1).sum(axis=-1) - 1
+
+
+def _spectrum_groups(nu, dt):
+    """The number of groups that MERGE_KAPPA leaves of each step's spectrum."""
+    return 1 + np.sum(np.diff(np.sort(nu, axis=-1), axis=-1) * dt > tg.MERGE_KAPPA, axis=-1)
 
 
 def _threshold_gaps(nu, h, dt):
@@ -617,23 +671,21 @@ SPLIT_AT_KAPPA = [0.8217701239287258, -1.3812797174167781, -2.7541588563828316, 
 @settings(max_examples=25, deadline=None)
 def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
     # the frame's frequencies come unsorted, with exact zeros; grouped, they
-    # give the groups and composed tensors of the eigh of the adjoint matrices
+    # give the groups of the eigh of the adjoint matrices, and the composed
+    # tensors of the sequential engine on it
     h, dt = case
     stack = _two_qubit_paulis()
     seeds = _unit_seeds(np.random.default_rng(seed), len(h), len(stack))
-    nu, v, y = _eigen(h, stack, seeds)
-    nu_f, f = _frame(h, stack)
-    y_f = np.einsum("qba,qb->qa", f.conj(), seeds)
+    eig, frame = _eigen(h, stack, seeds), _framed(h, stack, seeds)
     # the group counts agree, except where rounding decides a merge: each
-    # gap at the threshold may fall on either side in either spectrum
-    counts = [_group_counts(tg.spectral_groups(x, dt)) for x in (nu_f, nu)]
-    at_threshold = _threshold_gaps(nu_f, h, dt) + _threshold_gaps(nu, h, dt)
+    # gap at the threshold may fall on either side in either spectrum, and
+    # a gap of the frame's half is two of the whole spectrum
+    counts = _group_counts(tg.spectral_groups(frame[0], dt)), _spectrum_groups(eig[0], dt)
+    at_threshold = 2 * _threshold_gaps(frame[0], h, dt) + _threshold_gaps(eig[0], h, dt)
     assert np.all(np.abs(counts[0] - counts[1]) <= at_threshold)
-    dq = orc.toggle_matrices(expm_herm_generator(h, dt), stack)
-    steps = [orc.step_cints_raw(orc.StepEigen(nu[q], v[q], y[q]), dt, 3) for q in range(len(h))]
-    want = orc.compose_raw(steps, dq, 3)
-    a, *tables = tg.batch_step_cints(nu_f, f, y_f, dt, 3)
-    got = tg.compose_batch(tg.prefix_toggles(tg.eigen_toggles(nu_f, f, dt)), a, *tables)[2]
+    want = orc.compose_raw(_raw_steps(eig, dt, 3), _conjugation_toggles(h, stack, dt), 3)
+    a, *tables = tg.batch_step_cints(*frame, dt, 3)
+    got = tg.compose_batch(tg.prefix_toggles(tg.eigen_toggles(*frame[:2], dt)), a, *tables)[2]
     t = len(h) * dt
     for r, (g, w) in enumerate(zip(got, want), start=1):
         assert np.abs(g - w).max() <= 1e-12 * t ** r / math.factorial(r)
@@ -643,20 +695,104 @@ def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
     dt = 1.0
     h = np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3)] * 3)
     stack = _two_qubit_paulis()
-    nu, v, y = _eigen(h, stack, _unit_seeds(np.random.default_rng(9), 3, 15))
-    groups = tg.spectral_groups(nu, dt)
+    seeds = _unit_seeds(np.random.default_rng(9), 3, 15)
+    eig, frame = _eigen(h, stack, seeds), _framed(h, stack, seeds)
+    assert np.all(_spectrum_groups(eig[0], dt) == 9)
+    groups = tg.spectral_groups(frame[0], dt)
     assert groups.w.shape == (3, 9)
     assert np.all(groups.onehot.sum(axis=-1) == 1.0)
-    _assert_cints_match_ungrouped(nu, v, y, dt)
-    assert tg.spectral_groups(_frame(h, stack)[0], dt).w.shape == (3, 9)
+    _assert_cints_match_ungrouped(frame, eig, dt)
 
 
 def test_split_spectra_take_the_columns_as_components():
-    nu = np.array([[-1.0, -1.0 + 1e-8, 0.0, 2.0]])
+    # no two frequencies merge: each is a group of its own, the half
+    # ascending to the zero group and mirrored
+    nu = np.array([[-1.0, -1.0 + 1e-8, 0.0, -2.0]])
     groups = tg.spectral_groups(nu, 1.0)
-    assert groups.onehot is None and groups.w is nu
-    merged = tg.spectral_groups(np.array([[-1.0, -1.0 + 0.5 * tg.MERGE_KAPPA, 0.0, 2.0]]), 1.0)
-    assert merged.w.shape == (1, 3)
+    assert np.array_equal(groups.half, np.sort(nu))
+    assert np.array_equal(groups.w, -groups.w[:, ::-1])
+    assert np.array_equal(groups.onehot[0], np.eye(4)[[1, 2, 3, 0]])
+    merged = tg.spectral_groups(np.array([[-1.0, -1.0 + 0.5 * tg.MERGE_KAPPA, 0.0, -2.0]]), 1.0)
+    assert merged.w.shape == (1, 5)
+
+
+@functools.cache
+def _drive_on_qubit_one():
+    """Proper subspaces of su(4) under drives on qubit 1 of two: C_pert =
+    span{x1 z2, y1 z2, z1 z2} and C_err = span{x1, y1, z1}, each of whose
+    frames carries dead columns, and the drive operators."""
+    x1, y1, z1 = (pauli_op([(1, a)], 1.0, 2) for a in "xyz")
+    g = find_lie_algebra([x1, y1])
+    c_pert = find_c_subspace(g, pauli_op([(1, "z"), (2, "z")], 1.0, 2))
+    c_err = find_c_subspace(g, x1, extra_seeds=(y1,))
+    return c_pert.stack, c_err.stack, np.array([x1, y1, z1])
+
+
+@st.composite
+def frame_cases(draw):
+    """(H stack, dt, later stack, earlier stack): su(2) with random and
+    zero steps, su(4) with the steps of `two_qubit_steps` on one subspace,
+    or the two proper subspaces of `_drive_on_qubit_one` with random, zero
+    and near-degenerate drives."""
+    space = draw(st.sampled_from(["su2", "su4", "proper"]))
+    if space == "su4":
+        h, dt = draw(two_qubit_steps())
+        return h, dt, _two_qubit_paulis(), _two_qubit_paulis()
+    from hamforge.evaluate import pauli_basis_stack
+
+    dt = draw(st.floats(0.1, 2.0))
+    qn = draw(st.integers(1, 4))
+    if space == "su2":
+        stack = pauli_basis_stack(1)[1:]
+        ops, later, earlier = stack * np.sqrt(2), stack, stack
+    else:
+        later, earlier, ops = _drive_on_qubit_one()
+    coef = st.floats(-3.0, 3.0, allow_nan=False)
+    c = np.array([[draw(coef) for _ in ops] for _ in range(qn)]) / dt
+    zero = draw(st.lists(st.booleans(), min_size=qn, max_size=qn))
+    c[zero] = 0.0
+    return np.einsum("qa,aij->qij", c, ops), dt, later, earlier
+
+
+@given(frame_cases(), st.integers(0, 2 ** 32 - 1))
+@example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.7), np.zeros((4, 4))]), 1.0,
+          _two_qubit_paulis(), _two_qubit_paulis()), 3)
+@settings(max_examples=30, deadline=None)
+def test_real_frame_matches_the_complex_oracles(case, seed):
+    # the real frame, its toggles, groups, step tables and compositions
+    # against the complex oracles on the eigh of the adjoint matrices
+    h, dt, stack_p, stack_e = case
+    rng = np.random.default_rng(seed)
+    t = len(h) * dt
+    slots = []
+    for stack in (stack_p, stack_e):
+        seeds = _unit_seeds(rng, len(h), len(stack))
+        frame, eig = _framed(h, stack, seeds), _eigen(h, stack, seeds)
+        nu, f, _ = frame
+        f_h, x, y = _frame_blocks(f, nu.shape[1])
+        assert np.abs(f @ np.swapaxes(f, 1, 2) - np.eye(len(stack))).max() <= 1e-13
+        # a pair dies whole, and stays at omega = 0
+        dead = np.sum(x ** 2 + y ** 2, axis=1) <= 2 * EPS
+        assert np.all(nu[:, f_h.shape[2] :][dead] == 0.0)
+        dq = _conjugation_toggles(h, stack, dt)
+        assert np.abs(tg.eigen_toggles(nu, f, dt) - dq).max() <= 1e-13
+        # groups in +/- pairs, padding included: a group on the half that
+        # no column reaches has no weight in either of its slots
+        groups = tg.spectral_groups(nu, dt)
+        assert np.array_equal(groups.w, -groups.w[:, ::-1])
+        live = groups.onehot.any(axis=1)
+        a = tg.batch_step_cints(*frame, dt, 1, groups)[0]
+        n = live.shape[1]
+        assert live[:, -1].all()
+        assert not a[:, :, :n][~live[:, None, :].repeat(a.shape[1], 1)].any()
+        assert not a[:, :, n:][~live[:, None, :-1].repeat(a.shape[1], 1)].any()
+        _assert_composed_match_oracle(frame, eig, dq, dt)
+        slots.append((frame, eig, dq, groups))
+    (frame_p, eig_p, dq_p, g_p), (frame_e, eig_e, dq_e, g_e) = slots
+    # one subspace shares its groups and T2 table, as the pipeline does
+    g_e = g_p if stack_e is stack_p else g_e
+    want, step_cross = _cross_oracle(eig_p, eig_e, dq_p, dq_e, dt)
+    _assert_cross_matches_oracle((frame_p, frame_e), (g_p, g_e), want, step_cross, dt)
 
 
 def test_step_cints_hpri_zero():
@@ -767,12 +903,9 @@ def test_batch_matches_raw_paths():
     _, c, h_pri, hpert, dt = _random_sequence_setup(rng, 4)
     stack = c.stack
 
-    seed = orc.vector(hpert, c.stack)
-    hmat = np.stack(h_pri)
-    madj = orc.adjoint_matrix_batch(hmat, stack)
-    nu, vecs = np.linalg.eigh(madj)
-    y = np.einsum("qba,b->qa", vecs.conj(), seed)
-    a, *tables = tg.batch_step_cints(nu, vecs, y, dt, 3)
+    seed = orc.vector(hpert, c.stack).real
+    nu, f = _frame(np.stack(h_pri), stack)
+    a, *tables = tg.batch_step_cints(nu, f, np.einsum("qba,b->qa", f, seed), dt, 3)
     steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 4, dt)
     prop = orc.propagate_primary(steps)
     dq = orc.toggle_matrices(prop.step_unitaries, stack)

@@ -1,0 +1,56 @@
+"""The benchmark's trace targets against the library.
+
+`perfbench/harness.py` wraps library callables by owner and attribute
+name, and reads `batch_step_cints`'s arguments by position.  A renamed or
+reshaped kernel fails here, in the unit tests, and not only in the
+benchmark's own smoke run.
+"""
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hamforge import toggling as tg
+from hamforge.evaluate import pauli_basis_stack
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    if not (PERFBENCH / "harness.py").is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("harness")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_trace_target_is_a_library_callable(harness):
+    targets = harness.trace_targets()
+    assert targets
+    for owner, attr, _, _ in targets:
+        home = owner.__name__ if isinstance(owner, types.ModuleType) else owner.__module__
+        assert home.startswith("hamforge."), (owner, attr)
+        # the tracer patches owner.__dict__[attr] and restores it
+        assert callable(owner.__dict__.get(attr)), (owner, attr)
+
+
+def test_batch_step_cints_keeps_the_positions_the_harness_reads(harness):
+    params = list(inspect.signature(tg.batch_step_cints).parameters)
+    assert params[0] == "nu" and params[4] == "r_max"
+    # the label and the entry count read r_max fifth and nu (Q, p) first
+    stack = pauli_basis_stack(1)[1:]
+    h = np.array([0.3 * stack[0] + 1.1 * stack[1], np.zeros((2, 2))])
+    nu, f = tg.adjoint_matrix_batch(*np.linalg.eigh(h), tg.AdjointFrame(stack))
+    args = (nu, f, f[:, 0], 0.5, 3)
+    tg.batch_step_cints(*args)
+    assert harness._cints_label(args, {}) == "toggling.batch_step_cints.r3"
+    counts = {"r3_entries": 0}
+    harness._count_r3_entries(counts, args, {}, None)
+    assert counts["r3_entries"] == nu.shape[0] * nu.shape[1] ** 3
