@@ -276,14 +276,6 @@ def _u_target(ut, n: int) -> np.ndarray:
     return m
 
 
-def _dist_halfwidth(d: ParameterDistribution) -> float:
-    if d.kind == "uniform":
-        return 0.5 * abs(d.args[1] - d.args[0])
-    if d.kind in ("normal", "half_normal"):
-        return d.args[-1]
-    return float(np.abs(d.args[0]).max())
-
-
 def load_config(path: str) -> ProblemConfig:
     with open(path) as f, _at("config is not valid JSON: "):
         raw = json.load(f)
@@ -366,7 +358,7 @@ def parse_config(raw: dict) -> ProblemConfig:
         terms.append(TermSpec(name, mat, coeff, assign))
         if assign == "pert":
             ref = _get(t, "ref_coeff", path, float, default=0.0)
-            ref = ref or abs(coeff) or (dist is not None and _dist_halfwidth(dists[dist])) or 1.0
+            ref = ref or abs(coeff) or (dist is not None and dists[dist].halfwidth()) or 1.0
             w = _get(t, "component", path, int, default=1)
             pert[w] = pert.setdefault(w, np.zeros_like(mat)) + ref * mat
     if not pert:

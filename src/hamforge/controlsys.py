@@ -9,6 +9,9 @@ samples b_{k,q} (rad/s) that enter the per-step control Hamiltonian:
 * nonlinear RLC    - rotating-frame state-space circuit with kinetic
                      inductance, integrated exactly on its linear part
 
+Both linear filters, the kernel's response states and the circuit at
+alpha_L = 0, solve x_{j+1} = E x_j + f_j by one propagator, `_block_propagate`.
+
 Channels and field rows.  Channels on the same qubits form one drive
 group.  Its 'amp' channel (turned by an optional 'phase' channel) and its
 'x' and 'y' channels add up to one complex drive u = u_x + i u_y, which
@@ -46,6 +49,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -356,8 +360,9 @@ class LinearKernelModel(ControlModel):
     dtau, B = (W - i d) y_0 + i d W y_1 and dy_n/dW = -y_{n+1}, so every
     W and delta derivative of B is a combination of the y_n (B is affine
     in delta).  The y_n are stepped exactly per substep, so
-    piecewise-constant inputs incur no discretization error.  The drive
-    factor scales every row, z rows included.
+    piecewise-constant inputs incur no discretization error; the steps
+    form a linear recurrence that `_block_propagate` solves for the whole
+    sequence at once.  The drive factor scales every row, z rows included.
     """
 
     kp: LinearKernelParams
@@ -403,14 +408,16 @@ class LinearKernelModel(ControlModel):
     def _responses(self, u: np.ndarray, h: float, n_states: int) -> np.ndarray:
         """(n_states, Q) samples of y_0.. at the substep midpoints, or their
         substep averages.  Over a substep with constant u,
-        y_n(t + s) = e^{-W s} sum_j C(n, j) s^{n-j} y_j(t) + u m_n(s)."""
+        y_n(t + s) = e^{-W s} sum_j C(n, j) s^{n-j} y_j(t) + u m_n(s): the
+        states before each substep obey y_{k+1} = E y_k + u_k m."""
         w = self.kp.w_bandwidth
         idx = np.arange(n_states)
         lag = np.clip(np.subtract.outer(idx, idx), 0, None)
         comb = np.array([[math.comb(i, j) for j in idx] for i in idx])   # 0 above the diagonal
 
         def shift(s):
-            return math.exp(-w * s) * comb * s ** lag
+            s = np.asarray(s)[..., None, None]
+            return np.exp(-w * s) * comb * s ** lag
 
         m = _exp_moments(w, h, n_states + 1)
         if self.average:
@@ -418,39 +425,46 @@ class LinearKernelModel(ControlModel):
             sample, drive = comb * m[lag] / h, (h * m[:-1] - m[1:]) / h
         else:
             sample, drive = shift(h / 2), _exp_moments(w, h / 2, n_states)
-        step, m = shift(h), m[:-1]
-        ys = np.zeros(n_states, dtype=complex)
-        out = np.empty((u.size, n_states), dtype=complex)
-        for k, uk in enumerate(u.tolist()):
-            out[k] = sample @ ys + uk * drive
-            ys = step @ ys + uk * m
-        return out.T
+        epow = shift(h * np.arange(self.substeps + 1))     # E^j = shift(j h)
+        force = u.reshape(-1, self.substeps, 1) * m[:-1]
+        xs, _ = _block_propagate(epow, _block_toeplitz(epow), force)
+        ys = xs[:, :-1].reshape(u.size, n_states)
+        return (ys @ sample.T + u[:, None] * drive).T
 
 
-def _block_toeplitz(pows: np.ndarray) -> np.ndarray:
-    """(3L, 3L) block upper-triangular Toeplitz matrix with block (i, j) =
-    pows[j - i]^T for j >= i, from the L matrix powers pows (L, 3, 3)."""
-    size = len(pows)
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    blocks = np.concatenate([np.swapaxes(pows, 1, 2), np.zeros((1, 3, 3))])
-    return blocks[np.where(lag <= 0, -lag, size)].transpose(0, 2, 1, 3).reshape(3 * size, 3 * size)
+def _block_toeplitz(epow: np.ndarray) -> np.ndarray:
+    """T_n, the (s n, s (n+1)) block Toeplitz matrix with block (i, j) =
+    (E^{j-1-i})^T for j > i and 0 otherwise, from epow = E^0 .. E^n (s, s):
+    n forces f_i in a row, times T_n, give the n + 1 states they drive
+    from rest."""
+    n, s = len(epow) - 1, epow.shape[-1]
+    lag = np.arange(n + 1) - np.arange(1, n + 1)[:, None]     # j - 1 - i
+    blocks = np.concatenate([np.swapaxes(epow[:-1], 1, 2), np.zeros((1, s, s))])
+    return blocks[np.where(lag >= 0, lag, n)].transpose(0, 2, 1, 3).reshape(s * n, s * (n + 1))
 
 
-def _block_propagate(k: "_HalfStep", force: np.ndarray):
+def _block_propagate(epow: np.ndarray, toeplitz: np.ndarray, force: np.ndarray):
     """States of x_{j+1} = E x_j + force_j from x = 0, interval by interval.
 
-    force is (P, n, 3), the n half-steps of each interval.  Returns the
-    (P, n+1, 3) states x_{p,0..n} and the final state.  x_{p,j} = E^j x_{p,0}
-    + c_{p,j}: c, driven from rest within each interval, is one product
-    with T_n, and the boundary states x_{p,0} one product of the ends
-    c_{p,n} with the interval table.
+    force is (P, n, s), the n steps of each interval; epow holds E^0 .. E^n
+    and toeplitz is `_block_toeplitz(epow)`.  A force held over each
+    interval may come as (P, 1, s), with the n row blocks of T_n summed.
+    Returns the (P, n+1, s) states x_{p,0..n} and the final state.
+    x_{p,j} = E^j x_{p,0} + c_{p,j}: c, driven from rest within each
+    interval, is one product with T_n.  The boundary states obey
+    x_{p+1,0} = E^n x_{p,0} + c_{p,n}, which a doubling scan solves in
+    ceil(log2 P) rounds of one (P, s) x (s, s) product each, the power of
+    E^n squared every round (Hillis & Steele, CACM 29, 1986).
     """
-    p_int, n, _ = force.shape
-    c = np.zeros((p_int, n + 1, 3), dtype=complex)
-    c[:, 1:] = (force.reshape(p_int, 3 * n) @ k.toeplitz).reshape(p_int, n, 3)
-    starts = np.zeros((p_int, 3), dtype=complex)
-    starts[1:] = (c[:-1, n].reshape(-1) @ k.intervals(p_int)).reshape(-1, 3)
-    xs = c + (starts @ k.epow.transpose(2, 0, 1).reshape(3, -1)).reshape(c.shape)
+    p_int, n, s = force.shape[0], len(epow) - 1, force.shape[-1]
+    xs = (force.reshape(p_int, -1) @ toeplitz).reshape(p_int, n + 1, s)
+    starts = np.zeros((p_int, s), dtype=complex)
+    starts[1:] = xs[:-1, n]
+    power, j = epow[-1].T, 1
+    while j < p_int - 1:
+        starts[j + 1 :] += starts[1:-j] @ power
+        power, j = power @ power, 2 * j
+    xs += (starts @ epow.transpose(2, 0, 1).reshape(s, -1)).reshape(xs.shape)
     return xs, xs[-1, -1]
 
 
@@ -466,15 +480,8 @@ class _HalfStep:
     psi1: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} ds
     psi2: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} (s / hh) ds
     epow: np.ndarray       # E^0 .. E^n over the n half-steps of one interval
-    toeplitz: np.ndarray | None   # T_n: block Toeplitz of (E^0)^T .. (E^{n-1})^T; alpha_L = 0 only
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def intervals(self, p_int: int) -> np.ndarray:
-        """The table of P intervals, block Toeplitz of ((E^n)^k)^T for k < P - 1."""
-        if p_int not in self._tables:
-            pows = [np.linalg.matrix_power(self.epow[-1], j) for j in range(p_int - 1)]
-            self._tables[p_int] = _block_toeplitz(np.reshape(pows, (-1, 3, 3)))
-        return self._tables[p_int]
+    toeplitz: np.ndarray | None   # T_n of `_block_toeplitz`; alpha_L = 0 only
+    held: np.ndarray | None       # its row blocks summed, for the drive held over an interval
 
 
 @dataclass(frozen=True)
@@ -491,12 +498,12 @@ class CircuitModel(ControlModel):
     the drive is constant over each control interval, so with E the exact
     half-step propagator every state is x_{p,j} = E^j x_{p,0} + c_{p,j},
     where c is driven from rest within interval p.  `_block_propagate`
-    forms c, then the P boundary states x_{p,0}, as one product each with
-    the block Toeplitz matrices of the powers of E and of E^n, which are
-    kept with the half-step constants.  The step is exact, so a non-finite
-    field raises at once.  The derivatives obey the same recursion with
-    forcings that the states determine, so they go through the same
-    helper:
+    forms c as one product with the block Toeplitz matrix of the powers of
+    E, kept with the half-step constants, and the P boundary states x_{p,0}
+    by a doubling scan, in memory linear in P.  The step is exact, so a
+    non-finite field raises at once.  The derivatives obey the same
+    recursion with forcings that the states determine, so they go through
+    the same helper:
 
     * d/dalpha_L is the ODE sensitivity, forced by (dA/dalpha_L) x at the
       Simpson nodes of each half-step;
@@ -574,9 +581,10 @@ class CircuitModel(ControlModel):
             psi1 = ainv @ (e - eye)
             psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
             epow = np.array([np.linalg.matrix_power(e, j) for j in range(self.substeps * n_half + 1)])
+            t_n = _block_toeplitz(epow) if self.drive_linear else None
             self._half_steps[key] = _HalfStep(
                 hh, e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow,
-                _block_toeplitz(epow[:-1]) if self.drive_linear else None,
+                t_n, None if t_n is None else t_n.reshape(-1, 3, t_n.shape[1]).sum(axis=0),
             )
         return self._half_steps[key]
 
@@ -677,9 +685,8 @@ class CircuitModel(ControlModel):
 
         The force and its state Jacobian vanish at alpha_L = 0, so each
         derivative obeys x's own recursion with an explicit forcing."""
-        n = self.substeps * n_half
-        drive = alpha[:, None, None] * k.fvec
-        xs, x_end = _block_propagate(k, np.broadcast_to(drive, (alpha.size, n, 3)))
+        propagate = partial(_block_propagate, k.epow, k.toeplitz)
+        xs, x_end = _block_propagate(k.epow, k.held, alpha[:, None, None] * k.fvec)
         if not np.isfinite(xs).all():
             raise FloatingPointError("circuit state diverged")
 
@@ -696,17 +703,17 @@ class CircuitModel(ControlModel):
             simpson = (k.hh / 6.0) * (
                 r[:, :-1] * k.e[:, 0] + 4.0 * (g(self._force_terms(x_mid)) * k.e_q[:, 0]) + r[:, 1:] * unit
             )
-            out["alpha_L"] = _block_propagate(k, simpson)[0]
+            out["alpha_L"] = propagate(simpson)[0]
         key = ("alpha_L", "alpha_L")
         if key in jets:
             # the stepper's own jets: its predictor at alpha_L = 0 is x_{k+1}
-            s, _ = _block_propagate(k, r[:, :-1] * (k.psi1 - k.psi2) + r[:, 1:] * k.psi2)
+            s, _ = propagate(r[:, :-1] * (k.psi1 - k.psi2) + r[:, 1:] * k.psi2)
             t = s[:, :-1] @ k.e.T + r[:, :-1] * k.psi1
             force = (
                 g({n: v[:, :-1] for n, v in f.items()}, key, {"alpha_L": s[:, :-1]}) * (k.psi1 - k.psi2)
                 + g({n: v[:, 1:] for n, v in f.items()}, key, {"alpha_L": t}) * k.psi2
             )
-            out[key] = _block_propagate(k, force)[0]
+            out[key] = propagate(force)[0]
         at = np.arange(self.substeps) * n_half + n_half // 2
         return x_end, {key: v[:, at].reshape(-1, 3) for key, v in out.items()}
 

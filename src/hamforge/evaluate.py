@@ -73,6 +73,13 @@ class ParameterDistribution:
             return 0.0
         return float(np.ravel(a[0])[0])   # mu, x, or a grid's first value
 
+    def halfwidth(self) -> float:
+        """Half the uniform range, sigma, or the largest |value| of a point or grid."""
+        a = self.args
+        if self.kind == "uniform":
+            return 0.5 * abs(a[1] - a[0])
+        return a[-1] if self.kind in ("normal", "half_normal") else float(np.abs(a[0]).max())
+
 
 @dataclass(frozen=True)
 class Superoperator:

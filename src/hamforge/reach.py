@@ -15,7 +15,7 @@ import numpy as np
 
 from .liealg import LieAlgebraBasis
 from .opcore import SPAN_TOL, RowSpace, SubspaceError, project
-from .toggling import expm_batch
+from .toggling import expm_batch, prefix_products
 
 CONVERGE_TOL = 1e-3   # scale-range search: stop once both ends move less per batch
 SAMPLERS = ("auto", "qr", "walk")   # vertex samplers; "auto" picks by the algebra
@@ -45,19 +45,13 @@ def _walk_unitaries(
     rng: np.random.Generator,
 ):
     """Raw random-walk samples (n_sample, d, d) on e^{g_pri}: left-multiply
-    exp(sum p_h h), with every move's p drawn and exponentiated at once."""
-    d = gstack.shape[-1]
+    exp(sum p_h h), with every move's p drawn and exponentiated at once.
+    The walk is the scan `prefix_products` of the moves from the identity,
+    and sample k = 1 .. n_sample is its state after n_burn + k n_thin moves."""
     p = rng.standard_normal((n_burn + n_sample * n_thin, gstack.shape[0]))
-    steps = expm_batch(1j * np.tensordot(p, gstack, axes=(1, 0)), 1.0)
-    x = np.eye(d, dtype=complex)
-    for step in steps[:n_burn]:
-        x = step @ x
-    out = []
-    for block in steps[n_burn:].reshape(n_sample, n_thin, d, d):
-        for step in block:
-            x = step @ x
-        out.append(x)
-    return np.stack(out)
+    moves = expm_batch(1j * np.tensordot(p, gstack, axes=(1, 0)), 1.0)
+    walk = prefix_products(np.concatenate([np.eye(gstack.shape[-1])[None], moves]))
+    return walk[n_burn + n_thin * np.arange(1, n_sample + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +99,6 @@ class VertexSet:
     """Transformed conjugation vertices v^j = T (+)_w |u_j^dag H_w u_j>>_w."""
 
     vertices: np.ndarray          # (J, m_total), unit rows
-    transform: np.ndarray         # (m_total, m_total) orthogonal
-    target_norm: float
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -189,7 +180,7 @@ def sample_vertices(
             )
         parts.append(coeff.real)
     rows = (alpha * np.concatenate(parts, axis=1)) @ tmat.T
-    return VertexSet(rows, tmat, tnorm, j_samples)
+    return VertexSet(rows)
 
 
 def _scale_lps(vertices: np.ndarray):

@@ -284,7 +284,8 @@ def _int3_plus(nu1, nu2, nu3, t):
         g12 = _g_pair(w1, w2, t)
         upper = _dd2(w1, w2, w3, g12, _g_pair(w2, w3, t), t)
         out[far] = (upper - _dd2(w0, w1, w2, _g_pair(w0, w1, t), g12, t)) / (1j * spread[far])
-    out[cluster] = _dd_taylor([x[cluster] for x in w], t, 3)
+    if cluster.any():
+        out[cluster] = _dd_taylor([x[cluster] for x in w], t, 3)
     return out
 
 
@@ -326,8 +327,9 @@ def _int3_grid(groups):
     den = np.where(zero, -p2, p3)
     ill = ~double & ((np.abs(den) < SHIFT_KAPPA * spread) | (spread * t < DEGEN_TOL))
     out = np.where(double, k[:, :, None, None], num / np.where(ill | double, 1.0, den))
-    q, a, b, c = np.nonzero(ill)
-    out[q, a, b, c] = _int3_plus(w[q, a], w[q, b], w[q, c], t)
+    if ill.any():
+        q, a, b, c = np.nonzero(ill)
+        out[q, a, b, c] = _int3_plus(w[q, a], w[q, b], w[q, c], t)
     return out
 
 

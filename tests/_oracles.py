@@ -7,18 +7,21 @@ unitaries from an eigh in place
 of the library's Taylor exponential, toggle matrices by conjugation with
 the step unitaries, C-integrals by a sequential per-step fold with the general
 divided-difference kernel, exact propagators by one scipy `expm`
-per step and an ordered product, and the walk sampler one move at a
-time.  No command of the tool runs them.
+per step and an ordered product, the linear control filters (the
+circuit's block recursion and the kernel's response states) one step at
+a time, and the walk sampler one move at a time.  No command of the tool
+runs them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, schur
 
 from hamforge import toggling as tg
-from hamforge.controlsys import axis_operators, field_axes
+from hamforge.controlsys import _exp_moments, axis_operators, field_axes
 from hamforge.evaluate import pauli_basis_stack
 from hamforge.liealg import CSubspace
 from hamforge.opcore import SPAN_TOL, SubspaceError, project
@@ -381,26 +384,52 @@ def magnus_terms(cints: CIntegralSet, c_space: CSubspace):
 
 
 # ---------------------------------------------------------------------------
-# the circuit model's linear recursion
+# the linear control filters
 
 def block_propagate(epow: np.ndarray, force: np.ndarray):
     """Reference for `controlsys._block_propagate`: the states of x_{j+1} =
     E x_j + force_j from x = 0, with epow holding E^0..E^n and force
-    (P, n, 3).  The part c driven within each interval is stepped one
-    half-step at a time for all intervals together, then the P boundary
-    states one interval at a time; returns the (P, n+1, 3) states and the
+    (P, n, s).  The part c driven within each interval is stepped one
+    step at a time for all intervals together, then the P boundary
+    states one interval at a time; returns the (P, n+1, s) states and the
     final state."""
-    p_int, n, _ = force.shape
+    p_int, n, s = force.shape
     e_t = epow[1].T
-    c = np.zeros((p_int, n + 1, 3), dtype=complex)
+    c = np.zeros((p_int, n + 1, s), dtype=complex)
     for j in range(n):
         c[:, j + 1] = c[:, j] @ e_t + force[:, j]
-    starts = np.empty((p_int, 3), dtype=complex)
-    x = np.zeros(3, dtype=complex)
+    starts = np.empty((p_int, s), dtype=complex)
+    x = np.zeros(s, dtype=complex)
     for k in range(p_int):
         starts[k] = x
         x = epow[n] @ x + c[k, n]
     return np.einsum("jab,pb->pja", epow, starts) + c, x
+
+
+def kernel_responses(model, u: np.ndarray, h: float, n_states: int) -> np.ndarray:
+    """Reference for `LinearKernelModel._responses`: the response states
+    y_0.. stepped one substep at a time, y <- E y + u_k m with E = shift(h),
+    each sampled before its step."""
+    w = model.kp.w_bandwidth
+    idx = np.arange(n_states)
+    lag = np.clip(np.subtract.outer(idx, idx), 0, None)
+    comb = np.array([[math.comb(i, j) for j in idx] for i in idx])
+
+    def shift(s):
+        return math.exp(-w * s) * comb * s ** lag
+
+    m = _exp_moments(w, h, n_states + 1)
+    if model.average:
+        sample, drive = comb * m[lag] / h, (h * m[:-1] - m[1:]) / h
+    else:
+        sample, drive = shift(h / 2), _exp_moments(w, h / 2, n_states)
+    step, m = shift(h), m[:-1]
+    ys = np.zeros(n_states, dtype=complex)
+    out = np.empty((u.size, n_states), dtype=complex)
+    for k, uk in enumerate(u.tolist()):
+        out[k] = sample @ ys + uk * drive
+        ys = step @ ys + uk * m
+    return out.T
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,21 @@ def test_a_null_value_counts_as_absent():
     assert "batch" not in cfg.scale_args
 
 
+@pytest.mark.parametrize(
+    "dist, ref",
+    [
+        ({"kind": "uniform", "args": [-3.0, 1.0]}, 2.0),
+        ({"kind": "normal", "args": [5.0, 0.5]}, 0.5),
+        ({"kind": "grid", "args": [[1.0, -4.0]]}, 4.0),
+    ],
+)
+def test_a_pert_term_without_coeff_takes_its_dists_halfwidth(dist, ref):
+    raw = _config_1q()
+    raw["distributions"]["detuning"] = dist
+    cfg = cfgmod.parse_config(raw)
+    assert np.array_equal(cfg.pert[1], ref * np.diag([1.0, -1.0]))
+
+
 def _private(module: str) -> bool:
     """numpy._* or scipy.*._*: a module that numpy or scipy may change without notice."""
     top, *rest = module.split(".")

@@ -358,6 +358,53 @@ def test_circuit_step_halving_is_logged(monkeypatch, caplog):
     assert f"{seq.dt / 4 / 4:.3e} s" in rec.getMessage()
 
 
+def counted_attempts(monkeypatch) -> list:
+    """The n_half of every `_integrate_once` call, which still runs."""
+    real = CircuitModel._integrate_once
+    n_halves = []
+
+    def counted(self, alpha, h_out, n_half, jets):
+        n_halves.append(n_half)
+        return real(self, alpha, h_out, n_half, jets)
+
+    monkeypatch.setattr(CircuitModel, "_integrate_once", counted)
+    return n_halves
+
+
+def test_circuit_nonlinear_path_gives_up_after_six_attempts(monkeypatch, caplog):
+    # a drive of ~1e305 (kappa_i = 1e-305) overflows the state at every
+    # internal step size: six attempts, five logged retries, then the raise
+    n_halves = counted_attempts(monkeypatch)
+    model = CircuitModel(CircuitParams(alpha_l=1e-7, kappa_i=1e-305), substeps=4)
+    seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
+    with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger="hamforge"):
+        with pytest.raises(RuntimeError, match=r"^circuit integration unstable after 6 attempt\(s\)$"):
+            model.field(seq)
+    assert n_halves == [2, 4, 8, 16, 32, 64]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING] * 5
+    for attempt, (rec, n_half) in enumerate(zip(caplog.records, n_halves[1:]), 1):
+        assert f"retry {attempt} of 5" in rec.getMessage()
+        assert f"{seq.dt / 4 / n_half:.3e} s" in rec.getMessage()
+
+
+def test_circuit_derivatives_that_overflow_raise(monkeypatch):
+    # at kappa_i = 1e-100 the state stays near 1e100 A, finite at every step
+    # size, while its alpha_L derivative, ~|I_L|^3 at alpha_L = 1e-300, overflows
+    model = CircuitModel(CircuitParams(alpha_l=1e-300, kappa_i=1e-100), substeps=4)
+    seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
+    alpha, h = model._alpha_in(seq), seq.dt / 4
+    with np.errstate(all="ignore"):
+        x, mids = model._integrate_once(alpha, h, 2, set())
+        assert np.isfinite(x).all() and np.isfinite(mids[()]).all()
+        for n_half in (2, 4, 8, 16, 32, 64):
+            with pytest.raises(FloatingPointError, match="circuit derivatives diverged"):
+                model._integrate_once(alpha, h, n_half, {"alpha_L"})
+        n_halves = counted_attempts(monkeypatch)
+        with pytest.raises(RuntimeError, match=r"unstable after 6 attempt\(s\)"):
+            model.field(seq, ["alpha_L"])
+    assert n_halves == [2, 4, 8, 16, 32, 64]
+
+
 @pytest.mark.parametrize("kappa_i", [1e-320, 1e-305])
 def test_circuit_linear_path_raises_at_once_on_a_non_finite_field(kappa_i, caplog):
     # at alpha_L = 0 the step is exact, so a shorter one cannot cure an
@@ -630,35 +677,87 @@ def test_circuit_half_step_constants_are_computed_once_per_step(monkeypatch):
     calls, sizes = [], []
     real, real_toeplitz = cs._expm, cs._block_toeplitz
     monkeypatch.setattr(cs, "_expm", lambda a: calls.append(1) or real(a))
-    monkeypatch.setattr(cs, "_block_toeplitz", lambda pows: sizes.append(len(pows)) or real_toeplitz(pows))
+    monkeypatch.setattr(cs, "_block_toeplitz", lambda epow: sizes.append(len(epow)) or real_toeplitz(epow))
     model = CircuitModel(CircuitParams(), substeps=4)
     seq = circuit_drive()
     first = model.field(seq, ["alpha_L"])
     assert len(calls) == 2  # E and E^(1/2) of the one (output step, n_half) in use
-    assert sizes == [8, 5]  # its T_n (n = 4 substeps x 2 half-steps) and the table of P = 6 intervals
+    assert sizes == [9]  # its T_n from E^0..E^8 (4 substeps x 2 half-steps), and no table per P
     again = model.field(seq, ["alpha_L"])
-    assert len(calls) == 2 and sizes == [8, 5]
+    assert len(calls) == 2 and sizes == [9]
     assert np.array_equal(first.b, again.b)
     assert np.array_equal(first.sensitivities["alpha_L"], again.sensitivities["alpha_L"])
     model.field(circuit_drive(p_int=3), ["alpha_L", ("alpha_L", "alpha_L")])
-    assert len(calls) == 2 and sizes == [8, 5, 2]  # a new P gets its own interval table only
+    assert len(calls) == 2 and sizes == [9]  # a new P builds nothing
     model.field(ControlSequence(seq.values, 2 * seq.dt, XY10))
     assert len(calls) == 4  # a new output step gets its own constants
-    assert sizes == [8, 5, 2, 8, 5]
+    assert sizes == [9, 9]
+    # the constants hold nothing that grows with the interval count
+    assert [k.epow.shape for k in model._half_steps.values()] == [(9, 3, 3)] * 2
 
 
-@pytest.mark.parametrize("p_int", [1, 2, 35])
+def random_contraction(size: int, rng) -> np.ndarray:
+    """A complex (size, size) step matrix of spectral norm 0.999."""
+    e = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return 0.999 * e / np.linalg.norm(e, 2)
+
+
+@pytest.mark.parametrize("p_int", [1, 2, 3, 35, 1000])
 @pytest.mark.parametrize("substeps, n_half", [(1, 2), (16, 2), (16, 4)])
 def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
+    # the circuit's half-step, then random step matrices of state sizes 2-4
     import hamforge.controlsys as cs
 
     k = CircuitModel(CircuitParams(), substeps)._half_step(1e-8 / substeps, n_half)
     n = substeps * n_half
     rng = np.random.default_rng(p_int * n)
-    force = rng.normal(size=(p_int, n, 3)) + 1j * rng.normal(size=(p_int, n, 3))
-    xs, x_end = cs._block_propagate(k, force)
-    ref, ref_end = orc.block_propagate(k.epow, force)
-    scale = np.abs(ref).max()
-    assert xs.shape == ref.shape
-    assert np.abs(xs - ref).max() <= 1e-13 * scale
-    assert np.abs(x_end - ref_end).max() <= 1e-13 * scale
+    cases = [(k.epow, k.toeplitz)]
+    for size in (2, 3, 4):
+        e = random_contraction(size, rng)
+        epow = np.array([np.linalg.matrix_power(e, j) for j in range(n + 1)])
+        cases.append((epow, cs._block_toeplitz(epow)))
+    for epow, toeplitz in cases:
+        size = epow.shape[-1]
+        force = rng.normal(size=(p_int, n, size)) + 1j * rng.normal(size=(p_int, n, size))
+        # a force held over each interval goes with the row blocks of T_n summed
+        held = toeplitz.reshape(n, size, -1).sum(axis=0)
+        for f, t in ((force, toeplitz), (force[:, :1], held)):
+            xs, x_end = cs._block_propagate(epow, t, f)
+            ref, ref_end = orc.block_propagate(epow, np.broadcast_to(f, force.shape))
+            scale = np.abs(ref).max()
+            assert xs.shape == ref.shape
+            assert np.abs(xs - ref).max() <= 1e-13 * scale, (size, f.shape)
+            assert np.abs(x_end - ref_end).max() <= 1e-13 * scale, (size, f.shape)
+
+
+@pytest.mark.parametrize("p_int", [1, 2, 7, 64, 200])
+@pytest.mark.parametrize("substeps", [1, 8, 32])
+@pytest.mark.parametrize("average", [False, True])
+def test_kernel_field_matches_the_sequential_oracle(average, substeps, p_int, monkeypatch):
+    model = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.3 * KERNEL_W), substeps, average=average)
+    vals = np.random.default_rng(p_int + substeps).uniform(-1, 1, (2, p_int))
+    seq = ControlSequence(vals, 0.05 * substeps / KERNEL_W, XY)
+    keys = ["W", "delta", ("W", "W"), ("W", "delta"), ("delta", "delta"), "amplitude"]
+    got = model.field(seq, keys)
+    monkeypatch.setattr(LinearKernelModel, "_responses", orc.kernel_responses)
+    ref = model.field(seq, keys)
+    for key, r in [((), ref.b), *ref.sensitivities.items()]:
+        g = got.b if key == () else got.sensitivities[key]
+        assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max(initial=0.0), key
+
+
+def test_linear_circuit_field_memory_is_linear_in_the_interval_count():
+    # at P = 600 intervals a table of (3 (P - 1))^2 entries for the boundary
+    # states would keep 52 MB on the model, and the field would peak at 108 MB
+    import tracemalloc
+
+    model = CircuitModel(CircuitParams(), substeps=16)
+    seq = circuit_drive(p_int=600)
+    tracemalloc.start()
+    try:
+        fld = model.field(seq, ["alpha_L", ("alpha_L", "alpha_L")])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fld.b.shape == (2, 600 * 16)
+    assert kept < 2e6 and peak < 24e6, (kept, peak)

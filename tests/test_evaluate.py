@@ -47,6 +47,20 @@ def test_distribution_validation_and_sampling():
     assert ev.ParameterDistribution("d", "point", (3.0,)).nominal() == 3.0
 
 
+@pytest.mark.parametrize(
+    "kind, args, halfwidth",
+    [
+        ("uniform", (-0.5, 1.5), 1.0),
+        ("normal", (4.0, 0.25), 0.25),
+        ("half_normal", (2.0,), 2.0),
+        ("point", (-3.0,), 3.0),
+        ("grid", ([1.0, -2.5, 2.0],), 2.5),
+    ],
+)
+def test_distribution_halfwidth(kind, args, halfwidth):
+    assert ev.ParameterDistribution("d", kind, args).halfwidth() == halfwidth
+
+
 def test_exact_unitaries_rejects_an_unknown_draw_and_a_target_less_distribution():
     seq = ControlSequence(np.zeros((2, 3)), 1e-8, XY)
     offset = ev.ParameterDistribution("offset", "point", (1e6,), "term:offset")

@@ -95,6 +95,7 @@ def test_walk_unitarity_and_subgroup():
         ([[(1, "x")], [(2, "x")], [(1, "z"), (2, "z")]], 100, 10, 300),
         ([[(1, "x")], [(1, "y")], [(2, "x")], [(2, "y")], [(1, "z"), (2, "z")]], 7, 3, 20),
         ([[(1, "x")], [(2, "y")]], 4, 0, 2),
+        ([[(1, "x")], [(1, "y")]], 0, 0, 2),
     ],
 )
 def test_walk_matches_the_move_by_move_oracle(generators, n_burn, n_thin, n_sample):
@@ -358,17 +359,14 @@ def hull_volume_diagnostic(vertices: reach.VertexSet, batch: int):
 
 
 def test_hull_volume_collinear_is_zero():
-    vs = reach.VertexSet(
-        np.stack([np.linspace(-1, 1, 10), np.linspace(-1, 1, 10)]).T,
-        np.eye(2), 1.0, 10,
-    )
+    vs = reach.VertexSet(np.stack([np.linspace(-1, 1, 10), np.linspace(-1, 1, 10)]).T)
     vols = hull_volume_diagnostic(vs, 3)
     assert all(v == 0.0 for _, v in vols)
 
 
 def test_hull_volume_square_corners():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    vs = reach.VertexSet(pts, np.eye(2), 1.0, 4)
+    vs = reach.VertexSet(pts)
     vols = dict(hull_volume_diagnostic(vs, 1))
     assert vols[1] == 0.0 and vols[2] == 0.0
     assert vols[3] == pytest.approx(0.5)
@@ -386,7 +384,7 @@ def test_hull_volume_saturates_su2():
 
 
 def test_hull_volume_refuses_high_dim():
-    vs = reach.VertexSet(np.zeros((10, 7)), np.eye(7), 1.0, 10)
+    vs = reach.VertexSet(np.zeros((10, 7)))
     with pytest.raises(ValueError, match="range-stabilization|find_scale_range"):
         hull_volume_diagnostic(vs, 5)
 

@@ -177,6 +177,25 @@ def test_int3_grid_vs_mpmath(case):
     assert err_grid.max() <= max(err_general.max(), 1e-13)
 
 
+def test_int3_kernels_are_not_called_on_zero_entries(monkeypatch):
+    # the r=3 grid calls `_int3_plus` only for entries that fall back, and
+    # `_int3_plus` calls the series only for node clusters
+    sizes = {"_int3_plus": [], "_dd_taylor": []}
+
+    def counted(name, entries):
+        real = getattr(tg, name)
+        return lambda x, *rest: sizes[name].append(np.size(entries(x))) or real(x, *rest)
+
+    monkeypatch.setattr(tg, "_int3_plus", counted("_int3_plus", lambda nu1: nu1))
+    monkeypatch.setattr(tg, "_dd_taylor", counted("_dd_taylor", lambda nodes: nodes[0]))
+    # w = 0, +-1, +-3 at T = 1: no entry of the half grid falls back
+    tg._int3_grid(tg.SpectralGroups(mirrored(np.array([1.0, 3.0]))[None], None, 1.0))
+    assert sizes["_int3_plus"] == [] and 0 not in sizes["_dd_taylor"]
+    # nodes 0, 1, 3, 7: no cluster
+    tg._int3_plus(np.array([1.0]), np.array([2.0]), np.array([4.0]), 1.0)
+    assert sizes["_int3_plus"] == [1] and 0 not in sizes["_dd_taylor"]
+
+
 def test_int3_grid_takes_zero_sums_from_the_confluent_tables(monkeypatch):
     # every entry with a+b+c = 0, exact or at merge level, that is not a
     # node cluster is read from I2 and the J and K tables, not `_int3_plus`
