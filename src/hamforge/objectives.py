@@ -10,8 +10,9 @@ subspace C_w, a request ("err", names) the first (one name) or second
 (two names) derivative of H along error channels in the error subspace,
 each to the highest order read: c0 (order 1), c1 (2) or c2 (3).  A cross
 tensor c_ij = int_0^T dt1 int_0^t1 dt2 a_i(t1) b_j(t2) pairs two
-requests, the first at the later time.  Per request the step tables are
-contracted with the spectral components rotated into the lab frame, with
+requests, the first at the later time.  Per request the toggled
+coefficients are summed at Gauss-Legendre nodes in time, their lab-frame
+nodal values formed only where a higher order or a cross reads them, with
 no per-step tensors (see "Composition" in `toggling`).
 
 Kinds, the tensors they read and their normalization, with T the sequence
@@ -425,29 +426,31 @@ class CostPipeline:
         h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
 
         # every request once; the one eigendecomposition of the step
-        # Hamiltonians gives the final unitary and, per distinct subspace,
-        # the spectral frame, which also gives the toggle matrices and their
-        # prefix products, and whose spectral groups carry the step tables
+        # Hamiltonians gives the final unitary, the step rule of every
+        # subspace and, per distinct subspace, the spectral frame, which
+        # also gives the toggle matrices, their prefix products and the
+        # rotations at the nodes
         lam, vecs = np.linalg.eigh(h_pri)
+        rule = tg.step_rule(lam[:, -1] - lam[:, 0], dt)
         eig, steps, got = {}, {}, {}
         for key, order in self.requests.items():
             frame, seeds = self._toggled(key, fld)
             if id(frame) not in eig:
                 nu, f = tg.adjoint_matrix_batch(lam, vecs, frame)
                 e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
-                eig[id(frame)] = nu, f, tg.spectral_groups(nu, dt), e_prev
-            nu, f, groups, e_prev = eig[id(frame)]
+                eig[id(frame)] = nu, f, tg.StepNodes(nu, f, rule), e_prev
+            nu, f, nodes, e_prev = eig[id(frame)]
             y = np.einsum("qba,qb->qa", f, seeds)
-            a, *tables = tg.batch_step_cints(nu, f, y, dt, order, groups)
             lab = any(key in pair for pair in self.crosses)
-            b, a0, totals = tg.compose_batch(e_prev, a, *tables, lab=lab)
-            steps[key] = groups, b, a0
-            for r, c in enumerate(totals[:order], 1):
-                got[(*key, r)] = c
+            c0, c = tg.batch_step_cints(nu, f, y, dt, order, nodes, lab)
+            nodal, totals = tg.compose_batch(e_prev, c0, c, nodes, order)
+            steps[key] = nodes, nodal
+            for r, tot in enumerate(totals[:order], 1):
+                got[(*key, r)] = tot
         for later, earlier in self.crosses:
-            (g_p, b_p, a0_p), (g_e, b_e, a0_e) = steps[later], steps[earlier]
-            i2x = tg.batch_step_cross(g_p, g_e)
-            got[("cross", later, earlier)] = tg.compose_cross_batch(i2x, b_p, a0_p, b_e, a0_e)
+            (n_p, (l_p, _)), (n_e, (_, g1_e)) = steps[later], steps[earlier]
+            w = tg.batch_step_cross(n_p, n_e)
+            got[("cross", later, earlier)] = tg.compose_cross_batch(w, l_p, g1_e)
         if self.unitary:
             got[UNITARY] = tg.ordered_product(tg.eig_exp(lam, vecs, dt))
 

@@ -4,14 +4,12 @@ The time-ordered integrals
 
     c_{i1..ir}(T) = int_0^T dt1 ... int_0^{t_{r-1}} dt_r c_{i1}(t1)...c_{ir}(tr)
 
-of toggling-frame coefficients are assembled from closed forms per
-piecewise-constant step and composed with the chain rule.  Per step the
-coefficient flow is |H_tog(t)>> = exp(i M t)|H_pert>> with the Hermitian
-adjoint matrix M_ij = <<h_i|[H_pri, h_j]>> (purely imaginary entries, so
-exp(iMt) is real orthogonal), and the nested integrals over frequency
-tuples reduce to divided differences of f(x) = exp(xT) on the imaginary
-axis: I_r(nu_1..nu_r) = f[0, i p_1, .., i p_r] with prefix sums
-p_k = nu_1 + .. + nu_k.
+of toggling-frame coefficients are quadrature sums over Gauss-Legendre
+nodes in time within each piecewise-constant step, composed across the
+steps with the chain rule.  Per step the coefficient flow is
+|H_tog(t)>> = exp(i M t)|H_pert>> with the Hermitian adjoint matrix
+M_ij = <<h_i|[H_pri, h_j]>> (purely imaginary entries, so exp(iMt) is
+real orthogonal).
 
 Spectral frame.  M is never diagonalized: the eigh H_q = V diag(lambda)
 V^dag that the propagator takes anyway gives ad H (v_j v_k^dag) =
@@ -35,48 +33,34 @@ M Y = -i omega X.  A stack spanning su(d), as every benchmark stack
 does, has p = m and an orthogonal F.  On a proper subspace a pair
 projects onto eigenvectors of M at -/+ omega or onto zero; a dead pair
 (weight sum_i |F_ic|^2 <= eps, the same for both members) takes omega =
-0 before grouping, so it adds no group, and it moves R by at most eps
-||seed||.
+0, which moves the nodal values by at most eps ||seed||.
 
-Spectral components.  The frequencies carry d - 1 exact zeros, and with
-resonant x/y drives plus ZZ coupling the eigenvalues of H also come in
-+/- pairs: the 2-qubit benchmark steps have 9 distinct adjoint
-frequencies out of m = 15, 5 of them <= 0.  The per-step tensors depend
-on a frequency only through its spectral projector, so `spectral_groups`
-merges the sorted nu whose phase gap (nu_{a+1} - nu_a) * dt is at most
-MERGE_KAPPA = 1e-13, once per subspace and evaluation, and mirrors them:
-u = 2n - 1 group frequencies w (Q, u), w_{u-1-g} = -w_g, the half g < n
-ascending to the zero group.  With y = F^T seed the coefficient flow of a
-step is real, c(t) = sum_{g<n} R^c_g cos(w_g t) + R^s_g sin(w_g t) (the
-zero group has no sine), and `_components` sums the real components R
-(Q, m, u) = [R^c, R^s] over each group: R^c = F_H y_H + X y_X + Y y_Y and
-R^s = X y_Y - Y y_X per pair.  So
-
-    c0_i = sum_a R_ia T1_a,  c1_ij = sum_ab R_ia R_jb T2_ab,
-    c2_ijk = sum_abc R_ia R_jb R_kc T3_abc
-
-with the real tables T_r (Q, u, .., u) of the basis [cos, sin], and the
-r = 3 table has Q u^3 entries instead of Q m^3 (729 against 3,375 per
-2-qubit step).  Steps with fewer than n groups on the half are padded in
-front with zeros of no weight, and so in +/- pairs.  Since I_r(-a, -b,
-..) = conj I_r(a, b, ..), the complex tables I1 and the confluent J, K
-(Q, n), I2 (Q, n, u) and the r = 3 grid (Q, n, u, u) are built on the
-half alone, and `_real_table` forms T_r from them: (x_h + x_-h)/2 and
-(x_h - x_-h)/2i on each later axis, the real and imaginary parts on the
-first.  They depend on w and dt alone, so `SpectralGroups` carries them
-and builds each once per subspace and evaluation, whatever number of
-requests and crosses read it.
-Error bound: merging moves every frequency by at most (k - 1) kappa / dt
-for a group of k, so the node p_r moves by at most r times that; by
-Hermite-Genocchi a divided difference of exp(x T) on the imaginary axis
-changes by at most T^{r+1}/(r+1)! per unit shift of one node, so a merged
-entry of I_r is off by at most (r/2) (k - 1) kappa T^r/r!: 3e-13 T^3/6
-for the three frequencies {-2J, 0, 2J} of a pure ZZ step with 2 J dt just
-under kappa, 2.1e-12 T^3/6 in the worst case k = m = 15.  At kappa =
-1e-12 the ZZ case could reach 3e-12 T^3/6, above the 1e-12 T^r/r! to
-which the tests hold the merged tensors.  The merged gaps on the 2-qubit
-benchmark are rounding noise (<= 2.7e-15 in phase units over 200 controls,
-37x below kappa) and the smallest kept gap is 1.0e-4.
+Step integrals by collocation.  Within a step the toggled coefficients
+are c(tau) = G(tau) y, y = F^T seed and G(tau) = [F_H, c X - s Y, c Y +
+s X] at c = cos(omega tau), s = sin(omega tau): entire in tau, with no
+frequency above theta / dt, theta = max_q (lambda_max - lambda_min) dt,
+which bounds |nu| dt on every subspace.  A step takes the k = GL_NODES =
+14 Gauss-Legendre nodes tau_j with weights W_j, and S, the k x k matrix
+that takes values at the nodes to the integrals int_0^tau_j of their
+interpolating polynomial: S = A V^-1, V the Legendre-Vandermonde matrix
+at the nodes and A the antiderivatives there (Trefethen, Spectral
+Methods in MATLAB, SIAM 2000, ch. 12).  One panel serves while theta <=
+GL_THETA = 5.25.  Above it the step splits into 2^s equal panels, s =
+ceil(log2(theta / GL_THETA)), read once per evaluation the way
+`expm_batch` reads its theta; S is then the block lower-triangular matrix
+of the composite rule, each row also integrating the whole of the earlier
+panels.  Every subspace of an evaluation takes the same nodes, so the two
+slots of a cross pair node by node.  Nothing groups frequencies, sums a
+series or branches on near-degeneracy: the error depends on theta per
+panel and k alone.  Against 40-digit arithmetic the worst r = 3 entry,
+all three frequencies at -/+ theta, is 1.0e-15 T^3/6 at theta = 4.6,
+2.8e-14 at 5.25 and 7.6e-13 at 6, which is why a panel stops at 5.25;
+r <= 2 stays at rounding (<= 3e-15 T^r/r!).  Random spectra with ties,
+exact zeros and +/- pairs up to theta = 20 stay within 5e-14 T^r/r! of
+the general divided-difference kernel in `tests/_oracles.py`, except
+where that kernel's own error near its series threshold (<= 1e-13) shows.
+The nodal values take Q K m reals per request, K = 14 2^s, so memory and
+time grow linearly in theta past one panel.
 
 Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
 = F Rot F^T, Rot turning each pair by omega dt: X -> c X - s Y and Y ->
@@ -90,247 +74,30 @@ ordered step products in log depth, and `ordered_product` forms only the
 last of them.
 
 Composition.  The chain rule toggles step q by the real orthogonal
-E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  `compose_batch` takes a0_q =
-E_prev[q] R_q T1, and where a higher order or a cross reads them it
-rotates the components into the lab frame once, B_q = E_prev[q] R_q, and
-contracts B with the step tables: a1_q = B_q T2 B_q^T per step, which the
-cross-step prefix sums read, and only the sum over q of a2_q =
-sum_abc B_ia B_jb B_kc T3_abc: T3 B^T, then B times that (Q, u, m, m),
-then one (m, Qu) x (Qu, m^2) product.  All of it is real: at r = 3, Q
-u^3 m + Q u^2 m^2 + Q u m^3 multiply-adds (2.4 million on the 2-qubit
-benchmark), where complex components and tables took four times the
-first two terms and twice the last (7.1 million).  A cross adds sum_q
-B_p T2(w_p, w_e) B_e^T to its prefix term.
-
-General kernel.  Divided differences are evaluated with sorted nodes so
-the recursion always divides by the largest spread, and switch to a
-Taylor series when the whole node cluster is narrower than DEGEN_TOL
-(removable singularities).  Min/max sorting networks on 3 and 4 nodes
-order the nodes entry by entry, and at r = 3 both 3-node differences
-share their middle pair term f[x1, x2].  This is the path of every
-r <= 2 table and of the sequential reference engine (`step_cints_raw` and
-`nested_exp_integral` in `tests/_oracles.py`).  The threshold
-DEGEN_TOL = 0.2 is wide on purpose.  The direct differences lose
-~eps / (spread * T) to cancellation, and at r = 3 one more division by a
-node gap of similar size leaves errors of order eps / (spread * T)^2 in
-units of T^3 / 6.  Against 40-digit arithmetic the worst r = 3 entry is
-1.7e-9 at a threshold of 1e-3, ~1e-12 at 0.05 and below 1e-13 at 0.2.
-SERIES_TERMS = 10 keeps the series exact to rounding up to width 0.25.
-
-r = 3 grid (`_int3_grid`, used by `batch_step_cints`).  The nodes of
-entry (a, b, c) are {0, a, a+b, a+b+c}.  Dividing by the (0, a+b+c) pair
-leaves two 3-node subsets, and both are shifted entries of the r = 2
-table I2 that the subspace already holds, its rows past the middle the
-conjugates of the half:
-
-    I3(a, b, c) = (e^{i a T} I2(b, c) - I2(a, b)) / (i (a+b+c))
-
-so the Q n u^2 half grid costs one complex multiply, subtract and divide
-per entry, with no transcendental call and no sort.  The identity divides by
-|a+b+c| where the sorted recursion divides by the full node spread, so it
-amplifies the rounding error of I2 by up to spread / |a+b+c|; it takes
-the entries with |a+b+c| >= SHIFT_KAPPA * spread, which caps that at 4x.
-
-Zero sums.  Adjoint spectra carry exact zeros and +/- pairs, so a+b+c = 0
-on 28% of the 1-qubit benchmark's half grid and 7.2% of the 2-qubit one.  A
-sum with |a+b+c| T <= MERGE_KAPPA counts as zero and leaves the nodes
-{0, 0, a, a+b}, read from the confluent tables J(a) = f[0, 0, a] and
-K(a) = f[0, 0, 0, a] (Q, n): I3 = (I2(a, b) - J(a)) / (i (a+b)) when
-|a+b| >= SHIFT_KAPPA * spread, and I3 = K(a) when |a+b| T <= MERGE_KAPPA
-too.  J = (I1 - T) / (i a) and K = (J - T^2/2) / (i a), or for
-|a| T < DEGEN_TOL the Taylor series of K and J = T^2/2 + i a K: the
-operations of the general kernel on these nodes.  Error bound, derived
-as the merge bound above: the rule moves the nodes a+b+c and, for K, a+b
-by at most kappa / T each, so an entry is off by at most
-2 (kappa / T) T^4/4! = (kappa / 2) T^3/6 = 5e-14 T^3/6, plus rounding.
-Against 40-digit arithmetic over 4,600 drawn spectra with exact and
-merge-level zero sums, the worst entry was 6.0e-14 T^3/6 from the shift
-identity, 3.7e-14 from J and 4.4e-14 from K.
-
-The general kernel `_int3_plus` takes the rest: node clusters with
-spread * T < DEGEN_TOL, where the identities would inherit the
-cancellation of I2 described above, and divisors |a+b+c| (or |a+b| after
-a zero sum) below SHIFT_KAPPA * spread.  That is 5.3% of the 1-qubit
-benchmark's half-grid entries, all clusters, and 9.9% of the 2-qubit ones
-(1.2% clusters), over 200 random controls.
-
-Divided differences of exp: McCurdy, Ng & Parlett, Math. Comp. 43 (1984);
-Higham, Functions of Matrices, SIAM (2008).
+E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  Every request takes a0_q =
+E_prev[q] Gbar_q y_q, the weighted step sum Gbar_q = sum_j W_j G_q(tau_j)
+being shared by the requests on a subspace, and tot0 = sum_q a0_q.  A
+higher order or a cross reads the lab-frame nodal values L_qj = E_prev[q]
+G_q(tau_j) y_q (Q, k, m) and their running integrals G1 = (sum of a0
+over the earlier steps) + S L.  Then, with every sum over steps q and
+nodes j, tot1 = sum W L (x) G1, G2 = (tot1 of the earlier steps) + S (L
+(x) G1) and tot2 = sum W L (x) G2, one (m, Qk) x (Qk, m^2) product.  A
+cross is sum W L_p (x) G1_e, the later slot's values against the earlier
+slot's running integrals (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, Springer 2006, ch. IV).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import factorial
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legint, legval, legvander
 
 from .opcore import conjugation
 
-DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
-SERIES_TERMS = 10         # terms of that series
-SHIFT_KAPPA = 0.25        # r=3 grid: shift identity needs |a+b+c| >= this * spread
-MERGE_KAPPA = 1e-13       # adjoint frequencies closer than this phase gap (* dt) merge
-_K_SERIES = np.array([1 / factorial(n + 3) for n in range(1, SERIES_TERMS)])   # K's x^n, n >= 1
-
-
-# ---------------------------------------------------------------------------
-# divided differences of exp(x*T) at nodes x = i*w (w real)
-
-def _sinc(x):
-    return np.sinc(np.asarray(x) / np.pi)
-
-
-def _g_pair(wa, wb, t):
-    """f[i*wa, i*wb] for f(x) = exp(x t); stable for any separation."""
-    return t * np.exp(0.5j * (wa + wb) * t) * _sinc(0.5 * (wb - wa) * t)
-
-
-@cache
-def _series(drop: int) -> np.ndarray:
-    """Coefficients (b, c, 2, a) of the monomials e2^a e3^b e4^c of the
-    elementary symmetric polynomials of mean-free nodes in the real and
-    imaginary parts of sum_{k < SERIES_TERMS} i^k h_k / (k + drop)!.  With
-    e1 = 0, h_k = -e2 h_{k-2} + e3 h_{k-3} - e4 h_{k-4}, and e_j = 0 past
-    the drop + 1 nodes."""
-    n = SERIES_TERMS
-    h = np.zeros((n, n // 2, n // 3 + 1, n // 4 + 1 if drop > 2 else 1))
-    h[0, 0, 0, 0] = 1.0
-    for k in range(1, n):
-        for j, sign in ((2, -1.0), (3, 1.0), (4, -1.0))[:drop]:
-            if k >= j:
-                h[k] += sign * np.roll(h[k - j], 1, axis=j - 2)
-    coefs = np.zeros((2, *h.shape[1:]))
-    for k in range(n):
-        coefs[k % 2] += (-1) ** (k // 2) / factorial(k + drop) * h[k]
-    return np.ascontiguousarray(coefs.transpose(2, 3, 0, 1))
-
-
-def _dd_taylor(nodes, t, drop):
-    """Series for f[i*w_0,..,i*w_r] at the r + 1 node arrays w_k of a
-    narrow cluster.
-
-    drop = r = number of divided-difference levels; leading term T^r/r!.
-    About the mean node, f[..] = e^{i wbar T} T^r sum_k i^k h_k(y T)/(k+r)!
-    with y = w - wbar.  The complete homogeneous polynomials h_k are
-    polynomials in e2, e3, e4 of y T, which Newton's identities give from
-    the power sums, so both sums contract `_series` with their powers:
-    a few array operations, whatever the number of entries.
-    """
-    w = np.stack(nodes)
-    wbar = w.mean(axis=0)
-    y = (w - wbar) * t
-    y2 = y * y
-    p2 = y2.sum(axis=0)
-    coefs = _series(drop)
-    nb, nc, _, na = coefs.shape
-    powers = np.empty((3, na, *wbar.shape))
-    powers[:, 0] = 1.0
-    powers[0, 1] = -0.5 * p2
-    powers[1, 1] = (y2 * y).sum(axis=0) / 3.0
-    powers[2, 1] = (0.5 * p2 * p2 - (y2 * y2).sum(axis=0)) / 4.0
-    for k in range(2, na):
-        np.multiply(powers[:, k - 1], powers[:, 1], out=powers[:, k])
-    # sum over a by one product, then over b and c with e3^b e4^c
-    s = (coefs.reshape(-1, na) @ powers[0]).reshape(nb * nc, 2, -1)
-    mono = powers[1, :nb, None] * powers[2, None, :nc]
-    s = (s * mono.reshape(nb * nc, 1, -1)).sum(axis=0)
-    return t ** drop * np.exp(1j * wbar * t) * (s[0] + 1j * s[1])
-
-
-_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)), 4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
-
-
-def _sorted_nodes(*nodes):
-    """The node arrays in ascending order, entry by entry (sorting networks, TAOCP 5.3.4)."""
-    x = list(nodes)
-    for i, j in _NETWORKS[len(x)]:
-        x[i], x[j] = np.minimum(x[i], x[j]), np.maximum(x[i], x[j])
-    return x
-
-
-def _dd2(w0, w1, w2, g01, g12, t):
-    """f[i*w0, i*w1, i*w2] of sorted nodes from g01 = f[i*w0, i*w1] and g12 = f[i*w1, i*w2]."""
-    spread = w2 - w0
-    cluster = spread * t < DEGEN_TOL
-    out = (g12 - g01) / (1j * np.where(cluster, 1.0, spread))
-    if np.any(cluster):
-        out[cluster] = _dd_taylor([w0[cluster], w1[cluster], w2[cluster]], t, 2)
-    return out
-
-
-def _int1_plus(nu, t):
-    """int_0^t exp(i nu s) ds, vectorized."""
-    return _g_pair(0.0, nu, t)
-
-
-def _int2_plus(nu1, nu2, t):
-    """Ordered double integral of exp(i nu1 t1) exp(i nu2 t2), t1 > t2."""
-    w0, w1, w2 = _sorted_nodes(0.0, nu1 + 0 * nu2, nu1 + nu2)
-    return _dd2(w0, w1, w2, _g_pair(w0, w1, t), _g_pair(w1, w2, t), t)
-
-
-def _int3_plus(nu1, nu2, nu3, t):
-    """Ordered triple integral: f[0, i p1, i p2, i p3] at the prefix sums p of
-    (nu1, nu2, nu3), by the sorted recursion or, for a narrow cluster, the series."""
-    w = _sorted_nodes(0.0, nu1 + 0 * nu2 + 0 * nu3, nu1 + nu2 + 0 * nu3, nu1 + nu2 + nu3)
-    spread = w[3] - w[0]
-    cluster = spread * t < DEGEN_TOL
-    # the recursion runs only where the series does not
-    out = np.empty(spread.shape, dtype=complex)
-    far = ~cluster
-    if far.any():
-        w0, w1, w2, w3 = (x[far] for x in w)
-        g12 = _g_pair(w1, w2, t)
-        upper = _dd2(w1, w2, w3, g12, _g_pair(w2, w3, t), t)
-        out[far] = (upper - _dd2(w0, w1, w2, _g_pair(w0, w1, t), g12, t)) / (1j * spread[far])
-    if cluster.any():
-        out[cluster] = _dd_taylor([x[cluster] for x in w], t, 3)
-    return out
-
-
-def _confluent(w, i1, t):
-    """J(a) = f[0, 0, a] and K(a) = f[0, 0, 0, a] at the frequencies a = w
-    from I1(a) = f[0, a]: divided differences where |a| T >= DEGEN_TOL,
-    else K by the Taylor series of exp, sum_n (i a T)^n / (n + 3)!, and
-    J = T^2/2 + i a K."""
-    small = np.abs(w) * t < DEGEN_TOL
-    x = 1j * np.where(small, w, 0.0) * t
-    powers = np.cumprod(np.broadcast_to(x[..., None], (*x.shape, SERIES_TERMS - 1)), axis=-1)
-    k = t ** 3 * (1 / 6 + powers @ _K_SERIES)
-    ia = 1j * np.where(small, 1.0, w)
-    j = np.where(small, t * t / 2 + 1j * w * k, (i1 - t) / ia)
-    return j, np.where(small, k, (j - t * t / 2) / ia)
-
-
-def _int3_grid(groups):
-    """I3 on the (Q, n, u, u) half grid, the first frequency on the half
-    w_0..w_mid, from the tables of `groups`: the shift identity, the
-    confluent tables where a+b+c is zero, and `_int3_plus` on the rest (see
-    the module docstring)."""
-    w, half, t, i2h = groups.w, groups.half, groups.dt, groups.i2
-    # I2(-a, -b) = conj I2(a, b) gives the rows past the middle
-    i2 = np.concatenate([i2h, i2h[:, :-1][:, ::-1, ::-1].conj()], axis=1)
-    j, k = groups.confluent
-    p1 = half[:, :, None, None]
-    p2 = (half[:, :, None] + w[:, None, :])[..., None]
-    p3 = p2 + w[:, None, None, :]
-    # the nodes 0, a and a+b are the same for every c
-    lo, hi = np.minimum(np.minimum(p1, 0.0), p2), np.maximum(np.maximum(p1, 0.0), p2)
-    spread = np.maximum(hi, p3) - np.minimum(lo, p3)
-    # a+b+c = 0 leaves the nodes {0, 0, a, a+b}, and a+b = 0 too {0, 0, 0, a}
-    zero = np.abs(p3) * t <= MERGE_KAPPA
-    double = zero & (np.abs(p2) * t <= MERGE_KAPPA)
-    # the numerators times -i, for a real divisor
-    phase = -1j * np.exp(1j * p1 * t)
-    num = np.where(zero, -1j * j[:, :, None, None], phase * i2[:, None]) + 1j * i2h[..., None]
-    den = np.where(zero, -p2, p3)
-    ill = ~double & ((np.abs(den) < SHIFT_KAPPA * spread) | (spread * t < DEGEN_TOL))
-    out = np.where(double, k[:, :, None, None], num / np.where(ill | double, 1.0, den))
-    if ill.any():
-        q, a, b, c = np.nonzero(ill)
-        out[q, a, b, c] = _int3_plus(w[q, a], w[q, b], w[q, c], t)
-    return out
+GL_NODES = 14    # Gauss-Legendre nodes per panel
+GL_THETA = 5.25  # the widest phase (lambda_max - lambda_min) dt that one panel takes
 
 
 # ---------------------------------------------------------------------------
@@ -472,125 +239,80 @@ def adjoint_matrix_batch(lam: np.ndarray, vecs: np.ndarray, frame: AdjointFrame)
     return nu, np.concatenate([f[:, :, :h].real, pair.real, pair.imag], axis=2)
 
 
-def _mirror_pairs(x: np.ndarray) -> np.ndarray:
-    """x over all u = 2n - 1 frequencies of its last axis, w_{u-1-g} = -w_g,
-    to twice its components on [cos, sin] of the half: x_g + x_-g, then
-    (x_g - x_-g) / i but for the zero frequency."""
-    n = (x.shape[-1] + 1) // 2
-    lo, hi = x[..., :n], x[..., : -n - 1 : -1]
-    return np.concatenate([lo + hi, 1j * (hi - lo)[..., :-1]], axis=-1)
+@cache
+def _panel_rule(s: int) -> tuple:
+    """Nodes (K,), weights (K,) and integration matrix S (K, K) of 2^s
+    equal panels of GL_NODES nodes on [0, 1], K = 2^s GL_NODES, read-only."""
+    x, w = leggauss(GL_NODES)
+    anti = legval(x, legint(np.eye(GL_NODES), lbnd=-1)).T   # int_-1^x_j P_n
+    one = np.linalg.solve(legvander(x, GL_NODES - 1).T, anti.T).T / 2
+    p = 2 ** s
+    tau = (np.arange(p)[:, None] + (x + 1) / 2).ravel() / p
+    weights = np.tile(w / 2, p) / p
+    smat = np.kron(np.eye(p), one / p) + np.kron(np.tri(p, k=-1), np.tile(w / 2, (GL_NODES, 1)) / p)
+    for a in (tau, weights, smat):
+        a.setflags(write=False)
+    return tau, weights, smat
 
 
-def _real_table(x: np.ndarray) -> np.ndarray:
-    """The real table of the basis [cos, sin] from the complex table x
-    (Q, n, ..) of the frequencies w_g, r <= 3 axes of them: the first on the
-    half g < n, the others on all of their groups (see the module docstring)."""
-    if x.ndim == 4:
-        x = _mirror_pairs(x.swapaxes(2, 3)).swapaxes(2, 3)
-    if x.ndim > 2:
-        x = 0.5 ** (x.ndim - 2) * _mirror_pairs(x)
-    return np.concatenate([x.real, x[:, :-1].imag], axis=1)
+def step_rule(spread, dt: float) -> tuple:
+    """Nodes tau (K,), weights W (K,) and S (K, K) of steps of length dt
+    whose frequencies are bounded by |spread| (steps first): 2^s panels
+    with s = ceil(log2(theta / GL_THETA)) at theta = max |spread| dt above
+    GL_THETA, else one."""
+    theta = np.abs(spread).max(initial=0.0) * dt
+    s = int(np.ceil(np.log2(theta / GL_THETA))) if theta > GL_THETA else 0
+    tau, w, smat = _panel_rule(s)
+    return tau * dt, w * dt, smat * dt
 
 
-@dataclass(frozen=True)
-class SpectralGroups:
-    """Distinct adjoint frequencies of each step and the step tables that
-    every request and cross on the subspace reads (see the module docstring).
+class StepNodes:
+    """A `step_rule` on one subspace in one evaluation: its weights w (K,)
+    and matrix s (K, K), the pair rotations cos and sin (Q, K, k - h) at
+    the nodes, and the weighted step sum gbar = sum_j W_j G(tau_j)
+    (Q, m, p) that every request on the subspace reads."""
 
-    w (Q, u) holds one frequency per group, u = 2n - 1 and antisymmetric,
-    w_{u-1-g} = -w_g: the half w_0..w_{n-1} ascends to the zero group
-    w_{n-1} = 0.  Steps with fewer than n groups on the half pad it in
-    front with zeros that carry no weight, and so in +/- pairs.  onehot
-    (Q, k, n) maps the frequencies nu to the half.  Each table is built on
-    its first read, on the half alone: i1 = I1 (Q, n), i2 = I2 (Q, n, u)
-    and confluent = (J, K) (Q, n), complex, as the r = 3 grid reads them,
-    and t1 (Q, u), t2 (Q, u, u), their real tables.
-    """
-
-    w: np.ndarray
-    onehot: np.ndarray
-    dt: float
-
-    @property
-    def half(self):
-        return self.w[:, : (self.w.shape[1] + 1) // 2]
-
-    @cached_property
-    def i1(self):
-        return _int1_plus(self.half, self.dt)
-
-    @cached_property
-    def i2(self):
-        return _int2_plus(self.half[:, :, None], self.w[:, None, :], self.dt)
-
-    @cached_property
-    def confluent(self):
-        return _confluent(self.half, self.i1, self.dt)
-
-    @cached_property
-    def t1(self):
-        return _real_table(self.i1)
-
-    @cached_property
-    def t2(self):
-        return _real_table(self.i2)
+    def __init__(self, nu: np.ndarray, v: np.ndarray, rule: tuple):
+        tau, self.w, self.s = rule
+        self.h, k = 2 * nu.shape[1] - v.shape[2], nu.shape[1]
+        phase = nu[:, None, self.h :] * tau[:, None]
+        self.cos, self.sin = np.cos(phase), np.sin(phase)
+        cbar, sbar = (self.w @ self.cos)[:, None], (self.w @ self.sin)[:, None]
+        x, y = v[..., self.h : k], v[..., k:]
+        helmert = self.w.sum() * v[..., : self.h]
+        self.gbar = np.concatenate([helmert, cbar * x - sbar * y, cbar * y + sbar * x], axis=2)
 
 
-def spectral_groups(nu: np.ndarray, dt: float) -> SpectralGroups:
-    """Merge the frequencies of nu (Q, k), all <= 0 with a zero in every
-    step, that are adjacent once sorted and whose phase gap
-    (nu_{a+1} - nu_a) * dt is at most MERGE_KAPPA, and mirror them."""
-    order = np.argsort(nu, axis=-1)
-    ordered = np.take_along_axis(nu, order, axis=-1)
-    q, k = nu.shape
-    gid = np.zeros((q, k), dtype=np.intp)
-    np.cumsum(np.diff(ordered, axis=-1) * dt > MERGE_KAPPA, axis=-1, out=gid[:, 1:])
-    n = int(gid[:, -1].max()) + 1
-    gid += n - 1 - gid[:, -1:]   # the zero group last in every step
-    rows = np.arange(q)[:, None]
-    half = np.zeros((q, n))
-    half[rows, gid] = ordered
-    half[:, -1] = 0.0
-    onehot = np.zeros((q, k, n))
-    onehot[rows, order, gid] = 1.0
-    return SpectralGroups(np.concatenate([half, -half[:, -2::-1]], axis=1), onehot, dt)
-
-
-def _components(v, y, groups):
-    """Real spectral components R (Q, m, u): per group on the half, the
-    coefficients of cos(w_g t), then of sin(w_g t) but the zero group's."""
-    oh = groups.onehot
-    h, k = 2 * oh.shape[1] - v.shape[2], oh.shape[1]
-    y = y[:, None]
-    cos = v[..., :k] * y[..., :k]
-    cos[..., h:] += v[..., k:] * y[..., k:]
-    sin = v[..., h:k] * y[..., k:] - v[..., k:] * y[..., h:k]
-    return np.concatenate([cos @ oh, sin @ oh[:, h:, :-1]], axis=2)
-
-
-def batch_step_cints(nu, v, y, dt, r_max, groups=None):
-    """Spectral components and step tables of all Q steps at once.
+def batch_step_cints(nu, v, y, dt, r_max, nodes=None, lab=False):
+    """Step integrals and nodal values of all Q steps at once, in each
+    step's frame.
 
     nu (Q,k) and the real frame v = F (Q,m,p) from `adjoint_matrix_batch`,
-    y (Q,p) = F^T seed, real;
-    groups is `spectral_groups(nu, dt)`, formed here when not given, and
-    carries the tables.  Returns R (Q,m,u) and the real tables that the
-    orders up to r_max read: T1 (Q,u) [, T2 (Q,u,u) [, T3 (Q,u,u,u)]],
-    None above r_max; `compose_batch` contracts them.
+    y (Q,p) = F^T seed, real; nodes is the subspace's `StepNodes`, formed
+    here from `step_rule`(nu, dt) when not given.  Returns c0 = Gbar y
+    (Q,m), the integral of the toggled coefficients over each step, and
+    their values G(tau_j) y (Q,K,m) at the nodes when r_max >= 2 or `lab`
+    asks for them (a cross reads them), else None; `compose_batch` takes
+    them to the lab frame.
     """
-    if groups is None:
-        groups = spectral_groups(nu, dt)
-    t2 = groups.t2 if r_max >= 2 else None
-    t3 = _real_table(_int3_grid(groups)) if r_max >= 3 else None
-    return _components(v, y, groups), groups.t1, t2, t3
+    if nodes is None:
+        nodes = StepNodes(nu, v, step_rule(nu, dt))
+    c0 = np.einsum("qap,qp->qa", nodes.gbar, y)
+    if r_max < 2 and not lab:
+        return c0, None
+    h, k, c, s = nodes.h, nu.shape[1], nodes.cos, nodes.sin
+    yx, yy = y[:, None, h:k], y[:, None, k:]
+    held = np.broadcast_to(y[:, None, :h], (*c.shape[:2], h))
+    return c0, np.concatenate([held, c * yx + s * yy, c * yy - s * yx], axis=2) @ np.swapaxes(v, 1, 2)
 
 
-def batch_step_cross(groups_p, groups_e):
-    """The real cross table T2(w_p, w_e) (Q, up, ue) of two slots, (later,
-    earlier); two slots on one subspace share its T2 table."""
-    if groups_p is groups_e:
-        return groups_p.t2
-    return _real_table(_int2_plus(groups_p.half[:, :, None], groups_e.w[:, None, :], groups_p.dt))
+def batch_step_cross(nodes_p: StepNodes, nodes_e: StepNodes) -> np.ndarray:
+    """The cross table of two slots (later, earlier): node j of the later
+    slot meets the earlier slot's running integral at node j, so the
+    table is the weights of the one rule that both slots must share."""
+    if not np.array_equal(nodes_p.w, nodes_e.w):
+        raise ValueError("the two slots of a cross take different step rules")
+    return nodes_p.w
 
 
 def eigen_toggles(nu: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
@@ -611,48 +333,41 @@ def prefix_toggles(dq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_sum(b, t):
-    """sum_{q,g} B[q, :, g] T[q, g, ...]: one (m, Qu) x (Qu, ...) product."""
-    q, m, u = b.shape
-    return (np.swapaxes(b, 0, 1).reshape(m, q * u) @ t.reshape(q * u, -1)).reshape(m, *t.shape[2:])
-
-
-def compose_batch(e_prev, a, i1, i2=None, i3=None, lab=False):
+def compose_batch(e_prev, c0, c=None, nodes=None, r_max=1):
     """Vectorized chain rule in the lab frame (see the module docstring);
     `compose_raw` in `tests/_oracles.py` is the sequential fold it replaces.
 
-    Takes the output of `batch_step_cints` and returns (B, a0, (tot0,
-    tot1, tot2)): B = E_prev R (Q,m,u), formed when T2 is given or `lab`
-    asks for it (a cross reads it), else None; the toggled a0 (Q,m); and
-    the composed tensors, None above the order of the tables.
+    Takes the output of `batch_step_cints` and its `StepNodes`, and returns
+    (nodal, (tot0, tot1, tot2)): nodal = (L, G1) (Q,K,m) each, the
+    lab-frame nodal values and their running integrals, when c is given
+    (a cross reads them), else None; and the composed tensors, None above
+    r_max.
     """
-    # a0 the same way with or without B, so that it has the same bits
-    a0 = np.einsum("qij,qj->qi", e_prev, np.einsum("qag,qg->qa", a, i1))
+    # the toggled step integrals a0 the same way with or without nodal
+    # values, so that they have the same bits
+    a0 = np.einsum("qij,qj->qi", e_prev, c0)
     tot0 = a0.sum(axis=0)
-    if i2 is None and not lab:
-        return None, a0, (tot0, None, None)
-    b = e_prev @ a
-    if i2 is None:
-        return b, a0, (tot0, None, None)
-    q, m, u = b.shape
-    bt = np.swapaxes(b, -1, -2)
-    a1 = b @ i2 @ bt
-    s0_prev = np.cumsum(a0, axis=0) - a0
-    # step q's share of tot1; its prefix is s1 + p2 of the sequential fold
-    t1 = a1 + a0[:, :, None] * s0_prev[:, None, :]
+    if c is None:
+        return None, (tot0, None, None)
+    l = c @ np.swapaxes(e_prev, 1, 2)
+    g1 = nodes.s @ l + (np.cumsum(a0, axis=0) - a0)[:, None]
+    if r_max < 2:
+        return (l, g1), (tot0, None, None)
+    lw = l * nodes.w[:, None]
+    t1 = np.swapaxes(lw, 1, 2) @ g1   # step q's share of tot1
     tot1 = t1.sum(axis=0)
-    if i3 is None:
-        return b, a0, (tot0, tot1, None)
-    t2 = b[:, None] @ (i3.reshape(q, u * u, u) @ bt).reshape(q, u, u, m)
-    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, m * m)
-    prefix = a0.T @ s1_prev + (a1.reshape(q, m * m).T @ s0_prev).reshape(m, m * m)
-    tot2 = _step_sum(b, t2) + prefix.reshape(m, m, m)
-    return b, a0, (tot0, tot1, tot2)
+    if r_max < 3:
+        return (l, g1), (tot0, tot1, None)
+    q, k, m = l.shape
+    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, 1, m * m)
+    g2 = nodes.s @ (l[..., None] * g1[..., None, :]).reshape(q, k, m * m) + s1_prev
+    tot2 = (lw.reshape(q * k, m).T @ g2.reshape(q * k, m * m)).reshape(m, m, m)
+    return (l, g1), (tot0, tot1, tot2)
 
 
-def compose_cross_batch(i2x, b_p, a0_p, b_e, a0_e):
+def compose_cross_batch(w, l_p, g1_e):
     """Vectorized cross chain rule (perturbation slot at the later time):
-    sum_q B_p T2x B_e^T + sum_q a0p_q (x) s0e_q, with s0e_q the sum of
-    the earlier slot's a0 before step q."""
-    s0e_prev = np.cumsum(a0_e, axis=0) - a0_e
-    return _step_sum(b_p, i2x @ np.swapaxes(b_e, -1, -2)) + a0_p.T @ s0e_prev
+    sum_qj W_j L_p (x) G1_e of the later slot's nodal values and the
+    earlier slot's running integrals, one (m_p, QK) x (QK, m_e) product."""
+    q, k, m = l_p.shape
+    return (l_p * w[:, None]).reshape(q * k, m).T @ g1_e.reshape(q * k, -1)

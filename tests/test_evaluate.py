@@ -318,6 +318,22 @@ def test_stroboscopic_survival():
     assert np.abs(probs - expect).max() < 1e-9
 
 
+def test_stroboscopic_needs_a_normalized_state():
+    setup = setup_1q([ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")])
+    seq = ControlSequence(np.zeros((2, 2)), 1e-8, XY)
+    for psi0 in (np.array([1.0, 1.0]), np.array([1e-3, 0.0]), np.zeros(2)):
+        with pytest.raises(ValueError, match="normalized"):
+            ev.stroboscopic_evolve(psi0, seq, setup, None, 3)
+
+
+def test_evaluation_report_needs_a_sample():
+    setup = setup_1q([ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")])
+    seq = ControlSequence(np.zeros((2, 2)), 1e-8, XY)
+    for n_mc in (0, -1):
+        with pytest.raises(ValueError, match="n_mc must be >= 1"):
+            ev.evaluation_report(seq, setup, np.eye(2), n_mc, 7)
+
+
 def test_evaluation_report_keys_and_depolarizing():
     setup = setup_1q([ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")])
     seq = ControlSequence(np.zeros((2, 2)), 1e-8, XY)

@@ -397,16 +397,11 @@ def test_error_on_a_parameter_the_model_lacks_fails_at_build():
         build_pipeline(cfg)
 
 
-def count_i2_tables(monkeypatch):
-    """Shapes of the I2 tables built, square or rectangular."""
+def count_step_nodes(monkeypatch):
+    """The frequencies nu of every `StepNodes` built, one per subspace."""
     calls = []
-    real = tg._int2_plus
-
-    def counted(nu1, nu2, t):
-        calls.append(np.broadcast_shapes(np.shape(nu1), np.shape(nu2)))
-        return real(nu1, nu2, t)
-
-    monkeypatch.setattr(tg, "_int2_plus", counted)
+    real = tg.StepNodes
+    monkeypatch.setattr(tg, "StepNodes", lambda nu, *rest: calls.append(nu) or real(nu, *rest))
     return calls
 
 
@@ -423,16 +418,16 @@ HADAMARD_TERMS = (
 )
 
 
-def test_requests_on_one_subspace_share_one_i2_table(monkeypatch):
+def test_requests_on_one_subspace_share_one_set_of_step_nodes(monkeypatch):
     pipe = hadamard_pipeline(HADAMARD_TERMS)
-    calls = count_i2_tables(monkeypatch)
+    calls = count_step_nodes(monkeypatch)
     for seed in (14, 15):
         x = np.random.default_rng(seed).uniform(-1, 1, 24)
         before = len(calls)
         rep = pipe.evaluate(x)
-        # the half of the table: 2 of the 3 frequencies {-w, 0, w} lead
-        assert calls[before:] == [(12, 2, 3)]
-        # each term alone builds its own tables, to the same bits
+        # one frequency 0 and one pair per step on su(2)
+        assert [nu.shape for nu in calls[before:]] == [(12, 2)]
+        # each term alone builds its own nodes, to the same bits
         for term, value in zip(HADAMARD_TERMS, rep.values):
             assert hadamard_pipeline((term,)).evaluate(x).values == (value,)
 
@@ -469,13 +464,13 @@ def two_space_pipeline():
 def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     pipe = two_space_pipeline()
     calls = count_adjoint_calls(monkeypatch)
-    tables = count_i2_tables(monkeypatch)
+    nodes = count_step_nodes(monkeypatch)
     x = np.random.default_rng(13).uniform(-1, 1, 24)
     rep = pipe.evaluate(x)
     assert len(calls) == 2
     assert not np.array_equal(calls[0], calls[1])
-    # the r=2 request's square table on C_err, and the cross's rectangular one
-    assert sorted(tables) == [(12, 2, 3)] * 2
+    # the nodes of each subspace, which the cross pairs
+    assert len(nodes) == 2
     assert rep.values[2] > 0
     # effective robustness against the sequential cross integral, whose
     # toggles come from conjugation by the step unitaries
@@ -531,24 +526,30 @@ def schur_of_the_adjoint(lam, vecs, frame):
     return orc.real_frame(h, frame.stack)
 
 
+def _distinct_frequencies(nu):
+    """The number of distinct frequencies of each step, at 1e-9 of the largest."""
+    gaps = np.diff(np.sort(nu, axis=-1), axis=-1)
+    return 1 + np.sum(gaps > 1e-9 * np.abs(nu).max(axis=-1, keepdims=True), axis=-1)
+
+
 @pytest.mark.parametrize("build, width", [(uncoupled_pipeline, 48), (two_space_pipeline, 24)])
 def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypatch, build, width):
-    # the frame of a proper subspace carries columns outside its span; they
-    # add no spectral group, and the costs match the Schur form of the adjoint
+    # the frame of a proper subspace carries columns outside its span at
+    # frequency 0, so each step has the groups of distinct frequencies of
+    # the Schur form of the adjoint, and the costs match that form's
     pipe = build()
     assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, *pipe.err_frames.values()))
-    groups = []
-    real = tg.spectral_groups
-    monkeypatch.setattr(tg, "spectral_groups", lambda nu, dt: groups.append(real(nu, dt)) or groups[-1])
+    nodes = count_step_nodes(monkeypatch)
     for seed in (17, 18):
         x = np.random.default_rng(seed).uniform(-1, 1, width)
         got = pipe.evaluate(x).values
         with monkeypatch.context() as m:
             m.setattr(tg, "adjoint_matrix_batch", schur_of_the_adjoint)
             want = pipe.evaluate(x).values
-        frame_groups, schur_groups = groups[: len(groups) // 2], groups[len(groups) // 2 :]
-        assert [g.w.shape for g in frame_groups] == [g.w.shape for g in schur_groups]
-        groups.clear()
+        frame_nu, schur_nu = nodes[: len(nodes) // 2], nodes[len(nodes) // 2 :]
+        for a, b in zip(frame_nu, schur_nu):
+            assert np.array_equal(_distinct_frequencies(a), _distinct_frequencies(b))
+        nodes.clear()
         assert all(v > 1e-6 for v in want)
         assert got == pytest.approx(want, rel=1e-12)
 

@@ -264,6 +264,14 @@ def test_one_open_end_is_nan(monkeypatch):
     assert all(np.isnan(sm) and sp == 1.0 for _, sm, sp in sr.convergence_history)
 
 
+def test_all_zero_target_raises():
+    # a zero target has no direction to scale along, in every component
+    g, [(hp, c, _)] = _single_qubit_components()
+    for comps in ([(hp, c, None)], [(hp, c, 0 * hp)]):
+        with pytest.raises(ValueError, match="all-zero target"):
+            reach.sample_vertices(g, comps, 10, "auto", np.random.default_rng(5), 10, 2)
+
+
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 400, "auto", np.random.default_rng(6), 100, 10)

@@ -105,47 +105,44 @@ def opitz_oracle(nodes, t):
         return complex(mp.expm(j)[0, n - 1])
 
 
-def mirrored(nu):
-    """Antisymmetric group frequencies w with the spectrum nu on both
-    halves: -|nu| ascending, one zero, then their negatives."""
-    half = np.sort(np.append(-np.abs(nu[nu != 0]), 0.0))
-    return np.concatenate([half, -half[-2::-1]])
+def collocation_table(nu, t, r, rule=None):
+    """The ordered integrals of e^{i a t1} .. e^{i c tr} over every r-tuple
+    of the frequencies nu (r <= 3) on one step [0, t], as nodal sums of
+    `step_rule`: I1 = sum_j W_j e_a, I2 = sum_j W_j e_a (S e_b) and I3 =
+    sum_j W_j e_a (S (e_b (S e_c))), with e_a = e^{i a tau}."""
+    tau, w, s = tg.step_rule(nu, t) if rule is None else rule
+    e = np.exp(1j * np.multiply.outer(nu, tau))
+    run = np.ones((1, len(tau)))
+    for _ in range(r - 1):
+        run = (e[:, None] * run).reshape(-1, len(tau)) @ s.T
+    return ((e * w) @ run.T).ravel()
 
 
 def int3_grid_errors(nu, t):
-    """Per-entry errors of the batched r=3 half grid and of `_int3_plus`
-    against the Opitz oracle at exact prefix sums, in units of T^3/6, on
-    the frequencies `mirrored(nu)`: the half grid holds every triple of
-    them or its negative, whose entry is the conjugate."""
+    """Per-entry errors of the r=3 grid of nodal sums on every triple of
+    the frequencies nu against the Opitz oracle at exact prefix sums, in
+    units of T^3/6."""
     mp = pytest.importorskip("mpmath")
-    w = mirrored(np.asarray(nu, dtype=float))
-    grid = tg._int3_grid(tg.SpectralGroups(w[None], None, t))[0]
-    general = tg._int3_plus(w[: grid.shape[0], None, None], w[None, :, None], w[None, None, :], t)
-    refs = {}
-    err_grid = np.empty(grid.shape)
-    err_general = np.empty(grid.shape)
+    w = np.asarray(nu, dtype=float)
+    grid = collocation_table(w, t, 3).reshape((len(w),) * 3)
+    err = np.empty(grid.shape)
     for abc in np.ndindex(grid.shape):
-        key = tuple(w[k] for k in abc)
-        if key not in refs:
-            with mp.workdps(40):
-                a, b, c = (mp.mpf(float(x)) for x in key)
-                refs[key] = opitz_oracle([mp.mpf(0), a, a + b, a + b + c], mp.mpf(t))
-        err_grid[abc] = abs(grid[abc] - refs[key])
-        err_general[abc] = abs(general[abc] - refs[key])
-    unit = t ** 3 / 6
-    return err_grid / unit, err_general / unit
+        with mp.workdps(40):
+            a, b, c = (mp.mpf(float(w[k])) for k in abc)
+            err[abc] = abs(grid[abc] - opitz_oracle([mp.mpf(0), a, a + b, a + b + c], mp.mpf(t)))
+    return err / (t ** 3 / 6)
 
 
 @st.composite
 def adjoint_spectra(draw):
     """Step length T and m=4 eigenvalues as adjoint spectra have them: an
     exact zero, +/- pairs, repeats, gaps straddling 1e-3, and a partner of
-    w whose sum with it is a phase below MERGE_KAPPA, as rounding leaves
+    w whose sum with it is a phase at rounding level, as rounding leaves
     the pairs of eigh.  Sums a+b+c and a+b come out exactly or nearly zero."""
     t = draw(st.floats(0.5, 2.0))
     w = draw(st.floats(0.05, 4.0))
     gap = draw(st.floats(2e-4, 5e-3))
-    near = -w - draw(st.floats(-0.9, 0.9)) * tg.MERGE_KAPPA
+    near = -w - draw(st.floats(-0.9, 0.9)) * 1e-13
     pool = [0.0, w, -w, gap, -gap, w + gap, near]
     rest = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))
     return t, np.array([0.0, *rest]) / t
@@ -158,64 +155,85 @@ GAP_ABOVE_1E3 = np.array([0.0, 0.0, 1.0155796176509306e-3, 2.8151671747907323])
 
 @given(adjoint_spectra())
 @example((1.0, GAP_ABOVE_1E3))
-# clusters just above a 0.05 series width: both kernels were near
-# 2e-13 * T^3/6 there, and the grid the worse of the two
+# clusters just above a 0.05 series width of the general kernel
 @example((1.0, np.array([0.0, 0.0, 0.078125, 0.00390625])))
-# sums a+b+c at merge level, with a+b = 0 at merge level (the K table) and
-# not (the J table); exact zero sums, the all-zero entry, and K and J on
-# their series branch (|a| T < DEGEN_TOL)
+# sums a+b+c at rounding level, with a+b = 0 at rounding level and not;
+# exact zero sums and the all-zero entry
 @example((1.0, np.array([0.0, 2.5753589512631057, -2.575358951263022, 0.7])))
 @example((0.8, np.array([0.0, 1.3, -1.3, 0.0]) / 0.8))
 @example((1.5, np.array([0.0, 0.0, 0.0, 0.0])))
-@example((1.0, np.array([0.0, 0.15, -0.15 - 0.9 * tg.MERGE_KAPPA, 1.1])))
+@example((1.0, np.array([0.0, 0.15, -0.15 - 0.9e-13, 1.1])))
 @settings(max_examples=10, deadline=None)
 def test_int3_grid_vs_mpmath(case):
     t, nu = case
-    err_grid, err_general = int3_grid_errors(nu, t)
-    assert err_grid.max() <= 5e-10
-    # no worse than the general kernel, up to a rounding-level floor
-    assert err_grid.max() <= max(err_general.max(), 1e-13)
+    assert int3_grid_errors(nu, t).max() <= 1e-13
 
 
 def test_int3_kernels_are_not_called_on_zero_entries(monkeypatch):
-    # the r=3 grid calls `_int3_plus` only for entries that fall back, and
-    # `_int3_plus` calls the series only for node clusters
-    sizes = {"_int3_plus": [], "_dd_taylor": []}
-
-    def counted(name, entries):
-        real = getattr(tg, name)
-        return lambda x, *rest: sizes[name].append(np.size(entries(x))) or real(x, *rest)
-
-    monkeypatch.setattr(tg, "_int3_plus", counted("_int3_plus", lambda nu1: nu1))
-    monkeypatch.setattr(tg, "_dd_taylor", counted("_dd_taylor", lambda nodes: nodes[0]))
-    # w = 0, +-1, +-3 at T = 1: no entry of the half grid falls back
-    tg._int3_grid(tg.SpectralGroups(mirrored(np.array([1.0, 3.0]))[None], None, 1.0))
-    assert sizes["_int3_plus"] == [] and 0 not in sizes["_dd_taylor"]
+    # the general kernel calls its series only for node clusters
+    sizes = []
+    real = orc._dd_taylor
+    monkeypatch.setattr(orc, "_dd_taylor", lambda nodes, *rest: sizes.append(np.size(nodes[0])) or real(nodes, *rest))
     # nodes 0, 1, 3, 7: no cluster
-    tg._int3_plus(np.array([1.0]), np.array([2.0]), np.array([4.0]), 1.0)
-    assert sizes["_int3_plus"] == [1] and 0 not in sizes["_dd_taylor"]
+    orc._int3_plus(np.array([1.0]), np.array([2.0]), np.array([4.0]), 1.0)
+    assert sizes == []
+    # w = 0, +-1, +-3 at T = 1: only the entries of clusters take the series
+    w = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
+    orc._int3_plus(w[:, None, None], w[None, :, None], w[None, None, :], 1.0)
+    assert sizes and 0 not in sizes and sum(sizes) < w.size ** 3
 
 
-def test_int3_grid_takes_zero_sums_from_the_confluent_tables(monkeypatch):
-    # every entry with a+b+c = 0, exact or at merge level, that is not a
-    # node cluster is read from I2 and the J and K tables, not `_int3_plus`
-    t = 1.0
-    nu = np.array([0.0, 1.3, -1.3 - 0.5 * tg.MERGE_KAPPA, 0.7, -0.7, 0.05])
-    fallback = []
-    real = tg._int3_plus
+@st.composite
+def step_spectra(draw):
+    """(nu (Q, k), dt): 1 to 3 steps of frequencies as adjoint spectra
+    have them, exact zeros, ties and +/- pairs, each step with its own
+    largest phase theta_q = max |nu_q| dt up to 20, so that the rule takes
+    up to four panels."""
+    dt = draw(st.floats(0.1, 2.0))
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        theta = draw(st.one_of(st.floats(0.0, tg.GL_THETA), st.floats(tg.GL_THETA, 20.0)))
+        w = theta / dt
+        a = draw(st.floats(0.0, 1.0)) * w
+        pool = [0.0, w, -w, a, -a, w - a]
+        steps.append([-w, *draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3))])
+    return np.array(steps), dt
 
-    def counted(a, b, c, t):
-        fallback.extend(zip(a, b, c))
-        return real(a, b, c, t)
 
-    monkeypatch.setattr(tg, "_int3_plus", counted)
-    tg._int3_grid(tg.SpectralGroups(mirrored(nu)[None], None, t))
-    for a, b, c in fallback:
-        nodes = np.array([0.0, a, a + b, a + b + c])
-        assert abs(a + b + c) * t > tg.MERGE_KAPPA or np.ptp(nodes) * t < tg.DEGEN_TOL
-    # the permutations of (1.3, -1.3, 0) and (0.7, -0.7, 0), and (0, 0, 0)
-    zero_sums = sum(abs(a + b + c) * t <= tg.MERGE_KAPPA for a, b, c in itertools.product(nu, repeat=3))
-    assert zero_sums == 13
+@given(step_spectra())
+# one panel at the top of its range (GL_THETA = 5.25), then two just
+# below the top of theirs, and four
+@example((np.array([[-5.25, 5.25, 0.0, 2.5]]), 1.0))
+@example((np.array([[-10.4, 10.4, 0.0, 5.2]]), 1.0))
+@example((np.array([[-20.0, 20.0, 10.0, 0.0]]), 1.0))
+# a quiet first step before a fast one: the rule reads the fastest step
+@example((np.array([[0.0, 0.0, 0.0, 0.0], [-10.4, 10.4, 0.0, 5.2]]), 1.0))
+@settings(max_examples=25, deadline=None)
+def test_nodal_step_sums_match_the_general_kernel(case):
+    nu, dt = case
+    rule = tg.step_rule(nu, dt)
+    kernels = (orc._int1_plus, orc._int2_plus, orc._int3_plus)
+    for w in nu:
+        for r, kernel in enumerate(kernels, 1):
+            axes = [np.expand_dims(w, tuple(j for j in range(r) if j != k)) for k in range(r)]
+            want = kernel(*axes, dt).ravel()
+            got = collocation_table(w, dt, r, rule)
+            assert np.abs(got - want).max() <= 1e-13 * dt ** r / math.factorial(r)
+
+
+def test_step_rule_panels():
+    # 2^s panels of GL_NODES nodes, s = ceil(log2(theta / GL_THETA)): the
+    # nodes ascend inside (0, dt), the weights sum to dt, and S integrates
+    # the polynomials of degree below GL_NODES exactly
+    k, theta = tg.GL_NODES, tg.GL_THETA
+    for phase, panels in ((0.0, 1), (theta, 1), (theta * 1.01, 2), (2 * theta, 2), (20.0, 4)):
+        # the quiet first step does not decide the rule
+        tau, w, s = tg.step_rule(np.array([[0.0], [-phase / 0.5]]), 0.5)
+        assert len(tau) == len(w) == len(s) == k * panels
+        assert np.all(np.diff(tau) > 0) and 0 < tau[0] and tau[-1] < 0.5
+        assert w.sum() == pytest.approx(0.5, rel=1e-15)
+        for n in range(k):
+            assert np.abs(s @ tau ** n - tau ** (n + 1) / (n + 1)).max() <= 1e-15
 
 
 @st.composite
@@ -232,7 +250,7 @@ def node_rows(draw):
 @example(np.array([[1.0, 1.0, -0.0, 0.0], [0.0, -1.0, -0.0, -1.0]]))
 @settings(max_examples=60, deadline=None)
 def test_sorting_networks_match_sort(nodes):
-    got = np.stack(tg._sorted_nodes(*nodes.T), axis=-1)
+    got = np.stack(orc._sorted_nodes(*nodes.T), axis=-1)
     want = np.sort(nodes, axis=-1)
     # bit for bit; a tie of -0.0 and +0.0 may leave either zero in either
     # place (min/max keep one operand, np.sort's tie order is the platform's)
@@ -245,7 +263,7 @@ def test_general_kernel_vs_mpmath(r):
     t = 1.0
     nu = GAP_ABOVE_1E3 / t
     axes = [np.expand_dims(nu, tuple(j for j in range(r) if j != k)) for k in range(r)]
-    kernel = tg._int2_plus if r == 2 else tg._int3_plus
+    kernel = orc._int2_plus if r == 2 else orc._int3_plus
     table = kernel(*axes, t)
     worst = 0.0
     for idx in itertools.product(range(len(nu)), repeat=r):
@@ -268,8 +286,7 @@ def test_int3_grid_near_repeated_nodes():
     assert opitz_oracle([0.0, -3.9332, -7.8665, -7.8665 - 1e-15], t) == pytest.approx(
         expect, abs=1e-10
     )
-    err_grid, _ = int3_grid_errors(nu, t)
-    assert err_grid.max() <= 5e-10
+    assert int3_grid_errors(nu, t).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +476,7 @@ def test_a_stack_with_an_identity_direction_keeps_it_in_the_frame():
     assert np.abs(tg.eigen_toggles(nu, f, dt) - want).max() <= 1e-13
     # every step alone against the sequential engine on the adjoint eigh
     y = np.einsum("qba,b->qa", f, orc.vector(hpert, stack).real)
-    a, *tables = tg.batch_step_cints(nu, f, y, dt, 3)
-    for q in range(len(h)):
-        got = tg.compose_batch(np.eye(4)[None], *_alone(q, a, *tables))[2]
+    for q, got in enumerate(_alone(nu, f, y, dt)):
         cset = orc.step_c_integrals(h[q], hpert, c, dt, 3)
         for r, (g_r, w_r) in enumerate(zip(got, (cset.c0, cset.c1_matrix(), cset.c2_tensor())), 1):
             assert np.abs(g_r - w_r).max() <= 1e-12 * dt ** r / math.factorial(r)
@@ -489,7 +504,7 @@ def test_ordered_product_matches_sequential_fold(shape):
 
 
 # ---------------------------------------------------------------------------
-# per-step tensors over distinct adjoint frequencies (spectral components)
+# per-step and composed tensors by collocation against the sequential engine
 
 def _two_qubit_paulis():
     from hamforge.evaluate import pauli_basis_stack
@@ -511,11 +526,10 @@ def two_qubit_steps(draw):
     """(H stack, dt): a mix of step kinds with exact degeneracies (zero
     drive, pure ZZ, resonant drives plus ZZ), generic steps, steps whose
     adjoint spectrum has pairs split by 1e-8 in phase units, and steps with
-    gaps of 0.4 MERGE_KAPPA in phase units: two +/- groups that merge, and
-    a pair that merges with the zero group."""
+    gaps of 4e-14 in phase units, at the rounding of eigh."""
     dt = draw(st.floats(0.5, 2.0))
     coef = st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: c / dt)
-    kinds = draw(st.lists(st.sampled_from(["zero", "zz", "resonant", "generic", "near", "kappa"]),
+    kinds = draw(st.lists(st.sampled_from(["zero", "zz", "resonant", "generic", "near", "tie"]),
                           min_size=1, max_size=5))
     paulis = _two_qubit_paulis() * 2.0
     steps = []
@@ -533,7 +547,7 @@ def two_qubit_steps(draw):
             h = _rotated_step(np.append(lam, lam[-1] + 1e-8 / dt), draw(st.integers(0, 2 ** 32 - 1)))
         else:
             a, g, b = (draw(coef) for _ in range(3))
-            lam = np.array([a, a + g, a + g + 0.4 * tg.MERGE_KAPPA / dt, b])
+            lam = np.array([a, a + g, a + g + 4e-14 / dt, b])
             h = _rotated_step(lam, draw(st.integers(0, 2 ** 32 - 1)))
         steps.append(h)
     return np.array(steps), dt
@@ -564,42 +578,51 @@ def _framed(h, stack, seeds):
     return nu, f, np.einsum("qba,qb->qa", f, seeds)
 
 
+def _nodes(nu, f, dt, h=None):
+    """The frame's `StepNodes`, on the rule of the pipeline (the spectral
+    width of the steps h) when h is given, else on the rule of nu."""
+    lam = None if h is None else np.linalg.eigvalsh(h)
+    return tg.StepNodes(nu, f, tg.step_rule(nu if h is None else lam[:, -1] - lam[:, 0], dt))
+
+
 def _conjugation_toggles(h, stack, dt):
     return orc.toggle_matrices(expm_herm_generator(h, dt), stack)
 
 
-def _alone(q, *arrays):
-    """Step q of each stack, as a stack of one step."""
-    return [x[q : q + 1] for x in arrays]
+def _alone(nu, f, y, dt, r_max=3):
+    """Each step's own (c0, c1, c2): the step composed alone, E_prev = I."""
+    nodes = _nodes(nu, f, dt)
+    c0, c = tg.batch_step_cints(nu, f, y, dt, r_max, nodes)
+    eye = np.eye(f.shape[1])[None]
+    return [tg.compose_batch(eye, c0[q : q + 1], None if c is None else c[q : q + 1], nodes, r_max)[1]
+            for q in range(len(nu))]
 
 
 def _raw_steps(eig, dt, r_max):
     return [orc.step_cints_raw(orc.StepEigen(*s), dt, r_max) for s in zip(*eig)]
 
 
-def _assert_cints_match_ungrouped(frame, eig, dt):
+def _assert_step_tensors_match_oracle(frame, eig, dt):
     # a step composed alone (E_prev = I) gives its own c0, c1 and c2
-    a, *tables = tg.batch_step_cints(*frame, dt, 3)
-    eye = np.eye(a.shape[1])[None]
-    for q, want in enumerate(_raw_steps(eig, dt, 3)):
-        got = tg.compose_batch(eye, *_alone(q, a, *tables))[2]
+    for got, want in zip(_alone(*frame, dt), _raw_steps(eig, dt, 3)):
         for r, (g, w) in enumerate(zip(got, want), start=1):
             assert np.abs(g - w).max() <= 1e-12 * dt ** r / math.factorial(r)
 
 
 def _assert_composed_match_oracle(frame, eig, dq, dt):
-    """Whole-sequence tensors against the sequential fold of the ungrouped
-    per-step tensors with the toggles dq, at each order and with the lab
-    frame on and off."""
+    """Whole-sequence tensors against the sequential fold of the per-step
+    tensors of the general kernel with the toggles dq, at each order and
+    with the nodal values on and off."""
     e_prev = tg.prefix_toggles(tg.eigen_toggles(*frame[:2], dt))
+    nodes = _nodes(*frame[:2], dt)
     steps = _raw_steps(eig, dt, 3)
     t = len(dq) * dt
     for r_max in (1, 2, 3):
         want = orc.compose_raw(steps, dq, r_max)
-        a, *tables = tg.batch_step_cints(*frame, dt, r_max)
         for lab in (False, True):
-            b, a0, got = tg.compose_batch(e_prev, a, *tables, lab=lab)
-            assert (b is None) == (r_max == 1 and not lab)
+            c0, c = tg.batch_step_cints(*frame, dt, r_max, nodes, lab)
+            nodal, got = tg.compose_batch(e_prev, c0, c, nodes, r_max)
+            assert (c is None) == (nodal is None) == (r_max == 1 and not lab)
             for r, (g, w) in enumerate(zip(got, want), start=1):
                 assert (g is None) == (r > r_max)
                 if g is not None:
@@ -614,97 +637,76 @@ def _cross_oracle(eig_p, eig_e, dq_p, dq_e, dt):
     return orc.compose_cross_raw(step_cross, *c0, dq_p, dq_e), step_cross
 
 
-def _assert_cross_matches_oracle(frames, groups, want, step_cross, dt):
-    """compose_cross_batch of the frames (later, earlier) with their groups,
-    the whole sequence and each step alone."""
+def _assert_cross_matches_oracle(frames, nodes, want, step_cross, dt):
+    """compose_cross_batch of the frames (later, earlier) with their
+    `StepNodes`, the whole sequence and each step alone."""
     sides, alone = [], []
-    for (nu, f, y), g in zip(frames, groups):
-        a = tg.batch_step_cints(nu, f, y, dt, 1, g)[0]
+    for (nu, f, y), n in zip(frames, nodes):
+        c0, c = tg.batch_step_cints(nu, f, y, dt, 1, n, True)
         e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
-        sides.append(tg.compose_batch(e_prev, a, g.t1, lab=True)[:2])
+        sides.append(tg.compose_batch(e_prev, c0, c, n)[0])
         eye = np.eye(f.shape[1])[None]
-        alone.append([tg.compose_batch(eye, *_alone(q, a, g.t1), lab=True)[:2] for q in range(len(nu))])
-    i2x = tg.batch_step_cross(*groups)
+        alone.append([tg.compose_batch(eye, c0[q : q + 1], c[q : q + 1], n)[0] for q in range(len(nu))])
+    w = tg.batch_step_cross(*nodes)
     t = len(step_cross) * dt
-    got = tg.compose_cross_batch(i2x, *sides[0], *sides[1])
+    got = tg.compose_cross_batch(w, sides[0][0], sides[1][1])
     assert np.abs(got - want).max() <= 1e-12 * t ** 2 / 2
     for q, (p, e) in enumerate(zip(*alone)):
-        got = tg.compose_cross_batch(i2x[q : q + 1], *p, *e)
+        got = tg.compose_cross_batch(w, p[0], e[1])
         assert np.abs(got - step_cross[q]).max() <= 1e-12 * dt ** 2 / 2
+
+
+# a pure ZZ step whose adjoint frequencies {-2J, 0, 2J} lie a rounding-level
+# phase apart
+ZZ_AT_ROUNDING = (np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499e-13)]), 1.0)
 
 
 @given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
 @example((np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3), np.zeros((4, 4))]), 1.0), 5)
-# a pure ZZ step whose adjoint frequencies {-2J, 0, 2J} merge at the widest
-# gap (2 J dt just under MERGE_KAPPA): the largest merge error of a 3-group
-@example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499 * tg.MERGE_KAPPA)]), 1.0), 6)
+@example(ZZ_AT_ROUNDING, 6)
+# a slow step before a fast one: every step takes the rule of the fastest
+@example((np.array([np.zeros((4, 4)), _resonant_step(3.0, -1.1, 2.7, 1.2, 1.3)]), 1.0), 7)
 @settings(max_examples=25, deadline=None)
-def test_grouped_step_tensors_match_ungrouped_oracle(case, seed):
+def test_step_tensors_match_the_sequential_oracle(case, seed):
     h, dt = case
     stack = _two_qubit_paulis()
     rng = np.random.default_rng(seed)
     seeds = _unit_seeds(rng, len(h), len(stack))
     frame, eig = _framed(h, stack, seeds), _eigen(h, stack, seeds)
     dq = _conjugation_toggles(h, stack, dt)
-    _assert_cints_match_ungrouped(frame, eig, dt)
+    _assert_step_tensors_match_oracle(frame, eig, dt)
     _assert_composed_match_oracle(frame, eig, dq, dt)
     # cross tensors: a second seed on the same steps at the earlier slot,
-    # through the shared T2 table of one subspace and the rectangular one
+    # through the nodes of one subspace shared and built twice
     seeds_e = _unit_seeds(rng, len(h), len(stack))
     frame_e, eig_e = _framed(h, stack, seeds_e), _eigen(h, stack, seeds_e)
     want, step_cross = _cross_oracle(eig, eig_e, dq, dq, dt)
-    groups = tg.spectral_groups(frame[0], dt)
-    for g_e in (groups, tg.spectral_groups(frame_e[0], dt)):
-        _assert_cross_matches_oracle((frame, frame_e), (groups, g_e), want, step_cross, dt)
+    nodes = _nodes(*frame[:2], dt)
+    for n_e in (nodes, _nodes(*frame_e[:2], dt)):
+        _assert_cross_matches_oracle((frame, frame_e), (nodes, n_e), want, step_cross, dt)
 
 
-def _group_counts(groups):
-    """The number of frequency groups of each step, both halves."""
-    return 2 * groups.onehot.any(axis=1).sum(axis=-1) - 1
-
-
-def _spectrum_groups(nu, dt):
-    """The number of groups that MERGE_KAPPA leaves of each step's spectrum."""
-    return 1 + np.sum(np.diff(np.sort(nu, axis=-1), axis=-1) * dt > tg.MERGE_KAPPA, axis=-1)
-
-
-def _threshold_gaps(nu, h, dt):
-    """Per step, the sorted gaps of nu whose phase lies within 16 ulps of
-    MERGE_KAPPA, in ulps of 2 max|lambda(H)| dt, the largest frequency the
-    step allows: the rounding of either eigendecomposition can move such a
-    gap across the threshold."""
-    gaps = np.diff(np.sort(nu, axis=-1), axis=-1) * dt
-    ulp = np.spacing(2 * np.abs(np.linalg.eigvalsh(h)).max(axis=-1, keepdims=True) * dt)
-    return np.sum(np.abs(gaps - tg.MERGE_KAPPA) <= 16 * ulp, axis=-1)
-
-
-# eigenvalues split by MERGE_KAPPA / dt to 3e-3: the frame gives 7 groups
-# and the eigh of the adjoint matrix 12
-SPLIT_AT_KAPPA = [0.8217701239287258, -1.3812797174167781, -2.7541588563828316, -2.7541588563827317]
+# eigenvalues split by 1e-13 / dt to 3e-3
+SPLIT_AT_ROUNDING = [0.8217701239287258, -1.3812797174167781, -2.7541588563828316, -2.7541588563827317]
 
 
 @given(two_qubit_steps(), st.integers(0, 2 ** 32 - 1))
 @example((np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3), np.zeros((4, 4))]), 1.0), 5)
-@example((np.array([_rotated_step(SPLIT_AT_KAPPA, 752767290)]), 1.0), 1)
-@example((np.array([_resonant_step(0.0, 0.0, 0.0, 0.0, 0.499 * tg.MERGE_KAPPA)]), 1.0), 6)
+@example((np.array([_rotated_step(SPLIT_AT_ROUNDING, 752767290)]), 1.0), 1)
+@example(ZZ_AT_ROUNDING, 6)
 @settings(max_examples=25, deadline=None)
 def test_frame_tensors_match_the_adjoint_eigenbasis(case, seed):
-    # the frame's frequencies come unsorted, with exact zeros; grouped, they
-    # give the groups of the eigh of the adjoint matrices, and the composed
-    # tensors of the sequential engine on it
+    # the frame's frequencies come unsorted, with exact zeros; on the rule
+    # of the pipeline they give the composed tensors of the sequential
+    # engine on the eigh of the adjoint matrices
     h, dt = case
     stack = _two_qubit_paulis()
     seeds = _unit_seeds(np.random.default_rng(seed), len(h), len(stack))
     eig, frame = _eigen(h, stack, seeds), _framed(h, stack, seeds)
-    # the group counts agree, except where rounding decides a merge: each
-    # gap at the threshold may fall on either side in either spectrum, and
-    # a gap of the frame's half is two of the whole spectrum
-    counts = _group_counts(tg.spectral_groups(frame[0], dt)), _spectrum_groups(eig[0], dt)
-    at_threshold = 2 * _threshold_gaps(frame[0], h, dt) + _threshold_gaps(eig[0], h, dt)
-    assert np.all(np.abs(counts[0] - counts[1]) <= at_threshold)
     want = orc.compose_raw(_raw_steps(eig, dt, 3), _conjugation_toggles(h, stack, dt), 3)
-    a, *tables = tg.batch_step_cints(*frame, dt, 3)
-    got = tg.compose_batch(tg.prefix_toggles(tg.eigen_toggles(*frame[:2], dt)), a, *tables)[2]
+    nodes = _nodes(*frame[:2], dt, h)
+    c0, c = tg.batch_step_cints(*frame, dt, 3, nodes)
+    got = tg.compose_batch(tg.prefix_toggles(tg.eigen_toggles(*frame[:2], dt)), c0, c, nodes, 3)[1]
     t = len(h) * dt
     for r, (g, w) in enumerate(zip(got, want), start=1):
         assert np.abs(g - w).max() <= 1e-12 * t ** r / math.factorial(r)
@@ -716,23 +718,10 @@ def test_resonant_two_qubit_step_has_nine_distinct_frequencies():
     stack = _two_qubit_paulis()
     seeds = _unit_seeds(np.random.default_rng(9), 3, 15)
     eig, frame = _eigen(h, stack, seeds), _framed(h, stack, seeds)
-    assert np.all(_spectrum_groups(eig[0], dt) == 9)
-    groups = tg.spectral_groups(frame[0], dt)
-    assert groups.w.shape == (3, 9)
-    assert np.all(groups.onehot.sum(axis=-1) == 1.0)
-    _assert_cints_match_ungrouped(frame, eig, dt)
-
-
-def test_split_spectra_take_the_columns_as_components():
-    # no two frequencies merge: each is a group of its own, the half
-    # ascending to the zero group and mirrored
-    nu = np.array([[-1.0, -1.0 + 1e-8, 0.0, -2.0]])
-    groups = tg.spectral_groups(nu, 1.0)
-    assert np.array_equal(groups.half, np.sort(nu))
-    assert np.array_equal(groups.w, -groups.w[:, ::-1])
-    assert np.array_equal(groups.onehot[0], np.eye(4)[[1, 2, 3, 0]])
-    merged = tg.spectral_groups(np.array([[-1.0, -1.0 + 0.5 * tg.MERGE_KAPPA, 0.0, -2.0]]), 1.0)
-    assert merged.w.shape == (1, 5)
+    for nu in (eig[0], frame[0]):
+        distinct = 1 + np.sum(np.diff(np.sort(nu, axis=-1), axis=-1) > 1e-9, axis=-1)
+        assert np.all(distinct == (9, 9, 9) if nu.shape[1] == 15 else 5)
+    _assert_step_tensors_match_oracle(frame, eig, dt)
 
 
 @functools.cache
@@ -778,11 +767,10 @@ def frame_cases(draw):
           _two_qubit_paulis(), _two_qubit_paulis()), 3)
 @settings(max_examples=30, deadline=None)
 def test_real_frame_matches_the_complex_oracles(case, seed):
-    # the real frame, its toggles, groups, step tables and compositions
-    # against the complex oracles on the eigh of the adjoint matrices
+    # the real frame, its toggles, nodal values and compositions against
+    # the complex oracles on the eigh of the adjoint matrices
     h, dt, stack_p, stack_e = case
     rng = np.random.default_rng(seed)
-    t = len(h) * dt
     slots = []
     for stack in (stack_p, stack_e):
         seeds = _unit_seeds(rng, len(h), len(stack))
@@ -795,23 +783,23 @@ def test_real_frame_matches_the_complex_oracles(case, seed):
         assert np.all(nu[:, f_h.shape[2] :][dead] == 0.0)
         dq = _conjugation_toggles(h, stack, dt)
         assert np.abs(tg.eigen_toggles(nu, f, dt) - dq).max() <= 1e-13
-        # groups in +/- pairs, padding included: a group on the half that
-        # no column reaches has no weight in either of its slots
-        groups = tg.spectral_groups(nu, dt)
-        assert np.array_equal(groups.w, -groups.w[:, ::-1])
-        live = groups.onehot.any(axis=1)
-        a = tg.batch_step_cints(*frame, dt, 1, groups)[0]
-        n = live.shape[1]
-        assert live[:, -1].all()
-        assert not a[:, :, :n][~live[:, None, :].repeat(a.shape[1], 1)].any()
-        assert not a[:, :, n:][~live[:, None, :-1].repeat(a.shape[1], 1)].any()
         _assert_composed_match_oracle(frame, eig, dq, dt)
-        slots.append((frame, eig, dq, groups))
-    (frame_p, eig_p, dq_p, g_p), (frame_e, eig_e, dq_e, g_e) = slots
-    # one subspace shares its groups and T2 table, as the pipeline does
-    g_e = g_p if stack_e is stack_p else g_e
+        slots.append((frame, eig, dq, _nodes(nu, f, dt, h)))
+    (frame_p, eig_p, dq_p, n_p), (frame_e, eig_e, dq_e, n_e) = slots
+    # one subspace shares its nodes, as the pipeline does
+    n_e = n_p if stack_e is stack_p else n_e
     want, step_cross = _cross_oracle(eig_p, eig_e, dq_p, dq_e, dt)
-    _assert_cross_matches_oracle((frame_p, frame_e), (g_p, g_e), want, step_cross, dt)
+    _assert_cross_matches_oracle((frame_p, frame_e), (n_p, n_e), want, step_cross, dt)
+
+
+def test_slots_of_a_cross_share_one_rule():
+    stack = _two_qubit_paulis()
+    h = np.array([_resonant_step(0.3, -1.1, 0.7, 0.2, 1.3)] * 2)
+    nu, f = _frame(h, stack)
+    assert np.array_equal(tg.batch_step_cross(_nodes(nu, f, 1.0), _nodes(nu, f, 1.0)), _nodes(nu, f, 1.0).w)
+    # 8 / dt above GL_THETA takes two panels
+    with pytest.raises(ValueError, match="different step rules"):
+        tg.batch_step_cross(_nodes(nu, f, 1.0), _nodes(nu, f, 8.0 / np.ptp(nu)))
 
 
 def test_step_cints_hpri_zero():
@@ -924,14 +912,15 @@ def test_batch_matches_raw_paths():
 
     seed = orc.vector(hpert, c.stack).real
     nu, f = _frame(np.stack(h_pri), stack)
-    a, *tables = tg.batch_step_cints(nu, f, np.einsum("qba,b->qa", f, seed), dt, 3)
+    y = np.einsum("qba,b->qa", f, seed)
+    nodes = _nodes(nu, f, dt)
     steps = orc.StepHamiltonians.from_operators(h_pri, [hpert] * 4, dt)
     prop = orc.propagate_primary(steps)
     dq = orc.toggle_matrices(prop.step_unitaries, stack)
     e_prev = tg.prefix_toggles(dq)
-    t0b, t1b, t2b = tg.compose_batch(e_prev, a, *tables)[2]
+    t0b, t1b, t2b = tg.compose_batch(e_prev, *tg.batch_step_cints(nu, f, y, dt, 3, nodes), nodes, 3)[1]
     # the same per-step tensors into the sequential fold: each step composed alone
-    tensors = [tg.compose_batch(np.eye(3)[None], *_alone(q, a, *tables))[2] for q in range(4)]
+    tensors = _alone(nu, f, y, dt)
     t0r, t1r, t2r = orc.compose_raw(tensors, dq, 3)
     assert np.abs(t0b - t0r).max() < 1e-12
     assert np.abs(t1b - t1r).max() < 1e-12
