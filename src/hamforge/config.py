@@ -29,8 +29,10 @@ control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
     hold the defaults and the check
 distributions.<name>: kind: str = "point"; args: list = [0], nums checked
     per kind by `evaluate.ParameterDistribution`; the dist of one term or error
-errors[k] = []: name: str; kind: "amplitude"|"model_param"; param: str, a
-    parameter of the model (= "amplitude" for kind amplitude); dist: a
+errors[k] = []: name: str; kind: "amplitude"|"model_param"; param: str =
+    "amplitude", the parameter of the model that the error varies, required
+    for kind model_param ('amplitude' is the relative drive error, any other
+    parameter is expanded in units of its natural scale); dist: a
     distribution = none
 targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re,
     matrix_im = 0: lists of nums}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
@@ -78,7 +80,6 @@ from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
 from .objectives import (
     CostPipeline,
-    ErrorChannel,
     ObjectiveSpec,
     ObjectiveTerm,
     PertComponent,
@@ -371,15 +372,14 @@ def parse_config(raw: dict) -> ProblemConfig:
     errors = []
     for path, e in _entries(raw, "errors", ""):
         kind = _get(e, "kind", path, ("amplitude", "model_param"))
-        required = kind == "model_param"
-        param = _get(e, "param", path, str, default=_MISSING if required else "amplitude")
-        if required and param not in model.params():
+        param = _get(e, "param", path, str, default=_MISSING if kind == "model_param" else "amplitude")
+        if param not in model.params():
             raise ConfigError(
                 f"{path}.param: the model has no parameter {param!r}"
                 f" (it has {sorted(model.params())})"
             )
         name, dist = _get(e, "name", path, str), claim(e, path, f"model:{param}")
-        errors.append({"name": name, "kind": kind, "param": param, "dist": dist})
+        errors.append({"name": name, "param": param, "dist": dist})
 
     distributions = {}
     for name, d in dists.items():
@@ -571,7 +571,7 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
         if t.assign == "pri":
             pri_internal = pri_internal + t.coeff * t.matrix_unit
     err_space = error_subspace(cfg, g, reuse=list(subspaces.values())) if cfg.errors else None
-    err_channels = [ErrorChannel(e["name"], e["kind"], e["param"], err_space) for e in cfg.errors]
+    errors = {e["name"]: e["param"] for e in cfg.errors}
     spec = ObjectiveSpec(cfg.objectives, target_unitary=cfg.u_target)
     # a config changed after parsing meets the pipeline's own checks
     try:
@@ -583,7 +583,8 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
             cfg.model,
             pri_internal,
             comps,
-            err_channels,
+            errors,
+            err_space,
             spec,
         )
     except ValueError as exc:

@@ -23,8 +23,7 @@ E = sqrt(d) max |scale| over the non-phase channels:
   1 - |Tr(U U_target^dag)| / Tr(U_target U_target^dag).
 - zeroth_order_target (w): c0 of ("pert", w); ||c0 - |H_target^w>> T|| / (T s_w).
 - robustness_first (j): c0 of ("err", (j,)); ||c0|| / (T E).
-- robustness_second (j1, j2): c0 of ("err", (j1, j2)); ||c0|| / (T E), or
-  the constant 0 for two 'amplitude' errors of a drive-linear model.
+- robustness_second (j1, j2): c0 of ("err", (j1, j2)); ||c0|| / (T E).
 - robustness_cross_pair (j1, j2): c1 of ("err", (j1,)) if j1 = j2, else
   the cross tensors of ("err", (j1,)) and ("err", (j2,)) in both orders;
   root-sum-square of ||c + c^T||, / (T E)^2.
@@ -33,6 +32,16 @@ E = sqrt(d) max |scale| over the non-phase channels:
   non-all-equal index tuples, / (T s_w)^r or / (T E)^r.
 - effective_robustness (w, j): the cross tensor of ("pert", w) over
   ("err", (j,)); ||sum_{s,l} c_sl [h_err^l, h_pert^s]||_HS / (2 T^2 s_w E).
+
+Error channels.  An error channel names one parameter of the control
+model, and every channel toggles in the one error subspace, which holds
+the operators of the field rows.  'amplitude' is the relative drive error:
+the field of drive (1 + eps) times the nominal one.  Every other name is a
+model parameter, expanded in units of its natural scale
+(`ControlModel.param_scale`) so that eps is dimensionless.  The error
+Hamiltonian of channels j1.. is dH = sum_k (d^n b_k / d eps_j1..) axis_k,
+and every field derivative, the amplitude ones included, comes from
+`ControlModel.field`.
 """
 from __future__ import annotations
 
@@ -42,6 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes, jet_key
+from .evaluate import overlap_fidelity
 from .liealg import CSubspace
 from .opcore import project
 from . import toggling as tg
@@ -85,8 +95,7 @@ class CostReport:
 
 def primary_unitary_cost(u_final: np.ndarray, u_target: np.ndarray) -> float:
     """1 - |Tr(U U_target^dag)| / Tr(U_target U_target^dag); phase-free."""
-    overlap = abs(np.sum(u_final * u_target.conj()))
-    return float(1.0 - overlap / np.real(np.sum(u_target * u_target.conj())))
+    return 1.0 - overlap_fidelity(u_final, u_target)
 
 
 def zeroth_order_cost(c0: np.ndarray, target: np.ndarray, t_seq: float) -> float:
@@ -130,31 +139,8 @@ def effective_robustness_cost(c_cross: np.ndarray, comm_table: np.ndarray) -> fl
     return float(np.linalg.norm(op))
 
 
-def _zero() -> float:
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
-# error channels
-
-@dataclass(frozen=True)
-class ErrorChannel:
-    """One systematic-error direction of the control system.
-
-    kind 'amplitude' is the multiplicative drive error: the control field
-    of drive (1 + eps) times the nominal one, so dH = eps * H_c when the
-    model is linear in its drive; kind 'model_param' differentiates the
-    control-system map with respect to the named parameter, scaled by the
-    parameter's natural magnitude so the expansion variable is
-    dimensionless.  Every other derivative, second and mixed ones
-    included, comes from the model's field derivatives.
-    """
-
-    name: str
-    kind: str                     # 'amplitude' | 'model_param'
-    param: str = ""
-    subspace: CSubspace | None = None
-
+# perturbation components
 
 @dataclass(frozen=True)
 class PertComponent:
@@ -205,18 +191,11 @@ def _zeroth_order_target(pipe, p):
     return f"zeroth_order[{w}]", zeroth_order_cost, reads, (tgt, pipe.t_seq), pipe.comp_scale[w]
 
 
-def _robustness_first(pipe, p):
-    name = p["error"]
-    reads, scale = (("err", (name,), 1),), pipe.t_seq * pipe.err_scale
-    return f"robustness_first[{name}]", robustness_first_cost, reads, (), scale
-
-
-def _robustness_second(pipe, p):
-    j1, j2 = p["errors"]
-    label = f"robustness_second[{j1},{j2}]"
-    if pipe._jet(j1, j2) is None:
-        return label, _zero, (), (), 1.0
-    reads = (("err", (j1, j2), 1),)
+def _robustness(pipe, names):
+    """robustness_first of one error channel, robustness_second of two."""
+    names = tuple(names)
+    label = f"robustness_{('first', 'second')[len(names) - 1]}[{','.join(names)}]"
+    reads = (("err", names, 1),)
     return label, robustness_first_cost, reads, (), pipe.t_seq * pipe.err_scale
 
 
@@ -242,7 +221,7 @@ def _higher_order_r(pipe, p):
 
 def _effective_robustness(pipe, p):
     w, name = p.get("component", 0), p["error"]
-    se, sp = pipe.err_frames[name].stack, pipe.comp_frames[w].stack
+    se, sp = pipe.err_frame.stack, pipe.comp_frames[w].stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     reads = (("cross", ("pert", w), ("err", (name,))),)
     scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
@@ -276,8 +255,8 @@ def check_references(term: ObjectiveTerm, components, errors, target: bool) -> N
 KINDS = {
     "primary_unitary": ((), _primary_unitary),
     "zeroth_order_target": ((), _zeroth_order_target),
-    "robustness_first": (("error",), _robustness_first),
-    "robustness_second": (("errors",), _robustness_second),
+    "robustness_first": (("error",), lambda pipe, p: _robustness(pipe, (p["error"],))),
+    "robustness_second": (("errors",), lambda pipe, p: _robustness(pipe, p["errors"])),
     "robustness_cross_pair": (("errors",), _robustness_cross_pair),
     "higher_order_r": (("order",), _higher_order_r),
     "effective_robustness": (("error",), _effective_robustness),
@@ -290,6 +269,8 @@ KINDS = {
 class CostPipeline:
     """Precompiled evaluation of f_tot over control vectors in [-1,1]^D.
 
+    `errors` maps each error channel's name to the model parameter it
+    varies, and `err_space` is the one subspace they all toggle in.
     Deterministic and stateless per call; a single instance may be
     shared read-only across worker processes.
     """
@@ -303,7 +284,8 @@ class CostPipeline:
         model: ControlModel,
         pri_internal: np.ndarray | None,
         components: list[PertComponent],
-        errors: list[ErrorChannel],
+        errors: dict[str, str],
+        err_space: CSubspace | None,
         spec: ObjectiveSpec,
     ):
         d = 2 ** n_qubits
@@ -312,7 +294,8 @@ class CostPipeline:
         self.dt = dt
         self.model = model
         self.components = list(components)
-        self.errors = {e.name: e for e in errors}
+        self.errors = dict(errors)
+        self.err_space = err_space
         self.target_unitary = spec.target_unitary
         self.pri_internal = (
             np.zeros((d, d), dtype=complex) if pri_internal is None else pri_internal
@@ -343,9 +326,7 @@ class CostPipeline:
                 self.comp_scale.append(float(np.linalg.norm(c.target_vec)))
             else:
                 self.comp_scale.append(float(np.linalg.norm(seed)))
-        self.err_frames = {
-            name: shared(e.subspace.stack) for name, e in self.errors.items()
-        }
+        self.err_frame = None if err_space is None else shared(err_space.stack)
 
         self.requests: dict = {}   # (kind, arg) -> highest order read
         self.err_seeds: dict = {}  # error names -> (field jet, (m, K) coefficients of the rows)
@@ -365,20 +346,9 @@ class CostPipeline:
         self.labels = tuple(t.label for t in self.terms)
         self.weights = tuple(t.weight for t in self.terms)
         # the field derivatives that the error requests read, solved with the field
-        jets = {jet for jet, _ in self.err_seeds.values()} - {None}
-        self.jets = tuple(sorted(jets, key=str))
+        self.jets = tuple(sorted({jet for jet, _ in self.err_seeds.values()}, key=str))
 
     # -- build-time resolution -----------------------------------------------
-
-    def _jet(self, *names: str):
-        """Field-derivative key of the named error channels, or None when all
-        are 'amplitude' errors of a drive-linear model: dH = eps H_c needs
-        no field derivative."""
-        if self.model.drive_linear and all(self.errors[n].kind == "amplitude" for n in names):
-            return None
-        errors = [self.errors[n] for n in names]
-        # an 'amplitude' error differentiates along the relative drive error
-        return jet_key(*("amplitude" if e.kind == "amplitude" else e.param for e in errors))
 
     def _read(self, address):
         """Register the request, cross pair or propagator behind one address."""
@@ -394,13 +364,10 @@ class CostPipeline:
             if kind == "err" and arg not in self.err_seeds:
                 # dH along the channels is sum_k (d^n b_k / d eps^n) axis_k, in
                 # units of each model parameter's natural magnitude
-                jet = self._jet(*arg)
-                scale = np.prod([
-                    self.model.param_scale(self.errors[n].param)
-                    for n in arg if self.errors[n].kind == "model_param"
-                ])
-                coef = project(self.axis_ops, self.err_frames[arg[0]].stack)[0].real.T
-                self.err_seeds[arg] = (jet, coef * scale)
+                params = [self.errors[n] for n in arg]
+                scale = np.prod([self.model.param_scale(p) for p in params])
+                coef = project(self.axis_ops, self.err_frame.stack)[0].real.T
+                self.err_seeds[arg] = (jet_key(*params), coef * scale)
             self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
 
     # -- per-candidate evaluation ---------------------------------------------
@@ -417,8 +384,7 @@ class CostPipeline:
             seed = self.comp_seed[arg]
             return self.comp_frames[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
         jet, coef = self.err_seeds[arg]
-        rows = fld.b if jet is None else fld.sensitivities[jet]
-        return self.err_frames[arg[0]], (coef @ rows).T
+        return self.err_frame, (coef @ fld.sensitivities[jet]).T
 
     def evaluate(self, x: np.ndarray) -> CostReport:
         fld = self.model.field(self.sequence(x), self.jets)

@@ -234,8 +234,6 @@ def find_scale_range(
     used = 0
     for k in range(batch, j_samples + batch, batch):
         k = min(k, j_samples)
-        if k == used:
-            break
         prev_plus, prev_minus = s_plus, s_minus
         s_plus, s_minus = (np.nan if s is None else s for s in _scale_lps(vs.vertices[:k]))
         history.append((k, s_minus, s_plus))

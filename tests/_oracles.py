@@ -202,18 +202,20 @@ def toggle_matrices(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
 # the whole node cluster is narrower than DEGEN_TOL (removable
 # singularities).  Min/max sorting networks on 3 and 4 nodes order the
 # nodes entry by entry, and at r = 3 both 3-node differences share their
-# middle pair term f[x1, x2].  The threshold DEGEN_TOL = 0.2 is wide on
+# middle pair term f[x1, x2].  The threshold DEGEN_TOL = 1 is wide on
 # purpose.  The direct differences lose ~eps / (spread * T) to
 # cancellation, and at r = 3 one more division by a node gap of similar
 # size leaves errors of order eps / (spread * T)^2 in units of T^3 / 6.
 # Against 40-digit arithmetic the worst r = 3 entry is 1.7e-9 at a
-# threshold of 1e-3, ~1e-12 at 0.05 and below 1e-13 at 0.2.  SERIES_TERMS
-# = 10 keeps the series exact to rounding up to width 0.25.  McCurdy, Ng &
+# threshold of 1e-3, ~1e-12 at 0.05, 5e-14 at 0.2 and 2e-15 at 1.  Term k
+# of the series is at most (spread * T)^k / k! of the leading one, so
+# SERIES_TERMS = 20 truncates below 1e-17 up to width 1 (it must be even:
+# `_series` keeps e2 powers below SERIES_TERMS // 2).  McCurdy, Ng &
 # Parlett, Math. Comp. 43 (1984); Higham, Functions of Matrices, SIAM
 # (2008).
 
-DEGEN_TOL = 0.2           # |w*T| cluster width below which the series branch runs
-SERIES_TERMS = 10         # terms of that series
+DEGEN_TOL = 1.0           # |w*T| cluster width below which the series branch runs
+SERIES_TERMS = 20         # terms of that series
 
 
 def _sinc(x):

@@ -494,6 +494,10 @@ _BAD_KEYS = {
                    "errors[0].kind must be one of ['amplitude', 'model_param'], got 'phase'"),
     "model-param-without-param": (lambda c: c["errors"].append({"name": "x", "kind": "model_param"}),
                                   "errors[1].param: missing required key"),
+    "amplitude-error-unknown-param": (lambda c: c["errors"].append({"name": "x", "kind": "amplitude",
+                                                                    "param": "W"}),
+                                      "errors[1].param: the model has no parameter 'W'"
+                                      " (it has ['amplitude'])"),
     # targets
     "u-target-not-numeric": (lambda c: c["targets"].update(u_target={"matrix_re": [["a", 0], [0, 1]]}),
                              "targets.u_target: could not convert string to float: 'a'"),
@@ -538,6 +542,10 @@ _BAD_KEYS = {
     "objective-without-target": (_set("targets", "u_target", None),
                                  "objectives[0].kind: primary_unitary needs a target unitary"),
     "optimizer-q-v": (_set("optimizer", "q_v", 3.5), "optimizer: q_v must lie in (1, 3)"),
+    "optimizer-t-max-0": (_set("optimizer", "t_max", 0),
+                          "optimizer: t_max, dimension and restarts must be >= 1"),
+    "optimizer-e-target-negative": (_set("optimizer", "e_target", -1),
+                                    "optimizer: E_target must be >= 0"),
     "stage-t-max-below-1": (_set("optimizer", "stages", [[0, 2.0]]),
                             "optimizer.stages[0][0] must be an integer >= 1, got 0"),
     "stage-t0-not-positive": (_set("optimizer", "stages", [[40, 0.0]]),

@@ -55,7 +55,7 @@ def test_error_integrals_predict_the_amplitude_dispersed_propagator(name):
     pipe, setup = _amplitude_error_problem(name)
     x = np.random.default_rng(31).uniform(-1, 1, len(pipe.channels) * pipe.p_intervals)
     c0, c1 = _error_tensors(pipe, x)
-    h = pipe.err_frames["eps"].stack
+    h = pipe.err_space.stack
     a = np.tensordot(c0, h, axes=(0, 0))
     b = 0.5 * np.einsum("ij,iab,jbc->ac", c1, h, h) - 0.5 * np.einsum("ij,jab,ibc->ac", c1, h, h)
     seq = pipe.sequence(x)

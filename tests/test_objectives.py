@@ -4,8 +4,9 @@ import pytest
 from hamforge import objectives as ob
 from hamforge import toggling as tg
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
+from hamforge.evaluate import overlap_fidelity
 from hamforge.liealg import find_c_subspace, find_lie_algebra
-from hamforge.opcore import pauli_op
+from hamforge.opcore import pauli_op, project
 from hamforge.reach import haar_unitary
 import _oracles as orc
 
@@ -38,6 +39,17 @@ def test_primary_unitary_cost_basics():
     for _ in range(10):
         v = ob.primary_unitary_cost(haar_unitary(2, rng), haar_unitary(2, rng))
         assert -1e-12 <= v <= 1.0 + 1e-12
+
+
+def test_primary_unitary_cost_is_one_minus_the_overlap_fidelity_bit_for_bit():
+    # sum conj(U) U_t is the exact conjugate of sum U conj(U_t): complex
+    # products commute in IEEE arithmetic and a difference negates exactly
+    rng = np.random.default_rng(22)
+    for d in (2, 4, 8):
+        for _ in range(20):
+            u, t = haar_unitary(d, rng), haar_unitary(d, rng)
+            direct = float(1.0 - abs(np.sum(u * t.conj())) / np.real(np.sum(t * t.conj())))
+            assert ob.primary_unitary_cost(u, t) == direct == 1.0 - overlap_fidelity(u, t)
 
 
 def test_zeroth_order_cost_values():
@@ -181,14 +193,14 @@ def test_effective_robustness_cost():
 W1MAX = 2 * np.pi * 20e6
 CH = (Channel("amp", (1,), "amp", W1MAX), Channel("ph", (1,), "phase", np.pi))
 HAD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+EPS = {"eps": "amplitude"}   # the relative drive error
 
 
 def hadamard_pipeline(terms):
     (sx, sy, sz), g, c = su2_setup()
     comp = ob.PertComponent(sz, c, np.zeros(3))
-    err = ob.ErrorChannel("eps", "amplitude", subspace=c)
     spec = ob.ObjectiveSpec(tuple(terms), target_unitary=HAD)
-    return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
+    return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, [comp], EPS, c, spec)
 
 
 def test_empty_spec_zero_total():
@@ -265,7 +277,7 @@ def test_phase_invariance_of_costs():
     assert a == pytest.approx(b)
 
 
-def test_amplitude_second_derivative_fast_path():
+def test_second_amplitude_derivative_of_a_drive_linear_model_is_zero():
     terms = (
         ob.ObjectiveTerm("robustness_second", 1.0, {"errors": ["eps", "eps"]}),
     )
@@ -336,7 +348,7 @@ def test_circuit_pipeline_solves_one_field_per_evaluation(monkeypatch):
     assert calls == []
     rep = pipe.evaluate(np.random.default_rng(10).uniform(-1, 1, 8))
     [(alpha_l, jets)] = calls
-    assert alpha_l == 0.0 and set(jets) == {"alpha_L", ("alpha_L", "alpha_L")}
+    assert alpha_l == 0.0 and set(jets) == {"amplitude", "alpha_L", ("alpha_L", "alpha_L")}
     assert all(np.isfinite(rep.values))
 
 
@@ -451,14 +463,50 @@ def two_space_pipeline():
     c_pert = find_c_subspace(g, z1z2)
     c_err = find_c_subspace(g, x1, extra_seeds=(y1,))
     comp = ob.PertComponent(z1z2, c_pert, None)
-    err = ob.ErrorChannel("eps", "amplitude", subspace=c_err)
     terms = (
         ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
         ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps", "component": 0}),
         ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 2, "space": "eps"}),
     )
     spec = ob.ObjectiveSpec(terms)
-    return ob.CostPipeline(2, CH, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
+    return ob.CostPipeline(2, CH, 12, 1e-8, IdealModel(), None, [comp], EPS, c_err, spec)
+
+
+TWO_SPACE_CONFIG = {
+    "system": {
+        "n_qubits": 2,
+        "terms": [{"name": "zz", "strings": [{"pauli": [[1, "z"], [2, "z"]]}],
+                   "assign": "pert", "coeff": 1.0}],
+    },
+    "control": {
+        "channels": [
+            {"name": "amp", "qubits": [1], "role": "amp", "scale": W1MAX},
+            {"name": "ph", "qubits": [1], "role": "phase", "scale": np.pi},
+        ],
+        "intervals": 12, "dt": 1e-8,
+    },
+    "errors": [{"name": "eps", "kind": "amplitude"}],
+    "objectives": [
+        {"kind": "robustness_first", "weight": 1, "error": "eps"},
+        {"kind": "effective_robustness", "weight": 1, "error": "eps", "component": 1},
+        {"kind": "higher_order_r", "weight": 1, "order": 2, "space": "eps"},
+    ],
+}
+
+
+def test_a_problem_files_error_subspace_holds_the_field_operators():
+    # the component's span{x1 z2, y1 z2, z1 z2} does not hold the drive's
+    # x1 and y1, so the error subspace is not the component's, and the
+    # costs are those of the same problem built by hand
+    from hamforge.config import build_pipeline, parse_config
+
+    pipe = build_pipeline(parse_config(TWO_SPACE_CONFIG))
+    assert project(pipe.axis_ops, pipe.err_space.stack)[1].max() < 1e-12
+    assert project(pipe.axis_ops, pipe.components[0].subspace.stack)[1].min() > 0.5
+    x = np.random.default_rng(16).uniform(-1, 1, 24)
+    got, want = pipe.evaluate(x).values, two_space_pipeline().evaluate(x).values
+    assert min(want) > 1e-3
+    assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
@@ -474,7 +522,7 @@ def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
     assert rep.values[2] > 0
     # effective robustness against the sequential cross integral, whose
     # toggles come from conjugation by the step unitaries
-    comp, err = pipe.components[0], pipe.errors["eps"]
+    comp = pipe.components[0]
     fld = pipe.model.field(pipe.sequence(x))
     h_ctrl = np.einsum("kq,kab->qab", fld.b, pipe.axis_ops)
     qn = h_ctrl.shape[0]
@@ -482,9 +530,9 @@ def test_distinct_error_subspace_keeps_its_own_eigendata(monkeypatch):
         h_ctrl, np.broadcast_to(comp.matrix, h_ctrl.shape), {"eps": h_ctrl}, fld.delta_t
     )
     prop = orc.propagate_primary(steps)
-    cross = orc.cross_c_integral(steps, "eps", comp.subspace, err.subspace, prop)
+    cross = orc.cross_c_integral(steps, "eps", comp.subspace, pipe.err_space, prop)
     t_seq = qn * fld.delta_t
-    sp, se = comp.subspace.stack, err.subspace.stack
+    sp, se = comp.subspace.stack, pipe.err_space.stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     want = ob.effective_robustness_cost(cross, table) / (
         t_seq ** 2 * pipe.comp_scale[0] * pipe.err_scale * 2.0
@@ -505,7 +553,7 @@ def uncoupled_pipeline():
     x2, y2 = pauli_op([(2, "x")], 1.0, 2), pauli_op([(2, "y")], 1.0, 2)
     g = find_lie_algebra([x1, y1, x2, y2])
     comp = ob.PertComponent(z1, find_c_subspace(g, z1), None)
-    err = ob.ErrorChannel("eps", "amplitude", subspace=find_c_subspace(g, x1, extra_seeds=(y1, x2, y2)))
+    c_err = find_c_subspace(g, x1, extra_seeds=(y1, x2, y2))
     terms = (
         ob.ObjectiveTerm("primary_unitary", 1.0),
         ob.ObjectiveTerm("zeroth_order_target", 1.0),
@@ -516,7 +564,7 @@ def uncoupled_pipeline():
         ob.ObjectiveTerm("robustness_cross_pair", 1.0, {"errors": ["eps", "eps"]}),
     )
     spec = ob.ObjectiveSpec(terms, target_unitary=np.kron(HAD, HAD))
-    return ob.CostPipeline(2, CH2, 12, 1e-8, IdealModel(), None, [comp], [err], spec)
+    return ob.CostPipeline(2, CH2, 12, 1e-8, IdealModel(), None, [comp], EPS, c_err, spec)
 
 
 def schur_of_the_adjoint(lam, vecs, frame):
@@ -538,7 +586,7 @@ def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypat
     # frequency 0, so each step has the groups of distinct frequencies of
     # the Schur form of the adjoint, and the costs match that form's
     pipe = build()
-    assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, *pipe.err_frames.values()))
+    assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, pipe.err_frame))
     nodes = count_step_nodes(monkeypatch)
     for seed in (17, 18):
         x = np.random.default_rng(seed).uniform(-1, 1, width)
@@ -588,7 +636,7 @@ def test_cross_pair_of_one_channel_matches_the_sequential_engine():
     x = np.random.default_rng(14).uniform(-1, 1, 8)
     [got] = pipe.evaluate(x).values
     h_pri, ops, dt = circuit_error_ops(pipe, x)
-    c_err = pipe.errors["alpha_L"].subspace
+    c_err = pipe.err_space
     steps = orc.StepHamiltonians(h_pri, ops["alpha_L"], {}, dt)
     per = [
         orc.step_c_integrals(h, e, c_err, dt, 2)
@@ -613,7 +661,7 @@ def test_cross_pair_of_two_channels_matches_the_sequential_engine():
     x = np.random.default_rng(15).uniform(-1, 1, 8)
     [got] = pipe.evaluate(x).values
     h_pri, ops, dt = circuit_error_ops(pipe, x)
-    c_err = pipe.errors["eps"].subspace
+    c_err = pipe.err_space
     prop = orc.propagate_primary(orc.StepHamiltonians(h_pri, h_pri, {}, dt))
 
     def cross(later, earlier):

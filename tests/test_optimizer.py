@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +113,50 @@ def test_accept_qa_below_one_guard():
     rng = restart_rng(4, 0)
     # a = 1 + (E2-E1)(qa-1)/T < 0 for a large uphill move: always rejected
     assert not any(gsa_accept(0.0, 10.0, 1.0, cfg, rng) for _ in range(200))
+
+
+class _Draws:
+    """A generator whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_accept_qa_above_one_closed_form():
+    # uphill at q_a > 1: accepted iff r <= a^(-1/(q_a-1)), a = 1 + dE (q_a-1)/T
+    de, temp = 0.8, 0.3
+    for qa in (1.5, 2.0, 3.7):
+        cfg = GSAConfig(q_a=qa)
+        p = (1.0 + de * (qa - 1.0) / temp) ** (-1.0 / (qa - 1.0))
+        assert 0.0 < p < 1.0
+        assert gsa_accept(0.0, de, temp, cfg, _Draws(p))
+        assert not gsa_accept(0.0, de, temp, cfg, _Draws(np.nextafter(p, 1.0)))
+
+
+def test_accept_qa_above_one_tends_to_metropolis():
+    # with x = dE/T and y = q_a - 1, (1 + x y)^(-1/y) = e^-x exp(x^2 y/2 + O(y^2)):
+    # above Metropolis, and within a relative x^2 y of it as q_a -> 1+
+    de, temp = 0.8, 0.3
+    x = de / temp
+    for y in (1e-2, 1e-4, 1e-6):
+        cfg = GSAConfig(q_a=1.0 + y)
+        assert gsa_accept(0.0, de, temp, cfg, _Draws(math.exp(-x)))
+        assert not gsa_accept(0.0, de, temp, cfg, _Draws(math.exp(-x) * (1.0 + x * x * y)))
+
+
+def test_no_temperature_no_step_and_no_uphill_move():
+    cfg = GSAConfig(dimension=3)
+    rng = restart_rng(6, 0)
+    state = rng.bit_generator.state
+    for temp in (0.0, -1.0):
+        assert np.array_equal(tsallis_rng(temp, cfg, rng), np.zeros(3))
+    assert rng.bit_generator.state == state   # nothing drawn
+    for temp in (0.0, -1.0):
+        assert not gsa_accept(0.0, 1e-12, temp, cfg, _Draws(0.0))
+        assert gsa_accept(1.0, 0.0, temp, cfg, _Draws(0.99))
 
 
 def test_bowl_convergence():

@@ -208,6 +208,10 @@ def step_spectra(draw):
 @example((np.array([[-20.0, 20.0, 10.0, 0.0]]), 1.0))
 # a quiet first step before a fast one: the rule reads the fastest step
 @example((np.array([[0.0, 0.0, 0.0, 0.0], [-10.4, 10.4, 0.0, 5.2]]), 1.0))
+# a node cluster of width 0.213, just above the kernel's former series
+# threshold of 0.2, where its direct differences were 5.1e-14 T^3/6 off
+@example((np.array([[-0.001643998557837909, -0.3190124473074297, 0.009301982119487861, 0.0]]),
+          0.6651619341444206))
 @settings(max_examples=25, deadline=None)
 def test_nodal_step_sums_match_the_general_kernel(case):
     nu, dt = case
