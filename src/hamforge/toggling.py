@@ -81,7 +81,9 @@ higher order or a cross reads the lab-frame nodal values L_qj = E_prev[q]
 G_q(tau_j) y_q (Q, k, m) and their running integrals G1 = (sum of a0
 over the earlier steps) + S L.  Then, with every sum over steps q and
 nodes j, tot1 = sum W L (x) G1, G2 = (tot1 of the earlier steps) + S (L
-(x) G1) and tot2 = sum W L (x) G2, one (m, Qk) x (Qk, m^2) product.  A
+(x) G1) and tot2 = sum W L (x) G2, with G2 (Q k m^2 entries) unformed:
+tot2 = sum u (x) L (x) G1, u = S^T (W L), in m (m, Qk) x (Qk, m)
+products, plus each step's sum_j W_j L_qj against the earlier tot1.  A
 cross is sum W L_p (x) G1_e, the later slot's values against the earlier
 slot's running integrals (Hairer, Lubich & Wanner, Geometric Numerical
 Integration, Springer 2006, ch. IV).
@@ -359,9 +361,11 @@ def compose_batch(e_prev, c0, c=None, nodes=None, r_max=1):
     if r_max < 3:
         return (l, g1), (tot0, tot1, None)
     q, k, m = l.shape
-    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, 1, m * m)
-    g2 = nodes.s @ (l[..., None] * g1[..., None, :]).reshape(q, k, m * m) + s1_prev
-    tot2 = (lw.reshape(q * k, m).T @ g2.reshape(q * k, m * m)).reshape(m, m, m)
+    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, m * m)
+    u = (nodes.s.T @ lw).reshape(q * k, m)
+    lf, gf = l.reshape(q * k, m), g1.reshape(q * k, m)
+    tot2 = np.stack([(u[:, a, None] * lf).T @ gf for a in range(m)])
+    tot2 += (lw.sum(axis=1).T @ s1_prev).reshape(m, m, m)
     return (l, g1), (tot0, tot1, tot2)
 
 
