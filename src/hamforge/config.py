@@ -10,8 +10,8 @@ for num.
 
 seed: int = 0, >= 0 (the master seed of every random stream)
 system.n_qubits: int, >= 1
-system.terms[k] = []: name: str = "term<k>"; strings: list of {pauli:
-    [[qubit: int, axis], ...], factor: num = 1}, qubits in 1..n_qubits,
+system.terms[k] = []: name: str = "term<k>", unique; strings: list of
+    {pauli: [[qubit: int, axis], ...], factor: num = 1}, qubits in 1..n_qubits,
     once each, axis x|y|z; assign: "pri"|"pert"; coeff: num = 0 (rad/s);
     dist: a distribution = none.  A 'pert' term adds ref_coeff * strings to
     H_pert^component, with component: int = 1 and ref_coeff: num = 0,
@@ -29,7 +29,7 @@ control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
     hold the defaults and the check
 distributions.<name>: kind: str = "point"; args: list = [0], nums checked
     per kind by `evaluate.ParameterDistribution`; the dist of one term or error
-errors[k] = []: name: str; kind: "amplitude"|"model_param"; param: str =
+errors[k] = []: name: str, unique; kind: "amplitude"|"model_param"; param: str =
     "amplitude", the parameter of the model that the error varies, required
     for kind model_param ('amplitude' is the relative drive error, any other
     parameter is expanded in units of its natural scale); dist: a
@@ -349,9 +349,11 @@ def parse_config(raw: dict) -> ProblemConfig:
             return name
         raise ConfigError(f"{path}.dist: {name!r} is already the dist of {claimed[name]}")
 
-    terms, pert = [], {}
+    terms, pert, named = [], {}, {}
     for k, (path, t) in enumerate(_entries(sysc, "terms", "system")):
         name = _get(t, "name", path, str, default=f"term{k}")
+        if named.setdefault(name, path) != path:
+            raise ConfigError(f"{path}.name: {name!r} is already the name of {named[name]}")
         mat = _strings_matrix(_get(t, "strings", path, list), n, f"{path}.strings")
         assign = _get(t, "assign", path, ("pri", "pert"))
         coeff = _get(t, "coeff", path, float, default=0.0)
@@ -369,8 +371,11 @@ def parse_config(raw: dict) -> ProblemConfig:
         if not mat.any():
             raise ConfigError(f"system.terms: H_pert^{w} is zero")
 
-    errors = []
+    errors, named = [], {}
     for path, e in _entries(raw, "errors", ""):
+        name = _get(e, "name", path, str)
+        if named.setdefault(name, path) != path:
+            raise ConfigError(f"{path}.name: {name!r} is already the name of {named[name]}")
         kind = _get(e, "kind", path, ("amplitude", "model_param"))
         param = _get(e, "param", path, str, default=_MISSING if kind == "model_param" else "amplitude")
         if param not in model.params():
@@ -378,8 +383,7 @@ def parse_config(raw: dict) -> ProblemConfig:
                 f"{path}.param: the model has no parameter {param!r}"
                 f" (it has {sorted(model.params())})"
             )
-        name, dist = _get(e, "name", path, str), claim(e, path, f"model:{param}")
-        errors.append({"name": name, "param": param, "dist": dist})
+        errors.append({"name": name, "param": param, "dist": claim(e, path, f"model:{param}")})
 
     distributions = {}
     for name, d in dists.items():

@@ -71,7 +71,7 @@ complex F diag(e^{i nu dt}) F^dag took four times as many.  The
 independent check, which conjugates the basis by U_q, is
 `toggle_matrices` in `tests/_oracles.py`.  `prefix_products` chains
 ordered step products in log depth, and `ordered_product` forms only the
-last of them.
+last of them, in the (d, d, Q, ...) layout of `expm_batch`.
 
 Composition.  The chain rule toggles step q by the real orthogonal
 E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  Every request takes a0_q =
@@ -106,16 +106,23 @@ GL_THETA = 5.25  # the widest phase (lambda_max - lambda_min) dt that one panel 
 # primary propagation
 
 def eig_exp(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """V diag(e^{-i w t}) V^dag for a stack of eigendata (w, V)."""
-    return np.einsum("...ab,...b,...cb->...ac", v, np.exp(-1j * w * t), v.conj())
+    """V diag(e^{-i w t}) V^dag of a stack of eigendata (w, V), as (d, d, ...)."""
+    return np.einsum("...ab,...b,...cb->ac...", v, np.exp(-1j * w * t), v.conj(), order="C")
 
 
 _TAYLOR = np.array([1.0 / factorial(k) for k in range(19)])   # degree 18
 _THETA = 1.3   # ||X||_1 bound after scaling: theta^19/19! = 1.2e-15
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ik...,kj...->ij...", a, b)
+def _matmul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """a b for stacks with the matrix axes leading, (n, n, ...): the outer
+    products a[:, k] b[k] summed into out through the scratch tmp, both of
+    the result's shape, new if not given, and neither overlapping a or b."""
+    out = np.multiply(a[:, 0, None], b[None, 0], out=out)
+    tmp = np.empty_like(out) if tmp is None else tmp
+    for k in range(1, a.shape[1]):
+        out += np.multiply(a[:, k, None], b[None, k], out=tmp)
+    return out
 
 
 def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
@@ -130,7 +137,9 @@ def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     by Paterson & Stockmeyer (SIAM J. Comput. 2, 60 (1973)): X^2, X^3,
     X^4, then Horner in X^4 over blocks of degree 3, 7 products.  The
     matrix axes lead, (d, d, N), so each product is d^3 multiply-adds over
-    contiguous length-N arrays, not N small matmuls.
+    contiguous length-N arrays, not N small matmuls; every product and
+    Horner term reuses one scratch array, and the Horner sum swaps between
+    two buffers.  The result is a (..., d, d) view of the (d, d, N) array.
     """
     h = np.asarray(h)
     *lead, d, _ = h.shape
@@ -139,20 +148,20 @@ def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     norm = np.abs(x).sum(axis=0).max(initial=0.0)
     s = int(np.ceil(np.log2(norm / _THETA))) if norm > _THETA else 0
     x *= 0.5 ** s
-    x2 = _matmul(x, x)
-    x3, x4 = _matmul(x2, x), _matmul(x2, x2)
+    tmp, o = np.empty_like(x), np.empty_like(x)
+    x2 = _matmul(x, x, tmp=tmp)
+    x3, x4 = _matmul(x2, x, tmp=tmp), _matmul(x2, x2, tmp=tmp)
     c, diag = _TAYLOR, np.arange(d)
     r = c[17] * x + c[18] * x2
     r[diag, diag] += c[16]
     for k in (12, 8, 4, 0):
-        r = _matmul(x4, r)
-        r += c[k + 1] * x
-        r += c[k + 2] * x2
-        r += c[k + 3] * x3
+        r, o = _matmul(x4, r, o, tmp), r
+        for j, p in enumerate((x, x2, x3), k + 1):
+            r += np.multiply(p, c[j], out=tmp)
         r[diag, diag] += c[k]
     for _ in range(s):
-        r = _matmul(r, r)
-    return np.ascontiguousarray(np.moveaxis(r, -1, 0)).reshape(*lead, d, d)
+        r, o = _matmul(r, r, o, tmp), r
+    return np.moveaxis(r, -1, 0).reshape(*lead, d, d)
 
 
 def prefix_products(a: np.ndarray) -> np.ndarray:
@@ -174,15 +183,16 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
 
 
 def ordered_product(u: np.ndarray) -> np.ndarray:
-    """U_{Q-1} .. U_1 U_0 of each (..., Q, n, n) stack, multiplying
-    neighbouring pairs in ceil(log2 Q) rounds of batched matmuls."""
-    while u.shape[-3] > 1:
-        n = u.shape[-3]
-        pairs = u[..., 1 : n - n % 2 : 2, :, :] @ u[..., 0 : n - n % 2 : 2, :, :]
+    """U_{Q-1} .. U_1 U_0 of each stack of an (n, n, Q, ...) array, the
+    matrix axes leading as in `expm_batch` and the steps third, multiplying
+    neighbouring pairs by `_matmul` in ceil(log2 Q) rounds."""
+    while u.shape[2] > 1:
+        n = u.shape[2]
+        pairs = _matmul(u[:, :, 1 : n - n % 2 : 2], u[:, :, 0 : n - n % 2 : 2])
         if n % 2:
-            pairs[..., -1, :, :] = u[..., -1, :, :] @ pairs[..., -1, :, :]
+            pairs[:, :, -1] = _matmul(u[:, :, -1], pairs[:, :, -1])
         u = pairs
-    return u[..., 0, :, :]
+    return u[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,7 @@ def _objective(**term):
 
 
 _BAD_PAULI = {"strings": [{"pauli": [[1, "q"]]}]}
+_X_TERM = {"strings": [{"pauli": [[1, "x"]]}], "assign": "pri"}   # unnamed: "term<k>"
 _AXIS = {"dist": "detuning", "values": [0.0]}
 _NAN, _INF = float("nan"), float("inf")
 
@@ -441,6 +442,10 @@ _BAD_KEYS = {
     "pauli-qubit-float": (_string([[1.5, "z"]]),
                           "system.terms[0].strings[0].pauli must be an integer, got 1.5"),
     "h-pert-zero": (_string([[1, "z"]], 0), "system.terms: H_pert^1 is zero"),
+    "term-name-twice": (lambda c: c["system"]["terms"].append(dict(_X_TERM, name="detuning")),
+                        "system.terms[1].name: 'detuning' is already the name of system.terms[0]"),
+    "term-default-name-twice": (lambda c: (_term("name", "term1")(c), c["system"]["terms"].append(_X_TERM)),
+                                "system.terms[1].name: 'term1' is already the name of system.terms[0]"),
     # control
     "intervals-below-1": (_set("control", "intervals", 0),
                           "control.intervals must be an integer >= 1, got 0"),
@@ -494,6 +499,8 @@ _BAD_KEYS = {
                    "errors[0].kind must be one of ['amplitude', 'model_param'], got 'phase'"),
     "model-param-without-param": (lambda c: c["errors"].append({"name": "x", "kind": "model_param"}),
                                   "errors[1].param: missing required key"),
+    "error-name-twice": (lambda c: c["errors"].append({"name": "eps", "kind": "amplitude"}),
+                         "errors[1].name: 'eps' is already the name of errors[0]"),
     "amplitude-error-unknown-param": (lambda c: c["errors"].append({"name": "x", "kind": "amplitude",
                                                                     "param": "W"}),
                                       "errors[1].param: the model has no parameter 'W'"

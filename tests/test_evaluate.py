@@ -373,11 +373,17 @@ def test_mc_error_scaling_with_samples():
     assert s2 < s1  # fluctuation shrinks with more samples (~sqrt factor)
 
 
+def oracle_draws(setup, n_mc, rng_seed):
+    """The report's draws: n_mc rounds of the scalar `sample` over the
+    setup's distributions, from the report's stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
+    return [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
+
+
 def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
     """Reference for `evaluation_report`: one step-by-step propagator,
     transfer matrix and fidelity per Monte-Carlo draw."""
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(7,)))
-    draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
+    draws = oracle_draws(setup, n_mc, rng_seed)
     stack = ev.pauli_basis_stack(setup.n_qubits)
     d = 2 ** setup.n_qubits
     r0 = ev.ptm(u0_total, stack)
@@ -404,24 +410,76 @@ def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
     }
 
 
+def _check_report(setup, seq, u0, n_mc, t_dep, monkeypatch):
+    """`evaluation_report` against `report_oracle` at 1e-12, and its draw
+    array against the scalar `sample` loop, bit for bit."""
+    seen, exact = [], ev.exact_unitaries
+    monkeypatch.setattr(ev, "exact_unitaries", lambda *args: seen.append(args[2]) or exact(*args))
+    got = ev.evaluation_report(seq, setup, u0, n_mc, 21, t_dep=t_dep)
+    ref = report_oracle(seq, setup, u0, n_mc, 21, t_dep=t_dep)
+    names = [dd.name for dd in setup.distributions]
+    want = np.array([[v[name] for name in names] for v in oracle_draws(setup, n_mc, 21)])
+    assert len(seen) == 1 and seen[0].shape == want.shape and np.array_equal(seen[0], want)
+    assert got.keys() == ref.keys()
+    assert got["n_mc"] == n_mc and got["seed"] == 21
+    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
+    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
+        assert abs(got[key] - ref[key]) <= 1e-12, key
+
+
+def _draws_per_block(setup, seq):
+    steps = setup.model.field(seq).b.shape[-1]
+    return ev._MC_BLOCK // (steps * 4 ** setup.n_qubits)
+
+
 @pytest.mark.parametrize("t_dep", [None, 3e-7])
 @pytest.mark.parametrize("n_mc", [1, 99, 100, 101, 250])
-def test_evaluation_report_matches_per_sample_oracle(n_mc, t_dep):
+def test_evaluation_report_matches_per_sample_oracle(n_mc, t_dep, monkeypatch):
     # blocks of draws must not change which draw meets which step, so
     # sample counts straddle the block size
     setup = setup_1q([
         ev.ParameterDistribution("offset", "normal", (1e6, 3e6), "term:offset"),
         ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude"),
     ])
-    seq = ControlSequence(np.random.default_rng(14).uniform(-1, 1, (2, 6)) * 0.4, 1e-8, XY)
+    seq = ControlSequence(np.random.default_rng(14).uniform(-1, 1, (2, 80)) * 0.4, 1e-8, XY)
+    assert _draws_per_block(setup, seq) == 100
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
-    got = ev.evaluation_report(seq, setup, u0, n_mc, 21, t_dep=t_dep)
-    ref = report_oracle(seq, setup, u0, n_mc, 21, t_dep=t_dep)
-    assert got.keys() == ref.keys()
-    assert got["n_mc"] == n_mc and got["seed"] == 21
-    assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
-    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
-        assert abs(got[key] - ref[key]) <= 1e-12, key
+    _check_report(setup, seq, u0, n_mc, t_dep, monkeypatch)
+
+
+def _two_qubit_report(mixed):
+    """The design regime, d = 4 and 40 steps, with a drawn detuning and
+    drive amplitude, or with normal, half-normal, grid and uniform draws."""
+    channels = tuple(Channel(f"{ax}{q}", (q,), ax, 2 * np.pi * 20e6) for q in (1, 2) for ax in "xy")
+    terms = [("zz", pauli_op([(1, "z"), (2, "z")], 1.0, 2), 2e6),
+             ("detuning", pauli_op([(1, "z")], 1.0, 2) + pauli_op([(2, "z")], 1.0, 2), 0.0),
+             ("leak", pauli_op([(1, "x"), (2, "x")], 1.0, 2), 0.0)]
+    dists = [ev.ParameterDistribution("det", "uniform", (-2e6, 2e6), "term:detuning"),
+             ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude")]
+    if mixed:
+        dists = [ev.ParameterDistribution("zz", "normal", (2e6, 2e5), "term:zz"),
+                 ev.ParameterDistribution("det", "half_normal", (1e6,), "term:detuning"),
+                 ev.ParameterDistribution("leak", "grid", ([-3e5, 0.0, 1e5],), "term:leak"),
+                 ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude")]
+    setup = ev.EvaluationSetup(
+        n_qubits=2, channels=channels, dt=1e-8, model=IdealModel(),
+        term_names=tuple(t[0] for t in terms), term_mats=np.stack([t[1] for t in terms]),
+        term_coeffs=np.array([t[2] for t in terms]), distributions=tuple(dists),
+    )
+    seq = ControlSequence(np.random.default_rng(15).uniform(-1, 1, (4, 40)) * 0.2, 1e-8, channels)
+    return setup, seq, expm_herm_generator(pauli_op([(1, "x"), (2, "y")], 1.0, 2), 0.4)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("where, t_dep", [
+    ("one", None), ("below", None), ("at", None), ("above", None), ("one", 3e-7), ("above", 3e-7),
+])
+def test_two_qubit_report_matches_per_sample_oracle(mixed, where, t_dep, monkeypatch):
+    setup, seq, u0 = _two_qubit_report(mixed)
+    block = _draws_per_block(setup, seq)
+    assert block == 50
+    n_mc = {"one": 1, "below": block - 1, "at": block, "above": block + 1}[where]
+    _check_report(setup, seq, u0, n_mc, t_dep, monkeypatch)
 
 
 def test_evaluation_report_applies_model_drive_factor_once():

@@ -340,7 +340,9 @@ def test_expm_batch_matches_40_digits(d, norm):
     single, nested = tg.expm_batch(h[0], t), tg.expm_batch(h.reshape(2, 3, d, d), t)
     assert single.shape == (d, d) and nested.shape == (2, 3, d, d)
     assert tg.expm_batch(h[:0], t).shape == (0, d, d)
-    for got, ref in ((single[None], want[:1]), (tg.expm_batch(h, t), want), (nested.reshape(h.shape), want)):
+    # 40 and 2,001 matrices: the batches of the anneal and design workloads
+    many = [(tg.expm_batch(h[idx], t), want[idx]) for idx in (np.arange(n) % len(h) for n in (40, 2001))]
+    for got, ref in ((single[None], want[:1]), (tg.expm_batch(h, t), want), (nested.reshape(h.shape), want), *many):
         assert np.abs(got - ref).max() <= bound
         defect = got @ got.conj().swapaxes(-1, -2) - np.eye(d)
         assert np.abs(defect).max() <= bound
@@ -504,7 +506,9 @@ def test_ordered_product_matches_sequential_fold(shape):
     rng = np.random.default_rng(sum(shape))
     a = rng.normal(size=(*shape, 4, 4)) + 1j * rng.normal(size=(*shape, 4, 4))
     u, _ = np.linalg.qr(a)
-    assert np.abs(tg.ordered_product(u) - orc.sequential_product(u)).max() <= 1e-13
+    # the library takes the matrix axes first and the steps third
+    got = tg.ordered_product(np.moveaxis(u, (-2, -1, -3), (0, 1, 2)))
+    assert np.abs(np.moveaxis(got, (0, 1), (-2, -1)) - orc.sequential_product(u)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hamforge import evaluate
 from hamforge import toggling as tg
 from hamforge.evaluate import pauli_basis_stack
 
@@ -54,3 +55,20 @@ def test_batch_step_cints_keeps_the_positions_the_harness_reads(harness):
     counts = {"r3_entries": 0}
     harness._count_r3_entries(counts, args, {}, None)
     assert counts["r3_entries"] == nu.shape[0] * nu.shape[1] ** 3
+
+
+def test_the_design_report_passes_the_layers_the_harness_times(harness):
+    # the drive-linear 2-qubit report sends every step exponential, n_mc
+    # draws of P steps, through toggling.expm_batch and its averaged map
+    # through evaluate.ptm, so those spans and the matrix count still
+    # measure the Monte-Carlo layers
+    design = harness.setup_design(harness.DESIGN)
+    seq = harness.design_sequence(design.cfg, 100)
+    n_mc = 120
+    with harness.Tracer(harness.trace_targets()) as tracer:
+        evaluate.evaluation_report(seq, design.setup, design.u0, n_mc, 100)
+    assert design.setup.model.drive_linear and design.setup.n_qubits == 2
+    assert tracer.counts["expm_matrices"] == n_mc * seq.intervals
+    assert tracer.spans["toggling.expm_batch"].calls > 1
+    assert tracer.spans["evaluate.ptm"].calls >= 1
+    assert tracer.spans["evaluate.report"].calls == 1
