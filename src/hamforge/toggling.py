@@ -114,12 +114,11 @@ _TAYLOR = np.array([1.0 / factorial(k) for k in range(19)])   # degree 18
 _THETA = 1.3   # ||X||_1 bound after scaling: theta^19/19! = 1.2e-15
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, tmp: np.ndarray, out=None) -> np.ndarray:
     """a b for stacks with the matrix axes leading, (n, n, ...): the outer
-    products a[:, k] b[k] summed into out through the scratch tmp, both of
-    the result's shape, new if not given, and neither overlapping a or b."""
+    products a[:, k] b[k] summed into out (new if not given) through the
+    scratch tmp of the result's shape; neither may overlap a or b."""
     out = np.multiply(a[:, 0, None], b[None, 0], out=out)
-    tmp = np.empty_like(out) if tmp is None else tmp
     for k in range(1, a.shape[1]):
         out += np.multiply(a[:, k, None], b[None, k], out=tmp)
     return out
@@ -149,18 +148,18 @@ def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     s = int(np.ceil(np.log2(norm / _THETA))) if norm > _THETA else 0
     x *= 0.5 ** s
     tmp, o = np.empty_like(x), np.empty_like(x)
-    x2 = _matmul(x, x, tmp=tmp)
-    x3, x4 = _matmul(x2, x, tmp=tmp), _matmul(x2, x2, tmp=tmp)
+    x2 = _matmul(x, x, tmp)
+    x3, x4 = _matmul(x2, x, tmp), _matmul(x2, x2, tmp)
     c, diag = _TAYLOR, np.arange(d)
     r = c[17] * x + c[18] * x2
     r[diag, diag] += c[16]
     for k in (12, 8, 4, 0):
-        r, o = _matmul(x4, r, o, tmp), r
+        r, o = _matmul(x4, r, tmp, o), r
         for j, p in enumerate((x, x2, x3), k + 1):
             r += np.multiply(p, c[j], out=tmp)
         r[diag, diag] += c[k]
     for _ in range(s):
-        r, o = _matmul(r, r, o, tmp), r
+        r, o = _matmul(r, r, tmp, o), r
     return np.moveaxis(r, -1, 0).reshape(*lead, d, d)
 
 
@@ -183,14 +182,16 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
 
 
 def ordered_product(u: np.ndarray) -> np.ndarray:
-    """U_{Q-1} .. U_1 U_0 of each stack of an (n, n, Q, ...) array, the
-    matrix axes leading as in `expm_batch` and the steps third, multiplying
-    neighbouring pairs by `_matmul` in ceil(log2 Q) rounds."""
+    """U_{Q-1} .. U_1 U_0 of each stack of an (n, n, Q, ...) array (matrix
+    axes first, steps third), pairing neighbours in ceil(log2 Q) rounds.  A
+    product sums a[:, :, None] b[None] over its middle axis, two ufunc calls
+    on fresh arrays; `_matmul`'s 2n - 1 pay only with reused buffers."""
+    mul = lambda a, b: (a[:, :, None] * b[None]).sum(axis=1)
     while u.shape[2] > 1:
         n = u.shape[2]
-        pairs = _matmul(u[:, :, 1 : n - n % 2 : 2], u[:, :, 0 : n - n % 2 : 2])
+        pairs = mul(u[:, :, 1 : n - n % 2 : 2], u[:, :, 0 : n - n % 2 : 2])
         if n % 2:
-            pairs[:, :, -1] = _matmul(u[:, :, -1], pairs[:, :, -1])
+            pairs[:, :, -1] = mul(u[:, :, -1], pairs[:, :, -1])
         u = pairs
     return u[:, :, 0]
 
