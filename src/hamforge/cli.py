@@ -11,7 +11,8 @@ checked the same way by `config.read_sequence`, channels, dt and
 interval count against the problem's.
 
 Exit codes: 0 success, 2 validation error (a bad file key, --seed,
---threads or HAMFORGE_THREADS), 3 infeasible target, 4 optimizer budget
+--threads or HAMFORGE_THREADS, or a file or directory that cannot be read
+or written, named in the message), 3 infeasible target, 4 optimizer budget
 exhausted above threshold.
 """
 from __future__ import annotations
@@ -70,10 +71,10 @@ def _load(args) -> ProblemConfig:
 
 def _emit(args, name: str, payload: dict):
     text = json.dumps(payload, indent=1)
-    print(text)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, name), "w") as f:
         f.write(text + "\n")
+    print(text)
 
 
 def _write_csv(args, name: str, header: str, rows):
@@ -241,9 +242,9 @@ def cmd_landscape(args) -> int:
         print("config has no evaluation.landscape section", file=sys.stderr)
         return EXIT_VALIDATION
     setup, u0 = _setup_and_target(cfg)
-    grid = ev.landscape(seq, setup, *cfg.landscape, u0)
-    points = [(v1, v2) for v1 in grid.values1 for v2 in grid.values2]
-    rows = [(*p, fid) for p, fid in zip(points, grid.fidelity.ravel())]
+    (_, vals1), (_, vals2) = cfg.landscape
+    fid = ev.landscape(seq, setup, *cfg.landscape, u0)
+    rows = [(a, b, fid[i, j]) for i, a in enumerate(vals1) for j, b in enumerate(vals2)]
     _write_csv(args, "landscape.csv", "param1,param2,fidelity", rows)
     return EXIT_OK
 
@@ -290,8 +291,8 @@ def main(argv=None) -> int:
     except SubspaceError as exc:
         print(f"infeasible target: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

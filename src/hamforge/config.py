@@ -28,7 +28,8 @@ control.kernel (model kernel): W: num, > 0, with dt / substeps <= 0.1 / W
 control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
     hold the defaults and the check
 distributions.<name>: kind: str = "point"; args: list = [0], nums checked
-    per kind by `evaluate.ParameterDistribution`; the dist of one term or error
+    per kind by `evaluate.ParameterDistribution`; the dist of one term or
+    error, and a term or model parameter has at most one
 errors[k] = []: name: str, unique; kind: "amplitude"|"model_param"; param: str =
     "amplitude", the parameter of the model that the error varies, required
     for kind model_param ('amplitude' is the relative drive error, any other
@@ -345,7 +346,10 @@ def parse_config(raw: dict) -> ProblemConfig:
 
     def claim(entry: dict, path: str, owner: str):
         name = _get(entry, "dist", path, str, default=None)
-        if name is None or claimed.setdefault(_known(name, f"{path}.dist", dists), owner) == owner:
+        other = next((k for k, v in claimed.items() if v == owner), name)   # the owner's dist so far
+        if name is not None and _known(name, f"{path}.dist", dists) != other:
+            raise ConfigError(f"{path}.dist: {name!r} draws {owner}, which {other!r} already draws")
+        if name is None or claimed.setdefault(name, owner) == owner:
             return name
         raise ConfigError(f"{path}.dist: {name!r} is already the dist of {claimed[name]}")
 
@@ -598,8 +602,6 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
 def build_evaluation_setup(cfg: ProblemConfig) -> EvaluationSetup:
     return EvaluationSetup(
         n_qubits=cfg.n_qubits,
-        channels=cfg.channels,
-        dt=cfg.dt,
         model=cfg.model,
         term_names=tuple(t.name for t in cfg.terms),
         term_mats=np.stack([t.matrix_unit for t in cfg.terms]),

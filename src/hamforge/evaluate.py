@@ -3,15 +3,18 @@ fidelities, orthogonality, relaxation, landscapes and stroboscopic runs.
 
 A `ParameterDistribution` attaches to either a control-model parameter
 (including the multiplicative drive amplitude) or an internal Hamiltonian
-term coefficient.  Each Monte-Carlo draw fixes one isochromat and its
-exact unitary U.  The average CPTP map is linear in kron(U, conj U), so it
-is one Pauli transfer matrix of their mean; each draw's gate fidelity
-comes from its overlap with the target, and depolarizing in closed form.
+term coefficient.  Each draw fixes one isochromat, and `exact_unitaries`
+runs all draws through one blocked pass of step exponentials and their
+ordered product.  The average CPTP map is linear in kron(U, conj U), so it
+is one Pauli transfer matrix of their mean (`ptm`); each draw's gate
+fidelity comes from its overlap with the target, and depolarizing in
+closed form.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -102,35 +105,28 @@ class Superoperator:
             raise ValueError("map is not trace preserving")
 
 
-@dataclass(frozen=True)
-class LandscapeGrid:
-    axis1: str
-    axis2: str
-    values1: np.ndarray
-    values2: np.ndarray
-    fidelity: np.ndarray      # (len(values1), len(values2))
-
-
 # ---------------------------------------------------------------------------
 # Pauli transfer matrices
 
+@cache
 def pauli_basis_stack(n_qubits: int) -> np.ndarray:
     """(d^2, d, d) normalized Pauli strings, identity first, then
-    lexicographic in (i, x, y, z) per site."""
+    lexicographic in (i, x, y, z) per site; cached, read-only."""
     c = 1 / np.sqrt(2 ** n_qubits)
-    return np.stack([
+    stack = np.stack([
         pauli_op([(q, ax) for q, ax in enumerate(combo, 1) if ax != "i"], c, n_qubits)
         for combo in itertools.product("ixyz", repeat=n_qubits)
     ])
+    stack.setflags(write=False)
+    return stack
 
 
-def ptm(u: np.ndarray, stack: np.ndarray, average: bool = False) -> np.ndarray:
-    """Real transfer matrix R_ab = <<P_a|U P_b U^dag>> of a unitary, or
-    of each unitary in a (..., d, d) stack: R = Re(conj(S) K S^T) with the
-    basis rows S = vec(P_a) and K = `opcore.conjugation`(U); with
-    ``average``, the one R of the mean channel, which is linear in K."""
-    k = conjugation(np.asarray(u))
-    k = k.reshape(-1, *k.shape[-2:]).mean(axis=0) if average else k
+def ptm(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Real transfer matrix R_ab = <<P_a|L(P_b)>> of the mean channel L of a
+    (..., d, d) stack of unitaries, one unitary's own map: R = Re(conj(S) K
+    S^T) with the basis rows S = vec(P_a) and K the stack's mean of
+    `opcore.conjugation`(U), in which L is linear."""
+    k = conjugation(np.reshape(u, (-1, *np.shape(u)[-2:]))).mean(axis=0)
     s = stack.reshape(len(stack), -1)
     return (s.conj() @ k @ s.T).real
 
@@ -144,8 +140,6 @@ class EvaluationSetup:
     dispersed parameters."""
 
     n_qubits: int
-    channels: tuple
-    dt: float
     model: ControlModel
     term_names: tuple[str, ...]
     term_mats: np.ndarray            # (n_terms, d, d), unit-coefficient matrices
@@ -164,12 +158,13 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
 
     ``draws`` is an (n, n_dist) array, one column per distribution in setup
     order, or n dicts from distribution names to values, the omitted ones
-    at their nominal values.  When every distribution sets a term
-    coefficient, or the drive amplitude of a model whose field is linear in
-    the drive, the control field is solved once and blocks of draws of
-    about ``_MC_BLOCK`` matrix entries run the step exponentials and their
-    ordered product in the (d, d, Q, draws) layout of `toggling.expm_batch`;
-    otherwise every draw is simulated on its own.
+    at their nominal values.  Blocks of draws of about ``_MC_BLOCK`` matrix
+    entries run the step exponentials and their ordered product in the
+    (d, d, Q, draws) layout of `toggling.expm_batch`.  The control
+    Hamiltonians come from one field, at unit drive and scaled per draw,
+    when the draws set only term coefficients, or only the drive amplitude
+    of a model whose field is linear in the drive; else from each draw's
+    own model, `with_param` for every drawn parameter.
     """
     from . import toggling as tg
 
@@ -179,44 +174,38 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
         if unknown:
             raise KeyError(f"unknown distribution(s) {sorted(unknown)}")
         draws = np.array([[v.get(dd.name, dd.nominal()) for dd in dists] for v in draws], dtype=float)
-    targets = []
-    for dd in dists:
-        kind, _, name = dd.applies_to.partition(":")
-        if kind not in ("model", "term"):
-            raise ValueError(f"distribution {dd.name} has no applies_to target")
-        targets.append((kind, name))
     n, d = len(draws), 2 ** setup.n_qubits
-    out = np.empty((n, d, d), dtype=complex)
+    coeffs, params = np.tile(setup.term_coeffs, (n, 1)), {}
+    for dd, column in zip(dists, draws.T):
+        kind, _, name = dd.applies_to.partition(":")
+        if kind == "model":
+            params[name] = column
+        elif kind == "term":
+            coeffs[:, setup.term_names.index(name)] = column
+        else:
+            raise ValueError(f"distribution {dd.name} has no applies_to target")
+    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
     axis_ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
     linear = setup.model.drive_linear
-    if not all(kind == "term" or (linear and name == "amplitude") for kind, name in targets):
-        for s, row in enumerate(draws):
-            model, coeffs = setup.model, setup.term_coeffs.copy()
-            for (kind, name), value in zip(targets, row):
-                if kind == "model":
-                    model = model.with_param(name, value)
-                else:
-                    coeffs[setup.term_names.index(name)] = value
-            fld = model.field(seq)
-            h = np.einsum("kq,kab->qab", fld.b, axis_ops)
-            h = h + np.einsum("t,tab->ab", coeffs, setup.term_mats)
-            out[s] = tg.ordered_product(np.moveaxis(tg.expm_batch(h, fld.delta_t), 0, -1))
-        return out
-    amp = np.full(n, setup.model.amp_factor if linear else 1.0)
-    coeffs = np.tile(setup.term_coeffs, (n, 1))
-    for (kind, name), column in zip(targets, draws.T):
-        if kind == "model":
-            amp = 1.0 + column
-        else:
-            coeffs[:, setup.term_names.index(name)] = column
-    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
-    model = setup.model.with_param("amplitude", 0.0) if linear else setup.model
-    fld = model.field(seq)   # at unit drive when it scales by amp
-    h_ctrl = np.einsum("kq,kab->qab", fld.b, axis_ops)
-    size = max(1, _MC_BLOCK // (h_ctrl.shape[0] * d * d))
+    if set(params) <= ({"amplitude"} if linear else set()):
+        amp = 1.0 + params["amplitude"] if params else np.full(n, setup.model.amp_factor if linear else 1.0)
+        fld = (setup.model.with_param("amplitude", 0.0) if linear else setup.model).field(seq)
+        h_ctrl = np.einsum("kq,kab->qab", fld.b, axis_ops)[:, None]
+        control = lambda blk: h_ctrl * amp[blk, None, None]
+    else:
+        models = [setup.model] * n
+        for name, column in params.items():
+            models = [m.with_param(name, v) for m, v in zip(models, column)]
+        fields = (m.field(seq) for m in models)   # solved block by block, in draw order
+        fld = next(fields)
+        fields = itertools.chain([fld], fields)
+        control = lambda blk: np.einsum(
+            "kqs,kab->qsab", np.stack([f.b for f in itertools.islice(fields, size)], axis=-1), axis_ops)
+    out = np.empty((n, d, d), dtype=complex)
+    size = max(1, _MC_BLOCK // (fld.b.shape[1] * d * d))
     for lo in range(0, n, size):
         blk = slice(lo, lo + size)
-        hh = h_ctrl[:, None] * amp[blk, None, None] + h_terms[blk]   # (Q, draws, d, d)
+        hh = control(blk) + h_terms[blk]   # (Q, draws, d, d)
         u = np.moveaxis(tg.expm_batch(hh, fld.delta_t), (2, 3), (0, 1))
         out[blk] = np.moveaxis(tg.ordered_product(u), -1, 0)
     return out
@@ -262,16 +251,13 @@ def landscape(
     axis1: tuple[str, np.ndarray],
     axis2: tuple[str, np.ndarray],
     u0: np.ndarray,
-) -> LandscapeGrid:
-    """Overlap fidelity of the exact propagator over a 2-parameter grid;
-    axes name distributions from the setup."""
-    name1, vals1 = axis1
-    name2, vals2 = axis2
-    vals1 = np.asarray(vals1, dtype=float)
-    vals2 = np.asarray(vals2, dtype=float)
-    draws = [{name1: v1, name2: v2} for v1 in vals1.tolist() for v2 in vals2.tolist()]
-    fid = overlap_fidelity(exact_unitaries(seq, setup, draws), u0)
-    return LandscapeGrid(name1, name2, vals1, vals2, fid.reshape(vals1.size, vals2.size))
+) -> np.ndarray:
+    """(n1, n2) overlap fidelities of the exact propagator against u0 over
+    the grid of two axes (distribution name, n values), the setup's other
+    distributions at their nominal values."""
+    (name1, vals1), (name2, vals2) = axis1, axis2
+    draws = [{name1: v1, name2: v2} for v1 in np.ravel(vals1).tolist() for v2 in np.ravel(vals2).tolist()]
+    return overlap_fidelity(exact_unitaries(seq, setup, draws), u0).reshape(np.size(vals1), np.size(vals2))
 
 
 def stroboscopic_evolve(
@@ -316,7 +302,7 @@ def evaluation_report(
     draws = np.array([[dd.sample(rng) for dd in setup.distributions] for _ in range(n_mc)])
     u = exact_unitaries(seq, setup, draws)
     d = 2 ** setup.n_qubits
-    avg, e = ptm(u, pauli_basis_stack(setup.n_qubits), average=True), 1.0
+    avg, e = ptm(u, pauli_basis_stack(setup.n_qubits)), 1.0
     if t_dep is not None:
         avg, e = apply_depolarizing(avg, seq.t_seq, t_dep), np.exp(-seq.t_seq / t_dep)
     f_pro = e * overlap_fidelity(u, u0_total) ** 2 + (1.0 - e) / d ** 2

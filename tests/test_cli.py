@@ -377,6 +377,17 @@ def _objective(**term):
     return lambda c: c["objectives"].append(dict(term, weight=1))
 
 
+def _second_dist(param, model="ideal"):
+    """Two errors on `param`, each with its own dist."""
+    def mutate(cfg):
+        kind = "amplitude" if param == "amplitude" else "model_param"
+        cfg["control"]["model"] = model
+        cfg["distributions"]["amp_b"] = {"kind": "uniform", "args": [-1e-3, 1e-3]}
+        cfg["errors"] = [{"name": "eps", "kind": kind, "param": param, "dist": "amp_err"},
+                         {"name": "amp_b", "kind": kind, "param": param, "dist": "amp_b"}]
+    return mutate
+
+
 _BAD_PAULI = {"strings": [{"pauli": [[1, "q"]]}]}
 _X_TERM = {"strings": [{"pauli": [[1, "x"]]}], "assign": "pri"}   # unnamed: "term<k>"
 _AXIS = {"dist": "detuning", "values": [0.0]}
@@ -495,6 +506,10 @@ _BAD_KEYS = {
                              " got [3.0]"),
     "dist-claimed-twice": (lambda c: c["errors"][0].update(dist="detuning"),
                            "errors[0].dist: 'detuning' is already the dist of term:detuning"),
+    "two-amplitude-dists": (_second_dist("amplitude"),
+                            "errors[1].dist: 'amp_b' draws model:amplitude, which 'amp_err' already draws"),
+    "two-alpha-l-dists": (_second_dist("alpha_L", "circuit"),
+                          "errors[1].dist: 'amp_b' draws model:alpha_L, which 'amp_err' already draws"),
     "error-kind": (lambda c: c["errors"][0].update(kind="phase"),
                    "errors[0].kind must be one of ['amplitude', 'model_param'], got 'phase'"),
     "model-param-without-param": (lambda c: c["errors"].append({"name": "x", "kind": "model_param"}),
@@ -630,6 +645,25 @@ def test_cli_simulate_rejects_an_unknown_named_state(tmp_path, capsys):
                      str(seq_path)])
     assert code == cli.EXIT_VALIDATION
     assert "config error: evaluation.initial_state: unknown named state 'minus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-missing", "config-is-a-directory", "sequence-is-a-directory",
+                                  "out-is-a-file"])
+def test_cli_a_path_it_cannot_read_or_write_exits_2(tmp_path, capsys, case):
+    # a PermissionError takes the same way out, but no row can make one
+    # where the tests run as root
+    cfg = _config_1q()
+    paths = {"config": _write_config(tmp_path, cfg), "sequence": str(_write_sequence(tmp_path, cfg)),
+             "out": str(tmp_path / "out")}
+    key, bad = {"config-missing": ("config", tmp_path / "nope.json"),
+                "config-is-a-directory": ("config", tmp_path),
+                "sequence-is-a-directory": ("sequence", tmp_path),
+                "out-is-a-file": ("out", paths["sequence"])}[case]
+    paths[key] = str(bad)
+    code = cli.main(["evaluate", "--config", paths["config"], "--out", paths["out"], paths["sequence"]])
+    assert code == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error: ") and f"'{bad}'" in err
 
 
 def _config_outside(cfg):

@@ -16,8 +16,6 @@ def setup_1q(dists=(), terms=None):
     terms = terms if terms is not None else [("offset", pauli_op([(1, "z")], 1.0, 1), 0.0)]
     return ev.EvaluationSetup(
         n_qubits=1,
-        channels=XY,
-        dt=1e-8,
         model=IdealModel(),
         term_names=tuple(t[0] for t in terms),
         term_mats=np.stack([t[1] for t in terms]) if terms else np.zeros((0, 2, 2), complex),
@@ -27,10 +25,10 @@ def setup_1q(dists=(), terms=None):
 
 
 def average_cptp(seq, setup, n_mc, rng):
-    """Monte-Carlo mean transfer matrix of n_mc draws from rng."""
+    """Monte-Carlo averaged map of n_mc draws from rng: `ptm` of the mean channel."""
     draws = [{dd.name: dd.sample(rng) for dd in setup.distributions} for _ in range(n_mc)]
     r = ev.ptm(ev.exact_unitaries(seq, setup, draws), ev.pauli_basis_stack(setup.n_qubits))
-    return ev.Superoperator(2 ** setup.n_qubits, r.mean(axis=0))
+    return ev.Superoperator(2 ** setup.n_qubits, r)
 
 
 def test_distribution_validation_and_sampling():
@@ -95,25 +93,30 @@ def test_ptm_homomorphism():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ptm_matches_the_per_column_projection(n):
+    # one unitary's map, and a stack's: the mean of its unitaries' maps
     from hamforge.reach import haar_unitary
 
     stack = ev.pauli_basis_stack(n)
     us = haar_unitary(2 ** n, np.random.default_rng(40 + n), 6).reshape(2, 3, 2 ** n, 2 ** n)
     want = np.array([[rep_unitary(u, stack) for u in row] for row in us])
-    assert np.abs(ev.ptm(us, stack) - want).max() <= 1e-13
+    assert np.abs(ev.ptm(us, stack) - want.mean(axis=(0, 1))).max() <= 1e-13
     assert np.abs(ev.ptm(us[1, 2], stack) - want[1, 2]).max() <= 1e-13
 
 
 def test_ptm_stack_matches_single():
+    # the map of a stack is the mean of the maps of its unitaries, a
+    # trace-preserving contraction
     from hamforge.reach import haar_unitary
 
     for n in (1, 2):
         stack = ev.pauli_basis_stack(n)
         us = haar_unitary(2 ** n, np.random.default_rng(13), 12).reshape(3, 4, 2 ** n, 2 ** n)
         got = ev.ptm(us, stack)
-        assert got.shape == (3, 4, 4 ** n, 4 ** n)
-        for idx in np.ndindex(3, 4):
-            assert np.abs(got[idx] - ev.ptm(us[idx], stack)).max() <= 1e-14
+        assert got.shape == (4 ** n, 4 ** n)
+        want = np.mean([ev.ptm(us[idx], stack) for idx in np.ndindex(3, 4)], axis=0)
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got[0] - np.eye(4 ** n)[0]).max() <= 1e-14
+        assert np.linalg.norm(got, 2) <= 1 + 1e-12
 
 
 def test_ptm_unitary_orthogonal():
@@ -144,7 +147,7 @@ def test_simulate_step_doubling_consistency():
     s1 = ControlSequence(vals, 1e-8, XY)
     u1 = ev.simulate_total_unitary(s1, setup)
     setup2 = ev.EvaluationSetup(
-        n_qubits=1, channels=XY, dt=1e-8, model=IdealModel(2),
+        n_qubits=1, model=IdealModel(2),
         term_names=setup.term_names, term_mats=setup.term_mats,
         term_coeffs=setup.term_coeffs, distributions=(),
     )
@@ -161,7 +164,7 @@ def test_simulate_rabi_quarter_rotation():
     dt = (np.pi / 4) / p_int  # sx coefficient integral = pi/4
     seq = ControlSequence(vals, dt, XY)
     setup = ev.EvaluationSetup(
-        n_qubits=1, channels=XY, dt=dt, model=IdealModel(),
+        n_qubits=1, model=IdealModel(),
         term_names=("offset",), term_mats=setup.term_mats,
         term_coeffs=np.array([0.0]), distributions=(),
     )
@@ -292,13 +295,19 @@ def test_singular_values_of_average_map():
 
 
 def test_landscape_grid():
-    d1 = ev.ParameterDistribution("offset", "point", (0.0,), "term:offset")
-    setup = setup_1q([d1])
-    seq = ControlSequence(np.zeros((2, 3)), 1e-8, XY)
-    eye = np.eye(2)
-    grid = ev.landscape(seq, setup, ("offset", [0.0]), ("offset", [0.0]), eye)
-    assert grid.fidelity.shape == (1, 1)
-    assert grid.fidelity[0, 0] == pytest.approx(1.0)
+    # (n1, n2) fidelities, axis 1 down the rows, against one oracle
+    # propagator per grid point
+    setup = setup_1q([ev.ParameterDistribution("offset", "point", (0.0,), "term:offset"),
+                      ev.ParameterDistribution("amp", "point", (0.0,), "model:amplitude")])
+    xy = tuple(dataclasses.replace(ch, scale=2 * np.pi * 10e6) for ch in XY)
+    seq = ControlSequence(np.random.default_rng(16).uniform(-0.5, 0.5, (2, 3)), 1e-8, xy)
+    u0 = exact_unitary(seq, setup, {})
+    offsets, amps = [0.0, 3e6], [-0.2, 0.0, 0.1]
+    fid = ev.landscape(seq, setup, ("offset", offsets), ("amp", np.array(amps)), u0)
+    want = [[ev.overlap_fidelity(exact_unitary(seq, setup, {"offset": o, "amp": a}), u0) for a in amps]
+            for o in offsets]
+    assert fid.shape == (2, 3) and fid[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(fid - want).max() <= 1e-12 and fid.min() < 0.995
 
 
 def test_stroboscopic_survival():
@@ -462,7 +471,7 @@ def _two_qubit_report(mixed):
                  ev.ParameterDistribution("leak", "grid", ([-3e5, 0.0, 1e5],), "term:leak"),
                  ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude")]
     setup = ev.EvaluationSetup(
-        n_qubits=2, channels=channels, dt=1e-8, model=IdealModel(),
+        n_qubits=2, model=IdealModel(),
         term_names=tuple(t[0] for t in terms), term_mats=np.stack([t[1] for t in terms]),
         term_coeffs=np.array([t[2] for t in terms]), distributions=tuple(dists),
     )
@@ -495,11 +504,9 @@ def test_evaluation_report_applies_model_drive_factor_once():
     assert abs(got["fom"] - ref["fom"]) <= 1e-12
 
 
-def _amplitude_setup(model, channels):
+def _amplitude_setup(model):
     return ev.EvaluationSetup(
         n_qubits=1,
-        channels=channels,
-        dt=1e-8,
         model=model,
         term_names=("offset",),
         term_mats=pauli_op([(1, "z")], 1.0, 1)[None],
@@ -518,7 +525,7 @@ def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
 
     xy = (Channel("x", (1,), "x", 10.0), Channel("y", (1,), "y", 10.0))
     model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
-    setup = _amplitude_setup(model, xy)
+    setup = _amplitude_setup(model)
     seq = ControlSequence(np.ones((2, 4)), 1e-8, xy)
     u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
@@ -534,7 +541,7 @@ def test_amplitude_dispersion_of_kernel_model_with_z_channel_matches_oracle():
     from hamforge.controlsys import LinearKernelModel, LinearKernelParams
 
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
-    setup = _amplitude_setup(LinearKernelModel(LinearKernelParams(2e7, 0.0), 8), chans)
+    setup = _amplitude_setup(LinearKernelModel(LinearKernelParams(2e7, 0.0), 8))
     seq = ControlSequence(np.random.default_rng(3).uniform(-1, 1, (3, 4)), 1e-8, chans)
     u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
@@ -552,7 +559,57 @@ def test_ideal_model_amplitude_dispersion_solves_one_field(monkeypatch):
         return real(self, seq)
 
     monkeypatch.setattr(IdealModel, "field", counted)
-    setup = _amplitude_setup(IdealModel(), XY)
+    setup = _amplitude_setup(IdealModel())
     seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
     ev.evaluation_report(seq, setup, np.eye(2), 40, 5)
     assert calls == [1.0]
+
+
+def _per_draw_setup(drawn):
+    """A drawn model parameter whose field each draw solves itself: kernel
+    W or delta, or circuit alpha_L, drawn beside the drive amplitude and a
+    term coefficient."""
+    from hamforge.controlsys import CircuitModel, CircuitParams, LinearKernelModel, LinearKernelParams
+
+    if drawn == "alpha_L":
+        model, intervals, spread = CircuitModel(CircuitParams(alpha_l=0.0), substeps=16), 8, (-1e-3, 1e-3)
+        chans = (Channel("x", (1,), "x", 10.0), Channel("y", (1,), "y", 10.0))
+    else:
+        model, intervals = LinearKernelModel(LinearKernelParams(2e7, 1e6), 8), 20
+        spread = {"W": (1.5e7, 2.5e7), "delta": (-3e6, 3e6)}[drawn]
+        chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
+    setup = ev.EvaluationSetup(
+        n_qubits=1, model=model, term_names=("offset",), term_mats=pauli_op([(1, "z")], 1.0, 1)[None],
+        term_coeffs=np.array([1e6]),
+        distributions=(ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude"),
+                       ev.ParameterDistribution(drawn, "uniform", spread, f"model:{drawn}"),
+                       ev.ParameterDistribution("offset", "normal", (1e6, 2e6), "term:offset")))
+    seq = ControlSequence(np.random.default_rng(18).uniform(-1, 1, (len(chans), intervals)), 1e-8, chans)
+    return setup, seq
+
+
+@pytest.mark.parametrize("where", [-1, 0, 1])
+@pytest.mark.parametrize("drawn", ["W", "delta", "alpha_L"])
+def test_per_draw_fields_match_the_oracle(drawn, where, monkeypatch):
+    # every draw's own model solves one field, no more; n straddles the
+    # block of draws, so a field reused across draws or blocks shows
+    setup, seq = _per_draw_setup(drawn)
+    block = _draws_per_block(setup, seq)
+    assert block == {"alpha_L": 62, "W": 50, "delta": 50}[drawn]
+    rng = np.random.default_rng(19)
+    draws = np.array([[dd.sample(rng) for dd in setup.distributions] for _ in range(block + where)])
+    solves, field = [], type(setup.model).field
+    monkeypatch.setattr(type(setup.model), "field", lambda self, seq: solves.append(self) or field(self, seq))
+    got = ev.exact_unitaries(seq, setup, draws)
+    monkeypatch.undo()
+    assert [m.params()[drawn] for m in solves] == draws[:, 1].tolist()
+    for row, u in zip(draws, got):
+        want = exact_unitary(seq, setup, dict(zip(("amp", drawn, "offset"), row)))
+        assert np.abs(u - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("drawn", ["W", "delta", "alpha_L"])
+def test_per_draw_report_matches_per_sample_oracle(drawn, monkeypatch):
+    setup, seq = _per_draw_setup(drawn)
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
+    _check_report(setup, seq, u0, _draws_per_block(setup, seq) + 1, None, monkeypatch)
