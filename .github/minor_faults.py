@@ -1,19 +1,19 @@
 """Count the minor page faults of each benchmark workload's operation.
 
-Every workload that BENCHMARK.json declares runs in --runs fresh
-processes: the set-up of perfbench/harness.py, a warm-up, then
-``ru_minflt`` (getrusage) around --ops further operations.  The operations are the cost evaluation
-``pipe(x)`` of the anneal workloads, on the stored reference controls,
-and the design workload's scale range and evaluation report, counted
-apart, over the stored design seeds.  A heap whose large buffers stop
-being reused shows here as thousands of faults per operation, where the
-timings only move within their noise.  Some operations take a few or a
-few hundred faults from one process to the next, so each count is the
-median of the processes, with their range.  With --base REV it also
-counts them at commit REV, on a `git archive` of it.  Reports only;
-always exits 0.
+Every workload that BENCHMARK.json declares runs in RUNS fresh
+processes: the set-up of perfbench/harness.py, WARMUP operations, then
+``ru_minflt`` (getrusage) around OPS further operations.  The operations
+are the cost evaluation ``pipe(x)`` of the anneal workloads, on the
+stored reference controls, and the design workload's scale range and
+evaluation report, counted apart, over the stored design seeds.  A heap
+whose large buffers stop being reused shows here as thousands of faults
+per operation, where the timings only move within their noise.  Some
+operations take a few or a few hundred faults from one process to the
+next, so each count is the median of the processes, with their range.
+With --base REV it also counts them at commit REV, on a `git archive` of
+it.  Reports only; always exits 0.
 
-    python .github/minor_faults.py [--base REV] [--root DIR] [--ops N] [--runs N]
+    python .github/minor_faults.py [--base REV] [--root DIR]
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-WARMUP = 3
+WARMUP, OPS, RUNS = 3, 20, 3
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -46,7 +46,7 @@ def operations(harness, workload: str) -> dict:
     return {"cost evaluation": lambda: pipe(next(controls))}
 
 
-def measure(root: Path, workload: str, ops: int) -> dict:
+def measure(root: Path, workload: str) -> dict:
     """label -> minor faults per operation, in this process."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import harness
@@ -56,22 +56,22 @@ def measure(root: Path, workload: str, ops: int) -> dict:
         for _ in range(WARMUP):
             op()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(ops):
+        for _ in range(OPS):
             op()
-        out[label] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / ops
+        out[label] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / OPS
     return out
 
 
-def count(root: Path, ops: int, runs: int) -> dict:
+def count(root: Path) -> dict:
     """(workload, label) -> "median (min-max)" faults per operation over the
     processes, or the error of a failed run."""
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
     out = {}
     for workload in workloads:
         seen = {}
-        for _ in range(runs):
+        for _ in range(RUNS):
             run = subprocess.run(
-                [sys.executable, __file__, "--root", str(root), "--ops", str(ops), "--workload", workload],
+                [sys.executable, __file__, "--root", str(root), "--workload", workload],
                 capture_output=True, text=True, env={**os.environ, **ENV},
             )
             try:
@@ -86,32 +86,30 @@ def count(root: Path, ops: int, runs: int) -> dict:
     return out
 
 
-def at_commit(rev: str, ops: int, runs: int) -> dict:
+def at_commit(rev: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "tree.tar"
         with archive.open("wb") as fh:
             subprocess.run(["git", "archive", rev], stdout=fh, check=True)
         with tarfile.open(archive) as tar:
             tar.extractall(Path(tmp) / "tree", filter="data")
-        return count(Path(tmp) / "tree", ops, runs)
+        return count(Path(tmp) / "tree")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("--base", help="a commit to count against")
-    ap.add_argument("--ops", type=int, default=20, help="operations counted per label")
-    ap.add_argument("--runs", type=int, default=3, help="processes per workload")
     ap.add_argument("--workload", help=argparse.SUPPRESS)   # one workload, in this process
     args = ap.parse_args()
     root = args.root.resolve()
     if args.workload:
-        print(json.dumps(measure(root, args.workload, args.ops)))
+        print(json.dumps(measure(root, args.workload)))
         return
-    head = count(root, args.ops, args.runs)
-    base = at_commit(args.base, args.ops, args.runs) if args.base else {}
-    print(f"minor page faults per operation: median (range) of {args.runs} processes, each"
-          f" counting {args.ops} operations after {WARMUP} warm-up, one BLAS thread")
+    head = count(root)
+    base = at_commit(args.base) if args.base else {}
+    print(f"minor page faults per operation: median (range) of {RUNS} processes, each"
+          f" counting {OPS} operations after {WARMUP} warm-up, one BLAS thread")
     print(f"{'workload':26} {'operation':18} {'this tree':>22} {(args.base or '')[:12]:>22}")
     for key in dict.fromkeys([*head, *base]):
         was = base.get(key, "-") if args.base else ""

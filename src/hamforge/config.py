@@ -342,13 +342,12 @@ def parse_config(raw: dict) -> ProblemConfig:
         args = tuple(_get(spec, "args", path, list, default=(0.0,)))
         with _at(f"{path}: "):
             dists[name] = ParameterDistribution(name, kind, args)
-    claimed: dict[str, str] = {}
+    claimed, drawn = {}, {}   # dist -> what it draws, and back
 
     def claim(entry: dict, path: str, owner: str):
         name = _get(entry, "dist", path, str, default=None)
-        other = next((k for k, v in claimed.items() if v == owner), name)   # the owner's dist so far
-        if name is not None and _known(name, f"{path}.dist", dists) != other:
-            raise ConfigError(f"{path}.dist: {name!r} draws {owner}, which {other!r} already draws")
+        if name is not None and drawn.setdefault(owner, _known(name, f"{path}.dist", dists)) != name:
+            raise ConfigError(f"{path}.dist: {name!r} draws {owner}, which {drawn[owner]!r} already draws")
         if name is None or claimed.setdefault(name, owner) == owner:
             return name
         raise ConfigError(f"{path}.dist: {name!r} is already the dist of {claimed[name]}")

@@ -184,28 +184,30 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
             coeffs[:, setup.term_names.index(name)] = column
         else:
             raise ValueError(f"distribution {dd.name} has no applies_to target")
+    out = np.empty((n, d, d), dtype=complex)
+    if n == 0:
+        return out
     h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
     axis_ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
     linear = setup.model.drive_linear
-    if set(params) <= ({"amplitude"} if linear else set()):
+    shared = set(params) <= ({"amplitude"} if linear else set())
+    if shared:
         amp = 1.0 + params["amplitude"] if params else np.full(n, setup.model.amp_factor if linear else 1.0)
         fld = (setup.model.with_param("amplitude", 0.0) if linear else setup.model).field(seq)
-        h_ctrl = np.einsum("kq,kab->qab", fld.b, axis_ops)[:, None]
-        control = lambda blk: h_ctrl * amp[blk, None, None]
+        h_unit = np.einsum("kq,kab->qab", fld.b, axis_ops)[:, None]
     else:
         models = [setup.model] * n
         for name, column in params.items():
             models = [m.with_param(name, v) for m, v in zip(models, column)]
-        fields = (m.field(seq) for m in models)   # solved block by block, in draw order
-        fld = next(fields)
-        fields = itertools.chain([fld], fields)
-        control = lambda blk: np.einsum(
-            "kqs,kab->qsab", np.stack([f.b for f in itertools.islice(fields, size)], axis=-1), axis_ops)
-    out = np.empty((n, d, d), dtype=complex)
+        fld = models[0].field(seq)   # draw 0's field, which also sets the block size
     size = max(1, _MC_BLOCK // (fld.b.shape[1] * d * d))
     for lo in range(0, n, size):
         blk = slice(lo, lo + size)
-        hh = control(blk) + h_terms[blk]   # (Q, draws, d, d)
+        if shared:
+            hh = h_unit * amp[blk, None, None] + h_terms[blk]   # (Q, draws, d, d)
+        else:   # one solve per draw, in draw order
+            b = [fld.b if k == 0 else m.field(seq).b for k, m in enumerate(models[blk], lo)]
+            hh = np.einsum("kqs,kab->qsab", np.stack(b, axis=-1), axis_ops) + h_terms[blk]
         u = np.moveaxis(tg.expm_batch(hh, fld.delta_t), (2, 3), (0, 1))
         out[blk] = np.moveaxis(tg.ordered_product(u), -1, 0)
     return out
@@ -269,8 +271,7 @@ def stroboscopic_evolve(
 ) -> np.ndarray:
     """Survival probabilities |<psi0|U^n|psi0>|^2 for n = 0..n_cycles."""
     psi0 = np.asarray(initial_state, dtype=complex).ravel()
-    nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-8:
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
     u = simulate_total_unitary(seq, setup, params)
     out = np.empty(n_cycles + 1)

@@ -609,6 +609,14 @@ def test_per_draw_fields_match_the_oracle(drawn, where, monkeypatch):
 
 
 @pytest.mark.parametrize("drawn", ["W", "delta", "alpha_L"])
+def test_per_draw_fields_of_no_draws(drawn, monkeypatch):
+    # n = 0 returns an empty stack and solves no field
+    setup, seq = _per_draw_setup(drawn)
+    monkeypatch.setattr(type(setup.model), "field", lambda self, seq: pytest.fail("a field was solved"))
+    assert ev.exact_unitaries(seq, setup, np.empty((0, 3))).shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("drawn", ["W", "delta", "alpha_L"])
 def test_per_draw_report_matches_per_sample_oracle(drawn, monkeypatch):
     setup, seq = _per_draw_setup(drawn)
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
