@@ -27,7 +27,7 @@ from . import config as cfgmod
 from . import evaluate as ev
 from . import reach
 from .config import ConfigError, ProblemConfig
-from .opcore import SPAN_TOL, SubspaceError, project
+from .opcore import SPAN_TOL, SubspaceError
 from .optimizer import OptimizationResult, parallel_restarts, restart_rng
 
 EXIT_OK = 0
@@ -71,14 +71,12 @@ def _load(args) -> ProblemConfig:
 
 def _emit(args, name: str, payload: dict):
     text = json.dumps(payload, indent=1)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, name), "w") as f:
         f.write(text + "\n")
     print(text)
 
 
 def _write_csv(args, name: str, header: str, rows):
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
     with open(path, "w") as f:
         f.write(header + "\n")
@@ -111,40 +109,33 @@ def cmd_algebra(args) -> int:
     return EXIT_OK
 
 
-def _target_residuals(cfg: ProblemConfig, subspaces) -> dict:
-    """Component id -> relative residual of H_target^w off C_w (inside at most SPAN_TOL)."""
-    return {w: float(project(h, subspaces[w].stack)[1]) for w, h in cfg.h_target.items()}
-
-
 def cmd_subspace(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
-    subspaces = cfgmod.build_subspaces(cfg, g)
-    resids = _target_residuals(cfg, subspaces)
+    comps = cfgmod.scale_components(cfg, cfgmod.build_subspaces(cfg, g))
     payload = {"algebra_dimension": g.dim, "components": {}}
-    for w, space in subspaces.items():
-        entry = {"dimension": space.dim}
-        if w in resids:
-            entry["target_in_subspace"] = resids[w] <= SPAN_TOL
-            entry["target_residual"] = resids[w]
+    for w, c in zip(cfg.pert, comps):
+        entry = {"dimension": c.subspace.dim}
+        if w in cfg.h_target:
+            entry["target_in_subspace"] = c.target_resid <= SPAN_TOL
+            entry["target_residual"] = c.target_resid
         payload["components"][str(w)] = entry
     _emit(args, "subspace.json", payload)
     return EXIT_OK
 
 
-def _scale_range(cfg: ProblemConfig, g, subspaces):
+def _scale_range(cfg: ProblemConfig, g, comps):
     if not cfg.h_target:
         return None
-    comps = cfgmod.scale_components(cfg, subspaces)
     return reach.find_scale_range(g, comps, rng=restart_rng(cfg.seed, 11), **cfg.scale_args)
 
 
 def cmd_scale(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
-    subspaces = cfgmod.build_subspaces(cfg, g)
+    comps = cfgmod.scale_components(cfg, cfgmod.build_subspaces(cfg, g))
     try:
-        sr = _scale_range(cfg, g, subspaces)
+        sr = _scale_range(cfg, g, comps)
     except SubspaceError as exc:
         _emit(args, "scale.json", {"achievable": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
@@ -165,20 +156,20 @@ def cmd_scale(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = _load(args)
     g = cfgmod.build_algebra(cfg)
-    subspaces = cfgmod.build_subspaces(cfg, g)
-    pipe = cfgmod.build_pipeline(cfg, g, subspaces)
+    pipe = cfgmod.build_pipeline(cfg, g, cfgmod.build_subspaces(cfg, g))
 
     if not args.force:
-        for w, resid in _target_residuals(cfg, subspaces).items():
-            if resid > SPAN_TOL:
+        # a component without a target has residual 0
+        for w, c in zip(cfg.pert, pipe.components):
+            if c.target_resid > SPAN_TOL:
                 print(
-                    f"H_target^{w} lies outside C_{w} (residual {resid:.2e}); "
+                    f"H_target^{w} lies outside C_{w} (residual {c.target_resid:.2e}); "
                     "run `hamforge scale` / adjust the partitioning, or pass --force",
                     file=sys.stderr,
                 )
                 return EXIT_INFEASIBLE
         if cfg.s_target is not None:
-            sr = _scale_range(cfg, g, subspaces)
+            sr = _scale_range(cfg, g, pipe.components)
             if sr is not None and (
                 not sr.achievable
                 or not (sr.s_minus - 0.02 <= cfg.s_target <= sr.s_plus + 0.02)
@@ -191,21 +182,18 @@ def cmd_optimize(args) -> int:
                 )
                 return EXIT_INFEASIBLE
 
-    workers = args.threads
     best: OptimizationResult | None = None
     x_init = None
     for k, (t_max, t0) in enumerate(cfg.stages):
         stage_cfg = replace(cfg.gsa, t_max=t_max, t0=t0, master_seed=cfg.seed + 7919 * k)
-        best = parallel_restarts(pipe, stage_cfg, workers=workers, x_init=x_init)
+        best = parallel_restarts(pipe, stage_cfg, workers=args.threads, x_init=x_init)
         x_init = best.best_x
         if best.best_e <= stage_cfg.e_target:
             break
 
-    seq = pipe.sequence(best.best_x)
     report = pipe.evaluate(best.best_x)
-    os.makedirs(args.out, exist_ok=True)
     seq_path = os.path.join(args.out, "sequence.json")
-    cfgmod.write_sequence(seq, seq_path)
+    cfgmod.write_sequence(pipe.sequence(best.best_x), seq_path)
     payload = {
         "sequence_file": seq_path,
         "f_tot": report.total,
@@ -284,6 +272,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     try:
+        os.makedirs(args.out, exist_ok=True)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

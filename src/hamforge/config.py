@@ -38,7 +38,7 @@ errors[k] = []: name: str, unique; kind: "amplitude"|"model_param"; param: str =
 targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re,
     matrix_im = 0: lists of nums}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
     none: {strings}, nonzero, w an integer component id; s_target: num =
-    none
+    none, the scale factor under the joint normalisation of `reach`
 objectives[k] = []: kind: str in `objectives.KINDS`; weight: num > 0;
     the parameters of the kind, references checked by
     `objectives.check_references`: component: a component id = the first;
@@ -79,16 +79,11 @@ from .controlsys import (
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
-from .objectives import (
-    CostPipeline,
-    ObjectiveSpec,
-    ObjectiveTerm,
-    PertComponent,
-    check_references,
-)
+from .objectives import CostPipeline, ObjectiveSpec, ObjectiveTerm, check_references
 from .opcore import pauli_string_op, project
 from .optimizer import GSAConfig
-from .reach import SAMPLERS
+from .reach import SAMPLERS, Component, joint_normalisation
+from .toggling import expm_batch
 
 
 class ConfigError(ValueError):
@@ -524,28 +519,10 @@ def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis):
     return {w: find_c_subspace(g, mat) for w, mat in cfg.pert.items()}
 
 
-def scale_components(cfg: ProblemConfig, subspaces):
-    """(H_pert_w, C_w, H_target_w) triples for reach.find_scale_range."""
-    return [(mat, subspaces[w], cfg.h_target.get(w)) for w, mat in cfg.pert.items()]
-
-
-def component_target_vectors(cfg: ProblemConfig, subspaces) -> dict:
-    """Component -> |H_target^w>> in rad/s under the joint normalization
-    convention: H0bar_w = s * that_w * ||(+)_w H_pert^w||."""
-    # H_pert^w lies in C_w, its own seed
-    pvecs = [project(m, subspaces[w].stack)[0].real for w, m in cfg.pert.items()]
-    pnorm = math.sqrt(sum(float(v @ v) for v in pvecs))
-    tvecs = {}
-    for w in cfg.pert:
-        if w not in cfg.h_target:
-            tvecs[w] = np.zeros(subspaces[w].dim)
-        else:
-            # the part inside C_w: all of H_target^w once the feasibility gate
-            # has passed; under --force the part that no sequence reaches drops out
-            tvecs[w] = project(cfg.h_target[w], subspaces[w].stack)[0].real
-    tnorm = math.sqrt(sum(float(v @ v) for v in tvecs.values()))
-    s = cfg.s_target if cfg.s_target is not None else 0.0
-    return {w: s * pnorm * v / tnorm if tnorm else np.zeros_like(v) for w, v in tvecs.items()}
+def scale_components(cfg: ProblemConfig, subspaces) -> list[Component]:
+    """Each perturbation component with its C_w and H_target^w, projected
+    once, in the order of the component ids."""
+    return [Component.of(mat, subspaces[w], cfg.h_target.get(w)) for w, mat in cfg.pert.items()]
 
 
 def _same_span(a: CSubspace, b: CSubspace) -> bool:
@@ -571,15 +548,9 @@ def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=()) -> CSubspac
 def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
     g = g or build_algebra(cfg)
     subspaces = subspaces or build_subspaces(cfg, g)
-    tvecs = component_target_vectors(cfg, subspaces)
-    comps = [PertComponent(mat, subspaces[w], tvecs[w]) for w, mat in cfg.pert.items()]
-    pri_internal = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
-    for t in cfg.terms:
-        if t.assign == "pri":
-            pri_internal = pri_internal + t.coeff * t.matrix_unit
+    zero = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
+    pri_internal = sum((t.coeff * t.matrix_unit for t in cfg.terms if t.assign == "pri"), zero)
     err_space = error_subspace(cfg, g, reuse=list(subspaces.values())) if cfg.errors else None
-    errors = {e["name"]: e["param"] for e in cfg.errors}
-    spec = ObjectiveSpec(cfg.objectives, target_unitary=cfg.u_target)
     # a config changed after parsing meets the pipeline's own checks
     try:
         return CostPipeline(
@@ -589,10 +560,10 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
             cfg.dt,
             cfg.model,
             pri_internal,
-            comps,
-            errors,
+            scale_components(cfg, subspaces),
+            {e["name"]: e["param"] for e in cfg.errors},
             err_space,
-            spec,
+            ObjectiveSpec(cfg.objectives, cfg.u_target, cfg.s_target or 0.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -610,15 +581,17 @@ def build_evaluation_setup(cfg: ProblemConfig) -> EvaluationSetup:
 
 
 def total_target_unitary(cfg: ProblemConfig, subspaces) -> np.ndarray:
-    """U_target exp(-i H_target T_seq) with H_target in real units."""
-    from .toggling import expm_batch
-
+    """U_target exp(-i H_target T_seq), H_target the sum of the zeroth-order
+    targets at s_target (`reach.joint_normalisation`), in rad/s.  Under
+    --force, the part of H_target^w outside C_w, which no sequence
+    reaches, drops out."""
     d = 2 ** cfg.n_qubits
     u = cfg.u_target if cfg.u_target is not None else np.eye(d, dtype=complex)
-    tvecs = component_target_vectors(cfg, subspaces)
+    comps = scale_components(cfg, subspaces)
+    _, _, targets = joint_normalisation(comps, cfg.s_target or 0.0)
     h = np.zeros((d, d), dtype=complex)
-    for w, vec in tvecs.items():
-        h = h + np.tensordot(vec, subspaces[w].stack, axes=(0, 0))
+    for c, vec in zip(comps, targets):
+        h = h + np.tensordot(vec, c.subspace.stack, axes=(0, 0))
     if np.abs(h).max() > 0:
         uh = expm_batch(h[None], cfg.t_seq)[0]
         u = u @ uh

@@ -742,6 +742,10 @@ class CircuitModel(ControlModel):
             dinv = -alpha_l * q2 / (l_0 * factor)
             return dinv * (-r_series * i_l + v_ct)
 
+        # at alpha_L > 0 the force is phi v with phi in [0, 1), so a corrector
+        # that moves the state further than the predictor's own size can
+        # only be the explicit step's instability: it goes to the retry
+        psi2_norm = float(np.linalg.norm(k.psi2)) if alpha_l > 0.0 else 0.0
         x0 = x1 = x2 = 0j
         xs = []
         try:
@@ -756,6 +760,8 @@ class CircuitModel(ControlModel):
                         y1 = e10 * x0 + e11 * x1 + e12 * x2 + d1 + psi1_1 * g0
                         y2 = e20 * x0 + e21 * x1 + e22 * x2 + d2 + psi1_2 * g0
                         g = nl_force(y0, y2) - g0
+                        if psi2_norm and abs(g) * psi2_norm > math.hypot(abs(y0), abs(y1), abs(y2)):
+                            raise FloatingPointError("circuit corrector outgrew its predictor")
                         x0, x1, x2 = y0 + psi2_0 * g, y1 + psi2_1 * g, y2 + psi2_2 * g
                     if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
                         raise FloatingPointError("circuit state diverged")

@@ -16,8 +16,10 @@ nodal values formed only where a higher order or a cross reads them, with
 no per-step tensors (see "Composition" in `toggling`).
 
 Kinds, the tensors they read and their normalization, with T the sequence
-duration, s_w = ||H_target^w>>|| (||H_pert^w>>|| without a target) and
-E = sqrt(d) max |scale| over the non-phase channels:
+duration, s_w = ||H_target^w>>||, the zeroth-order target of component w
+at the spec's scale factor under the joint normalisation of `reach`
+(||H_pert^w>>|| where that target is zero), and E = sqrt(d) max |scale|
+over the non-phase channels:
 
 - primary_unitary: the final propagator U;
   1 - |Tr(U U_target^dag)| / Tr(U_target U_target^dag).
@@ -54,6 +56,7 @@ from .controlsys import ControlModel, ControlSequence, axis_operators, field_axe
 from .evaluate import overlap_fidelity
 from .liealg import CSubspace
 from .opcore import project
+from .reach import Component, joint_normalisation
 from . import toggling as tg
 
 
@@ -76,7 +79,8 @@ class ObjectiveTerm:
 @dataclass(frozen=True)
 class ObjectiveSpec:
     terms: tuple[ObjectiveTerm, ...]
-    target_unitary: np.ndarray | None = None
+    target_unitary: np.ndarray | None
+    s_target: float               # scale factor of the zeroth-order targets
 
 
 @dataclass(frozen=True)
@@ -140,18 +144,6 @@ def effective_robustness_cost(c_cross: np.ndarray, comm_table: np.ndarray) -> fl
 
 
 # ---------------------------------------------------------------------------
-# perturbation components
-
-@dataclass(frozen=True)
-class PertComponent:
-    """One perturbation component H_pert^w with its subspace and target."""
-
-    matrix: np.ndarray            # reference operator, rad/s
-    subspace: CSubspace
-    target_vec: np.ndarray | None # |H_target>> in the subspace, rad/s, or None
-
-
-# ---------------------------------------------------------------------------
 # terms resolved against a pipeline
 
 UNITARY = ("unitary",)
@@ -185,10 +177,9 @@ def _primary_unitary(pipe, p):
 
 def _zeroth_order_target(pipe, p):
     w = p.get("component", 0)
-    tgt = pipe.components[w].target_vec
-    tgt = np.zeros(pipe.comp_seed[w].size) if tgt is None else tgt
     reads = (("pert", w, 1),)
-    return f"zeroth_order[{w}]", zeroth_order_cost, reads, (tgt, pipe.t_seq), pipe.comp_scale[w]
+    consts = (pipe.comp_target[w], pipe.t_seq)
+    return f"zeroth_order[{w}]", zeroth_order_cost, reads, consts, pipe.comp_scale[w]
 
 
 def _robustness(pipe, names):
@@ -283,7 +274,7 @@ class CostPipeline:
         dt: float,
         model: ControlModel,
         pri_internal: np.ndarray | None,
-        components: list[PertComponent],
+        components: list[Component],
         errors: dict[str, str],
         err_space: CSubspace | None,
         spec: ObjectiveSpec,
@@ -318,14 +309,12 @@ class CostPipeline:
             return distinct[key]
 
         self.comp_frames = [shared(c.subspace.stack) for c in self.components]
-        # Hermitian operators on a Hermitian basis: real coefficients
-        self.comp_seed = [project(c.matrix, c.subspace.stack)[0].real for c in self.components]
-        self.comp_scale = []
-        for c, seed in zip(self.components, self.comp_seed):
-            if c.target_vec is not None and np.linalg.norm(c.target_vec) > 0:
-                self.comp_scale.append(float(np.linalg.norm(c.target_vec)))
-            else:
-                self.comp_scale.append(float(np.linalg.norm(seed)))
+        _, _, self.comp_target = joint_normalisation(self.components, spec.s_target)
+        # s_w: the norm of the target, else of the perturbation
+        self.comp_scale = [
+            float(np.linalg.norm(t) or np.linalg.norm(c.seed))
+            for c, t in zip(self.components, self.comp_target)
+        ]
         self.err_frame = None if err_space is None else shared(err_space.stack)
 
         self.requests: dict = {}   # (kind, arg) -> highest order read
@@ -381,7 +370,7 @@ class CostPipeline:
         operator it toggles, per step."""
         kind, arg = key
         if kind == "pert":
-            seed = self.comp_seed[arg]
+            seed = self.components[arg].seed
             return self.comp_frames[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
         jet, coef = self.err_seeds[arg]
         return self.err_frame, (coef @ fld.sensitivities[jet]).T

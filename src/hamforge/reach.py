@@ -5,6 +5,12 @@ hull of conjugated perturbation vectors.  This module samples that hull
 (Haar via QR for full unitary algebras, a group random walk otherwise),
 rotates it so the target direction is the first coordinate, and bounds
 the achievable scaling factor range [s-, s+] with two linear programs.
+
+Joint normalisation.  A `Component` w holds the coefficients p_w of
+H_pert^w and t_w of H_target^w in its subspace C_w.  A scale factor s is
+the point s T^ along the unit joint target T^ = (+)_w t_w / ||(+) t||, in
+units of ||(+)_w p_w||, so component w's zeroth-order target at s is
+s ||(+) p|| t_w / ||(+) t|| (`joint_normalisation`, the one implementation).
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liealg import LieAlgebraBasis
+from .liealg import CSubspace, LieAlgebraBasis
 from .opcore import SPAN_TOL, RowSpace, SubspaceError, project
 from .toggling import expm_batch, prefix_products
 
@@ -92,14 +98,43 @@ def lp_solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# vertex sets and scale ranges
+# components and the joint normalisation
 
 @dataclass(frozen=True)
-class VertexSet:
-    """Transformed conjugation vertices v^j = T (+)_w |u_j^dag H_w u_j>>_w."""
+class Component:
+    """One perturbation component w, each operator projected onto C_w once:
+    ``seed`` p_w and ``target`` t_w, the real coefficients of H_pert^w and
+    H_target^w (zeros without a target), and ``target_resid``, H_target^w's
+    relative residual off C_w (0 without one).  A scale factor s is
+    measured along the unit joint target (+)_w t_w / ||(+) t||, in units
+    of ||(+)_w p_w|| (the module docstring)."""
 
-    vertices: np.ndarray          # (J, m_total), unit rows
+    matrix: np.ndarray            # H_pert^w, rad/s
+    subspace: CSubspace           # C_w
+    seed: np.ndarray              # p_w
+    target: np.ndarray            # t_w
+    target_resid: float
 
+    @classmethod
+    def of(cls, matrix: np.ndarray, subspace: CSubspace, target: np.ndarray | None = None):
+        # Hermitian operators on a Hermitian basis: real coefficients
+        seed = project(matrix, subspace.stack)[0].real
+        coeff, resid = (np.zeros(subspace.dim), 0.0) if target is None else project(target, subspace.stack)
+        return cls(matrix, subspace, seed, coeff.real, float(resid))
+
+
+def joint_normalisation(components, s: float):
+    """(||(+)_w p_w||, ||(+)_w t_w||, the zeroth-order target of each
+    component at scale s, s ||(+) p|| t_w / ||(+) t|| in rad/s, or zeros
+    when every target is zero)."""
+    pnorm = np.linalg.norm(np.concatenate([c.seed for c in components]))
+    tnorm = np.linalg.norm(np.concatenate([c.target for c in components]))
+    scaled = [s * pnorm * c.target / tnorm if tnorm else np.zeros_like(c.target) for c in components]
+    return pnorm, tnorm, scaled
+
+
+# ---------------------------------------------------------------------------
+# vertices and scale ranges
 
 @dataclass(frozen=True)
 class ScaleRange:
@@ -141,46 +176,34 @@ def sample_vertices(
     rng: np.random.Generator,
     n_burn: int,
     n_thin: int,
-) -> VertexSet:
-    """Build the vertex set for a list of (H_pert_w, C_w, H_target_w); the
-    settings are those of `find_scale_range`."""
-    mode = _pick_sampler(g, sampler)
-
-    def coefficients(m, c, what):
-        coeff, resid = project(m, c.stack)
-        if resid > SPAN_TOL:
-            raise SubspaceError(f"{what} outside subspace (relative residual {resid:.3e})")
-        return coeff.real
-
-    perts = [coefficients(h, c, "perturbation") for (h, c, _) in components]
-    targets = [
-        np.zeros(c.dim) if ht is None else coefficients(ht, c, "target")
-        for (_, c, ht) in components
-    ]
-    pcat = np.concatenate(perts)
-    alpha = 1.0 / np.linalg.norm(pcat)
-    tcat = np.concatenate(targets)
-    tnorm = np.linalg.norm(tcat)
+) -> np.ndarray:
+    """The (J, m) unit rows v^j = T (+)_w |u_j^dag H_w u_j>>_w / ||(+)_w p_w||
+    of a list of `Component`, with T the rotation that takes the unit
+    joint target to the first axis; the settings are those of
+    `find_scale_range`."""
+    for c in components:
+        if c.target_resid > SPAN_TOL:
+            raise SubspaceError(f"target outside subspace (relative residual {c.target_resid:.3e})")
+    pnorm, tnorm, _ = joint_normalisation(components, 0.0)
     if tnorm == 0.0:
         raise ValueError("all-zero target; nothing to scale against")
-    tmat = _completion_from_direction(tcat / tnorm)
+    tmat = _completion_from_direction(np.concatenate([c.target for c in components]) / tnorm)
 
     dim = 2 ** g.n_qubits
-    if mode == "qr":
+    if _pick_sampler(g, sampler) == "qr":
         us = haar_unitary(dim, rng, j_samples)
     else:
         us = _walk_unitaries(g.stack, n_burn, n_thin, j_samples, rng)
     parts = []
-    for (h, c, _) in components:
-        coeff, resid = project(us.conj().swapaxes(-1, -2) @ h @ us, c.stack)
+    for c in components:
+        coeff, resid = project(us.conj().swapaxes(-1, -2) @ c.matrix @ us, c.subspace.stack)
         if (resid > 1e-6).any():
             raise SubspaceError(
                 "conjugated perturbation leaves its subspace; "
                 "the sampler wandered outside e^{g_pri}"
             )
         parts.append(coeff.real)
-    rows = (alpha * np.concatenate(parts, axis=1)) @ tmat.T
-    return VertexSet(rows)
+    return ((1.0 / pnorm) * np.concatenate(parts, axis=1)) @ tmat.T
 
 
 def _scale_lps(vertices: np.ndarray):
@@ -216,8 +239,8 @@ def find_scale_range(
     n_burn: int = 100,
     n_thin: int = 10,
 ) -> ScaleRange:
-    """Range of achievable scaling factors along the (normalized) target,
-    measured against the jointly normalized direct-sum perturbation.
+    """Range of achievable scale factors of a list of `Component`, under
+    the joint normalisation (see the module docstring).
 
     Vertices accumulate in batches; the search stops early once both ends
     of the range move less than CONVERGE_TOL over the last batch, and is
@@ -225,17 +248,17 @@ def find_scale_range(
     direction is not achievable at any scale.
     """
     rng = rng or np.random.default_rng()
-    mtot = sum(c.dim for (_, c, _) in components)
+    mtot = sum(c.subspace.dim for c in components)
     if j_samples < mtot + 1:
         warnings.warn("fewer samples than subspace dimension + 1: degenerate hull")
-    vs = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
+    vertices = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
     history = []
     s_plus = s_minus = np.nan
     used = 0
     for k in range(batch, j_samples + batch, batch):
         k = min(k, j_samples)
         prev_plus, prev_minus = s_plus, s_minus
-        s_plus, s_minus = (np.nan if s is None else s for s in _scale_lps(vs.vertices[:k]))
+        s_plus, s_minus = (np.nan if s is None else s for s in _scale_lps(vertices[:k]))
         history.append((k, s_minus, s_plus))
         used = k
         # NaN never compares below the tolerance, so an end without an

@@ -412,6 +412,7 @@ _BAD_KEYS = {
                              "targets.u_target is not unitary to 1e-8"),
     "unknown-model-param": (_bad_model_param,
                             "errors[1].param: the model has no parameter 'W' (it has ['amplitude'])"),
+    "no-channels": (_set("control", "channels", []), "control.channels: no control channel"),
     "qubit-out-of-range": (lambda c: c["control"]["channels"][0].update(qubits=[2]),
                            "control.channels[0].qubits: [2] not all in 1..1"),
     # channel sets in which a channel would drive nothing
@@ -485,6 +486,8 @@ _BAD_KEYS = {
                        "distributions.spare is not the 'dist' of any term or error"),
     "bad-dist-args": (lambda c: c["distributions"]["amp_err"].update(args=[0.05, -0.05]),
                       "distributions.amp_err: uniform((0.05, -0.05)): need a < b"),
+    "dist-kind-unknown": (_dist("weird", [0]),
+                          "distributions.detuning: unknown distribution kind 'weird'"),
     "dist-normal-one-arg": (_dist("normal", [0.5]),
                             "distributions.detuning: normal takes args [mu, sigma] of finite numbers,"
                             " got [0.5]"),
@@ -664,6 +667,23 @@ def test_cli_a_path_it_cannot_read_or_write_exits_2(tmp_path, capsys, case):
     assert code == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("file error: ") and f"'{bad}'" in err
+
+
+def test_cli_optimize_to_an_out_that_is_a_file_spends_no_budget(tmp_path, capsys, monkeypatch):
+    # --out names a file: the command stops at the file error before it
+    # evaluates a single cost, where it used to anneal in full first
+    from hamforge.objectives import CostPipeline
+
+    calls = []
+    real = CostPipeline.evaluate
+    monkeypatch.setattr(CostPipeline, "evaluate", lambda self, x: calls.append(1) or real(self, x))
+    cfg = _config_optimize()
+    bad = _write_sequence(tmp_path, cfg)
+    code = cli.main(["optimize", "--config", _write_config(tmp_path, cfg), "--threads", "1",
+                     "--out", str(bad)])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("file error: ")
+    assert calls == []
 
 
 def _config_outside(cfg):

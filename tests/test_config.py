@@ -99,6 +99,26 @@ def test_a_pert_term_without_coeff_takes_its_dists_halfwidth(dist, ref):
     assert np.array_equal(cfg.pert[1], ref * np.diag([1.0, -1.0]))
 
 
+def test_the_target_unitary_and_the_zeroth_order_target_use_s_target():
+    # H_pert = (2 pi 1 MHz) z, the detuning's half-width, and H_target = z:
+    # at s_target the target is s ||H_pert|| z / ||z|| = s (2 pi 1 MHz) z
+    from scipy.linalg import expm
+
+    raw = _config_1q()
+    raw["targets"]["s_target"] = 0.5
+    raw["objectives"] = [{"kind": "zeroth_order_target", "weight": 1}]
+    cfg = cfgmod.parse_config(raw)
+    subspaces = cfgmod.build_subspaces(cfg, cfgmod.build_algebra(cfg))
+    z = np.diag([1.0, -1.0])
+    h = 0.5 * 2 * np.pi * 1e6 * z
+    want = cfg.u_target @ expm(-1j * h * cfg.t_seq)
+    assert np.abs(cfgmod.total_target_unitary(cfg, subspaces) - want).max() <= 1e-12
+    pipe = cfgmod.build_pipeline(cfg)
+    got = np.tensordot(pipe.comp_target[0], pipe.components[0].subspace.stack, axes=(0, 0))
+    assert np.abs(got - h).max() <= 1e-12 * np.abs(h).max()
+    assert pipe.comp_scale[0] == pytest.approx(np.sqrt(2) * 0.5 * 2 * np.pi * 1e6, rel=1e-14)
+
+
 def _private(module: str) -> bool:
     """numpy._* or scipy.*._*: a module that numpy or scipy may change without notice."""
     top, *rest = module.split(".")

@@ -433,6 +433,27 @@ def test_circuit_negative_inductance_raises(alpha_l, caplog):
     assert np.isfinite(fld.b).all()
 
 
+def test_circuit_corrector_that_outgrows_its_predictor_is_retried(caplog):
+    # at 4 substeps the explicit step is unstable at alpha_L = 1e-2 yet stays
+    # finite (max|b| ~ 5e56); the corrector check halves the step twice, and
+    # the field then agrees with the one at 16 substeps
+    from hamforge import evaluate as ev
+
+    seq = ControlSequence(np.random.default_rng(0).uniform(-1, 1, (2, 4)), 1e-8, XY10)
+    with caplog.at_level(logging.WARNING, logger="hamforge"):
+        fld = CircuitModel(CircuitParams(alpha_l=1e-2), substeps=4).field(seq)
+    msgs = [r.getMessage() for r in caplog.records]
+    assert len(msgs) == 2 and "retry 1 of 5" in msgs[0] and "retry 2 of 5" in msgs[1]
+    fine = CircuitModel(CircuitParams(alpha_l=1e-2), substeps=16).field(seq)
+    assert np.isfinite(fld.b).all()
+    assert abs(np.abs(fld.b).max() / np.abs(fine.b).max() - 1.0) <= 0.25
+    setup = ev.EvaluationSetup(
+        n_qubits=1, model=CircuitModel(CircuitParams(alpha_l=1e-2), substeps=4), term_names=("offset",),
+        term_mats=np.zeros((1, 2, 2), complex), term_coeffs=np.zeros(1), distributions=(),
+    )
+    assert np.isfinite(ev.evaluation_report(seq, setup, np.eye(2), 4, 0)["fom"])
+
+
 # ---------------------------------------------------------------------------
 # field derivatives against central differences of re-parametrized models
 

@@ -7,7 +7,7 @@ from hamforge.controlsys import Channel, ControlSequence, IdealModel
 from hamforge.evaluate import overlap_fidelity
 from hamforge.liealg import find_c_subspace, find_lie_algebra
 from hamforge.opcore import pauli_op, project
-from hamforge.reach import haar_unitary
+from hamforge.reach import Component, haar_unitary
 import _oracles as orc
 
 
@@ -198,8 +198,8 @@ EPS = {"eps": "amplitude"}   # the relative drive error
 
 def hadamard_pipeline(terms):
     (sx, sy, sz), g, c = su2_setup()
-    comp = ob.PertComponent(sz, c, np.zeros(3))
-    spec = ob.ObjectiveSpec(tuple(terms), target_unitary=HAD)
+    comp = Component.of(sz, c)
+    spec = ob.ObjectiveSpec(tuple(terms), HAD, 0.0)
     return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, [comp], EPS, c, spec)
 
 
@@ -462,13 +462,13 @@ def two_space_pipeline():
     g = find_lie_algebra([x1, y1])
     c_pert = find_c_subspace(g, z1z2)
     c_err = find_c_subspace(g, x1, extra_seeds=(y1,))
-    comp = ob.PertComponent(z1z2, c_pert, None)
+    comp = Component.of(z1z2, c_pert)
     terms = (
         ob.ObjectiveTerm("robustness_first", 1.0, {"error": "eps"}),
         ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps", "component": 0}),
         ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 2, "space": "eps"}),
     )
-    spec = ob.ObjectiveSpec(terms)
+    spec = ob.ObjectiveSpec(terms, None, 0.0)
     return ob.CostPipeline(2, CH, 12, 1e-8, IdealModel(), None, [comp], EPS, c_err, spec)
 
 
@@ -552,7 +552,7 @@ def uncoupled_pipeline():
     x1, y1, z1 = (pauli_op([(1, a)], 1.0, 2) for a in "xyz")
     x2, y2 = pauli_op([(2, "x")], 1.0, 2), pauli_op([(2, "y")], 1.0, 2)
     g = find_lie_algebra([x1, y1, x2, y2])
-    comp = ob.PertComponent(z1, find_c_subspace(g, z1), None)
+    comp = Component.of(z1, find_c_subspace(g, z1))
     c_err = find_c_subspace(g, x1, extra_seeds=(y1, x2, y2))
     terms = (
         ob.ObjectiveTerm("primary_unitary", 1.0),
@@ -563,7 +563,7 @@ def uncoupled_pipeline():
         ob.ObjectiveTerm("effective_robustness", 1.0, {"error": "eps"}),
         ob.ObjectiveTerm("robustness_cross_pair", 1.0, {"errors": ["eps", "eps"]}),
     )
-    spec = ob.ObjectiveSpec(terms, target_unitary=np.kron(HAD, HAD))
+    spec = ob.ObjectiveSpec(terms, np.kron(HAD, HAD), 0.0)
     return ob.CostPipeline(2, CH2, 12, 1e-8, IdealModel(), None, [comp], EPS, c_err, spec)
 
 

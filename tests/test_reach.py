@@ -240,7 +240,7 @@ def _single_qubit_components():
     sz = pauli_op([(1, "z")], 1.0, 1)
     c = find_c_subspace(g, sz)
     hp = sz * (1 / np.sqrt(2))
-    return g, [(hp, c, hp)]
+    return g, [reach.Component.of(hp, c, hp)]
 
 
 def test_single_qubit_full_range():
@@ -266,8 +266,9 @@ def test_one_open_end_is_nan(monkeypatch):
 
 def test_all_zero_target_raises():
     # a zero target has no direction to scale along, in every component
-    g, [(hp, c, _)] = _single_qubit_components()
-    for comps in ([(hp, c, None)], [(hp, c, 0 * hp)]):
+    g, [comp] = _single_qubit_components()
+    hp, c = comp.matrix, comp.subspace
+    for comps in ([reach.Component.of(hp, c)], [reach.Component.of(hp, c, 0 * hp)]):
         with pytest.raises(ValueError, match="all-zero target"):
             reach.sample_vertices(g, comps, 10, "auto", np.random.default_rng(5), 10, 2)
 
@@ -275,8 +276,8 @@ def test_all_zero_target_raises():
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 400, "auto", np.random.default_rng(6), 100, 10)
-    s200 = reach._scale_lps(vs.vertices[:200])
-    s400 = reach._scale_lps(vs.vertices[:400])
+    s200 = reach._scale_lps(vs[:200])
+    s400 = reach._scale_lps(vs[:400])
     assert s400[0] >= s200[0] - 1e-9
     assert s400[1] <= s200[1] + 1e-9
 
@@ -287,18 +288,18 @@ def test_vertex_projection_bounds():
     # transverse components is itself feasible and bounds s+ from below.
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 100, "auto", np.random.default_rng(7), 100, 10)
-    splus = reach._scale_lps(vs.vertices)[0]
-    assert splus <= vs.vertices[:, 0].max() + 1e-9
-    transverse = np.linalg.norm(vs.vertices[:, 1:], axis=1)
+    splus = reach._scale_lps(vs)[0]
+    assert splus <= vs[:, 0].max() + 1e-9
+    transverse = np.linalg.norm(vs[:, 1:], axis=1)
     aligned = transverse < 1e-6
     if aligned.any():
-        assert splus >= vs.vertices[aligned, 0].max() - 1e-9
+        assert splus >= vs[aligned, 0].max() - 1e-9
 
 
 def test_vertex_norm_invariance():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 50, "auto", np.random.default_rng(8), 100, 10)
-    norms = np.linalg.norm(vs.vertices, axis=1)
+    norms = np.linalg.norm(vs, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-8
 
 
@@ -310,7 +311,7 @@ def test_target_outside_subspace_raises():
     sx = pauli_op([(1, "x")], 1.0, 1)
     c = find_c_subspace(g, sz)
     with pytest.raises(SubspaceError):
-        reach.find_scale_range(g, [(sz, c, sx)], 50, rng=np.random.default_rng(9))
+        reach.find_scale_range(g, [reach.Component.of(sz, c, sx)], 50, rng=np.random.default_rng(9))
 
 
 def test_walk_sampler_leaving_the_subspace_raises():
@@ -321,7 +322,9 @@ def test_walk_sampler_leaving_the_subspace_raises():
     sz = pauli_op([(1, "z")], 1.0, 1)
     c = find_c_subspace(find_lie_algebra([sz]), sz)
     with pytest.raises(SubspaceError, match="leaves its subspace"):
-        reach.find_scale_range(su2(), [(sz, c, sz)], 50, sampler="walk", rng=np.random.default_rng(16))
+        reach.find_scale_range(
+            su2(), [reach.Component.of(sz, c, sz)], 50, sampler="walk", rng=np.random.default_rng(16)
+        )
 
 
 def test_walk_matches_qr_hull_on_su2():
@@ -334,8 +337,8 @@ def test_walk_matches_qr_hull_on_su2():
 
 # -- hull volumes -------------------------------------------------------------
 
-def hull_volume_diagnostic(vertices: reach.VertexSet, batch: int):
-    """Convex-hull volume of the first k vertices for k = batch, 2batch, ...
+def hull_volume_diagnostic(pts: np.ndarray, batch: int):
+    """Convex-hull volume of the first k vertex rows for k = batch, 2batch, ...
 
     A saturating volume indicates the sampler has covered the reachable
     set.  Degenerate (flat) point sets report volume 0.  Refuses subspace
@@ -344,7 +347,6 @@ def hull_volume_diagnostic(vertices: reach.VertexSet, batch: int):
     """
     from scipy.spatial import ConvexHull, QhullError
 
-    pts = vertices.vertices
     dim = pts.shape[1]
     if dim > 6:
         raise ValueError(
@@ -367,15 +369,14 @@ def hull_volume_diagnostic(vertices: reach.VertexSet, batch: int):
 
 
 def test_hull_volume_collinear_is_zero():
-    vs = reach.VertexSet(np.stack([np.linspace(-1, 1, 10), np.linspace(-1, 1, 10)]).T)
+    vs = np.stack([np.linspace(-1, 1, 10), np.linspace(-1, 1, 10)]).T
     vols = hull_volume_diagnostic(vs, 3)
     assert all(v == 0.0 for _, v in vols)
 
 
 def test_hull_volume_square_corners():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    vs = reach.VertexSet(pts)
-    vols = dict(hull_volume_diagnostic(vs, 1))
+    vols = dict(hull_volume_diagnostic(pts, 1))
     assert vols[1] == 0.0 and vols[2] == 0.0
     assert vols[3] == pytest.approx(0.5)
     assert vols[4] == pytest.approx(1.0)
@@ -392,9 +393,36 @@ def test_hull_volume_saturates_su2():
 
 
 def test_hull_volume_refuses_high_dim():
-    vs = reach.VertexSet(np.zeros((10, 7)))
     with pytest.raises(ValueError, match="range-stabilization|find_scale_range"):
-        hull_volume_diagnostic(vs, 5)
+        hull_volume_diagnostic(np.zeros((10, 7)), 5)
+
+
+def _hs(op):
+    return np.sqrt(np.trace(op.conj().T @ op).real)
+
+
+def test_joint_normalisation_against_hilbert_schmidt_norms():
+    # two components of a collective su(2): the targets at s are
+    # s ||H_1 (+) H_2|| H_target^w / ||T_1 (+) T_2||, with Hilbert-Schmidt
+    # norms of the operators themselves
+    n = 2
+    x_col = pauli_string_op([(1.0, [(1, "x")]), (1.0, [(2, "x")])], n)
+    y_col = pauli_string_op([(1.0, [(1, "y")]), (1.0, [(2, "y")])], n)
+    z_col = pauli_string_op([(1.0, [(1, "z")]), (1.0, [(2, "z")])], n)
+    dzz = pauli_string_op([(2.0, [(1, "z"), (2, "z")]), (-1.0, [(1, "x"), (2, "x")]),
+                           (-1.0, [(1, "y"), (2, "y")])], n)
+    g = find_lie_algebra([x_col, y_col])
+    c1, c2 = find_c_subspace(g, z_col), find_c_subspace(g, dzz)
+    comps = [reach.Component.of(0.5 * z_col, c1, 3.0 * z_col), reach.Component.of(dzz, c2, -dzz)]
+    pnorm, tnorm, targets = reach.joint_normalisation(comps, 0.4)
+    assert pnorm == pytest.approx(np.hypot(_hs(0.5 * z_col), _hs(dzz)), rel=1e-14)
+    assert tnorm == pytest.approx(np.hypot(_hs(3.0 * z_col), _hs(dzz)), rel=1e-14)
+    for comp, want, got in zip(comps, (3.0 * z_col, -dzz), targets):
+        op = np.tensordot(got, comp.subspace.stack, axes=(0, 0))
+        assert np.abs(op - 0.4 * pnorm * want / tnorm).max() <= 1e-12 * np.abs(want).max() * pnorm / tnorm
+    # without a target every zeroth-order target is zero
+    bare = [reach.Component.of(z_col, c1), reach.Component.of(dzz, c2)]
+    assert all(not t.any() for t in reach.joint_normalisation(bare, 0.4)[2])
 
 
 def test_decoupling_corollary_two_components():
@@ -418,13 +446,14 @@ def test_decoupling_corollary_two_components():
     c2 = find_c_subspace(g, dzz)
     rng = np.random.default_rng(13)
     boths = reach.find_scale_range(
-        g, [(z_col, c1, None), (dzz, c2, dzz)], 700, sampler="walk", rng=rng
+        g, [reach.Component.of(z_col, c1), reach.Component.of(dzz, c2, dzz)], 700,
+        sampler="walk", rng=rng,
     )
     # s relative to component 2's own norm, not the joint one
     rescale = np.hypot(np.linalg.norm(z_col), np.linalg.norm(dzz)) / np.linalg.norm(dzz)
     rng = np.random.default_rng(14)
     alone = reach.find_scale_range(
-        g, [(dzz, c2, dzz)], 700, sampler="walk", rng=rng
+        g, [reach.Component.of(dzz, c2, dzz)], 700, sampler="walk", rng=rng
     )
     assert boths.achievable and alone.achievable
     assert abs(boths.s_plus * rescale - alone.s_plus) < 0.03

@@ -72,3 +72,19 @@ def test_the_design_report_passes_the_layers_the_harness_times(harness):
     assert tracer.spans["toggling.expm_batch"].calls > 1
     assert tracer.spans["evaluate.ptm"].calls >= 1
     assert tracer.spans["evaluate.report"].calls == 1
+
+
+def test_the_design_scale_passes_the_layers_the_harness_times(harness):
+    # the harness hands config.scale_components straight to
+    # reach.find_scale_range: one vertex draw, the two LPs of each batch,
+    # and the stored range of the design seed
+    design = harness.setup_design(harness.DESIGN)
+    seed = harness.DESIGN_SEEDS[0]
+    ref = harness.load_refs(harness.DESIGN)["seeds"][str(seed)]
+    with harness.Tracer(harness.trace_targets()) as tracer:
+        sr = harness.design_scale(design, seed)
+    assert tracer.spans["reach.find_scale_range"].calls == 1
+    assert tracer.spans["reach.sample_vertices"].calls == 1
+    assert tracer.spans["reach.lp_solve"].calls == 2 * len(sr.convergence_history)
+    assert harness.close(sr.s_minus, ref["s_minus"], harness.REL_TOL)
+    assert harness.close(sr.s_plus, ref["s_plus"], harness.REL_TOL)
