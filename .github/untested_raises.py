@@ -4,7 +4,9 @@ Runs the tier-1 suite (tests/) in this process under a sys.settrace line
 tracer that watches the library's files only, then prints each `raise`
 whose line never ran and the count.  Work in worker processes is not seen.
 With --base REV it also counts them at commit REV: a `git archive` of REV
-is tested the same way in a subprocess.  Reports only; always exits 0.
+is tested the same way in a subprocess, and the script exits 1 when this
+tree has more unexecuted raises than REV (or REV could not be measured);
+otherwise, and without --base, it exits 0.
 
     python .github/untested_raises.py [--base REV] [--root DIR]
 """
@@ -18,7 +20,6 @@ import sys
 import tarfile
 import tempfile
 import threading
-import traceback
 from pathlib import Path
 
 SUMMARY = "unexecuted raise statements:"
@@ -66,7 +67,8 @@ def run_traced(root: Path) -> tuple[dict, int]:
 
 
 def at_commit(rev: str) -> str:
-    """The summary line of this script run on a `git archive` of `rev`."""
+    """The summary of this script run on a `git archive` of `rev`: "n of
+    total", or why there is none."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "tree.tar"
         with archive.open("wb") as fh:
@@ -81,7 +83,7 @@ def at_commit(rev: str) -> str:
     return lines[-1][len(SUMMARY):].strip() if lines else "not measured (the run failed)"
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("--base", help="a commit to count against")
@@ -95,15 +97,16 @@ def main() -> None:
     for path, lines in missed.items():
         for n, source in sorted(lines.items()):
             print(f"  {Path(path).relative_to(root)}:{n}: {source}")
-    print(f"{SUMMARY} {sum(len(v) for v in missed.values())} of {total}")
-    if base is not None:
-        print(f"at {args.base[:12]}: {base}")
+    n = sum(len(v) for v in missed.values())
+    print(f"{SUMMARY} {n} of {total}")
+    if base is None:
+        return 0
+    print(f"at {args.base[:12]}: {base}")
+    if not base[0].isdigit() or n > int(base.split()[0]):
+        print("FAIL: more unexecuted raise statements than at the base, or the base was not measured")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except Exception:   # a report: show the failure, never fail the build
-        print("tier-1 exit code unknown: the report itself failed")
-        traceback.print_exc(file=sys.stdout)
-    sys.exit(0)
+    sys.exit(main())

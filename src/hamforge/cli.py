@@ -8,7 +8,8 @@ path from every command alike, the references inside objective terms
 included.  The commands read only the typed values of the `ProblemConfig`
 it returns.  The sequence file of evaluate / landscape / simulate is
 checked the same way by `config.read_sequence`, channels, dt and
-interval count against the problem's.
+interval count against the problem's.  Every output is strict JSON, with
+null for a scale-range end whose LP has no optimum.
 
 Exit codes: 0 success, 2 validation error (a bad file key, --seed,
 --threads or HAMFORGE_THREADS, or a file or directory that cannot be read
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -70,7 +72,7 @@ def _load(args) -> ProblemConfig:
 
 
 def _emit(args, name: str, payload: dict):
-    text = json.dumps(payload, indent=1)
+    text = json.dumps(payload, indent=1, allow_nan=False)
     with open(os.path.join(args.out, name), "w") as f:
         f.write(text + "\n")
     print(text)
@@ -124,6 +126,11 @@ def cmd_subspace(args) -> int:
     return EXIT_OK
 
 
+def _end(s: float) -> float | None:
+    """A scale-range end as JSON: null where its LP has no optimum."""
+    return None if math.isnan(s) else s
+
+
 def _scale_range(cfg: ProblemConfig, g, comps):
     if not cfg.h_target:
         return None
@@ -144,10 +151,10 @@ def cmd_scale(args) -> int:
         return EXIT_VALIDATION
     payload = {
         "achievable": bool(sr.achievable),
-        "s_minus": sr.s_minus,
-        "s_plus": sr.s_plus,
+        "s_minus": _end(sr.s_minus),
+        "s_plus": _end(sr.s_plus),
         "samples_used": sr.samples_used,
-        "convergence_history": [list(h) for h in sr.convergence_history],
+        "convergence_history": [[k, _end(lo), _end(hi)] for k, lo, hi in sr.convergence_history],
     }
     _emit(args, "scale.json", payload)
     return EXIT_OK if sr.achievable else EXIT_INFEASIBLE

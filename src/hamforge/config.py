@@ -1,7 +1,8 @@
 """Problem configuration.  `parse_config` is the one reader of the problem
 file: it checks all of it into a `ProblemConfig` of final, typed values,
 from which the builders below derive the library objects.  A bad value
-raises `ConfigError`, whose message starts with the key path (exit 2).
+or a key the schema does not name raises `ConfigError`, whose message
+starts with the key path (exit 2) and, for an unknown key, lists the keys.
 
 Schema, as `key: type = default, check`; a key without a default is
 required, and null counts as absent.  int: an integer, not a float or
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,8 +80,8 @@ from .controlsys import (
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
-from .objectives import CostPipeline, ObjectiveSpec, ObjectiveTerm, check_references
-from .opcore import pauli_string_op, project
+from .objectives import PARAMS, CostPipeline, ObjectiveSpec, ObjectiveTerm, check_references
+from .opcore import pauli_string_op
 from .optimizer import GSAConfig
 from .reach import SAMPLERS, Component, joint_normalisation
 from .toggling import expm_batch
@@ -110,6 +111,8 @@ _SCALE_KEYS = (
     ("walk_burn", "n_burn", int, 0),
     ("walk_thin", "n_thin", int, 1),
 )
+_EVAL_KEYS = ("n_mc", "t_dep", "n_cycles", "initial_state", "simulate_params", "landscape")
+_CHANNEL_KEYS = ("name", "qubits", "role", "scale")
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,9 @@ class ProblemConfig:
     def evaluation(self) -> dict:
         """The evaluation section by its file keys, with its defaults; the
         scale-range keys the file leaves to `reach.find_scale_range` are absent."""
-        keys = ("n_mc", "t_dep", "n_cycles", "initial_state", "simulate_params", "landscape")
         return {
             **{key: self.scale_args[arg] for key, arg, *_ in _SCALE_KEYS if arg in self.scale_args},
-            **{key: getattr(self, key) for key in keys},
+            **{key: getattr(self, key) for key in _EVAL_KEYS},
         }
 
 
@@ -194,22 +196,35 @@ def _check(value, where: str, kind, low=None):
     raise ConfigError(f"{where} must be {want}, got {value!r}")
 
 
-def _get(d: dict, key: str, path: str, kind, low=None, default=_MISSING):
-    """`d[key]` checked by `_check` at the key path `path.key`, or
-    `default` when the key is absent or null."""
+def _only(d, path: str, keys):
+    """`d`; if it is an object with a key outside `keys`, a ConfigError
+    at that key's path that lists `keys`."""
+    for key in d if isinstance(d, dict) else ():
+        if key not in keys:
+            where = f"{path}.{key}" if path else key
+            raise ConfigError(f"{where}: unknown key (the keys are {list(keys)})")
+    return d
+
+
+def _get(d: dict, key: str, path: str, kind, low=None, default=_MISSING, keys=None):
+    """`d[key]` checked by `_check` at the key path `path.key`, and by
+    `_only` against `keys` if given, or `default` when the key is absent
+    or null."""
     where = f"{path}.{key}" if path else key
     if d.get(key) is None:
         if default is _MISSING:
             raise ConfigError(f"{where}: missing required key")
         return default
-    return _check(d[key], where, kind, low)
+    value = _check(d[key], where, kind, low)
+    return value if keys is None else _only(value, where, keys)
 
 
-def _entries(d: dict, key: str, path: str) -> list:
-    """(key path, object) of each entry of the list `d[key]`, [] by default."""
+def _entries(d: dict, key: str, path: str, keys) -> list:
+    """(key path, object with no key outside `keys`) of each entry of the
+    list `d[key]`, [] by default."""
     where = f"{path}.{key}" if path else key
     return [
-        (f"{where}[{k}]", _check(e, f"{where}[{k}]", dict))
+        (f"{where}[{k}]", _only(_check(e, f"{where}[{k}]", dict), f"{where}[{k}]", keys))
         for k, e in enumerate(_get(d, key, path, list, default=[]))
     ]
 
@@ -239,7 +254,8 @@ def _known(name: str, where: str, distributions) -> str:
 def _strings_matrix(strings, n_qubits: int, path: str) -> np.ndarray:
     with _at(f"{path}: bad Pauli string spec: "):
         pairs = [
-            (_get(s, "factor", f"{path}[{k}]", float, default=1.0),
+            (_get(_only(s, f"{path}[{k}]", ("pauli", "factor")), "factor", f"{path}[{k}]", float,
+                  default=1.0),
              [(_check(q, f"{path}[{k}].pauli", int), ax) for q, ax in s["pauli"]])
             for k, s in enumerate(strings)
         ]
@@ -257,6 +273,7 @@ def _u_target(ut, n: int) -> np.ndarray:
         if m.shape[0] != d:
             raise ConfigError(f"targets.u_target: gate {ut!r} does not fit {n} qubit(s)")
         return m.astype(complex)
+    _only(ut, "targets.u_target", ("matrix_re", "matrix_im"))
     re = ut.get("matrix_re") if isinstance(ut, dict) else None
     if re is None:
         raise ConfigError("targets.u_target needs a gate name or a 'matrix_re' matrix")
@@ -296,7 +313,7 @@ def _model(ctrl: dict, dt: float) -> ControlModel:
     if name == "ideal":
         return IdealModel(**sub)
     if name == "kernel":
-        kc = _get(ctrl, "kernel", "control", dict)
+        kc = _get(ctrl, "kernel", "control", dict, keys=("W", "delta", "average"))
         w = _get(kc, "W", "control.kernel", float, 0.0)
         kp = LinearKernelParams(w, _get(kc, "delta", "control.kernel", float, default=0.0))
         average = _get(kc, "average", "control.kernel", bool, default=False)
@@ -304,7 +321,7 @@ def _model(ctrl: dict, dt: float) -> ControlModel:
         with _at("control.dt: "):
             model.check_step(dt / model.substeps)
         return model
-    cc = _get(ctrl, "circuit", "control", dict, default={})
+    cc = _get(ctrl, "circuit", "control", dict, default={}, keys=[f.name for f in fields(CircuitParams)])
     values = {key: _check(v, f"control.circuit.{key}", float) for key, v in cc.items()}
     with _at("control.circuit: "):
         return CircuitModel(CircuitParams(**values), **sub)
@@ -312,13 +329,15 @@ def _model(ctrl: dict, dt: float) -> ControlModel:
 
 def parse_config(raw: dict) -> ProblemConfig:
     """Read and check the whole problem file (see the module docstring)."""
-    raw = _check(raw, "config", dict)
-    sysc = _get(raw, "system", "", dict)
+    raw = _only(_check(raw, "config", dict), "", ("seed", "system", "control", "distributions", "errors",
+                                                  "targets", "objectives", "optimizer", "evaluation"))
+    sysc = _get(raw, "system", "", dict, keys=("n_qubits", "terms"))
     n = _get(sysc, "n_qubits", "system", int, 1)
 
-    ctrl = _get(raw, "control", "", dict)
+    ctrl = _get(raw, "control", "", dict,
+                keys=("channels", "intervals", "dt", "model", "substeps", "kernel", "circuit"))
     channels = []
-    for k, (path, ch) in enumerate(_entries(ctrl, "channels", "control")):
+    for k, (path, ch) in enumerate(_entries(ctrl, "channels", "control", _CHANNEL_KEYS)):
         channels.append(_channel(path, k, ch))
         if not all(1 <= q <= n for q in channels[-1].qubits):
             raise ConfigError(f"{path}.qubits: {list(channels[-1].qubits)} not all in 1..{n}")
@@ -332,7 +351,7 @@ def parse_config(raw: dict) -> ProblemConfig:
     dists = {}
     for name, spec in _get(raw, "distributions", "", dict, default={}).items():
         path = f"distributions.{name}"
-        spec = _check(spec, path, dict)
+        spec = _only(_check(spec, path, dict), path, ("kind", "args"))
         kind = _get(spec, "kind", path, str, default="point")
         args = tuple(_get(spec, "args", path, list, default=(0.0,)))
         with _at(f"{path}: "):
@@ -348,7 +367,8 @@ def parse_config(raw: dict) -> ProblemConfig:
         raise ConfigError(f"{path}.dist: {name!r} is already the dist of {claimed[name]}")
 
     terms, pert, named = [], {}, {}
-    for k, (path, t) in enumerate(_entries(sysc, "terms", "system")):
+    for k, (path, t) in enumerate(_entries(sysc, "terms", "system", (
+            "name", "strings", "assign", "coeff", "dist", "component", "ref_coeff"))):
         name = _get(t, "name", path, str, default=f"term{k}")
         if named.setdefault(name, path) != path:
             raise ConfigError(f"{path}.name: {name!r} is already the name of {named[name]}")
@@ -370,7 +390,7 @@ def parse_config(raw: dict) -> ProblemConfig:
             raise ConfigError(f"system.terms: H_pert^{w} is zero")
 
     errors, named = [], {}
-    for path, e in _entries(raw, "errors", ""):
+    for path, e in _entries(raw, "errors", "", ("name", "kind", "param", "dist")):
         name = _get(e, "name", path, str)
         if named.setdefault(name, path) != path:
             raise ConfigError(f"{path}.name: {name!r} is already the name of {named[name]}")
@@ -389,7 +409,7 @@ def parse_config(raw: dict) -> ProblemConfig:
             raise ConfigError(f"distributions.{name} is not the 'dist' of any term or error")
         distributions[name] = replace(d, applies_to=claimed[name])
 
-    tgt = _get(raw, "targets", "", dict, default={})
+    tgt = _get(raw, "targets", "", dict, default={}, keys=("u_target", "h_target", "s_target"))
     u_target = _u_target(tgt["u_target"], n) if tgt.get("u_target") is not None else None
     h_target = {}
     for key, spec in _get(tgt, "h_target", "targets", dict, default={}).items():
@@ -398,7 +418,7 @@ def parse_config(raw: dict) -> ProblemConfig:
             w = int(key)
         if w not in pert:
             raise ConfigError(f"{path}: no H_pert term has component {w!r}")
-        strings = _get(_check(spec, path, dict), "strings", path, list)
+        strings = _get(_only(_check(spec, path, dict), path, ("strings",)), "strings", path, list)
         h_target[w] = _strings_matrix(strings, n, f"{path}.strings")
         if not h_target[w].any():
             raise ConfigError(f"{path}: H_target^{w} is zero")
@@ -406,7 +426,7 @@ def parse_config(raw: dict) -> ProblemConfig:
     # files number perturbation components by id; objectives address them
     # by their position among the ids in use
     objectives = []
-    for path, o in _entries(raw, "objectives", ""):
+    for path, o in _entries(raw, "objectives", "", ("kind", "weight", *PARAMS)):
         kind, weight = _get(o, "kind", path, str), _get(o, "weight", path, float)
         params = {key: v for key, v in o.items() if key not in ("kind", "weight")}
         with _at(f"{path}: "):
@@ -418,7 +438,7 @@ def parse_config(raw: dict) -> ProblemConfig:
             term = replace(term, params={**params, "component": w})
         objectives.append(term)
 
-    opt = _get(raw, "optimizer", "", dict, default={})
+    opt = _get(raw, "optimizer", "", dict, default={}, keys=(*_GSA_KEYS, "stages"))
     given = [key for key in _GSA_KEYS if opt.get(key) is not None]
     settings = {key.lower(): _get(opt, key, "optimizer", _GSA_KEYS[key]) for key in given}
     with _at("optimizer: "):
@@ -431,7 +451,7 @@ def parse_config(raw: dict) -> ProblemConfig:
         t_max = _check(stage[0], f"{path}[0]", int, 1)
         stages.append((t_max, _check(stage[1], f"{path}[1]", float, 0.0)))
 
-    ev = _get(raw, "evaluation", "", dict, default={})
+    ev = _get(raw, "evaluation", "", dict, default={}, keys=(*(k for k, *_ in _SCALE_KEYS), *_EVAL_KEYS))
     scale = {"j_samples": 1000}   # the one find_scale_range argument without a default
     for key, arg, kind, low in _SCALE_KEYS:
         if ev.get(key) is not None:
@@ -440,7 +460,7 @@ def parse_config(raw: dict) -> ProblemConfig:
     for name, value in simulate.items():
         _known(name, "evaluation.simulate_params", distributions)
         _check(value, f"evaluation.simulate_params.{name}", float)
-    landscape = _get(ev, "landscape", "evaluation", dict, default=None)
+    landscape = _get(ev, "landscape", "evaluation", dict, default=None, keys=("axis1", "axis2"))
     if landscape:
         landscape = tuple(_landscape_axis(landscape, a, distributions) for a in ("axis1", "axis2"))
     return ProblemConfig(
@@ -472,7 +492,7 @@ def parse_config(raw: dict) -> ProblemConfig:
 
 def _landscape_axis(ls: dict, axis: str, distributions: dict) -> tuple:
     path = f"evaluation.landscape.{axis}"
-    spec = _get(ls, axis, "evaluation.landscape", dict)
+    spec = _get(ls, axis, "evaluation.landscape", dict, keys=("dist", "values"))
     name = _known(_get(spec, "dist", path, str), f"{path}.dist", distributions)
     values = [_check(v, f"{path}.values", float) for v in _get(spec, "values", path, list)]
     if not values:
@@ -525,24 +545,11 @@ def scale_components(cfg: ProblemConfig, subspaces) -> list[Component]:
     return [Component.of(mat, subspaces[w], cfg.h_target.get(w)) for w, mat in cfg.pert.items()]
 
 
-def _same_span(a: CSubspace, b: CSubspace) -> bool:
-    if a.stack.shape != b.stack.shape:
-        return False
-    # rows of g are the coefficients of b's elements in a's basis
-    g, _ = project(b.stack, a.stack)
-    return bool(abs(np.linalg.norm(g @ g.conj().T) ** 2 - a.dim) < 1e-6 * a.dim + 1e-9)
-
-
-def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis, reuse=()) -> CSubspace:
+def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis) -> CSubspace:
     """Minimal subspace holding every toggled control-error operator; the
-    seeds are the operators of the field rows.  Reuses a structurally
-    identical subspace from `reuse` so per-candidate work is shared."""
+    seeds are the operators of the field rows."""
     seeds = axis_operators(field_axes(cfg.channels), cfg.n_qubits)
-    space = find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:]))
-    for cand in reuse:
-        if _same_span(cand, space):
-            return cand
-    return space
+    return find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:]))
 
 
 def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
@@ -550,7 +557,7 @@ def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
     subspaces = subspaces or build_subspaces(cfg, g)
     zero = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
     pri_internal = sum((t.coeff * t.matrix_unit for t in cfg.terms if t.assign == "pri"), zero)
-    err_space = error_subspace(cfg, g, reuse=list(subspaces.values())) if cfg.errors else None
+    err_space = error_subspace(cfg, g) if cfg.errors else None
     # a config changed after parsing meets the pipeline's own checks
     try:
         return CostPipeline(
@@ -623,10 +630,10 @@ def sequence_from_dict(d: dict, problem: ProblemConfig | None = None) -> Control
     one length across channels; the channels, dt and interval count are
     those of the `problem` file, when it is given.  A bad key raises
     ConfigError with its key path under `sequence`."""
-    d = _check(d, "sequence", dict)
+    d = _only(_check(d, "sequence", dict), "sequence", ("dt", "channels"))
     dt = _get(d, "dt", "sequence", float, 0.0)
     channels, values = [], []
-    for k, (path, ch) in enumerate(_entries(d, "channels", "sequence")):
+    for k, (path, ch) in enumerate(_entries(d, "channels", "sequence", (*_CHANNEL_KEYS, "values"))):
         channels.append(_channel(path, k, ch))
         values.append([_check(v, f"{path}.values", float) for v in _get(ch, "values", path, list)])
         if len(values[-1]) != len(values[0]):

@@ -113,10 +113,6 @@ class DiscretizedField:
     delta_t: float
     sensitivities: dict = field(default_factory=dict)
 
-    @property
-    def q_steps(self) -> int:
-        return self.b.shape[1]
-
 
 @dataclass(frozen=True)
 class LinearKernelParams:

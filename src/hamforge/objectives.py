@@ -4,13 +4,22 @@ Each objective is a nonnegative residual that vanishes exactly when its
 condition holds.  `CostPipeline` wires a control model, a Hamiltonian
 partitioning and a term list into one callable f_tot(x) for the annealer.
 It resolves each term once, at build time, into a label, the tensors it
-reads and a value function; `evaluate` computes each tensor once however
-many terms read it.  A request ("pert", w) toggles H_pert^w in its
-subspace C_w, a request ("err", names) the first (one name) or second
-(two names) derivative of H along error channels in the error subspace,
-each to the highest order read: c0 (order 1), c1 (2) or c2 (3).  A cross
-tensor c_ij = int_0^T dt1 int_0^t1 dt2 a_i(t1) b_j(t2) pairs two
-requests, the first at the later time.  Per request the toggled
+reads and a value function.  A request ("pert", w) toggles H_pert^w in
+its subspace C_w, a request ("err", names) the first (one name) or
+second (two names) derivative of H along error channels in the error
+subspace, each to the highest order read: c0 (order 1), c1 (2) or c2
+(3).  A cross tensor c_ij = int_0^T dt1 int_0^t1 dt2 a_i(t1) b_j(t2)
+pairs two requests, the first at the later time.
+
+The build groups the requests by frame in one plan: requests on one
+basis stack share a frame, and the error subspace takes the basis of the
+first component subspace with its span, so on a span that both hold
+every request shares one frame.  `tensors(x)` is the forward pass: one
+field, one eigendecomposition of the step Hamiltonians and one step
+rule; per frame one spectral frame, one toggle prefix and one set of
+nodes, then its requests; then the cross tensors and the unitary.  It
+returns each tensor a term reads, computed once however many terms read
+it, and `evaluate(x)` reads the costs off it.  Per request the toggled
 coefficients are summed at Gauss-Legendre nodes in time, their lab-frame
 nodal values formed only where a higher order or a cross reads them, with
 no per-step tensors (see "Composition" in `toggling`).
@@ -55,7 +64,7 @@ import numpy as np
 from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes, jet_key
 from .evaluate import overlap_fidelity
 from .liealg import CSubspace
-from .opcore import project
+from .opcore import SPAN_TOL, project
 from .reach import Component, joint_normalisation
 from . import toggling as tg
 
@@ -212,11 +221,15 @@ def _higher_order_r(pipe, p):
 
 def _effective_robustness(pipe, p):
     w, name = p.get("component", 0), p["error"]
-    se, sp = pipe.err_frame.stack, pipe.comp_frames[w].stack
+    se, sp = pipe.err_space.stack, pipe.components[w].subspace.stack
     table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
     reads = (("cross", ("pert", w), ("err", (name,))),)
     scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
     return f"effective_robustness[{w},{name}]", effective_robustness_cost, reads, (table,), scale
+
+
+# the parameters whose references a term may check
+PARAMS = ("component", "error", "errors", "space", "order")
 
 
 def check_references(term: ObjectiveTerm, components, errors, target: bool) -> None:
@@ -226,8 +239,7 @@ def check_references(term: ObjectiveTerm, components, errors, target: bool) -> N
     bools), and primary_unitary has a target unitary.  A ValueError starts
     with the key."""
     p, errors = term.params, list(errors)
-    pools = {"component": list(components), "error": errors, "errors": errors,
-             "space": ["pert", *errors], "order": [2, 3]}
+    pools = dict(zip(PARAMS, (list(components), errors, errors, ["pert", *errors], [2, 3])))
     if term.kind == "primary_unitary" and not target:
         raise ValueError("kind: primary_unitary needs a target unitary (targets.u_target)")
     if "errors" in p and not (isinstance(p["errors"], (list, tuple)) and len(p["errors"]) == 2):
@@ -257,13 +269,22 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # the pipeline
 
+def _same_span(a: CSubspace, b: CSubspace) -> bool:
+    return a.stack.shape == b.stack.shape and project(b.stack, a.stack)[1].max() <= SPAN_TOL
+
+
 class CostPipeline:
     """Precompiled evaluation of f_tot over control vectors in [-1,1]^D.
 
     `errors` maps each error channel's name to the model parameter it
-    varies, and `err_space` is the one subspace they all toggle in.
-    Deterministic and stateless per call; a single instance may be
-    shared read-only across worker processes.
+    varies, and `err_space` is the one subspace they all toggle in: the
+    first component subspace with the span of the one given, else that
+    one.  `reads` holds every address the terms read, once.  `plan` maps
+    each frame, one per distinct basis stack, to its requests, each with
+    its highest order read, whether a cross reads its nodal values, and
+    its field jet and seed (`_plan`).  `tensors(x)` is the forward pass
+    and `evaluate(x)` the read-out.  Deterministic and stateless per call;
+    a single instance may be shared read-only across worker processes.
     """
 
     def __init__(
@@ -286,7 +307,8 @@ class CostPipeline:
         self.model = model
         self.components = list(components)
         self.errors = dict(errors)
-        self.err_space = err_space
+        self.err_space = next((c.subspace for c in self.components if err_space is not None
+                               and _same_span(c.subspace, err_space)), err_space)
         self.target_unitary = spec.target_unitary
         self.pri_internal = (
             np.zeros((d, d), dtype=complex) if pri_internal is None else pri_internal
@@ -297,30 +319,13 @@ class CostPipeline:
 
         self.t_seq = intervals * dt
         self.axis_ops = axis_operators(field_axes(self.channels), n_qubits)
-
-        # one frame per distinct basis: the per-candidate frequencies, frame,
-        # toggles and their prefixes are cached on its identity
-        distinct: dict = {}
-
-        def shared(stack):
-            key = (stack.shape, stack.tobytes())
-            if key not in distinct:
-                distinct[key] = tg.AdjointFrame(stack)
-            return distinct[key]
-
-        self.comp_frames = [shared(c.subspace.stack) for c in self.components]
         _, _, self.comp_target = joint_normalisation(self.components, spec.s_target)
         # s_w: the norm of the target, else of the perturbation
         self.comp_scale = [
             float(np.linalg.norm(t) or np.linalg.norm(c.seed))
             for c, t in zip(self.components, self.comp_target)
         ]
-        self.err_frame = None if err_space is None else shared(err_space.stack)
 
-        self.requests: dict = {}   # (kind, arg) -> highest order read
-        self.err_seeds: dict = {}  # error names -> (field jet, (m, K) coefficients of the rows)
-        self.crosses: list = []    # (later, earlier) request pairs
-        self.unitary = False
         self.terms: list[ResolvedTerm] = []
         target = self.target_unitary is not None
         for k, term in enumerate(spec.terms):
@@ -330,88 +335,76 @@ class CostPipeline:
                 raise ValueError(f"objectives[{k}].{exc}") from exc
             label, cost, reads, consts, divisor = KINDS[term.kind][1](self, term.params)
             self.terms.append(ResolvedTerm(label, term.weight, cost, reads, consts, divisor))
-            for address in reads:
-                self._read(address)
         self.labels = tuple(t.label for t in self.terms)
         self.weights = tuple(t.weight for t in self.terms)
+        self.reads = tuple(dict.fromkeys(a for t in self.terms for a in t.reads))
+        self.crosses = tuple(a for a in self.reads if a[0] == "cross")
+        self.plan = self._plan()
         # the field derivatives that the error requests read, solved with the field
-        self.jets = tuple(sorted({jet for jet, _ in self.err_seeds.values()}, key=str))
+        jets = {jet for requests in self.plan.values() for _, _, jet, _ in requests.values()}
+        self.jets = tuple(sorted(jets - {None}, key=str))
 
-    # -- build-time resolution -----------------------------------------------
-
-    def _read(self, address):
-        """Register the request, cross pair or propagator behind one address."""
-        if address == UNITARY:
-            self.unitary = True
-        elif address[0] == "cross":
-            for side in address[1:]:
-                self._read((*side, 1))
-            if address[1:] not in self.crosses:
-                self.crosses.append(address[1:])
-        else:
-            kind, arg, order = address
-            if kind == "err" and arg not in self.err_seeds:
+    def _plan(self) -> dict:
+        """frame -> {request: (highest order read, lab, jet, seed)}, lab
+        when a cross reads the request's nodal values.  The seed of
+        ("pert", w) is the (m,) coefficients of H_pert^w, that of ("err",
+        names) the (m, K) ones of the field rows, which the field
+        derivative `jet` weighs per step."""
+        orders = {side: 1 for cross in self.crosses for side in cross[1:]}
+        for kind, arg, r in (a for a in self.reads if a[0] in ("pert", "err")):
+            orders[kind, arg] = max(orders.get((kind, arg), 1), r)
+        frames, plan = {}, {}
+        for (kind, arg), order in orders.items():
+            if kind == "pert":
+                space, jet, seed = self.components[arg].subspace, None, self.components[arg].seed
+            else:
                 # dH along the channels is sum_k (d^n b_k / d eps^n) axis_k, in
                 # units of each model parameter's natural magnitude
                 params = [self.errors[n] for n in arg]
                 scale = np.prod([self.model.param_scale(p) for p in params])
-                coef = project(self.axis_ops, self.err_frame.stack)[0].real.T
-                self.err_seeds[arg] = (jet_key(*params), coef * scale)
-            self.requests[kind, arg] = max(self.requests.get((kind, arg), 1), order)
-
-    # -- per-candidate evaluation ---------------------------------------------
+                space, jet = self.err_space, jet_key(*params)
+                seed = project(self.axis_ops, space.stack)[0].real.T * scale
+            stack = space.stack
+            frame = frames.setdefault((stack.shape, stack.tobytes()), tg.AdjointFrame(stack))
+            lab = any((kind, arg) in cross for cross in self.crosses)
+            plan.setdefault(frame, {})[kind, arg] = order, lab, jet, seed
+        return plan
 
     def sequence(self, x: np.ndarray) -> ControlSequence:
         v = np.asarray(x, dtype=float).reshape(len(self.channels), self.p_intervals)
         return ControlSequence(v, self.dt, self.channels)
 
-    def _toggled(self, key, fld):
-        """Subspace frame of request `key` and the coefficients (Q, m) of the
-        operator it toggles, per step."""
-        kind, arg = key
-        if kind == "pert":
-            seed = self.components[arg].seed
-            return self.comp_frames[arg], np.broadcast_to(seed, (fld.q_steps, seed.size))
-        jet, coef = self.err_seeds[arg]
-        return self.err_frame, (coef @ fld.sensitivities[jet]).T
-
-    def evaluate(self, x: np.ndarray) -> CostReport:
+    def tensors(self, x: np.ndarray) -> dict:
+        """The forward pass: each address in `reads` -> its tensor at x."""
         fld = self.model.field(self.sequence(x), self.jets)
         dt = fld.delta_t
         h_pri = np.einsum("kq,kab->qab", fld.b, self.axis_ops) + self.pri_internal
-
-        # every request once; the one eigendecomposition of the step
-        # Hamiltonians gives the final unitary, the step rule of every
-        # subspace and, per distinct subspace, the spectral frame, which
-        # also gives the toggle matrices, their prefix products and the
-        # rotations at the nodes
+        # the one eigendecomposition gives the unitary, the step rule and, per
+        # frame, the spectral frame, the toggles and the rotations at the nodes
         lam, vecs = np.linalg.eigh(h_pri)
         rule = tg.step_rule(lam[:, -1] - lam[:, 0], dt)
-        eig, steps, got = {}, {}, {}
-        for key, order in self.requests.items():
-            frame, seeds = self._toggled(key, fld)
-            if id(frame) not in eig:
-                nu, f = tg.adjoint_matrix_batch(lam, vecs, frame)
-                e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
-                eig[id(frame)] = nu, f, tg.StepNodes(nu, f, rule), e_prev
-            nu, f, nodes, e_prev = eig[id(frame)]
-            y = np.einsum("qba,qb->qa", f, seeds)
-            lab = any(key in pair for pair in self.crosses)
-            c0, c = tg.batch_step_cints(nu, f, y, dt, order, nodes, lab)
-            nodal, totals = tg.compose_batch(e_prev, c0, c, nodes, order)
-            steps[key] = nodes, nodal
-            for r, tot in enumerate(totals[:order], 1):
-                got[(*key, r)] = tot
-        for later, earlier in self.crosses:
-            (n_p, (l_p, _)), (n_e, (_, g1_e)) = steps[later], steps[earlier]
-            w = tg.batch_step_cross(n_p, n_e)
-            got[("cross", later, earlier)] = tg.compose_cross_batch(w, l_p, g1_e)
-        if self.unitary:
+        got, steps = {}, {}
+        for frame, requests in self.plan.items():
+            nu, f = tg.adjoint_matrix_batch(lam, vecs, frame)
+            e_prev = tg.prefix_toggles(tg.eigen_toggles(nu, f, dt))
+            nodes = tg.StepNodes(nu, f, rule)
+            for key, (order, lab, jet, seed) in requests.items():
+                y = np.einsum("qba,qb->qa", f, np.broadcast_to(seed, f.shape[:2]) if jet is None
+                              else (seed @ fld.sensitivities[jet]).T)
+                c0, c = tg.batch_step_cints(nu, f, y, dt, order, nodes, lab)
+                nodal, totals = tg.compose_batch(e_prev, c0, c, nodes, order)
+                steps[key] = nodes, nodal
+                got.update(((*key, r), tot) for r, tot in enumerate(totals[:order], 1))
+        for cross in self.crosses:
+            (n_p, (l_p, _)), (n_e, (_, g1_e)) = steps[cross[1]], steps[cross[2]]
+            got[cross] = tg.compose_cross_batch(tg.batch_step_cross(n_p, n_e), l_p, g1_e)
+        if UNITARY in self.reads:
             got[UNITARY] = tg.ordered_product(tg.eig_exp(lam, vecs, dt))
+        return {a: got[a] for a in self.reads}
 
-        values = tuple(
-            t.cost(*(got[a] for a in t.reads), *t.consts) / t.divisor for t in self.terms
-        )
+    def evaluate(self, x: np.ndarray) -> CostReport:
+        got = self.tensors(x)
+        values = tuple(t.cost(*(got[a] for a in t.reads), *t.consts) / t.divisor for t in self.terms)
         return CostReport(self.labels, values, self.weights)
 
     def __call__(self, x: np.ndarray) -> float:

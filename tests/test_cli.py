@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,29 @@ def test_cli_scale_writes_range(tmp_path):
     assert rep["s_minus"] <= rep["s_plus"]
     assert rep["convergence_history"]
     assert rep["convergence_history"][-1][0] == rep["samples_used"]
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_cli_scale_writes_an_end_without_an_optimum_as_null(tmp_path):
+    # four vertices of the design fixture's 15-dimensional subspace give a
+    # degenerate hull, whose LPs reach no optimum at either end
+    fixtures = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+    path = fixtures / "design-2q-scale-evaluate.json"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    cfg = json.loads(path.read_text())
+    cfg["evaluation"]["scale_samples"] = 4
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="degenerate hull"):
+        code = cli.main(["scale", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_INFEASIBLE
+    rep = json.loads((out / "scale.json").read_text(), parse_constant=_strict)
+    assert rep["achievable"] is False
+    assert rep["s_minus"] is None and rep["s_plus"] is None
+    assert rep["convergence_history"] == [[4, None, None]]
 
 
 def test_cli_scale_without_target_is_a_validation_error(tmp_path):
@@ -407,7 +431,9 @@ _BAD_KEYS = {
     "u-target-3x3": (lambda c: c["targets"].update(u_target={"matrix_re": np.eye(3).tolist()}),
                      "targets.u_target has shape (3, 3), not (2, 2) for 1 qubit(s)"),
     "u-target-no-matrix": (lambda c: c["targets"].update(u_target={"foo": 1}),
-                           "targets.u_target needs a gate name or a 'matrix_re' matrix"),
+                           "targets.u_target.foo: unknown key (the keys are ['matrix_re', 'matrix_im'])"),
+    "u-target-only-im": (lambda c: c["targets"].update(u_target={"matrix_im": [[0, 0], [0, 0]]}),
+                         "targets.u_target needs a gate name or a 'matrix_re' matrix"),
     "u-target-not-unitary": (lambda c: c["targets"].update(u_target={"matrix_re": [[1, 1], [1, 1]]}),
                              "targets.u_target is not unitary to 1e-8"),
     "unknown-model-param": (_bad_model_param,
@@ -477,8 +503,24 @@ _BAD_KEYS = {
     "circuit-capacitance": (_model("circuit", circuit={"c_tank": 0}),
                             "control.circuit: capacitances and inductance must be positive"),
     "circuit-unknown-key": (_model("circuit", circuit={"r_foo": 1}),
-                            "control.circuit: CircuitParams.__init__() got an unexpected keyword"
-                            " argument 'r_foo'"),
+                            "control.circuit.r_foo: unknown key (the keys are ['r_source', "),
+    "circuit-alpha-l-capital": (_model("circuit", circuit={"alpha_L": -5e-3}),
+                                "control.circuit.alpha_L: unknown key (the keys are ['r_source', 'r_series',"
+                                " 'c_match', 'c_tank', 'l_0', 'alpha_l', 'kappa_i', 'kappa_o', 'omega_r',"
+                                " 'omega_max', 'r_load'])"),
+    # unknown keys, which used to be dropped without a word
+    "optimizer-misspelt": (lambda c: c.update(optimiser=c.pop("optimizer")),
+                           "optimiser: unknown key (the keys are ['seed', 'system', 'control',"
+                           " 'distributions', 'errors', 'targets', 'objectives', 'optimizer', 'evaluation'])"),
+    "s-target-misspelt": (_set("targets", "s_targt", 0.5),
+                          "targets.s_targt: unknown key (the keys are ['u_target', 'h_target', 's_target'])"),
+    "n-mc-misspelt": (_set("evaluation", "n_mc_typo", 10),
+                      "evaluation.n_mc_typo: unknown key (the keys are ['scale_samples', 'sampler',"
+                      " 'scale_batch', 'walk_burn', 'walk_thin', 'n_mc', 't_dep', 'n_cycles',"
+                      " 'initial_state', 'simulate_params', 'landscape'])"),
+    "objective-component-misspelt": (lambda c: c["objectives"][1].update(compnent=1),
+                                     "objectives[1].compnent: unknown key (the keys are ['kind', 'weight',"
+                                     " 'component', 'error', 'errors', 'space', 'order'])"),
     "circuit-value-not-a-number": (_model("circuit", circuit={"c_tank": "big"}),
                                    "control.circuit.c_tank must be a finite number, got 'big'"),
     # distributions and errors
@@ -817,6 +859,11 @@ _BAD_SEQUENCES = {
     "invalid-json": (lambda s: "{not json", "sequence is not valid JSON: "),
     "not-an-object": (lambda s: "[1, 2]", "sequence must be an object, got [1, 2]"),
     "dt-missing": (lambda s: s.pop("dt"), "sequence.dt: missing required key"),
+    "unknown-key": (lambda s: s.update(intervals=6),
+                    "sequence.intervals: unknown key (the keys are ['dt', 'channels'])"),
+    "channel-unknown-key": (_seq_channel("scales", 1.0),
+                            "sequence.channels[0].scales: unknown key (the keys are ['name', 'qubits',"
+                            " 'role', 'scale', 'values'])"),
     "dt-zero": (lambda s: s.update(dt=0), "sequence.dt must be a finite number > 0.0, got 0.0"),
     "channels-not-a-list": (lambda s: s.update(channels={}), "sequence.channels must be a list, got {}"),
     "no-channels": (lambda s: s.update(channels=[]), "sequence.channels: values must be (n_channels, P)"),

@@ -41,12 +41,12 @@ def test_sequence_validation():
 def test_ideal_passthrough():
     seq = ControlSequence(np.array([[0.5, -0.5], [0.25, 0.0]]), 1e-7, XY)
     fld = IdealModel(1).field(seq)
-    assert fld.q_steps == 2
+    assert fld.b.shape[1] == 2
     assert np.allclose(fld.b, seq.values)
     fld3 = IdealModel(3).field(seq)
-    assert fld3.q_steps == 6
+    assert fld3.b.shape[1] == 6
     assert np.allclose(fld3.b[:, :3], np.repeat(seq.values[:, :1], 3, axis=1))
-    assert fld3.q_steps * fld3.delta_t == pytest.approx(seq.t_seq)
+    assert fld3.b.shape[1] * fld3.delta_t == pytest.approx(seq.t_seq)
 
 
 def test_ideal_polar_conversion():
@@ -125,6 +125,13 @@ def test_kernel_resolution_guard():
     seq = ControlSequence(np.zeros((2, 4)), 10.0 / w, XY)
     with pytest.raises(ValueError, match="resolution guard"):
         LinearKernelModel(LinearKernelParams(w, 0.0), 1).field(seq)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0])
+def test_kernel_bandwidth_must_be_positive(w):
+    # the parser checks control.kernel.W first; the library holds its own guard
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        LinearKernelParams(w, 0.0)
 
 
 def test_kernel_average_vs_midpoint_smooth():

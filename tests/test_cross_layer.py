@@ -17,37 +17,33 @@ import pytest
 from scipy.linalg import expm
 
 from hamforge import config
-from hamforge import toggling as tg
 from hamforge.evaluate import ParameterDistribution, simulate_total_unitary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def _amplitude_error_problem(name):
-    """The benchmark fixture `name` with one term, the r=2 residual of the
-    amplitude error 'eps', so the pipeline's one request is that error's
-    c0 and c1; and an evaluation setup whose one distribution is the
-    relative drive error."""
+    """The benchmark fixture `name` with two terms, the first-order
+    robustness and the r=2 residual of the amplitude error 'eps', so the
+    pipeline's one request is that error's, read at c0 and c1; and an
+    evaluation setup whose one distribution is the relative drive error."""
     path = FIXTURES / f"{name}.json"
     if not path.is_file():
         pytest.skip("perfbench/ is not in this checkout")
     raw = json.loads(path.read_text())
-    raw["objectives"] = [{"kind": "higher_order_r", "weight": 1, "order": 2, "space": "eps"}]
+    raw["objectives"] = [
+        {"kind": "robustness_first", "weight": 1, "error": "eps"},
+        {"kind": "higher_order_r", "weight": 1, "order": 2, "space": "eps"},
+    ]
     cfg = config.parse_config(raw)
     amp = ParameterDistribution("amp", "point", (0.0,), "model:amplitude")
     return config.build_pipeline(cfg), replace(config.build_evaluation_setup(cfg), distributions=(amp,))
 
 
 def _error_tensors(pipe, x):
-    """c0 and c1 of the pipeline's error request at x, as its evaluation
-    composes them."""
-    seen = []
-    real = tg.compose_batch
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(tg, "compose_batch", lambda *args: seen.append(real(*args)) or seen[-1])
-        pipe.evaluate(x)
-    [(_, (c0, c1, _))] = seen
-    return c0, c1
+    """c0 and c1 of the pipeline's error request at x, from its forward pass."""
+    got = pipe.tensors(x)
+    return got[("err", ("eps",), 1)], got[("err", ("eps",), 2)]
 
 
 @pytest.mark.parametrize("name", ["anneal-1q-hadamard", "anneal-2q-cnot-r3"])

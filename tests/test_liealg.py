@@ -18,6 +18,19 @@ def test_su2_closure_dimension():
     assert g.generator_count == 2
 
 
+def test_generators_on_different_qubit_counts_raise():
+    with pytest.raises(ValueError, match="different qubit counts"):
+        find_lie_algebra([*su2_gens(), pauli_op([(1, "x")], 1.0, 2)])
+
+
+def test_c_subspace_rejects_a_non_hermitian_or_misfit_perturbation():
+    g = find_lie_algebra(su2_gens())
+    with pytest.raises(ValueError, match="H_pert must be Hermitian"):
+        find_c_subspace(g, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        find_c_subspace(g, pauli_op([(1, "z"), (2, "z")], 1.0, 2))
+
+
 def test_abelian_single_generator():
     g = find_lie_algebra([pauli_op([(1, "z")], 1.0, 1)])
     assert g.dim == 1

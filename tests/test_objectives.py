@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,12 @@ def test_higher_order_cost_single_dim():
     assert ob.higher_order_cost(np.array([[0.7]])) == 0.0  # only all-equal tuples
 
 
+@pytest.mark.parametrize("r", [1, 4])
+def test_higher_order_cost_takes_orders_two_and_three_only(r):
+    with pytest.raises(ValueError, match="order r must be 2 or 3"):
+        ob.higher_order_cost(np.zeros((2,) * r))
+
+
 def test_higher_order_palindromic_zero():
     # sign-reversible mirror [A1..Ak, -Ak..-A1]: the toggled coefficient
     # path is time-symmetric, so the reversal residual and H1 both vanish
@@ -201,6 +209,13 @@ def hadamard_pipeline(terms):
     comp = Component.of(sz, c)
     spec = ob.ObjectiveSpec(tuple(terms), HAD, 0.0)
     return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, [comp], EPS, c, spec)
+
+
+def test_a_bad_reference_names_its_term_when_the_pipeline_is_built_directly():
+    terms = (ob.ObjectiveTerm("primary_unitary", 1.0),
+             ob.ObjectiveTerm("robustness_first", 1.0, {"error": "nope"}))
+    with pytest.raises(ValueError, match=r"^objectives\[1\]\.error: 'nope' is not one of \['eps'\]"):
+        hadamard_pipeline(terms)
 
 
 def test_empty_spec_zero_total():
@@ -586,7 +601,7 @@ def test_proper_subspaces_get_the_groups_and_costs_of_the_adjoint_eigh(monkeypat
     # frequency 0, so each step has the groups of distinct frequencies of
     # the Schur form of the adjoint, and the costs match that form's
     pipe = build()
-    assert all(f.pairs.shape[1] > len(f.stack) for f in (*pipe.comp_frames, pipe.err_frame))
+    assert len(pipe.plan) == 2 and all(f.pairs.shape[1] > len(f.stack) for f in pipe.plan)
     nodes = count_step_nodes(monkeypatch)
     for seed in (17, 18):
         x = np.random.default_rng(seed).uniform(-1, 1, width)
@@ -704,3 +719,51 @@ def test_a_built_pipeline_pickles_and_evaluates_bit_identically():
     assert again.labels == rep.labels and len(rep.labels) == 10
     assert again.values == rep.values
     assert all(np.isfinite(rep.values))
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "name", ["anneal-1q-hadamard", "anneal-2q-cnot-r3", "anneal-1q-circuit", "design-2q-scale-evaluate"]
+)
+def test_a_fixtures_requests_share_one_frame_and_the_pass_returns_what_the_terms_read(name):
+    from hamforge.config import build_pipeline, load_config
+
+    path = FIXTURES / f"{name}.json"
+    if not path.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    pipe = build_pipeline(load_config(str(path)))
+    # the error space spans the component's subspace, so it takes that
+    # basis and one frame carries every request
+    assert pipe.err_space is pipe.components[0].subspace
+    [requests] = pipe.plan.values()
+    assert {kind for kind, _ in requests} == {"pert", "err"}
+    got = pipe.tensors(np.random.default_rng(19).uniform(-1, 1, len(pipe.channels) * pipe.p_intervals))
+    assert set(got) == {a for t in pipe.terms for a in t.reads}
+
+
+def test_components_of_one_span_keep_their_own_bases_and_frames():
+    # C_1 from z and C_2 from x both span su(2), in different bases; only
+    # the error space takes a component's basis, so each component keeps
+    # its frame and the costs it has alone, to the bit
+    (sx, sy, sz), g, c_z = su2_setup()
+    c_x = find_c_subspace(g, sx)
+    assert not np.array_equal(c_z.stack, c_x.stack)
+    comps = [Component.of(sz, c_z), Component.of(sx, c_x)]
+
+    def pipeline(comps):
+        terms = tuple(
+            ob.ObjectiveTerm("higher_order_r", 1.0, {"order": 2, "component": w})
+            for w in range(len(comps))
+        )
+        spec = ob.ObjectiveSpec(terms, None, 0.0)
+        return ob.CostPipeline(1, CH, 12, 1e-8, IdealModel(), None, comps, {}, None, spec)
+
+    pipe = pipeline(comps)
+    assert len(pipe.plan) == 2
+    x = np.random.default_rng(20).uniform(-1, 1, 24)
+    values = pipe.evaluate(x).values
+    assert min(values) > 1e-3
+    for comp, value in zip(comps, values):
+        assert pipeline([comp]).evaluate(x).values == (value,)
