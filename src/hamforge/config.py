@@ -24,9 +24,11 @@ control.channels[k]: name: str = "ch<k>"; qubits: list of int in
 control.intervals: int, >= 1; control.dt: num, > 0 (s)
 control.model: "ideal"|"kernel"|"circuit" = "ideal"; control.substeps:
     int = the model's own (ideal 1, kernel 8, circuit 16), >= 1
+control.kernel and control.circuit hold fields of the model by name:
 control.kernel (model kernel): W: num, > 0, with dt / substeps <= 0.1 / W
     (rad/s); delta: num = 0 (rad/s); average: bool = false
-control.circuit = {}: nums for `controlsys.CircuitParams` fields, which
+control.circuit = {}: nums for the circuit constants of
+    `controlsys.CircuitModel` (r_source, ..., alpha_L, ..., r_load), which
     hold the defaults and the check
 distributions.<name>: kind: str = "point"; args: list = [0], nums checked
     per kind by `evaluate.ParameterDistribution`; the dist of one term or
@@ -34,8 +36,9 @@ distributions.<name>: kind: str = "point"; args: list = [0], nums checked
 errors[k] = []: name: str, unique; kind: "amplitude"|"model_param"; param: str =
     "amplitude", the parameter of the model that the error varies, required
     for kind model_param ('amplitude' is the relative drive error, any other
-    parameter is expanded in units of its natural scale); dist: a
-    distribution = none
+    parameter is expanded in units of its natural scale); kind amplitude
+    varies 'amplitude' only, while model_param may name any parameter,
+    'amplitude' included; dist: a distribution = none
 targets: u_target = none: "identity"|"hadamard"|"cnot" or {matrix_re,
     matrix_im = 0: lists of nums}, a 2^n_qubits unitary to 1e-8; h_target.<w> =
     none: {strings}, nonzero, w an integer component id; s_target: num =
@@ -69,14 +72,11 @@ import numpy as np
 from .controlsys import (
     Channel,
     CircuitModel,
-    CircuitParams,
     ControlModel,
     ControlSequence,
     IdealModel,
     LinearKernelModel,
-    LinearKernelParams,
-    axis_operators,
-    field_axes,
+    field_operators,
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
 from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
@@ -314,17 +314,17 @@ def _model(ctrl: dict, dt: float) -> ControlModel:
         return IdealModel(**sub)
     if name == "kernel":
         kc = _get(ctrl, "kernel", "control", dict, keys=("W", "delta", "average"))
-        w = _get(kc, "W", "control.kernel", float, 0.0)
-        kp = LinearKernelParams(w, _get(kc, "delta", "control.kernel", float, default=0.0))
-        average = _get(kc, "average", "control.kernel", bool, default=False)
-        model = LinearKernelModel(kp, average=average, **sub)
+        model = LinearKernelModel(_get(kc, "W", "control.kernel", float, 0.0),
+                                  _get(kc, "delta", "control.kernel", float, default=0.0),
+                                  average=_get(kc, "average", "control.kernel", bool, default=False), **sub)
         with _at("control.dt: "):
             model.check_step(dt / model.substeps)
         return model
-    cc = _get(ctrl, "circuit", "control", dict, default={}, keys=[f.name for f in fields(CircuitParams)])
+    keys = [f.name for f in fields(CircuitModel) if f.name not in ("amplitude", "substeps")]
+    cc = _get(ctrl, "circuit", "control", dict, default={}, keys=keys)
     values = {key: _check(v, f"control.circuit.{key}", float) for key, v in cc.items()}
     with _at("control.circuit: "):
-        return CircuitModel(CircuitParams(**values), **sub)
+        return CircuitModel(**values, **sub)
 
 
 def parse_config(raw: dict) -> ProblemConfig:
@@ -401,6 +401,8 @@ def parse_config(raw: dict) -> ProblemConfig:
                 f"{path}.param: the model has no parameter {param!r}"
                 f" (it has {sorted(model.params())})"
             )
+        if kind == "amplitude" and param != "amplitude":
+            raise ConfigError(f"{path}.param: kind 'amplitude' varies 'amplitude', not {param!r}")
         errors.append({"name": name, "param": param, "dist": claim(e, path, f"model:{param}")})
 
     distributions = {}
@@ -527,7 +529,7 @@ def _initial_state(spec, n_qubits: int) -> np.ndarray:
 def build_generators(cfg: ProblemConfig) -> list[np.ndarray]:
     """The operators of the field rows plus primary internal terms."""
     pri = [t.matrix_unit for t in cfg.terms if t.assign == "pri"]
-    return [*axis_operators(field_axes(cfg.channels), cfg.n_qubits), *pri]
+    return [*field_operators(cfg.channels, cfg.n_qubits), *pri]
 
 
 def build_algebra(cfg: ProblemConfig) -> LieAlgebraBasis:
@@ -548,7 +550,7 @@ def scale_components(cfg: ProblemConfig, subspaces) -> list[Component]:
 def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis) -> CSubspace:
     """Minimal subspace holding every toggled control-error operator; the
     seeds are the operators of the field rows."""
-    seeds = axis_operators(field_axes(cfg.channels), cfg.n_qubits)
+    seeds = field_operators(cfg.channels, cfg.n_qubits)
     return find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:]))
 
 

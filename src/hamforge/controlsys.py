@@ -23,17 +23,17 @@ channel without an 'amp' channel.  The ideal and kernel models drive any
 number of groups, z rows included; the circuit model drives exactly one
 group, with no 'z' channel.
 
-Parameters.  Each model declares its parameters once, in `_table`, as
-name -> (value, copy with the value set, natural scale); the natural
-scale is the unit of the parameter's error expansion:
+Parameters.  A model's fields are its parameters and settings; each
+parameter is the model field of its name, and the model declares its
+natural scale, the unit of its error expansion, in `_scales`:
 
-    amplitude   all models      amp_factor - 1    1
-    W           linear kernel   bandwidth, rad/s  W
-    delta       linear kernel   detuning, rad/s   W
-    alpha_L     circuit         A^-2              1e-3
+    amplitude   all models      relative drive error   1
+    W           linear kernel   bandwidth, rad/s       W
+    delta       linear kernel   detuning, rad/s        W
+    alpha_L     circuit         A^-2                   1e-3
 
-`params`, `with_param`, `param_scale` and the field derivatives read that
-table, and a name outside it raises `UnknownParameter`.
+`params`, `with_param`, `param_scale` and the field derivatives read the
+fields and that map, and a name outside it raises `UnknownParameter`.
 
 On request each model also returns exact first and second derivatives
 of its field with respect to its named parameters, the channels db/dmu
@@ -49,7 +49,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -112,39 +112,6 @@ class DiscretizedField:
     b: np.ndarray                          # (K_out, Q) rad/s
     delta_t: float
     sensitivities: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LinearKernelParams:
-    w_bandwidth: float       # W, rad/s
-    delta: float             # free-ringing detuning, rad/s
-
-    def __post_init__(self):
-        if self.w_bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    r_source: float = 50.0          # ohms (R_s; also used as R_L, see r_load)
-    r_series: float = 0.01          # ohms (R)
-    c_match: float = 11e-15         # farads (C_m)
-    c_tank: float = 1.479e-12       # farads (C_t)
-    l_0: float = 170e-12            # henries
-    alpha_l: float = 0.0            # A^-2 kinetic-inductance coefficient
-    kappa_i: float = 1.0            # V^-1
-    kappa_o: float = 2.0            # A^-1
-    omega_r: float = 2 * math.pi * 10e9   # rad/s rotating-frame carrier
-    omega_max: float = 2 * math.pi * 20e6 # rad/s output scale
-    r_load: float | None = None     # R_L; defaults to r_source
-
-    def __post_init__(self):
-        if min(self.c_match, self.c_tank, self.l_0) <= 0:
-            raise ValueError("capacitances and inductance must be positive")
-
-    @property
-    def rl(self) -> float:
-        return self.r_source if self.r_load is None else self.r_load
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +219,17 @@ class ControlModel:
     """Common surface: field and its parameter derivatives, named
     parameters, re-parametrized copies."""
 
-    amp_factor: float = field(default=1.0, kw_only=True)
-    drive_linear = False    # field(amp_factor * drive) = amp_factor * field(drive)
+    amplitude: float = field(default=0.0, kw_only=True)   # relative drive error
+    drive_linear = False    # field((1 + amplitude) drive) = (1 + amplitude) field(drive)
 
     def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
         """Field samples of `seq`, with the derivatives that `jets` names in
         `sensitivities`: a parameter name asks for db/dmu, a name pair for
         d2b/dmu dnu, each keyed by `jet_key`.  Every derivative is exact for
         the model's own integrator.  Derivatives along 'amplitude' are taken
-        along the relative drive error, b(amp_factor (1 + eps)): the
+        along the relative drive error, b((1 + amplitude)(1 + eps)): the
         multiplicative error of an 'amplitude' error channel, and the
-        amplitude parameter itself at amp_factor = 1."""
+        amplitude parameter itself at amplitude = 0."""
         raise NotImplementedError
 
     def channel_groups(self, channels) -> tuple:
@@ -270,52 +237,48 @@ class ControlModel:
         this model cannot drive."""
         return drive_groups(channels)
 
-    def _table(self) -> dict:
-        """name -> (value, copy with the value set, natural scale)."""
-        return {
-            "amplitude": (self.amp_factor - 1.0, lambda v: replace(self, amp_factor=1.0 + v), 1.0),
-        }
-
-    def _entry(self, name: str) -> tuple:
-        table = self._table()
-        if name not in table:
-            raise UnknownParameter(f"unknown parameter {name!r} (the model has {sorted(table)})")
-        return table[name]
+    def _scales(self) -> dict:
+        """name -> natural scale of each parameter."""
+        return {"amplitude": 1.0}
 
     def _jet_keys(self, jets) -> list:
         keys = [jet_key(*_names(k)) for k in jets]
         for name in {n for key in keys for n in _names(key)}:
-            self._entry(name)
+            self.param_scale(name)
         return keys
 
     def params(self) -> dict:
-        return {name: entry[0] for name, entry in self._table().items()}
+        return {name: getattr(self, name) for name in self._scales()}
 
     def with_param(self, name: str, value: float) -> "ControlModel":
-        return self._entry(name)[1](value)
+        self.param_scale(name)   # UnknownParameter for a name the model lacks
+        return replace(self, **{name: value})
 
     def param_scale(self, name: str) -> float:
         """Natural magnitude of a parameter, the unit of its error expansion."""
-        return self._entry(name)[2]
+        scales = self._scales()
+        if name not in scales:
+            raise UnknownParameter(f"unknown parameter {name!r} (the model has {sorted(scales)})")
+        return scales[name]
 
 
 def _drive_field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
     """`ControlModel.field` of the ideal and kernel models: each group's
-    complex drive, upsampled and scaled by amp_factor, goes through the
+    complex drive, upsampled and scaled by 1 + amplitude, goes through the
     model's `_filter`; a z row is its scaled channel."""
     keys = self._jet_keys(jets)
-    h, n = seq.dt / self.substeps, self.substeps
+    h, n, gain = seq.dt / self.substeps, self.substeps, 1.0 + self.amplitude
     parts = {_without_amplitude(key) for key in keys} | {()}
     rows = {key: [] for key in parts}
     for _, roles in self.channel_groups(seq.channels):
         if roles.keys() - {"z"}:
             ux, uy = _drive_xy(seq, roles)
-            u = self.amp_factor * np.repeat(ux + 1j * uy, n)
+            u = gain * np.repeat(ux + 1j * uy, n)
             for key, bk in self._filter(u, h, parts).items():
                 rows[key] += [bk.real, bk.imag]
         if "z" in roles:
             z = roles["z"]
-            bz = self.amp_factor * np.repeat(seq.channels[z].scale * seq.values[z], n)
+            bz = gain * np.repeat(seq.channels[z].scale * seq.values[z], n)
             for key in parts:
                 rows[key].append(bz if key == () else np.zeros_like(bz))
     parts = {key: (1, np.stack(r)) for key, r in rows.items()}
@@ -361,31 +324,29 @@ class LinearKernelModel(ControlModel):
     sequence at once.  The drive factor scales every row, z rows included.
     """
 
-    kp: LinearKernelParams
+    W: float                 # bandwidth, rad/s
+    delta: float = 0.0       # free-ringing detuning, rad/s
     substeps: int = 8
     average: bool = False
     drive_linear = True
     field = _drive_field
 
-    def _table(self) -> dict:
-        w, d = self.kp.w_bandwidth, self.kp.delta
-        return {
-            "W": (w, lambda v: replace(self, kp=LinearKernelParams(v, d)), w),
-            "delta": (d, lambda v: replace(self, kp=LinearKernelParams(w, v)), w),
-            **super()._table(),
-        }
+    def __post_init__(self):
+        if self.W <= 0:
+            raise ValueError("bandwidth must be positive")
+
+    def _scales(self) -> dict:
+        return {"W": self.W, "delta": self.W, **super()._scales()}
 
     def check_step(self, h: float) -> None:
         """The resolution guard: ValueError for a substep h above 0.1 / W."""
-        if h > 0.1 / self.kp.w_bandwidth:
-            raise ValueError(
-                f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / self.kp.w_bandwidth:.3e}"
-            )
+        if h > 0.1 / self.W:
+            raise ValueError(f"resolution guard: delta_t={h:.3e} exceeds 0.1/W={0.1 / self.W:.3e}")
 
     def _filter(self, u: np.ndarray, h: float, parts) -> dict:
         """B and its W and delta derivatives in `parts` for the complex drive u."""
         self.check_step(h)
-        w, d = self.kp.w_bandwidth, self.kp.delta
+        w, d = self.W, self.delta
         # coefficients of y_0, y_1, ... in each derivative of B
         coeffs = {
             (): (w - 1j * d, 1j * d * w),
@@ -406,7 +367,7 @@ class LinearKernelModel(ControlModel):
         substep averages.  Over a substep with constant u,
         y_n(t + s) = e^{-W s} sum_j C(n, j) s^{n-j} y_j(t) + u m_n(s): the
         states before each substep obey y_{k+1} = E y_k + u_k m."""
-        w = self.kp.w_bandwidth
+        w = self.W
         idx = np.arange(n_states)
         lag = np.clip(np.subtract.outer(idx, idx), 0, None)
         comb = np.array([[math.comb(i, j) for j in idx] for i in idx])   # 0 above the diagonal
@@ -475,9 +436,36 @@ class _HalfStep:
     fvec_q: np.ndarray     # int_0^{hh/2} e^{A0 s} ds u
     psi1: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} ds
     psi2: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} (s / hh) ds
-    epow: np.ndarray       # E^0 .. E^n over the n half-steps of one interval
-    toeplitz: np.ndarray | None   # T_n of `_block_toeplitz`; alpha_L = 0 only
+    epow: np.ndarray | None       # E^0 .. E^n over the n half-steps of one interval; linear path only
+    toeplitz: np.ndarray | None   # T_n of `_block_toeplitz`
     held: np.ndarray | None       # its row blocks summed, for the drive held over an interval
+
+
+_STEPS_KEPT = 8   # half-step constants kept: a few output steps, or one step's retries
+
+
+@lru_cache(maxsize=_STEPS_KEPT)
+def _step_constants(circuit: "CircuitModel", h_out: float, n_half: int, linear: bool) -> _HalfStep:
+    """`_HalfStep` of n_half half-steps per output step h_out, with E^j and
+    T_n on the linear path; `circuit` is at alpha_L = amplitude = 0."""
+    a0, uvec = circuit._system()
+    hh = h_out / n_half
+    eye = np.eye(3)
+    e = _expm(a0 * hh)
+    e_q = _expm(a0 * hh / 2)
+    ainv = np.linalg.inv(a0)
+    psi1 = ainv @ (e - eye)
+    psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
+    epow = t_n = held = None
+    if linear:
+        epow = np.array([np.linalg.matrix_power(e, j) for j in range(circuit.substeps * n_half + 1)])
+        t_n = _block_toeplitz(epow)
+        held = t_n.reshape(-1, 3, t_n.shape[1]).sum(axis=0)
+    arrays = [e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow, t_n, held]
+    for a in arrays:
+        if a is not None:
+            a.setflags(write=False)   # every model that hits the cache shares them
+    return _HalfStep(hh, *arrays)
 
 
 @dataclass(frozen=True)
@@ -487,19 +475,19 @@ class CircuitModel(ControlModel):
     State x = (I_L~, V_Cm~, V_Ct~); dx/dt = A(x) x + alpha(t) u, stepped
     on n_half internal half-steps per output step.  The output sample is
     the state at the output-step midpoint.  The half-step constants are
-    computed once per (output step, n_half) and kept on the instance;
-    a copy from `with_param` starts its own.
+    computed once per (output step, n_half) in a bounded cache that the
+    `with_param` copies along alpha_L or the amplitude share.
 
-    alpha_L = 0 (linear path).  The system is linear time-invariant and
-    the drive is constant over each control interval, so with E the exact
-    half-step propagator every state is x_{p,j} = E^j x_{p,0} + c_{p,j},
-    where c is driven from rest within interval p.  `_block_propagate`
-    forms c as one product with the block Toeplitz matrix of the powers of
-    E, kept with the half-step constants, and the P boundary states x_{p,0}
-    by a doubling scan, in memory linear in P.  The step is exact, so a
-    non-finite field raises at once.  The derivatives obey the same
-    recursion with forcings that the states determine, so they go through
-    the same helper:
+    alpha_L = 0 (linear path, `drive_linear`).  The system is linear
+    time-invariant and the drive is constant over each control interval,
+    so with E the exact half-step propagator every state is
+    x_{p,j} = E^j x_{p,0} + c_{p,j}, where c is driven from rest within
+    interval p.  `_block_propagate` forms c as one product with the block
+    Toeplitz matrix of the powers of E, kept with the half-step constants,
+    and the P boundary states x_{p,0} by a doubling scan, in memory linear
+    in P.  The step is exact, so a non-finite field raises at once.  The
+    derivatives obey the same recursion with forcings that the states
+    determine, so they go through the same helper:
 
     * d/dalpha_L is the ODE sensitivity, forced by (dA/dalpha_L) x at the
       Simpson nodes of each half-step;
@@ -520,24 +508,36 @@ class CircuitModel(ControlModel):
     internal step and retries, up to _RETRIES attempts.
     """
 
-    cp: CircuitParams
+    r_source: float = 50.0          # ohms (R_s; also used as R_L, see r_load)
+    r_series: float = 0.01          # ohms (R)
+    c_match: float = 11e-15         # farads (C_m)
+    c_tank: float = 1.479e-12       # farads (C_t)
+    l_0: float = 170e-12            # henries
+    alpha_L: float = 0.0            # A^-2 kinetic-inductance coefficient
+    kappa_i: float = 1.0            # V^-1
+    kappa_o: float = 2.0            # A^-1
+    omega_r: float = 2 * math.pi * 10e9   # rad/s rotating-frame carrier
+    omega_max: float = 2 * math.pi * 20e6 # rad/s output scale
+    r_load: float | None = None     # R_L; defaults to r_source
     substeps: int = 16
-    _half_steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     _RETRIES = 6
 
-    def _table(self) -> dict:
-        return {
-            # 1e-3 A^-2, the dispersion scale of the kinetic coefficient
-            "alpha_L": (
-                self.cp.alpha_l, lambda v: replace(self, cp=replace(self.cp, alpha_l=v)), 1e-3
-            ),
-            **super()._table(),
-        }
+    def __post_init__(self):
+        if min(self.c_match, self.c_tank, self.l_0) <= 0:
+            raise ValueError("capacitances and inductance must be positive")
+
+    def _scales(self) -> dict:
+        # 1e-3 A^-2, the dispersion scale of the kinetic coefficient
+        return {"alpha_L": 1e-3, **super()._scales()}
 
     @property
     def drive_linear(self) -> bool:
-        return self.cp.alpha_l == 0.0
+        return self.alpha_L == 0.0
+
+    @property
+    def rl(self) -> float:
+        return self.r_source if self.r_load is None else self.r_load
 
     def channel_groups(self, channels) -> tuple:
         groups = drive_groups(channels)
@@ -552,56 +552,38 @@ class CircuitModel(ControlModel):
         return groups
 
     def _system(self):
-        p = self.cp
-        rl = p.rl
+        rl = self.rl
         a = np.array(
             [
-                [-p.r_series / p.l_0, 0.0, 1.0 / p.l_0],
-                [0.0, -1.0 / (rl * p.c_match), 1.0 / (rl * p.c_match)],
-                [-1.0 / p.c_tank, -1.0 / (rl * p.c_tank), 1.0 / (rl * p.c_tank)],
+                [-self.r_series / self.l_0, 0.0, 1.0 / self.l_0],
+                [0.0, -1.0 / (rl * self.c_match), 1.0 / (rl * self.c_match)],
+                [-1.0 / self.c_tank, -1.0 / (rl * self.c_tank), 1.0 / (rl * self.c_tank)],
             ],
             dtype=complex,
-        ) - 1j * p.omega_r * np.eye(3)
-        u = np.array([0.0, 1.0 / (rl * p.c_match), 1.0 / (rl * p.c_tank)], dtype=complex)
+        ) - 1j * self.omega_r * np.eye(3)
+        u = np.array([0.0, 1.0 / (rl * self.c_match), 1.0 / (rl * self.c_tank)], dtype=complex)
         return a, u
 
     def _half_step(self, h_out: float, n_half: int) -> _HalfStep:
-        key = (h_out, n_half)
-        if key not in self._half_steps:
-            a0, uvec = self._system()
-            hh = h_out / n_half
-            eye = np.eye(3)
-            e = _expm(a0 * hh)
-            e_q = _expm(a0 * hh / 2)
-            ainv = np.linalg.inv(a0)
-            psi1 = ainv @ (e - eye)
-            psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
-            epow = np.array([np.linalg.matrix_power(e, j) for j in range(self.substeps * n_half + 1)])
-            t_n = _block_toeplitz(epow) if self.drive_linear else None
-            self._half_steps[key] = _HalfStep(
-                hh, e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow,
-                t_n, None if t_n is None else t_n.reshape(-1, 3, t_n.shape[1]).sum(axis=0),
-            )
-        return self._half_steps[key]
+        return _step_constants(replace(self, alpha_L=0.0, amplitude=0.0), h_out, n_half, self.drive_linear)
 
     def _alpha_in(self, seq: ControlSequence) -> np.ndarray:
         """Complex input alpha(t) per interval of the one drive group."""
         (_, roles), = self.channel_groups(seq.channels)
         ux, uy = _drive_xy(seq, roles)
-        return self.amp_factor * (ux + 1j * uy) / self.cp.kappa_i
+        return (1.0 + self.amplitude) * (ux + 1j * uy) / self.kappa_i
 
     def _output(self, mids: np.ndarray) -> np.ndarray:
-        p = self.cp
         return np.stack([
-            p.kappa_o * mids[:, 0].real * p.omega_max,
-            p.kappa_o * mids[:, 0].imag * p.omega_max,
+            self.kappa_o * mids[:, 0].real * self.omega_max,
+            self.kappa_o * mids[:, 0].imag * self.omega_max,
         ])
 
     def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
         keys = self._jet_keys(jets)
         alpha = self._alpha_in(seq)
         h = seq.dt / self.substeps
-        linear = self.cp.alpha_l == 0.0
+        linear = self.drive_linear
         asked = {_without_amplitude(key) for key in keys} if linear else set(keys)
         _, mids = self._integrate(alpha, h, asked - {()})
         rows = {key: self._output(m) for key, m in mids.items()}
@@ -614,43 +596,36 @@ class CircuitModel(ControlModel):
             raise RuntimeError("circuit integration unstable: a field row or derivative is not finite")
         return DiscretizedField(rows[()], h, sens)
 
-    def _integrate(self, alpha_intervals, h_out, jets=frozenset()):
-        """March x and the derivatives `jets` across the sequence; on
-        numerical blow-up halve the internal step and retry, if alpha_L != 0."""
-        for attempt in range(self._RETRIES if self.cp.alpha_l != 0.0 else 1):
+    def _integrate(self, alpha, h_out, jets=frozenset()):
+        """March x and the derivatives `jets` across the sequence at n_half = 2
+        half-steps per output step, so that its midpoint is on the grid; on
+        the nonlinear path a blow-up doubles n_half and retries.  Returns the
+        final state and a dict of (Q, 3) midpoint samples: the state under
+        (), each derivative in `jets` under its key."""
+        linear = self.drive_linear
+        march = self._march_linear if linear else self._march_nonlinear
+        for attempt in range(1 if linear else self._RETRIES):
             if attempt:
                 _log.warning(
                     "circuit integration diverged: retry %d of %d, internal step halved to %.3e s",
                     attempt, self._RETRIES - 1, h_out / 2 ** (attempt + 1),
                 )
             try:
-                return self._integrate_once(alpha_intervals, h_out, 2 ** (attempt + 1), jets)
+                return march(alpha, h_out, 2 ** (attempt + 1), jets)
             except FloatingPointError:
                 pass
         raise RuntimeError(f"circuit integration unstable after {attempt + 1} attempt(s)")
-
-    def _integrate_once(self, alpha_intervals, h_out, n_half, jets):
-        """n_half half-steps of size h_out/n_half per output step; the
-        output-step midpoint lands on the internal grid (n_half even).
-        Returns the final state and a dict of (Q, 3) midpoint samples: the
-        state under (), each derivative in `jets` under its key."""
-        k = self._half_step(h_out, n_half)
-        alpha = np.asarray(alpha_intervals, dtype=complex)
-        if self.cp.alpha_l != 0.0:
-            return self._march_nonlinear(alpha, n_half, k, jets)
-        return self._march_linear(alpha, n_half, k, jets)
 
     def _force_terms(self, z: np.ndarray) -> dict:
         """The kinetic force g = phi v at states z (..., 3), component 0:
         phi = alpha_L q / (1 + alpha_L q) with q = |z0|^2, v = (R z0 - z2) / L0.
         Holds z0, v, phi and the derivatives of phi along alpha_L (a) and q."""
-        p = self.cp
-        al = p.alpha_l
+        al = self.alpha_L
         z0 = z[..., 0]
         q = np.abs(z0) ** 2
         u = 1.0 + al * q
         return {
-            "z0": z0, "v": (p.r_series * z0 - z[..., 2]) / p.l_0,
+            "z0": z0, "v": (self.r_series * z0 - z[..., 2]) / self.l_0,
             "phi": al * q / u, "a": q / u ** 2, "q": al / u ** 2,
             "aa": -2.0 * q * q / u ** 3, "aq": (1.0 - al * q) / u ** 3, "qq": -2.0 * al * al / u ** 3,
         }
@@ -664,11 +639,10 @@ class CircuitModel(ControlModel):
         on_a = [float(n == "alpha_L") for n in names]
         if len(names) == 1:
             return f["a"] * f["v"] * on_a[0]
-        p = self.cp
         si, sj = slots[names[0]][..., 0], slots[names[1]][..., 0]
         s2i, s2j = slots[names[0]][..., 2], slots[names[1]][..., 2]
         qi, qj = 2.0 * (f["z0"].conj() * si).real, 2.0 * (f["z0"].conj() * sj).real
-        vi, vj = (p.r_series * si - s2i) / p.l_0, (p.r_series * sj - s2j) / p.l_0
+        vi, vj = (self.r_series * si - s2i) / self.l_0, (self.r_series * sj - s2j) / self.l_0
         phi_i, phi_j = f["q"] * qi + f["a"] * on_a[0], f["q"] * qj + f["a"] * on_a[1]
         phi_ij = (
             f["qq"] * qi * qj + 2.0 * f["q"] * (si.conj() * sj).real
@@ -676,11 +650,12 @@ class CircuitModel(ControlModel):
         )
         return phi_ij * f["v"] + phi_i * vj + phi_j * vi
 
-    def _march_linear(self, alpha, n_half, k: _HalfStep, jets):
+    def _march_linear(self, alpha, h_out, n_half, jets):
         """alpha_L = 0: x and the requested alpha_L derivatives, block-propagated.
 
         The force and its state Jacobian vanish at alpha_L = 0, so each
         derivative obeys x's own recursion with an explicit forcing."""
+        k = self._half_step(h_out, n_half)
         propagate = partial(_block_propagate, k.epow, k.toeplitz)
         xs, x_end = _block_propagate(k.epow, k.held, alpha[:, None, None] * k.fvec)
         if not np.isfinite(xs).all():
@@ -713,12 +688,12 @@ class CircuitModel(ControlModel):
         at = np.arange(self.substeps) * n_half + n_half // 2
         return x_end, {key: v[:, at].reshape(-1, 3) for key, v in out.items()}
 
-    def _march_nonlinear(self, alpha, n_half, k: _HalfStep, jets):
+    def _march_nonlinear(self, alpha, h_out, n_half, jets):
         """alpha_L != 0: predictor-corrector on scalars; psi1 and psi2 are
         the columns that multiply the nonlinear force.  The states of every
         half-step are kept for the derivatives."""
-        p = self.cp
-        alpha_l, l_0, r_series = p.alpha_l, p.l_0, p.r_series
+        k = self._half_step(h_out, n_half)
+        alpha_l, l_0, r_series = self.alpha_L, self.l_0, self.r_series
         (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = k.e.tolist()
         f0, f1, f2 = k.fvec.tolist()
         psi1_0, psi1_1, psi1_2 = k.psi1.tolist()
@@ -804,14 +779,13 @@ class CircuitModel(ControlModel):
         """One derivative through the stepper on Python scalars.  Dg(z)[s] =
         c_a s0 + c_b conj(s0) + c_c s2 with the coefficients of the forces
         fx, fy.  Returns the derivative states s_0..s_N and predictors."""
-        p = self.cp
         (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = k.e.tolist()
         psi1_0, psi1_1, psi1_2 = k.psi1.tolist()
         psi2_0, psi2_1, psi2_2 = k.psi2.tolist()
 
         def jacobian(f):
-            scale = f["q"] * f["v"]
-            return f["phi"] * p.r_series / p.l_0 + scale * f["z0"].conj(), scale * f["z0"], -f["phi"] / p.l_0
+            scale, phi = f["q"] * f["v"], f["phi"]
+            return phi * self.r_series / self.l_0 + scale * f["z0"].conj(), scale * f["z0"], -phi / self.l_0
 
         cols = [c.tolist() for c in (*jacobian(fx), rx, *jacobian(fy), ry)]
         drive = itertools.repeat((0.0, 0.0, 0.0)) if drive is None else drive.tolist()
@@ -835,10 +809,12 @@ class CircuitModel(ControlModel):
 # ---------------------------------------------------------------------------
 # field rows to operators
 
-def axis_operators(axes, n_qubits: int) -> np.ndarray:
-    """(K, d, d) operators sum_{i in qubits_k} sigma_axis^i of the field rows' axes."""
+def field_operators(channels, n_qubits: int) -> np.ndarray:
+    """(K, d, d) operators sum_{i in qubits_k} sigma_axis^i of the channels'
+    field rows, in the order of `field_axes`."""
     from .opcore import pauli_op
 
+    axes = field_axes(channels)
     ops = np.zeros((len(axes), 2 ** n_qubits, 2 ** n_qubits), dtype=complex)
     for k, (qubits, axis) in enumerate(axes):
         for q in qubits:

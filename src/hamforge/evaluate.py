@@ -18,7 +18,8 @@ from functools import cache
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes
+from . import toggling as tg
+from .controlsys import ControlModel, ControlSequence, field_operators
 from .opcore import conjugation, pauli_op
 
 
@@ -166,8 +167,6 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
     of a model whose field is linear in the drive; else from each draw's
     own model, `with_param` for every drawn parameter.
     """
-    from . import toggling as tg
-
     dists = setup.distributions
     if not isinstance(draws, np.ndarray):
         unknown = set().union(*draws) - {dd.name for dd in dists}
@@ -188,11 +187,11 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
     if n == 0:
         return out
     h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
-    axis_ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
+    axis_ops = field_operators(seq.channels, setup.n_qubits)
     linear = setup.model.drive_linear
     shared = set(params) <= ({"amplitude"} if linear else set())
     if shared:
-        amp = 1.0 + params["amplitude"] if params else np.full(n, setup.model.amp_factor if linear else 1.0)
+        amp = 1.0 + (params["amplitude"] if params else np.full(n, setup.model.amplitude if linear else 0.0))
         fld = (setup.model.with_param("amplitude", 0.0) if linear else setup.model).field(seq)
         h_unit = np.einsum("kq,kab->qab", fld.b, axis_ops)[:, None]
     else:

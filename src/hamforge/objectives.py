@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controlsys import ControlModel, ControlSequence, axis_operators, field_axes, jet_key
+from .controlsys import ControlModel, ControlSequence, field_operators, jet_key
 from .evaluate import overlap_fidelity
 from .liealg import CSubspace
 from .opcore import SPAN_TOL, project
@@ -318,7 +318,7 @@ class CostPipeline:
         self.err_scale = (max(scales) if scales else 1.0) * np.sqrt(d)
 
         self.t_seq = intervals * dt
-        self.axis_ops = axis_operators(field_axes(self.channels), n_qubits)
+        self.axis_ops = field_operators(self.channels, n_qubits)
         _, _, self.comp_target = joint_normalisation(self.components, spec.s_target)
         # s_w: the norm of the target, else of the perturbation
         self.comp_scale = [

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 
 from hamforge import toggling as tg
-from hamforge.controlsys import _exp_moments, axis_operators, field_axes
+from hamforge.controlsys import _exp_moments, field_operators
 from hamforge.evaluate import pauli_basis_stack
 from hamforge.liealg import CSubspace
 from hamforge.opcore import SPAN_TOL, SubspaceError, project
@@ -552,7 +552,7 @@ def kernel_responses(model, u: np.ndarray, h: float, n_states: int) -> np.ndarra
     """Reference for `LinearKernelModel._responses`: the response states
     y_0.. stepped one substep at a time, y <- E y + u_k m with E = shift(h),
     each sampled before its step."""
-    w = model.kp.w_bandwidth
+    w = model.W
     idx = np.arange(n_states)
     lag = np.clip(np.subtract.outer(idx, idx), 0, None)
     comb = np.array([[math.comb(i, j) for j in idx] for i in idx])
@@ -607,7 +607,7 @@ def exact_unitary(seq, setup, values: dict) -> np.ndarray:
         else:
             coeffs[setup.term_names.index(target)] = values[dd.name]
     fld = model.field(seq)
-    ops = axis_operators(field_axes(seq.channels), setup.n_qubits)
+    ops = field_operators(seq.channels, setup.n_qubits)
     h_int = np.einsum("t,tab->ab", coeffs, setup.term_mats)
     return step_product(np.einsum("kq,kab->qab", fld.b, ops) + h_int, fld.delta_t)
 

@@ -292,7 +292,7 @@ def test_cli_landscape_matches_per_point_oracle(tmp_path, monkeypatch):
     field = IdealModel.field
 
     def counted(self, seq, jets=()):
-        solves.append(self.amp_factor)
+        solves.append(self.amplitude)
         return field(self, seq, jets)
 
     monkeypatch.setattr(IdealModel, "field", counted)
@@ -300,7 +300,7 @@ def test_cli_landscape_matches_per_point_oracle(tmp_path, monkeypatch):
     code = cli.main(["landscape", "--config", _write_config(tmp_path, cfg), "--out", str(out), str(seq_path)])
     monkeypatch.undo()
     assert code == cli.EXIT_OK
-    assert solves == [1.0]   # the blocked path: one unit-drive field for the whole grid
+    assert solves == [0.0]   # the blocked path: one unit-drive field for the whole grid
     rows = np.loadtxt(out / "landscape.csv", delimiter=",", skiprows=1)
     assert rows[:, :2].tolist() == [[a, b] for a in detuning for b in amp_err]
     seq, setup, u0 = _library_view(cfg, seq_path)
@@ -504,10 +504,11 @@ _BAD_KEYS = {
                             "control.circuit: capacitances and inductance must be positive"),
     "circuit-unknown-key": (_model("circuit", circuit={"r_foo": 1}),
                             "control.circuit.r_foo: unknown key (the keys are ['r_source', "),
-    "circuit-alpha-l-capital": (_model("circuit", circuit={"alpha_L": -5e-3}),
-                                "control.circuit.alpha_L: unknown key (the keys are ['r_source', 'r_series',"
-                                " 'c_match', 'c_tank', 'l_0', 'alpha_l', 'kappa_i', 'kappa_o', 'omega_r',"
-                                " 'omega_max', 'r_load'])"),
+    # the circuit constants are the model's fields: alpha_L as in errors[k].param
+    "circuit-alpha-l-lowercase": (_model("circuit", circuit={"alpha_l": -5e-3}),
+                                  "control.circuit.alpha_l: unknown key (the keys are ['r_source', 'r_series',"
+                                  " 'c_match', 'c_tank', 'l_0', 'alpha_L', 'kappa_i', 'kappa_o', 'omega_r',"
+                                  " 'omega_max', 'r_load'])"),
     # unknown keys, which used to be dropped without a word
     "optimizer-misspelt": (lambda c: c.update(optimiser=c.pop("optimizer")),
                            "optimiser: unknown key (the keys are ['seed', 'system', 'control',"
@@ -565,6 +566,9 @@ _BAD_KEYS = {
                                                                     "param": "W"}),
                                       "errors[1].param: the model has no parameter 'W'"
                                       " (it has ['amplitude'])"),
+    "amplitude-error-other-param": (lambda c: (_model("circuit")(c), c["errors"].append(
+                                        {"name": "x", "kind": "amplitude", "param": "alpha_L"})),
+                                    "errors[1].param: kind 'amplitude' varies 'amplitude', not 'alpha_L'"),
     # targets
     "u-target-not-numeric": (lambda c: c["targets"].update(u_target={"matrix_re": [["a", 0], [0, 1]]}),
                              "targets.u_target: could not convert string to float: 'a'"),

@@ -8,18 +8,18 @@ from scipy.linalg import expm
 from hamforge.controlsys import (
     Channel,
     CircuitModel,
-    CircuitParams,
     ControlSequence,
     DiscretizedField,
     IdealModel,
     LinearKernelModel,
-    LinearKernelParams,
     UnknownParameter,
-    axis_operators,
     drive_groups,
     field_axes,
+    field_operators,
 )
+from hamforge.config import parse_config
 import _oracles as orc
+from test_cli import _config_1q
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
 XY10 = (Channel("ax", (1,), "x", 10.0), Channel("ay", (1,), "y", 10.0))
@@ -67,7 +67,7 @@ def test_kernel_step_response():
     vals = np.zeros((2, p_int))
     vals[0] = 1.0
     seq = ControlSequence(vals, dt, ch)
-    fld = LinearKernelModel(LinearKernelParams(w, 0.0), 16).field(seq)
+    fld = LinearKernelModel(w, 0.0, 16).field(seq)
     q = int(round((1.0 / w) / fld.delta_t - 0.5))
     t_mid = (q + 0.5) * fld.delta_t
     w1 = ch[0].scale
@@ -83,7 +83,7 @@ def test_kernel_zero_input_and_linearity():
     rng = np.random.default_rng(0)
     va = rng.uniform(-0.5, 0.5, (2, 8))
     vb = rng.uniform(-0.4, 0.4, (2, 8))
-    model = LinearKernelModel(LinearKernelParams(w, 0.3 * w), 4)
+    model = LinearKernelModel(w, 0.3 * w, 4)
     fa = model.field(ControlSequence(va, dt, ch)).b
     fb = model.field(ControlSequence(vb, dt, ch)).b
     fab = model.field(ControlSequence(va + vb, dt, ch)).b
@@ -97,7 +97,7 @@ def test_kernel_causality():
     dt = 0.05 / w
     vals = np.zeros((2, 10))
     vals[0, 5:] = 1.0  # input supported on [5 dt, T]
-    fld = LinearKernelModel(LinearKernelParams(w, 0.2 * w), 4).field(
+    fld = LinearKernelModel(w, 0.2 * w, 4).field(
         ControlSequence(vals, dt, XY)
     )
     q_on = 5 * 4
@@ -113,7 +113,7 @@ def test_kernel_wide_band_limit():
     sub = 1000
     vals = np.array([[0.3, -0.7, 0.5], [0.1, 0.2, -0.4]])
     seq = ControlSequence(vals, dt, ch)
-    fld = LinearKernelModel(LinearKernelParams(w, 0.0), sub).field(seq)
+    fld = LinearKernelModel(w, 0.0, sub).field(seq)
     # compare at the interval midpoints, clear of the ~1/W settle transient
     mids = fld.b[:, [k * sub + sub // 2 for k in range(1, 3)]]
     rel = np.abs(mids - vals[:, 1:]).max() / np.abs(vals).max()
@@ -124,14 +124,14 @@ def test_kernel_resolution_guard():
     w = 2 * np.pi * 80e6
     seq = ControlSequence(np.zeros((2, 4)), 10.0 / w, XY)
     with pytest.raises(ValueError, match="resolution guard"):
-        LinearKernelModel(LinearKernelParams(w, 0.0), 1).field(seq)
+        LinearKernelModel(w, 0.0, 1).field(seq)
 
 
 @pytest.mark.parametrize("w", [0.0, -1.0])
 def test_kernel_bandwidth_must_be_positive(w):
     # the parser checks control.kernel.W first; the library holds its own guard
     with pytest.raises(ValueError, match="bandwidth must be positive"):
-        LinearKernelParams(w, 0.0)
+        LinearKernelModel(w)
 
 
 def test_kernel_average_vs_midpoint_smooth():
@@ -142,8 +142,8 @@ def test_kernel_average_vs_midpoint_smooth():
     vals = np.zeros((2, 12))
     vals[0] = 0.8
     seq = ControlSequence(vals, dt, XY)
-    mid = LinearKernelModel(LinearKernelParams(w, 0.1 * w), 2).field(seq)
-    avg = LinearKernelModel(LinearKernelParams(w, 0.1 * w), 2, average=True).field(seq)
+    mid = LinearKernelModel(w, 0.1 * w, 2).field(seq)
+    avg = LinearKernelModel(w, 0.1 * w, 2, average=True).field(seq)
     scale = np.abs(mid.b).max()
     assert np.abs(mid.b - avg.b).max() < 5e-3 * scale
     assert np.abs(mid.b - avg.b).max() > 0  # genuinely different estimators
@@ -159,7 +159,7 @@ def test_kernel_delta_sensitivity_is_quadrature():
     vals = np.zeros((2, p_int))
     vals[0] = 1.0
     seq = ControlSequence(vals, dt, ch)
-    model = LinearKernelModel(LinearKernelParams(w, 0.0), 8)
+    model = LinearKernelModel(w, 0.0, 8)
     sens = model.field(seq, ("delta",)).sensitivities["delta"]
     assert np.abs(sens[0]).max() < 1e-9 * np.abs(sens[1]).max()
     # analytic check at one grid point
@@ -175,23 +175,22 @@ def test_kernel_delta_sensitivity_is_quadrature():
 
 def test_circuit_zero_input():
     seq = ControlSequence(np.zeros((2, 4)), 1e-9, XY)
-    fld = CircuitModel(CircuitParams(), 4).field(seq)
+    fld = CircuitModel(substeps=4).field(seq)
     assert np.abs(fld.b).max() == 0.0
     for alpha_l in (0.0, 1e-3):
         jets = ("alpha_L", "amplitude", ("alpha_L", "alpha_L"), ("alpha_L", "amplitude"))
-        sens = CircuitModel(CircuitParams(alpha_l=alpha_l), 4).field(seq, jets).sensitivities
+        sens = CircuitModel(alpha_L=alpha_l, substeps=4).field(seq, jets).sensitivities
         assert sorted(sens, key=str) == sorted(jets, key=str)
         assert all(np.abs(d).max() == 0.0 for d in sens.values())
 
 
 def test_circuit_steady_state_matches_linear_solve():
-    cp = CircuitParams()
-    model = CircuitModel(cp, substeps=32)
+    model = CircuitModel(substeps=32)
     p_int = 40
     dt = 20e-9
     vals = np.zeros((2, p_int))
     vals[0] = 0.6
-    alpha = 0.6 / cp.kappa_i
+    alpha = 0.6 / model.kappa_i
     x_fin, _ = model._integrate(np.full(p_int, alpha + 0j), dt)
     a0, uvec = model._system()
     xss = -np.linalg.solve(a0, uvec * alpha)   # exact linear steady state (alpha_L = 0)
@@ -199,8 +198,7 @@ def test_circuit_steady_state_matches_linear_solve():
 
 
 def test_circuit_energy_decay_after_input_off():
-    cp = CircuitParams()
-    model = CircuitModel(cp, substeps=64)
+    model = CircuitModel(substeps=64)
     p_int = 30
     dt = 10e-9
     vals = np.zeros((2, p_int))
@@ -214,14 +212,13 @@ def test_circuit_energy_decay_after_input_off():
 
 
 def test_circuit_sensitivity_matches_finite_difference():
-    cp = CircuitParams()
     ch = XY
     p_int = 6
     dt = 2e-9
     rng = np.random.default_rng(1)
     vals = rng.uniform(-0.8, 0.8, (2, p_int))
     seq = ControlSequence(vals, dt, ch)
-    model = CircuitModel(cp, substeps=32)
+    model = CircuitModel(substeps=32)
     sens = model.field(seq, ("alpha_L",)).sensitivities["alpha_L"]
     da = 1e-5
     hi = model.with_param("alpha_L", +da).field(seq).b
@@ -240,19 +237,19 @@ def test_ideal_amplitude_sensitivity_exact():
 def test_control_hamiltonians_assembly():
     seq = ControlSequence(np.array([[0.5], [0.25]]), 1e-8, XY)
     fld = IdealModel().field(seq)
-    h = np.einsum("kq,kab->qab", fld.b, axis_operators(field_axes(XY), 1))
+    h = np.einsum("kq,kab->qab", fld.b, field_operators(XY, 1))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]])
     assert np.abs(h[0] - (0.5 * sx + 0.25 * sy)).max() < 1e-12
 
 
 def circuit_oracle(model, alpha_intervals, h_out, n_half):
-    """Reference for `CircuitModel._integrate_once`: every half-step of
-    the same schemes stepped one 3-vector at a time.  At alpha_L = 0 it
+    """Reference for `CircuitModel._march_linear` and `_march_nonlinear`:
+    every half-step of the same schemes stepped one 3-vector at a time.  At alpha_L = 0 it
     also steps the Simpson-forced sensitivity and the stepper's alpha_L
     jets s, w (d2x/dalpha_L2 = 2 w) by the recursions in the model's
     docstring."""
-    p = model.cp
+    p = model
     a0, uvec = model._system()
     hh = h_out / n_half
     eye = np.eye(3)
@@ -263,7 +260,7 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half):
     psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
     fvec = psi1 @ uvec
     fvec_q = (ainv @ (e_q - eye)) @ uvec
-    nonlinear = p.alpha_l != 0.0
+    nonlinear = p.alpha_L != 0.0
     unit = np.array([1.0, 0.0, 0.0])
 
     def v(xv):
@@ -278,7 +275,7 @@ def circuit_oracle(model, alpha_intervals, h_out, n_half):
 
     def nl_force(xv):
         q2 = abs(xv[0]) ** 2
-        dinv = -p.alpha_l * q2 / (p.l_0 * (1.0 + p.alpha_l * q2))
+        dinv = -p.alpha_L * q2 / (p.l_0 * (1.0 + p.alpha_L * q2))
         return np.array([dinv * (-p.r_series * xv[0] + xv[2]), 0.0, 0.0], dtype=complex)
 
     q_out = alpha_intervals.size * model.substeps
@@ -330,12 +327,13 @@ def circuit_runs(draw):
 @settings(max_examples=15, deadline=None)
 def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
     vals, substeps, n_half = run
-    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps)
+    model = CircuitModel(alpha_L=alpha_l, substeps=substeps)
     seq = ControlSequence(vals, 1e-8, XY10)
     alpha = model._alpha_in(seq)
     args = (alpha, seq.dt / substeps, n_half)
     x_ref, ref = circuit_oracle(model, *args)
-    x, got = model._integrate_once(*args, set(ref) - {()})
+    march = model._march_linear if model.drive_linear else model._march_nonlinear
+    x, got = march(*args, set(ref) - {()})
     assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     assert got.keys() == ref.keys()
     for key, r in ref.items():
@@ -344,7 +342,7 @@ def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
 
 
 def test_circuit_step_halving_is_logged(monkeypatch, caplog):
-    real = CircuitModel._integrate_once
+    real = CircuitModel._march_nonlinear
     n_halves = []
 
     def diverge_once(self, alpha, h_out, n_half, jets):
@@ -353,11 +351,11 @@ def test_circuit_step_halving_is_logged(monkeypatch, caplog):
             raise FloatingPointError("forced")
         return real(self, alpha, h_out, n_half, jets)
 
-    monkeypatch.setattr(CircuitModel, "_integrate_once", diverge_once)
+    monkeypatch.setattr(CircuitModel, "_march_nonlinear", diverge_once)
     seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
     with caplog.at_level(logging.WARNING, logger="hamforge"):
         # the nonlinear path retries; the linear one raises at once (below)
-        CircuitModel(CircuitParams(alpha_l=1e-7), substeps=4).field(seq)
+        CircuitModel(alpha_L=1e-7, substeps=4).field(seq)
     assert n_halves == [2, 4]
     [rec] = caplog.records
     assert rec.name == "hamforge" and rec.levelno == logging.WARNING
@@ -366,15 +364,15 @@ def test_circuit_step_halving_is_logged(monkeypatch, caplog):
 
 
 def counted_attempts(monkeypatch) -> list:
-    """The n_half of every `_integrate_once` call, which still runs."""
-    real = CircuitModel._integrate_once
+    """The n_half of every `_march_nonlinear` call, which still runs."""
+    real = CircuitModel._march_nonlinear
     n_halves = []
 
     def counted(self, alpha, h_out, n_half, jets):
         n_halves.append(n_half)
         return real(self, alpha, h_out, n_half, jets)
 
-    monkeypatch.setattr(CircuitModel, "_integrate_once", counted)
+    monkeypatch.setattr(CircuitModel, "_march_nonlinear", counted)
     return n_halves
 
 
@@ -382,7 +380,7 @@ def test_circuit_nonlinear_path_gives_up_after_six_attempts(monkeypatch, caplog)
     # a drive of ~1e305 (kappa_i = 1e-305) overflows the state at every
     # internal step size: six attempts, five logged retries, then the raise
     n_halves = counted_attempts(monkeypatch)
-    model = CircuitModel(CircuitParams(alpha_l=1e-7, kappa_i=1e-305), substeps=4)
+    model = CircuitModel(alpha_L=1e-7, kappa_i=1e-305, substeps=4)
     seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
     with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger="hamforge"):
         with pytest.raises(RuntimeError, match=r"^circuit integration unstable after 6 attempt\(s\)$"):
@@ -397,15 +395,15 @@ def test_circuit_nonlinear_path_gives_up_after_six_attempts(monkeypatch, caplog)
 def test_circuit_derivatives_that_overflow_raise(monkeypatch):
     # at kappa_i = 1e-100 the state stays near 1e100 A, finite at every step
     # size, while its alpha_L derivative, ~|I_L|^3 at alpha_L = 1e-300, overflows
-    model = CircuitModel(CircuitParams(alpha_l=1e-300, kappa_i=1e-100), substeps=4)
+    model = CircuitModel(alpha_L=1e-300, kappa_i=1e-100, substeps=4)
     seq = ControlSequence(np.full((2, 3), 0.5), 1e-8, XY10)
     alpha, h = model._alpha_in(seq), seq.dt / 4
     with np.errstate(all="ignore"):
-        x, mids = model._integrate_once(alpha, h, 2, set())
+        x, mids = model._march_nonlinear(alpha, h, 2, set())
         assert np.isfinite(x).all() and np.isfinite(mids[()]).all()
         for n_half in (2, 4, 8, 16, 32, 64):
             with pytest.raises(FloatingPointError, match="circuit derivatives diverged"):
-                model._integrate_once(alpha, h, n_half, {"alpha_L"})
+                model._march_nonlinear(alpha, h, n_half, {"alpha_L"})
         n_halves = counted_attempts(monkeypatch)
         with pytest.raises(RuntimeError, match=r"unstable after 6 attempt\(s\)"):
             model.field(seq, ["alpha_L"])
@@ -416,14 +414,17 @@ def test_circuit_derivatives_that_overflow_raise(monkeypatch):
 def test_circuit_linear_path_raises_at_once_on_a_non_finite_field(kappa_i, caplog):
     # at alpha_L = 0 the step is exact, so a shorter one cannot cure an
     # infinite drive (1e-320) or a field that overflows (1e-305): no retry
-    model = CircuitModel(CircuitParams(kappa_i=kappa_i), substeps=4)
+    import hamforge.controlsys as cs
+
+    cs._step_constants.cache_clear()
+    model = CircuitModel(kappa_i=kappa_i, substeps=4)
     seq = ControlSequence(np.full((2, 6), 0.5), 1e-8, XY10)
     # numpy's default floating-point handling, which the test settings make strict
     with np.errstate(all="ignore"), caplog.at_level(logging.WARNING, logger="hamforge"):
         with pytest.raises(RuntimeError, match="circuit integration unstable"):
             model.field(seq, ["alpha_L", ("alpha_L", "alpha_L")])
     assert not caplog.records
-    assert len(model._half_steps) == 1
+    assert cs._step_constants.cache_info().misses == 1   # the constants of one n_half
 
 
 @pytest.mark.parametrize("alpha_l", [-0.03, -1.0])
@@ -433,10 +434,10 @@ def test_circuit_negative_inductance_raises(alpha_l, caplog):
     seq = ControlSequence(np.ones((2, 4)), 1e-8, XY10)
     with caplog.at_level(logging.WARNING, logger="hamforge"):
         with pytest.raises(ValueError, match=r"alpha_L = .*\|I_L\|\^2 = "):
-            CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4).field(seq)
+            CircuitModel(alpha_L=alpha_l, substeps=4).field(seq)
     assert not caplog.records
     # the robustness shift of the same drive stays well inside the model
-    fld = CircuitModel(CircuitParams(alpha_l=-1e-7), substeps=4).field(seq)
+    fld = CircuitModel(alpha_L=-1e-7, substeps=4).field(seq)
     assert np.isfinite(fld.b).all()
 
 
@@ -448,14 +449,14 @@ def test_circuit_corrector_that_outgrows_its_predictor_is_retried(caplog):
 
     seq = ControlSequence(np.random.default_rng(0).uniform(-1, 1, (2, 4)), 1e-8, XY10)
     with caplog.at_level(logging.WARNING, logger="hamforge"):
-        fld = CircuitModel(CircuitParams(alpha_l=1e-2), substeps=4).field(seq)
+        fld = CircuitModel(alpha_L=1e-2, substeps=4).field(seq)
     msgs = [r.getMessage() for r in caplog.records]
     assert len(msgs) == 2 and "retry 1 of 5" in msgs[0] and "retry 2 of 5" in msgs[1]
-    fine = CircuitModel(CircuitParams(alpha_l=1e-2), substeps=16).field(seq)
+    fine = CircuitModel(alpha_L=1e-2, substeps=16).field(seq)
     assert np.isfinite(fld.b).all()
     assert abs(np.abs(fld.b).max() / np.abs(fine.b).max() - 1.0) <= 0.25
     setup = ev.EvaluationSetup(
-        n_qubits=1, model=CircuitModel(CircuitParams(alpha_l=1e-2), substeps=4), term_names=("offset",),
+        n_qubits=1, model=CircuitModel(alpha_L=1e-2, substeps=4), term_names=("offset",),
         term_mats=np.zeros((1, 2, 2), complex), term_coeffs=np.zeros(1), distributions=(),
     )
     assert np.isfinite(ev.evaluation_report(seq, setup, np.eye(2), 4, 0)["fom"])
@@ -523,14 +524,14 @@ CIRCUIT_STEPS = {"alpha_L": 1e-5, "amplitude": 2e-3}
 def test_circuit_second_alpha_derivative_matches_oracle_at_zero():
     # the stepper's d2b/dalpha_L2 on the linear path against second
     # differences of nonlinear solves at alpha_L = +-h
-    model = CircuitModel(CircuitParams(), substeps=4)
+    model = CircuitModel(substeps=4)
     assert_jets_match_oracle(model, circuit_drive(), [("alpha_L", "alpha_L")], CIRCUIT_STEPS, 1e-8)
 
 
 def test_circuit_mixed_derivative_is_cubic_in_the_drive():
     # at alpha_L = 0 the alpha_L channel is cubic in the drive, so its
     # derivative along the relative drive error is three times itself
-    model = CircuitModel(CircuitParams(), substeps=4)
+    model = CircuitModel(substeps=4)
     seq = circuit_drive()
     sens = model.field(seq, ["alpha_L", ("amplitude", "alpha_L"), "amplitude"]).sensitivities
     assert np.abs(sens[("alpha_L", "amplitude")] - 3 * sens["alpha_L"]).max() == 0.0
@@ -547,7 +548,7 @@ def test_circuit_mixed_derivative_is_cubic_in_the_drive():
 
 @pytest.mark.parametrize("alpha_l", [1e-3, -5e-3])
 def test_circuit_nonlinear_jets_match_oracle(alpha_l):
-    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
+    model = CircuitModel(alpha_L=alpha_l, substeps=4)
     keys = [
         "alpha_L",
         "amplitude",
@@ -561,11 +562,11 @@ def test_circuit_nonlinear_jets_match_oracle(alpha_l):
 def test_circuit_stepper_jet_converges_with_the_internal_step():
     # the stepper is second order, so its own alpha_L derivative is within
     # O(hh^2) of the converged one: x16 smaller per 4x finer half-step
-    model = CircuitModel(CircuitParams(alpha_l=1e-7), substeps=16)
+    model = CircuitModel(alpha_L=1e-7, substeps=16)
     seq = circuit_drive(8, seed=7)
     alpha = model._alpha_in(seq)
     h = seq.dt / model.substeps
-    sens = {n: model._integrate_once(alpha, h, n, {"alpha_L"})[1]["alpha_L"] for n in (2, 8, 32)}
+    sens = {n: model._march_nonlinear(alpha, h, n, {"alpha_L"})[1]["alpha_L"] for n in (2, 8, 32)}
     err = {n: np.abs(sens[n] - sens[32]).max() / np.abs(sens[32]).max() for n in (2, 8)}
     assert err[2] < 3e-3
     assert err[8] < err[2] / 12
@@ -582,7 +583,7 @@ def kernel_drive(channels, seed=2, p_int=6):
 @pytest.mark.parametrize("average", [False, True])
 def test_kernel_jets_match_oracle(average):
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
-    model = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.3 * KERNEL_W), 8, average=average)
+    model = LinearKernelModel(KERNEL_W, 0.3 * KERNEL_W, 8, average=average)
     seq = kernel_drive(chans)
     keys = ["W", "delta", ("W", "W"), ("W", "delta"), ("W", "amplitude")]
     steps = {"W": 1e-2 * KERNEL_W, "delta": 1e-2 * KERNEL_W, "amplitude": 1e-2}
@@ -602,7 +603,7 @@ def test_kernel_bandwidth_sensitivity_is_quadrature():
     vals = np.zeros((2, 16))
     vals[0] = 1.0
     seq = ControlSequence(vals, 0.4 / w, ch)
-    fld = LinearKernelModel(LinearKernelParams(w, d), 8).field(seq, ["W"])
+    fld = LinearKernelModel(w, d, 8).field(seq, ["W"])
     sens = fld.sensitivities["W"]
     q = 40
     t_mid = (q + 0.5) * fld.delta_t
@@ -616,23 +617,24 @@ def test_kernel_bandwidth_sensitivity_is_quadrature():
 
 
 def test_kernel_drive_factor_scales_z_rows():
-    # amp_factor multiplies every row, as in IdealModel, so the amplitude
+    # 1 + amplitude multiplies every row, as in IdealModel, so the amplitude
     # error's dH = eps H_c is the derivative of what evaluate disperses
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
     seq = kernel_drive(chans)
-    base = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.1 * KERNEL_W), 8)
+    base = LinearKernelModel(KERNEL_W, 0.1 * KERNEL_W, 8)
     b1 = base.field(seq).b
     b13 = base.with_param("amplitude", 0.3).field(seq).b
     assert np.abs(b13 - 1.3 * b1).max() <= 1e-12 * np.abs(b1).max()
     assert base.drive_linear
 
 
-# each model's parameters and their natural scales
+# each model's parameters and their natural scales; each parameter is the
+# model field of its name, in the library and in the problem file
 _TABLES = {
     "ideal": (IdealModel(), {"amplitude": 1.0}),
-    "kernel": (LinearKernelModel(LinearKernelParams(KERNEL_W, 0.1 * KERNEL_W)),
+    "kernel": (LinearKernelModel(KERNEL_W, 0.1 * KERNEL_W),
                {"W": KERNEL_W, "delta": KERNEL_W, "amplitude": 1.0}),
-    "circuit": (CircuitModel(CircuitParams()), {"alpha_L": 1e-3, "amplitude": 1.0}),
+    "circuit": (CircuitModel(), {"alpha_L": 1e-3, "amplitude": 1.0}),
 }
 
 
@@ -643,9 +645,17 @@ def test_parameter_table(kind):
     for name, scale in scales.items():
         value = 0.75 * scale
         copy = model.with_param(name, value)
-        assert copy.params() == {**model.params(), name: value}
+        assert copy.params() == {**model.params(), name: value} and getattr(copy, name) == value
         assert model.param_scale(name) == scale
-    assert model.with_param("amplitude", 0.25).amp_factor == 1.25
+        if name != "amplitude":
+            # set in the model's section of the file, and varied by an error
+            raw = _config_1q()
+            section = {"W": model.W} if kind == "kernel" else {}
+            raw["control"].update({"model": kind, "dt": 0.4 / KERNEL_W, kind: {**section, name: value}})
+            raw["errors"] = [{"name": "e", "kind": "model_param", "param": name}]
+            del raw["distributions"]["amp_err"]
+            cfg = parse_config(raw)
+            assert cfg.model.params()[name] == value and cfg.errors[0]["param"] == name
     with pytest.raises(UnknownParameter, match="'nope'"):
         model.with_param("nope", 1.0)
     with pytest.raises(UnknownParameter, match="'nope'"):
@@ -661,7 +671,7 @@ def test_field_rows_follow_field_axes():
     assert field_axes(chans) == (((1,), "x"), ((1,), "y"), ((1,), "z"), ((2,), "x"), ((2,), "y"))
     assert [roles for _, roles in drive_groups(chans)] == [{"z": 0, "amp": 2, "phase": 3}, {"x": 1}]
     assert np.allclose(IdealModel().field(seq).b[:, 0], [0.0, 2.0, 1.5, 1.25, 0.0], atol=1e-15)
-    kernel = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.0), 8).field(seq).b
+    kernel = LinearKernelModel(KERNEL_W, 0.0, 8).field(seq).b
     assert kernel.shape == (5, 8)
     assert np.array_equal(kernel[2], np.full(8, 1.5))   # z rows are not filtered
 
@@ -669,7 +679,7 @@ def test_field_rows_follow_field_axes():
 def test_unknown_jet_parameter_raises():
     seq = circuit_drive()
     with pytest.raises(UnknownParameter, match="W"):
-        CircuitModel(CircuitParams(), 4).field(seq, ["W"])
+        CircuitModel(substeps=4).field(seq, ["W"])
     with pytest.raises(ValueError, match="second order"):
         IdealModel().field(seq, [("amplitude",) * 3])
 
@@ -683,7 +693,7 @@ def test_kernel_short_substeps_match_mpmath(average):
     w, d = KERNEL_W, 0.3 * KERNEL_W
     h = 1e-6 / w
     seq = ControlSequence(np.array([[1.0, 0.5], [0.0, 0.0]]), h, XY)
-    b = LinearKernelModel(LinearKernelParams(w, d), 1, average=average).field(seq).b
+    b = LinearKernelModel(w, d, 1, average=average).field(seq).b
     with mp.workdps(40):
         wm, dm, hm = mp.mpf(w), mp.mpf(d), mp.mpf(h)
 
@@ -706,7 +716,8 @@ def test_circuit_half_step_constants_are_computed_once_per_step(monkeypatch):
     real, real_toeplitz = cs._expm, cs._block_toeplitz
     monkeypatch.setattr(cs, "_expm", lambda a: calls.append(1) or real(a))
     monkeypatch.setattr(cs, "_block_toeplitz", lambda epow: sizes.append(len(epow)) or real_toeplitz(epow))
-    model = CircuitModel(CircuitParams(), substeps=4)
+    cs._step_constants.cache_clear()
+    model = CircuitModel(substeps=4)
     seq = circuit_drive()
     first = model.field(seq, ["alpha_L"])
     assert len(calls) == 2  # E and E^(1/2) of the one (output step, n_half) in use
@@ -721,7 +732,37 @@ def test_circuit_half_step_constants_are_computed_once_per_step(monkeypatch):
     assert len(calls) == 4  # a new output step gets its own constants
     assert sizes == [9, 9]
     # the constants hold nothing that grows with the interval count
-    assert [k.epow.shape for k in model._half_steps.values()] == [(9, 3, 3)] * 2
+    assert cs._step_constants.cache_info().currsize == 2
+    assert [model._half_step(dt / 4, 2).epow.shape for dt in (seq.dt, 2 * seq.dt)] == [(9, 3, 3)] * 2
+
+
+def test_alpha_l_draws_share_the_half_step_constants(monkeypatch):
+    # the constants depend on neither alpha_L nor the amplitude: a copy
+    # along alpha_L shares those of a model built at its value and gives
+    # its field, and 100 alpha_L draws build E and E^(1/2) of the
+    # nonlinear path once
+    import hamforge.controlsys as cs
+    from hamforge import evaluate as ev
+
+    model, seq, jets = CircuitModel(substeps=4), circuit_drive(), ["alpha_L", ("alpha_L", "amplitude")]
+    cs._step_constants.cache_clear()
+    fresh = CircuitModel(alpha_L=3e-4, substeps=4).field(seq, jets)
+    copy = model.with_param("alpha_L", 3e-4).field(seq, jets)
+    assert cs._step_constants.cache_info().misses == 1
+    assert np.array_equal(copy.b, fresh.b)
+    assert all(np.array_equal(copy.sensitivities[k], fresh.sensitivities[k]) for k in fresh.sensitivities)
+
+    calls, real = [], cs._expm
+    monkeypatch.setattr(cs, "_expm", lambda a: calls.append(1) or real(a))
+    cs._step_constants.cache_clear()
+    setup = ev.EvaluationSetup(
+        n_qubits=1, model=model, term_names=("offset",), term_mats=np.zeros((1, 2, 2), complex),
+        term_coeffs=np.zeros(1),
+        distributions=(ev.ParameterDistribution("alpha", "uniform", (-1e-3, 1e-3), "model:alpha_L"),),
+    )
+    draws = np.random.default_rng(5).uniform(-1e-3, 1e-3, (100, 1))
+    assert np.isfinite(ev.exact_unitaries(seq, setup, draws)).all()
+    assert len(calls) == 2
 
 
 def random_contraction(size: int, rng) -> np.ndarray:
@@ -736,7 +777,7 @@ def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
     # the circuit's half-step, then random step matrices of state sizes 2-4
     import hamforge.controlsys as cs
 
-    k = CircuitModel(CircuitParams(), substeps)._half_step(1e-8 / substeps, n_half)
+    k = CircuitModel(substeps=substeps)._half_step(1e-8 / substeps, n_half)
     n = substeps * n_half
     rng = np.random.default_rng(p_int * n)
     cases = [(k.epow, k.toeplitz)]
@@ -762,7 +803,7 @@ def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
 @pytest.mark.parametrize("substeps", [1, 8, 32])
 @pytest.mark.parametrize("average", [False, True])
 def test_kernel_field_matches_the_sequential_oracle(average, substeps, p_int, monkeypatch):
-    model = LinearKernelModel(LinearKernelParams(KERNEL_W, 0.3 * KERNEL_W), substeps, average=average)
+    model = LinearKernelModel(KERNEL_W, 0.3 * KERNEL_W, substeps, average=average)
     vals = np.random.default_rng(p_int + substeps).uniform(-1, 1, (2, p_int))
     seq = ControlSequence(vals, 0.05 * substeps / KERNEL_W, XY)
     keys = ["W", "delta", ("W", "W"), ("W", "delta"), ("delta", "delta"), "amplitude"]
@@ -779,7 +820,7 @@ def test_linear_circuit_field_memory_is_linear_in_the_interval_count():
     # states would keep 52 MB on the model, and the field would peak at 108 MB
     import tracemalloc
 
-    model = CircuitModel(CircuitParams(), substeps=16)
+    model = CircuitModel(substeps=16)
     seq = circuit_drive(p_int=600)
     tracemalloc.start()
     try:

@@ -495,7 +495,7 @@ def test_evaluation_report_applies_model_drive_factor_once():
     # the model carries a drive factor and no amplitude distribution
     # overrides it: every draw sees the factor exactly once
     base = setup_1q([ev.ParameterDistribution("offset", "normal", (0.0, 3e6), "term:offset")])
-    setup = dataclasses.replace(base, model=IdealModel(amp_factor=1.1))
+    setup = dataclasses.replace(base, model=IdealModel(amplitude=0.1))
     seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
     u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
@@ -521,10 +521,10 @@ def _amplitude_setup(model):
 def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
     # with alpha_L != 0 the field is not linear in the drive, so one field
     # solve must not be rescaled per drawn amplitude
-    from hamforge.controlsys import CircuitModel, CircuitParams
+    from hamforge.controlsys import CircuitModel
 
     xy = (Channel("x", (1,), "x", 10.0), Channel("y", (1,), "y", 10.0))
-    model = CircuitModel(CircuitParams(alpha_l=alpha_l), substeps=4)
+    model = CircuitModel(alpha_L=alpha_l, substeps=4)
     setup = _amplitude_setup(model)
     seq = ControlSequence(np.ones((2, 4)), 1e-8, xy)
     u0 = np.eye(2)
@@ -538,10 +538,10 @@ def test_amplitude_dispersion_of_circuit_model_matches_oracle(alpha_l):
 def test_amplitude_dispersion_of_kernel_model_with_z_channel_matches_oracle():
     # the kernel model scales every row, z included, by the drive factor,
     # so the fast path rescales one field per draw
-    from hamforge.controlsys import LinearKernelModel, LinearKernelParams
+    from hamforge.controlsys import LinearKernelModel
 
     chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
-    setup = _amplitude_setup(LinearKernelModel(LinearKernelParams(2e7, 0.0), 8))
+    setup = _amplitude_setup(LinearKernelModel(2e7, 0.0, 8))
     seq = ControlSequence(np.random.default_rng(3).uniform(-1, 1, (3, 4)), 1e-8, chans)
     u0 = np.eye(2)
     got = ev.evaluation_report(seq, setup, u0, 40, 5)
@@ -555,27 +555,27 @@ def test_ideal_model_amplitude_dispersion_solves_one_field(monkeypatch):
     real = IdealModel.field
 
     def counted(self, seq):
-        calls.append(self.amp_factor)
+        calls.append(self.amplitude)
         return real(self, seq)
 
     monkeypatch.setattr(IdealModel, "field", counted)
     setup = _amplitude_setup(IdealModel())
     seq = ControlSequence(np.full((2, 4), 0.5), 1e-8, XY)
     ev.evaluation_report(seq, setup, np.eye(2), 40, 5)
-    assert calls == [1.0]
+    assert calls == [0.0]
 
 
 def _per_draw_setup(drawn):
     """A drawn model parameter whose field each draw solves itself: kernel
     W or delta, or circuit alpha_L, drawn beside the drive amplitude and a
     term coefficient."""
-    from hamforge.controlsys import CircuitModel, CircuitParams, LinearKernelModel, LinearKernelParams
+    from hamforge.controlsys import CircuitModel, LinearKernelModel
 
     if drawn == "alpha_L":
-        model, intervals, spread = CircuitModel(CircuitParams(alpha_l=0.0), substeps=16), 8, (-1e-3, 1e-3)
+        model, intervals, spread = CircuitModel(alpha_L=0.0, substeps=16), 8, (-1e-3, 1e-3)
         chans = (Channel("x", (1,), "x", 10.0), Channel("y", (1,), "y", 10.0))
     else:
-        model, intervals = LinearKernelModel(LinearKernelParams(2e7, 1e6), 8), 20
+        model, intervals = LinearKernelModel(2e7, 1e6, 8), 20
         spread = {"W": (1.5e7, 2.5e7), "delta": (-3e6, 3e6)}[drawn]
         chans = tuple(Channel(f"a{r}", (1,), r, 2 * np.pi * 5e6) for r in "xyz")
     setup = ev.EvaluationSetup(

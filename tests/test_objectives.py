@@ -355,7 +355,7 @@ def test_circuit_pipeline_solves_one_field_per_evaluation(monkeypatch):
     calls = []
 
     def counted(self, seq, jets=()):
-        calls.append((self.cp.alpha_l, tuple(jets)))
+        calls.append((self.alpha_L, tuple(jets)))
         return real(self, seq, jets)
 
     monkeypatch.setattr(CircuitModel, "field", counted)
@@ -391,7 +391,7 @@ def test_nonlinear_circuit_amplitude_error_is_the_field_derivative():
     # error on the model's amplitude parameter, and its second order is not 0
     from hamforge.config import build_pipeline, parse_config
 
-    circuit = dict(CIRCUIT_CONFIG["control"], circuit={"alpha_l": -5e-3})
+    circuit = dict(CIRCUIT_CONFIG["control"], circuit={"alpha_L": -5e-3})
     errors = CIRCUIT_CONFIG["errors"] + [{"name": "amp", "kind": "model_param", "param": "amplitude"}]
     terms = [{"kind": kind, "weight": 1, key: val} for kind, key, val in (
         ("robustness_first", "error", "eps"),
