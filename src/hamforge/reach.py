@@ -4,7 +4,9 @@ The reachable set of time-averaged toggled perturbations is the convex
 hull of conjugated perturbation vectors.  This module samples that hull
 (Haar via QR for full unitary algebras, a group random walk otherwise),
 rotates it so the target direction is the first coordinate, and bounds
-the achievable scaling factor range [s-, s+] with two linear programs.
+the achievable scaling factor range [s-, s+] with two linear programs,
+one per end: each is one HiGHS model that every batch of vertices grows
+by its columns and that is re-solved from its last optimal basis.
 
 Joint normalisation.  A `Component` w holds the coefficients p_w of
 H_pert^w and t_w of H_target^w in its subspace C_w.  A scale factor s is
@@ -61,40 +63,66 @@ def _walk_unitaries(
 
 
 # ---------------------------------------------------------------------------
-# linear programming (HiGHS dual simplex through scipy)
+# linear programming (HiGHS dual simplex, warm-started across batches)
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str                    # 'optimal' | 'infeasible' | 'unbounded'
-    x: np.ndarray | None = None
-    value: float | None = None
+    status: str                    # 'optimal' | 'infeasible'
+    value: float = np.nan          # the end v1 @ x at the optimum, NaN without one
 
 
-def lp_solve(objective: np.ndarray, eq_matrix: np.ndarray, eq_rhs: np.ndarray) -> LPResult:
-    """Maximize objective @ x subject to eq_matrix @ x = eq_rhs, x >= 0.
+class HullLP:
+    """One end of the scale range: max sign * v1 @ x over convex weights x
+    of the vertex rows added so far whose mean has no transverse part, with
+    two slacks that hold v1 @ x inside [-1, 1].  One HiGHS model whose rows
+    are fixed when built; `add` appends a batch of vertices as columns, and
+    `lp_solve` re-solves the grown model from its last basis."""
 
-    Solved by HiGHS's dual simplex without
-    presolve, the fastest variant on the scale-range LPs (Huangfu & Hall,
-    Math. Prog. Comp. 10, 2018).  A solver stop other than optimal,
-    infeasible or unbounded raises RuntimeError.
+    def __init__(self, sign: float, m: int):
+        # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
+        from scipy.optimize._highspy._core import _Highs
+
+        self.sign, self.m, self.highs = sign, m, _Highs()
+        for key, val in (("output_flag", False), ("presolve", "off"), ("solver", "simplex"),
+                         ("simplex_strategy", 1)):   # 1: dual
+            self.highs.setOptionValue(key, val)
+        b = np.zeros(m + 2)
+        b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0    # sum x = 1, v1.x + s1 = 1, v1.x - s2 = -1
+        self.highs.addRows(m + 2, b, b, 0, np.zeros(1, np.int32), np.zeros(0, np.int32), b[:0])
+        self._add_cols(np.zeros(2), np.eye(m + 2)[m:] * [[1.0], [-1.0]])   # s1, s2
+
+    def add(self, vertices: np.ndarray):
+        if vertices.ndim != 2 or vertices.shape[1] != self.m:
+            raise ValueError(f"inconsistent LP shapes: vertex rows {vertices.shape} against m = {self.m}")
+        v1 = vertices[:, :1]
+        self._add_cols(-self.sign * v1[:, 0], np.hstack([np.ones_like(v1), vertices[:, 1:], v1, v1]))
+
+    def _add_cols(self, cost: np.ndarray, cols: np.ndarray):
+        """Columns x >= 0, the rows of ``cols``, with ``cost`` to minimise;
+        HiGHS drops their zero entries."""
+        n, rows = cols.shape
+        index = np.tile(np.arange(rows, dtype=np.int32), n)
+        start = np.arange(0, n * rows, rows, dtype=np.int32)
+        self.highs.addCols(n, cost, np.zeros(n), np.full(n, np.inf), n * rows, start, index, cols.ravel())
+
+
+def lp_solve(lp: HullLP) -> LPResult:
+    """Re-solve one end of the scale range: a `HullLP`, grown by each
+    batch's vertices, from its last optimal basis (or wherever its last
+    solve stopped).
+
+    HiGHS's dual simplex without presolve (Huangfu & Hall, Math. Prog.
+    Comp. 10, 2018) then pays only for the pivots the new columns need.
+    A stop other than optimal or infeasible raises RuntimeError naming
+    HiGHS's status.
     """
-    # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
-    from scipy.optimize import linprog
-
-    c = np.asarray(objective, dtype=float)
-    a = np.atleast_2d(np.asarray(eq_matrix, dtype=float))
-    b = np.asarray(eq_rhs, dtype=float)
-    if a.shape != (b.size, c.size):
-        raise ValueError("inconsistent LP shapes")
-    res = linprog(
-        -c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs-ds", options={"presolve": False}
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status)
-    if status is None:
-        raise RuntimeError(f"LP solver stopped without a verdict: {res.message}")
-    if status != "optimal":
-        return LPResult(status)
-    return LPResult("optimal", res.x, float(c @ res.x))
+    lp.highs.run()
+    verdict = lp.highs.modelStatusToString(lp.highs.getModelStatus())
+    if verdict == "Optimal":
+        return LPResult("optimal", -lp.sign * lp.highs.getObjectiveValue())
+    if verdict == "Infeasible":
+        return LPResult("infeasible")
+    raise RuntimeError(f"LP solver stopped without a verdict: HiGHS status {verdict!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +234,6 @@ def sample_vertices(
     return ((1.0 / pnorm) * np.concatenate(parts, axis=1)) @ tmat.T
 
 
-def _scale_lps(vertices: np.ndarray):
-    """Solve LP+ / LP- on the current vertex rows; None where no optimum.
-
-    The variables are the J convex weights x and two slacks that hold
-    v1 @ x inside [-1, 1]; the other coordinates of the mean must vanish.
-    """
-    j, m = vertices.shape
-    v1 = vertices[:, 0]
-    a = np.zeros((m + 2, j + 2))
-    a[0, :j] = 1.0
-    a[1:m, :j] = vertices[:, 1:].T
-    a[m, :j], a[m, j] = v1, 1.0            # v1.x + s1 = 1
-    a[m + 1, :j], a[m + 1, j + 1] = v1, -1.0   # v1.x - s2 = -1
-    b = np.zeros(m + 2)
-    b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0
-    out = []
-    for sign in (+1.0, -1.0):
-        c = np.concatenate([sign * v1, [0.0, 0.0]])
-        res = lp_solve(c, a, b)
-        out.append(sign * res.value if res.status == "optimal" else None)
-    return out  # [s_plus, s_minus]
-
-
 def find_scale_range(
     g: LieAlgebraBasis,
     components,
@@ -242,23 +247,28 @@ def find_scale_range(
     """Range of achievable scale factors of a list of `Component`, under
     the joint normalisation (see the module docstring).
 
-    Vertices accumulate in batches; the search stops early once both ends
-    of the range move less than CONVERGE_TOL over the last batch, and is
-    capped at ``j_samples``.  Both LPs infeasible means the target
-    direction is not achievable at any scale.
+    Vertices accumulate in batches.  Each end is one `HullLP`, grown by
+    every batch's vertices and re-solved from its last optimal basis; the
+    search stops early once both ends of the range move less than
+    CONVERGE_TOL over the last batch, and is capped at ``j_samples``.
+    Both LPs infeasible means the target direction is not achievable at
+    any scale.
     """
     rng = rng or np.random.default_rng()
     mtot = sum(c.subspace.dim for c in components)
     if j_samples < mtot + 1:
         warnings.warn("fewer samples than subspace dimension + 1: degenerate hull")
     vertices = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
+    ends = [HullLP(sign, vertices.shape[1]) for sign in (+1.0, -1.0)]
     history = []
     s_plus = s_minus = np.nan
     used = 0
     for k in range(batch, j_samples + batch, batch):
         k = min(k, j_samples)
         prev_plus, prev_minus = s_plus, s_minus
-        s_plus, s_minus = (np.nan if s is None else s for s in _scale_lps(vertices[:k]))
+        for lp in ends:
+            lp.add(vertices[used:k])
+        s_plus, s_minus = (lp_solve(lp).value for lp in ends)
         history.append((k, s_minus, s_plus))
         used = k
         # NaN never compares below the tolerance, so an end without an

@@ -10,8 +10,9 @@ closed-form divided differences of e^{i nu t} (the general kernel) where
 the library sums at Gauss-Legendre nodes in time, exact propagators by one scipy `expm`
 per step and an ordered product, the linear control filters (the
 circuit's block recursion and the kernel's response states) one step at
-a time, and the walk sampler one move at a time.  No command of the tool
-runs them.
+a time, the walk sampler one move at a time, and the scale-range LPs
+built and solved from scratch for every batch where the library grows one
+model per end.  No command of the tool runs them.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from functools import cache
 
 import numpy as np
 from scipy.linalg import expm, schur
+from scipy.optimize import linprog
 
 from hamforge import toggling as tg
 from hamforge.controlsys import _exp_moments, field_operators
@@ -644,3 +646,45 @@ def walk_unitaries(gstack: np.ndarray, n_burn: int, n_thin: int, n_sample: int, 
             x = move(x)
         out.append(x)
     return np.stack(out)
+
+
+# ---------------------------------------------------------------------------
+# the scale-range LPs
+
+def hull_lp_rows(vertices: np.ndarray):
+    """(A_eq, b_eq) of the scale-range LPs on the vertex rows.  The columns
+    are the J convex weights x and slacks s1, s2; the rows say that x sums
+    to 1, that the transverse coordinates of the mean vanish, and that
+    v1 @ x + s1 = 1 and v1 @ x - s2 = -1."""
+    j, m = vertices.shape
+    a = np.zeros((m + 2, j + 2))
+    a[0, :j] = 1.0
+    a[1:m, :j] = vertices[:, 1:].T
+    a[m:, :j] = vertices[:, 0]
+    a[m, j], a[m + 1, j + 1] = 1.0, -1.0
+    b = np.zeros(m + 2)
+    b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0
+    return a, b
+
+
+def hull_lp(vertices: np.ndarray, sign: float):
+    """LP+ (sign +1) or LP- (sign -1), max sign * v1 @ x on `hull_lp_rows`,
+    built from scratch and solved by `scipy.optimize.linprog` (HiGHS's dual
+    simplex, no presolve).  The library instead grows one HiGHS model per
+    end by each batch and re-solves it from its last basis.  Returns
+    linprog's result."""
+    a, b = hull_lp_rows(vertices)
+    c = np.concatenate([-sign * vertices[:, 0], [0.0, 0.0]])
+    return linprog(c, A_eq=a, b_eq=b, bounds=(0.0, None), method="highs-ds", options={"presolve": False})
+
+
+def scale_range_ends(vertices: np.ndarray) -> tuple[float, float]:
+    """(s+, s-) of `hull_lp` on the vertex rows, NaN for an end without an
+    optimum; a stop other than optimal or infeasible raises."""
+    ends = []
+    for sign in (+1.0, -1.0):
+        res = hull_lp(vertices, sign)
+        if res.status not in (0, 2):
+            raise RuntimeError(res.message)
+        ends.append(float(vertices[:, 0] @ res.x[:-2]) if res.status == 0 else np.nan)
+    return tuple(ends)

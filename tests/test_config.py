@@ -2,7 +2,8 @@
 substeps, and a static check that every ConfigError the library can raise
 has a row in a CLI table of bad keys (`test_cli._BAD_KEYS` for the problem
 file, `test_cli._BAD_SEQUENCES` for sequence files).  A second static
-check keeps the library off private numpy and scipy modules."""
+check keeps the library off private numpy and scipy modules, but for
+the HiGHS binding of the scale-range LPs."""
 import ast
 import re
 from pathlib import Path
@@ -125,8 +126,17 @@ def _private(module: str) -> bool:
     return top in ("numpy", "scipy") and any(part.startswith("_") for part in rest)
 
 
+# The one private import the library makes, and the module that makes it:
+# scipy ships HiGHS's persistent model, which the scale-range search grows
+# by each batch and re-solves from its last basis, only as this binding
+# (from scipy 1.15, the floor in pyproject.toml).  Tier-1 runs it, so a
+# change to it fails the LP tests of test_reach.
+PRIVATE_BINDING = {("reach.py", "scipy.optimize._highspy._core"),
+                   ("reach.py", "scipy.optimize._highspy._core._Highs")}
+
+
 def test_no_module_imports_a_private_numpy_or_scipy_module():
-    found = []
+    found, binding = [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -135,7 +145,10 @@ def test_no_module_imports_a_private_numpy_or_scipy_module():
                 names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names if _private(name)]
+            binding |= {(path.name, name) for name in names} & PRIVATE_BINDING
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if _private(name) and (path.name, name) not in PRIVATE_BINDING]
     assert found == []
+    assert binding == PRIVATE_BINDING   # no stale exception
     assert _private("numpy._core.einsumfunc") and _private("scipy.linalg._flapack")
     assert not _private("numpy.linalg") and not _private("scipy.optimize")

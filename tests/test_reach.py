@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamforge import reach
+from hamforge import config, reach
 from hamforge.liealg import find_c_subspace, find_lie_algebra
 from hamforge.opcore import pauli_op, pauli_string_op
+from hamforge.optimizer import restart_rng
 import _oracles as orc
 
 
@@ -112,44 +113,56 @@ def test_walk_matches_the_move_by_move_oracle(generators, n_burn, n_thin, n_samp
 
 # -- LP ---------------------------------------------------------------------
 
+def _ends(*batches):
+    """The `LPResult` pair (LP+, LP-) after each batch of vertex rows, each
+    end one `HullLP` grown by the batches in turn and re-solved after each."""
+    lps = [reach.HullLP(s, batches[0].shape[1]) for s in (+1.0, -1.0)]
+    out = []
+    for v in batches:
+        for lp in lps:
+            lp.add(v)
+        out.append(tuple(reach.lp_solve(lp) for lp in lps))
+    return out
+
+
 def test_lp_simple():
-    r = reach.lp_solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
-    assert r.status == "optimal"
-    assert r.value == pytest.approx(1.0)
-    assert np.allclose(r.x, [1.0, 0.0])
+    # the transverse coordinate of the mean vanishes on the first axis, so
+    # s+ is the vertex (1, 0) alone and s- the vertex (-0.5, 0) alone
+    v = np.array([[1.0, 0.0], [-0.5, 0.0], [0.3, 0.4], [0.3, -0.4]])
+    lps = [reach.HullLP(sign, 2) for sign in (+1.0, -1.0)]
+    for lp, end, weights in zip(lps, (1.0, -0.5), ([1, 0, 0, 0], [0, 1, 0, 0])):
+        lp.add(v)
+        r = reach.lp_solve(lp)
+        assert r.status == "optimal"
+        assert r.value == pytest.approx(end, abs=1e-12)
+        # the two slack columns come first, then the vertices
+        assert np.allclose(lp.highs.getSolution().col_value[2:], weights, atol=1e-12)
 
 
 def test_lp_infeasible():
-    # x = 1 and x = 2
-    r = reach.lp_solve(np.array([1.0]), np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
-    assert r.status == "infeasible"
+    # every vertex has transverse coordinate 1, so no mean has 0
+    [(r_plus, r_minus)] = _ends(np.array([[0.5, 1.0], [-0.5, 1.0]]))
+    assert r_plus.status == r_minus.status == "infeasible"
+    assert np.isnan(r_plus.value) and np.isnan(r_minus.value)
 
 
-def test_lp_unbounded():
-    # max x1 subject to x1 = x2, both nonnegative: the ray (t, t) is feasible
-    r = reach.lp_solve(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]))
-    assert r.status == "unbounded"
-
-
-@pytest.mark.parametrize("c, a, b", [
-    (np.ones(2), np.ones((1, 3)), np.ones(1)),        # a row of 3 against 2 unknowns
-    (np.ones(2), np.ones((2, 2)), np.ones(1)),        # 2 rows against 1 right-hand side
-])
-def test_lp_rejects_inconsistent_shapes(c, a, b):
+@pytest.mark.parametrize("width", [4, 2, None], ids=["wider", "narrower", "one-dimensional"])
+def test_lp_rejects_inconsistent_shapes(width):
+    # a model of m = 3 rows takes vertex rows of 3 coordinates only; a
+    # narrower batch would fit HiGHS's rows and pose the wrong LP
+    lp = reach.HullLP(1.0, 3)
     with pytest.raises(ValueError, match="inconsistent LP shapes"):
-        reach.lp_solve(c, a, b)
+        lp.add(np.ones(3) if width is None else np.ones((5, width)))
 
 
-def test_lp_without_a_verdict_raises(monkeypatch):
-    # a solver stop other than optimal, infeasible or unbounded (here the
-    # iteration limit, status 1) is an error, not a result
-    import scipy.optimize
-    from types import SimpleNamespace
-
-    stopped = SimpleNamespace(status=1, message="Iteration limit reached", x=None)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: stopped)
-    with pytest.raises(RuntimeError, match="without a verdict: Iteration limit reached"):
-        reach.lp_solve(np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]))
+def test_lp_without_a_verdict_raises():
+    # a solver stop other than optimal or infeasible (here the iteration
+    # limit) is an error, not a result
+    lp = reach.HullLP(1.0, 2)
+    lp.add(np.vstack([np.eye(2), -np.eye(2)]))
+    lp.highs.setOptionValue("simplex_iteration_limit", 0)
+    with pytest.raises(RuntimeError, match="without a verdict: HiGHS status 'Iteration limit reached'"):
+        reach.lp_solve(lp)
 
 
 def _brute_force_lp(c, a, b):
@@ -169,23 +182,42 @@ def _brute_force_lp(c, a, b):
     return best
 
 
+def _hull_lp_by_enumeration(vertices, sign):
+    """max sign * v1 @ x on the rows of `reach.HullLP`, slack rows included,
+    by vertex enumeration; None without a feasible point."""
+    a, b = orc.hull_lp_rows(vertices)
+    best = _brute_force_lp(np.concatenate([sign * vertices[:, 0], [0.0, 0.0]]), a, b)
+    return None if best is None else sign * best
+
+
 def test_lp_matches_vertex_enumeration():
+    # one model per end grown over three batches, re-solved after each,
+    # against enumeration on all rows so far; vertex norms up to 1.5 let
+    # the slack rows bind, and small batches leave early solves infeasible
     rng = np.random.default_rng(4)
+    optimal = infeasible = 0
     for _ in range(30):
-        m, n = 3, 6
-        a = rng.normal(size=(m, n))
-        b = a @ np.abs(rng.normal(size=n))  # feasible by construction
-        c = rng.normal(size=n)
-        r = reach.lp_solve(c, a, b)
-        ref = _brute_force_lp(c, a, b)
-        if r.status == "optimal":
-            assert ref is not None
-            assert r.value == pytest.approx(ref, abs=1e-7)
+        m = int(rng.integers(2, 4))
+        batches = [rng.normal(size=(int(rng.integers(1, 4)), m)) for _ in range(3)]
+        for v in batches:
+            v *= rng.uniform(0.2, 1.5, size=(len(v), 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+        for k, results in enumerate(_ends(*batches)):
+            rows = np.vstack(batches[: k + 1])
+            for r, sign in zip(results, (+1.0, -1.0)):
+                ref = _hull_lp_by_enumeration(rows, sign)
+                if ref is None:
+                    infeasible += 1
+                    assert r.status == "infeasible"
+                else:
+                    optimal += 1
+                    assert r.status == "optimal"
+                    assert r.value == pytest.approx(ref, abs=1e-9)
+    assert optimal >= 20 and infeasible >= 20
 
 
 def _hull_axis_lp(vertices, sign):
     """max sign * v1 @ x over convex weights x whose mean has no transverse
-    part, posed without the slack rows of `reach._scale_lps` and solved by
+    part, posed without the slack rows of `reach.HullLP` and solved by
     vertex enumeration."""
     j = vertices.shape[0]
     a = np.vstack([np.ones(j), vertices[:, 1:].T])
@@ -202,23 +234,23 @@ def test_scale_lps_match_vertex_enumeration():
         j, m = int(rng.integers(3, 9)), int(rng.integers(2, 4))
         v = rng.normal(size=(j, m))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        s_plus, s_minus = reach._scale_lps(v)
+        [(r_plus, r_minus)] = _ends(v)
         ref_plus, ref_minus = _hull_axis_lp(v, +1.0), _hull_axis_lp(v, -1.0)
-        assert (s_plus is None) == (ref_plus is None)
-        assert (s_minus is None) == (ref_minus is None)
+        assert (r_plus.status == "optimal") == (ref_plus is not None)
+        assert (r_minus.status == "optimal") == (ref_minus is not None)
         if ref_plus is not None:
             checked += 1
-            assert s_plus == pytest.approx(ref_plus, abs=1e-9)
-            assert s_minus == pytest.approx(ref_minus, abs=1e-9)
+            assert r_plus.value == pytest.approx(ref_plus, abs=1e-9)
+            assert r_minus.value == pytest.approx(ref_minus, abs=1e-9)
     assert checked >= 10
 
 
 def test_scale_lps_cross_polytope():
     for m in (1, 2, 5):
         eye = np.eye(m)
-        s_plus, s_minus = reach._scale_lps(np.vstack([eye, -eye]))
-        assert s_plus == pytest.approx(1.0, abs=1e-12)
-        assert s_minus == pytest.approx(-1.0, abs=1e-12)
+        [(r_plus, r_minus)] = _ends(np.vstack([eye, -eye]))
+        assert r_plus.value == pytest.approx(1.0, abs=1e-12)
+        assert r_minus.value == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_lp_import_stays_lazy():
@@ -255,7 +287,8 @@ def test_one_open_end_is_nan(monkeypatch):
     # LP- without an optimum: the range keeps its closed end and marks the
     # open one NaN, here and in the convergence history
     g, comps = _single_qubit_components()
-    monkeypatch.setattr(reach, "_scale_lps", lambda vertices: [1.0, None])
+    ends = {+1.0: reach.LPResult("optimal", 1.0), -1.0: reach.LPResult("infeasible")}
+    monkeypatch.setattr(reach, "lp_solve", lambda lp: ends[lp.sign])
     sr = reach.find_scale_range(g, comps, 100, rng=np.random.default_rng(1), batch=50)
     assert sr.achievable
     assert sr.s_plus == 1.0
@@ -276,10 +309,9 @@ def test_all_zero_target_raises():
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 400, "auto", np.random.default_rng(6), 100, 10)
-    s200 = reach._scale_lps(vs[:200])
-    s400 = reach._scale_lps(vs[:400])
-    assert s400[0] >= s200[0] - 1e-9
-    assert s400[1] <= s200[1] + 1e-9
+    (p200, m200), (p400, m400) = _ends(vs[:200], vs[200:400])
+    assert p400.value >= p200.value - 1e-9
+    assert m400.value <= m200.value + 1e-9
 
 
 def test_vertex_projection_bounds():
@@ -288,7 +320,7 @@ def test_vertex_projection_bounds():
     # transverse components is itself feasible and bounds s+ from below.
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 100, "auto", np.random.default_rng(7), 100, 10)
-    splus = reach._scale_lps(vs)[0]
+    splus = _ends(vs)[0][0].value
     assert splus <= vs[:, 0].max() + 1e-9
     transverse = np.linalg.norm(vs[:, 1:], axis=1)
     aligned = transverse < 1e-6
@@ -397,6 +429,20 @@ def test_hull_volume_refuses_high_dim():
         hull_volume_diagnostic(np.zeros((10, 7)), 5)
 
 
+def _collective_pair():
+    """2 qubits under collective su(2) (a proper subalgebra of su(4)): the
+    algebra, collective Z, the secular dipolar operator, and their
+    C-subspaces."""
+    n = 2
+    x_col = pauli_string_op([(1.0, [(1, "x")]), (1.0, [(2, "x")])], n)
+    y_col = pauli_string_op([(1.0, [(1, "y")]), (1.0, [(2, "y")])], n)
+    z_col = pauli_string_op([(1.0, [(1, "z")]), (1.0, [(2, "z")])], n)
+    dzz = pauli_string_op([(2.0, [(1, "z"), (2, "z")]), (-1.0, [(1, "x"), (2, "x")]),
+                           (-1.0, [(1, "y"), (2, "y")])], n)
+    g = find_lie_algebra([x_col, y_col])
+    return g, z_col, dzz, find_c_subspace(g, z_col), find_c_subspace(g, dzz)
+
+
 def _hs(op):
     return np.sqrt(np.trace(op.conj().T @ op).real)
 
@@ -405,14 +451,7 @@ def test_joint_normalisation_against_hilbert_schmidt_norms():
     # two components of a collective su(2): the targets at s are
     # s ||H_1 (+) H_2|| H_target^w / ||T_1 (+) T_2||, with Hilbert-Schmidt
     # norms of the operators themselves
-    n = 2
-    x_col = pauli_string_op([(1.0, [(1, "x")]), (1.0, [(2, "x")])], n)
-    y_col = pauli_string_op([(1.0, [(1, "y")]), (1.0, [(2, "y")])], n)
-    z_col = pauli_string_op([(1.0, [(1, "z")]), (1.0, [(2, "z")])], n)
-    dzz = pauli_string_op([(2.0, [(1, "z"), (2, "z")]), (-1.0, [(1, "x"), (2, "x")]),
-                           (-1.0, [(1, "y"), (2, "y")])], n)
-    g = find_lie_algebra([x_col, y_col])
-    c1, c2 = find_c_subspace(g, z_col), find_c_subspace(g, dzz)
+    g, z_col, dzz, c1, c2 = _collective_pair()
     comps = [reach.Component.of(0.5 * z_col, c1, 3.0 * z_col), reach.Component.of(dzz, c2, -dzz)]
     pnorm, tnorm, targets = reach.joint_normalisation(comps, 0.4)
     assert pnorm == pytest.approx(np.hypot(_hs(0.5 * z_col), _hs(dzz)), rel=1e-14)
@@ -429,21 +468,7 @@ def test_decoupling_corollary_two_components():
     # 2 qubits under collective su(2); component 1 = collective Z,
     # component 2 = secular dipolar operator. Zeroing component 1 must not
     # change component 2's achievable range.
-    n = 2
-    x_col = pauli_string_op([(1.0, [(1, "x")]), (1.0, [(2, "x")])], n)
-    y_col = pauli_string_op([(1.0, [(1, "y")]), (1.0, [(2, "y")])], n)
-    z_col = pauli_string_op([(1.0, [(1, "z")]), (1.0, [(2, "z")])], n)
-    dzz = pauli_string_op(
-        [
-            (2.0, [(1, "z"), (2, "z")]),
-            (-1.0, [(1, "x"), (2, "x")]),
-            (-1.0, [(1, "y"), (2, "y")]),
-        ],
-        n,
-    )
-    g = find_lie_algebra([x_col, y_col])
-    c1 = find_c_subspace(g, z_col)
-    c2 = find_c_subspace(g, dzz)
+    g, z_col, dzz, c1, c2 = _collective_pair()
     rng = np.random.default_rng(13)
     boths = reach.find_scale_range(
         g, [reach.Component.of(z_col, c1), reach.Component.of(dzz, c2, dzz)], 700,
@@ -458,3 +483,90 @@ def test_decoupling_corollary_two_components():
     assert boths.achievable and alone.achievable
     assert abs(boths.s_plus * rescale - alone.s_plus) < 0.03
     assert abs(boths.s_minus * rescale - alone.s_minus) < 0.03
+
+
+# -- the warm-started search against fresh solves -----------------------------
+
+DESIGN_FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+                  / "design-2q-scale-evaluate.json")
+
+
+@pytest.fixture(scope="module")
+def design():
+    """(algebra, components, find_scale_range keywords) of the 2-qubit
+    design problem."""
+    if not DESIGN_FIXTURE.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    cfg = config.load_config(str(DESIGN_FIXTURE))
+    g = config.build_algebra(cfg)
+    return g, config.scale_components(cfg, config.build_subspaces(cfg, g)), cfg.scale_args
+
+
+def _search_and_vertices(monkeypatch, g, comps, **kwargs):
+    """`find_scale_range` and the vertex rows it drew."""
+    drawn = []
+    sample = reach.sample_vertices
+    monkeypatch.setattr(reach, "sample_vertices", lambda *args: drawn.append(sample(*args)) or drawn[0])
+    sr = reach.find_scale_range(g, comps, **kwargs)
+    return sr, drawn[0]
+
+
+def _check_history_against_fresh_solves(sr, vertices):
+    # every batch's ends, from one model per end re-solved from its last
+    # basis, against the LPs built and solved from scratch on the rows so far
+    for k, s_minus, s_plus in sr.convergence_history:
+        for got, want in zip((s_plus, s_minus), orc.scale_range_ends(vertices[:k])):
+            assert np.isnan(got) == np.isnan(want), (k, got, want)
+            assert np.isnan(want) or abs(got - want) <= 1e-10 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("seed", range(100, 106))
+def test_design_search_matches_fresh_solves(monkeypatch, design, seed):
+    g, comps, scale_args = design
+    sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(seed, 11), **scale_args)
+    assert reach._pick_sampler(g, "auto") == "qr" and len(sr.convergence_history) > 1
+    _check_history_against_fresh_solves(sr, vs)
+
+
+@pytest.mark.parametrize("two_components", [False, True])
+def test_walk_search_matches_fresh_solves(monkeypatch, two_components):
+    # a proper subalgebra, so the walk sampler; one component, or two
+    # under the joint normalisation
+    g, z_col, dzz, c1, c2 = _collective_pair()
+    comps = [reach.Component.of(dzz, c2, dzz)]
+    if two_components:
+        comps.insert(0, reach.Component.of(z_col, c1))
+    sr, vs = _search_and_vertices(monkeypatch, g, comps, j_samples=700, rng=np.random.default_rng(13))
+    assert reach._pick_sampler(g, "auto") == "walk" and len(sr.convergence_history) > 1
+    _check_history_against_fresh_solves(sr, vs)
+
+
+def test_search_after_an_infeasible_batch_matches_fresh_solves(monkeypatch):
+    # batches of 3 unit vertices in 3 dimensions: the first hull misses the
+    # target axis, so both models re-solve after an infeasible solve
+    g, comps = _single_qubit_components()
+    sr, vs = _search_and_vertices(monkeypatch, g, comps, j_samples=30, rng=np.random.default_rng(2), batch=3)
+    history = np.array(sr.convergence_history)
+    assert np.isnan(history[0, 1:]).all() and np.isfinite(history[-1, 1:]).all()
+    _check_history_against_fresh_solves(sr, vs)
+
+
+def test_warm_start_does_less_work_than_fresh_solves(monkeypatch, design):
+    # HiGHS's simplex iterations over a design seed's search, against the
+    # sum over the same LPs solved from scratch (682 on this seed): the
+    # warm search pays 241, one that rebuilds its models per batch about
+    # the fresh count (677), so the bound is half of it
+    g, comps, scale_args = design
+    iterations = []
+    solve = reach.lp_solve
+
+    def counted(lp):
+        result = solve(lp)
+        iterations.append(lp.highs.getInfo().simplex_iteration_count)
+        return result
+
+    monkeypatch.setattr(reach, "lp_solve", counted)
+    sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(100, 11), **scale_args)
+    assert len(sr.convergence_history) == 5 and len(iterations) == 10
+    fresh = sum(orc.hull_lp(vs[:k], sign).nit for k, _, _ in sr.convergence_history for sign in (+1.0, -1.0))
+    assert sum(iterations) < fresh / 2
