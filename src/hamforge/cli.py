@@ -9,7 +9,9 @@ included.  The commands read only the typed values of the `ProblemConfig`
 it returns.  The sequence file of evaluate / landscape / simulate is
 checked the same way by `config.read_sequence`, channels, dt and
 interval count against the problem's.  Every output is strict JSON, with
-null for a scale-range end whose LP has no optimum.
+null for a scale-range end whose LP has no optimum.  The range of `scale`
+and of the s_target gate of `optimize` is an inner bound (see `reach`):
+the gate can reject a reachable s_target, which --force passes.
 
 Exit codes: 0 success, 2 validation error (a bad file key, --seed,
 --threads or HAMFORGE_THREADS, or a file or directory that cannot be read
@@ -30,7 +32,7 @@ from . import evaluate as ev
 from . import reach
 from .config import ConfigError, ProblemConfig
 from .opcore import SPAN_TOL, SubspaceError
-from .optimizer import OptimizationResult, parallel_restarts, restart_rng
+from .optimizer import parallel_restarts, restart_rng
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -189,7 +191,6 @@ def cmd_optimize(args) -> int:
                 )
                 return EXIT_INFEASIBLE
 
-    best: OptimizationResult | None = None
     x_init = None
     for k, (t_max, t0) in enumerate(cfg.stages):
         stage_cfg = replace(cfg.gsa, t_max=t_max, t0=t0, master_seed=cfg.seed + 7919 * k)

@@ -50,8 +50,8 @@ objectives[k] = []: kind: str in `objectives.KINDS`; weight: num > 0;
     them; order: 2|3; kind primary_unitary needs targets.u_target
 optimizer: q_v, q_a, T0 (t0), e_target: num; t_max, restarts: int;
     schedule: str; all with the defaults and checks of
-    `optimizer.GSAConfig`; stages = [[t_max, T0]]: [int >= 1, num > 0]
-    pairs
+    `optimizer.GSAConfig`; stages = [[t_max, T0]]: a non-empty list of
+    [int >= 1, num > 0] pairs
 evaluation: n_mc: int = 1000, >= 1; scale_samples: int = 1000, >= 1;
     sampler: "auto"|"qr"|"walk"; scale_batch: int, >= 1; walk_burn: int,
     >= 0; walk_thin: int, >= 1 (these four default to the sampler, batch,
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -79,7 +79,7 @@ from .controlsys import (
     field_operators,
 )
 from .evaluate import EvaluationSetup, ParameterDistribution
-from .liealg import CSubspace, LieAlgebraBasis, find_c_subspace, find_lie_algebra
+from .liealg import LieAlgebraBasis, find_c_subspace, find_lie_algebra
 from .objectives import PARAMS, CostPipeline, ObjectiveSpec, ObjectiveTerm, check_references
 from .opcore import pauli_string_op
 from .optimizer import GSAConfig
@@ -446,6 +446,8 @@ def parse_config(raw: dict) -> ProblemConfig:
     with _at("optimizer: "):
         gsa = GSAConfig(dimension=len(channels) * intervals, **settings)
     stages, pairs = [], _get(opt, "stages", "optimizer", list, default=[[gsa.t_max, gsa.t0]])
+    if not pairs:
+        raise ConfigError("optimizer.stages: no annealing stage")
     for k, stage in enumerate(pairs):
         path = f"optimizer.stages[{k}]"
         if not (isinstance(stage, (list, tuple)) and len(stage) == 2):
@@ -526,14 +528,10 @@ def _initial_state(spec, n_qubits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # derived objects
 
-def build_generators(cfg: ProblemConfig) -> list[np.ndarray]:
-    """The operators of the field rows plus primary internal terms."""
-    pri = [t.matrix_unit for t in cfg.terms if t.assign == "pri"]
-    return [*field_operators(cfg.channels, cfg.n_qubits), *pri]
-
-
 def build_algebra(cfg: ProblemConfig) -> LieAlgebraBasis:
-    return find_lie_algebra(build_generators(cfg))
+    """The algebra generated by the operators of the field rows and the primary terms."""
+    pri = [t.matrix_unit for t in cfg.terms if t.assign == "pri"]
+    return find_lie_algebra([*field_operators(cfg.channels, cfg.n_qubits), *pri])
 
 
 def build_subspaces(cfg: ProblemConfig, g: LieAlgebraBasis):
@@ -547,32 +545,20 @@ def scale_components(cfg: ProblemConfig, subspaces) -> list[Component]:
     return [Component.of(mat, subspaces[w], cfg.h_target.get(w)) for w, mat in cfg.pert.items()]
 
 
-def error_subspace(cfg: ProblemConfig, g: LieAlgebraBasis) -> CSubspace:
-    """Minimal subspace holding every toggled control-error operator; the
-    seeds are the operators of the field rows."""
-    seeds = field_operators(cfg.channels, cfg.n_qubits)
-    return find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:]))
-
-
 def build_pipeline(cfg: ProblemConfig, g=None, subspaces=None) -> CostPipeline:
     g = g or build_algebra(cfg)
     subspaces = subspaces or build_subspaces(cfg, g)
     zero = np.zeros((2 ** cfg.n_qubits,) * 2, dtype=complex)
     pri_internal = sum((t.coeff * t.matrix_unit for t in cfg.terms if t.assign == "pri"), zero)
-    err_space = error_subspace(cfg, g) if cfg.errors else None
+    # the minimal subspace of every toggled control error, seeded by the field rows
+    seeds = field_operators(cfg.channels, cfg.n_qubits)
+    err_space = find_c_subspace(g, seeds[0], extra_seeds=tuple(seeds[1:])) if cfg.errors else None
     # a config changed after parsing meets the pipeline's own checks
     try:
         return CostPipeline(
-            cfg.n_qubits,
-            cfg.channels,
-            cfg.intervals,
-            cfg.dt,
-            cfg.model,
-            pri_internal,
-            scale_components(cfg, subspaces),
-            {e["name"]: e["param"] for e in cfg.errors},
-            err_space,
-            ObjectiveSpec(cfg.objectives, cfg.u_target, cfg.s_target or 0.0),
+            cfg.n_qubits, cfg.channels, cfg.intervals, cfg.dt, cfg.model, pri_internal,
+            scale_components(cfg, subspaces), {e["name"]: e["param"] for e in cfg.errors},
+            err_space, ObjectiveSpec(cfg.objectives, cfg.u_target, cfg.s_target or 0.0),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -598,32 +584,18 @@ def total_target_unitary(cfg: ProblemConfig, subspaces) -> np.ndarray:
     u = cfg.u_target if cfg.u_target is not None else np.eye(d, dtype=complex)
     comps = scale_components(cfg, subspaces)
     _, _, targets = joint_normalisation(comps, cfg.s_target or 0.0)
-    h = np.zeros((d, d), dtype=complex)
-    for c, vec in zip(comps, targets):
-        h = h + np.tensordot(vec, c.subspace.stack, axes=(0, 0))
-    if np.abs(h).max() > 0:
-        uh = expm_batch(h[None], cfg.t_seq)[0]
-        u = u @ uh
-    return u
+    h = sum((np.tensordot(vec, c.subspace.stack, axes=(0, 0)) for c, vec in zip(comps, targets)),
+            np.zeros((d, d), dtype=complex))
+    return u @ expm_batch(h[None], cfg.t_seq)[0] if np.abs(h).max() > 0 else u
 
 
 # ---------------------------------------------------------------------------
 # sequence files
 
 def sequence_to_dict(seq: ControlSequence) -> dict:
-    return {
-        "dt": seq.dt,
-        "channels": [
-            {
-                "name": ch.name,
-                "qubits": list(ch.qubits),
-                "role": ch.role,
-                "scale": ch.scale,
-                "values": [float(v) for v in seq.values[k]],
-            }
-            for k, ch in enumerate(seq.channels)
-        ],
-    }
+    channels = [asdict(ch) | {"qubits": list(ch.qubits), "values": row.tolist()}
+                for ch, row in zip(seq.channels, seq.values)]
+    return {"dt": seq.dt, "channels": channels}
 
 
 def sequence_from_dict(d: dict, problem: ProblemConfig | None = None) -> ControlSequence:
@@ -648,7 +620,7 @@ def sequence_from_dict(d: dict, problem: ProblemConfig | None = None) -> Control
         raise ConfigError(f"sequence.channels: {len(channels)} channels,"
                           f" not {len(problem.channels)} as in control.channels")
     for k, (ch, want) in enumerate(zip(channels, problem.channels)):
-        for key in ("name", "qubits", "role", "scale"):
+        for key in _CHANNEL_KEYS:
             if getattr(ch, key) != getattr(want, key):
                 raise ConfigError(f"sequence.channels[{k}].{key} is {getattr(ch, key)!r},"
                                   f" not {getattr(want, key)!r} as in control.channels[{k}]")

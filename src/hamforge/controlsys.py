@@ -320,8 +320,8 @@ class LinearKernelModel(ControlModel):
     W and delta derivative of B is a combination of the y_n (B is affine
     in delta).  The y_n are stepped exactly per substep, so
     piecewise-constant inputs incur no discretization error; the steps
-    form a linear recurrence that `_block_propagate` solves for the whole
-    sequence at once.  The drive factor scales every row, z rows included.
+    form a linear recurrence that `_block_propagate` solves across the
+    sequence.  The drive factor scales every row, z rows included.
     """
 
     W: float                 # bandwidth, rad/s
@@ -382,11 +382,20 @@ class LinearKernelModel(ControlModel):
             sample, drive = comb * m[lag] / h, (h * m[:-1] - m[1:]) / h
         else:
             sample, drive = shift(h / 2), _exp_moments(w, h / 2, n_states)
-        epow = shift(h * np.arange(self.substeps + 1))     # E^j = shift(j h)
-        force = u.reshape(-1, self.substeps, 1) * m[:-1]
+        c = _block_substeps(self.substeps, 1)
+        epow = shift(h * np.arange(c + 1))     # E^j = shift(j h)
+        force = u.reshape(-1, c, 1) * m[:-1]
         xs, _ = _block_propagate(epow, _block_toeplitz(epow), force)
         ys = xs[:, :-1].reshape(u.size, n_states)
         return (ys @ sample.T + u[:, None] * drive).T
+
+
+_BLOCK_STEPS = 64   # most steps per block: an interval of up to 64 is whole, and T_b keeps 0.6 MB
+
+
+def _block_substeps(substeps: int, steps: int) -> int:
+    """The most substeps of `steps` steps each in a block that divides the interval."""
+    return max(c for c in range(1, substeps + 1) if substeps % c == 0 and c * steps <= _BLOCK_STEPS)
 
 
 def _block_toeplitz(epow: np.ndarray) -> np.ndarray:
@@ -401,14 +410,14 @@ def _block_toeplitz(epow: np.ndarray) -> np.ndarray:
 
 
 def _block_propagate(epow: np.ndarray, toeplitz: np.ndarray, force: np.ndarray):
-    """States of x_{j+1} = E x_j + force_j from x = 0, interval by interval.
+    """States of x_{j+1} = E x_j + force_j from x = 0, block by block.
 
-    force is (P, n, s), the n steps of each interval; epow holds E^0 .. E^n
-    and toeplitz is `_block_toeplitz(epow)`.  A force held over each
-    interval may come as (P, 1, s), with the n row blocks of T_n summed.
+    force is (P, n, s), the n steps of each of P blocks; epow holds E^0 ..
+    E^n and toeplitz is `_block_toeplitz(epow)`.  A force held over each
+    block may come as (P, 1, s), with the n row blocks of T_n summed.
     Returns the (P, n+1, s) states x_{p,0..n} and the final state.
     x_{p,j} = E^j x_{p,0} + c_{p,j}: c, driven from rest within each
-    interval, is one product with T_n.  The boundary states obey
+    block, is one product with T_n.  The boundary states obey
     x_{p+1,0} = E^n x_{p,0} + c_{p,n}, which a doubling scan solves in
     ceil(log2 P) rounds of one (P, s) x (s, s) product each, the power of
     E^n squared every round (Hillis & Steele, CACM 29, 1986).
@@ -436,9 +445,9 @@ class _HalfStep:
     fvec_q: np.ndarray     # int_0^{hh/2} e^{A0 s} ds u
     psi1: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} ds
     psi2: np.ndarray       # column 0 of int_0^hh e^{A0 (hh - s)} (s / hh) ds
-    epow: np.ndarray | None       # E^0 .. E^n over the n half-steps of one interval; linear path only
-    toeplitz: np.ndarray | None   # T_n of `_block_toeplitz`
-    held: np.ndarray | None       # its row blocks summed, for the drive held over an interval
+    epow: np.ndarray | None       # E^0 .. E^b over the b half-steps of one block; linear path only
+    toeplitz: np.ndarray | None   # T_b of `_block_toeplitz`
+    held: np.ndarray | None       # its row blocks summed, for the drive held over a block
 
 
 _STEPS_KEPT = 8   # half-step constants kept: a few output steps, or one step's retries
@@ -447,7 +456,7 @@ _STEPS_KEPT = 8   # half-step constants kept: a few output steps, or one step's 
 @lru_cache(maxsize=_STEPS_KEPT)
 def _step_constants(circuit: "CircuitModel", h_out: float, n_half: int, linear: bool) -> _HalfStep:
     """`_HalfStep` of n_half half-steps per output step h_out, with E^j and
-    T_n on the linear path; `circuit` is at alpha_L = amplitude = 0."""
+    T_b of one block on the linear path; `circuit` is at alpha_L = amplitude = 0."""
     a0, uvec = circuit._system()
     hh = h_out / n_half
     eye = np.eye(3)
@@ -458,7 +467,8 @@ def _step_constants(circuit: "CircuitModel", h_out: float, n_half: int, linear: 
     psi2 = psi1 + (ainv @ psi1) / hh - ainv @ e
     epow = t_n = held = None
     if linear:
-        epow = np.array([np.linalg.matrix_power(e, j) for j in range(circuit.substeps * n_half + 1)])
+        b = _block_substeps(circuit.substeps, n_half) * n_half
+        epow = np.array([np.linalg.matrix_power(e, j) for j in range(b + 1)])
         t_n = _block_toeplitz(epow)
         held = t_n.reshape(-1, 3, t_n.shape[1]).sum(axis=0)
     arrays = [e, e_q, psi1 @ uvec, (ainv @ (e_q - eye)) @ uvec, psi1[:, 0], psi2[:, 0], epow, t_n, held]
@@ -482,12 +492,13 @@ class CircuitModel(ControlModel):
     time-invariant and the drive is constant over each control interval,
     so with E the exact half-step propagator every state is
     x_{p,j} = E^j x_{p,0} + c_{p,j}, where c is driven from rest within
-    interval p.  `_block_propagate` forms c as one product with the block
-    Toeplitz matrix of the powers of E, kept with the half-step constants,
-    and the P boundary states x_{p,0} by a doubling scan, in memory linear
-    in P.  The step is exact, so a non-finite field raises at once.  The
-    derivatives obey the same recursion with forcings that the states
-    determine, so they go through the same helper:
+    block p of at most `_BLOCK_STEPS` half-steps.  `_block_propagate` forms
+    c as one product with the block Toeplitz matrix of the powers of E,
+    kept with the half-step constants, and the boundary states x_{p,0} by
+    a doubling scan, in memory linear in the substeps.  The step is exact,
+    so a non-finite field raises at once.  The derivatives obey the same
+    recursion with forcings that the states determine, so they go through
+    the same helper:
 
     * d/dalpha_L is the ODE sensitivity, forced by (dA/dalpha_L) x at the
       Simpson nodes of each half-step;
@@ -573,12 +584,6 @@ class CircuitModel(ControlModel):
         ux, uy = _drive_xy(seq, roles)
         return (1.0 + self.amplitude) * (ux + 1j * uy) / self.kappa_i
 
-    def _output(self, mids: np.ndarray) -> np.ndarray:
-        return np.stack([
-            self.kappa_o * mids[:, 0].real * self.omega_max,
-            self.kappa_o * mids[:, 0].imag * self.omega_max,
-        ])
-
     def field(self, seq: ControlSequence, jets=()) -> DiscretizedField:
         keys = self._jet_keys(jets)
         alpha = self._alpha_in(seq)
@@ -586,7 +591,8 @@ class CircuitModel(ControlModel):
         linear = self.drive_linear
         asked = {_without_amplitude(key) for key in keys} if linear else set(keys)
         _, mids = self._integrate(alpha, h, asked - {()})
-        rows = {key: self._output(m) for key, m in mids.items()}
+        rows = {key: self.kappa_o * np.stack([m[:, 0].real, m[:, 0].imag]) * self.omega_max
+                for key, m in mids.items()}
         if linear:
             degrees = {key: (2 * len(_names(key)) + 1, r) for key, r in rows.items()}
             sens = _drive_homogeneous(degrees, keys)
@@ -656,6 +662,8 @@ class CircuitModel(ControlModel):
         The force and its state Jacobian vanish at alpha_L = 0, so each
         derivative obeys x's own recursion with an explicit forcing."""
         k = self._half_step(h_out, n_half)
+        at = np.arange(n_half // 2, len(k.epow) - 1, n_half)   # a block's output midpoints
+        alpha = np.repeat(alpha, self.substeps * n_half // (len(k.epow) - 1))   # each block's drive
         propagate = partial(_block_propagate, k.epow, k.toeplitz)
         xs, x_end = _block_propagate(k.epow, k.held, alpha[:, None, None] * k.fvec)
         if not np.isfinite(xs).all():
@@ -685,7 +693,6 @@ class CircuitModel(ControlModel):
                 + g({n: v[:, 1:] for n, v in f.items()}, key, {"alpha_L": t}) * k.psi2
             )
             out[key] = propagate(force)[0]
-        at = np.arange(self.substeps) * n_half + n_half // 2
         return x_end, {key: v[:, at].reshape(-1, 3) for key, v in out.items()}
 
     def _march_nonlinear(self, alpha, h_out, n_half, jets):

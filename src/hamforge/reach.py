@@ -6,7 +6,11 @@ hull of conjugated perturbation vectors.  This module samples that hull
 rotates it so the target direction is the first coordinate, and bounds
 the achievable scaling factor range [s-, s+] with two linear programs,
 one per end: each is one HiGHS model that every batch of vertices grows
-by its columns and that is re-solved from its last optimal basis.
+by its columns and that is re-solved from its last optimal basis.  The
+range is an inner bound, since the sampled hull lies inside the reachable
+one: every end is low, 21% on the 2-qubit design problem and 72% on its
+3-qubit extension.  So the s_target gate of `hamforge optimize` can reject
+a reachable target; --force passes it.
 
 Joint normalisation.  A `Component` w holds the coefficients p_w of
 H_pert^w and t_w of H_target^w in its subspace C_w.  A scale factor s is
@@ -166,7 +170,7 @@ def joint_normalisation(components, s: float):
 
 @dataclass(frozen=True)
 class ScaleRange:
-    """Achievable scale range [s_minus, s_plus] along the target direction.
+    """Inner bound [s_minus, s_plus] on the scale range along the target direction.
 
     An end whose LP reached no optimum is NaN, here and in the
     ``(samples, s_minus, s_plus)`` rows of ``convergence_history``;
@@ -252,7 +256,7 @@ def find_scale_range(
     search stops early once both ends of the range move less than
     CONVERGE_TOL over the last batch, and is capped at ``j_samples``.
     Both LPs infeasible means the target direction is not achievable at
-    any scale.
+    any scale.  The range is an inner bound (see the module docstring).
     """
     rng = rng or np.random.default_rng()
     mtot = sum(c.subspace.dim for c in components)

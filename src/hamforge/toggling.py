@@ -36,31 +36,31 @@ projects onto eigenvectors of M at -/+ omega or onto zero; a dead pair
 0, which moves the nodal values by at most eps ||seed||.
 
 Step integrals by collocation.  Within a step the toggled coefficients
-are c(tau) = G(tau) y, y = F^T seed and G(tau) = [F_H, c X - s Y, c Y +
-s X] at c = cos(omega tau), s = sin(omega tau): entire in tau, with no
+are c(tau) = G(tau) y, y = F^T seed and G(tau) = [F_H, c X - s Y, c Y + s
+X] at c = cos(omega tau), s = sin(omega tau): entire in tau, with no
 frequency above theta / dt, theta = max_q (lambda_max - lambda_min) dt,
 which bounds |nu| dt on every subspace.  A step takes the k = GL_NODES =
 14 Gauss-Legendre nodes tau_j with weights W_j, and S, the k x k matrix
 that takes values at the nodes to the integrals int_0^tau_j of their
 interpolating polynomial: S = A V^-1, V the Legendre-Vandermonde matrix
-at the nodes and A the antiderivatives there (Trefethen, Spectral
-Methods in MATLAB, SIAM 2000, ch. 12).  One panel serves while theta <=
-GL_THETA = 5.25.  Above it the step splits into 2^s equal panels, s =
+at the nodes and A the antiderivatives there (Trefethen, Spectral Methods
+in MATLAB, SIAM 2000, ch. 12).  One panel serves while theta <= GL_THETA
+= 5.25.  Above it the step splits into 2^s equal panels, s =
 ceil(log2(theta / GL_THETA)), read once per evaluation the way
-`expm_batch` reads its theta; S is then the block lower-triangular matrix
-of the composite rule, each row also integrating the whole of the earlier
-panels.  Every subspace of an evaluation takes the same nodes, so the two
-slots of a cross pair node by node.  Nothing groups frequencies, sums a
-series or branches on near-degeneracy: the error depends on theta per
-panel and k alone.  Against 40-digit arithmetic the worst r = 3 entry,
-all three frequencies at -/+ theta, is 1.0e-15 T^3/6 at theta = 4.6,
-2.8e-14 at 5.25 and 7.6e-13 at 6, which is why a panel stops at 5.25;
-r <= 2 stays at rounding (<= 3e-15 T^r/r!).  Random spectra with ties,
-exact zeros and +/- pairs up to theta = 20 stay within 5e-14 T^r/r! of
-the general divided-difference kernel in `tests/_oracles.py`, except
-where that kernel's own error near its series threshold (<= 1e-13) shows.
-The nodal values take Q K m reals per request, K = 14 2^s, so memory and
-time grow linearly in theta past one panel.
+`expm_batch` reads its theta; S is then one panel's, and the composition
+crosses the panels of a step the way it crosses steps.  Every subspace of
+an evaluation takes the same nodes, so the two slots of a cross pair node
+by node.  Nothing groups frequencies, sums a series or branches on
+near-degeneracy: the error depends on theta per panel and k alone.
+Against 40-digit arithmetic the worst r = 3 entry, all three frequencies
+at -/+ theta, is 1.0e-15 T^3/6 at theta = 4.6, 2.8e-14 at 5.25 and
+7.6e-13 at 6, which is why a panel stops at 5.25; r <= 2 stays at
+rounding (<= 3e-15 T^r/r!).  Random spectra with ties, exact zeros and
++/- pairs up to theta = 20 stay within 5e-14 T^r/r! of the general
+divided-difference kernel in `tests/_oracles.py`, except where that
+kernel's own error near its series threshold (<= 1e-13) shows.  The
+nodal values take Q K m reals per request, K = 14 2^s, so memory and
+time grow linearly in theta past one panel, and no product is K x K.
 
 Toggle matrices.  Over a whole step the flow is D(U_q^dag) = exp(i M_q dt)
 = F Rot F^T, Rot turning each pair by omega dt: X -> c X - s Y and Y ->
@@ -78,15 +78,16 @@ E_prev[q] = D(U_1^dag) .. D(U_{q-1}^dag).  Every request takes a0_q =
 E_prev[q] Gbar_q y_q, the weighted step sum Gbar_q = sum_j W_j G_q(tau_j)
 being shared by the requests on a subspace, and tot0 = sum_q a0_q.  A
 higher order or a cross reads the lab-frame nodal values L_qj = E_prev[q]
-G_q(tau_j) y_q (Q, k, m) and their running integrals G1 = (sum of a0
-over the earlier steps) + S L.  Then, with every sum over steps q and
-nodes j, tot1 = sum W L (x) G1, G2 = (tot1 of the earlier steps) + S (L
-(x) G1) and tot2 = sum W L (x) G2, with G2 (Q k m^2 entries) unformed:
-tot2 = sum u (x) L (x) G1, u = S^T (W L), in m (m, Qk) x (Qk, m)
-products, plus each step's sum_j W_j L_qj against the earlier tot1.  A
-cross is sum W L_p (x) G1_e, the later slot's values against the earlier
-slot's running integrals (Hairer, Lubich & Wanner, Geometric Numerical
-Integration, Springer 2006, ch. IV).
+G_q(tau_j) y_q (Q, K, m) and their running integrals G1 = (sum of the
+panel integrals a1 = sum_j W_j L_j over the earlier panels) + S L: a step
+of 2^s panels enters every running sum as 2^s steps of one panel.  Then,
+with every sum over panels and nodes j, tot1 = sum W L (x) G1, G2 = (tot1
+of the earlier panels) + S (L (x) G1) and tot2 = sum W L (x) G2, with G2
+(Q K m^2 entries) unformed: tot2 = sum u (x) L (x) G1, u = S^T (W L), in
+m (m, QK) x (QK, m) products, plus each panel's a1 against the earlier
+tot1.  A cross is sum W L_p (x) G1_e, the later slot's values against the
+earlier slot's running integrals (Hairer, Lubich & Wanner, Geometric
+Numerical Integration, Springer 2006, ch. IV).
 """
 from __future__ import annotations
 
@@ -254,25 +255,24 @@ def adjoint_matrix_batch(lam: np.ndarray, vecs: np.ndarray, frame: AdjointFrame)
 
 @cache
 def _panel_rule(s: int) -> tuple:
-    """Nodes (K,), weights (K,) and integration matrix S (K, K) of 2^s
-    equal panels of GL_NODES nodes on [0, 1], K = 2^s GL_NODES, read-only."""
+    """Nodes (K,), weights (K,) and one panel's integration matrix S (k, k)
+    of 2^s equal panels of k = GL_NODES nodes on [0, 1], K = 2^s k, read-only."""
     x, w = leggauss(GL_NODES)
     anti = legval(x, legint(np.eye(GL_NODES), lbnd=-1)).T   # int_-1^x_j P_n
-    one = np.linalg.solve(legvander(x, GL_NODES - 1).T, anti.T).T / 2
     p = 2 ** s
+    smat = np.linalg.solve(legvander(x, GL_NODES - 1).T, anti.T).T / (2 * p)
     tau = (np.arange(p)[:, None] + (x + 1) / 2).ravel() / p
     weights = np.tile(w / 2, p) / p
-    smat = np.kron(np.eye(p), one / p) + np.kron(np.tri(p, k=-1), np.tile(w / 2, (GL_NODES, 1)) / p)
     for a in (tau, weights, smat):
         a.setflags(write=False)
     return tau, weights, smat
 
 
 def step_rule(spread, dt: float) -> tuple:
-    """Nodes tau (K,), weights W (K,) and S (K, K) of steps of length dt
-    whose frequencies are bounded by |spread| (steps first): 2^s panels
-    with s = ceil(log2(theta / GL_THETA)) at theta = max |spread| dt above
-    GL_THETA, else one."""
+    """Nodes tau (K,), weights W (K,) and panel matrix S (k, k) of steps of
+    length dt whose frequencies are bounded by |spread| (steps first): 2^s
+    panels with s = ceil(log2(theta / GL_THETA)) at theta = max |spread| dt
+    above GL_THETA, else one."""
     theta = np.abs(spread).max(initial=0.0) * dt
     s = int(np.ceil(np.log2(theta / GL_THETA))) if theta > GL_THETA else 0
     tau, w, smat = _panel_rule(s)
@@ -281,7 +281,7 @@ def step_rule(spread, dt: float) -> tuple:
 
 class StepNodes:
     """A `step_rule` on one subspace in one evaluation: its weights w (K,)
-    and matrix s (K, K), the pair rotations cos and sin (Q, K, k - h) at
+    and panel matrix s, the pair rotations cos and sin (Q, K, k - h) at
     the nodes, and the weighted step sum gbar = sum_j W_j G(tau_j)
     (Q, m, p) that every request on the subspace reads."""
 
@@ -362,22 +362,25 @@ def compose_batch(e_prev, c0, c=None, nodes=None, r_max=1):
     tot0 = a0.sum(axis=0)
     if c is None:
         return None, (tot0, None, None)
-    l = c @ np.swapaxes(e_prev, 1, 2)
-    g1 = nodes.s @ l + (np.cumsum(a0, axis=0) - a0)[:, None]
+    # the running sums cross a step's 2^s panels, (Q 2^s, k, m), as they cross steps
+    k, m = len(nodes.s), c.shape[2]
+    l = (c @ np.swapaxes(e_prev, 1, 2)).reshape(-1, k, m)
+    a1 = nodes.w[:k] @ l   # each panel's integral, as a product: a sum over axis 1 is ~6x slower
+    g1 = nodes.s @ l + (np.cumsum(a1, axis=0) - a1)[:, None]
+    nodal = l.reshape(c.shape), g1.reshape(c.shape)
     if r_max < 2:
-        return (l, g1), (tot0, None, None)
-    lw = l * nodes.w[:, None]
-    t1 = np.swapaxes(lw, 1, 2) @ g1   # step q's share of tot1
+        return nodal, (tot0, None, None)
+    lw = l * nodes.w[:k, None]
+    t1 = np.swapaxes(lw, 1, 2) @ g1   # each panel's share of tot1
     tot1 = t1.sum(axis=0)
     if r_max < 3:
-        return (l, g1), (tot0, tot1, None)
-    q, k, m = l.shape
-    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(q, m * m)
-    u = (nodes.s.T @ lw).reshape(q * k, m)
-    lf, gf = l.reshape(q * k, m), g1.reshape(q * k, m)
+        return nodal, (tot0, tot1, None)
+    s1_prev = (np.cumsum(t1, axis=0) - t1).reshape(-1, m * m)
+    u = (nodes.s.T @ lw).reshape(-1, m)
+    lf, gf = l.reshape(-1, m), g1.reshape(-1, m)
     tot2 = np.stack([(u[:, a, None] * lf).T @ gf for a in range(m)])
-    tot2 += (lw.sum(axis=1).T @ s1_prev).reshape(m, m, m)
-    return (l, g1), (tot0, tot1, tot2)
+    tot2 += (a1.T @ s1_prev).reshape(m, m, m)
+    return nodal, (tot0, tot1, tot2)
 
 
 def compose_cross_batch(w, l_p, g1_e):

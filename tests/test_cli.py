@@ -623,6 +623,7 @@ _BAD_KEYS = {
                               "optimizer.stages[0][1] must be a finite number > 0.0, got 0.0"),
     "stage-not-a-pair": (_set("optimizer", "stages", [[40]]),
                          "optimizer.stages[0] must be a [t_max, T0] pair, got [40]"),
+    "stages-empty": (_set("optimizer", "stages", []), "optimizer.stages: no annealing stage"),
     # evaluation
     "sampler-unknown": (_set("evaluation", "sampler", "mcmc"),
                         "evaluation.sampler must be one of ['auto', 'qr', 'walk'], got 'mcmc'"),

@@ -341,6 +341,33 @@ def test_circuit_integrator_matches_half_step_oracle(alpha_l, run):
         assert np.abs(got[key] - r).max() <= 1e-12 * np.abs(r).max(), key
 
 
+@pytest.mark.parametrize("substeps", [40, 48, 128, 256])
+def test_fine_substeps_match_the_half_step_oracle(substeps):
+    # an interval of more than _BLOCK_STEPS half-steps takes several blocks,
+    # each a divisor of the interval: 2 of 20 substeps at 40 (where a block of
+    # 32 would straddle an interval), 2 of 24 at 48, 4 and 8 of 32
+    model = CircuitModel(substeps=substeps)
+    seq = circuit_drive(p_int=3)
+    args = (model._alpha_in(seq), seq.dt / substeps, 2)
+    x_ref, ref = circuit_oracle(model, *args)
+    x, got = model._march_linear(*args, set(ref) - {()})
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    for key, r in ref.items():
+        assert got[key].shape == r.shape == (3 * substeps, 3), key
+        assert np.abs(got[key] - r).max() <= 1e-12 * np.abs(r).max(), key
+
+
+def test_fine_substeps_keep_the_constants_of_one_block():
+    # E^0..E^b and T_b over at most _BLOCK_STEPS half-steps, however many
+    # substeps an interval takes: under 1 MB per cache entry
+    import hamforge.controlsys as cs
+
+    for substeps in (16, 128, 256):
+        k = CircuitModel(substeps=substeps)._half_step(1e-8 / substeps, 2)
+        assert len(k.epow) == min(2 * substeps, cs._BLOCK_STEPS) + 1
+        assert sum(a.nbytes for a in vars(k).values() if isinstance(a, np.ndarray)) <= 1e6
+
+
 def test_circuit_step_halving_is_logged(monkeypatch, caplog):
     real = CircuitModel._march_nonlinear
     n_halves = []
@@ -408,6 +435,28 @@ def test_circuit_derivatives_that_overflow_raise(monkeypatch):
         with pytest.raises(RuntimeError, match=r"unstable after 6 attempt\(s\)"):
             model.field(seq, ["alpha_L"])
     assert n_halves == [2, 4, 8, 16, 32, 64]
+
+
+def test_circuit_current_whose_modulus_overflows_is_retried(caplog):
+    # tuned to resonance, the circuit's current reaches 1.04 times the drive
+    # over a long step; at a drive of 2e308 the first predicted current has
+    # finite parts of 1.47e308 and a modulus past the largest float, so
+    # abs() raises OverflowError, which diverges the step and retries it
+    model = CircuitModel(alpha_L=1e-7, omega_r=2 * np.pi * 10e9 + 4.7e8, kappa_i=5e-308, substeps=1)
+    phi = np.radians(49.3)
+    seq = ControlSequence(np.array([[np.cos(phi)] * 2, [np.sin(phi)] * 2]), 1e-5, XY10)
+    alpha = model._alpha_in(seq)
+    current = complex(model._half_step(seq.dt, 2).fvec[0]) * complex(alpha[0])
+    assert np.isfinite([current.real, current.imag]).all()
+    with pytest.raises(OverflowError):
+        abs(current)
+    with pytest.raises(FloatingPointError, match="circuit state diverged") as info:
+        model._march_nonlinear(alpha, seq.dt, 2, set())
+    assert isinstance(info.value.__cause__, OverflowError)
+    with caplog.at_level(logging.WARNING, logger="hamforge"):
+        with pytest.raises(RuntimeError, match=r"unstable after 6 attempt\(s\)"):
+            model.field(seq)
+    assert "retry 1 of 5" in caplog.records[0].getMessage()
 
 
 @pytest.mark.parametrize("kappa_i", [1e-320, 1e-305])
@@ -788,7 +837,7 @@ def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
     for epow, toeplitz in cases:
         size = epow.shape[-1]
         force = rng.normal(size=(p_int, n, size)) + 1j * rng.normal(size=(p_int, n, size))
-        # a force held over each interval goes with the row blocks of T_n summed
+        # a force held over each block goes with the row blocks of T_n summed
         held = toeplitz.reshape(n, size, -1).sum(axis=0)
         for f, t in ((force, toeplitz), (force[:, :1], held)):
             xs, x_end = cs._block_propagate(epow, t, f)
@@ -800,7 +849,7 @@ def test_block_propagate_matches_the_stepped_recursion(p_int, substeps, n_half):
 
 
 @pytest.mark.parametrize("p_int", [1, 2, 7, 64, 200])
-@pytest.mark.parametrize("substeps", [1, 8, 32])
+@pytest.mark.parametrize("substeps", [1, 8, 32, 96])
 @pytest.mark.parametrize("average", [False, True])
 def test_kernel_field_matches_the_sequential_oracle(average, substeps, p_int, monkeypatch):
     model = LinearKernelModel(KERNEL_W, 0.3 * KERNEL_W, substeps, average=average)

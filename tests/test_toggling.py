@@ -108,13 +108,22 @@ def opitz_oracle(nodes, t):
 def collocation_table(nu, t, r, rule=None):
     """The ordered integrals of e^{i a t1} .. e^{i c tr} over every r-tuple
     of the frequencies nu (r <= 3) on one step [0, t], as nodal sums of
-    `step_rule`: I1 = sum_j W_j e_a, I2 = sum_j W_j e_a (S e_b) and I3 =
-    sum_j W_j e_a (S (e_b (S e_c))), with e_a = e^{i a tau}."""
+    `step_rule`: I1 = sum_j W_j e_a, I2 = sum_j W_j e_a R(e_b) and I3 =
+    sum_j W_j e_a R(e_b R(e_c)), with e_a = e^{i a tau} and R the running
+    integral of nodal values, S on each panel plus the panel sums
+    sum_j W_j f_j of the earlier panels."""
     tau, w, s = tg.step_rule(nu, t) if rule is None else rule
+    k = len(s)
+
+    def running(f):
+        panels = f.reshape(len(f), -1, k)
+        sums = panels @ w[:k]
+        return (panels @ s.T + (np.cumsum(sums, axis=1) - sums)[..., None]).reshape(f.shape)
+
     e = np.exp(1j * np.multiply.outer(nu, tau))
     run = np.ones((1, len(tau)))
     for _ in range(r - 1):
-        run = (e[:, None] * run).reshape(-1, len(tau)) @ s.T
+        run = running((e[:, None] * run).reshape(-1, len(tau)))
     return ((e * w) @ run.T).ravel()
 
 
@@ -187,12 +196,13 @@ def test_int3_kernels_are_not_called_on_zero_entries(monkeypatch):
 def step_spectra(draw):
     """(nu (Q, k), dt): 1 to 3 steps of frequencies as adjoint spectra
     have them, exact zeros, ties and +/- pairs, each step with its own
-    largest phase theta_q = max |nu_q| dt up to 20, so that the rule takes
-    up to four panels."""
+    largest phase theta_q = max |nu_q| dt up to 64 GL_THETA, so that the
+    rule takes up to 64 panels."""
     dt = draw(st.floats(0.1, 2.0))
     steps = []
     for _ in range(draw(st.integers(1, 3))):
-        theta = draw(st.one_of(st.floats(0.0, tg.GL_THETA), st.floats(tg.GL_THETA, 20.0)))
+        theta = draw(st.one_of(st.floats(0.0, tg.GL_THETA), st.floats(tg.GL_THETA, 20.0),
+                               st.floats(20.0, 64 * tg.GL_THETA)))
         w = theta / dt
         a = draw(st.floats(0.0, 1.0)) * w
         pool = [0.0, w, -w, a, -a, w - a]
@@ -206,6 +216,9 @@ def step_spectra(draw):
 @example((np.array([[-5.25, 5.25, 0.0, 2.5]]), 1.0))
 @example((np.array([[-10.4, 10.4, 0.0, 5.2]]), 1.0))
 @example((np.array([[-20.0, 20.0, 10.0, 0.0]]), 1.0))
+# 16 and 64 panels, each just below the top of its range
+@example((np.array([[-83.9, 83.9, 0.0, 41.9]]), 1.0))
+@example((np.array([[-335.9, 335.9, 167.9, 0.0]]), 1.0))
 # a quiet first step before a fast one: the rule reads the fastest step
 @example((np.array([[0.0, 0.0, 0.0, 0.0], [-10.4, 10.4, 0.0, 5.2]]), 1.0))
 # a node cluster of width 0.213, just above the kernel's former series
@@ -227,17 +240,23 @@ def test_nodal_step_sums_match_the_general_kernel(case):
 
 def test_step_rule_panels():
     # 2^s panels of GL_NODES nodes, s = ceil(log2(theta / GL_THETA)): the
-    # nodes ascend inside (0, dt), the weights sum to dt, and S integrates
-    # the polynomials of degree below GL_NODES exactly
+    # nodes ascend inside (0, dt), the weights sum to dt, each panel is the
+    # first shifted by dt / 2^s, and S, one panel's at every theta,
+    # integrates the polynomials of degree below GL_NODES exactly on it
     k, theta = tg.GL_NODES, tg.GL_THETA
-    for phase, panels in ((0.0, 1), (theta, 1), (theta * 1.01, 2), (2 * theta, 2), (20.0, 4)):
+    for phase, panels in ((0.0, 1), (theta, 1), (theta * 1.01, 2), (2 * theta, 2), (20.0, 4),
+                          (64 * theta, 64)):
         # the quiet first step does not decide the rule
         tau, w, s = tg.step_rule(np.array([[0.0], [-phase / 0.5]]), 0.5)
-        assert len(tau) == len(w) == len(s) == k * panels
+        assert len(tau) == len(w) == k * panels and s.shape == (k, k)
         assert np.all(np.diff(tau) > 0) and 0 < tau[0] and tau[-1] < 0.5
         assert w.sum() == pytest.approx(0.5, rel=1e-15)
+        first = tau[:k]
+        shift = tau.reshape(panels, k) - first - 0.5 * np.arange(panels)[:, None] / panels
+        assert np.abs(shift).max() <= 1e-15
+        assert np.array_equal(w.reshape(panels, k), np.tile(w[:k], (panels, 1)))
         for n in range(k):
-            assert np.abs(s @ tau ** n - tau ** (n + 1) / (n + 1)).max() <= 1e-15
+            assert np.abs(s @ first ** n - first ** (n + 1) / (n + 1)).max() <= 1e-15
 
 
 @st.composite
@@ -692,6 +711,23 @@ def test_step_tensors_match_the_sequential_oracle(case, seed):
     nodes = _nodes(*frame[:2], dt)
     for n_e in (nodes, _nodes(*frame_e[:2], dt)):
         _assert_cross_matches_oracle((frame, frame_e), (nodes, n_e), want, step_cross, dt)
+
+
+@pytest.mark.parametrize("panels", [16, 64])
+def test_long_steps_compose_like_the_sequential_oracle(panels):
+    # steps whose widest phase takes 16 or 64 panels, one of them a zero
+    # step: the running sums cross the panels of a step as they cross steps
+    stack = _two_qubit_paulis()
+    rng = np.random.default_rng(panels)
+    h = [np.einsum("a,aij->ij", rng.normal(size=15), stack) for _ in range(3)]
+    h.insert(1, np.zeros((4, 4)))
+    h = np.array(h)
+    lam = np.linalg.eigvalsh(h)
+    dt = 0.9 * panels * tg.GL_THETA / (lam[:, -1] - lam[:, 0]).max()
+    seeds = _unit_seeds(rng, len(h), len(stack))
+    frame, eig = _framed(h, stack, seeds), _eigen(h, stack, seeds)
+    assert len(_nodes(*frame[:2], dt).w) == panels * tg.GL_NODES
+    _assert_composed_match_oracle(frame, eig, _conjugation_toggles(h, stack, dt), dt)
 
 
 # eigenvalues split by 1e-13 / dt to 3e-3
