@@ -125,7 +125,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, tmp: np.ndarray, out=None) -> np.ndarr
     return out
 
 
-def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
+def expm_batch(h: np.ndarray, t: float, work: np.ndarray | None = None) -> np.ndarray:
     """exp(-i h t) for a stack (..., d, d) of Hermitian matrices.
 
     Taylor polynomial of degree 18 in X = -i h t with scaling and squaring
@@ -139,20 +139,23 @@ def expm_batch(h: np.ndarray, t: float) -> np.ndarray:
     matrix axes lead, (d, d, N), so each product is d^3 multiply-adds over
     contiguous length-N arrays, not N small matmuls; every product and
     Horner term reuses one scratch array, and the Horner sum swaps between
-    two buffers.  The result is a (..., d, d) view of the (d, d, N) array.
+    two buffers.  The seven (d, d, N) arrays fill 7 h.size entries of ``work``
+    if given, reused across a caller's blocks; the result is a view of one.
     """
     h = np.asarray(h)
     *lead, d, _ = h.shape
-    x = np.array(np.moveaxis(h.reshape(-1, d, d), 0, -1), dtype=complex, order="C")
+    work = np.empty(7 * h.size, dtype=complex) if work is None else work[: 7 * h.size]
+    x, tmp, o, x2, x3, x4, r = work.reshape(7, d, d, h.size // (d * d))
+    x[...] = np.moveaxis(h.reshape(-1, d, d), 0, -1)
     x *= -1j * t
     norm = np.abs(x).sum(axis=0).max(initial=0.0)
     s = int(np.ceil(np.log2(norm / _THETA))) if norm > _THETA else 0
     x *= 0.5 ** s
-    tmp, o = np.empty_like(x), np.empty_like(x)
-    x2 = _matmul(x, x, tmp)
-    x3, x4 = _matmul(x2, x, tmp), _matmul(x2, x2, tmp)
+    _matmul(x, x, tmp, x2)
+    _matmul(x2, x, tmp, x3)
+    _matmul(x2, x2, tmp, x4)
     c, diag = _TAYLOR, np.arange(d)
-    r = c[17] * x + c[18] * x2
+    np.add(np.multiply(x, c[17], out=r), np.multiply(x2, c[18], out=tmp), out=r)
     r[diag, diag] += c[16]
     for k in (12, 8, 4, 0):
         r, o = _matmul(x4, r, tmp, o), r

@@ -119,6 +119,8 @@ def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
     assert 0.0 <= rep["fom"] <= 1.0
     assert rep["seed"] == 41
     assert rep["n_mc"] == 150
+    # two dispersed columns: a 10 x 10 pilot costs more than n_mc / 8
+    assert rep["propagations"] == 150
 
 
 def _config_optimize(e_target=None):

@@ -1,11 +1,14 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hamforge import config as cfgmod
 from hamforge import evaluate as ev
 from hamforge.controlsys import Channel, ControlSequence, IdealModel
 from hamforge.opcore import pauli_op
+from hamforge.optimizer import restart_rng
 from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator, rep_unitary
 
 
@@ -370,10 +373,11 @@ def test_evaluation_report_keys_and_depolarizing():
     seq = ControlSequence(np.zeros((2, 2)), 1e-8, XY)
     eye = np.eye(2)
     rep = ev.evaluation_report(seq, setup, eye, 16, 7, t_dep=None)
-    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality", "ptm", "n_mc", "seed"):
+    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality", "ptm", "n_mc", "propagations", "seed"):
         assert key in rep
     assert rep["fom"] == pytest.approx(1.0)
     assert rep["orthogonality"] == pytest.approx(1.0)
+    assert rep["propagations"] == 1   # a point column takes one node
     # pure depolarizing attenuation on an identity sequence
     t_dep = seq.t_seq / np.log(2.0)
     rep2 = ev.evaluation_report(seq, setup, eye, 16, 7, t_dep=t_dep)
@@ -437,15 +441,16 @@ def report_oracle(seq, setup, u0_total, n_mc, rng_seed, t_dep=None):
         "orthogonality": float(np.sum(avg * avg)) / (d * d),
         "ptm": avg.ravel().tolist(),
         "n_mc": n_mc,
+        "propagations": n_mc,
         "seed": rng_seed,
     }
 
 
 def _check_report(setup, seq, u0, n_mc, t_dep, monkeypatch):
-    """`evaluation_report` against `report_oracle` at 1e-12, and its draw
-    array against the scalar `sample` loop, bit for bit."""
-    seen, exact = [], ev.exact_unitaries
-    monkeypatch.setattr(ev, "exact_unitaries", lambda *args: seen.append(args[2]) or exact(*args))
+    """`evaluation_report` against `report_oracle` at 1e-12, and the draw
+    array it propagates against the scalar `sample` loop, bit for bit."""
+    seen, propagate = [], ev._propagators
+    monkeypatch.setattr(ev, "_propagators", lambda *args: seen.append(args[2]) or propagate(*args))
     got = ev.evaluation_report(seq, setup, u0, n_mc, 21, t_dep=t_dep)
     ref = report_oracle(seq, setup, u0, n_mc, 21, t_dep=t_dep)
     names = [dd.name for dd in setup.distributions]
@@ -453,6 +458,7 @@ def _check_report(setup, seq, u0, n_mc, t_dep, monkeypatch):
     assert len(seen) == 1 and seen[0].shape == want.shape and np.array_equal(seen[0], want)
     assert got.keys() == ref.keys()
     assert got["n_mc"] == n_mc and got["seed"] == 21
+    assert got["propagations"] <= n_mc + n_mc / 8
     assert np.abs(np.asarray(got["ptm"]) - ref["ptm"]).max() <= 1e-12
     for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
         assert abs(got[key] - ref[key]) <= 1e-12, key
@@ -643,3 +649,79 @@ def test_per_draw_report_matches_per_sample_oracle(drawn, monkeypatch):
     setup, seq = _per_draw_setup(drawn)
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     _check_report(setup, seq, u0, _draws_per_block(setup, seq) + 1, None, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the report's interpolant against every draw propagated
+
+def _check_interpolant(seq, setup, u0, n_mc, monkeypatch, seed=3):
+    """Every output of the report within 1e-12 of the report that
+    propagates each draw itself; returns the report's propagation count."""
+    got = ev.evaluation_report(seq, setup, u0, n_mc, seed)
+    with monkeypatch.context() as m:
+        m.setattr(ev, "_propagators", lambda seq, setup, draws: (ev.exact_unitaries(seq, setup, draws), len(draws)))
+        want = ev.evaluation_report(seq, setup, u0, n_mc, seed)
+    assert want["propagations"] == n_mc
+    assert np.abs(np.subtract(got["ptm"], want["ptm"])).max() <= 1e-12
+    for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
+        assert abs(got[key] - want[key]) <= 1e-12, key
+    return got["propagations"]
+
+
+_AMP = ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude")
+
+
+def _seq_80():
+    return ControlSequence(np.random.default_rng(14).uniform(-1, 1, (2, 80)) * 0.4, 1e-8, XY)
+
+
+@pytest.mark.parametrize("dists", [
+    [_AMP],
+    [ev.ParameterDistribution("offset", "point", (2e6,), "term:offset"), _AMP],
+    [ev.ParameterDistribution("offset", "grid", ([-3e6, 0.0, 1e6],), "term:offset")],
+    [ev.ParameterDistribution("offset", "normal", (1e6, 1e6), "term:offset")],
+    [ev.ParameterDistribution("offset", "half_normal", (2e6,), "term:offset")],
+], ids=["uniform", "point-beside-uniform", "grid", "normal", "half-normal"])
+def test_one_dispersed_column_reads_its_interpolant(dists, monkeypatch):
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
+    assert _check_interpolant(_seq_80(), setup_1q(dists), u0, 200, monkeypatch) < 200 / 4
+
+
+def test_a_field_solved_per_draw_reads_its_interpolant(monkeypatch):
+    setup, seq = _per_draw_setup("W")
+    setup = dataclasses.replace(setup, distributions=setup.distributions[1:2])
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
+    assert _check_interpolant(seq, setup, u0, 200, monkeypatch) < 200 / 4
+
+
+DESIGN = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "design-2q-scale-evaluate.json"
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_design_report_propagates_a_grid_of_fewer_nodes(seed, monkeypatch):
+    # the design fixture's uniform detuning and amplitude at n_mc = 1,000,
+    # with the benchmark's sequence of the design seed
+    if not DESIGN.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    cfg = cfgmod.load_config(DESIGN)
+    u0 = cfgmod.total_target_unitary(cfg, cfgmod.build_subspaces(cfg, cfgmod.build_algebra(cfg)))
+    x = restart_rng(seed, 0).uniform(-1.0, 1.0, cfg.gsa.dimension)
+    seq = ControlSequence(x.reshape(len(cfg.channels), cfg.intervals), cfg.dt, cfg.channels)
+    assert cfg.n_mc == 1000
+    assert _check_interpolant(seq, cfgmod.build_evaluation_setup(cfg), u0, cfg.n_mc, monkeypatch, seed) <= 550
+
+
+def test_wide_normal_offset_falls_back_to_the_draws(monkeypatch):
+    # 80 steps under sigma = 3e6 rad/s: the pilot's decay asks for a grid
+    # as costly as the draws, so the report pays the pilot and every draw
+    setup = setup_1q([ev.ParameterDistribution("offset", "normal", (1e6, 3e6), "term:offset"), _AMP])
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
+    n_mc = 1000
+    assert n_mc < _check_interpolant(_seq_80(), setup, u0, n_mc, monkeypatch) <= n_mc + n_mc / 8
+
+
+def test_three_dispersed_columns_propagate_every_draw(monkeypatch):
+    # a 10 x 10 x 10 pilot costs more than n_mc / 8
+    setup, seq = _per_draw_setup("W")
+    u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
+    assert _check_interpolant(seq, setup, u0, 1000, monkeypatch) == 1000

@@ -74,6 +74,20 @@ def test_the_design_report_passes_the_layers_the_harness_times(harness):
     assert tracer.spans["evaluate.report"].calls == 1
 
 
+def test_the_design_report_at_its_own_n_mc_times_fewer_exponentials(harness):
+    # at the design's n_mc the report propagates a Legendre grid in place
+    # of the draws: fewer step exponentials, still through
+    # toggling.expm_batch, and the averaged map still through evaluate.ptm
+    design = harness.setup_design(harness.DESIGN)
+    seq = harness.design_sequence(design.cfg, 100)
+    n_mc = 1000
+    with harness.Tracer(harness.trace_targets()) as tracer:
+        report = evaluate.evaluation_report(seq, design.setup, design.u0, n_mc, 100)
+    assert tracer.counts["expm_matrices"] == report["propagations"] * seq.intervals < n_mc * seq.intervals
+    assert tracer.spans["toggling.expm_batch"].calls >= 1
+    assert tracer.spans["evaluate.ptm"].calls >= 1
+
+
 def test_the_design_scale_passes_the_layers_the_harness_times(harness):
     # the harness hands config.scale_components straight to
     # reach.find_scale_range: one vertex draw, the two LPs of each batch,
