@@ -12,6 +12,7 @@ interval count against the problem's.  Every output is strict JSON, with
 null for a scale-range end whose LP has no optimum.  The range of `scale`
 and of the s_target gate of `optimize` is an inner bound (see `reach`):
 the gate can reject a reachable s_target, which --force passes.
+scale.json's convergence_history has one row, [scale_samples, s-, s+].
 
 Exit codes: 0 success, 2 validation error (a bad file key, --seed,
 --threads or HAMFORGE_THREADS, or a file or directory that cannot be read

@@ -53,9 +53,10 @@ optimizer: q_v, q_a, T0 (t0), e_target: num; t_max, restarts: int;
     `optimizer.GSAConfig`; stages = [[t_max, T0]]: a non-empty list of
     [int >= 1, num > 0] pairs
 evaluation: n_mc: int = 1000, >= 1; scale_samples: int = 1000, >= 1;
-    sampler: "auto"|"qr"|"walk"; scale_batch: int, >= 1; walk_burn: int,
-    >= 0; walk_thin: int, >= 1 (these four default to the sampler, batch,
-    n_burn and n_thin of `reach.find_scale_range`); t_dep: num = none, > 0
+    sampler: "auto"|"qr"|"walk"; scale_batch: int, >= 1, accepted and
+    ignored (the one LP per end sees every sample); walk_burn: int, >= 0;
+    walk_thin: int, >= 1 (these four default to the sampler, batch, n_burn
+    and n_thin of `reach.find_scale_range`); t_dep: num = none, > 0
     (s); n_cycles: int = 50, >= 0; initial_state: "zero"|"plus" or a list
     of 2^n_qubits nums, not all 0, = "zero", normalised when read;
     simulate_params: {distribution: num} = {}; landscape = none: {axis1,

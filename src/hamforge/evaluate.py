@@ -341,9 +341,13 @@ def _propagators(seq: ControlSequence, setup: EvaluationSetup, draws: np.ndarray
         tails = np.array([a[-2:].max() for a in decay])
         if np.all(tails <= _TAIL):
             v = [legvander((draws[:, a] - m) / h, k - 1) for a, m, h, k in zip(axes, mid, half, sizes)]
-            u = np.tensordot(v[0], c, (1, 0)) if v else np.broadcast_to(c, (n, d, d))
-            for vj in v[1:]:
-                u = np.einsum("sk...,sk->s...", u, vj)
+            u, size = np.empty((n, d, d), dtype=complex), max(1, _MC_BLOCK // c[0].size)
+            for s in range(0, n, size):   # blocks of draws: no (n, k, ..., d, d) temporary
+                blk = slice(s, s + size)
+                ub = np.tensordot(v[0][blk], c, (1, 0)) if v else c
+                for vj in v[1:]:
+                    ub = np.einsum("sk...,sk->s...", ub, vj[blk])
+                u[blk] = ub
             return u, spent
         for j in np.flatnonzero(tails > _TAIL):   # decay per degree, at least 1e-3
             rate = max(np.log(decay[j][-4:-2].max() / tails[j]) / 2, 1e-3)

@@ -5,11 +5,10 @@ hull of conjugated perturbation vectors.  This module samples that hull
 (Haar via QR for full unitary algebras, a group random walk otherwise),
 rotates it so the target direction is the first coordinate, and bounds
 the achievable scaling factor range [s-, s+] with two linear programs,
-one per end: each is one HiGHS model that every batch of vertices grows
-by its columns and that is re-solved from its last optimal basis.  The
-range is an inner bound, since the sampled hull lies inside the reachable
-one: every end is low, 21% on the 2-qubit design problem and 72% on its
-3-qubit extension.  So the s_target gate of `hamforge optimize` can reject
+one per end, each solved once over every sampled vertex.  The range is an
+inner bound, since the sampled hull lies inside the reachable one: every
+end is low, 21% on the 2-qubit design problem and 72% on its 3-qubit
+extension.  So the s_target gate of `hamforge optimize` can reject
 a reachable target; --force passes it.
 
 Joint normalisation.  A `Component` w holds the coefficients p_w of
@@ -29,7 +28,6 @@ from .liealg import CSubspace, LieAlgebraBasis
 from .opcore import SPAN_TOL, RowSpace, SubspaceError, project
 from .toggling import expm_batch, prefix_products
 
-CONVERGE_TOL = 1e-3   # scale-range search: stop once both ends move less per batch
 SAMPLERS = ("auto", "qr", "walk")   # vertex samplers; "auto" picks by the algebra
 
 
@@ -67,7 +65,7 @@ def _walk_unitaries(
 
 
 # ---------------------------------------------------------------------------
-# linear programming (HiGHS dual simplex, warm-started across batches)
+# linear programming (HiGHS dual simplex)
 
 @dataclass(frozen=True)
 class LPResult:
@@ -75,56 +73,45 @@ class LPResult:
     value: float = np.nan          # the end v1 @ x at the optimum, NaN without one
 
 
-class HullLP:
+def lp_solve(vertices: np.ndarray, sign: float) -> LPResult:
     """One end of the scale range: max sign * v1 @ x over convex weights x
-    of the vertex rows added so far whose mean has no transverse part, with
-    two slacks that hold v1 @ x inside [-1, 1].  One HiGHS model whose rows
-    are fixed when built; `add` appends a batch of vertices as columns, and
-    `lp_solve` re-solves the grown model from its last basis."""
+    of the (J, m) vertex rows whose mean has no transverse part, with two
+    slacks that hold v1 @ x inside [-1, 1].  One HiGHS model, solved once
+    by its dual simplex without presolve (Huangfu & Hall, Math. Prog. Comp.
+    10, 2018).
 
-    def __init__(self, sign: float, m: int):
-        # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
-        from scipy.optimize._highspy._core import _Highs
-
-        self.sign, self.m, self.highs = sign, m, _Highs()
-        for key, val in (("output_flag", False), ("presolve", "off"), ("solver", "simplex"),
-                         ("simplex_strategy", 1)):   # 1: dual
-            self.highs.setOptionValue(key, val)
-        b = np.zeros(m + 2)
-        b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0    # sum x = 1, v1.x + s1 = 1, v1.x - s2 = -1
-        self.highs.addRows(m + 2, b, b, 0, np.zeros(1, np.int32), np.zeros(0, np.int32), b[:0])
-        self._add_cols(np.zeros(2), np.eye(m + 2)[m:] * [[1.0], [-1.0]])   # s1, s2
-
-    def add(self, vertices: np.ndarray):
-        if vertices.ndim != 2 or vertices.shape[1] != self.m:
-            raise ValueError(f"inconsistent LP shapes: vertex rows {vertices.shape} against m = {self.m}")
-        v1 = vertices[:, :1]
-        self._add_cols(-self.sign * v1[:, 0], np.hstack([np.ones_like(v1), vertices[:, 1:], v1, v1]))
-
-    def _add_cols(self, cost: np.ndarray, cols: np.ndarray):
-        """Columns x >= 0, the rows of ``cols``, with ``cost`` to minimise;
-        HiGHS drops their zero entries."""
-        n, rows = cols.shape
-        index = np.tile(np.arange(rows, dtype=np.int32), n)
-        start = np.arange(0, n * rows, rows, dtype=np.int32)
-        self.highs.addCols(n, cost, np.zeros(n), np.full(n, np.inf), n * rows, start, index, cols.ravel())
-
-
-def lp_solve(lp: HullLP) -> LPResult:
-    """Re-solve one end of the scale range: a `HullLP`, grown by each
-    batch's vertices, from its last optimal basis (or wherever its last
-    solve stopped).
-
-    HiGHS's dual simplex without presolve (Huangfu & Hall, Math. Prog.
-    Comp. 10, 2018) then pays only for the pivots the new columns need.
-    A stop other than optimal or infeasible raises RuntimeError naming
+    HiGHS reads "Infeasible", or on some degenerate hulls stops at
+    "Unknown" with an infeasible primal solution (2 of the 60 ends of 30
+    three-qubit hulls of 100 vertices): either is an end without an
+    optimum.  Any other stop without a verdict raises RuntimeError naming
     HiGHS's status.
     """
-    lp.highs.run()
-    verdict = lp.highs.modelStatusToString(lp.highs.getModelStatus())
+    # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
+    from scipy.optimize._highspy._core import _Highs
+
+    m = vertices.shape[1]
+    highs = _Highs()
+    for key, val in (("output_flag", False), ("presolve", "off"), ("solver", "simplex"),
+                     ("simplex_strategy", 1)):   # 1: dual
+        highs.setOptionValue(key, val)
+    b = np.zeros(m + 2)
+    b[0], b[m], b[m + 1] = 1.0, 1.0, -1.0    # sum x = 1, v1.x + s1 = 1, v1.x - s2 = -1
+    highs.addRows(m + 2, b, b, 0, np.zeros(1, np.int32), np.zeros(0, np.int32), b[:0])
+    # columns x >= 0, one row each: the slacks s1, s2, then the vertices;
+    # HiGHS drops their zero entries
+    v1 = vertices[:, :1]
+    cols = np.vstack([np.eye(m + 2)[m:] * [[1.0], [-1.0]], np.hstack([np.ones_like(v1), vertices[:, 1:], v1, v1])])
+    cost = np.concatenate([[0.0, 0.0], -sign * v1[:, 0]])
+    n, rows = cols.shape
+    start = np.arange(0, n * rows, rows, dtype=np.int32)
+    index = np.tile(np.arange(rows, dtype=np.int32), n)
+    highs.addCols(n, cost, np.zeros(n), np.full(n, np.inf), n * rows, start, index, cols.ravel())
+    highs.run()
+    verdict = highs.modelStatusToString(highs.getModelStatus())
     if verdict == "Optimal":
-        return LPResult("optimal", -lp.sign * lp.highs.getObjectiveValue())
-    if verdict == "Infeasible":
+        return LPResult("optimal", -sign * highs.getObjectiveValue())
+    primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+    if verdict == "Infeasible" or (verdict, primal) == ("Unknown", "Infeasible"):
         return LPResult("infeasible")
     raise RuntimeError(f"LP solver stopped without a verdict: HiGHS status {verdict!r}")
 
@@ -170,10 +157,11 @@ def joint_normalisation(components, s: float):
 
 @dataclass(frozen=True)
 class ScaleRange:
-    """Inner bound [s_minus, s_plus] on the scale range along the target direction.
+    """Inner bound [s_minus, s_plus] on the scale range along the target
+    direction, from one LP per end over all ``samples_used`` vertices.
 
-    An end whose LP reached no optimum is NaN, here and in the
-    ``(samples, s_minus, s_plus)`` rows of ``convergence_history``;
+    An end whose LP reached no optimum is NaN, here and in the one
+    ``(samples_used, s_minus, s_plus)`` row of ``convergence_history``;
     ``achievable`` is False only when both ends are NaN.
     """
 
@@ -249,40 +237,17 @@ def find_scale_range(
     n_thin: int = 10,
 ) -> ScaleRange:
     """Range of achievable scale factors of a list of `Component`, under
-    the joint normalisation (see the module docstring).
-
-    Vertices accumulate in batches.  Each end is one `HullLP`, grown by
-    every batch's vertices and re-solved from its last optimal basis; the
-    search stops early once both ends of the range move less than
-    CONVERGE_TOL over the last batch, and is capped at ``j_samples``.
-    Both LPs infeasible means the target direction is not achievable at
-    any scale.  The range is an inner bound (see the module docstring).
+    the joint normalisation (see the module docstring): the two ends of
+    `lp_solve`, each solved once over all ``j_samples`` sampled vertices.
+    Both ends without an optimum mean the target direction is not
+    achievable at any scale.  The range is an inner bound (see the module
+    docstring).  ``batch`` is accepted and ignored: the benchmark harness
+    and the ``scale_batch`` file key still pass it.
     """
     rng = rng or np.random.default_rng()
-    mtot = sum(c.subspace.dim for c in components)
-    if j_samples < mtot + 1:
+    if j_samples < sum(c.subspace.dim for c in components) + 1:
         warnings.warn("fewer samples than subspace dimension + 1: degenerate hull")
     vertices = sample_vertices(g, components, j_samples, sampler, rng, n_burn, n_thin)
-    ends = [HullLP(sign, vertices.shape[1]) for sign in (+1.0, -1.0)]
-    history = []
-    s_plus = s_minus = np.nan
-    used = 0
-    for k in range(batch, j_samples + batch, batch):
-        k = min(k, j_samples)
-        prev_plus, prev_minus = s_plus, s_minus
-        for lp in ends:
-            lp.add(vertices[used:k])
-        s_plus, s_minus = (lp_solve(lp).value for lp in ends)
-        history.append((k, s_minus, s_plus))
-        used = k
-        # NaN never compares below the tolerance, so an end without an
-        # optimum keeps the search going to the cap
-        if (
-            abs(s_plus - prev_plus) < CONVERGE_TOL
-            and abs(s_minus - prev_minus) < CONVERGE_TOL
-            and k >= mtot + 1
-        ):
-            break
-    if np.isnan(s_plus) and np.isnan(s_minus):
-        return ScaleRange(np.nan, np.nan, False, used, history)
-    return ScaleRange(float(s_minus), float(s_plus), True, used, history)
+    s_plus, s_minus = (lp_solve(vertices, sign).value for sign in (+1.0, -1.0))
+    achievable = not (np.isnan(s_plus) and np.isnan(s_minus))
+    return ScaleRange(float(s_minus), float(s_plus), achievable, j_samples, [(j_samples, s_minus, s_plus)])

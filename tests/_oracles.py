@@ -670,8 +670,8 @@ def hull_lp_rows(vertices: np.ndarray):
 def hull_lp(vertices: np.ndarray, sign: float):
     """LP+ (sign +1) or LP- (sign -1), max sign * v1 @ x on `hull_lp_rows`,
     built from scratch and solved by `scipy.optimize.linprog` (HiGHS's dual
-    simplex, no presolve).  The library instead grows one HiGHS model per
-    end by each batch and re-solves it from its last basis.  Returns
+    simplex, no presolve).  The library builds the same model through
+    scipy's private HiGHS binding, at less per-call overhead.  Returns
     linprog's result."""
     a, b = hull_lp_rows(vertices)
     c = np.concatenate([-sign * vertices[:, 0], [0.0, 0.0]])

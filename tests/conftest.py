@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +11,31 @@ from hamforge.opcore import pauli_op
 # of an array argument is rounded and may not reproduce the failure
 settings.register_profile("hamforge", print_blob=True)
 settings.load_profile("hamforge")
+
+
+DESIGN_FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+                  / "design-2q-scale-evaluate.json")
+
+
+def chain_problem(n_qubits: int) -> dict:
+    """The design fixture's problem file extended to n qubits: a ZZ chain
+    over neighbouring qubits at its J, amp/phase channels on every qubit,
+    H_pert = sum_q z_q, u_target = CNOT (x) I, with its H_target, s_target,
+    objectives and evaluation settings."""
+    if not DESIGN_FIXTURE.is_file():
+        pytest.skip("perfbench/ is not in this checkout")
+    cfg = json.loads(DESIGN_FIXTURE.read_text())
+    zz, det = cfg["system"]["terms"]
+    amp, ph = cfg["control"]["channels"][:2]
+    qubits = range(1, n_qubits + 1)
+    cfg["system"].update(n_qubits=n_qubits, terms=[
+        *(dict(zz, name=f"zz{q}", strings=[{"pauli": [[q, "z"], [q + 1, "z"]]}]) for q in qubits[:-1]),
+        dict(det, strings=[{"pauli": [[q, "z"]]} for q in qubits]),
+    ])
+    cfg["control"]["channels"] = [dict(c, name=f"{c['name'][:-1]}{q}", qubits=[q]) for q in qubits for c in (amp, ph)]
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    cfg["targets"]["u_target"] = {"matrix_re": np.kron(cnot, np.eye(2 ** (n_qubits - 2))).tolist()}
+    return cfg
 
 
 @pytest.fixture(autouse=True)

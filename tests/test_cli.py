@@ -11,6 +11,7 @@ from hamforge.controlsys import IdealModel
 from hamforge.opcore import SubspaceError
 from hamforge.optimizer import OptimizationResult
 from _oracles import exact_unitary
+from conftest import chain_problem
 
 
 def _config_1q(h_target=True):
@@ -83,6 +84,22 @@ def test_cli_scale_writes_an_end_without_an_optimum_as_null(tmp_path):
     assert rep["achievable"] is False
     assert rep["s_minus"] is None and rep["s_plus"] is None
     assert rep["convergence_history"] == [[4, None, None]]
+
+
+def test_cli_scale_on_the_3_qubit_chain_with_small_batches_exits_0(tmp_path):
+    # scale_batch 16 is below m + 1 = 64; a search that solved its first
+    # batches stopped HiGHS at "Unknown" on this seed and exited 1 with a
+    # traceback, while one solve per end over the 1,000 vertices has finite ends
+    cfg = chain_problem(3)
+    cfg["seed"] = 100
+    cfg["evaluation"]["scale_batch"] = 16
+    out = tmp_path / "out"
+    code = cli.main(["scale", "--config", _write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == cli.EXIT_OK
+    rep = json.loads((out / "scale.json").read_text(), parse_constant=_strict)
+    assert rep["achievable"] is True and rep["samples_used"] == 1000
+    assert -1 < rep["s_minus"] < 0 < rep["s_plus"] < 1
+    assert rep["convergence_history"] == [[1000, rep["s_minus"], rep["s_plus"]]]
 
 
 def test_cli_scale_without_target_is_a_validation_error(tmp_path):

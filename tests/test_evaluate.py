@@ -10,6 +10,7 @@ from hamforge.controlsys import Channel, ControlSequence, IdealModel
 from hamforge.opcore import pauli_op
 from hamforge.optimizer import restart_rng
 from _oracles import average_gate_fidelity, exact_unitary, expm_herm_generator, rep_unitary
+from conftest import chain_problem
 
 
 XY = (Channel("ax", (1,), "x", 1.0), Channel("ay", (1,), "y", 1.0))
@@ -725,3 +726,25 @@ def test_three_dispersed_columns_propagate_every_draw(monkeypatch):
     setup, seq = _per_draw_setup("W")
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     assert _check_interpolant(seq, setup, u0, 1000, monkeypatch) == 1000
+
+
+def test_the_3_qubit_report_reads_its_interpolant_in_blocks_of_draws():
+    # the 3-qubit chain's uniform detuning and amplitude at n_mc = 1,000 on
+    # the interpolant path: reading it at every draw at once formed an
+    # (n_mc, k, d, d) temporary, a 17 MB peak; in blocks of draws it stays
+    # within 10 MB
+    import tracemalloc
+
+    cfg = cfgmod.parse_config(chain_problem(3))
+    u0 = cfgmod.total_target_unitary(cfg, cfgmod.build_subspaces(cfg, cfgmod.build_algebra(cfg)))
+    x = restart_rng(100, 0).uniform(-1.0, 1.0, cfg.gsa.dimension)
+    seq = ControlSequence(x.reshape(len(cfg.channels), cfg.intervals), cfg.dt, cfg.channels)
+    setup = cfgmod.build_evaluation_setup(cfg)
+    tracemalloc.start()
+    try:
+        report = ev.evaluation_report(seq, setup, u0, cfg.n_mc, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.n_mc == 1000 and report["propagations"] < cfg.n_mc
+    assert peak <= 10e6, peak

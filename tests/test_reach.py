@@ -12,6 +12,7 @@ from hamforge.liealg import find_c_subspace, find_lie_algebra
 from hamforge.opcore import pauli_op, pauli_string_op
 from hamforge.optimizer import restart_rng
 import _oracles as orc
+from conftest import DESIGN_FIXTURE, chain_problem
 
 
 def test_haar_unitary_is_unitary():
@@ -113,56 +114,40 @@ def test_walk_matches_the_move_by_move_oracle(generators, n_burn, n_thin, n_samp
 
 # -- LP ---------------------------------------------------------------------
 
-def _ends(*batches):
-    """The `LPResult` pair (LP+, LP-) after each batch of vertex rows, each
-    end one `HullLP` grown by the batches in turn and re-solved after each."""
-    lps = [reach.HullLP(s, batches[0].shape[1]) for s in (+1.0, -1.0)]
-    out = []
-    for v in batches:
-        for lp in lps:
-            lp.add(v)
-        out.append(tuple(reach.lp_solve(lp) for lp in lps))
-    return out
+def _ends(vertices):
+    """The `LPResult` pair (LP+, LP-) of the vertex rows."""
+    return tuple(reach.lp_solve(vertices, sign) for sign in (+1.0, -1.0))
 
 
 def test_lp_simple():
     # the transverse coordinate of the mean vanishes on the first axis, so
     # s+ is the vertex (1, 0) alone and s- the vertex (-0.5, 0) alone
     v = np.array([[1.0, 0.0], [-0.5, 0.0], [0.3, 0.4], [0.3, -0.4]])
-    lps = [reach.HullLP(sign, 2) for sign in (+1.0, -1.0)]
-    for lp, end, weights in zip(lps, (1.0, -0.5), ([1, 0, 0, 0], [0, 1, 0, 0])):
-        lp.add(v)
-        r = reach.lp_solve(lp)
+    for r, end in zip(_ends(v), (1.0, -0.5)):
         assert r.status == "optimal"
         assert r.value == pytest.approx(end, abs=1e-12)
-        # the two slack columns come first, then the vertices
-        assert np.allclose(lp.highs.getSolution().col_value[2:], weights, atol=1e-12)
 
 
 def test_lp_infeasible():
     # every vertex has transverse coordinate 1, so no mean has 0
-    [(r_plus, r_minus)] = _ends(np.array([[0.5, 1.0], [-0.5, 1.0]]))
+    r_plus, r_minus = _ends(np.array([[0.5, 1.0], [-0.5, 1.0]]))
     assert r_plus.status == r_minus.status == "infeasible"
     assert np.isnan(r_plus.value) and np.isnan(r_minus.value)
 
 
-@pytest.mark.parametrize("width", [4, 2, None], ids=["wider", "narrower", "one-dimensional"])
-def test_lp_rejects_inconsistent_shapes(width):
-    # a model of m = 3 rows takes vertex rows of 3 coordinates only; a
-    # narrower batch would fit HiGHS's rows and pose the wrong LP
-    lp = reach.HullLP(1.0, 3)
-    with pytest.raises(ValueError, match="inconsistent LP shapes"):
-        lp.add(np.ones(3) if width is None else np.ones((5, width)))
-
-
-def test_lp_without_a_verdict_raises():
+def test_lp_without_a_verdict_raises(monkeypatch):
     # a solver stop other than optimal or infeasible (here the iteration
     # limit) is an error, not a result
-    lp = reach.HullLP(1.0, 2)
-    lp.add(np.vstack([np.eye(2), -np.eye(2)]))
-    lp.highs.setOptionValue("simplex_iteration_limit", 0)
+    from scipy.optimize._highspy import _core
+
+    class Capped(_core._Highs):
+        def run(self):
+            self.setOptionValue("simplex_iteration_limit", 0)
+            return super().run()
+
+    monkeypatch.setattr(_core, "_Highs", Capped)
     with pytest.raises(RuntimeError, match="without a verdict: HiGHS status 'Iteration limit reached'"):
-        reach.lp_solve(lp)
+        reach.lp_solve(np.vstack([np.eye(2), -np.eye(2)]), 1.0)
 
 
 def _brute_force_lp(c, a, b):
@@ -183,7 +168,7 @@ def _brute_force_lp(c, a, b):
 
 
 def _hull_lp_by_enumeration(vertices, sign):
-    """max sign * v1 @ x on the rows of `reach.HullLP`, slack rows included,
+    """max sign * v1 @ x on the rows of `reach.lp_solve`, slack rows included,
     by vertex enumeration; None without a feasible point."""
     a, b = orc.hull_lp_rows(vertices)
     best = _brute_force_lp(np.concatenate([sign * vertices[:, 0], [0.0, 0.0]]), a, b)
@@ -191,9 +176,9 @@ def _hull_lp_by_enumeration(vertices, sign):
 
 
 def test_lp_matches_vertex_enumeration():
-    # one model per end grown over three batches, re-solved after each,
-    # against enumeration on all rows so far; vertex norms up to 1.5 let
-    # the slack rows bind, and small batches leave early solves infeasible
+    # each end solved over each of three growing prefixes of vertex rows,
+    # against enumeration on the same rows; vertex norms up to 1.5 let the
+    # slack rows bind, and short prefixes leave some ends infeasible
     rng = np.random.default_rng(4)
     optimal = infeasible = 0
     for _ in range(30):
@@ -201,9 +186,9 @@ def test_lp_matches_vertex_enumeration():
         batches = [rng.normal(size=(int(rng.integers(1, 4)), m)) for _ in range(3)]
         for v in batches:
             v *= rng.uniform(0.2, 1.5, size=(len(v), 1)) / np.linalg.norm(v, axis=1, keepdims=True)
-        for k, results in enumerate(_ends(*batches)):
+        for k in range(3):
             rows = np.vstack(batches[: k + 1])
-            for r, sign in zip(results, (+1.0, -1.0)):
+            for r, sign in zip(_ends(rows), (+1.0, -1.0)):
                 ref = _hull_lp_by_enumeration(rows, sign)
                 if ref is None:
                     infeasible += 1
@@ -217,7 +202,7 @@ def test_lp_matches_vertex_enumeration():
 
 def _hull_axis_lp(vertices, sign):
     """max sign * v1 @ x over convex weights x whose mean has no transverse
-    part, posed without the slack rows of `reach.HullLP` and solved by
+    part, posed without the slack rows of `reach.lp_solve` and solved by
     vertex enumeration."""
     j = vertices.shape[0]
     a = np.vstack([np.ones(j), vertices[:, 1:].T])
@@ -234,7 +219,7 @@ def test_scale_lps_match_vertex_enumeration():
         j, m = int(rng.integers(3, 9)), int(rng.integers(2, 4))
         v = rng.normal(size=(j, m))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        [(r_plus, r_minus)] = _ends(v)
+        r_plus, r_minus = _ends(v)
         ref_plus, ref_minus = _hull_axis_lp(v, +1.0), _hull_axis_lp(v, -1.0)
         assert (r_plus.status == "optimal") == (ref_plus is not None)
         assert (r_minus.status == "optimal") == (ref_minus is not None)
@@ -248,7 +233,7 @@ def test_scale_lps_match_vertex_enumeration():
 def test_scale_lps_cross_polytope():
     for m in (1, 2, 5):
         eye = np.eye(m)
-        [(r_plus, r_minus)] = _ends(np.vstack([eye, -eye]))
+        r_plus, r_minus = _ends(np.vstack([eye, -eye]))
         assert r_plus.value == pytest.approx(1.0, abs=1e-12)
         assert r_minus.value == pytest.approx(-1.0, abs=1e-12)
 
@@ -285,16 +270,17 @@ def test_single_qubit_full_range():
 
 def test_one_open_end_is_nan(monkeypatch):
     # LP- without an optimum: the range keeps its closed end and marks the
-    # open one NaN, here and in the convergence history
+    # open one NaN, here and in the one row of the convergence history
     g, comps = _single_qubit_components()
     ends = {+1.0: reach.LPResult("optimal", 1.0), -1.0: reach.LPResult("infeasible")}
-    monkeypatch.setattr(reach, "lp_solve", lambda lp: ends[lp.sign])
+    monkeypatch.setattr(reach, "lp_solve", lambda vertices, sign: ends[sign])
     sr = reach.find_scale_range(g, comps, 100, rng=np.random.default_rng(1), batch=50)
     assert sr.achievable
     assert sr.s_plus == 1.0
     assert np.isnan(sr.s_minus)
-    assert [k for k, _, _ in sr.convergence_history] == [50, 100]
-    assert all(np.isnan(sm) and sp == 1.0 for _, sm, sp in sr.convergence_history)
+    assert sr.samples_used == 100
+    [(k, sm, sp)] = sr.convergence_history
+    assert k == 100 and np.isnan(sm) and sp == 1.0
 
 
 def test_all_zero_target_raises():
@@ -309,7 +295,7 @@ def test_all_zero_target_raises():
 def test_more_samples_never_shrink():
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 400, "auto", np.random.default_rng(6), 100, 10)
-    (p200, m200), (p400, m400) = _ends(vs[:200], vs[200:400])
+    (p200, m200), (p400, m400) = _ends(vs[:200]), _ends(vs)
     assert p400.value >= p200.value - 1e-9
     assert m400.value <= m200.value + 1e-9
 
@@ -320,7 +306,7 @@ def test_vertex_projection_bounds():
     # transverse components is itself feasible and bounds s+ from below.
     g, comps = _single_qubit_components()
     vs = reach.sample_vertices(g, comps, 100, "auto", np.random.default_rng(7), 100, 10)
-    splus = _ends(vs)[0][0].value
+    splus = _ends(vs)[0].value
     assert splus <= vs[:, 0].max() + 1e-9
     transverse = np.linalg.norm(vs[:, 1:], axis=1)
     aligned = transverse < 1e-6
@@ -375,7 +361,7 @@ def hull_volume_diagnostic(pts: np.ndarray, batch: int):
     A saturating volume indicates the sampler has covered the reachable
     set.  Degenerate (flat) point sets report volume 0.  Refuses subspace
     dimensions above 6, where exact hulls are combinatorially infeasible
-    and the range-stabilization history of find_scale_range serves instead.
+    and the LPs of find_scale_range serve instead.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -383,7 +369,7 @@ def hull_volume_diagnostic(pts: np.ndarray, batch: int):
     if dim > 6:
         raise ValueError(
             "hull volume limited to subspace dimension <= 6; "
-            "use find_scale_range convergence_history for larger spaces"
+            "use find_scale_range for larger spaces"
         )
     out = []
     for k in range(batch, pts.shape[0] + batch, batch):
@@ -485,10 +471,7 @@ def test_decoupling_corollary_two_components():
     assert abs(boths.s_minus * rescale - alone.s_minus) < 0.03
 
 
-# -- the warm-started search against fresh solves -----------------------------
-
-DESIGN_FIXTURE = (Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-                  / "design-2q-scale-evaluate.json")
+# -- one solve per end over every vertex ------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -511,21 +494,24 @@ def _search_and_vertices(monkeypatch, g, comps, **kwargs):
     return sr, drawn[0]
 
 
-def _check_history_against_fresh_solves(sr, vertices):
-    # every batch's ends, from one model per end re-solved from its last
-    # basis, against the LPs built and solved from scratch on the rows so far
-    for k, s_minus, s_plus in sr.convergence_history:
-        for got, want in zip((s_plus, s_minus), orc.scale_range_ends(vertices[:k])):
-            assert np.isnan(got) == np.isnan(want), (k, got, want)
-            assert np.isnan(want) or abs(got - want) <= 1e-10 * abs(want), (k, got, want)
+def _check_against_fresh_solves(sr, vertices):
+    # one row, over every drawn vertex, against the LPs built and solved
+    # by scipy's public linprog on the same rows
+    [(k, s_minus, s_plus)] = sr.convergence_history
+    assert k == sr.samples_used == len(vertices)
+    for got, want in zip((s_plus, s_minus), orc.scale_range_ends(vertices)):
+        assert np.isnan(got) == np.isnan(want), (got, want)
+        assert np.isnan(want) or abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("seed", range(100, 106))
 def test_design_search_matches_fresh_solves(monkeypatch, design, seed):
+    # the design's scale_batch (200) leaves 800 of the 1,000 vertices out
+    # of a solve over the first batch, which this comparison catches
     g, comps, scale_args = design
     sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(seed, 11), **scale_args)
-    assert reach._pick_sampler(g, "auto") == "qr" and len(sr.convergence_history) > 1
-    _check_history_against_fresh_solves(sr, vs)
+    assert reach._pick_sampler(g, "auto") == "qr" and scale_args["batch"] < len(vs) == 1000
+    _check_against_fresh_solves(sr, vs)
 
 
 @pytest.mark.parametrize("two_components", [False, True])
@@ -537,36 +523,74 @@ def test_walk_search_matches_fresh_solves(monkeypatch, two_components):
     if two_components:
         comps.insert(0, reach.Component.of(z_col, c1))
     sr, vs = _search_and_vertices(monkeypatch, g, comps, j_samples=700, rng=np.random.default_rng(13))
-    assert reach._pick_sampler(g, "auto") == "walk" and len(sr.convergence_history) > 1
-    _check_history_against_fresh_solves(sr, vs)
+    assert reach._pick_sampler(g, "auto") == "walk"
+    _check_against_fresh_solves(sr, vs)
 
 
-def test_search_after_an_infeasible_batch_matches_fresh_solves(monkeypatch):
-    # batches of 3 unit vertices in 3 dimensions: the first hull misses the
-    # target axis, so both models re-solve after an infeasible solve
+def test_a_batch_below_the_hull_dimension_is_ignored(monkeypatch):
+    # batches of 3 unit vertices in 3 dimensions, whose first hull misses
+    # the target axis: the one solve per end still sees all 30 vertices
     g, comps = _single_qubit_components()
     sr, vs = _search_and_vertices(monkeypatch, g, comps, j_samples=30, rng=np.random.default_rng(2), batch=3)
-    history = np.array(sr.convergence_history)
-    assert np.isnan(history[0, 1:]).all() and np.isfinite(history[-1, 1:]).all()
-    _check_history_against_fresh_solves(sr, vs)
+    assert np.isnan(orc.scale_range_ends(vs[:3])).all() and sr.achievable
+    _check_against_fresh_solves(sr, vs)
 
 
-def test_warm_start_does_less_work_than_fresh_solves(monkeypatch, design):
-    # HiGHS's simplex iterations over a design seed's search, against the
-    # sum over the same LPs solved from scratch (682 on this seed): the
-    # warm search pays 241, one that rebuilds its models per batch about
-    # the fresh count (677), so the bound is half of it
+# Schur-Horn: over all 2-qubit unitaries the hull of u^dag H u holds the
+# diagonal matrices of every permutation of H's spectrum, so the design's
+# Z1 + Z2 (spectrum 2, 0, 0, -2) reaches Z1 Z2 at +-1/sqrt(2) of the joint
+# norm, and no further
+_DESIGN_CEILING = 0.7071067811865476
+
+
+def test_design_range_at_the_permutation_vertices_is_the_schur_horn_value(monkeypatch, design):
+    # the 24 permutation matrices as the sampled unitaries: their vertices
+    # span the whole reachable set along the target, so the inner bound
+    # meets the closed form
     g, comps, scale_args = design
-    iterations = []
-    solve = reach.lp_solve
+    perms = np.eye(4)[list(itertools.permutations(range(4)))]
+    monkeypatch.setattr(reach, "haar_unitary", lambda dim, rng, count=None: perms.astype(complex))
+    sr = reach.find_scale_range(g, comps, len(perms), rng=np.random.default_rng(0))
+    assert sr.s_plus == pytest.approx(_DESIGN_CEILING, abs=1e-12)
+    assert sr.s_minus == pytest.approx(-_DESIGN_CEILING, abs=1e-12)
 
-    def counted(lp):
-        result = solve(lp)
-        iterations.append(lp.highs.getInfo().simplex_iteration_count)
-        return result
 
-    monkeypatch.setattr(reach, "lp_solve", counted)
-    sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(100, 11), **scale_args)
-    assert len(sr.convergence_history) == 5 and len(iterations) == 10
-    fresh = sum(orc.hull_lp(vs[:k], sign).nit for k, _, _ in sr.convergence_history for sign in (+1.0, -1.0))
-    assert sum(iterations) < fresh / 2
+def test_design_ranges_lie_inside_the_ceiling_and_hold_their_prefixes(monkeypatch, design):
+    # every design seed's inner bound sits inside the Schur-Horn range, and
+    # the range over all its vertices contains the range over each prefix
+    g, comps, scale_args = design
+    for seed in range(100, 124):
+        sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(seed, 11), **scale_args)
+        assert -_DESIGN_CEILING < sr.s_minus < 0 < sr.s_plus < _DESIGN_CEILING
+        if seed < 103:
+            for k in (100, 250, 500, 999):
+                p, m = (r.value for r in _ends(vs[:k]))
+                assert np.isnan(p) or p <= sr.s_plus + 1e-12
+                assert np.isnan(m) or m >= sr.s_minus - 1e-12
+
+
+def test_an_unknown_stop_at_an_infeasible_point_is_an_open_end(monkeypatch):
+    # 100 vertices of the 3-qubit chain's 63-dimensional subspace span no
+    # hull around the target axis; HiGHS stops some of these LPs at
+    # "Unknown" with an infeasible primal solution, which reads as an end
+    # without an optimum
+    from scipy.optimize._highspy import _core
+
+    cfg = config.parse_config(chain_problem(3))
+    g = config.build_algebra(cfg)
+    comps = config.scale_components(cfg, config.build_subspaces(cfg, g))
+    seen = []
+
+    class Spy(_core._Highs):
+        def run(self):
+            status = super().run()
+            seen.append((self.modelStatusToString(self.getModelStatus()),
+                         self.solutionStatusToString(self.getInfo().primal_solution_status)))
+            return status
+
+    monkeypatch.setattr(_core, "_Highs", Spy)
+    for seed in (2, 28):
+        sr = reach.find_scale_range(g, comps, 100, rng=restart_rng(seed, 11))
+        assert not sr.achievable and np.isnan([sr.s_minus, sr.s_plus]).all()
+    assert ("Unknown", "Infeasible") in seen
+    assert set(seen) <= {("Unknown", "Infeasible"), ("Infeasible", "Infeasible")}

@@ -90,8 +90,8 @@ def test_the_design_report_at_its_own_n_mc_times_fewer_exponentials(harness):
 
 def test_the_design_scale_passes_the_layers_the_harness_times(harness):
     # the harness hands config.scale_components straight to
-    # reach.find_scale_range: one vertex draw, the two LPs of each batch,
-    # and the stored range of the design seed
+    # reach.find_scale_range: one vertex draw of 1,000 vertices, one LP per
+    # end over all of them, and the stored range of the design seed
     design = harness.setup_design(harness.DESIGN)
     seed = harness.DESIGN_SEEDS[0]
     ref = harness.load_refs(harness.DESIGN)["seeds"][str(seed)]
@@ -99,6 +99,7 @@ def test_the_design_scale_passes_the_layers_the_harness_times(harness):
         sr = harness.design_scale(design, seed)
     assert tracer.spans["reach.find_scale_range"].calls == 1
     assert tracer.spans["reach.sample_vertices"].calls == 1
-    assert tracer.spans["reach.lp_solve"].calls == 2 * len(sr.convergence_history)
+    assert tracer.spans["reach.lp_solve"].calls == 2
+    assert len(sr.convergence_history) == 1 and sr.samples_used == 1000
     assert harness.close(sr.s_minus, ref["s_minus"], harness.REL_TOL)
     assert harness.close(sr.s_plus, ref["s_plus"], harness.REL_TOL)
