@@ -13,9 +13,9 @@ closed form.
 The report's propagators come from a tensor Legendre interpolant through
 exact ones at Gauss-Legendre nodes (Trefethen, Approximation Theory and
 Approximation Practice, SIAM 2013, ch. 8; Xiu, Numerical Methods for
-Stochastic Computations, Princeton 2010), read at the draws once every
-axis's tail, its largest |coefficient| among the last two degrees, is at
-most 1e-12; else, or where a grid costs as much, from the draws themselves.
+Stochastic Computations, Princeton 2010), sized from one line of nodes per
+axis and read at the draws once every axis's tail, its largest |coefficient|
+among the last two degrees, is at most 1e-12; else from the draws themselves.
 """
 from __future__ import annotations
 
@@ -184,44 +184,60 @@ def exact_unitaries(seq: ControlSequence, setup: EvaluationSetup, draws) -> np.n
         if unknown:
             raise KeyError(f"unknown distribution(s) {sorted(unknown)}")
         draws = np.array([[v.get(dd.name, dd.nominal()) for dd in dists] for v in draws], dtype=float)
-    n, d = len(draws), 2 ** setup.n_qubits
-    coeffs, params = np.tile(setup.term_coeffs, (n, 1)), {}
-    for dd, column in zip(dists, draws.T):
+    return _propagator(seq, setup)(draws)
+
+
+def _propagator(seq: ControlSequence, setup: EvaluationSetup):
+    """`exact_unitaries` as a map of (n, n_dist) draw arrays, with what its
+    calls share found once: the column each term and model parameter reads,
+    the field operators, and the unit-drive field when draws only scale it."""
+    d, terms, params = 2 ** setup.n_qubits, {}, {}
+    for j, dd in enumerate(setup.distributions):
         kind, _, name = dd.applies_to.partition(":")
         if kind == "model":
-            params[name] = column
+            params[name] = j
         elif kind == "term":
-            coeffs[:, setup.term_names.index(name)] = column
+            terms[setup.term_names.index(name)] = j
         else:
             raise ValueError(f"distribution {dd.name} has no applies_to target")
-    out = np.empty((n, d, d), dtype=complex)
-    if n == 0:
-        return out
-    h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
     axis_ops = field_operators(seq.channels, setup.n_qubits)
     linear = setup.model.drive_linear
     shared = set(params) <= ({"amplitude"} if linear else set())
     if shared:
-        amp = 1.0 + (params["amplitude"] if params else np.full(n, setup.model.amplitude if linear else 0.0))
-        fld = (setup.model.with_param("amplitude", 0.0) if linear else setup.model).field(seq)
-        h_unit = np.einsum("kq,kab->qab", fld.b, axis_ops)[:, None]
-    else:
-        models = [setup.model] * n
-        for name, column in params.items():
-            models = [m.with_param(name, v) for m, v in zip(models, column)]
-        fld = models[0].field(seq)   # draw 0's field, which also sets the block size
-    size = max(1, _MC_BLOCK // (fld.b.shape[1] * d * d))
-    work = np.empty(7 * fld.b.shape[1] * min(size, n) * d * d, dtype=complex)   # expm_batch's, once a call
-    for lo in range(0, n, size):
-        blk = slice(lo, lo + size)
+        unit = (setup.model.with_param("amplitude", 0.0) if linear else setup.model).field(seq)
+        h_unit = np.einsum("kq,kab->qab", unit.b, axis_ops)[:, None]
+
+    def propagate(draws: np.ndarray) -> np.ndarray:
+        n = len(draws)
+        out = np.empty((n, d, d), dtype=complex)
+        if n == 0:
+            return out
+        coeffs = np.tile(setup.term_coeffs, (n, 1))
+        for t, j in terms.items():
+            coeffs[:, t] = draws[:, j]
+        h_terms = np.einsum("st,tab->sab", coeffs, setup.term_mats)
         if shared:
-            hh = h_unit * amp[blk, None, None] + h_terms[blk]   # (Q, draws, d, d)
-        else:   # one solve per draw, in draw order
-            b = [fld.b if k == 0 else m.field(seq).b for k, m in enumerate(models[blk], lo)]
-            hh = np.einsum("kqs,kab->qsab", np.stack(b, axis=-1), axis_ops) + h_terms[blk]
-        u = np.moveaxis(tg.expm_batch(hh, fld.delta_t, work), (2, 3), (0, 1))
-        out[blk] = np.moveaxis(tg.ordered_product(u), -1, 0)
-    return out
+            fld = unit
+            amp = 1.0 + (draws[:, params["amplitude"]] if params else np.full(n, setup.model.amplitude if linear else 0.0))
+        else:
+            models = [setup.model] * n
+            for name, j in params.items():
+                models = [m.with_param(name, v) for m, v in zip(models, draws[:, j])]
+            fld = models[0].field(seq)   # draw 0's field, which also sets the block size
+        size = max(1, _MC_BLOCK // (fld.b.shape[1] * d * d))
+        work = np.empty(7 * fld.b.shape[1] * min(size, n) * d * d, dtype=complex)   # expm_batch's, once a call
+        for lo in range(0, n, size):
+            blk = slice(lo, lo + size)
+            if shared:
+                hh = h_unit * amp[blk, None, None] + h_terms[blk]   # (Q, draws, d, d)
+            else:   # one solve per draw, in draw order
+                b = [fld.b if k == 0 else m.field(seq).b for k, m in enumerate(models[blk], lo)]
+                hh = np.einsum("kqs,kab->qsab", np.stack(b, axis=-1), axis_ops) + h_terms[blk]
+            u = np.moveaxis(tg.expm_batch(hh, fld.delta_t, work), (2, 3), (0, 1))
+            out[blk] = np.moveaxis(tg.ordered_product(u), -1, 0)
+        return out
+
+    return propagate
 
 
 def simulate_total_unitary(
@@ -302,57 +318,75 @@ def _draw(dists, n_mc: int, rng: np.random.Generator) -> np.ndarray:
     return np.array([[dd.sample(rng) for dd in dists] for _ in range(n_mc)])
 
 
-# nodes per dispersed axis of the first grid: on the 24 design seeds 10 already
-# show the decay that sizes a grid whose tails hold (352-408 of 1,000 propagations)
+# nodes of each dispersed axis's pilot line: on the 24 design seeds 10 already
+# show the decay that sizes a grid whose tails hold (272-328 of 1,000 propagations)
 _PILOT = 10
 # the certifying tail: at 1e-12 every output of the 24 design reports is within
 # 9e-15 of the draws propagated one by one, fom within 1.1e-15 of the references
 _TAIL = 1e-12
 
 
+@cache
+def _legendre_rule(k: int) -> tuple:
+    """k Gauss-Legendre nodes x on [-1, 1] and the map legvander(x)^T w (j + 1/2)
+    from values at them to Legendre coefficients; cached, read-only."""
+    x, w = leggauss(k)
+    t = legvander(x, k - 1).T * w * (np.arange(k) + 0.5)[:, None]
+    for a in (x, t):
+        a.setflags(write=False)
+    return x, t
+
+
 def _propagators(seq: ControlSequence, setup: EvaluationSetup, draws: np.ndarray):
     """Propagators (n, d, d) at the (n, n_dist) draws, and how many exact
     ones were computed: a Legendre interpolant where it is certified, else
-    the draws.  A tensor grid of k Gauss-Legendre nodes x on [min, max] of
-    each dispersed column (a constant column at its value) has coefficients
-    legvander(x)^T w (j + 1/2) along each axis.  From _PILOT nodes each axis
-    whose tail exceeds _TAIL grows once, as far as its decay over the last
-    four degrees asks; with no tail above _TAIL the interpolant is read at
-    the draws.  The draws are propagated when the pilot costs more than n/8,
-    pilot and grown grid n or more, or a grown tail exceeds _TAIL."""
+    the draws.  The pilot is one line of _PILOT Gauss-Legendre nodes on each
+    dispersed column's [min, max], through the centre of the box; an axis
+    whose line's tail exceeds _TAIL grows as far as the line's decay over
+    its last four degrees asks.  The tensor grid of those sizes (one axis's
+    line, if it did not grow) is read at the draws when no tail of its
+    coefficients exceeds _TAIL.  The draws are propagated instead when a
+    _PILOT-node grid costs more than n/8, lines and grid n or more, or a
+    grid tail exceeds _TAIL."""
     n, d = len(draws), 2 ** setup.n_qubits
+    propagate = _propagator(seq, setup)   # one field for lines, grid and draws
     lo, hi = draws.min(axis=0), draws.max(axis=0)
     axes = np.flatnonzero(lo < hi)
+    if _PILOT ** len(axes) > n / 8:
+        return propagate(draws), n
     mid, half = (hi + lo)[axes] / 2, (hi - lo)[axes] / 2
-    sizes, spent = np.full(len(axes), _PILOT), 0
-    for budget in (n / 8, n - 1):
-        if spent + sizes.prod() > budget:
-            break
-        rules, count = [leggauss(k) for k in sizes], sizes.prod()
+    lines = np.repeat(((hi + lo) / 2)[None], len(axes) * _PILOT, axis=0)   # a constant column at its value
+    for j, a in enumerate(axes):
+        lines[j * _PILOT : (j + 1) * _PILOT, a] += half[j] * _legendre_rule(_PILOT)[0]
+    c, sizes, spent = propagate(lines), np.full(len(axes), _PILOT), len(lines)
+    for j, line in enumerate(c.reshape(len(axes), _PILOT, d, d)):
+        decay = np.abs(np.tensordot(_legendre_rule(_PILOT)[1], line, 1)).reshape(_PILOT, -1).max(axis=1)
+        tail = decay[-2:].max()
+        if tail > _TAIL:   # decay per degree, at least 1e-3
+            rate = max(np.log(decay[-4:-2].max() / tail) / 2, 1e-3)
+            sizes[j] += int(np.ceil(np.log(tail / _TAIL) / rate))
+    if spent + sizes.prod() >= n:
+        return propagate(draws), spent + n
+    if len(axes) != 1 or sizes[0] != _PILOT:
+        count = int(sizes.prod())
         grid = np.repeat(lo[None], count, axis=0)
-        nodes = itertools.product(*[x for x, _ in rules])   # C order, as the reshape below
+        nodes = itertools.product(*[_legendre_rule(k)[0] for k in sizes])   # C order, as the reshape below
         grid[:, axes] = mid + half * np.array(list(nodes)).reshape(count, len(axes))
-        c = exact_unitaries(seq, setup, grid).reshape(*sizes, d, d)
-        spent += len(grid)
-        for j, (x, w) in enumerate(rules):
-            t = legvander(x, len(x) - 1).T * w * (np.arange(len(x)) + 0.5)[:, None]
-            c = np.moveaxis(np.tensordot(t, c, (1, j)), 0, j)
-        decay = [np.abs(np.moveaxis(c, j, 0)).reshape(k, -1).max(axis=1) for j, k in enumerate(sizes)]
-        tails = np.array([a[-2:].max() for a in decay])
-        if np.all(tails <= _TAIL):
-            v = [legvander((draws[:, a] - m) / h, k - 1) for a, m, h, k in zip(axes, mid, half, sizes)]
-            u, size = np.empty((n, d, d), dtype=complex), max(1, _MC_BLOCK // c[0].size)
-            for s in range(0, n, size):   # blocks of draws: no (n, k, ..., d, d) temporary
-                blk = slice(s, s + size)
-                ub = np.tensordot(v[0][blk], c, (1, 0)) if v else c
-                for vj in v[1:]:
-                    ub = np.einsum("sk...,sk->s...", ub, vj[blk])
-                u[blk] = ub
-            return u, spent
-        for j in np.flatnonzero(tails > _TAIL):   # decay per degree, at least 1e-3
-            rate = max(np.log(decay[j][-4:-2].max() / tails[j]) / 2, 1e-3)
-            sizes[j] += int(np.ceil(np.log(tails[j] / _TAIL) / rate))
-    return exact_unitaries(seq, setup, draws), spent + n
+        c, spent = propagate(grid), spent + count
+    c = c.reshape(*sizes, d, d)
+    for j, k in enumerate(sizes):
+        c = np.moveaxis(np.tensordot(_legendre_rule(k)[1], c, (1, j)), 0, j)
+    if any(np.abs(np.moveaxis(c, j, 0)).reshape(k, -1)[-2:].max() > _TAIL for j, k in enumerate(sizes)):
+        return propagate(draws), spent + n
+    v = [legvander((draws[:, a] - m) / h, k - 1) for a, m, h, k in zip(axes, mid, half, sizes)]
+    u, size = np.empty((n, d, d), dtype=complex), max(1, _MC_BLOCK // c[0].size)
+    for s in range(0, n, size):   # blocks of draws: no (n, k, ..., d, d) temporary
+        blk = slice(s, s + size)
+        ub = np.tensordot(v[0][blk], c, (1, 0)) if v else c
+        for vj in v[1:]:
+            ub = np.einsum("sk...,sk->s...", ub, vj[blk])
+        u[blk] = ub
+    return u, spent
 
 
 def evaluation_report(

@@ -4,12 +4,12 @@ The reachable set of time-averaged toggled perturbations is the convex
 hull of conjugated perturbation vectors.  This module samples that hull
 (Haar via QR for full unitary algebras, a group random walk otherwise),
 rotates it so the target direction is the first coordinate, and bounds
-the achievable scaling factor range [s-, s+] with two linear programs,
-one per end, each solved once over every sampled vertex.  The range is an
-inner bound, since the sampled hull lies inside the reachable one: every
-end is low, 21% on the 2-qubit design problem and 72% on its 3-qubit
-extension.  So the s_target gate of `hamforge optimize` can reject
-a reachable target; --force passes it.
+the achievable scaling factor range [s-, s+] with two linear programs, one
+per end, each priced over every sampled vertex and solved over the few
+dozen that bind.  The range is an inner bound, since the sampled hull lies
+inside the reachable one: every end is low, 21% on the 2-qubit design
+problem and 72% on its 3-qubit extension.  So the s_target gate of
+`hamforge optimize` can reject a reachable target; --force passes it.
 
 Joint normalisation.  A `Component` w holds the coefficients p_w of
 H_pert^w and t_w of H_target^w in its subspace C_w.  A scale factor s is
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liealg import CSubspace, LieAlgebraBasis
-from .opcore import SPAN_TOL, RowSpace, SubspaceError, project
+from .opcore import SPAN_TOL, SubspaceError, project
 from .toggling import expm_batch, prefix_products
 
 SAMPLERS = ("auto", "qr", "walk")   # vertex samplers; "auto" picks by the algebra
@@ -76,15 +76,19 @@ class LPResult:
 def lp_solve(vertices: np.ndarray, sign: float) -> LPResult:
     """One end of the scale range: max sign * v1 @ x over convex weights x
     of the (J, m) vertex rows whose mean has no transverse part, with two
-    slacks that hold v1 @ x inside [-1, 1].  One HiGHS model, solved once
-    by its dual simplex without presolve (Huangfu & Hall, Math. Prog. Comp.
-    10, 2018).
+    slacks that hold v1 @ x inside [-1, 1].  One HiGHS model, solved by its
+    dual simplex without presolve (Huangfu & Hall, Math. Prog. Comp. 10,
+    2018), priced over every vertex and solved over those that bind (Gilmore
+    & Gomory, Oper. Res. 9, 1961; Bixby et al., Oper. Res. 40, 1992): from
+    the k = 2(m + 2) of largest sign * v1, each optimum adds up to k vertices
+    whose reduced cost under its row duals is below HiGHS's dual feasibility
+    tolerance, and re-solves from its basis, until none prices in.  A solve
+    without an optimum is followed by one over every vertex.
 
     HiGHS reads "Infeasible", or on some degenerate hulls stops at
-    "Unknown" with an infeasible primal solution (2 of the 60 ends of 30
-    three-qubit hulls of 100 vertices): either is an end without an
-    optimum.  Any other stop without a verdict raises RuntimeError naming
-    HiGHS's status.
+    "Unknown" with an infeasible primal solution: either, over every vertex,
+    is an end without an optimum.  Any other stop without a verdict raises
+    RuntimeError naming HiGHS's status.
     """
     # imported here: scipy.optimize costs ~20 MB that only LP callers should pay
     from scipy.optimize._highspy._core import _Highs
@@ -102,12 +106,22 @@ def lp_solve(vertices: np.ndarray, sign: float) -> LPResult:
     v1 = vertices[:, :1]
     cols = np.vstack([np.eye(m + 2)[m:] * [[1.0], [-1.0]], np.hstack([np.ones_like(v1), vertices[:, 1:], v1, v1])])
     cost = np.concatenate([[0.0, 0.0], -sign * v1[:, 0]])
-    n, rows = cols.shape
-    start = np.arange(0, n * rows, rows, dtype=np.int32)
-    index = np.tile(np.arange(rows, dtype=np.int32), n)
-    highs.addCols(n, cost, np.zeros(n), np.full(n, np.inf), n * rows, start, index, cols.ravel())
-    highs.run()
-    verdict = highs.modelStatusToString(highs.getModelStatus())
+    (count, rows), k = cols.shape, 2 * (m + 2)
+    tol = highs.getOptionValue("dual_feasibility_tolerance")[1]
+    active, new = np.zeros(count, dtype=bool), np.concatenate([[0, 1], 2 + np.argsort(cost[2:])[:k]])
+    while len(new):
+        n = len(new)
+        active[new] = True
+        highs.addCols(n, cost[new], np.zeros(n), np.full(n, np.inf), n * rows, np.arange(0, n * rows, rows, dtype=np.int32),
+                      np.tile(np.arange(rows, dtype=np.int32), n), cols[new].ravel())
+        highs.run()
+        verdict = highs.modelStatusToString(highs.getModelStatus())
+        if verdict == "Optimal":   # price the vertices outside the model by its row duals
+            reduced = np.where(active, np.inf, cost - cols @ highs.getSolution().row_dual)
+            new = np.argsort(reduced)[:k]
+            new = new[reduced[new] < -tol]
+        else:
+            new = np.flatnonzero(~active)
     if verdict == "Optimal":
         return LPResult("optimal", -sign * highs.getObjectiveValue())
     primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
@@ -158,7 +172,7 @@ def joint_normalisation(components, s: float):
 @dataclass(frozen=True)
 class ScaleRange:
     """Inner bound [s_minus, s_plus] on the scale range along the target
-    direction, from one LP per end over all ``samples_used`` vertices.
+    direction, from one LP per end priced over all ``samples_used`` vertices.
 
     An end whose LP reached no optimum is NaN, here and in the one
     ``(samples_used, s_minus, s_plus)`` row of ``convergence_history``;
@@ -173,12 +187,15 @@ class ScaleRange:
 
 
 def _completion_from_direction(t0: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first row is t0 (unit) itself, completed
-    from the unit vectors by the row space."""
-    rows = RowSpace(t0.size)
-    for v in (t0, *np.eye(t0.size)):
-        rows.try_add(v)
-    return np.vstack([t0, rows.q[1:].real])
+    """Orthogonal matrix whose first row is t0 (unit) itself: the Householder
+    reflection I - 2 w w^T / ||w||^2, w = e1 - t0 (the identity at w = 0),
+    with w_1 = sum_{i>1} t0_i^2 / (1 + t0_1) when t0_1 > 0, so that no
+    cancellation spoils w near e1 (Golub & Van Loan, 4th ed., sec. 5.1.3)."""
+    w = -t0.copy()
+    w[0] = t0[1:] @ t0[1:] / (1.0 + t0[0]) if t0[0] > 0 else 1.0 - t0[0]
+    tmat = np.eye(t0.size) - 2.0 * np.outer(w, w / (w @ w or 1.0))
+    tmat[0] = t0
+    return tmat
 
 
 def _pick_sampler(g: LieAlgebraBasis, sampler: str) -> str:
@@ -238,11 +255,11 @@ def find_scale_range(
 ) -> ScaleRange:
     """Range of achievable scale factors of a list of `Component`, under
     the joint normalisation (see the module docstring): the two ends of
-    `lp_solve`, each solved once over all ``j_samples`` sampled vertices.
-    Both ends without an optimum mean the target direction is not
-    achievable at any scale.  The range is an inner bound (see the module
-    docstring).  ``batch`` is accepted and ignored: the benchmark harness
-    and the ``scale_batch`` file key still pass it.
+    `lp_solve`, each priced over all ``j_samples`` sampled vertices and
+    solved over the ones that bind.  Both ends without an optimum mean the
+    target direction is not achievable at any scale.  The range is an inner
+    bound (see the module docstring).  ``batch`` is accepted and ignored:
+    the benchmark harness and the ``scale_batch`` file key still pass it.
     """
     rng = rng or np.random.default_rng()
     if j_samples < sum(c.subspace.dim for c in components) + 1:

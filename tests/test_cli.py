@@ -136,7 +136,8 @@ def test_cli_evaluate_reports_fom_and_seed_override(tmp_path):
     assert 0.0 <= rep["fom"] <= 1.0
     assert rep["seed"] == 41
     assert rep["n_mc"] == 150
-    # two dispersed columns: a 10 x 10 pilot costs more than n_mc / 8
+    # two dispersed columns: a 10 x 10 grid would cost more than n_mc / 8,
+    # so the report propagates every draw and no pilot line
     assert rep["propagations"] == 150
 
 

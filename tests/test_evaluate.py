@@ -669,6 +669,18 @@ def _check_interpolant(seq, setup, u0, n_mc, monkeypatch, seed=3):
     return got["propagations"]
 
 
+def test_legendre_rules_are_computed_once_per_size():
+    # the nodes and the values-to-coefficients map of a size, cached and
+    # read-only; the map recovers every polynomial of degree < k exactly
+    from numpy.polynomial.legendre import legval
+
+    x, t = ev._legendre_rule(12)
+    assert ev._legendre_rule(12)[1] is t
+    assert not x.flags.writeable and not t.flags.writeable
+    coef = np.random.default_rng(6).standard_normal(12)
+    assert np.abs(t @ legval(x, coef) - coef).max() <= 1e-13
+
+
 _AMP = ev.ParameterDistribution("amp", "uniform", (-0.05, 0.05), "model:amplitude")
 
 
@@ -709,12 +721,14 @@ def test_design_report_propagates_a_grid_of_fewer_nodes(seed, monkeypatch):
     x = restart_rng(seed, 0).uniform(-1.0, 1.0, cfg.gsa.dimension)
     seq = ControlSequence(x.reshape(len(cfg.channels), cfg.intervals), cfg.dt, cfg.channels)
     assert cfg.n_mc == 1000
-    assert _check_interpolant(seq, cfgmod.build_evaluation_setup(cfg), u0, cfg.n_mc, monkeypatch, seed) <= 550
+    # two pilot lines of 10 nodes, then the grid they size (400 with a 10 x 10 pilot)
+    propagations = _check_interpolant(seq, cfgmod.build_evaluation_setup(cfg), u0, cfg.n_mc, monkeypatch, seed)
+    assert type(propagations) is int and propagations <= 340
 
 
 def test_wide_normal_offset_falls_back_to_the_draws(monkeypatch):
-    # 80 steps under sigma = 3e6 rad/s: the pilot's decay asks for a grid
-    # as costly as the draws, so the report pays the pilot and every draw
+    # 80 steps under sigma = 3e6 rad/s: the pilot lines' decay asks for a
+    # grid as costly as the draws, so the report pays the lines and every draw
     setup = setup_1q([ev.ParameterDistribution("offset", "normal", (1e6, 3e6), "term:offset"), _AMP])
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     n_mc = 1000
@@ -722,7 +736,7 @@ def test_wide_normal_offset_falls_back_to_the_draws(monkeypatch):
 
 
 def test_three_dispersed_columns_propagate_every_draw(monkeypatch):
-    # a 10 x 10 x 10 pilot costs more than n_mc / 8
+    # a 10 x 10 x 10 grid would cost more than n_mc / 8, so no pilot line runs
     setup, seq = _per_draw_setup("W")
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     assert _check_interpolant(seq, setup, u0, 1000, monkeypatch) == 1000

@@ -55,8 +55,9 @@ def _completion_cases():
         for k in range(m):
             yield np.eye(m)[k]
             yield -np.eye(m)[k]
-        near = np.eye(m)[0] + 1e-8 * rng.standard_normal(m)
-        yield near / np.linalg.norm(near)
+        for eps, axis in itertools.product((1e-4, 1e-8, 1e-12), (1.0, -1.0)):
+            near = axis * np.eye(m)[0] + eps * rng.standard_normal(m)
+            yield near / np.linalg.norm(near)
         for _ in range(5):
             t = rng.standard_normal(m)
             yield t / np.linalg.norm(t)
@@ -67,7 +68,15 @@ def test_completion_is_orthogonal_with_first_row_t0():
         tmat = reach._completion_from_direction(t0)
         assert tmat.shape == (t0.size, t0.size)
         assert np.array_equal(tmat[0], t0)
-        assert np.abs(tmat @ tmat.T - np.eye(t0.size)).max() <= 1e-13
+        assert np.abs(tmat @ tmat.T - np.eye(t0.size)).max() <= 1e-15
+
+
+def test_completion_at_the_target_axis_is_the_identity_or_its_mirror():
+    # t0 = e1 needs no reflection (w = 0); t0 = -e1 reflects the first axis alone
+    for m in (1, 2, 6):
+        e1 = np.eye(m)[0]
+        assert np.array_equal(reach._completion_from_direction(e1), np.eye(m))
+        assert np.array_equal(reach._completion_from_direction(-e1), np.diag([-1.0] + [1.0] * (m - 1)))
 
 
 def su2():
@@ -504,10 +513,11 @@ def _check_against_fresh_solves(sr, vertices):
         assert np.isnan(want) or abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
-@pytest.mark.parametrize("seed", range(100, 106))
+@pytest.mark.parametrize("seed", range(100, 124))
 def test_design_search_matches_fresh_solves(monkeypatch, design, seed):
-    # the design's scale_batch (200) leaves 800 of the 1,000 vertices out
-    # of a solve over the first batch, which this comparison catches
+    # every design seed: a solve over the first scale_batch (200) vertices,
+    # or over the first priced subset alone, misses the range over all
+    # 1,000, which this comparison catches
     g, comps, scale_args = design
     sr, vs = _search_and_vertices(monkeypatch, g, comps, rng=restart_rng(seed, 11), **scale_args)
     assert reach._pick_sampler(g, "auto") == "qr" and scale_args["batch"] < len(vs) == 1000
@@ -534,6 +544,34 @@ def test_a_batch_below_the_hull_dimension_is_ignored(monkeypatch):
     sr, vs = _search_and_vertices(monkeypatch, g, comps, j_samples=30, rng=np.random.default_rng(2), batch=3)
     assert np.isnan(orc.scale_range_ends(vs[:3])).all() and sr.achievable
     _check_against_fresh_solves(sr, vs)
+
+
+def test_a_first_subset_off_the_target_axis_takes_every_vertex(monkeypatch):
+    # the k = 2(m + 2) = 8 vertices of largest v1 all lie above the axis,
+    # so the first round of the + end is infeasible; the next takes every
+    # vertex, whose hull holds the axis, and both ends meet the oracle
+    from scipy.optimize._highspy import _core
+
+    rng = np.random.default_rng(5)
+    high = np.column_stack([rng.uniform(0.5, 1.0, 8), rng.uniform(0.2, 1.0, 8)])
+    low = np.column_stack([rng.uniform(-1.0, 0.4, 30), rng.uniform(-1.0, 1.0, 30)])
+    vertices = np.vstack([low[:15], high, low[15:]])
+    verdicts = []
+
+    class Spy(_core._Highs):
+        def run(self):
+            status = super().run()
+            verdicts.append(self.modelStatusToString(self.getModelStatus()))
+            return status
+
+    assert np.isnan(orc.scale_range_ends(high)).all()
+    ends = orc.scale_range_ends(vertices)
+    monkeypatch.setattr(_core, "_Highs", Spy)
+    r_plus = reach.lp_solve(vertices, 1.0)
+    assert verdicts[:2] == ["Infeasible", "Optimal"]
+    r_minus = reach.lp_solve(vertices, -1.0)
+    for r, want in zip((r_plus, r_minus), ends):
+        assert r.status == "optimal" and abs(r.value - want) <= 1e-10 * abs(want), (r, want)
 
 
 # Schur-Horn: over all 2-qubit unitaries the hull of u^dag H u holds the
@@ -589,7 +627,7 @@ def test_an_unknown_stop_at_an_infeasible_point_is_an_open_end(monkeypatch):
             return status
 
     monkeypatch.setattr(_core, "_Highs", Spy)
-    for seed in (2, 28):
+    for seed in (88, 105):   # "Unknown" on the + end at 88, on the - end at 105
         sr = reach.find_scale_range(g, comps, 100, rng=restart_rng(seed, 11))
         assert not sr.achievable and np.isnan([sr.s_minus, sr.s_plus]).all()
     assert ("Unknown", "Infeasible") in seen

@@ -88,10 +88,22 @@ def test_the_design_report_at_its_own_n_mc_times_fewer_exponentials(harness):
     assert tracer.spans["evaluate.ptm"].calls >= 1
 
 
+def test_the_design_report_solves_its_unit_drive_field_once(harness):
+    # the drive-linear report scales one unit-drive field for its pilot
+    # lines and its grid alike
+    design = harness.setup_design(harness.DESIGN)
+    seq = harness.design_sequence(design.cfg, 100)
+    with harness.Tracer(harness.trace_targets()) as tracer:
+        report = evaluate.evaluation_report(seq, design.setup, design.u0, 1000, 100)
+    assert report["propagations"] < 1000
+    assert tracer.spans["controlsys.field"].calls == 1
+
+
 def test_the_design_scale_passes_the_layers_the_harness_times(harness):
     # the harness hands config.scale_components straight to
-    # reach.find_scale_range: one vertex draw of 1,000 vertices, one LP per
-    # end over all of them, and the stored range of the design seed
+    # reach.find_scale_range: one vertex draw of 1,000 vertices, one
+    # lp_solve per end, priced over all of them, and the stored range of
+    # the design seed
     design = harness.setup_design(harness.DESIGN)
     seed = harness.DESIGN_SEEDS[0]
     ref = harness.load_refs(harness.DESIGN)["seeds"][str(seed)]
