@@ -345,14 +345,14 @@ def _propagators(seq: ControlSequence, setup: EvaluationSetup, draws: np.ndarray
     whose line's tail exceeds _TAIL grows as far as the line's decay over
     its last four degrees asks.  The tensor grid of those sizes (one axis's
     line, if it did not grow) is read at the draws when no tail of its
-    coefficients exceeds _TAIL.  The draws are propagated instead when a
-    _PILOT-node grid costs more than n/8, lines and grid n or more, or a
-    grid tail exceeds _TAIL."""
+    coefficients exceeds _TAIL.  The draws are propagated instead when the
+    lines cost more than n/8, the least grid they can size n or more, lines
+    and grid n or more, or a grid tail exceeds _TAIL."""
     n, d = len(draws), 2 ** setup.n_qubits
     propagate = _propagator(seq, setup)   # one field for lines, grid and draws
     lo, hi = draws.min(axis=0), draws.max(axis=0)
     axes = np.flatnonzero(lo < hi)
-    if _PILOT ** len(axes) > n / 8:
+    if len(axes) * _PILOT > n / 8 or _PILOT ** len(axes) >= n:
         return propagate(draws), n
     mid, half = (hi + lo)[axes] / 2, (hi - lo)[axes] / 2
     lines = np.repeat(((hi + lo) / 2)[None], len(axes) * _PILOT, axis=0)   # a constant column at its value

@@ -12,9 +12,20 @@ unit vector leaves more than `opcore.INDEP_TOL` off the span of the rows
 kept so far, and the rows themselves, already orthonormal and in the
 order the elements were kept, are the returned basis.  So the first
 element of a C-subspace is parallel to H_pert, its first seed.
+
+A closure stops when a round adds nothing or its span fills the space
+that holds it, so it never brackets a complete span only to reject every
+result; its rows are those of a closure run until a round adds nothing.
+Commutators are traceless, so a closure of traceless seeds lies in su(d),
+of dimension d^2 - 1, and any other in the d^2 Hermitian matrices.  On the
+full algebra a C-subspace of traceless seeds always fills su(d): su(d) is
+simple, so its adjoint representation is irreducible (J. E. Humphreys,
+Introduction to Lie Algebras and Representation Theory, Springer GTM 9,
+1972, secs. 19-20).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +77,20 @@ def _closure(seeds, partners, bracket, cap: int):
     the span reaches ``cap``.  Returns (the orthonormal basis of the span,
     (m, d, d) in the order its elements were kept, rounds performed).
     """
-    rows = RowSpace(seeds[0].size)
+    rows = RowSpace(seeds[0].size, cap)
     current = [m for m in seeds if rows.try_add(m)]
     depth = 0
     while current and len(rows.q) < cap:
         new: list[np.ndarray] = []
-        for b in current:
-            for p in partners:
-                c = bracket(b, p)
-                if rows.try_add(c):
-                    new.append(c)
-                    if len(rows.q) >= cap:
-                        break
-            else:
-                continue
-            break
+        for b, p in itertools.product(current, partners):
+            if len(rows.q) == cap:
+                break
+            c = bracket(b, p)
+            if rows.try_add(c):
+                new.append(c)
         current = new
         depth += 1
-    return rows.q.reshape(-1, *seeds[0].shape), depth
+    return rows.q.reshape(-1, *seeds[0].shape).copy(), depth
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -121,7 +128,9 @@ def find_c_subspace(
     the seed direction); seeds that are all zero leave an empty stack,
     which raises ValueError.  ``extra_seeds`` extends the computation to a
     time-dependent perturbation: the subspace then contains the span of
-    all listed operators and their nested commutators.
+    all listed operators and their nested commutators.  Seeds whose identity
+    parts are at most ORTHO_TOL of their norms, far below INDEP_TOL, close in
+    su(d) and stop at dimension d^2 - 1 (see the module docstring).
     """
     h_pert = np.asarray(h_pert)
     scale = max(np.abs(h_pert).max(), 1e-300)
@@ -131,5 +140,7 @@ def find_c_subspace(
     if g.stack.shape[-1] != d:
         raise ValueError("algebra and perturbation dimension mismatch")
     seeds = [h_pert, *(np.asarray(s) for s in extra_seeds)]
-    basis, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, d * d)
+    traceless = all(abs(np.trace(s)) <= ORTHO_TOL * np.sqrt(d) * np.linalg.norm(s) for s in seeds)
+    cap = d * d - 1 if traceless else d * d
+    basis, _ = _closure(seeds, g.stack, lambda b, e: e @ b - b @ e, cap)
     return CSubspace(basis)

@@ -222,7 +222,10 @@ def _higher_order_r(pipe, p):
 def _effective_robustness(pipe, p):
     w, name = p.get("component", 0), p["error"]
     se, sp = pipe.err_space.stack, pipe.components[w].subspace.stack
-    table = np.einsum("lab,sbc->lsac", se, sp) - np.einsum("sab,lbc->lsac", sp, se)
+    (l, d, _), s = se.shape, len(sp)
+    # two GEMMs, (l d, d) @ (d, s d) and its mirror subtracted in place: two tables' peak
+    table = (se.reshape(l * d, d) @ sp.transpose(1, 0, 2).reshape(d, s * d)).reshape(l, d, s, d).transpose(0, 2, 1, 3).copy()
+    table -= (sp.reshape(s * d, d) @ se.transpose(1, 0, 2).reshape(d, l * d)).reshape(s, d, l, d).transpose(2, 0, 1, 3)
     reads = (("cross", ("pert", w), ("err", (name,))),)
     scale = pipe.t_seq ** 2 * pipe.comp_scale[w] * pipe.err_scale * 2.0
     return f"effective_robustness[{w},{name}]", effective_robustness_cost, reads, (table,), scale

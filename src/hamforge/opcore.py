@@ -78,10 +78,13 @@ class RowSpace:
     holds one orthonormal row per accepted input, in input order, so the
     first row is parallel to the first input.  Classical Gram-Schmidt
     applied twice keeps them orthonormal to working precision (Giraud,
-    Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005))."""
+    Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  The rows
+    and their conjugates fill one preallocated (2, cap, length) array, so
+    it holds at most ``cap`` rows; `q` is a view of the filled ones."""
 
-    def __init__(self, length: int):
-        self.q = np.zeros((0, length), dtype=complex)
+    def __init__(self, length: int, cap: int):
+        self._rows = np.zeros((2, cap, length), dtype=complex)
+        self.q = self._rows[0, :0]
 
     def try_add(self, m: np.ndarray) -> bool:
         """Add the operator if independent; return whether it was added."""
@@ -90,13 +93,16 @@ class RowSpace:
         if nv == 0.0:
             return False
         v = v / nv
+        n = len(self.q)
         for _ in range(2):
-            if len(self.q):
-                v = v - self.q.conj() @ v @ self.q
+            if n:
+                v = v - self._rows[1, :n] @ v @ self.q
         r = np.linalg.norm(v)
         if r <= INDEP_TOL:
             return False
-        self.q = np.vstack([self.q, v / r])
+        self._rows[0, n] = v / r
+        self._rows[1, n] = self._rows[0, n].conj()
+        self.q = self._rows[0, : n + 1]
         return True
 
 

@@ -655,17 +655,17 @@ def test_per_draw_report_matches_per_sample_oracle(drawn, monkeypatch):
 # ---------------------------------------------------------------------------
 # the report's interpolant against every draw propagated
 
-def _check_interpolant(seq, setup, u0, n_mc, monkeypatch, seed=3):
-    """Every output of the report within 1e-12 of the report that
+def _check_interpolant(seq, setup, u0, n_mc, monkeypatch, seed=3, tol=1e-12):
+    """Every output of the report within ``tol`` of the report that
     propagates each draw itself; returns the report's propagation count."""
     got = ev.evaluation_report(seq, setup, u0, n_mc, seed)
     with monkeypatch.context() as m:
         m.setattr(ev, "_propagators", lambda seq, setup, draws: (ev.exact_unitaries(seq, setup, draws), len(draws)))
         want = ev.evaluation_report(seq, setup, u0, n_mc, seed)
     assert want["propagations"] == n_mc
-    assert np.abs(np.subtract(got["ptm"], want["ptm"])).max() <= 1e-12
+    assert np.abs(np.subtract(got["ptm"], want["ptm"])).max() <= tol
     for key in ("fom", "fom_median", "fom_p20", "fom_p80", "orthogonality"):
-        assert abs(got[key] - want[key]) <= 1e-12, key
+        assert abs(got[key] - want[key]) <= tol, key
     return got["propagations"]
 
 
@@ -710,20 +710,34 @@ def test_a_field_solved_per_draw_reads_its_interpolant(monkeypatch):
 DESIGN = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "design-2q-scale-evaluate.json"
 
 
-@pytest.mark.parametrize("seed", [100, 101])
-def test_design_report_propagates_a_grid_of_fewer_nodes(seed, monkeypatch):
-    # the design fixture's uniform detuning and amplitude at n_mc = 1,000,
-    # with the benchmark's sequence of the design seed
+def _design_report_args(seed):
+    """(sequence, evaluation set-up, u0, n_mc) of the design fixture, with
+    the benchmark's sequence of the design seed."""
     if not DESIGN.is_file():
         pytest.skip("perfbench/ is not in this checkout")
     cfg = cfgmod.load_config(DESIGN)
     u0 = cfgmod.total_target_unitary(cfg, cfgmod.build_subspaces(cfg, cfgmod.build_algebra(cfg)))
     x = restart_rng(seed, 0).uniform(-1.0, 1.0, cfg.gsa.dimension)
     seq = ControlSequence(x.reshape(len(cfg.channels), cfg.intervals), cfg.dt, cfg.channels)
-    assert cfg.n_mc == 1000
+    return seq, cfgmod.build_evaluation_setup(cfg), u0, cfg.n_mc
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_design_report_propagates_a_grid_of_fewer_nodes(seed, monkeypatch):
+    # the design fixture's uniform detuning and amplitude at n_mc = 1,000
+    seq, setup, u0, n_mc = _design_report_args(seed)
+    assert n_mc == 1000
     # two pilot lines of 10 nodes, then the grid they size (400 with a 10 x 10 pilot)
-    propagations = _check_interpolant(seq, cfgmod.build_evaluation_setup(cfg), u0, cfg.n_mc, monkeypatch, seed)
+    propagations = _check_interpolant(seq, setup, u0, n_mc, monkeypatch, seed)
     assert type(propagations) is int and propagations <= 340
+
+
+def test_a_design_report_below_800_draws_reads_its_interpolant(monkeypatch):
+    # the pilot is gated at the cost of its two lines, 20 propagations, not
+    # at that of a 10 x 10 grid: at 790 draws it still pays for itself
+    seq, setup, u0, _ = _design_report_args(100)
+    propagations = _check_interpolant(seq, setup, u0, 790, monkeypatch, 100, tol=1e-14)
+    assert propagations <= 340
 
 
 def test_wide_normal_offset_falls_back_to_the_draws(monkeypatch):
@@ -736,7 +750,8 @@ def test_wide_normal_offset_falls_back_to_the_draws(monkeypatch):
 
 
 def test_three_dispersed_columns_propagate_every_draw(monkeypatch):
-    # a 10 x 10 x 10 grid would cost more than n_mc / 8, so no pilot line runs
+    # the least grid three pilot lines can size, 10 x 10 x 10, would cost
+    # every draw, so no pilot line runs
     setup, seq = _per_draw_setup("W")
     u0 = expm_herm_generator(pauli_op([(1, "x")], 1.0, 1), 0.3)
     assert _check_interpolant(seq, setup, u0, 1000, monkeypatch) == 1000

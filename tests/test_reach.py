@@ -524,6 +524,31 @@ def test_design_search_matches_fresh_solves(monkeypatch, design, seed):
     _check_against_fresh_solves(sr, vs)
 
 
+def test_design_ends_take_at_most_four_rounds(monkeypatch, design):
+    # the work of pricing: each end's one HiGHS model runs at most four
+    # times on every design seed; a pricing that picks the wrong vertices
+    # still ends at the optimum, over many more rounds
+    from scipy.optimize._highspy import _core
+
+    runs = []
+
+    class Counted(_core._Highs):
+        def __init__(self):
+            super().__init__()
+            runs.append(0)
+
+        def run(self):
+            runs[-1] += 1
+            return super().run()
+
+    g, comps, scale_args = design
+    monkeypatch.setattr(_core, "_Highs", Counted)
+    for seed in range(100, 124):
+        runs.clear()
+        reach.find_scale_range(g, comps, rng=restart_rng(seed, 11), **scale_args)
+        assert len(runs) == 2 and max(runs) <= 4, (seed, runs)
+
+
 @pytest.mark.parametrize("two_components", [False, True])
 def test_walk_search_matches_fresh_solves(monkeypatch, two_components):
     # a proper subalgebra, so the walk sampler; one component, or two
